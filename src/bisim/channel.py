@@ -5,9 +5,17 @@ synthesis modes:
 
 * fixed      -- paths hold their delay/gain, Doppler applied as a per-symbol
                 phasor:  H[m,k] = sum_i a_i exp(-j2πkΔf τ_i) exp(+j2π f_Di m T)
-* geometric  -- a callback re-evaluates the path set at every symbol time,
-                so delays and carrier phases track the scene geometry and
-                Doppler emerges from the carrier phase rotation itself.
+* geometric  -- a block callback maps an array of symbol times to a
+                PathTable of delays and gains, so delays and carrier phases
+                track the scene geometry and Doppler emerges from the
+                carrier phase rotation itself.
+
+Both modes build the ramps exp(-j2πkΔf τ) by a phasor recurrence (see
+phase_ramps): z = exp(-j2πΔf τ) once per path, and per symbol in geometric
+mode, then z^k by a cumulative product over subcarriers. Geometric mode
+reduces each block's ramps with its gains; one (block x P x K) complex slab
+is live at a time, and the block size keeps it at about 1 MiB whatever the
+capture size.
 
 Fractional delays are exact frequency-domain phase ramps; the carrier phase
 of a path lives in its complex gain, keeping delay-bin positions baseband
@@ -18,7 +26,7 @@ while f_D * T_sym << 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -124,51 +132,91 @@ class SlowTimeCube:
         return self.t0 + np.arange(self.waveform.n_symbols) * self.waveform.t_sym
 
 
-PathCallback = Callable[[float], Sequence[PathParameterSet]]
+@dataclass(eq=False)
+class PathTable:
+    """P paths evaluated at one or more times; arrays have shape (..., P).
+
+    delay (s) and gain carry the leading time axes; doppler (Hz) is filled
+    only on request, for fixed-mode synthesis.
+    """
+
+    delay: np.ndarray
+    gain: np.ndarray
+    doppler: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.delay.shape[-1]
+
+    def paths(self) -> list[PathParameterSet]:
+        """The paths of a single-instant table as PathParameterSet objects."""
+        doppler = np.zeros(len(self)) if self.doppler is None else self.doppler
+        return [PathParameterSet(float(d), float(f), complex(g))
+                for d, f, g in zip(self.delay, doppler, self.gain)]
 
 
-def _paths_row(paths: Sequence[PathParameterSet], k: np.ndarray, delta_f: float) -> np.ndarray:
-    """Sum of per-path frequency ramps a_i exp(-j2π k Δf τ_i)."""
-    if not paths:
-        return np.zeros(k.size, dtype=complex)
-    delays = np.array([p.delay for p in paths])
-    gains = np.array([p.gain for p in paths], dtype=complex)
-    return gains @ np.exp(-2j * np.pi * delta_f * np.outer(delays, k))
+def join_paths(tables: Sequence[PathTable], shape: tuple) -> PathTable:
+    """Concatenate tables along the path axis, each broadcast to shape + (P_i,)."""
+    if not tables:
+        return PathTable(np.zeros((*shape, 0)), np.zeros((*shape, 0), dtype=complex))
+
+    def cat(arrays):
+        return np.concatenate([np.broadcast_to(a, (*shape, a.shape[-1])) for a in arrays], axis=-1)
+
+    doppler = None if tables[0].doppler is None else cat([t.doppler for t in tables])
+    return PathTable(cat([t.delay for t in tables]), cat([t.gain for t in tables]), doppler)
+
+
+_SLAB_ELEMENTS = 1 << 16  # complex entries of one (block x P x K) slab: 1 MiB
+
+
+def phase_ramps(delay, delta_f: float, n_subcarriers: int) -> np.ndarray:
+    """Frequency ramps exp(-j2π k Δf τ), k = 0..K-1, of delays (..., P) -> (..., P, K).
+
+    exp is taken once per delay; z^k comes from a cumulative product over the
+    subcarriers, whose rounding error grows about linearly in k.
+    """
+    z = np.exp(-2j * np.pi * delta_f * np.asarray(delay))
+    ramps = np.repeat(z[..., None], n_subcarriers, axis=-1)
+    ramps[..., 0] = 1.0
+    return np.cumprod(ramps, axis=-1, out=ramps)
 
 
 def synth_cfr(
-    paths: Sequence[PathParameterSet] | PathCallback,
+    paths: Sequence[PathParameterSet] | Callable[[np.ndarray], PathTable],
     waveform: WaveformConfig,
     mode: str = "fixed",
     t0: float = 0.0,
 ) -> SlowTimeCube:
     """Synthesize a slow-time CFR capture from path parameters.
 
-    fixed mode takes a static list of paths; geometric mode takes a callback
-    t -> paths evaluated at every symbol time t0 + m*T_sym. Superposition is
-    exactly linear in the path set.
+    fixed mode takes a static list of paths. geometric mode takes a block
+    callback: an array of consecutive symbol times t0 + m*T_sym in, a
+    PathTable with delay and gain of shape (len(times), P) out. The first
+    call gets one symbol; later blocks hold as many symbols as keep one
+    (block x P x K) recurrence slab within 2^16 complex entries (1 MiB), or
+    one symbol if P*K alone exceeds that. Superposition is exactly linear
+    in the path set.
     """
     w = waveform
-    k = np.arange(w.n_subcarriers)
     data = np.empty((w.n_symbols, w.n_subcarriers), dtype=complex)
     if mode == "fixed":
         if callable(paths):
             raise UsageError("fixed mode takes a path list, not a callback")
-        delays = np.array([p.delay for p in paths])
-        gains = np.array([p.gain for p in paths], dtype=complex)
         dopplers = np.array([p.doppler for p in paths])
-        m = np.arange(w.n_symbols)
-        if len(paths) == 0:
-            data[:] = 0.0
-        else:
-            ramps = np.exp(-2j * np.pi * w.delta_f * np.outer(delays, k))
-            phasors = np.exp(2j * np.pi * w.t_sym * np.outer(m, dopplers))
-            data = (phasors * gains[None, :]) @ ramps
+        phasors = np.exp(2j * np.pi * w.t_sym * np.outer(np.arange(w.n_symbols), dopplers))
+        gains = phasors * np.array([p.gain for p in paths], dtype=complex)
+        data = gains @ phase_ramps(np.array([p.delay for p in paths]), w.delta_f, w.n_subcarriers)
     elif mode == "geometric":
         if not callable(paths):
-            raise UsageError("geometric mode needs a callback t -> paths")
-        for m in range(w.n_symbols):
-            data[m] = _paths_row(paths(t0 + m * w.t_sym), k, w.delta_f)
+            raise UsageError("geometric mode needs a block callback times -> PathTable")
+        times = t0 + np.arange(w.n_symbols) * w.t_sym
+        start, block = 0, 1
+        while start < w.n_symbols:
+            table = paths(times[start:start + block])
+            ramps = phase_ramps(table.delay, w.delta_f, w.n_subcarriers)
+            data[start:start + block] = np.einsum("mp,mpk->mk", table.gain, ramps)
+            start += block
+            block = max(1, _SLAB_ELEMENTS // max(1, len(table) * w.n_subcarriers))
     else:
         raise UsageError(f"unknown synthesis mode {mode!r}")
     return SlowTimeCube(data, w, t0)

@@ -8,6 +8,7 @@ produces a positive Doppler shift (an approaching target is "blue").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,18 +110,45 @@ class Trajectory:
         return float(self.times[-1])
 
 
+class NodeTrack(NamedTuple):
+    """Positions and velocities at one or more times, each of shape (..., 3)."""
+
+    position: np.ndarray
+    velocity: np.ndarray
+
+
+def track_at(traj: Trajectory, t) -> NodeTrack:
+    """Poses on a trajectory at time(s) t, each of shape t.shape + (3,).
+
+    Vectorised pose_at with the same clamping: before the first waypoint
+    and at or after the last one the position holds with zero velocity.
+    """
+    t = np.asarray(t, dtype=float)[..., None]
+    times, pts = traj.times, traj.points
+    if times.size == 1:
+        shape = t.shape[:-1] + (3,)
+        return NodeTrack(np.broadcast_to(pts[0], shape).copy(), np.zeros(shape))
+    i = np.clip(np.searchsorted(times, t[..., 0], side="right") - 1, 0, times.size - 2)
+    slope = (pts[i + 1] - pts[i]) / (times[i + 1] - times[i])[..., None]
+    pos = pts[i] + slope * (t - times[i][..., None])
+    before, after = t < times[0], t >= times[-1]
+    pos = np.where(before, pts[0], np.where(after, pts[-1], pos))
+    return NodeTrack(pos, np.where(before | after, 0.0, slope))
+
+
 def pose_at(traj: Trajectory, t: float, node_id: str = "") -> NodePose:
     """Pose on a trajectory at time t (clamped outside the waypoint span)."""
-    times, pts = traj.times, traj.points
-    if times.size == 1 or t < times[0]:
-        return NodePose(pts[0].copy(), np.zeros(3), node_id)
-    if t >= times[-1]:
-        return NodePose(pts[-1].copy(), np.zeros(3), node_id)
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    dt = times[i + 1] - times[i]
-    slope = (pts[i + 1] - pts[i]) / dt
-    pos = pts[i] + slope * (t - times[i])
-    return NodePose(pos, slope, node_id)
+    return NodePose(*track_at(traj, t), node_id)
+
+
+def two_hop(points, p_tx, p_rx) -> tuple[np.ndarray, np.ndarray]:
+    """Tx-to-point and point-to-Rx distances of (..., 3) arrays, broadcast
+    over leading axes; GeometryError if any point coincides with an antenna."""
+    d_tx = np.linalg.norm(points - p_tx, axis=-1)
+    d_rx = np.linalg.norm(points - p_rx, axis=-1)
+    if d_tx.size and min(d_tx.min(), d_rx.min()) < _EPS_COINCIDENT:
+        raise GeometryError("scatterer coincides with an antenna position")
+    return d_tx, d_rx
 
 
 def bistatic_range(p_tx, p_rx, p_tgt) -> tuple[float, float]:
@@ -132,12 +160,9 @@ def bistatic_range(p_tx, p_rx, p_tgt) -> tuple[float, float]:
     Tx-Rx segment (forward scattering).
     """
     p_tx, p_rx, p_tgt = as_vec3(p_tx), as_vec3(p_rx), as_vec3(p_tgt)
-    d_tx = float(np.linalg.norm(p_tgt - p_tx))
-    d_rx = float(np.linalg.norm(p_tgt - p_rx))
-    if d_tx < _EPS_COINCIDENT or d_rx < _EPS_COINCIDENT:
-        raise GeometryError("target coincides with an antenna position")
+    d_tx, d_rx = two_hop(p_tgt, p_tx, p_rx)
     baseline = float(np.linalg.norm(p_rx - p_tx))
-    rb = d_tx + d_rx
+    rb = float(d_tx + d_rx)
     return rb, max(rb - baseline, 0.0)
 
 
@@ -153,10 +178,7 @@ def bistatic_doppler(tx: NodePose, rx: NodePose, tgt_pos, tgt_vel, lam: float) -
     tgt_pos, tgt_vel = as_vec3(tgt_pos), as_vec3(tgt_vel)
     r_tx = tgt_pos - tx.position
     r_rx = tgt_pos - rx.position
-    d_tx = float(np.linalg.norm(r_tx))
-    d_rx = float(np.linalg.norm(r_rx))
-    if d_tx < _EPS_COINCIDENT or d_rx < _EPS_COINCIDENT:
-        raise GeometryError("target coincides with an antenna position")
+    d_tx, d_rx = two_hop(tgt_pos, tx.position, rx.position)
     range_rate = float(
         np.dot(r_tx / d_tx, tgt_vel - tx.velocity)
         + np.dot(r_rx / d_rx, tgt_vel - rx.velocity)

@@ -3,22 +3,21 @@
 Every subcommand is a pure function of (RunConfig, threads) returning a
 ResultArchive; run() also writes the archive, its YAML summary sidecar, and
 optional CSV exports. Identical config + seed produce byte-identical
-archives for any worker count: parallel sections only fan out pure
-per-link / per-angle evaluations that are assembled in a fixed order, and
-noise blocks are drawn from per-link seeded generators independent of
-scheduling.
+archives for any worker count: threads only fan out the pure per-angle
+evaluations of reflectivity and flyover scans, assembled in a fixed order;
+links are synthesized in order and noise blocks are drawn from per-link
+seeded generators.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .archive import Axis, ResultArchive, export_csv
-from .channel import SlowTimeCube, add_noise, synth_cfr
+from .channel import SlowTimeCube, add_noise, phase_ramps, synth_cfr
 from .config import RunConfig, config_echo
 from .errors import ConfigError, UsageError
 from .fusion import BistaticObservation, fuse
@@ -58,25 +57,19 @@ def _base_summary(subcommand: str, cfg: RunConfig) -> dict:
     }
 
 
-def _simulate_links(cfg: RunConfig, threads: int) -> list[tuple[str, str, SlowTimeCube]]:
+def _simulate_links(cfg: RunConfig) -> list[tuple[str, str, SlowTimeCube]]:
+    """One CFR cube per link, in link order. Links run one after another: a
+    thread pool over them measured slower than one thread, in both modes."""
     scene = cfg.scene
-    links = scene.links()
-
-    def synth_one(link):
-        tx_id, rx_id = link
+    out = []
+    for tx_id, rx_id in scene.links():
         if cfg.mode == "geometric":
             cube = synth_cfr(link_callback(scene, tx_id, rx_id), cfg.waveform,
                              mode="geometric", t0=cfg.t0)
         else:
-            cube = synth_cfr(link_paths(scene, tx_id, rx_id, cfg.t0), cfg.waveform,
-                             mode="fixed", t0=cfg.t0)
-        return tx_id, rx_id, cube
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out = list(pool.map(synth_one, links))
-    else:
-        out = [synth_one(link) for link in links]
+            paths = link_paths(scene, tx_id, rx_id, cfg.t0, doppler=True).paths()
+            cube = synth_cfr(paths, cfg.waveform, mode="fixed", t0=cfg.t0)
+        out.append((tx_id, rx_id, cube))
     if cfg.noise.snr_db is not None:
         out = [
             (tx, rx, add_noise(cube, cfg.noise.snr_db, seed=[cfg.noise.seed, i]))
@@ -101,7 +94,7 @@ def _los_delay(cfg: RunConfig, tx_id: str, rx_id: str) -> float:
 def run_simulate(cfg: RunConfig, threads: int = 1) -> ResultArchive:
     archive = ResultArchive(summary=_base_summary("simulate", cfg))
     links = []
-    for tx_id, rx_id, cube in _simulate_links(cfg, threads):
+    for tx_id, rx_id, cube in _simulate_links(cfg):
         archive.add(f"cfr_{tx_id}_{rx_id}", cube.data, _cube_axes(cube))
         links.append(
             {
@@ -133,7 +126,7 @@ def _detections_summary(dets, limit: int = 10) -> list[dict]:
 def run_ddmap(cfg: RunConfig, threads: int = 1) -> ResultArchive:
     archive = ResultArchive(summary=_base_summary("ddmap", cfg))
     results = {}
-    for tx_id, rx_id, cube in _simulate_links(cfg, threads):
+    for tx_id, rx_id, cube in _simulate_links(cfg):
         if cfg.processing.clean_paths > 0:
             cube = subtract_dominant_paths(cube, cfg.processing.clean_paths).residual
         ddm = delay_doppler_map(cube, cfg.processing.fast_window, cfg.processing.slow_window)
@@ -164,7 +157,7 @@ def run_spectrogram(cfg: RunConfig, threads: int = 1) -> ResultArchive:
     archive = ResultArchive(summary=_base_summary("spectrogram", cfg))
     results = {}
     st = cfg.processing.stft
-    for tx_id, rx_id, cube in _simulate_links(cfg, threads):
+    for tx_id, rx_id, cube in _simulate_links(cfg):
         series, bin_idx = _delay_bin_series(cube)
         spec = stft_spectrogram(series, cube.waveform.t_sym, st.fft_size, st.hop, st.window)
         archive.add(
@@ -188,7 +181,7 @@ def run_clean(cfg: RunConfig, threads: int = 1) -> ResultArchive:
     archive = ResultArchive(summary=_base_summary("clean", cfg))
     results = {}
     n = cfg.processing.clean_paths
-    for tx_id, rx_id, cube in _simulate_links(cfg, threads):
+    for tx_id, rx_id, cube in _simulate_links(cfg):
         res = subtract_dominant_paths(cube, n)
         archive.add(f"clean_residual_{tx_id}_{rx_id}", res.residual.data, _cube_axes(cube))
         results[f"{tx_id}_{rx_id}"] = {
@@ -218,7 +211,7 @@ def run_localize(cfg: RunConfig, threads: int = 1) -> ResultArchive:
     archive = ResultArchive(summary=_base_summary("localize", cfg))
     obs = []
     per_link = {}
-    for tx_id, rx_id, cube in _simulate_links(cfg, threads):
+    for tx_id, rx_id, cube in _simulate_links(cfg):
         if cfg.processing.clean_paths > 0:
             cube = subtract_dominant_paths(cube, cfg.processing.clean_paths).residual
         ddm = delay_doppler_map(cube, cfg.processing.fast_window, cfg.processing.slow_window)
@@ -362,14 +355,12 @@ def run_focus(cfg: RunConfig, threads: int = 1) -> ResultArchive:
     target = cfg.target_by_name(None)
     point, velocity = _target_center_velocity(cfg, target)
     w = cfg.waveform
-    k = np.arange(w.n_subcarriers)
     results = {}
     for tx in cfg.scene.tx_nodes:
         paths = illumination_paths(cfg.scene, tx.node_id, point, cfg.t0,
                                    point_velocity=velocity)
-        delays = np.array([p.delay for p in paths])
-        gains = np.array([p.gain for p in paths])
-        cfr = gains @ np.exp(-2j * np.pi * w.delta_f * np.outer(delays, k))
+        ramps = phase_ramps([p.delay for p in paths], w.delta_f, w.n_subcarriers)
+        cfr = np.array([p.gain for p in paths]) @ ramps
         pre = time_reversal_prefilter(cfr)
         comp = doppler_precompensate(paths)
         archive.add(

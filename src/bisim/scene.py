@@ -1,9 +1,11 @@
 """Scene assembly: nodes, targets, and clutter composed into per-link paths.
 
 A scene is the geometric ground truth. link_paths() turns it into the path
-parameter sets the channel synthesizer consumes, one call per (link, time):
-the direct Tx-Rx line-of-sight, one path per clutter scatterer, and one
-path per target scatterer sample. illumination_paths() builds the one-way
+table the channel synthesizer consumes, one call per link and block of
+symbol times: the direct Tx-Rx line-of-sight, one path per clutter
+scatterer, and one path per target scatterer sample. Paths of static
+endpoints are evaluated once per call and broadcast over its times.
+illumination_paths() builds the one-way
 Tx-to-point channel (direct plus single bounces off clutter) used for
 transmit predistortion.
 """
@@ -14,18 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import PathParameterSet
+from .channel import PathParameterSet, PathTable, join_paths
 from .errors import ConfigError, GeometryError
-from .geometry import (
-    C0,
-    NodePose,
-    Trajectory,
-    as_vec3,
-    bistatic_doppler,
-    bistatic_range,
-    pose_at,
-)
-from .targets import FOUR_PI, RigidTarget, Rotor, StaticScatterer, scatterer_gain, target_paths
+from .geometry import C0, NodePose, NodeTrack, Trajectory, as_vec3, bistatic_doppler, bistatic_range, track_at
+from .targets import FOUR_PI, ScattererStates, StaticScatterer, bounce_paths, target_paths
 
 
 @dataclass(eq=False)
@@ -36,9 +30,13 @@ class SceneNode:
     motion: NodePose | Trajectory
 
     def pose(self, t: float) -> NodePose:
+        return NodePose(*self.track(t), self.node_id)
+
+    def track(self, t) -> NodeTrack:
+        """Position and velocity at time(s) t; a static node gives its (3,) pose."""
         if isinstance(self.motion, Trajectory):
-            return pose_at(self.motion, t, self.node_id)
-        return NodePose(self.motion.position, self.motion.velocity, self.node_id)
+            return track_at(self.motion, t)
+        return NodeTrack(self.motion.position, self.motion.velocity)
 
 
 @dataclass(eq=False)
@@ -73,60 +71,50 @@ class SceneConfig:
         return [(tx.node_id, rx.node_id) for tx in self.tx_nodes for rx in self.rx_nodes]
 
 
-def los_path(tx: NodePose, rx: NodePose, lam: float) -> PathParameterSet:
-    """Direct Tx-Rx path with free-space (Friis) amplitude λ/(4πd)."""
+def los_paths(tx: NodeTrack, rx: NodeTrack, lam: float, doppler: bool = False) -> PathTable:
+    """Direct path between two nodes with free-space (Friis) amplitude λ/(4πd)."""
     sep = rx.position - tx.position
-    d = float(np.linalg.norm(sep))
-    if d < 1e-9:
-        raise GeometryError("Tx and Rx coincide; no line-of-sight path")
-    u = sep / d
-    rate = float(np.dot(u, rx.velocity - tx.velocity))
-    gain = lam / (FOUR_PI * d) * np.exp(-2j * np.pi * d / lam)
-    return PathParameterSet(
-        delay=d / C0,
-        doppler=-rate / lam,
-        gain=complex(gain),
-        dod=u,
-        doa=-u,
-    )
+    d = np.linalg.norm(sep, axis=-1, keepdims=True)
+    if np.any(d < 1e-9):
+        raise GeometryError("path endpoints coincide; no direct path")
+    gain = lam / (FOUR_PI * d) * np.exp(-1j * (2 * np.pi * d / lam))
+    table = PathTable(d / C0, gain)
+    if doppler:
+        table.doppler = -np.sum(sep / d * (rx.velocity - tx.velocity), axis=-1, keepdims=True) / lam
+    return table
 
 
-def clutter_path(sc: StaticScatterer, tx: NodePose, rx: NodePose, lam: float) -> PathParameterSet:
-    """Single-bounce path via one static environment scatterer."""
-    r_tx = sc.position - tx.position
-    r_rx = sc.position - rx.position
-    d_tx = float(np.linalg.norm(r_tx))
-    d_rx = float(np.linalg.norm(r_rx))
-    if d_tx < 1e-9 or d_rx < 1e-9:
-        raise GeometryError("clutter scatterer coincides with an antenna")
-    fd = bistatic_doppler(tx, rx, sc.position, np.zeros(3), lam)
-    return PathParameterSet(
-        delay=(d_tx + d_rx) / C0,
-        doppler=fd,
-        gain=complex(scatterer_gain(sc.amplitude, d_tx, d_rx, lam)),
-        dod=r_tx / d_tx,
-        doa=r_rx / d_rx,
-        jones=sc.jones,
-    )
+def clutter_paths(clutter: list[StaticScatterer], tx: NodeTrack, rx: NodeTrack, lam: float,
+                  doppler: bool = False) -> PathTable:
+    """Single-bounce paths via the static environment scatterers."""
+    points = np.stack([sc.position for sc in clutter])
+    states = ScattererStates(points, np.zeros_like(points),
+                             np.array([sc.amplitude for sc in clutter]),
+                             np.stack([sc.jones for sc in clutter]))
+    return bounce_paths(states, tx, rx, lam, doppler)
 
 
-def link_paths(scene: SceneConfig, tx_id: str, rx_id: str, t: float) -> list[PathParameterSet]:
-    """All paths of one sensing link at time t: LoS + clutter + targets."""
-    tx = scene.node(tx_id).pose(t)
-    rx = scene.node(rx_id).pose(t)
-    paths: list[PathParameterSet] = []
+def link_paths(scene: SceneConfig, tx_id: str, rx_id: str, t, doppler: bool = False) -> PathTable:
+    """All paths of one sensing link at time(s) t: LoS + clutter + targets.
+
+    Returns a PathTable of shape t.shape + (P,). Geometric synthesis passes
+    a block of symbol times; fixed mode passes one time and doppler=True.
+    """
+    tx = scene.node(tx_id).track(t)
+    rx = scene.node(rx_id).track(t)
+    tables = []
     if scene.include_los:
-        paths.append(los_path(tx, rx, scene.wavelength))
-    for sc in scene.clutter:
-        paths.append(clutter_path(sc, tx, rx, scene.wavelength))
+        tables.append(los_paths(tx, rx, scene.wavelength, doppler))
+    if scene.clutter:
+        tables.append(clutter_paths(scene.clutter, tx, rx, scene.wavelength, doppler))
     for target in scene.targets:
-        paths.extend(target_paths(target, tx, rx, t, scene.wavelength))
-    return paths
+        tables.append(target_paths(target, tx, rx, t, scene.wavelength, doppler))
+    return join_paths(tables, np.shape(t))
 
 
 def link_callback(scene: SceneConfig, tx_id: str, rx_id: str):
-    """Time callback for geometric-mode synthesis of one link."""
-    return lambda t: link_paths(scene, tx_id, rx_id, t)
+    """Block callback times -> PathTable for geometric-mode synthesis of one link."""
+    return lambda times: link_paths(scene, tx_id, rx_id, times)
 
 
 def illumination_paths(scene: SceneConfig, tx_id: str, point, t: float,
@@ -138,45 +126,13 @@ def illumination_paths(scene: SceneConfig, tx_id: str, point, t: float,
     (point_velocity) gives each path its own Doppler via the path's final
     leg, which is what makes per-path Doppler matching meaningful.
     """
-    tx = scene.node(tx_id).pose(t)
-    point = as_vec3(point)
+    tx = scene.node(tx_id).track(t)
     v_pt = np.zeros(3) if point_velocity is None else as_vec3(point_velocity)
-    d0 = float(np.linalg.norm(point - tx.position))
-    if d0 < 1e-9:
-        raise GeometryError("illumination point coincides with the transmitter")
-    lam = scene.wavelength
-    u0 = (point - tx.position) / d0
-    rate0 = float(np.dot(u0, v_pt - tx.velocity))
-    paths = [
-        PathParameterSet(
-            delay=d0 / C0,
-            doppler=-rate0 / lam,
-            gain=complex(lam / (FOUR_PI * d0) * np.exp(-2j * np.pi * d0 / lam)),
-            dod=u0,
-            doa=-u0,
-        )
-    ]
-    for sc in scene.clutter:
-        r1 = sc.position - tx.position
-        r2 = point - sc.position
-        d1 = float(np.linalg.norm(r1))
-        d2 = float(np.linalg.norm(r2))
-        if d1 < 1e-9 or d2 < 1e-9:
-            raise GeometryError("clutter scatterer coincides with an endpoint")
-        u1 = r1 / d1
-        u2 = r2 / d2
-        rate = float(-np.dot(u1, tx.velocity) + np.dot(u2, v_pt))
-        paths.append(
-            PathParameterSet(
-                delay=(d1 + d2) / C0,
-                doppler=-rate / lam,
-                gain=complex(scatterer_gain(sc.amplitude, d1, d2, lam)),
-                dod=u1,
-                doa=-u2,
-                jones=sc.jones,
-            )
-        )
-    return paths
+    end = NodeTrack(as_vec3(point), v_pt)
+    tables = [los_paths(tx, end, scene.wavelength, doppler=True)]
+    if scene.clutter:
+        tables.append(clutter_paths(scene.clutter, tx, end, scene.wavelength, doppler=True))
+    return join_paths(tables, ()).paths()
 
 
 def ground_truth_observation(scene: SceneConfig, tx_id: str, rx_id: str,

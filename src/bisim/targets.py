@@ -18,14 +18,15 @@ in the near field and scalable with antenna distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import get_window
 
-from .channel import PathParameterSet
-from .errors import ConfigError, GeometryError
-from .geometry import C0, NodePose, Trajectory, as_vec3, bistatic_doppler, direction_from_angles, pose_at, unit
+from .channel import PathTable
+from .errors import ConfigError
+from .geometry import C0, NodePose, NodeTrack, Trajectory, as_vec3, direction_from_angles, track_at, two_hop, unit
+from .geometry import bistatic_doppler  # noqa: F401  unused; bench/tracing.py counts calls made through it
 
 FOUR_PI = 4.0 * np.pi
 
@@ -146,37 +147,34 @@ class Rotor:
 
 @dataclass(eq=False)
 class ScattererStates:
-    """Instantaneous world-frame states of all samples of one target."""
+    """World-frame states of all N samples of one target at time(s) t.
 
-    positions: np.ndarray   # (N, 3)
-    velocities: np.ndarray  # (N, 3)
+    positions and velocities have shape t.shape + (N, 3); amplitudes (N,)
+    and jones (N, 2, 2) do not change with time.
+    """
+
+    positions: np.ndarray
+    velocities: np.ndarray
     amplitudes: np.ndarray  # (N,) complex
     jones: np.ndarray       # (N, 2, 2) complex
 
     def __len__(self) -> int:
-        return self.positions.shape[0]
+        return self.amplitudes.shape[0]
 
 
-def _yaw_matrix(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rigid_states(target: RigidTarget, t: float) -> ScattererStates:
-    pose = pose_at(target.trajectory, t)
+def _rigid_states(target: RigidTarget, t) -> ScattererStates:
+    track = track_at(target.trajectory, t)
     offsets = np.stack([s.offset for s in target.scatterers])
-    if target.yaw is None:
-        rot = np.eye(3)
-    elif target.yaw == "track":
-        vxy = pose.velocity[:2]
-        if np.linalg.norm(vxy) < 1e-12:
-            rot = np.eye(3)
-        else:
-            rot = _yaw_matrix(math.atan2(vxy[1], vxy[0]))
+    if target.yaw == "track":
+        vx, vy = track.velocity[..., 0], track.velocity[..., 1]
+        yaw = np.where(np.hypot(vx, vy) < 1e-12, 0.0, np.arctan2(vy, vx))
     else:
-        rot = _yaw_matrix(float(target.yaw))
-    positions = pose.position[None, :] + offsets @ rot.T
-    velocities = np.broadcast_to(pose.velocity, positions.shape).copy()
+        yaw = np.full(np.shape(t), float(target.yaw or 0.0))
+    c, s = np.cos(yaw)[..., None], np.sin(yaw)[..., None]   # rotation about +z
+    ox, oy, oz = offsets.T
+    body = np.stack([c * ox - s * oy, s * ox + c * oy, np.broadcast_to(oz, (*yaw.shape, oz.size))], -1)
+    positions = track.position[..., None, :] + body
+    velocities = np.broadcast_to(track.velocity[..., None, :], positions.shape)
     amps = np.array([s.amplitude for s in target.scatterers], dtype=complex)
     jones = np.stack([s.jones for s in target.scatterers])
     return ScattererStates(positions, velocities, amps, jones)
@@ -191,26 +189,28 @@ def _rotor_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _rotor_states(rotor: Rotor, t: float) -> ScattererStates:
+def _rotor_states(rotor: Rotor, t) -> ScattererStates:
     e1, e2 = _rotor_basis(rotor.axis)
     radii = rotor.blade_radius * np.arange(1, rotor.samples_per_blade + 1) / rotor.samples_per_blade
+    t = np.asarray(t, dtype=float)[..., None]
     blade_angles = rotor.phase0 + rotor.rate * t + 2.0 * np.pi * np.arange(rotor.n_blades) / rotor.n_blades
-    ang = blade_angles[:, None]                     # (B, 1)
-    r = radii[None, :]                              # (1, S)
-    radial = np.cos(ang)[..., None] * e1 + np.sin(ang)[..., None] * e2
-    tangential = -np.sin(ang)[..., None] * e1 + np.cos(ang)[..., None] * e2
-    positions = rotor.hub_offset + (r[..., None] * radial)
-    velocities = rotor.rate * r[..., None] * tangential
+    cos, sin = np.cos(blade_angles)[..., None, None], np.sin(blade_angles)[..., None, None]
+    r = radii[:, None]                              # (S, 1) against (..., B, 1, 1)
+    positions = rotor.hub_offset + r * (cos * e1 + sin * e2)
+    velocities = rotor.rate * r * (-sin * e1 + cos * e2)
     n = rotor.n_blades * rotor.samples_per_blade
+    shape = (*t.shape[:-1], n, 3)
     amps = np.full(n, rotor.sample_amplitude, dtype=complex)
-    jones = np.broadcast_to(jones_identity(), (n, 2, 2)).copy()
-    return ScattererStates(
-        positions.reshape(n, 3), velocities.reshape(n, 3), amps, jones
-    )
+    jones = np.broadcast_to(jones_identity(), (n, 2, 2))
+    return ScattererStates(positions.reshape(shape), velocities.reshape(shape), amps, jones)
 
 
-def scatterer_states(target, t: float) -> ScattererStates:
-    """World-frame (position, velocity, amplitude, jones) of every sample."""
+def scatterer_states(target, t) -> ScattererStates:
+    """World-frame (position, velocity, amplitude, jones) of every sample.
+
+    t is a time or an array of times; positions and velocities gain its
+    shape as leading axes.
+    """
     if isinstance(target, RigidTarget):
         return _rigid_states(target, t)
     if isinstance(target, Rotor):
@@ -219,54 +219,43 @@ def scatterer_states(target, t: float) -> ScattererStates:
 
 
 def scatterer_gain(amplitude: complex, d_tx, d_rx, lam: float):
-    """Two-hop spherical-spreading gain with carrier phase folded in."""
-    d_tx = np.asarray(d_tx, dtype=float)
-    d_rx = np.asarray(d_rx, dtype=float)
-    total = d_tx + d_rx
-    return amplitude * lam / (FOUR_PI * d_tx * d_rx) * np.exp(-2j * np.pi * total / lam)
+    """Two-hop spherical-spreading gain with carrier phase folded in (distance arrays)."""
+    return amplitude * lam / (FOUR_PI * d_tx * d_rx) * np.exp(-2j * np.pi * (d_tx + d_rx) / lam)
 
 
-def target_paths(target, tx: NodePose, rx: NodePose, t: float, lam: float) -> list[PathParameterSet]:
-    """One propagation path per scatterer of the target at time t.
+def bounce_paths(states: ScattererStates, tx: NodePose | NodeTrack, rx: NodePose | NodeTrack,
+                 lam: float, doppler: bool = False) -> PathTable:
+    """One single-bounce path per scatterer, between two (moving) antennas.
 
     Delay is the per-scatterer bistatic delay (no far-field plane-wave
-    shortcut), Doppler comes from each sample's own velocity, and the gain
-    is scatterer_gain with the Jones matrix attached for polarimetric use.
+    shortcut) and the gain is scatterer_gain, both of shape
+    positions.shape[:-1]; tx/rx positions and velocities (3,) or (..., 3)
+    broadcast against the states' leading axes. doppler=True adds each
+    path's analytic bistatic Doppler from its own velocity.
     """
-    states = scatterer_states(target, t)
-    paths = []
-    for i in range(len(states)):
-        pos = states.positions[i]
-        r_tx = pos - tx.position
-        r_rx = pos - rx.position
-        d_tx = float(np.linalg.norm(r_tx))
-        d_rx = float(np.linalg.norm(r_rx))
-        if d_tx < 1e-9 or d_rx < 1e-9:
-            raise GeometryError("scatterer coincides with an antenna")
-        fd = bistatic_doppler(tx, rx, pos, states.velocities[i], lam)
-        gain = scatterer_gain(states.amplitudes[i], d_tx, d_rx, lam)
-        paths.append(
-            PathParameterSet(
-                delay=(d_tx + d_rx) / C0,
-                doppler=fd,
-                gain=complex(gain),
-                dod=r_tx / d_tx,
-                doa=r_rx / d_rx,
-                jones=states.jones[i],
-            )
-        )
-    return paths
+    p_tx, p_rx = tx.position[..., None, :], rx.position[..., None, :]
+    d_tx, d_rx = two_hop(states.positions, p_tx, p_rx)
+    table = PathTable((d_tx + d_rx) / C0, scatterer_gain(states.amplitudes, d_tx, d_rx, lam))
+    if doppler:
+        v = states.velocities
+        rate = np.sum((states.positions - p_tx) / d_tx[..., None] * (v - tx.velocity[..., None, :])
+                      + (states.positions - p_rx) / d_rx[..., None] * (v - rx.velocity[..., None, :]),
+                      axis=-1)
+        table.doppler = -rate / lam
+    return table
 
 
-def select_polarization(paths, tx_pol: int = 0, rx_pol: int = 0) -> list[PathParameterSet]:
-    """Scalar paths for one (rx, tx) polarization pair; H=0, V=1. H-H default."""
-    out = []
-    for p in paths:
-        j = p.jones if p.jones is not None else jones_identity()
-        out.append(
-            PathParameterSet(p.delay, p.doppler, p.gain * j[rx_pol, tx_pol], p.dod, p.doa)
-        )
-    return out
+def target_paths(target, tx: NodePose | NodeTrack, rx: NodePose | NodeTrack, t, lam: float,
+                 doppler: bool = False) -> PathTable:
+    """One propagation path per scatterer of the target: a t.shape + (N,) table."""
+    return bounce_paths(scatterer_states(target, t), tx, rx, lam, doppler)
+
+
+def select_polarization(table: PathTable, states: ScattererStates, tx_pol: int = 0,
+                        rx_pol: int = 0) -> PathTable:
+    """A target's paths for one (rx, tx) polarization pair, weighted by the
+    Jones matrices of its scatterer states; H=0, V=1. H-H default."""
+    return PathTable(table.delay, table.gain * states.jones[:, rx_pol, tx_pol], table.doppler)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +338,27 @@ def _body_states(target, t: float = 0.0) -> ScattererStates:
     raise ConfigError(f"unsupported scan target type {type(target).__name__}")
 
 
+def _scan_states(target, t: float, d_tx: float, d_rx: float) -> ScattererStates:
+    """Body states of a scan target whose extent both antenna radii must exceed."""
+    states = _body_states(target, t)
+    extent = float(np.max(np.linalg.norm(states.positions, axis=1))) if len(states) else 0.0
+    if d_tx <= extent or d_rx <= extent:
+        raise ConfigError(
+            f"antenna radii ({d_tx}, {d_rx}) must exceed target extent {extent:.3f} m"
+        )
+    return states
+
+
+def _map_in_order(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], on a thread pool when threads > 1; same order either way."""
+    if threads <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def _sweep_window(name: str, n: int) -> np.ndarray:
     """Frequency-sweep taper, normalized to unit coherent gain."""
     if name in (None, "none", "rect", "rectangular"):
@@ -391,12 +401,7 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     are evaluated by a thread pool and assembled in order, so the result
     does not depend on the worker count.
     """
-    states = _body_states(target, t)
-    extent = float(np.max(np.linalg.norm(states.positions, axis=1))) if len(states) else 0.0
-    if d_tx <= extent or d_rx <= extent:
-        raise ConfigError(
-            f"antenna radii ({d_tx}, {d_rx}) must exceed target extent {extent:.3f} m"
-        )
+    states = _scan_states(target, t, d_tx, d_rx)
     axes = []
     for key in ("az_tx", "el_tx", "az_rx", "el_rx"):
         if key not in grid or len(np.atleast_1d(grid[key])) == 0:
@@ -407,14 +412,7 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     shape = (len(az_tx), len(el_tx), len(az_rx), len(el_rx), band.n_points, 2, 2)
     data = np.empty(shape, dtype=complex)
 
-    combos = [
-        (i, j, k, l)
-        for i in range(len(az_tx))
-        for j in range(len(el_tx))
-        for k in range(len(az_rx))
-        for l in range(len(el_rx))
-    ]
-
+    combos = list(np.ndindex(shape[:4]))
     taper = _sweep_window(sweep_window, band.n_points)
 
     def evaluate(idx):
@@ -424,14 +422,7 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
         resp = _sweep_response(states, u1, u2, d_tx, d_rx, freqs)
         return np.fft.fftshift(np.fft.ifft(resp * taper[:, None, None], axis=0), axes=0)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, combos))
-    else:
-        results = [evaluate(c) for c in combos]
-    for idx, resp in zip(combos, results):
+    for idx, resp in zip(combos, _map_in_order(evaluate, combos, threads)):
         data[idx] = resp
     return ReflectivityTensor(
         az_tx, el_tx, az_rx, el_rx, band.delay_axis(), data, d_tx, d_rx, band
@@ -469,10 +460,7 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
     n = int(round((stop - start) / step)) + 1
     angles = start + step * np.arange(n)
     angles = angles[angles <= stop + 1e-9]
-    states = _body_states(target, t)
-    extent = float(np.max(np.linalg.norm(states.positions, axis=1))) if len(states) else 0.0
-    if d_tx <= extent or d_rx <= extent:
-        raise ConfigError("antenna radii must exceed the target extent")
+    states = _scan_states(target, t, d_tx, d_rx)
     freqs = band.frequencies()
     u_tx = direction_from_angles(fixed_angle_deg, elevation_deg)
     taper = _sweep_window(sweep_window, band.n_points)
@@ -482,13 +470,7 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
         resp = _sweep_response(states, u_tx, u_rx, d_tx, d_rx, freqs)[:, 0, 0]
         return np.fft.fftshift(np.fft.ifft(resp * taper))
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, angles))
-    else:
-        rows = [evaluate(a) for a in angles]
+    rows = _map_in_order(evaluate, angles, threads)
     return FlyoverMap(angles, band.delay_axis(), np.stack(rows), d_tx, d_rx, band)
 
 

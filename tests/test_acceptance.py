@@ -434,7 +434,7 @@ def test_criterion_9_link_budget_consistency():
             [PointScatterer([0, 0, 0], s)],
             Trajectory.from_waypoints([(0.0, (0, 0, 0))]),
         )
-        paths = target_paths(target, tx, rx, 0.0, LAM)
+        paths = target_paths(target, tx, rx, 0.0, LAM, doppler=True).paths()
         w = WaveformConfig(3.7e9, 20e6, 64, 16)
         cube = synth_cfr(paths, w)
         synth_db = 10 * np.log10(cube.mean_power())

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,13 @@ from hypothesis import strategies as st
 
 from bisim.channel import (
     PathParameterSet,
+    PathTable,
     SlowTimeCube,
     WaveformConfig,
     add_noise,
     cir_from_cfr,
     delay_axis,
+    phase_ramps,
     nyquist_check,
     synth_cfr,
 )
@@ -86,7 +90,7 @@ class TestSynthFixed:
 
 
 def crossing_target_callback(w, tx, rx, p0=None, vel=None):
-    """Single point target on a linear track; returns (callback, range_of_t)."""
+    """Single point target on a linear track; returns (block callback, range_of_t)."""
     p0 = vec3(50.0, 200.0, 0.0) if p0 is None else p0
     vel = vec3(20.0, 0.0, 0.0) if vel is None else vel
 
@@ -94,10 +98,9 @@ def crossing_target_callback(w, tx, rx, p0=None, vel=None):
         rb, _ = bistatic_range(tx.position, rx.position, p0 + vel * t)
         return rb
 
-    def callback(t):
-        rb = ranges(t)
-        gain = np.exp(-2j * np.pi * rb / LAM)
-        return [PathParameterSet(delay=rb / C0, doppler=0.0, gain=complex(gain))]
+    def callback(times):
+        rb = np.array([ranges(t) for t in times])[:, None]
+        return PathTable(delay=rb / C0, gain=np.exp(-2j * np.pi * rb / LAM))
 
     return callback, ranges, p0, vel
 
@@ -158,6 +161,27 @@ class TestSynthGeometric:
         stitched = np.vstack([frame_a.data, frame_b.data])
         jump = np.abs(np.angle(whole.data[w.n_symbols] * np.conj(stitched[w.n_symbols])))
         assert jump.max() <= 1e-9
+
+
+class TestPhaseRamps:
+    def test_recurrence_matches_direct_exp_at_4096(self):
+        # delays cover the whole unambiguous span [0, 1/Δf]. z^k carries k
+        # roundings of z, each worth up to ε of a 2π phase, so the recurrence
+        # stays within 2πKε of the exact ramp; the direct exp rounds a ~2πK
+        # argument and lands within the same order, so the two agree to twice that
+        n_sub, df = 4096, 125e3
+        bound = 2 * np.pi * n_sub * np.finfo(float).eps
+        rng = np.random.default_rng(7)
+        delay = np.concatenate([np.linspace(0.0, 1.0 / df, 33), rng.uniform(0.0, 1.0 / df, 99)])
+        ramps = phase_ramps(delay, df, n_sub)
+        direct = np.exp(-2j * np.pi * df * np.outer(delay, np.arange(n_sub)))
+        assert np.abs(ramps - direct).max() <= 2 * bound
+        assert np.all(ramps[:, 0] == 1.0)
+        # exact ramp: Δf·τ·k reduced mod 1 in rational arithmetic, sampled k
+        ks = [*range(0, n_sub, 61), n_sub - 1]
+        exact = np.array([[np.exp(-2j * np.pi * float(Fraction(df) * Fraction(tau) * k % 1))
+                           for k in ks] for tau in delay])
+        assert np.abs(ramps[:, ks] - exact).max() <= bound
 
 
 class TestAddNoise:

@@ -1,7 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+import yaml
 
 from bisim.channel import WaveformConfig, synth_cfr
+from bisim.cli import main
 from bisim.errors import ConfigError, GeometryError
 from bisim.geometry import C0, NodePose, Trajectory, bistatic_range, vec3
 from bisim.illumination import doppler_precompensate, focusing_gain
@@ -13,7 +18,7 @@ from bisim.scene import (
     link_callback,
     link_paths,
 )
-from bisim.targets import FOUR_PI, PointScatterer, RigidTarget, StaticScatterer
+from bisim.targets import FOUR_PI, PointScatterer, RigidTarget, Rotor, StaticScatterer
 
 LAM = C0 / 3.7e9
 
@@ -46,14 +51,14 @@ class TestSceneConfig:
 class TestLinkPaths:
     def test_los_only(self):
         scene = basic_scene()
-        (los,) = link_paths(scene, "tx0", "rx0", 0.0)
+        (los,) = link_paths(scene, "tx0", "rx0", 0.0, doppler=True).paths()
         assert los.delay == pytest.approx(100 / C0)
         assert abs(los.gain) == pytest.approx(LAM / (FOUR_PI * 100))
         assert los.doppler == 0.0
 
     def test_los_can_be_disabled(self):
         scene = basic_scene(include_los=False)
-        assert link_paths(scene, "tx0", "rx0", 0.0) == []
+        assert link_paths(scene, "tx0", "rx0", 0.0).paths() == []
 
     def test_clutter_and_target_counts(self):
         target = RigidTarget(
@@ -70,7 +75,7 @@ class TestLinkPaths:
     def test_clutter_delay_and_gain(self):
         sc = StaticScatterer(vec3(30, 40, 0), 2.0)
         scene = basic_scene(clutter=[sc])
-        paths = link_paths(scene, "tx0", "rx0", 0.0)
+        paths = link_paths(scene, "tx0", "rx0", 0.0, doppler=True).paths()
         clutter = paths[1]
         d1 = 50.0
         d2 = np.linalg.norm(np.array([100, 0, 0]) - sc.position)
@@ -93,6 +98,144 @@ class TestLinkPaths:
         scene = basic_scene()
         with pytest.raises(ConfigError):
             link_paths(scene, "tx9", "rx0", 0.0)
+
+
+def oracle_scene(w):
+    """LoS, one clutter point, a turning yaw-track target, a rotor, and an Rx.
+
+    The Rx track and the target track both end mid-capture, so their poses
+    clamp for the rest and the parked target's heading falls back to +x.
+    """
+    t_sym = w.t_sym
+    rx_track = Trajectory.from_waypoints(
+        [(0.0, (60, 5, 0)), (40.5 * t_sym, (60, 5 + 25 * 40.5 * t_sym, 0))]
+    )
+    target = RigidTarget(
+        [PointScatterer([0.6, 0, 0], 0.2), PointScatterer([-0.4, 0.3, 0.2], 0.1j)],
+        Trajectory.from_waypoints([
+            (0.0, (30, 25, 1)),
+            (30.25 * t_sym, (30 + 12 * 30.25 * t_sym, 25, 1)),
+            (70.25 * t_sym, (30 + 12 * 30.25 * t_sym, 25 - 9 * 40 * t_sym, 1)),
+        ]),
+        yaw="track",
+    )
+    rotor = Rotor(vec3(25, -10, 2), vec3(0, 0.6, 0.8), blade_radius=0.1, rate=900.0,
+                  n_blades=2, samples_per_blade=16, sample_amplitude=0.02, phase0=0.3)
+    return SceneConfig(
+        [SceneNode("tx0", NodePose(vec3(0, 0, 0)))],
+        [SceneNode("rx0", rx_track)],
+        targets=[target, rotor],
+        clutter=[StaticScatterer(vec3(20, -15, 0), 1.5)],
+        wavelength=LAM,
+    )
+
+
+def scalar_pose(traj, t):
+    """Position and velocity on a piecewise-linear track, written out apart
+    from bisim: np.interp clamps at both ends, where the velocity is zero."""
+    pos = np.array([np.interp(t, traj.times, traj.points[:, i]) for i in range(3)])
+    if t < traj.times[0] or t >= traj.times[-1]:
+        return pos, np.zeros(3)
+    i = int(np.flatnonzero(traj.times <= t)[-1])
+    return pos, (traj.points[i + 1] - traj.points[i]) / (traj.times[i + 1] - traj.times[i])
+
+
+def direct_cfr(scene, w):
+    """H[m, k] as the direct sum over symbols, paths and subcarriers, from
+    scalar poses and per-path norms."""
+    k = np.arange(w.n_subcarriers)
+    tx = scene.tx_nodes[0].motion.position
+    target, rotor = scene.targets
+    ref = np.array([0.0, 0.0, 1.0])
+    e1 = np.cross(ref, rotor.axis)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(rotor.axis, e1)
+    data = np.zeros((w.n_symbols, w.n_subcarriers), dtype=complex)
+    for m in range(w.n_symbols):
+        t = m * w.t_sym
+        rx, _ = scalar_pose(scene.rx_nodes[0].motion, t)
+        d = np.linalg.norm(rx - tx)
+        data[m] += LAM / (FOUR_PI * d) * np.exp(-2j * np.pi * d / LAM) * np.exp(
+            -2j * np.pi * k * w.delta_f * d / C0)
+        points = [(sc.position, sc.amplitude) for sc in scene.clutter]
+        position, velocity = scalar_pose(target.trajectory, t)
+        vx, vy = velocity[:2]
+        yaw = math.atan2(vy, vx) if math.hypot(vx, vy) >= 1e-12 else 0.0
+        rot = np.array([[math.cos(yaw), -math.sin(yaw), 0], [math.sin(yaw), math.cos(yaw), 0],
+                        [0, 0, 1]])
+        points += [(position + rot @ s.offset, s.amplitude) for s in target.scatterers]
+        for b in range(rotor.n_blades):
+            ang = rotor.phase0 + rotor.rate * t + 2 * np.pi * b / rotor.n_blades
+            for s in range(1, rotor.samples_per_blade + 1):
+                r = rotor.blade_radius * s / rotor.samples_per_blade
+                pos = rotor.hub_offset + r * (math.cos(ang) * e1 + math.sin(ang) * e2)
+                points.append((pos, rotor.sample_amplitude))
+        for pos, amp in points:
+            d1, d2 = np.linalg.norm(pos - tx), np.linalg.norm(pos - rx)
+            gain = amp * LAM / (FOUR_PI * d1 * d2) * np.exp(-2j * np.pi * (d1 + d2) / LAM)
+            data[m] += gain * np.exp(-2j * np.pi * k * w.delta_f * (d1 + d2) / C0)
+    return data
+
+
+class TestGeometricSynthesis:
+    def test_matches_direct_sum(self):
+        # 36 paths x 64 subcarriers: blocks of 28 symbols after the first
+        w = WaveformConfig(3.7e9, 4e6, 64, 96)
+        scene = oracle_scene(w)
+        assert scene.rx_nodes[0].motion.t_end < w.duration / 2
+        assert scene.targets[0].trajectory.t_end < w.duration
+        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w, mode="geometric")
+        ref = direct_cfr(scene, w)
+        assert np.max(np.abs(cube.data - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_coincidence_inside_a_block_raises(self, tmp_path):
+        # the target passes exactly through the Rx at symbol 100, which lies
+        # inside the second block (symbols 1..255), not at a block start
+        w = WaveformConfig(3.7e9, 20e6, 64, 256)
+        t_hit = 100 * w.t_sym
+        track = [[0.0, [100.0, -0.5, 0.0]], [t_hit, [100.0, 0.0, 0.0]],
+                 [2 * t_hit, [100.0, 0.5, 0.0]]]
+        scene = basic_scene(targets=[RigidTarget(
+            [PointScatterer([0, 0, 0], 1.0)], Trajectory.from_waypoints(track))])
+        blocks = []
+
+        def callback(times):
+            blocks.append(times)
+            return link_paths(scene, "tx0", "rx0", times)
+
+        with pytest.raises(GeometryError):
+            synth_cfr(callback, w, mode="geometric")
+        assert blocks[-1][0] < t_hit <= blocks[-1][-1] and t_hit in blocks[-1]
+
+        doc = {
+            "waveform": {"carrier_hz": 3.7e9, "bandwidth_hz": 20e6, "n_subcarriers": 64,
+                         "n_symbols": 256},
+            "scene": {
+                "tx_nodes": [{"id": "tx0", "position": [0.0, 0.0, 0.0]}],
+                "rx_nodes": [{"id": "rx0", "position": [100.0, 0.0, 0.0]}],
+                "targets": [{"kind": "rigid", "name": "crosser",
+                             "scatterers": [{"amplitude": 1.0}], "trajectory": track}],
+            },
+        }
+        path = tmp_path / "crossing.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_memory_stays_bounded(self):
+        # unblocked, the (M x P x K) slab of this capture would take 1.07 GB
+        w = WaveformConfig(3.7e9, 20e6, 512, 2048)
+        rotor = Rotor(vec3(50, 40, 0), vec3(0, 0, 1), blade_radius=0.3, rate=200.0,
+                      n_blades=2, samples_per_blade=32)
+        scene = basic_scene(targets=[rotor], include_los=False)
+        assert w.n_symbols * 64 * w.n_subcarriers * 16 >= 1e9
+        tracemalloc.start()
+        try:
+            cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w, mode="geometric")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert np.all(np.isfinite(cube.data)) and cube.energy() > 0
 
 
 class TestIlluminationPaths:

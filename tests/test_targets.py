@@ -91,7 +91,7 @@ class TestTargetPaths:
         rx = NodePose(vec3(d, 0, 0))
         s = 0.05
         target = single_point_target(s, track=((0.0, (0, 0, 0)),))
-        (path,) = target_paths(target, tx, rx, 0.0, LAM)
+        (path,) = target_paths(target, tx, rx, 0.0, LAM).paths()
         assert abs(path.gain) == pytest.approx(s * LAM / (FOUR_PI * d * d), rel=1e-12)
         # and the gain squared is the radar equation with sigma = 4*pi*s^2
         sigma = equivalent_rcs(s)
@@ -101,10 +101,10 @@ class TestTargetPaths:
     def test_distance_doubling_drops_12db(self):
         tx = NodePose(vec3(-60, 0, 0))
         rx = NodePose(vec3(60, 0, 0))
-        near = target_paths(single_point_target(track=((0, (0, 25, 0)),)), tx, rx, 0.0, LAM)[0]
+        near = target_paths(single_point_target(track=((0, (0, 25, 0)),)), tx, rx, 0.0, LAM).paths()[0]
         tx2 = NodePose(vec3(-120, 0, 0))
         rx2 = NodePose(vec3(120, 0, 0))
-        far = target_paths(single_point_target(track=((0, (0, 50, 0)),)), tx2, rx2, 0.0, LAM)[0]
+        far = target_paths(single_point_target(track=((0, (0, 50, 0)),)), tx2, rx2, 0.0, LAM).paths()[0]
         drop = 20 * np.log10(abs(near.gain) / abs(far.gain))
         assert drop == pytest.approx(20 * np.log10(4), rel=1e-9)
 
@@ -116,7 +116,7 @@ class TestTargetPaths:
             [PointScatterer([0, 0.15, 0], 0.05), PointScatterer([0, -0.15, 0], 0.05)],
             Trajectory.from_waypoints([(0.0, (0, 60, 0))]),
         )
-        paths = target_paths(target, tx, rx, 0.0, LAM)
+        paths = target_paths(target, tx, rx, 0.0, LAM).paths()
         spread = max(p.delay for p in paths) - min(p.delay for p in paths)
         assert spread <= 2e-9
 
@@ -124,7 +124,7 @@ class TestTargetPaths:
         rotor = make_rotor()
         tx = NodePose(vec3(-50, 0, 0))
         rx = NodePose(vec3(50, 0, 0))
-        paths = target_paths(rotor, tx, rx, 0.0, LAM)
+        paths = target_paths(rotor, tx, rx, 0.0, LAM, doppler=True).paths()
         tip_speed = rotor.rate * rotor.blade_radius
         bound = 2 * tip_speed / LAM  # loosest possible bistatic bound
         assert all(abs(p.doppler) <= bound * (1 + 1e-9) for p in paths)
@@ -139,10 +139,11 @@ class TestTargetPaths:
             Trajectory.from_waypoints([(0.0, (0, 30, 0))]),
         )
         paths = target_paths(target, tx, rx, 0.0, LAM)
-        hh = select_polarization(paths, tx_pol=0, rx_pol=0)[0]
-        vh = select_polarization(paths, tx_pol=0, rx_pol=1)[0]
-        assert hh.gain == pytest.approx(paths[0].gain * jones[0, 0])
-        assert vh.gain == pytest.approx(paths[0].gain * jones[1, 0])
+        states = scatterer_states(target, 0.0)
+        hh = select_polarization(paths, states, tx_pol=0, rx_pol=0)
+        vh = select_polarization(paths, states, tx_pol=0, rx_pol=1)
+        assert hh.gain[0] == pytest.approx(paths.gain[0] * jones[0, 0])
+        assert vh.gain[0] == pytest.approx(paths.gain[0] * jones[1, 0])
 
 
 class TestRcsAndLinkBudget:
@@ -162,7 +163,7 @@ class TestRcsAndLinkBudget:
         tx = NodePose(vec3(-d_tx, 0, 0))
         rx = NodePose(vec3(d_rx, 0, 0))
         target = single_point_target(s, track=((0.0, (0, 0, 0)),))
-        paths = target_paths(target, tx, rx, 0.0, LAM)
+        paths = target_paths(target, tx, rx, 0.0, LAM, doppler=True).paths()
         w = WaveformConfig(C0 / LAM, 20e6, 32, 16)
         cube = synth_cfr(paths, w)
         power_db = 10 * np.log10(cube.mean_power())
