@@ -22,6 +22,7 @@ float datasets export with 17 significant digits.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -80,9 +81,27 @@ def _write_str(buf: io.BytesIO, s: str):
     buf.write(raw)
 
 
-def _read_str(buf) -> str:
-    (n,) = struct.unpack("<H", buf.read(2))
-    return buf.read(n).decode("utf-8")
+class _Reader:
+    """Checked reads of an archive's bytes: a read past the end raises ConfigError."""
+
+    def __init__(self, raw: bytes):
+        self.raw, self.pos = memoryview(raw), 0
+
+    def take(self, n: int) -> memoryview:
+        if n > len(self.raw) - self.pos:
+            raise ConfigError(f"truncated archive: {n} bytes needed at offset {self.pos}")
+        self.pos += n
+        return self.raw[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self) -> str:
+        (n,) = self.unpack("<H")
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"archive string is not UTF-8: {err}") from None
 
 
 @dataclass(eq=False)
@@ -118,36 +137,36 @@ class ResultArchive:
 
     @classmethod
     def read(cls, path) -> "ResultArchive":
+        """Parse an archive; a malformed or truncated one raises ConfigError."""
         with open(path, "rb") as fh:
-            raw = fh.read()
-        buf = io.BytesIO(raw)
-        if buf.read(6) != MAGIC:
-            raise ConfigError(f"{path}: not a BISIM1 archive")
-        (version,) = struct.unpack("<H", buf.read(2))
-        if version != VERSION:
-            raise ConfigError(f"{path}: unsupported archive version {version}")
-        (n_sets,) = struct.unpack("<I", buf.read(4))
-        archive = cls()
-        for _ in range(n_sets):
-            name = _read_str(buf)
-            dtype = _read_str(buf)
-            if dtype not in _DTYPES:
-                raise ConfigError(f"{path}: unsupported element type {dtype}")
-            (ndim,) = struct.unpack("<B", buf.read(1))
-            dims = [struct.unpack("<Q", buf.read(8))[0] for _ in range(ndim)]
-            axes = []
-            for dim in dims:
-                ax_name = _read_str(buf)
-                ax_unit = _read_str(buf)
-                vals = np.frombuffer(buf.read(8 * dim), dtype="<f8").copy()
-                axes.append(Axis(ax_name, ax_unit, vals))
-            count = int(np.prod(dims)) if dims else 1
-            itemsize = np.dtype(dtype).itemsize
-            payload = buf.read(count * itemsize)
-            if len(payload) != count * itemsize:
-                raise ConfigError(f"{path}: truncated payload for dataset {name!r}")
-            values = np.frombuffer(payload, dtype=dtype).copy().reshape(dims)
-            archive.datasets[name] = Dataset(name, values, axes)
+            buf = _Reader(fh.read())
+        try:
+            if bytes(buf.take(len(MAGIC))) != MAGIC:
+                raise ConfigError("not a BISIM1 archive")
+            (version,) = buf.unpack("<H")
+            if version != VERSION:
+                raise ConfigError(f"unsupported archive version {version}")
+            (n_sets,) = buf.unpack("<I")
+            archive = cls()
+            for _ in range(n_sets):
+                name = buf.text()
+                dtype = buf.text()
+                if dtype not in _DTYPES:
+                    raise ConfigError(f"unsupported element type {dtype!r}")
+                (ndim,) = buf.unpack("<B")
+                dims = [buf.unpack("<Q")[0] for _ in range(ndim)]
+                axes = []
+                for dim in dims:
+                    ax_name, ax_unit = buf.text(), buf.text()
+                    values = np.frombuffer(buf.take(8 * dim), dtype="<f8").copy()
+                    axes.append(Axis(ax_name, ax_unit, values))
+                payload = buf.take(math.prod(dims) * np.dtype(dtype).itemsize)
+                values = np.frombuffer(payload, dtype=dtype).copy().reshape(dims)
+                archive.datasets[name] = Dataset(name, values, axes)
+            if buf.pos != len(buf.raw):
+                raise ConfigError(f"{len(buf.raw) - buf.pos} unexpected bytes after the last dataset")
+        except ConfigError as err:
+            raise ConfigError(f"{path}: {err}") from None
         return archive
 
     def write_summary(self, path) -> None:

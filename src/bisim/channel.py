@@ -236,7 +236,10 @@ def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:
         raise ConfigError("snr_db must be finite or +inf")
     sig_power = cube.mean_power()
     var = sig_power / (10.0 ** (snr_db / 10.0))
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"noise seed {seed!r}: {err}") from None
     re_im = rng.standard_normal((*cube.data.shape, 2))
     noise = np.sqrt(var / 2.0) * (re_im[..., 0] + 1j * re_im[..., 1])
     return SlowTimeCube(cube.data + noise, cube.waveform, cube.t0)
@@ -253,8 +256,25 @@ def cir_from_cfr(row: np.ndarray, window: str = "none") -> np.ndarray:
     if row.ndim != 1:
         raise UsageError("cir_from_cfr expects a 1-D subcarrier vector")
     if window != "none":
-        row = row * get_window(window, row.size, fftbins=True)
+        row = row * named_window(window, row.size)
     return np.fft.ifft(row)
+
+
+def named_window(name: str | None, n: int, sym: bool = False,
+                 sigma: float | None = None) -> np.ndarray:
+    """Named window of length n, periodic (for FFTs) unless sym=True.
+
+    "none", "rect" and "rectangular" give ones; "gaussian" has standard
+    deviation sigma (default n/6); any other name goes to scipy's
+    get_window. An unknown name raises ConfigError.
+    """
+    if name in (None, "none", "rect", "rectangular"):
+        return np.ones(n)
+    spec = ("gaussian", n / 6.0 if sigma is None else sigma) if name == "gaussian" else name
+    try:
+        return get_window(spec, n, fftbins=not sym)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"window {name!r}: {err}") from None
 
 
 def delay_axis(n_subcarriers: int, bandwidth: float) -> np.ndarray:

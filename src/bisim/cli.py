@@ -69,7 +69,7 @@ def main(argv=None) -> int:
         if getattr(args, "gate_ns", None) is not None:
             from .config import GateConfig
 
-            cfg.processing.gate = GateConfig(center_ns=0.0, width_ns=args.gate_ns)
+            cfg.processing.gate = GateConfig(center_ns=0.0, width_ns=args.gate_ns, edge_ns=0.0)
         if getattr(args, "fft", None) is not None:
             cfg.processing.stft.fft_size = args.fft
         if getattr(args, "hop", None) is not None:

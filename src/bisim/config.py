@@ -1,401 +1,400 @@
-"""Run configuration: YAML parsing, validation, and full default echoing.
+"""Run configuration: one key table per mapping drives parsing and echo.
 
-The config is a human-writable YAML tree; every numeric leaf also accepts a
-string (so exponent forms like "160e6" work regardless of YAML float
-quirks). load_config() returns a RunConfig holding fully constructed domain
-objects, and config_echo() reproduces the complete effective configuration
-including every default, so no run has hidden parameters.
+Every mapping of the YAML run tree (section, node, target, scatterer,
+waypoint...) has a table; a `Key` entry names one YAML key, its type, its
+default and the attribute it fills, and config-only sections are plain
+records made from their tables. parse_config() walks the tables to build a
+RunConfig of domain objects; config_echo() walks them back, so the echo is
+the complete effective configuration, defaults included, and parses again
+to the same run. Parsing is strict; every malformed input raises
+ConfigError naming its key path:
+
+- a non-mapping section or element, a non-list list, or a key the table
+  does not know is an error; null means absent (default, or missing);
+- numbers are YAML numbers or numeric strings ("160e6"), never booleans;
+  NaN is rejected, and ±inf too except +inf for noise.snr_db (no noise);
+- integers are ints, or numbers and strings of exact integral value
+  ("2048", 2048.0); 1.7 and true are rejected;
+- booleans are YAML true/false only, so "false" is an error;
+- window names must be known to channel.named_window();
+- echo-only keys (waveform.subcarrier_spacing_hz) are derived: the echo
+  writes them, the parser accepts and ignores them.
+
+Leaves with several forms take exactly one, and the echo writes the first:
+a waypoint is {t, position} or [t, [x, y, z]]; an angle axis a list, a
+number, {start, stop, n} or {start, stop, step > 0}; a node has a trajectory
+or a position; a rotor rate is rate_rad_s or rate_rpm; a budget RCS rcs_m2
+or scattering_length s (σ = 4π|s|²); a target kind rigid (default) or rotor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import make_dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import yaml
 
-from .channel import WaveformConfig
+from .channel import WaveformConfig, named_window
 from .errors import ConfigError
 from .geometry import C0, NodePose, Trajectory
 from .scene import SceneConfig, SceneNode
-from .targets import (
-    FrequencyBand,
-    LinkBudget,
-    PointScatterer,
-    RigidTarget,
-    Rotor,
-    StaticScatterer,
-    equivalent_rcs,
-)
+from .targets import (FrequencyBand, LinkBudget, PointScatterer, RigidTarget, Rotor, StaticScatterer,
+                      equivalent_rcs)
+
+REQUIRED = object()  # default of a key that must be given
+MAX_AXIS_POINTS = 1 << 20  # longest axis a {start, stop, n | step} form may expand to
 
 
-def _require(mapping: dict, key: str, where: str):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return mapping[key]
-
-
-def _as_float(value, where: str) -> float:
+# Leaf coercers: (YAML value, where) -> Python value, or ConfigError naming where.
+def _float(value, where: str, inf_ok: bool = False) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-
-
-def _as_int(value, where: str) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        if isinstance(value, bool):
+            raise TypeError
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if math.isnan(out) or (math.isinf(out) and not (inf_ok and out > 0)):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return out
 
 
-def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ConfigError(f"{where}: complex values are [re, im] pairs")
-        return complex(_as_float(value[0], where), _as_float(value[1], where))
-    return complex(_as_float(value, where))
+def _int(value, where: str) -> int:
+    try:
+        number = value if type(value) is int else _float(value, where)
+        if number != math.floor(number) or abs(number) >= 2**63:
+            raise ConfigError
+    except ConfigError:
+        raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
+    return int(number)
 
 
-def _as_vec(value, where: str) -> np.ndarray:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{where}: expected [x, y, z]")
-    return np.array([_as_float(v, where) for v in value])
+def _expect(ok: Callable, what: str) -> Callable:
+    def parse(value, where: str):
+        if not ok(value):
+            raise ConfigError(f"{where}: expected {what}, got {value!r}")
+        return value
+    return parse
 
 
-def _parse_trajectory(spec, where: str) -> Trajectory:
-    if not isinstance(spec, list) or not spec:
-        raise ConfigError(f"{where}: trajectory is a non-empty list of waypoints")
-    wps = []
-    for i, wp in enumerate(spec):
-        at = f"{where}[{i}]"
-        if isinstance(wp, dict):
-            t = _as_float(_require(wp, "t", at), at)
-            pos = _as_vec(_require(wp, "position", at), at)
-        elif isinstance(wp, (list, tuple)) and len(wp) == 2:
-            t = _as_float(wp[0], at)
-            pos = _as_vec(wp[1], at)
-        else:
-            raise ConfigError(f"{at}: waypoint is {{t, position}} or [t, [x,y,z]]")
-        wps.append((t, pos))
-    return Trajectory.from_waypoints(wps)
+_bool = _expect(lambda v: isinstance(v, bool), "true or false")
+_string = _expect(lambda v: isinstance(v, (str, int, float)) and not isinstance(v, bool), "a string")
+_triple = _expect(lambda v: isinstance(v, list) and len(v) == 3, "[x, y, z]")
+_pair = _expect(lambda v: len(v) == 2, "a number or [re, im]")
 
 
-def _parse_node(spec, where: str) -> SceneNode:
-    node_id = str(_require(spec, "id", where))
-    if "trajectory" in spec:
-        motion = _parse_trajectory(spec["trajectory"], f"{where}.trajectory")
-        return SceneNode(node_id, motion)
-    pos = _as_vec(_require(spec, "position", where), f"{where}.position")
-    vel = (
-        _as_vec(spec["velocity"], f"{where}.velocity")
-        if "velocity" in spec
-        else np.zeros(3)
-    )
-    return SceneNode(node_id, NodePose(pos, vel, node_id))
+def _window(value, where: str) -> str:
+    name = str(_string(value, where))
+    try:
+        named_window(name, 4)
+    except ConfigError as err:
+        raise ConfigError(f"{where}: {err}") from None
+    return name
 
 
-def _parse_target(spec, where: str):
-    kind = str(spec.get("kind", "rigid"))
-    name = str(spec.get("name", kind))
-    if kind == "rigid":
-        sc_specs = _require(spec, "scatterers", where)
-        if not isinstance(sc_specs, list) or not sc_specs:
-            raise ConfigError(f"{where}.scatterers: need a non-empty list")
-        scatterers = []
-        for i, sc in enumerate(sc_specs):
-            at = f"{where}.scatterers[{i}]"
-            scatterers.append(
-                PointScatterer(
-                    offset=_as_vec(sc.get("offset", [0, 0, 0]), at),
-                    amplitude=_as_complex(_require(sc, "amplitude", at), at),
-                )
-            )
-        traj = _parse_trajectory(_require(spec, "trajectory", where), f"{where}.trajectory")
-        yaw = spec.get("yaw")
-        if yaw is not None and yaw != "track":
-            yaw = _as_float(yaw, f"{where}.yaw")
-        return RigidTarget(scatterers, traj, yaw, name)
-    if kind == "rotor":
-        if "rate_rad_s" in spec:
-            rate = _as_float(spec["rate_rad_s"], f"{where}.rate_rad_s")
-        elif "rate_rpm" in spec:
-            rate = _as_float(spec["rate_rpm"], f"{where}.rate_rpm") * 2.0 * np.pi / 60.0
-        else:
-            raise ConfigError(f"{where}: rotor needs rate_rad_s or rate_rpm")
-        return Rotor(
-            hub_offset=_as_vec(_require(spec, "hub", where), f"{where}.hub"),
-            axis=_as_vec(spec.get("axis", [0, 0, 1]), f"{where}.axis"),
-            blade_radius=_as_float(_require(spec, "radius", where), f"{where}.radius"),
-            rate=rate,
-            n_blades=_as_int(spec.get("blades", 2), f"{where}.blades"),
-            samples_per_blade=_as_int(spec.get("samples_per_blade", 32), f"{where}.samples_per_blade"),
-            sample_amplitude=_as_complex(spec.get("sample_amplitude", 1e-2), f"{where}.sample_amplitude"),
-            phase0=_as_float(spec.get("phase0", 0.0), f"{where}.phase0"),
-            name=name,
-        )
-    raise ConfigError(f"{where}.kind: unknown target kind {kind!r}")
+def _complex(value, where: str) -> complex:
+    re, im = _pair(value, where) if isinstance(value, list) else (value, 0.0)
+    return complex(_float(re, where), _float(im, where))
 
 
-def _angle_axis(spec, where: str) -> np.ndarray:
-    if isinstance(spec, list):
-        return np.array([_as_float(v, where) for v in spec])
-    if isinstance(spec, dict):
-        start = _as_float(_require(spec, "start", where), where)
-        stop = _as_float(_require(spec, "stop", where), where)
-        if "n" in spec:
-            return np.linspace(start, stop, _as_int(spec["n"], where))
-        step = _as_float(_require(spec, "step", where), where)
-        n = int(round((stop - start) / step)) + 1
-        return start + step * np.arange(n)
-    return np.array([_as_float(spec, where)])
+# Tables and their two walkers.
+class Kind(NamedTuple):
+    """How one YAML value parses, (value, where, root) -> object, and echoes back."""
+
+    parse: Callable
+    emit: Callable
+    cls: type | None = None  # what parse builds, when an Either must tell its forms apart
 
 
-def _parse_band(spec, where: str) -> FrequencyBand:
-    return FrequencyBand(
-        f_lo=_as_float(_require(spec, "f_lo", where), f"{where}.f_lo"),
-        f_hi=_as_float(_require(spec, "f_hi", where), f"{where}.f_hi"),
-        n_points=_as_int(spec.get("n_points", 512), f"{where}.n_points"),
-    )
+def _leaf(parse: Callable, emit: Callable = lambda v: v) -> Kind:
+    return Kind(lambda value, where, root: parse(value, where), emit)
 
 
-@dataclass(eq=False)
-class GateConfig:
-    center_ns: float
-    width_ns: float = 2.0
-    edge_ns: float = 0.0
+def _at(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
 
 
-@dataclass(eq=False)
-class StftConfig:
-    fft_size: int = 2048
-    hop: int = 32
-    window: str = "gaussian"
+class Key(NamedTuple):
+    """One YAML key: spelling, type, default, and the attribute it fills (`to`, default: the key).
+
+    The default is in YAML form and parsed like a given value; it may also
+    be None, REQUIRED, or a function of the run fields parsed so far.
+    """
+
+    name: str
+    kind: Kind
+    default: Any = REQUIRED
+    to: str | None = None
+    echo_only: bool = False
+    skip_none: bool = False  # leave a None value out of the echo
+
+    attr = property(lambda self: self.to or self.name)
+    keys = property(lambda self: (self.name,))
+    cls = property(lambda self: self.kind.cls)
+
+    def read(self, spec: dict, where: str, root: dict):
+        value = spec.get(self.name)
+        if value is None:
+            if self.default is REQUIRED:
+                raise ConfigError(f"{where or 'config'}: missing required field {self.name!r}")
+            value = self.default(SimpleNamespace(**root)) if callable(self.default) else self.default
+            if value is None:
+                return None
+        try:
+            return self.kind.parse(value, _at(where, self.name), root)
+        except ArithmeticError as err:  # a value whose arithmetic downstream overflows
+            raise ConfigError(f"{_at(where, self.name)}: {err}") from None
+
+    def write(self, value) -> dict:
+        if value is None:
+            return {} if self.skip_none else {self.name: None}
+        return {self.name: self.kind.emit(value)}
 
 
-@dataclass(eq=False)
-class ProcessingConfig:
-    fast_window: str = "none"
-    slow_window: str = "none"
-    clean_paths: int = 0
-    detect_threshold_db: float = 20.0
-    exclude_zero_doppler: bool = True
-    gate: GateConfig | None = None
-    stft: StftConfig = field(default_factory=StftConfig)
+class Group(NamedTuple):
+    """Keys of the enclosing mapping that together build one object."""
+
+    attr: str
+    cls: Callable
+    table: list
+
+    keys = property(lambda self: tuple(k for entry in self.table for k in entry.keys))
+
+    def read(self, spec: dict, where: str, root: dict):
+        return _build(self.cls, {k: v for k, v in spec.items() if k in self.keys}, self.table, where, root)
+
+    def write(self, value) -> dict:
+        return _echo(value, self.table)
 
 
-@dataclass(eq=False)
-class NoiseConfig:
-    snr_db: float | None = None
-    seed: int | None = None
+class Either:
+    """An attribute given by exactly one of several forms; echoed as the first that fits."""
+
+    def __init__(self, *forms):
+        self.forms, self.attr = forms, forms[0].attr
+        self.keys = tuple(k for form in forms for k in form.keys)
+
+    def read(self, spec: dict, where: str, root: dict):
+        given = [f for f in self.forms if any(spec.get(k) is not None for k in f.keys)]
+        if len(given) != 1:
+            names = " or ".join(repr(f.keys[0]) for f in self.forms)
+            raise ConfigError(f"{where}: give exactly one of {names}")
+        return given[0].read(spec, where, root)
+
+    def write(self, value) -> dict:
+        return next(f for f in self.forms if isinstance(value, f.cls or object)).write(value)
 
 
-@dataclass(eq=False)
-class OutputConfig:
-    directory: str = "out"
-    format: str = "bin"
+def _build(cls: Callable, spec, table: list, where: str, root: dict | None):
+    """cls(**attributes) of one mapping, read through its table."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where or 'config'}: expected a mapping, got {type(spec).__name__}")
+    known = [k for entry in table for k in entry.keys]
+    for key in spec:
+        if key not in known:
+            raise ConfigError(f"{_at(where, key)}: unknown key; expected one of {', '.join(known)}")
+    fields: dict = {}
+    for entry in table:
+        if not getattr(entry, "echo_only", False):
+            fields[entry.attr] = entry.read(spec, where, fields if root is None else root)
+    try:
+        return cls(**fields)
+    except ConfigError as err:
+        raise type(err)(f"{where or 'config'}: {err}") from None
 
 
-@dataclass(eq=False)
-class ScanJob:
-    d_tx: float
-    d_rx: float
-    band: FrequencyBand
-    grid: dict | None = None          # reflectivity
-    fixed_angle_deg: float = 0.0      # flyover
-    start_deg: float = 10.0
-    stop_deg: float = 180.0
-    step_deg: float = 10.0
-    elevation_deg: float = 0.0
-    sweep_window: str = "none"
-    target: str | None = None
+def _echo(obj, table: list) -> dict:
+    out = {}
+    for entry in table:
+        out.update(entry.write(obj[entry.attr] if isinstance(obj, dict) else getattr(obj, entry.attr)))
+    return out
 
 
-@dataclass(eq=False)
-class RunConfig:
-    scene: SceneConfig
-    waveform: WaveformConfig
-    mode: str = "geometric"
-    t0: float = 0.0
-    processing: ProcessingConfig = field(default_factory=ProcessingConfig)
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
-    outputs: OutputConfig = field(default_factory=OutputConfig)
-    reflectivity: ScanJob | None = None
-    flyover: ScanJob | None = None
-    budget: LinkBudget | None = None
-
-    def target_by_name(self, name: str | None):
-        if not self.scene.targets:
-            raise ConfigError("scene has no targets")
-        if name is None:
-            return self.scene.targets[0]
-        for t in self.scene.targets:
-            if getattr(t, "name", None) == name:
-                return t
-        raise ConfigError(f"scene has no target named {name!r}")
+def _section(cls: Callable, table: list) -> Kind:
+    return Kind(lambda value, where, root: _build(cls, value, table, where, root),
+                lambda obj: _echo(obj, table), cls)
 
 
-def parse_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a mapping")
+def _record(name: str, table: list) -> Kind:
+    """Section of a config-only record: a dataclass with one field per table attribute."""
+    return _section(make_dataclass(name, [entry.attr for entry in table], eq=False), table)
 
-    wf_spec = _require(doc, "waveform", "config")
-    waveform = WaveformConfig(
-        f_c=_as_float(_require(wf_spec, "carrier_hz", "waveform"), "waveform.carrier_hz"),
-        bandwidth=_as_float(_require(wf_spec, "bandwidth_hz", "waveform"), "waveform.bandwidth_hz"),
-        n_subcarriers=_as_int(_require(wf_spec, "n_subcarriers", "waveform"), "waveform.n_subcarriers"),
-        n_symbols=_as_int(_require(wf_spec, "n_symbols", "waveform"), "waveform.n_symbols"),
-        t_sym=_as_float(wf_spec["symbol_s"], "waveform.symbol_s") if "symbol_s" in wf_spec else None,
-    )
 
-    sc_spec = _require(doc, "scene", "config")
-    tx_nodes = [
-        _parse_node(n, f"scene.tx_nodes[{i}]")
-        for i, n in enumerate(_require(sc_spec, "tx_nodes", "scene"))
-    ]
-    rx_nodes = [
-        _parse_node(n, f"scene.rx_nodes[{i}]")
-        for i, n in enumerate(_require(sc_spec, "rx_nodes", "scene"))
-    ]
-    targets = [
-        _parse_target(t, f"scene.targets[{i}]")
-        for i, t in enumerate(sc_spec.get("targets", []) or [])
-    ]
-    clutter = []
-    for i, c in enumerate(sc_spec.get("clutter", []) or []):
-        at = f"scene.clutter[{i}]"
-        clutter.append(
-            StaticScatterer(
-                position=_as_vec(_require(c, "position", at), at),
-                amplitude=_as_complex(_require(c, "amplitude", at), at),
-            )
-        )
-    wavelength = (
-        _as_float(sc_spec["wavelength"], "scene.wavelength")
-        if "wavelength" in sc_spec
-        else C0 / waveform.f_c
-    )
-    scene = SceneConfig(
-        tx_nodes=tx_nodes,
-        rx_nodes=rx_nodes,
-        targets=targets,
-        clutter=clutter,
-        wavelength=wavelength,
-        include_los=bool(sc_spec.get("include_los", True)),
-    )
+def _list(item: Kind) -> Kind:
+    def parse(value, where: str, root: dict) -> list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        return [item.parse(v, f"{where}[{i}]", root) for i, v in enumerate(value)]
+    return Kind(parse, lambda items: [item.emit(x) for x in items])
 
-    proc_spec = doc.get("processing", {}) or {}
-    gate = None
-    if "gate" in proc_spec and proc_spec["gate"] is not None:
-        g = proc_spec["gate"]
-        gate = GateConfig(
-            center_ns=_as_float(_require(g, "center_ns", "processing.gate"), "processing.gate.center_ns"),
-            width_ns=_as_float(g.get("width_ns", 2.0), "processing.gate.width_ns"),
-            edge_ns=_as_float(g.get("edge_ns", 0.0), "processing.gate.edge_ns"),
-        )
-    stft_spec = proc_spec.get("stft", {}) or {}
-    processing = ProcessingConfig(
-        fast_window=str(proc_spec.get("fast_window", "none")),
-        slow_window=str(proc_spec.get("slow_window", "none")),
-        clean_paths=_as_int(proc_spec.get("clean_paths", 0), "processing.clean_paths"),
-        detect_threshold_db=_as_float(proc_spec.get("detect_threshold_db", 20.0), "processing.detect_threshold_db"),
-        exclude_zero_doppler=bool(proc_spec.get("exclude_zero_doppler", True)),
-        gate=gate,
-        stft=StftConfig(
-            fft_size=_as_int(stft_spec.get("fft_size", 2048), "processing.stft.fft_size"),
-            hop=_as_int(stft_spec.get("hop", 32), "processing.stft.hop"),
-            window=str(stft_spec.get("window", "gaussian")),
-        ),
-    )
 
-    noise_spec = doc.get("noise", {}) or {}
-    snr_raw = noise_spec.get("snr_db")
-    seed_raw = noise_spec.get("seed")
-    noise = NoiseConfig(
-        snr_db=_as_float(snr_raw, "noise.snr_db") if snr_raw is not None else None,
-        seed=_as_int(seed_raw, "noise.seed") if seed_raw is not None else None,
-    )
-    if noise.snr_db is not None and noise.seed is None:
+def _tagged(tag: str, variants: dict) -> Kind:
+    """A mapping whose `tag` key (default: the first variant) picks its class and table."""
+    def parse(value, where: str, root: dict):
+        spec = dict(value) if isinstance(value, dict) else value
+        name = spec.pop(tag, None) if isinstance(spec, dict) else None
+        name = next(iter(variants)) if name is None else name
+        if not isinstance(name, str) or name not in variants:
+            raise ConfigError(f"{_at(where, tag)}: unknown {tag} {name!r}")
+        cls, table = variants[name]
+        return _build(cls, spec, table, where, root)
+
+    def emit(obj) -> dict:
+        name = next(n for n, (cls, _) in variants.items() if isinstance(obj, cls))
+        return {tag: name, **_echo(obj, variants[name][1])}
+    return Kind(parse, emit)
+
+
+# Leaf types, and the leaves with several forms.
+FLOAT = _leaf(_float, float)
+INT = _leaf(_int, int)
+BOOL = _leaf(_bool)
+TEXT = _leaf(lambda v, where: str(_string(v, where)))
+WINDOW = _leaf(_window)
+VEC = _leaf(lambda v, where: np.array([_float(x, where) for x in _triple(v, where)]),
+            lambda v: [float(x) for x in v])
+COMPLEX = _leaf(_complex, lambda z: [z.real, z.imag])
+
+
+POSITION = Key("position", VEC)
+_WAYPOINT = [Key("t", FLOAT), POSITION]
+
+
+def _waypoint(pair) -> dict:  # (t, position) -> {t, position}
+    return {entry.name: v for entry, v in zip(_WAYPOINT, pair)}
+
+
+def _trajectory(value, where: str, root: dict) -> Trajectory:
+    def waypoint(wp, at: str, root: dict) -> tuple:
+        wp = _waypoint(wp) if isinstance(wp, list) and len(wp) == len(_WAYPOINT) else wp
+        return tuple(_build(dict, wp, _WAYPOINT, at, root).values())
+    try:
+        return Trajectory.from_waypoints(_list(Kind(waypoint, None)).parse(value, where, root))
+    except ConfigError as err:
+        raise ConfigError(f"{where}: {err}") from None
+
+
+TRAJECTORY = Key("trajectory", Kind(
+    _trajectory, lambda tr: [_echo(_waypoint(p), _WAYPOINT) for p in zip(tr.times, tr.points)], Trajectory))
+_RANGE = [Key("start", FLOAT), Key("stop", FLOAT), Key("n", INT, None), Key("step", FLOAT, None)]
+
+
+def _angle_axis(value, where: str, root: dict) -> np.ndarray:
+    if not isinstance(value, dict):
+        return np.array([_float(v, where) for v in (value if isinstance(value, list) else [value])])
+    start, stop, n, step = _build(dict, value, _RANGE, where, root).values()
+    if (n is None) == (step is None):
+        raise ConfigError(f"{where}: give a point count or a step, not both or neither")
+    if step is not None and step <= 0:
+        raise ConfigError(f"{where}: the step must be > 0, got {step}")
+    if step is not None:
+        n = int(round((stop - start) / step)) + 1 if abs(stop - start) < step * MAX_AXIS_POINTS else 0
+    if not 1 <= n <= MAX_AXIS_POINTS:
+        raise ConfigError(f"{where}: axis of {n} points, expected 1 to {MAX_AXIS_POINTS}")
+    return np.linspace(start, stop, n) if step is None else start + step * np.arange(n)
+
+
+# The tables.
+N_SUBCARRIERS, N_SYMBOLS = Key("n_subcarriers", INT), Key("n_symbols", INT)
+WAVELENGTH = Key("wavelength", FLOAT, lambda run: C0 / run.waveform.f_c)
+NAME = Key("name", TEXT, "rigid")
+AMPLITUDE = Key("amplitude", COMPLEX)
+D_TX, D_RX = Key("d_tx", FLOAT), Key("d_rx", FLOAT)
+BAND = Key("band", _section(FrequencyBand, [
+    Key("f_lo", FLOAT), Key("f_hi", FLOAT), Key("n_points", INT, 512)]))
+SWEEP_WINDOW = Key("sweep_window", WINDOW, "none")
+SCAN_TARGET = Key("target", TEXT, None)
+
+NODE = _section(SceneNode, [
+    Key("id", TEXT, to="node_id"),
+    Either(TRAJECTORY._replace(to="motion"),
+           Group("motion", NodePose, [POSITION, Key("velocity", VEC, [0, 0, 0])])),
+])
+TARGET = _tagged("kind", {
+    "rigid": (RigidTarget, [
+        NAME,
+        Key("yaw", _leaf(lambda v, where: v if v == "track" else _float(v, where)), None),
+        Key("scatterers", _list(_section(PointScatterer, [Key("offset", VEC, [0, 0, 0]), AMPLITUDE]))),
+        TRAJECTORY,
+    ]),
+    "rotor": (Rotor, [
+        NAME._replace(default="rotor"),
+        Key("hub", VEC, to="hub_offset"), Key("axis", VEC, [0, 0, 1]),
+        Key("radius", FLOAT, to="blade_radius"),
+        Either(Key("rate_rad_s", FLOAT, to="rate"),
+               Key("rate_rpm", _leaf(lambda v, where: _float(v, where) * 2.0 * np.pi / 60.0))),
+        Key("blades", INT, 2, to="n_blades"), Key("samples_per_blade", INT, 32),
+        Key("sample_amplitude", COMPLEX, 1e-2), Key("phase0", FLOAT, 0.0),
+    ]),
+})
+
+GATE = _record("GateConfig", [
+    Key("center_ns", FLOAT), Key("width_ns", FLOAT, 2.0), Key("edge_ns", FLOAT, 0.0)])
+STFT = _record("StftConfig", [
+    Key("fft_size", INT, 2048), Key("hop", INT, 32), Key("window", WINDOW, "gaussian")])
+PROCESSING = _record("ProcessingConfig", [
+    Key("fast_window", WINDOW, "none"), Key("slow_window", WINDOW, "none"), Key("clean_paths", INT, 0),
+    Key("detect_threshold_db", FLOAT, 20.0), Key("exclude_zero_doppler", BOOL, True),
+    Key("gate", GATE, None), Key("stft", STFT, {}),
+])
+NOISE = _record("NoiseConfig", [
+    Key("snr_db", _leaf(lambda v, where: _float(v, where, inf_ok=True), float), None),
+    Key("seed", INT, None),
+])
+OUTPUTS = _record("OutputConfig", [
+    Key("directory", TEXT, "out"),
+    Key("format", _leaf(_expect(lambda v: v in ("bin", "csv"), "bin or csv")), "bin"),
+])
+REFLECTIVITY = _record("ReflectivityJob", [
+    D_TX, D_RX, BAND, SWEEP_WINDOW, SCAN_TARGET,
+    Group("grid", dict, [Key(axis, Kind(_angle_axis, lambda a: [float(v) for v in a]))
+                         for axis in ("az_tx", "el_tx", "az_rx", "el_rx")]),
+])
+FLYOVER = _record("FlyoverJob", [
+    D_TX, D_RX, BAND, Key("fixed_angle_deg", FLOAT, 0.0),
+    Key("start_deg", FLOAT, 10.0), Key("stop_deg", FLOAT, 180.0), Key("step_deg", FLOAT, 10.0),
+    Key("elevation_deg", FLOAT, 0.0), SWEEP_WINDOW, SCAN_TARGET,
+])
+RUN = _record("RunConfig", [
+    Key("mode", _leaf(_expect(lambda v: v in ("geometric", "fixed"), "geometric or fixed")), "geometric"),
+    Key("t0", FLOAT, 0.0),
+    Key("waveform", _section(WaveformConfig, [
+        Key("carrier_hz", FLOAT, to="f_c"), Key("bandwidth_hz", FLOAT, to="bandwidth"),
+        N_SUBCARRIERS, N_SYMBOLS, Key("symbol_s", FLOAT, None, to="t_sym"),
+        Key("subcarrier_spacing_hz", FLOAT, to="delta_f", echo_only=True),
+    ])),
+    Key("scene", _section(SceneConfig, [
+        WAVELENGTH, Key("include_los", BOOL, True),
+        Key("tx_nodes", _list(NODE)), Key("rx_nodes", _list(NODE)), Key("targets", _list(TARGET), []),
+        Key("clutter", _list(_section(StaticScatterer, [POSITION, AMPLITUDE])), []),
+    ])),
+    Key("processing", PROCESSING, {}),
+    Key("noise", NOISE, {}),
+    Key("outputs", OUTPUTS, {}),
+    Key("reflectivity", REFLECTIVITY, None, skip_none=True),
+    Key("flyover", FLYOVER, None, skip_none=True),
+    Key("budget", _section(LinkBudget, [
+        Key("tx_power_dbm", FLOAT, 0.0), Key("tx_gain_dbi", FLOAT, 0.0), Key("rx_gain_dbi", FLOAT, 0.0),
+        WAVELENGTH._replace(default=lambda run: run.scene.wavelength), D_TX, D_RX,
+        Either(Key("rcs_m2", FLOAT),
+               Key("scattering_length", _leaf(lambda v, where: equivalent_rcs(_complex(v, where))))),
+        N_SUBCARRIERS._replace(default=lambda run: run.waveform.n_subcarriers),
+        N_SYMBOLS._replace(default=lambda run: run.waveform.n_symbols),
+    ]), None, skip_none=True),
+])
+(GateConfig, StftConfig, ProcessingConfig, NoiseConfig, OutputConfig, ReflectivityJob, FlyoverJob,
+ RunConfig) = (kind.cls for kind in (GATE, STFT, PROCESSING, NOISE, OUTPUTS, REFLECTIVITY, FLYOVER, RUN))
+
+
+def parse_config(doc) -> RunConfig:
+    """Validated RunConfig of a parsed YAML document."""
+    cfg = RUN.parse(doc, "", None)
+    if cfg.noise.snr_db is not None and cfg.noise.seed is None:
         raise ConfigError("noise.seed: a seed is mandatory when noise is enabled")
-
-    out_spec = doc.get("outputs", {}) or {}
-    outputs = OutputConfig(
-        directory=str(out_spec.get("directory", "out")),
-        format=str(out_spec.get("format", "bin")),
-    )
-    if outputs.format not in ("bin", "csv"):
-        raise ConfigError(f"outputs.format: expected 'bin' or 'csv', got {outputs.format!r}")
-
-    reflect = None
-    if "reflectivity" in doc and doc["reflectivity"] is not None:
-        r = doc["reflectivity"]
-        reflect = ScanJob(
-            d_tx=_as_float(_require(r, "d_tx", "reflectivity"), "reflectivity.d_tx"),
-            d_rx=_as_float(_require(r, "d_rx", "reflectivity"), "reflectivity.d_rx"),
-            band=_parse_band(_require(r, "band", "reflectivity"), "reflectivity.band"),
-            grid={
-                key: _angle_axis(_require(r, key, "reflectivity"), f"reflectivity.{key}")
-                for key in ("az_tx", "el_tx", "az_rx", "el_rx")
-            },
-            sweep_window=str(r.get("sweep_window", "none")),
-            target=r.get("target"),
-        )
-
-    flyover = None
-    if "flyover" in doc and doc["flyover"] is not None:
-        f = doc["flyover"]
-        flyover = ScanJob(
-            d_tx=_as_float(_require(f, "d_tx", "flyover"), "flyover.d_tx"),
-            d_rx=_as_float(_require(f, "d_rx", "flyover"), "flyover.d_rx"),
-            band=_parse_band(_require(f, "band", "flyover"), "flyover.band"),
-            fixed_angle_deg=_as_float(f.get("fixed_angle_deg", 0.0), "flyover.fixed_angle_deg"),
-            start_deg=_as_float(f.get("start_deg", 10.0), "flyover.start_deg"),
-            stop_deg=_as_float(f.get("stop_deg", 180.0), "flyover.stop_deg"),
-            step_deg=_as_float(f.get("step_deg", 10.0), "flyover.step_deg"),
-            elevation_deg=_as_float(f.get("elevation_deg", 0.0), "flyover.elevation_deg"),
-            sweep_window=str(f.get("sweep_window", "none")),
-            target=f.get("target"),
-        )
-
-    budget = None
-    if "budget" in doc and doc["budget"] is not None:
-        b = doc["budget"]
-        if "rcs_m2" in b:
-            rcs = _as_float(b["rcs_m2"], "budget.rcs_m2")
-        elif "scattering_length" in b:
-            rcs = equivalent_rcs(_as_complex(b["scattering_length"], "budget.scattering_length"))
-        else:
-            raise ConfigError("budget: needs rcs_m2 or scattering_length")
-        budget = LinkBudget(
-            tx_power_dbm=_as_float(b.get("tx_power_dbm", 0.0), "budget.tx_power_dbm"),
-            tx_gain_dbi=_as_float(b.get("tx_gain_dbi", 0.0), "budget.tx_gain_dbi"),
-            rx_gain_dbi=_as_float(b.get("rx_gain_dbi", 0.0), "budget.rx_gain_dbi"),
-            wavelength=_as_float(b["wavelength"], "budget.wavelength") if "wavelength" in b else scene.wavelength,
-            d_tx=_as_float(_require(b, "d_tx", "budget"), "budget.d_tx"),
-            d_rx=_as_float(_require(b, "d_rx", "budget"), "budget.d_rx"),
-            rcs_m2=rcs,
-            n_subcarriers=_as_int(b.get("n_subcarriers", waveform.n_subcarriers), "budget.n_subcarriers"),
-            n_symbols=_as_int(b.get("n_symbols", waveform.n_symbols), "budget.n_symbols"),
-        )
-
-    mode = str(doc.get("mode", "geometric"))
-    if mode not in ("geometric", "fixed"):
-        raise ConfigError(f"mode: expected 'geometric' or 'fixed', got {mode!r}")
-
-    return RunConfig(
-        scene=scene,
-        waveform=waveform,
-        mode=mode,
-        t0=_as_float(doc.get("t0", 0.0), "t0"),
-        processing=processing,
-        noise=noise,
-        outputs=outputs,
-        reflectivity=reflect,
-        flyover=flyover,
-        budget=budget,
-    )
+    return cfg
 
 
 def load_config(path) -> RunConfig:
@@ -406,150 +405,13 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, UnicodeDecodeError) as err:
         mark = getattr(err, "problem_mark", None)
-        if mark is not None:
-            raise ConfigError(
-                f"{path}: parse error at line {mark.line + 1}, column {mark.column + 1}: {err}"
-            )
-        raise ConfigError(f"{path}: parse error: {err}")
+        at = "" if mark is None else f" at line {mark.line + 1}, column {mark.column + 1}"
+        raise ConfigError(f"{path}: parse error{at}: {err}") from None
     return parse_config(doc if doc is not None else {})
-
-
-def _node_echo(node: SceneNode) -> dict:
-    if isinstance(node.motion, Trajectory):
-        return {
-            "id": node.node_id,
-            "trajectory": [
-                {"t": float(t), "position": [float(x) for x in p]}
-                for t, p in zip(node.motion.times, node.motion.points)
-            ],
-        }
-    return {
-        "id": node.node_id,
-        "position": [float(x) for x in node.motion.position],
-        "velocity": [float(x) for x in node.motion.velocity],
-    }
-
-
-def _target_echo(t) -> dict:
-    if isinstance(t, RigidTarget):
-        return {
-            "kind": "rigid",
-            "name": t.name,
-            "yaw": t.yaw,
-            "scatterers": [
-                {
-                    "offset": [float(x) for x in s.offset],
-                    "amplitude": [s.amplitude.real, s.amplitude.imag],
-                }
-                for s in t.scatterers
-            ],
-            "trajectory": [
-                {"t": float(tt), "position": [float(x) for x in p]}
-                for tt, p in zip(t.trajectory.times, t.trajectory.points)
-            ],
-        }
-    return {
-        "kind": "rotor",
-        "name": t.name,
-        "hub": [float(x) for x in t.hub_offset],
-        "axis": [float(x) for x in t.axis],
-        "radius": float(t.blade_radius),
-        "rate_rad_s": float(t.rate),
-        "blades": int(t.n_blades),
-        "samples_per_blade": int(t.samples_per_blade),
-        "sample_amplitude": [t.sample_amplitude.real, t.sample_amplitude.imag],
-        "phase0": float(t.phase0),
-    }
 
 
 def config_echo(cfg: RunConfig) -> dict:
     """Complete effective configuration, defaults included."""
-    echo = {
-        "mode": cfg.mode,
-        "t0": float(cfg.t0),
-        "waveform": {
-            "carrier_hz": float(cfg.waveform.f_c),
-            "bandwidth_hz": float(cfg.waveform.bandwidth),
-            "n_subcarriers": int(cfg.waveform.n_subcarriers),
-            "n_symbols": int(cfg.waveform.n_symbols),
-            "symbol_s": float(cfg.waveform.t_sym),
-            "subcarrier_spacing_hz": float(cfg.waveform.delta_f),
-        },
-        "scene": {
-            "wavelength": float(cfg.scene.wavelength),
-            "include_los": bool(cfg.scene.include_los),
-            "tx_nodes": [_node_echo(n) for n in cfg.scene.tx_nodes],
-            "rx_nodes": [_node_echo(n) for n in cfg.scene.rx_nodes],
-            "targets": [_target_echo(t) for t in cfg.scene.targets],
-            "clutter": [
-                {
-                    "position": [float(x) for x in c.position],
-                    "amplitude": [c.amplitude.real, c.amplitude.imag],
-                }
-                for c in cfg.scene.clutter
-            ],
-        },
-        "processing": {
-            "fast_window": cfg.processing.fast_window,
-            "slow_window": cfg.processing.slow_window,
-            "clean_paths": int(cfg.processing.clean_paths),
-            "detect_threshold_db": float(cfg.processing.detect_threshold_db),
-            "exclude_zero_doppler": bool(cfg.processing.exclude_zero_doppler),
-            "gate": (
-                None
-                if cfg.processing.gate is None
-                else {
-                    "center_ns": float(cfg.processing.gate.center_ns),
-                    "width_ns": float(cfg.processing.gate.width_ns),
-                    "edge_ns": float(cfg.processing.gate.edge_ns),
-                }
-            ),
-            "stft": {
-                "fft_size": int(cfg.processing.stft.fft_size),
-                "hop": int(cfg.processing.stft.hop),
-                "window": cfg.processing.stft.window,
-            },
-        },
-        "noise": {"snr_db": cfg.noise.snr_db, "seed": cfg.noise.seed},
-        "outputs": {"directory": cfg.outputs.directory, "format": cfg.outputs.format},
-    }
-    if cfg.reflectivity is not None:
-        r = cfg.reflectivity
-        echo["reflectivity"] = {
-            "d_tx": r.d_tx,
-            "d_rx": r.d_rx,
-            "band": {"f_lo": r.band.f_lo, "f_hi": r.band.f_hi, "n_points": r.band.n_points},
-            "sweep_window": r.sweep_window,
-            "target": r.target,
-            **{k: [float(v) for v in r.grid[k]] for k in ("az_tx", "el_tx", "az_rx", "el_rx")},
-        }
-    if cfg.flyover is not None:
-        f = cfg.flyover
-        echo["flyover"] = {
-            "d_tx": f.d_tx,
-            "d_rx": f.d_rx,
-            "band": {"f_lo": f.band.f_lo, "f_hi": f.band.f_hi, "n_points": f.band.n_points},
-            "fixed_angle_deg": f.fixed_angle_deg,
-            "start_deg": f.start_deg,
-            "stop_deg": f.stop_deg,
-            "step_deg": f.step_deg,
-            "elevation_deg": f.elevation_deg,
-            "sweep_window": f.sweep_window,
-            "target": f.target,
-        }
-    if cfg.budget is not None:
-        b = cfg.budget
-        echo["budget"] = {
-            "tx_power_dbm": b.tx_power_dbm,
-            "tx_gain_dbi": b.tx_gain_dbi,
-            "rx_gain_dbi": b.rx_gain_dbi,
-            "wavelength": b.wavelength,
-            "d_tx": b.d_tx,
-            "d_rx": b.d_rx,
-            "rcs_m2": b.rcs_m2,
-            "n_subcarriers": b.n_subcarriers,
-            "n_symbols": b.n_symbols,
-        }
-    return echo
+    return RUN.emit(cfg)

@@ -274,7 +274,7 @@ def run_reflectivity(cfg: RunConfig, threads: int = 1) -> ResultArchive:
     if cfg.reflectivity is None:
         raise ConfigError("config has no reflectivity section")
     job = cfg.reflectivity
-    target = cfg.target_by_name(job.target)
+    target = cfg.scene.target(job.target)
     tensor = reflectivity_scan(target, job.grid, job.d_tx, job.d_rx, job.band,
                                sweep_window=job.sweep_window, threads=threads)
     archive = ResultArchive(summary=_base_summary("reflectivity", cfg))
@@ -308,7 +308,7 @@ def run_flyover(cfg: RunConfig, threads: int = 1) -> ResultArchive:
     if cfg.flyover is None:
         raise ConfigError("config has no flyover section")
     job = cfg.flyover
-    target = cfg.target_by_name(job.target)
+    target = cfg.scene.target(job.target)
     fly = flyover_scan(
         target,
         job.fixed_angle_deg,
@@ -352,7 +352,7 @@ def _target_center_velocity(cfg: RunConfig, target) -> tuple[np.ndarray, np.ndar
 def run_focus(cfg: RunConfig, threads: int = 1) -> ResultArchive:
     """Time-reversal prefilters and Doppler matching for every Tx node."""
     archive = ResultArchive(summary=_base_summary("focus", cfg))
-    target = cfg.target_by_name(None)
+    target = cfg.scene.target()
     point, velocity = _target_center_velocity(cfg, target)
     w = cfg.waveform
     results = {}

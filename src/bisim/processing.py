@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import maximum_filter
 from scipy.optimize import minimize_scalar
-from scipy.signal import get_window
-from scipy.signal.windows import gaussian as gaussian_window
 
-from .channel import PathParameterSet, SlowTimeCube
+from .channel import PathParameterSet, SlowTimeCube, named_window
 from .errors import ConfigError, UsageError
 
 DB_FLOOR = -300.0
@@ -31,12 +29,6 @@ def magnitude_db(x, floor_db: float = DB_FLOOR) -> np.ndarray:
     np.log10(mag, out=out, where=mag > 0)
     out = np.where(mag > 0, 20.0 * out, floor_db)
     return np.maximum(out, floor_db)
-
-
-def _window(name: str, n: int) -> np.ndarray:
-    if name in (None, "none", "rect", "rectangular"):
-        return np.ones(n)
-    return get_window(name, n, fftbins=True)
 
 
 @dataclass(eq=False)
@@ -80,8 +72,8 @@ def delay_doppler_map(cube: SlowTimeCube, fast_window: str = "none",
     w = cube.waveform
     if w.n_symbols < 2:
         raise UsageError("need at least two symbols for Doppler resolution")
-    wf = _window(fast_window, w.n_subcarriers)
-    ws = _window(slow_window, w.n_symbols)
+    wf = named_window(fast_window, w.n_subcarriers)
+    ws = named_window(slow_window, w.n_symbols)
     profiles = np.fft.ifft(cube.data * wf[None, :], axis=1, norm="ortho")
     dd = np.fft.fft(profiles * ws[:, None], axis=0, norm="ortho")
     dd = np.fft.fftshift(dd, axes=0).T
@@ -252,16 +244,17 @@ def stft_spectrogram(series: np.ndarray, t_step: float, fft_size: int = 2048,
     series = np.asarray(series, dtype=complex)
     if series.ndim != 1:
         raise UsageError("spectrogram input must be a 1-D slow-time series")
+    if fft_size < 1 or hop < 1:
+        raise ConfigError(f"need fft_size >= 1 and hop >= 1, got {fft_size} and {hop}")
     if series.size < fft_size:
         raise ConfigError(
             f"series of {series.size} samples is shorter than fft_size={fft_size}"
         )
     if window == "gaussian":
         sigma = fft_size / 6.0 if sigma is None else sigma
-        win = gaussian_window(fft_size, std=sigma, sym=False)
     else:
-        win = _window(window, fft_size)
         sigma = 0.0
+    win = named_window(window, fft_size, sigma=sigma)
     starts = np.arange(0, series.size - fft_size + 1, hop)
     frames = np.stack([series[s:s + fft_size] * win for s in starts])
     spec = np.fft.fftshift(np.fft.fft(frames, axis=1), axes=1)

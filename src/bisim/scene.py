@@ -67,6 +67,17 @@ class SceneConfig:
                 return node
         raise ConfigError(f"unknown node id {node_id!r}")
 
+    def target(self, name: str | None = None):
+        """The target called name, or the first target when name is None."""
+        if not self.targets:
+            raise ConfigError("scene has no targets")
+        if name is None:
+            return self.targets[0]
+        for t in self.targets:
+            if getattr(t, "name", None) == name:
+                return t
+        raise ConfigError(f"scene has no target named {name!r}")
+
     def links(self) -> list[tuple[str, str]]:
         return [(tx.node_id, rx.node_id) for tx in self.tx_nodes for rx in self.rx_nodes]
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.signal import get_window
 
-from .channel import PathTable
+from .channel import PathTable, named_window
 from .errors import ConfigError
 from .geometry import C0, NodePose, NodeTrack, Trajectory, as_vec3, direction_from_angles, track_at, two_hop, unit
 from .geometry import bistatic_doppler  # noqa: F401  unused; bench/tracing.py counts calls made through it
@@ -144,6 +144,15 @@ class Rotor:
     def extent(self) -> float:
         return float(np.linalg.norm(self.hub_offset)) + self.blade_radius
 
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit vectors (e1, e2) spanning the rotor plane, e1 x e2 = axis."""
+        ref = np.array([0.0, 0.0, 1.0])
+        if abs(np.dot(ref, self.axis)) > 0.9:
+            ref = np.array([1.0, 0.0, 0.0])
+        e1 = unit(np.cross(ref, self.axis))
+        return e1, np.cross(self.axis, e1)
+
 
 @dataclass(eq=False)
 class ScattererStates:
@@ -180,17 +189,8 @@ def _rigid_states(target: RigidTarget, t) -> ScattererStates:
     return ScattererStates(positions, velocities, amps, jones)
 
 
-def _rotor_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ref = np.array([0.0, 0.0, 1.0])
-    if abs(np.dot(ref, axis)) > 0.9:
-        ref = np.array([1.0, 0.0, 0.0])
-    e1 = unit(np.cross(ref, axis))
-    e2 = np.cross(axis, e1)
-    return e1, e2
-
-
 def _rotor_states(rotor: Rotor, t) -> ScattererStates:
-    e1, e2 = _rotor_basis(rotor.axis)
+    e1, e2 = rotor.basis
     radii = rotor.blade_radius * np.arange(1, rotor.samples_per_blade + 1) / rotor.samples_per_blade
     t = np.asarray(t, dtype=float)[..., None]
     blade_angles = rotor.phase0 + rotor.rate * t + 2.0 * np.pi * np.arange(rotor.n_blades) / rotor.n_blades
@@ -361,9 +361,7 @@ def _map_in_order(fn, items, threads: int) -> list:
 
 def _sweep_window(name: str, n: int) -> np.ndarray:
     """Frequency-sweep taper, normalized to unit coherent gain."""
-    if name in (None, "none", "rect", "rectangular"):
-        return np.ones(n)
-    w = get_window(name, n, fftbins=False)
+    w = named_window(name, n, sym=True)
     return w / w.mean()
 
 

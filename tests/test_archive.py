@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisim.archive import Axis, Dataset, ResultArchive, export_csv, read_csv_column
 from bisim.errors import ConfigError, UsageError
@@ -73,6 +75,65 @@ class TestBinaryRoundTrip:
     def test_axis_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             Dataset("x", np.zeros(4), [Axis("a", "s", np.zeros(3))])
+
+
+@pytest.fixture(scope="module")
+def one_dataset(tmp_path_factory):
+    """Bytes of a written one-dataset archive, and a scratch path to corrupt copies at."""
+    archive = ResultArchive()
+    archive.add("map", np.arange(6.0).reshape(2, 3) * (1 + 2j),
+                [Axis("delay", "s", np.arange(2.0)), Axis("doppler", "Hz", np.arange(3.0))])
+    path = tmp_path_factory.mktemp("corrupt") / "a.bisim"
+    archive.write(path)
+    return path.read_bytes(), path
+
+
+def read_bytes(path, raw):
+    path.write_bytes(raw)
+    return ResultArchive.read(path)
+
+
+class TestCorruptArchive:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_truncation_at_any_offset_is_a_config_error(self, one_dataset, data):
+        raw, path = one_dataset
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(ConfigError):
+            read_bytes(path, raw[:cut])
+
+    def test_every_truncation_offset_is_a_config_error(self, one_dataset):
+        raw, path = one_dataset
+        for cut in range(len(raw)):
+            with pytest.raises(ConfigError):
+                read_bytes(path, raw[:cut])
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_flipped_header_byte_is_a_config_error(self, one_dataset, data):
+        raw, path = one_dataset
+        at = data.draw(st.integers(0, 11))  # magic, version, dataset count
+        flipped = bytearray(raw)
+        flipped[at] ^= data.draw(st.integers(1, 255))
+        with pytest.raises(ConfigError):
+            read_bytes(path, bytes(flipped))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_flipped_byte_reads_or_is_a_config_error(self, one_dataset, data):
+        raw, path = one_dataset
+        at = data.draw(st.integers(0, len(raw) - 1))
+        flipped = bytearray(raw)
+        flipped[at] ^= data.draw(st.integers(1, 255))
+        try:
+            read_bytes(path, bytes(flipped))
+        except ConfigError:
+            pass
+
+    def test_trailing_bytes_rejected(self, one_dataset):
+        raw, path = one_dataset
+        with pytest.raises(ConfigError, match="unexpected bytes"):
+            read_bytes(path, raw + b"\x00")
 
 
 class TestCsvExport:

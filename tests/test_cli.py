@@ -201,6 +201,16 @@ class TestCliMain:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("flag", ["--fft", "--hop"])
+    def test_stft_size_override_below_one_exits_2(self, rotor_config, tmp_path, flag):
+        out = tmp_path / "s"
+        assert main(["spectrogram", "--config", str(rotor_config), "--out", str(out), flag, "0"]) == 2
+        assert not (out / "spectrogram.bisim").exists()
+
+    def test_negative_seed_override_exits_2(self, full_scene_config, tmp_path):
+        out = tmp_path / "n"
+        assert main(["simulate", "--config", str(full_scene_config), "--out", str(out), "--seed", "-1"]) == 2
+
     def test_seed_override(self, full_scene_config, tmp_path):
         assert (
             main(

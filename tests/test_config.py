@@ -1,8 +1,16 @@
+import copy
+import re
 import textwrap
 
 import numpy as np
 import pytest
+import yaml
+from conftest import FULL_SCENE, ROTOR_SCENE
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import DETERMINISM_CONFIG
 
+from bisim.cli import main
 from bisim.config import config_echo, load_config, parse_config
 from bisim.errors import ConfigError
 
@@ -144,3 +152,177 @@ class TestConfigEcho:
         assert again.waveform.n_symbols == cfg.waveform.n_symbols
         assert again.scene.tx_nodes[0].node_id == "tx0"
         assert len(again.scene.targets) == 1
+        assert config_echo(again) == echo
+        for name, text in [("full", FULL_SCENE), ("rotor", ROTOR_SCENE),
+                           ("determinism", DETERMINISM_CONFIG)]:
+            cfg = load_config(write(tmp_path, text, f"{name}.yaml"))
+            echo = config_echo(cfg)
+            again = parse_config(echo)
+            assert again.waveform.n_symbols == cfg.waveform.n_symbols, name
+            assert again.scene.tx_nodes[0].node_id == "tx0", name
+            assert len(again.scene.targets) == len(cfg.scene.targets) >= 1, name
+            # the echo is a fixed point: echo -> parse -> echo changes nothing
+            assert config_echo(again) == echo, name
+
+
+FULL_DOC = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+
+
+def full_scene() -> dict:
+    return copy.deepcopy(FULL_DOC)
+
+
+def subtrees(node, path=()):
+    """Path of every node of a parsed YAML tree, the root first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from subtrees(child, path + (key,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def dotted(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+# Each of these escaped as a traceback or was silently accepted before the
+# parser was strict: (path in FULL_SCENE, value put there, subcommand).
+MALFORMED = [
+    pytest.param(("scene", "targets", 0), 5, "simulate", id="target-not-a-mapping"),
+    pytest.param(("scene", "targets", 0, "scatterers", 0), "big", "simulate",
+                 id="scatterer-not-a-mapping"),
+    pytest.param(("processing",), [1, 2], "ddmap", id="processing-not-a-mapping"),
+    pytest.param(("outputs",), "out", "simulate", id="outputs-not-a-mapping"),
+    pytest.param(("budget",), 3, "linkbudget", id="budget-not-a-mapping"),
+    pytest.param(("scene", "tx_nodes"), 7, "simulate", id="tx-nodes-not-a-list"),
+    pytest.param(("reflectivity", "az_rx"), {"start": 0, "stop": 180, "step": 0}, "reflectivity",
+                 id="angle-step-zero"),
+    pytest.param(("waveform", "carrier_hz"), float("nan"), "simulate", id="carrier-nan"),
+    pytest.param(("scene", "include_los"), "false", "simulate", id="bool-as-string"),
+    pytest.param(("noise", "seed"), 1.7, "simulate", id="fractional-seed"),
+    pytest.param(("waveform", "n_symbols"), True, "simulate", id="bool-as-int"),
+    pytest.param(("waveform", "n_symbol"), 32, "simulate", id="misspelled-key"),
+    pytest.param(("processing", "fast_window"), "bogus", "ddmap", id="unknown-window"),
+]
+
+
+class TestStrictParsing:
+    @pytest.mark.parametrize("path, value, sub", MALFORMED)
+    def test_malformed_input_is_a_config_error_naming_its_path(self, path, value, sub):
+        doc = full_scene()
+        at(doc, path[:-1])[path[-1]] = value
+        with pytest.raises(ConfigError, match=re.escape(dotted(path))):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("path, value, sub", MALFORMED)
+    def test_cli_exits_2_without_traceback(self, path, value, sub, tmp_path, capsys):
+        doc = full_scene()
+        at(doc, path[:-1])[path[-1]] = value
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, value", [
+        ('"2048"', 2048), ("2048.0", 2048), ('"4e3"', 4000), ("-3", -3)])
+    def test_integers_of_exact_integral_value_accepted(self, text, value):
+        doc = full_scene()
+        doc["processing"]["clean_paths"] = yaml.safe_load(text)
+        assert parse_config(doc).processing.clean_paths == value
+
+    def test_infinite_snr_means_no_noise_but_other_infinities_fail(self):
+        doc = full_scene()
+        doc["noise"]["snr_db"] = float("inf")
+        assert parse_config(doc).noise.snr_db == float("inf")
+        for path in (("noise", "snr_db"), ("t0",), ("budget", "d_tx")):
+            doc = full_scene()
+            at(doc, path[:-1])[path[-1]] = -float("inf")
+            with pytest.raises(ConfigError, match=re.escape(dotted(path))):
+                parse_config(doc)
+
+    def test_echo_only_key_accepted_and_ignored(self):
+        doc = full_scene()
+        doc["waveform"]["subcarrier_spacing_hz"] = 1.0
+        assert parse_config(doc).waveform.delta_f == 40e6 / 128
+
+    @pytest.mark.parametrize("spec, expected", [
+        ({"start": 0, "stop": 90, "step": 30}, [0, 30, 60, 90]),
+        ({"start": 0, "stop": 90, "n": 4}, [0, 30, 60, 90]),
+        ([5, 7], [5, 7]),
+        (12, [12]),
+    ])
+    def test_angle_axis_forms(self, spec, expected):
+        doc = full_scene()
+        doc["reflectivity"]["az_tx"] = spec
+        assert np.allclose(parse_config(doc).reflectivity.grid["az_tx"], expected)
+
+    @pytest.mark.parametrize("spec", [
+        {"start": 0, "stop": 90, "step": -5},
+        {"start": 0, "stop": 90, "n": 4, "step": 30},
+        {"start": 0, "stop": 90},
+        {"start": 90, "stop": 0, "step": 30},
+        {"start": 0, "stop": 90, "n": -1},
+        {"start": 0, "stop": 1e300, "step": 1e-300},
+    ])
+    def test_bad_angle_axis_rejected(self, spec):
+        doc = full_scene()
+        doc["reflectivity"]["az_tx"] = spec
+        with pytest.raises(ConfigError, match="reflectivity.az_tx"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("path, value, replaces", [
+        (("budget", "scattering_length"), [1e200, 0.0], "rcs_m2"),  # 4π|s|² overflows
+        (("waveform", "bandwidth_hz"), 5e-324, None),               # Δf = B/K rounds to 0
+    ])
+    def test_value_whose_arithmetic_overflows_is_a_config_error(self, path, value, replaces):
+        doc = full_scene()
+        at(doc, path[:-1]).pop(replaces, None)
+        at(doc, path[:-1])[path[-1]] = value
+        with pytest.raises(ConfigError, match=re.escape(dotted(path[:1]))):
+            parse_config(doc)
+
+    def test_exactly_one_alternative(self):
+        doc = full_scene()
+        doc["budget"]["scattering_length"] = 0.1
+        with pytest.raises(ConfigError, match="rcs_m2"):
+            parse_config(doc)
+        del doc["budget"]["rcs_m2"]
+        assert parse_config(doc).budget.rcs_m2 == pytest.approx(4 * np.pi * 0.01)
+
+
+YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+FULL_PATHS = list(subtrees(FULL_DOC))
+MAPPING_PATHS = [p for p in FULL_PATHS if isinstance(at(FULL_DOC, p), dict)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    op=st.sampled_from(["drop", "add", "replace"]),
+    path=st.sampled_from(FULL_PATHS[1:]),
+    mapping=st.sampled_from(MAPPING_PATHS),
+    key=st.text(max_size=12),
+    value=YAML_VALUES,
+)
+def test_any_mutation_of_full_scene_parses_or_is_a_config_error(op, path, mapping, key, value):
+    doc = full_scene()
+    if op == "drop":
+        del at(doc, path[:-1])[path[-1]]
+    elif op == "add":
+        at(doc, mapping)[key] = value
+    else:
+        at(doc, path[:-1])[path[-1]] = value
+    try:
+        parse_config(doc)
+    except ConfigError:
+        pass

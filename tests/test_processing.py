@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.signal import get_window
+from scipy.signal.windows import gaussian
 
-from bisim.channel import PathParameterSet, SlowTimeCube, WaveformConfig, add_noise, synth_cfr
+from bisim.channel import PathParameterSet, SlowTimeCube, WaveformConfig, add_noise, named_window, synth_cfr
 from bisim.errors import ConfigError, UsageError
 from bisim.geometry import C0, NodePose, Trajectory, bistatic_doppler, bistatic_range, vec3
 from bisim.processing import (
@@ -300,6 +302,27 @@ class TestSpectrogram:
     def test_series_too_short_rejected(self):
         with pytest.raises(ConfigError):
             stft_spectrogram(np.ones(100, dtype=complex), 8e-6, 2048, 32)
+
+    @pytest.mark.parametrize("fft_size, hop", [(0, 32), (-8, 32), (64, 0), (64, -1)])
+    def test_sizes_below_one_rejected(self, fft_size, hop):
+        with pytest.raises(ConfigError, match="fft_size >= 1 and hop >= 1"):
+            stft_spectrogram(np.ones(256, dtype=complex), 8e-6, fft_size, hop)
+
+
+class TestNamedWindow:
+    def test_values_match_the_scipy_windows(self):
+        n = 257
+        assert np.array_equal(named_window("none", n), np.ones(n))
+        assert np.array_equal(named_window("rect", n), np.ones(n))
+        assert np.array_equal(named_window("hann", n), get_window("hann", n, fftbins=True))
+        assert np.array_equal(named_window("hann", n, sym=True), get_window("hann", n, fftbins=False))
+        assert np.array_equal(named_window("gaussian", n), gaussian(n, std=n / 6.0, sym=False))
+        assert np.array_equal(named_window("gaussian", n, sigma=9.0), gaussian(n, std=9.0, sym=False))
+
+    @pytest.mark.parametrize("name", ["bogus", "kaiser", ""])
+    def test_unknown_or_incomplete_name_rejected(self, name):
+        with pytest.raises(ConfigError, match="window"):
+            named_window(name, 16)
 
 
 def noise_map(rng, n=48):

@@ -50,6 +50,18 @@ class TestScattererStates:
         assert np.allclose(a.positions, b.positions, atol=1e-9)
         assert np.allclose(a.velocities, b.velocities, atol=1e-6)
 
+    @pytest.mark.parametrize("axis", [(0, 0, 1), (1, 0, 0), (0.6, 0, 0.8)])
+    def test_rotor_basis_computed_once_and_right_handed(self, axis):
+        rotor = make_rotor()
+        rotor.axis = vec3(*axis)
+        e1, e2 = rotor.basis
+        assert rotor.basis is rotor.basis
+        assert np.allclose([e1 @ e1, e2 @ e2, e1 @ e2, e1 @ rotor.axis], [1, 1, 0, 0], atol=1e-12)
+        assert np.allclose(np.cross(e1, e2), rotor.axis, atol=1e-12)
+        # blade samples stay in the rotor plane through the hub
+        states = scatterer_states(rotor, np.linspace(0.0, 0.01, 5))
+        assert np.allclose((states.positions - rotor.hub_offset) @ rotor.axis, 0.0, atol=1e-12)
+
     def test_rotor_tip_speed(self):
         rotor = make_rotor()
         states = scatterer_states(rotor, 0.123)
