@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import get_window
 
 from .errors import ConfigError, UsageError
 
@@ -264,12 +263,24 @@ def named_window(name: str | None, n: int, sym: bool = False,
                  sigma: float | None = None) -> np.ndarray:
     """Named window of length n, periodic (for FFTs) unless sym=True.
 
-    "none", "rect" and "rectangular" give ones; "gaussian" has standard
-    deviation sigma (default n/6); any other name goes to scipy's
+    "none", "rect" and "rectangular" give ones; "hann" and "gaussian"
+    (standard deviation sigma, default n/6) use scipy.signal's formulas,
+    bit for bit, without importing it; any other name goes to scipy's
     get_window. An unknown name raises ConfigError.
     """
     if name in (None, "none", "rect", "rectangular"):
         return np.ones(n)
+    if name in ("hann", "gaussian") and n >= 2:
+        m = n if sym else n + 1   # a periodic window is a symmetric one of n + 1 points, truncated
+        if name == "hann":
+            w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m))
+        else:
+            std = n / 6.0 if sigma is None else sigma
+            k = np.arange(0, m, dtype=float) - (m - 1.0) / 2.0
+            w = np.exp(-k ** 2 / (2 * std * std))
+        return w[:n]
+    from scipy.signal import get_window   # slow to import, so only for the rarer windows
+
     spec = ("gaussian", n / 6.0 if sigma is None else sigma) if name == "gaussian" else name
     try:
         return get_window(spec, n, fftbins=not sym)

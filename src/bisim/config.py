@@ -42,11 +42,10 @@ from .channel import WaveformConfig, named_window
 from .errors import ConfigError
 from .geometry import C0, NodePose, Trajectory
 from .scene import SceneConfig, SceneNode
-from .targets import (FrequencyBand, LinkBudget, PointScatterer, RigidTarget, Rotor, StaticScatterer,
-                      equivalent_rcs)
+from .targets import (MAX_AXIS_POINTS, FrequencyBand, LinkBudget, PointScatterer, RigidTarget, Rotor,
+                      StaticScatterer, equivalent_rcs)
 
 REQUIRED = object()  # default of a key that must be given
-MAX_AXIS_POINTS = 1 << 20  # longest axis a {start, stop, n | step} form may expand to
 
 
 # Leaf coercers: (YAML value, where) -> Python value, or ConfigError naming where.

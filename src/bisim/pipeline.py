@@ -3,10 +3,11 @@
 Every subcommand is a pure function of (RunConfig, threads) returning a
 ResultArchive; run() also writes the archive, its YAML summary sidecar, and
 optional CSV exports. Identical config + seed produce byte-identical
-archives for any worker count: threads only fan out the pure per-angle
-evaluations of reflectivity and flyover scans, assembled in a fixed order;
-links are synthesized in order and noise blocks are drawn from per-link
-seeded generators.
+archives for any worker count: threads only fan out the fixed blocks of
+grid points of reflectivity and flyover scans, whose boundaries come from a
+memory budget and not from the worker count, each written to its own slice
+of the output; links are synthesized in order and noise blocks are drawn
+from per-link seeded generators.
 """
 
 from __future__ import annotations

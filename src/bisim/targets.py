@@ -23,12 +23,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import PathTable, named_window
+from .channel import _SLAB_ELEMENTS, PathTable, named_window, phase_ramps
 from .errors import ConfigError
 from .geometry import C0, NodePose, NodeTrack, Trajectory, as_vec3, direction_from_angles, track_at, two_hop, unit
 from .geometry import bistatic_doppler  # noqa: F401  unused; bench/tracing.py counts calls made through it
 
 FOUR_PI = 4.0 * np.pi
+MAX_AXIS_POINTS = 1 << 20  # longest scan angle axis: a config {start, stop, n | step} form or a flyover sweep
 
 
 def jones_identity() -> np.ndarray:
@@ -359,30 +360,42 @@ def _map_in_order(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _sweep_window(name: str, n: int) -> np.ndarray:
-    """Frequency-sweep taper, normalized to unit coherent gain."""
-    w = named_window(name, n, sym=True)
-    return w / w.mean()
+def _scan_profiles(states: ScattererStates, jones: np.ndarray, u_tx: np.ndarray, u_rx: np.ndarray,
+                   d_tx: float, d_rx: float, band: FrequencyBand, sweep_window: str,
+                   threads: int) -> np.ndarray:
+    """Delay profiles of a scan target for antennas at radii d_tx, d_rx in G direction pairs.
 
-
-def _sweep_response(states: ScattererStates, u_tx: np.ndarray, u_rx: np.ndarray,
-                    d_tx: float, d_rx: float, freqs: np.ndarray) -> np.ndarray:
-    """Jones-valued frequency response, de-embedded to the target center.
-
-    Returns (n_freq, 2, 2); delays enter relative to (d_tx + d_rx)/c so the
-    profile is centered regardless of antenna distance.
+    u_tx, u_rx are (G, 3) unit vectors (a (3,) one broadcasts); jones is one
+    (N, ...) value per scatterer. Returns (G, n_freq, ...): the fftshifted
+    inverse transform of the tapered sweep sum_n s_n λ_f/(4π r1 r2)
+    exp(-j2π f τ_n) jones_n, τ_n relative to (d_tx + d_rx)/c; the ramps come
+    from phase_ramps with exp(-j2π f_lo τ_n) folded into the weights. Points
+    go in fixed blocks keeping one (block x N x n_freq) slab within
+    _SLAB_ELEMENTS; threads only spreads the blocks over a pool.
     """
-    p_tx = d_tx * u_tx
-    p_rx = d_rx * u_rx
-    r1 = np.linalg.norm(states.positions - p_tx, axis=1)
-    r2 = np.linalg.norm(states.positions - p_rx, axis=1)
-    tau_rel = (r1 + r2 - (d_tx + d_rx)) / C0
-    lam = C0 / freqs
-    # (n_freq, n_scat) spherical spreading with relative-phase ramps
-    spread = states.amplitudes[None, :] * lam[:, None] / (FOUR_PI * r1 * r2)[None, :]
-    phase = np.exp(-2j * np.pi * np.outer(freqs, tau_rel))
-    weights = spread * phase
-    return np.einsum("fn,npq->fpq", weights, states.jones)
+    u_tx, u_rx = np.broadcast_arrays(u_tx, u_rx)
+    n_points, n_scat, n_freq = len(u_tx), len(states), band.n_points
+    cols = jones.reshape(n_scat, -1)
+    out = np.empty((n_points, n_freq, cols.shape[1]), dtype=complex)
+    taper = named_window(sweep_window, n_freq, sym=True)
+    scale = (C0 / band.frequencies() * taper / taper.mean())[:, None]   # λ_f times a unit-gain taper
+    block = max(1, _SLAB_ELEMENTS // (n_scat * n_freq))
+
+    def evaluate(start: int) -> None:
+        at = slice(start, start + block)
+        r1, r2 = two_hop(states.positions, d_tx * u_tx[at, None], d_rx * u_rx[at, None])
+        tau = (r1 + r2 - (d_tx + d_rx)) / C0
+        ramps = phase_ramps(tau, band.delta_f, n_freq)
+        ramps *= (states.amplitudes / (FOUR_PI * r1 * r2) * np.exp(-2j * np.pi * band.f_lo * tau))[..., None]
+        out[at] = np.fft.fftshift(np.fft.ifft(np.swapaxes(ramps, 1, 2) @ cols * scale, axis=1), axes=1)
+
+    _map_in_order(evaluate, range(0, n_points, block), threads)
+    return out.reshape(n_points, n_freq, *jones.shape[1:])
+
+
+def _directions(az_deg, el_deg) -> np.ndarray:
+    """Unit vectors (..., 3) of azimuth/elevation arrays broadcast to one shape (...)."""
+    return np.moveaxis(direction_from_angles(*np.broadcast_arrays(az_deg, el_deg)), 0, -1)
 
 
 def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
@@ -395,9 +408,9 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     arrays of degrees. Antennas are placed at radii d_tx / d_rx in each
     direction pair, a frequency sweep is synthesized over the band, and the
     delay profile is obtained by inverse transform (fftshift-centered on the
-    target-center delay). Grid points are independent; with threads > 1 they
-    are evaluated by a thread pool and assembled in order, so the result
-    does not depend on the worker count.
+    target-center delay). The grid is flattened and evaluated in fixed blocks
+    of points (see _scan_profiles); with threads > 1 the blocks run on a
+    thread pool, and the result does not depend on the worker count.
     """
     states = _scan_states(target, t, d_tx, d_rx)
     axes = []
@@ -406,22 +419,11 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
             raise ConfigError(f"angle grid {key!r} is missing or empty")
         axes.append(np.atleast_1d(np.asarray(grid[key], dtype=float)))
     az_tx, el_tx, az_rx, el_rx = axes
-    freqs = band.frequencies()
-    shape = (len(az_tx), len(el_tx), len(az_rx), len(el_rx), band.n_points, 2, 2)
-    data = np.empty(shape, dtype=complex)
-
-    combos = list(np.ndindex(shape[:4]))
-    taper = _sweep_window(sweep_window, band.n_points)
-
-    def evaluate(idx):
-        i, j, k, l = idx
-        u1 = direction_from_angles(az_tx[i], el_tx[j])
-        u2 = direction_from_angles(az_rx[k], el_rx[l])
-        resp = _sweep_response(states, u1, u2, d_tx, d_rx, freqs)
-        return np.fft.fftshift(np.fft.ifft(resp * taper[:, None, None], axis=0), axes=0)
-
-    for idx, resp in zip(combos, _map_in_order(evaluate, combos, threads)):
-        data[idx] = resp
+    u_tx = _directions(az_tx[:, None], el_tx).reshape(-1, 3)
+    u_rx = _directions(az_rx[:, None], el_rx).reshape(-1, 3)
+    profiles = _scan_profiles(states, states.jones, np.repeat(u_tx, len(u_rx), axis=0),
+                              np.tile(u_rx, (len(u_tx), 1)), d_tx, d_rx, band, sweep_window, threads)
+    data = profiles.reshape(len(az_tx), len(el_tx), len(az_rx), len(el_rx), band.n_points, 2, 2)
     return ReflectivityTensor(
         az_tx, el_tx, az_rx, el_rx, band.delay_axis(), data, d_tx, d_rx, band
     )
@@ -448,28 +450,26 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
 
     The swept angle is the bistatic separation relative to the fixed
     antenna, running e.g. 10..180 degrees from quasi-monostatic to forward
-    scattering. Both antennas sit at elevation_deg (default 0) and the H-H
-    polarization is extracted, so the output is directly comparable to
-    gantry measurement maps.
+    scattering, with at most MAX_AXIS_POINTS angles. Both antennas sit at
+    elevation_deg (default 0) and the H-H polarization is extracted, so the
+    output is directly comparable to gantry measurement maps. All swept
+    angles go through one blocked evaluation against the fixed Tx direction
+    (see _scan_profiles); the result does not depend on threads.
     """
     start, stop, step = sweep
     if step <= 0 or stop <= start:
         raise ConfigError("sweep must be (start, stop, step) with step > 0")
-    n = int(round((stop - start) / step)) + 1
+    n = int(round((stop - start) / step)) + 1 if stop - start < step * MAX_AXIS_POINTS else 0
+    if not 1 <= n <= MAX_AXIS_POINTS:
+        raise ConfigError(f"sweep ({start}, {stop}, {step}): expected 1 to {MAX_AXIS_POINTS} angles")
     angles = start + step * np.arange(n)
     angles = angles[angles <= stop + 1e-9]
     states = _scan_states(target, t, d_tx, d_rx)
-    freqs = band.frequencies()
     u_tx = direction_from_angles(fixed_angle_deg, elevation_deg)
-    taper = _sweep_window(sweep_window, band.n_points)
-
-    def evaluate(angle):
-        u_rx = direction_from_angles(fixed_angle_deg + angle, elevation_deg)
-        resp = _sweep_response(states, u_tx, u_rx, d_tx, d_rx, freqs)[:, 0, 0]
-        return np.fft.fftshift(np.fft.ifft(resp * taper))
-
-    rows = _map_in_order(evaluate, angles, threads)
-    return FlyoverMap(angles, band.delay_axis(), np.stack(rows), d_tx, d_rx, band)
+    u_rx = _directions(fixed_angle_deg + angles, elevation_deg)
+    data = _scan_profiles(states, states.jones[:, 0, 0], u_tx, u_rx, d_tx, d_rx, band,
+                          sweep_window, threads)
+    return FlyoverMap(angles, band.delay_axis(), data, d_tx, d_rx, band)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +493,8 @@ class LinkBudget:
     def __post_init__(self):
         if self.wavelength <= 0 or self.d_tx <= 0 or self.d_rx <= 0:
             raise ConfigError("wavelength and distances must be positive")
-        if self.rcs_m2 < 0:
-            raise ConfigError("RCS must be >= 0")
+        if not self.rcs_m2 > 0:
+            raise ConfigError("RCS must be > 0")
 
 
 def equivalent_rcs(s: complex) -> float:
@@ -508,9 +508,9 @@ def link_budget(b: LinkBudget) -> dict:
     received_power_dbm = P_t + G_t + G_r + 10 log10(λ²σ / ((4π)³ d_tx² d_rx²));
     processing_gain_db = 10 log10(K·M) for K subcarriers by M symbols.
     """
-    spread = (
-        b.wavelength**2 * b.rcs_m2 / (FOUR_PI**3 * b.d_tx**2 * b.d_rx**2)
-    )
-    received = b.tx_power_dbm + b.tx_gain_dbi + b.rx_gain_dbi + 10.0 * math.log10(spread)
+    # summed in logs, so no product under- or overflows for positive finite inputs
+    spread_db = (20.0 * math.log10(b.wavelength) + 10.0 * math.log10(b.rcs_m2) - 30.0 * math.log10(FOUR_PI)
+                 - 20.0 * math.log10(b.d_tx) - 20.0 * math.log10(b.d_rx))
+    received = b.tx_power_dbm + b.tx_gain_dbi + b.rx_gain_dbi + spread_db
     gain = 10.0 * math.log10(b.n_subcarriers * b.n_symbols)
     return {"received_power_dbm": received, "processing_gain_db": gain}

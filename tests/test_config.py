@@ -287,6 +287,22 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match=re.escape(dotted(path[:1]))):
             parse_config(doc)
 
+    @pytest.mark.parametrize("path, value, replaces, sub", [
+        (("budget", "rcs_m2"), 0.0, None, "linkbudget"),
+        (("budget", "scattering_length"), [0.0, 0.0], "rcs_m2", "linkbudget"),
+        (("flyover", "step_deg"), 1e-300, None, "flyover"),
+    ])
+    def test_degenerate_value_exits_2_without_traceback(self, path, value, replaces, sub, tmp_path,
+                                                        capsys):
+        doc = full_scene()
+        at(doc, path[:-1]).pop(replaces, None)
+        at(doc, path[:-1])[path[-1]] = value
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_exactly_one_alternative(self):
         doc = full_scene()
         doc["budget"]["scattering_length"] = 0.1

@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
+from conftest import FULL_SCENE, ROTOR_SCENE
 from scipy.signal import get_window
 from scipy.signal.windows import gaussian
 
+import bisim
 from bisim.channel import PathParameterSet, SlowTimeCube, WaveformConfig, add_noise, named_window, synth_cfr
 from bisim.errors import ConfigError, UsageError
 from bisim.geometry import C0, NodePose, Trajectory, bistatic_doppler, bistatic_range, vec3
@@ -323,6 +332,34 @@ class TestNamedWindow:
     def test_unknown_or_incomplete_name_rejected(self, name):
         with pytest.raises(ConfigError, match="window"):
             named_window(name, 16)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 255, 256, 1024])
+    def test_own_formulas_match_scipy_at_any_length(self, n):
+        for sym in (False, True):
+            assert np.array_equal(named_window("hann", n, sym=sym), get_window("hann", n, fftbins=not sym))
+            for sigma in (None, 0.8):
+                std = n / 6.0 if sigma is None else sigma
+                assert np.array_equal(named_window("gaussian", n, sym=sym, sigma=sigma),
+                                      gaussian(n, std=std, sym=sym))
+
+    def test_startup_and_config_load_do_not_import_scipy_signal(self, tmp_path):
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc["processing"].update(fast_window="hann", slow_window="hann")
+        doc["flyover"]["sweep_window"] = "hann"
+        (tmp_path / "hann.yaml").write_text(yaml.safe_dump(doc))
+        (tmp_path / "rotor.yaml").write_text(textwrap.dedent(ROTOR_SCENE))
+        code = textwrap.dedent(f"""
+            import sys
+            import bisim, bisim.pipeline
+            from bisim.config import load_config
+            load_config({str(tmp_path / "rotor.yaml")!r})
+            load_config({str(tmp_path / "hann.yaml")!r})
+            sys.exit(3 if "scipy.signal" in sys.modules else 0)
+        """)
+        src = str(Path(bisim.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              timeout=120, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr or "scipy.signal was imported"
 
 
 def noise_map(rng, n=48):

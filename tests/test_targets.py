@@ -1,9 +1,17 @@
+import textwrap
+import tracemalloc
+
 import numpy as np
 import pytest
+import yaml
+from conftest import FULL_SCENE
+from scipy.signal import get_window
 
-from bisim.channel import WaveformConfig, synth_cfr
+from bisim.channel import _SLAB_ELEMENTS, WaveformConfig, synth_cfr
+from bisim.config import parse_config
 from bisim.errors import ConfigError
 from bisim.geometry import C0, NodePose, Trajectory, direction_from_angles, vec3
+from bisim.pipeline import run
 from bisim.targets import (
     FOUR_PI,
     FrequencyBand,
@@ -187,6 +195,18 @@ class TestRcsAndLinkBudget:
         with pytest.raises(ConfigError):
             LinkBudget(0.0, 0.0, 0.0, LAM, -1.0, 10.0, 1.0)
 
+    def test_zero_rcs_rejected(self):
+        with pytest.raises(ConfigError, match="RCS"):
+            LinkBudget(0.0, 0.0, 0.0, LAM, 10.0, 10.0, 0.0)
+
+    def test_extreme_but_valid_inputs_give_finite_power(self):
+        # λ²σ/((4π)³ d_tx² d_rx²) under- or overflows as a product here
+        for d_tx, rcs in ((150.0, 5e-324), (1e200, 1.0)):
+            out = link_budget(LinkBudget(30.0, 0.0, 0.0, LAM, d_tx, 120.0, rcs))
+            expected = 30.0 + 20 * np.log10(LAM) + 10 * np.log10(rcs) - 30 * np.log10(4 * np.pi) \
+                - 20 * np.log10(d_tx) - 20 * np.log10(120.0)
+            assert out["received_power_dbm"] == pytest.approx(expected, abs=1e-9)
+
 
 def centered_scatterer(amplitude=0.05):
     return RigidTarget(
@@ -346,3 +366,132 @@ class TestFlyoverScan:
     def test_sweep_validation(self):
         with pytest.raises(ConfigError):
             flyover_scan(centered_scatterer(), 0.0, (10, 5, 10), 10.0, 10.0, self.band)
+
+
+def direction(az_deg, el_deg):
+    az, el = np.deg2rad(az_deg), np.deg2rad(el_deg)
+    return np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
+
+
+def oracle_profile(positions, amps, jones, u_tx, u_rx, d_tx, d_rx, band, taper):
+    """(n_freq, 2, 2) delay profile at one direction pair, one scatterer at a time."""
+    freqs = np.linspace(band.f_lo, band.f_hi, band.n_points)
+    h = np.zeros((band.n_points, 2, 2), dtype=complex)
+    for p, s, j in zip(positions, amps, jones):
+        r1, r2 = np.linalg.norm(p - d_tx * u_tx), np.linalg.norm(p - d_rx * u_rx)
+        h += (s * (C0 / freqs) / (4 * np.pi * r1 * r2)
+              * np.exp(-2j * np.pi * freqs * (r1 + r2 - d_tx - d_rx) / C0))[:, None, None] * j
+    h *= (taper / taper.mean())[:, None, None]
+    return np.fft.fftshift(np.fft.ifft(h, axis=0), axes=0)
+
+
+def jones_cloud(n=5, seed=41):
+    """Rigid cloud whose scatterers have distinct, non-symmetric Jones matrices."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(-0.4, 0.4, size=(n, 3))
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    jones = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    target = RigidTarget([PointScatterer(o, a, j) for o, a, j in zip(offsets, amps, jones)],
+                         Trajectory.from_waypoints([(0.0, (0, 0, 0))]))
+    return target, offsets, amps, jones
+
+
+def rotor_samples(rotor, t):
+    """World positions of the blade samples, from the rotor's own (e1, e2) plane."""
+    e1, e2 = rotor.basis
+    pos = []
+    for b in range(rotor.n_blades):
+        phi = rotor.phase0 + rotor.rate * t + 2 * np.pi * b / rotor.n_blades
+        for i in range(1, rotor.samples_per_blade + 1):
+            r = rotor.blade_radius * i / rotor.samples_per_blade
+            pos.append(rotor.hub_offset + r * (np.cos(phi) * e1 + np.sin(phi) * e2))
+    return np.array(pos)
+
+
+def spans_partial_blocks(n_points, n_scat, n_freq):
+    block = _SLAB_ELEMENTS // (n_scat * n_freq)
+    return n_points > block and n_points % block != 0
+
+
+class TestBlockedScan:
+    def test_reflectivity_matches_per_point_oracle(self):
+        cloud, offsets, amps, jones = jones_cloud()
+        rotor = Rotor(vec3(0.1, -0.05, 0.02), np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0),
+                      blade_radius=0.3, rate=40.0, n_blades=2, samples_per_blade=16,
+                      sample_amplitude=0.01 + 0.004j, phase0=0.3)
+        t = 0.013
+        cases = [
+            (cloud, offsets, amps, jones, "hann",
+             small_grid([0, 40, 95, 150, 200, 260, 330], [-10, 5, 30], np.arange(11) * 31.0,
+                        [0, 8, 16, 24, 40])),
+            (rotor, rotor_samples(rotor, t), np.full(32, rotor.sample_amplitude),
+             np.broadcast_to(np.eye(2), (32, 2, 2)), "none",
+             small_grid([0, 70, 140, 210, 280], [0, 25], np.arange(13) * 27.0, [-5, 12])),
+        ]
+        band = FrequencyBand(3e9, 5e9, 32)
+        d_tx, d_rx = 6.0, 9.0
+        for target, pos, s, j, window, grid in cases:
+            n_points = np.prod([len(grid[k]) for k in ("az_tx", "el_tx", "az_rx", "el_rx")])
+            assert spans_partial_blocks(n_points, len(s), band.n_points)
+            tensor = reflectivity_scan(target, grid, d_tx, d_rx, band, t=t, sweep_window=window)
+            taper = get_window(window, band.n_points, fftbins=False) if window != "none" \
+                else np.ones(band.n_points)
+            oracle = np.empty_like(tensor.data)
+            for idx in np.ndindex(oracle.shape[:4]):
+                i, k, l, m = idx
+                u_tx = direction(grid["az_tx"][i], grid["el_tx"][k])
+                u_rx = direction(grid["az_rx"][l], grid["el_rx"][m])
+                oracle[idx] = oracle_profile(pos, s, j, u_tx, u_rx, d_tx, d_rx, band, taper)
+            assert np.max(np.abs(tensor.data - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    def test_flyover_matches_per_point_oracle(self):
+        cloud, offsets, amps, jones = jones_cloud()
+        band = FrequencyBand(2e9, 18e9, 512)
+        fly = flyover_scan(cloud, 20.0, (10, 178, 3), 6.0, 9.0, band, elevation_deg=7.0,
+                           sweep_window="hann")
+        assert spans_partial_blocks(len(fly.angles_deg), len(amps), band.n_points)
+        taper = get_window("hann", band.n_points, fftbins=False)
+        oracle = np.array([
+            oracle_profile(offsets, amps, jones, direction(20.0, 7.0), direction(20.0 + a, 7.0),
+                           6.0, 9.0, band, taper)[:, 0, 0]
+            for a in fly.angles_deg])
+        assert np.max(np.abs(fly.data - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    def test_cross_pol_channels_follow_jones_entries(self):
+        jones = np.array([[1.0 + 0.5j, -0.3 + 0.2j], [0.7 - 0.1j, -0.4j]])
+        target = RigidTarget([PointScatterer([0.2, -0.1, 0.05], 0.05, jones)],
+                             Trajectory.from_waypoints([(0.0, (0, 0, 0))]))
+        tensor = reflectivity_scan(target, small_grid([0, 60], 10, [30, 120, 200], 0), 7.0, 7.0,
+                                   FrequencyBand(3e9, 4e9, 16))
+        hh = tensor.data[..., 0, 0]
+        for p, q in np.ndindex(2, 2):
+            assert np.allclose(tensor.data[..., p, q], jones[p, q] / jones[0, 0] * hh,
+                               rtol=1e-12, atol=0.0)
+
+    def test_memory_stays_bounded(self):
+        rotor = Rotor(vec3(0, 0, 0), vec3(0, 0, 1), blade_radius=0.5, rate=10.0,
+                      n_blades=4, samples_per_blade=256)
+        band = FrequencyBand(3e9, 4e9, 16)
+        angles = np.arange(16) * 22.5
+        grid = small_grid(angles, [0, 10, 20, 30], angles, [0, 10, 20, 30])
+        n_scat = rotor.n_blades * rotor.samples_per_blade
+        assert 16 * 4 * 16 * 4 * n_scat * band.n_points * 16 >= 1e9   # unblocked slab, bytes
+        tracemalloc.start()
+        try:
+            tensor = reflectivity_scan(rotor, grid, 5.0, 5.0, band)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor.data.nbytes + 32e6
+        assert np.all(np.isfinite(tensor.data)) and np.any(tensor.data != 0)
+
+    def test_reflectivity_archive_same_for_any_thread_count(self, tmp_path):
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc["reflectivity"].update(az_rx={"start": 0, "stop": 350, "n": 36}, el_rx=[0, 10, 20],
+                                   band={"f_lo": 3.6e9, "f_hi": 3.8e9, "n_points": 2048})
+        assert spans_partial_blocks(2 * 36 * 3, 1, 2048)
+        blobs = []
+        for threads in (1, 4):
+            run("reflectivity", parse_config(doc), out_dir=tmp_path / f"t{threads}", threads=threads)
+            blobs.append((tmp_path / f"t{threads}" / "reflectivity.bisim").read_bytes())
+        assert blobs[0] == blobs[1]
