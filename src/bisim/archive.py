@@ -174,10 +174,6 @@ class ResultArchive:
             yaml.safe_dump(self.summary, fh, sort_keys=False, default_flow_style=False)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def export_csv(archive: ResultArchive, dataset: str, path) -> None:
     """Write one <=2-D dataset as plain CSV with an axis-value header row.
 
@@ -201,15 +197,14 @@ def export_csv(archive: ResultArchive, dataset: str, path) -> None:
     if ds.values.ndim == 1:
         ax = ds.axes[0]
         lines.append(f"{ax.name}_{ax.unit},{label}")
-        for a, v in zip(ax.values, values):
-            lines.append(f"{_fmt(a)},{_fmt(v)}")
+        lines += ["%.17g,%.17g" % pair for pair in zip(ax.values.tolist(), values.tolist())]
     else:
         row_ax, col_ax = ds.axes
         header = [f"{row_ax.name}_{row_ax.unit}\\{col_ax.name}_{col_ax.unit}"]
-        header += [_fmt(a) for a in col_ax.values]
+        header += ["%.17g" % a for a in col_ax.values.tolist()]
         lines.append(",".join(header))
-        for a, row in zip(row_ax.values, values):
-            lines.append(",".join([_fmt(a)] + [_fmt(v) for v in row]))
+        row_fmt = ",".join(["%.17g"] * (values.shape[1] + 1))
+        lines += [row_fmt % (a, *row) for a, row in zip(row_ax.values.tolist(), values.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,11 +1,14 @@
 """Multistatic fusion: target position and velocity from bistatic observations.
 
 Position comes from weighted nonlinear least squares on bistatic ranges
-(coarse grid search seeds a damped Gauss-Newton refinement, guarding
-against the multimodal ellipse-intersection cost). Velocity follows from
-the linear system f_D,l = -(1/λ_l)(û_tx,l + û_rx,l)·v solved by weighted
-least squares, with rank/conditioning diagnostics that expose Doppler-blind
-subspaces explicitly.
+(Malanowski & Kulpa, IEEE TAES 48(1), 2012). A bounded coarse-to-fine grid
+search (at most _AXIS_CELLS cells per axis, so work and memory do not grow
+with the scene or with dim=3) seeds a damped Gauss-Newton refinement,
+guarding against the multimodal ellipse-intersection cost. Velocity follows
+from the linear system f_D,l = -(1/λ_l)(û_tx,l + û_rx,l)·v solved by
+weighted least squares, with rank/conditioning diagnostics that expose
+Doppler-blind subspaces explicitly. _hops gives every link's unit vectors
+and bistatic range at once for all of these.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ from .errors import ConfigError
 from .geometry import C0, NodePose, as_vec3
 
 _RANK_TOL = 1e-10
+_EPS_NODE = 1e-12       # closer than this a point sits on a node (m)
+_AXIS_CELLS = 64        # grid cells per axis, coarse grid and re-grid windows alike
+_REGRID = 4             # best solutions re-gridded at grid_cell spacing
+_MAX_SEEDS = 64         # Gauss-Newton seeds from the coarse grid, and from all windows
+_BLOCK_ELEMENTS = 2**14  # (cells x links) scored at once
 
 
 @dataclass(eq=False)
@@ -60,80 +68,70 @@ class StateEstimate:
     iterations: int = 0
 
 
-def _resolve_nodes(obs: Sequence[BistaticObservation], nodes) -> list[tuple[NodePose, NodePose]]:
-    if isinstance(nodes, Mapping):
-        table = dict(nodes)
-    else:
-        table = {n.node_id: n for n in nodes}
-    pairs = []
-    for o in obs:
-        try:
-            pairs.append((table[o.tx_id], table[o.rx_id]))
-        except KeyError as err:
-            raise ConfigError(f"observation references unknown node id {err.args[0]!r}")
-    return pairs
+def _link_nodes(pairs) -> np.ndarray:
+    """(L, 4, 3): Tx position, Rx position, Tx velocity, Rx velocity of each link."""
+    return np.array([[tx.position, rx.position, tx.velocity, rx.velocity] for tx, rx in pairs])
 
 
-def _bistatic_ranges(obs, pairs) -> np.ndarray:
-    """Absolute bistatic range targets R_l = c*excess_l + baseline_l."""
-    out = np.empty(len(obs))
-    for i, (o, (tx, rx)) in enumerate(zip(obs, pairs)):
-        baseline = float(np.linalg.norm(rx.position - tx.position))
-        out[i] = C0 * o.excess_delay + baseline
-    return out
+def _resolve_nodes(obs: Sequence[BistaticObservation], nodes) -> np.ndarray:
+    table = dict(nodes) if isinstance(nodes, Mapping) else {n.node_id: n for n in nodes}
+    try:
+        return _link_nodes([(table[o.tx_id], table[o.rx_id]) for o in obs])
+    except KeyError as err:
+        raise ConfigError(f"observation references unknown node id {err.args[0]!r}")
+
+
+def _hops(points, tx, rx, strict: bool = False):
+    """Unit vectors û_tx, û_rx (..., L, 3) and bistatic ranges (..., L) of
+    points (..., 3) over L links with node positions tx, rx (L, 3).
+
+    Hop vectors run from the antenna to the point, as in geometry.two_hop.
+    A point on a node gets its distance clamped to _EPS_NODE (a zero unit
+    vector), so grid cells and solver iterates may land there; strict
+    raises ConfigError instead.
+    """
+    u_tx = points[..., None, :] - tx
+    u_rx = points[..., None, :] - rx
+    d_tx = np.linalg.norm(u_tx, axis=-1)
+    d_rx = np.linalg.norm(u_rx, axis=-1)
+    if min(d_tx.min(), d_rx.min()) < _EPS_NODE:
+        if strict:
+            raise ConfigError("position coincides with a node")
+        d_tx, d_rx = np.maximum(d_tx, _EPS_NODE), np.maximum(d_rx, _EPS_NODE)
+    u_tx /= d_tx[..., None]
+    u_rx /= d_rx[..., None]
+    return u_tx, u_rx, d_tx + d_rx
 
 
 def _embed(p: np.ndarray, dim: int) -> np.ndarray:
-    if dim == 2:
-        return np.array([p[0], p[1], 0.0])
-    return p
+    return np.array([p[0], p[1], 0.0]) if dim == 2 else p
 
 
-def _range_residuals(p3, pairs, targets, weights):
-    res = np.empty(len(pairs))
-    rows = np.empty((len(pairs), 3))
-    for i, (tx, rx) in enumerate(pairs):
-        r1 = p3 - tx.position
-        r2 = p3 - rx.position
-        d1 = np.linalg.norm(r1)
-        d2 = np.linalg.norm(r2)
-        if d1 < 1e-12 or d2 < 1e-12:
-            d1 = max(d1, 1e-12)
-            d2 = max(d2, 1e-12)
-        res[i] = d1 + d2 - targets[i]
-        rows[i] = r1 / d1 + r2 / d2
-    return np.sqrt(weights) * res, np.sqrt(weights)[:, None] * rows
+def _range_residuals(p3, links, targets, sqrt_w):
+    u_tx, u_rx, ranges = _hops(p3, links[:, 0], links[:, 1])
+    return sqrt_w * (ranges - targets), sqrt_w[:, None] * (u_tx + u_rx)
 
 
-def _grid_cost(cells, pairs, targets, weights):
-    cost = np.zeros(cells.shape[0])
-    for (tx, rx), rb, w in zip(pairs, targets, weights):
-        d1 = np.linalg.norm(cells - tx.position, axis=1)
-        d2 = np.linalg.norm(cells - rx.position, axis=1)
-        cost += w * (d1 + d2 - rb) ** 2
-    return cost
-
-
-def _gauss_newton(p0, pairs, targets, weights, dim, max_iter=100, step_tol=1e-9):
+def _gauss_newton(p0, links, targets, weights, dim, max_iter=100, step_tol=1e-9):
     """Levenberg-damped Gauss-Newton on the range cost from a seed point."""
     p = _embed(np.asarray(p0, dtype=float), dim)
+    sqrt_w = np.sqrt(weights)
     lam = 1e-6
-    res, rows = _range_residuals(p, pairs, targets, weights)
+    res, rows = _range_residuals(p, links, targets, sqrt_w)
     cost = float(res @ res)
-    n_axes = 2 if dim == 2 else 3
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
-        jac = rows[:, :n_axes]
+        jac = rows[:, :dim]
         jtj = jac.T @ jac
         jtr = jac.T @ res
         try:
-            step = np.linalg.solve(jtj + lam * np.eye(n_axes), -jtr)
+            step = np.linalg.solve(jtj + lam * np.eye(dim), -jtr)
         except np.linalg.LinAlgError:
             break
         cand = p.copy()
-        cand[:n_axes] += step
-        new_res, new_rows = _range_residuals(cand, pairs, targets, weights)
+        cand[:dim] += step
+        new_res, new_rows = _range_residuals(cand, links, targets, sqrt_w)
         new_cost = float(new_res @ new_res)
         if new_cost <= cost:
             p, res, rows, cost = cand, new_res, new_rows, new_cost
@@ -145,100 +143,111 @@ def _gauss_newton(p0, pairs, targets, weights, dim, max_iter=100, step_tol=1e-9)
             lam *= 10.0
             if lam > 1e12:
                 break
-    return p, np.sqrt(cost / max(len(pairs), 1)), converged, it
+    return p, np.sqrt(cost / len(targets)), converged, it
 
 
-def _scene_grid(pairs, targets, cell: float, dim: int):
-    """Search cells covering every link's iso-range ellipse, 1.5x expanded.
+def _scene_box(links, targets, cell: float, dim: int):
+    """Center and half-widths of the box covering every link's iso-range
+    ellipse, 1.5x expanded.
 
     The node bounding box alone can miss the solution (e.g. collinear
     nodes), so each link's box is grown by its semi-major axis R_b/2,
     which bounds the ellipse in every direction.
     """
-    los = []
-    his = []
-    for (tx, rx), rb in zip(pairs, targets):
-        a = rb / 2.0
-        pts = np.stack([tx.position, rx.position])
-        los.append(pts.min(axis=0) - a)
-        his.append(pts.max(axis=0) + a)
-    lo = np.min(los, axis=0)
-    hi = np.max(his, axis=0)
-    center = (lo + hi) / 2.0
+    a = targets[:, None] / 2.0
+    lo = (np.minimum(links[:, 0], links[:, 1]) - a).min(axis=0)
+    hi = (np.maximum(links[:, 0], links[:, 1]) + a).max(axis=0)
     half = np.maximum((hi - lo) / 2.0, cell) * 1.5
-    axes = []
-    n_axes = 2 if dim == 2 else 3
-    for a in range(n_axes):
-        n = max(int(np.ceil(2 * half[a] / cell)) + 1, 3)
-        axes.append(np.linspace(center[a] - half[a], center[a] + half[a], n))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cells = np.stack([m.ravel() for m in mesh], axis=1)
-    if dim == 2:
-        cells = np.column_stack([cells, np.zeros(cells.shape[0])])
-    return cells, [len(a) for a in axes]
+    return ((lo + hi) / 2.0)[:dim], half[:dim]
 
 
-def _grid_local_minima(cost, shape) -> list[int]:
-    grid = cost.reshape(shape)
-    minima = np.ones_like(grid, dtype=bool)
-    for axis in range(grid.ndim):
-        lo = np.roll(grid, 1, axis=axis)
-        hi = np.roll(grid, -1, axis=axis)
-        sl_lo = [slice(None)] * grid.ndim
-        sl_hi = [slice(None)] * grid.ndim
-        sl_lo[axis] = 0
-        sl_hi[axis] = -1
-        lo[tuple(sl_lo)] = np.inf
-        hi[tuple(sl_hi)] = np.inf
-        minima &= (grid <= lo) & (grid <= hi)
-    return list(np.flatnonzero(minima.ravel()))
+def _box_axes(center, half, cell: float) -> list[np.ndarray]:
+    """Axes over center ± half at spacing cell, coarsened to at most _AXIS_CELLS."""
+    counts = np.clip(np.ceil(2 * half / cell).astype(int) + 1, 3, _AXIS_CELLS)
+    return [np.linspace(c - h, c + h, n) for c, h, n in zip(center, half, counts)]
+
+
+def _cell_points(axes, flat_idx) -> np.ndarray:
+    """(n, 3) positions of flat grid indices (z = 0 on a 2-D grid)."""
+    pts = np.zeros((len(flat_idx), 3))
+    for a, (ax, i) in enumerate(zip(axes, np.unravel_index(flat_idx, [len(x) for x in axes]))):
+        pts[:, a] = ax[i]
+    return pts
+
+
+def _grid_cost(axes, links, targets, weights) -> np.ndarray:
+    """Weighted range misfit on the grid spanned by axes, scored in blocks of cells."""
+    shape = tuple(len(ax) for ax in axes)
+    cost = np.empty(int(np.prod(shape)))
+    block = max(1, _BLOCK_ELEMENTS // len(targets))
+    for start in range(0, cost.size, block):
+        at = np.arange(start, min(start + block, cost.size))
+        _, _, ranges = _hops(_cell_points(axes, at), links[:, 0], links[:, 1])
+        cost[at] = (weights * (ranges - targets) ** 2).sum(axis=1)
+    return cost.reshape(shape)
+
+
+def _grid_minima(axes, cost, limit: int) -> np.ndarray:
+    """Points of the grid's best `limit` local minima (edges count as +inf)."""
+    minima = np.ones(cost.shape, dtype=bool)
+    for axis in range(cost.ndim):
+        upper = tuple(slice(1, None) if a == axis else slice(None) for a in range(cost.ndim))
+        lower = tuple(slice(None, -1) if a == axis else slice(None) for a in range(cost.ndim))
+        minima[upper] &= cost[upper] <= cost[lower]
+        minima[lower] &= cost[lower] <= cost[upper]
+    idx = np.union1d(np.flatnonzero(minima), [np.argmin(cost)])
+    return _cell_points(axes, idx[np.lexsort((idx, cost.ravel()[idx]))][:limit])
 
 
 def localize(obs: Sequence[BistaticObservation], nodes, dim: int = 2,
              grid_cell: float = 1.0, max_iter: int = 100) -> StateEstimate:
     """Position estimate minimizing the weighted bistatic-range misfit.
 
-    A coarse grid over the 1.5x-expanded node bounding box seeds the solver
-    from the best cell; with fewer observations than dim (or several
-    near-equal minima, e.g. twin ellipse intersections) every grid-refined
-    local minimum is reported and the ambiguity flag is set.
+    A coarse grid over the 1.5x-expanded box of every link's ellipse, at
+    most _AXIS_CELLS cells per axis and never finer than grid_cell, seeds the
+    solver from its local minima. When the cap made it coarser than
+    grid_cell, the box of two coarse cells either side of each of the best
+    _REGRID solutions is re-gridded once at grid_cell spacing (same cap), and
+    its local minima seed the solver too; so minima closer together than a
+    coarse cell, such as near twin ellipse intersections, are both found.
+    With fewer observations than dim (or several near-equal minima) every
+    refined minimum close to the best is reported and the ambiguity flag is
+    set.
     """
     if dim not in (2, 3):
         raise ConfigError("dim must be 2 or 3")
     if not obs:
         raise ConfigError("need at least one observation")
-    pairs = _resolve_nodes(obs, nodes)
-    targets = _bistatic_ranges(obs, pairs)
+    links = _resolve_nodes(obs, nodes)
+    targets = (C0 * np.array([o.excess_delay for o in obs])
+               + np.linalg.norm(links[:, 1] - links[:, 0], axis=1))
     weights = np.array([o.weight for o in obs])
-    cells, shape = _scene_grid(pairs, targets, grid_cell, dim)
-    cost = _grid_cost(cells, pairs, targets, weights)
-
-    best_idx = int(np.argmin(cost))
-    minima_idx = _grid_local_minima(cost, shape)
-    if best_idx not in minima_idx:
-        minima_idx.append(best_idx)
-    minima_idx.sort(key=lambda i: (cost[i], i))
-    minima_idx = minima_idx[:64]
-
+    axes = _box_axes(*_scene_box(links, targets, grid_cell, dim), grid_cell)
     solutions = []
     dedupe = max(grid_cell, 1e-6)
-    for idx in minima_idx:
-        p, rms, converged, its = _gauss_newton(
-            cells[idx], pairs, targets, weights, dim, max_iter
-        )
-        if not any(np.linalg.norm(p - q) < dedupe for q, *_ in solutions):
-            solutions.append((p, rms, converged, its))
-    solutions.sort(key=lambda s: s[1])
+
+    def refine(seeds):
+        for seed in seeds:
+            p, rms, converged, its = _gauss_newton(seed, links, targets, weights, dim, max_iter)
+            if not any(np.linalg.norm(p - q) < dedupe for q, *_ in solutions):
+                solutions.append((p, rms, converged, its))
+        solutions.sort(key=lambda s: s[1])
+
+    refine(_grid_minima(axes, _grid_cost(axes, links, targets, weights), _MAX_SEEDS))
+    steps = np.array([ax[1] - ax[0] for ax in axes])
+    if steps.max() > grid_cell:  # the cap coarsened the grid
+        for p, *_ in solutions[:_REGRID]:
+            window = _box_axes(p[:dim], 2 * steps, grid_cell)
+            refine(_grid_minima(window, _grid_cost(window, links, targets, weights),
+                                _MAX_SEEDS // _REGRID))
     best_p, best_rms, best_conv, best_its = solutions[0]
 
     scale = max(float(np.max(targets)), 1.0)
     close = [s for s in solutions if s[1] <= max(10.0 * best_rms, 1e-9 * scale)]
     ambiguous = len(obs) < dim or len(close) > 1
 
-    _, rows = _range_residuals(best_p, pairs, targets, weights)
-    n_axes = 2 if dim == 2 else 3
-    jac = rows[:, :n_axes]
-    sv = np.linalg.svd(jac, compute_uv=False)
+    _, rows = _range_residuals(best_p, links, targets, np.sqrt(weights))
+    sv = np.linalg.svd(rows[:, :dim], compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > _RANK_TOL * sv[0] else np.inf
 
     return StateEstimate(
@@ -252,23 +261,14 @@ def localize(obs: Sequence[BistaticObservation], nodes, dim: int = 2,
     )
 
 
-def _doppler_matrix(obs, pairs, position, dim):
+def _doppler_matrix(obs, links, position, dim):
     """Rows -(1/λ)(û_tx + û_rx)ᵀ and RHS with node motion moved across."""
     p3 = _embed(np.asarray(position, dtype=float), dim)
-    n_axes = 2 if dim == 2 else 3
-    rows = np.empty((len(obs), n_axes))
-    rhs = np.empty(len(obs))
-    for i, (o, (tx, rx)) in enumerate(zip(obs, pairs)):
-        r1 = p3 - tx.position
-        r2 = p3 - rx.position
-        d1 = np.linalg.norm(r1)
-        d2 = np.linalg.norm(r2)
-        if d1 < 1e-12 or d2 < 1e-12:
-            raise ConfigError("hypothesized position coincides with a node")
-        u = r1 / d1 + r2 / d2
-        rows[i] = (-u / o.wavelength)[:n_axes]
-        rhs[i] = o.doppler - (np.dot(r1 / d1, tx.velocity) + np.dot(r2 / d2, rx.velocity)) / o.wavelength
-    return rows, rhs
+    u_tx, u_rx, _ = _hops(p3, links[:, 0], links[:, 1], strict=True)
+    lam = np.array([o.wavelength for o in obs])
+    rows = (-(u_tx + u_rx) / lam[:, None])[:, :dim]
+    node_rate = (u_tx * links[:, 2]).sum(axis=1) + (u_rx * links[:, 3]).sum(axis=1)
+    return rows, np.array([o.doppler for o in obs]) - node_rate / lam
 
 
 def estimate_velocity(obs: Sequence[BistaticObservation], position, nodes,
@@ -284,8 +284,7 @@ def estimate_velocity(obs: Sequence[BistaticObservation], position, nodes,
         raise ConfigError("need at least one observation")
     if dim not in (2, 3):
         raise ConfigError("dim must be 2 or 3")
-    pairs = _resolve_nodes(obs, nodes)
-    rows, rhs = _doppler_matrix(obs, pairs, position, dim)
+    rows, rhs = _doppler_matrix(obs, _resolve_nodes(obs, nodes), position, dim)
     weights = np.sqrt(np.array([o.weight for o in obs]))
     a = weights[:, None] * rows
     b = weights * rhs
@@ -335,19 +334,13 @@ def geometry_condition(links: Sequence[tuple[NodePose, NodePose]], position,
         raise ConfigError("need at least one link")
     position = as_vec3(_embed(np.asarray(position, dtype=float), dim))
     n_axes = 2 if dim == 2 else 3
-    lams = list(wavelengths) if wavelengths is not None else [1.0] * len(links)
-    rows_r = np.empty((len(links), n_axes))
-    rows_d = np.empty((len(links), n_axes))
-    for i, (tx, rx) in enumerate(links):
-        r1 = position - tx.position
-        r2 = position - rx.position
-        d1 = np.linalg.norm(r1)
-        d2 = np.linalg.norm(r2)
-        if d1 < 1e-12 or d2 < 1e-12:
-            raise ConfigError("position coincides with a node")
-        u = r1 / d1 + r2 / d2
-        rows_r[i] = u[:n_axes]
-        rows_d[i] = (-u / lams[i])[:n_axes]
+    lams = np.asarray(wavelengths if wavelengths is not None else np.ones(len(links)), dtype=float)
+    if lams.shape != (len(links),):
+        raise ConfigError(f"need one wavelength per link, got {lams.size} for {len(links)}")
+    nodes = _link_nodes(links)
+    u_tx, u_rx, _ = _hops(position, nodes[:, 0], nodes[:, 1], strict=True)
+    rows_r = (u_tx + u_rx)[:, :n_axes]
+    rows_d = -rows_r / lams[:, None]
 
     def cond_of(m):
         sv = np.linalg.svd(m, compute_uv=False)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import maximum_filter
-from scipy.optimize import minimize_scalar
 
 from .channel import PathParameterSet, SlowTimeCube, named_window
 from .errors import ConfigError, UsageError
@@ -144,6 +142,8 @@ def _fit_static_path(mean_row: np.ndarray, delta_f: float, bandwidth: float,
     maximizing the matched-ramp correlation (Brent over +/- one bin), then
     closed-form least-squares amplitude.
     """
+    from scipy.optimize import minimize_scalar  # only clean pays for importing scipy
+
     k = np.arange(mean_row.size)
     n = mean_row.size
     if tau_hint is None:
@@ -177,37 +177,39 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int,
     Each pass locates the strongest delay peak of the slow-time-averaged
     profile, refines its delay continuously, least-squares fits the complex
     amplitude against the model phase ramp, and subtracts the reconstructed
-    path from every symbol. A few alternating re-fit cycles polish mutually
-    interfering paths. Paths whose peak rises less than floor_margin_db
-    above the profile median are flagged as at the noise floor.
+    path. A few alternating re-fit cycles polish mutually interfering paths.
+    Subtracting a static path shifts the slow-time mean row by exactly that
+    path's ramp, so the fits run on the mean row alone and the sum of the
+    fitted paths leaves every symbol once at the end. Paths whose peak
+    rises less than floor_margin_db above the profile median are flagged as
+    at the noise floor.
     """
     if n_paths < 0:
         raise ConfigError("n_paths must be >= 0")
     w = cube.waveform
-    data = cube.data.copy()
-    result = CleanResult(SlowTimeCube(data, w, cube.t0))
+    result = CleanResult(SlowTimeCube(cube.data.copy(), w, cube.t0))
     if n_paths == 0:
         return result
     k = np.arange(w.n_subcarriers)
+    mean_row = cube.data.mean(axis=0)
     estimates: list[tuple[float, complex]] = []
     for _ in range(n_paths):
-        mean_row = data.mean(axis=0)
         profile = np.abs(np.fft.ifft(mean_row))
         floor = float(np.median(profile))
         peak = float(profile.max())
         above = 20.0 * np.log10(peak / floor) if floor > 0 else np.inf
         tau, amp = _fit_static_path(mean_row, w.delta_f, w.bandwidth)
-        data -= amp * _ramp(tau, k, w.delta_f)[None, :]
+        mean_row = mean_row - amp * _ramp(tau, k, w.delta_f)
         estimates.append((tau, amp))
         result.at_noise_floor.append(above < floor_margin_db)
         result.peak_db_above_floor.append(above)
     for _ in range(refine_cycles if len(estimates) > 1 else 0):
         for i, (tau_i, amp_i) in enumerate(estimates):
-            data += amp_i * _ramp(tau_i, k, w.delta_f)[None, :]
-            tau, amp = _fit_static_path(data.mean(axis=0), w.delta_f, w.bandwidth,
-                                        tau_hint=tau_i)
-            data -= amp * _ramp(tau, k, w.delta_f)[None, :]
+            mean_row = mean_row + amp_i * _ramp(tau_i, k, w.delta_f)
+            tau, amp = _fit_static_path(mean_row, w.delta_f, w.bandwidth, tau_hint=tau_i)
+            mean_row = mean_row - amp * _ramp(tau, k, w.delta_f)
             estimates[i] = (tau, amp)
+    result.residual.data -= sum(amp * _ramp(tau, k, w.delta_f) for tau, amp in estimates)
     result.removed = [
         PathParameterSet(delay=tau, doppler=0.0, gain=amp) for tau, amp in estimates
     ]
@@ -293,7 +295,10 @@ def detect_peaks(ddm: DelayDopplerMap, threshold_db: float,
     db = magnitude_db(ddm.data)
     floor = float(np.median(db))
     limit = floor + threshold_db
-    local_max = db >= maximum_filter(db, size=3, mode="wrap")
+    peak = db
+    for axis in (0, 1):  # 3 x 3 wrap-around neighbourhood maximum, one axis at a time
+        peak = np.maximum(peak, np.maximum(np.roll(peak, 1, axis), np.roll(peak, -1, axis)))
+    local_max = db >= peak
     candidates = local_max & (db >= limit)
     if exclude_zero_doppler:
         candidates[:, ddm.zero_doppler_bin] = False

@@ -386,8 +386,14 @@ def _scan_profiles(states: ScattererStates, jones: np.ndarray, u_tx: np.ndarray,
         r1, r2 = two_hop(states.positions, d_tx * u_tx[at, None], d_rx * u_rx[at, None])
         tau = (r1 + r2 - (d_tx + d_rx)) / C0
         ramps = phase_ramps(tau, band.delta_f, n_freq)
-        ramps *= (states.amplitudes / (FOUR_PI * r1 * r2) * np.exp(-2j * np.pi * band.f_lo * tau))[..., None]
-        out[at] = np.fft.fftshift(np.fft.ifft(np.swapaxes(ramps, 1, 2) @ cols * scale, axis=1), axes=1)
+        weights = states.amplitudes / (FOUR_PI * r1 * r2) * np.exp(-2j * np.pi * band.f_lo * tau)
+        if cols.shape[1] == 1:  # a one-column matmul would go to threaded BLAS gemv
+            ramps *= (weights * cols[:, 0])[..., None]
+            sweep = ramps.sum(axis=1)[..., None]
+        else:
+            ramps *= weights[..., None]
+            sweep = np.swapaxes(ramps, 1, 2) @ cols
+        out[at] = np.fft.fftshift(np.fft.ifft(sweep * scale, axis=1), axes=1)
 
     _map_in_order(evaluate, range(0, n_points, block), threads)
     return out.reshape(n_points, n_freq, *jones.shape[1:])

@@ -167,6 +167,27 @@ class TestCsvExport:
         assert len(header) == 7
         assert header[1] == "0"
 
+    def test_every_value_written_as_17_significant_digits(self, tmp_path):
+        # text oracle: one format() call per value, special values included
+        rng = np.random.default_rng(78)
+        vals = rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-300, 300, (5, 4))
+        vals[0, :] = [0.0, -0.0, np.inf, -np.inf]
+        vals[1, 0] = np.nan
+        rows, cols = np.array([0.1, 1e16, -2.5e-7, 3.0, 5e-324]), np.array([1 / 3, 2.0, -0.0, 1e300])
+        archive = ResultArchive()
+        archive.add("m", vals, [Axis("r", "m", rows), Axis("c", "s", cols)])
+        archive.add("v", vals[:, 0], [Axis("r", "m", rows)])
+        export_csv(archive, "m", tmp_path / "m.csv")
+        export_csv(archive, "v", tmp_path / "v.csv")
+        g = lambda x: format(float(x), ".17g")
+        assert (tmp_path / "m.csv").read_text().splitlines() == [
+            "r_m\\c_s," + ",".join(map(g, cols)),
+            *(",".join(map(g, [a, *row])) for a, row in zip(rows, vals)),
+        ]
+        assert (tmp_path / "v.csv").read_text().splitlines() == [
+            "r_m,value", *(f"{g(a)},{g(v)}" for a, v in zip(rows, vals[:, 0]))
+        ]
+
     def test_three_d_rejected_with_advice(self, tmp_path):
         archive = sample_archive()
         with pytest.raises(UsageError, match="slice"):

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+from bisim import fusion
 from bisim.errors import ConfigError
 from bisim.fusion import (
     BistaticObservation,
@@ -207,6 +211,12 @@ class TestGeometryCondition:
         assert np.isinf(out["position_gdop"])
         assert np.isinf(out["velocity_condition"])
 
+    @pytest.mark.parametrize("wavelengths", [[LAM], [LAM] * 4])
+    def test_one_wavelength_per_link_required(self, wavelengths):
+        links = [(NodePose(vec3(-50, 0, 0)), NodePose(vec3(50, 0, 0)))] * 3
+        with pytest.raises(ConfigError, match="one wavelength per link"):
+            geometry_condition(links, vec3(0, 30, 0), wavelengths=wavelengths)
+
     def test_symmetric_triangle_well_conditioned(self):
         target = vec3(0, 0, 0)
         links = []
@@ -296,3 +306,140 @@ class TestClosedLoop:
             est = fuse(obs, nodes, dim=2)
             assert np.linalg.norm(est.position - pos_t) <= 1e-6
             assert np.linalg.norm(est.velocity - vel) <= 1e-9
+
+
+def noisy_scene(rng, n_links, sigma_m=0.3):
+    """Random planar scene of three or four links (a second Tx adds the
+    fourth), observed with Gaussian range noise, so the least-squares
+    solution is not the target itself."""
+    nodes, links, target, vel = three_link_scene(rng, min_cond=20.0)
+    if n_links == 4:
+        ang = rng.uniform(0, 2 * np.pi)
+        nodes["tx1"] = NodePose(target + rng.uniform(40, 80) * np.array([np.cos(ang), np.sin(ang), 0]),
+                                node_id="tx1")
+        links.append(("tx1", "rx0"))
+    obs = make_obs(nodes, links, target, vel)
+    for o in obs:
+        o.excess_delay = max(o.excess_delay + rng.normal(0, sigma_m) / C0, 0.0)
+    return nodes, links, obs
+
+
+def dense_grid_oracle(nodes, links, obs, cell=1.0, margin=30.0):
+    """Best cell of a dense grid over the node bounding box plus a margin,
+    then least-squares refinement from it (numpy and scipy, apart from bisim)."""
+    tx = np.array([nodes[a].position[:2] for a, _ in links])
+    rx = np.array([nodes[b].position[:2] for _, b in links])
+    rb = np.array([C0 * o.excess_delay for o in obs]) + np.linalg.norm(rx - tx, axis=1)
+    pts = np.concatenate([tx, rx])
+    xs = np.arange(pts[:, 0].min() - margin, pts[:, 0].max() + margin, cell)
+    ys = np.arange(pts[:, 1].min() - margin, pts[:, 1].max() + margin, cell)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    cost = np.zeros_like(gx)
+    for (x1, y1), (x2, y2), r in zip(tx, rx, rb):
+        cost += (np.hypot(gx - x1, gy - y1) + np.hypot(gx - x2, gy - y2) - r) ** 2
+    i, j = np.unravel_index(np.argmin(cost), cost.shape)
+
+    def residuals(p):
+        return np.linalg.norm(p - tx, axis=1) + np.linalg.norm(p - rx, axis=1) - rb
+
+    fit = least_squares(residuals, [xs[i], ys[j]], method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    return np.array([xs[i], ys[j], 0.0]), np.append(fit.x, 0.0)
+
+
+def rx_for_twins(p, q, tx, offset):
+    """A receiver `offset` m along the perpendicular bisector of p and q from
+    which p and q have the same bistatic range to tx (bisection on the
+    hyperbola |p - r| - |q - r| = |q - tx| - |p - tx|)."""
+    e = (q - p) / np.linalg.norm(q - p)
+    at = lambda t: (p + q) / 2 + offset * np.array([-e[1], e[0], 0.0]) + t * e
+    gap = np.linalg.norm(q - tx) - np.linalg.norm(p - tx)
+    f = lambda t: np.linalg.norm(p - at(t)) - np.linalg.norm(q - at(t)) - gap
+    lo, hi = -1e3, 1e3
+    assert f(lo) < 0 < f(hi)
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+    return at(lo)
+
+
+class TestCoarseToFine:
+    @pytest.mark.parametrize("n_links", [3, 4])
+    def test_random_scenes_match_a_dense_grid_oracle(self, n_links):
+        rng = np.random.default_rng(50 + n_links)
+        for _ in range(10):
+            nodes, links, obs = noisy_scene(rng, n_links)
+            est = localize(obs, nodes, dim=2)
+            cell, refined = dense_grid_oracle(nodes, links, obs)
+            assert est.converged
+            assert np.linalg.norm(est.position - cell) <= 1.0
+            assert np.linalg.norm(est.position - refined) <= 1e-6
+
+    def test_twins_closer_than_a_coarse_cell_are_both_found(self):
+        # two links whose ellipses cross twice, 4-8 m apart, in a box of
+        # several hundred meters: one coarse cell spans both crossings
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            p = np.append(rng.uniform(-20, 20, 2), 0.0)
+            ang = rng.uniform(0, 2 * np.pi)
+            q = p + rng.uniform(4, 8) * np.array([np.cos(ang), np.sin(ang), 0.0])
+            side = ang + np.pi / 2 + rng.uniform(-0.3, 0.3)
+            tx = p + rng.uniform(80, 150) * np.array([np.cos(side), np.sin(side), 0.0])
+            nodes = {
+                "tx0": NodePose(tx, node_id="tx0"),
+                "rx0": NodePose(rx_for_twins(p, q, tx, rng.uniform(60, 120)), node_id="rx0"),
+                "rx1": NodePose(rx_for_twins(p, q, tx, -rng.uniform(60, 120)), node_id="rx1"),
+            }
+            obs = make_obs(nodes, [("tx0", "rx0"), ("tx0", "rx1")], p)
+            est = localize(obs, nodes, dim=2)
+            found = [est.position, *est.alternates]
+            assert est.ambiguous
+            assert min(np.linalg.norm(x - p) for x in found) <= 1e-6
+            assert min(np.linalg.norm(x - q) for x in found) <= 1e-6
+
+    def test_node_on_a_coarse_grid_cell_is_clamped(self, monkeypatch):
+        # link tx0-rx0 alone sets the search box: center 0, 64 cells per
+        # axis over 1.5x its ellipse's extent; rx1 then sits on one of them
+        target = vec3(20, 50, 0)
+        nodes = {"tx0": NodePose(vec3(-200, 0, 0), node_id="tx0"),
+                 "rx0": NodePose(vec3(200, 0, 0), node_id="rx0"),
+                 "rx2": NodePose(vec3(-30, 40, 0), node_id="rx2")}
+        a = bistatic_range(nodes["tx0"].position, nodes["rx0"].position, target)[0] / 2
+        xs = np.linspace(-1.5 * (200 + a), 1.5 * (200 + a), 64)
+        ys = np.linspace(-1.5 * a, 1.5 * a, 64)
+        node = vec3(xs[np.argmin(abs(xs - 60))], ys[np.argmin(abs(ys + 20))], 0)
+        nodes["rx1"] = NodePose(node, node_id="rx1")
+        obs = make_obs(nodes, [("tx0", "rx0"), ("tx0", "rx1"), ("tx0", "rx2")], target)
+
+        scored = []
+        hops = fusion._hops
+
+        def spy(points, tx, rx, strict=False):
+            scored.append(np.any(np.all(np.reshape(points, (-1, 3)) == node, axis=1)))
+            return hops(points, tx, rx, strict)
+
+        monkeypatch.setattr(fusion, "_hops", spy)
+        est = localize(obs, nodes, dim=2)
+        assert any(scored), "no scored cell fell on the node"
+        assert est.converged
+        assert np.linalg.norm(est.position - target) <= 1e-6
+
+    def test_three_d_fuse_memory_is_bounded(self):
+        # 2 Tx x 4 Rx on a 240 m arc (masts 0-25 m high); a dense grid at
+        # grid_cell over its 3-D search box would hold about 1e9 cells
+        bearing = np.deg2rad([228.0, 312.0, 200.0, 256.0, 284.0, 340.0])
+        heights = [10.0, 25.0, 0.0, 15.0, 5.0, 20.0]
+        pos = [vec3(240 * np.cos(b), 240 * np.sin(b), h) for b, h in zip(bearing, heights)]
+        names = ["tx0", "tx1", "rx0", "rx1", "rx2", "rx3"]
+        nodes = {n: NodePose(p, node_id=n) for n, p in zip(names, pos)}
+        links = [(t, r) for t in names[:2] for r in names[2:]]
+        target, vel = vec3(4, -7, 1.5), vec3(18, -12, 0)
+        obs = make_obs(nodes, links, target, vel)
+        tracemalloc.start()
+        try:
+            est = fuse(obs, nodes, dim=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert np.linalg.norm(est.position - target) <= 1e-6
+        assert np.linalg.norm(est.velocity - vel) <= 1e-6

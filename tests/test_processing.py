@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 from conftest import FULL_SCENE, ROTOR_SCENE
+from scipy.ndimage import maximum_filter
 from scipy.signal import get_window
 from scipy.signal.windows import gaussian
 
@@ -264,6 +265,20 @@ class TestSubtractDominantPaths:
             coeff = abs(np.vdot(ramp, mean_row)) / w.n_subcarriers
             assert coeff <= 1e-9 * abs(p.gain)
 
+    def test_residual_is_the_cube_minus_the_removed_paths(self):
+        w = waveform(32, 64)
+        paths = [
+            PathParameterSet(12.3 / w.bandwidth, 0.0, 1.0 + 0j),
+            PathParameterSet(30.7 / w.bandwidth, 0.0, 0.5 - 0.2j),
+            PathParameterSet(41.2 / w.bandwidth, 0.0, 0.1 + 0.3j),
+        ]
+        cube = add_noise(synth_cfr(paths, w), 30.0, seed=4)
+        res = subtract_dominant_paths(cube, 3)
+        k = np.arange(w.n_subcarriers)
+        removed = sum(p.gain * np.exp(-2j * np.pi * w.delta_f * p.delay * k) for p in res.removed)
+        assert np.abs(res.residual.data - (cube.data - removed)).max() <= 1e-12
+        assert not np.shares_memory(res.residual.data, cube.data)
+
     def test_noise_floor_flagging(self):
         rng = np.random.default_rng(9)
         w = waveform(32, 64)
@@ -361,6 +376,21 @@ class TestNamedWindow:
                               timeout=120, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr or "scipy.signal was imported"
 
+    def test_startup_and_config_load_do_not_import_scipy_ndimage_or_optimize(self, tmp_path):
+        (tmp_path / "full.yaml").write_text(textwrap.dedent(FULL_SCENE))
+        code = textwrap.dedent(f"""
+            import sys
+            import bisim.pipeline
+            from bisim.config import load_config
+            load_config({str(tmp_path / "full.yaml")!r})
+            loaded = [m for m in ("scipy.ndimage", "scipy.optimize") if m in sys.modules]
+            sys.exit(f"imported {{loaded}}" if loaded else 0)
+        """)
+        src = str(Path(bisim.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              timeout=120, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
 
 def noise_map(rng, n=48):
     data = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -398,6 +428,17 @@ class TestDetectPeaks:
         ddm = delay_doppler_map(cube)
         assert detect_peaks(ddm, 20.0, exclude_zero_doppler=True) == []
         assert len(detect_peaks(ddm, 20.0, exclude_zero_doppler=False)) >= 1
+
+    @pytest.mark.parametrize("shape", [(48, 48), (5, 7), (2, 9), (1, 6), (6, 1), (1, 1)])
+    def test_local_maxima_match_the_wraparound_maximum_filter(self, shape):
+        # magnitudes on a coarse lattice make ties between neighbours common
+        rng = np.random.default_rng(15)
+        data = rng.integers(1, 4, shape) + 0j
+        ddm = DelayDopplerMap(data, np.arange(shape[0]) / 20e6, np.arange(shape[1]) * 100.0)
+        db = magnitude_db(data)
+        expected = np.argwhere(db >= maximum_filter(db, size=3, mode="wrap"))
+        found = [(d.delay_bin, d.doppler_bin) for d in detect_peaks(ddm, -1e3)]
+        assert sorted(found) == [tuple(ij) for ij in expected]
 
     def test_excess_delay_reference(self):
         rng = np.random.default_rng(14)
