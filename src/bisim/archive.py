@@ -21,8 +21,8 @@ float datasets export with 17 significant digits.
 
 from __future__ import annotations
 
-import io
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -35,6 +35,7 @@ from .processing import magnitude_db
 MAGIC = b"BISIM1"
 VERSION = 1
 _DTYPES = {"<f8", "<c16"}
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)   # libyaml: same text, faster
 
 
 @dataclass(eq=False)
@@ -57,11 +58,7 @@ class Dataset:
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.values)
-        if np.iscomplexobj(arr):
-            arr = arr.astype("<c16")
-        else:
-            arr = arr.astype("<f8")
-        self.values = arr
+        self.values = arr = arr.astype("<c16" if np.iscomplexobj(arr) else "<f8", copy=False)
         if len(self.axes) != arr.ndim:
             raise ConfigError(
                 f"dataset {self.name!r} has {arr.ndim} dims but {len(self.axes)} axes"
@@ -73,12 +70,11 @@ class Dataset:
                 )
 
 
-def _write_str(buf: io.BytesIO, s: str):
+def _str_bytes(s: str) -> bytes:
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise ConfigError("string too long for archive header")
-    buf.write(struct.pack("<H", len(raw)))
-    buf.write(raw)
+    return struct.pack("<H", len(raw)) + raw
 
 
 class _Reader:
@@ -117,29 +113,24 @@ class ResultArchive:
         return ds
 
     def write(self, path) -> None:
-        buf = io.BytesIO()
-        buf.write(MAGIC)
-        buf.write(struct.pack("<H", VERSION))
-        buf.write(struct.pack("<I", len(self.datasets)))
+        """Write header fields and each array's own buffer; a bad name raises first."""
+        chunks = [MAGIC, struct.pack("<HI", VERSION, len(self.datasets))]
         for ds in self.datasets.values():
-            _write_str(buf, ds.name)
-            _write_str(buf, ds.values.dtype.str)
-            buf.write(struct.pack("<B", ds.values.ndim))
-            for dim in ds.values.shape:
-                buf.write(struct.pack("<Q", dim))
+            chunks += [_str_bytes(ds.name), _str_bytes(ds.values.dtype.str),
+                       struct.pack(f"<B{ds.values.ndim}Q", ds.values.ndim, *ds.values.shape)]
             for ax in ds.axes:
-                _write_str(buf, ax.name)
-                _write_str(buf, ax.unit)
-                buf.write(ax.values.tobytes())
-            buf.write(ds.values.tobytes())
+                chunks += [_str_bytes(ax.name), _str_bytes(ax.unit), np.ascontiguousarray(ax.values)]
+            chunks.append(ds.values)
         with open(path, "wb") as fh:
-            fh.write(buf.getvalue())
+            fh.writelines(chunks)
 
     @classmethod
     def read(cls, path) -> "ResultArchive":
         """Parse an archive; a malformed or truncated one raises ConfigError."""
-        with open(path, "rb") as fh:
-            buf = _Reader(fh.read())
+        with open(path, "rb") as fh:   # one buffer; every array below is a view into it
+            raw = bytearray(os.fstat(fh.fileno()).st_size)
+            del raw[fh.readinto(raw):]
+        buf = _Reader(raw)
         try:
             if bytes(buf.take(len(MAGIC))) != MAGIC:
                 raise ConfigError("not a BISIM1 archive")
@@ -158,10 +149,10 @@ class ResultArchive:
                 axes = []
                 for dim in dims:
                     ax_name, ax_unit = buf.text(), buf.text()
-                    values = np.frombuffer(buf.take(8 * dim), dtype="<f8").copy()
+                    values = np.frombuffer(buf.take(8 * dim), dtype="<f8")
                     axes.append(Axis(ax_name, ax_unit, values))
                 payload = buf.take(math.prod(dims) * np.dtype(dtype).itemsize)
-                values = np.frombuffer(payload, dtype=dtype).copy().reshape(dims)
+                values = np.frombuffer(payload, dtype=dtype).reshape(dims)
                 archive.datasets[name] = Dataset(name, values, axes)
             if buf.pos != len(buf.raw):
                 raise ConfigError(f"{len(buf.raw) - buf.pos} unexpected bytes after the last dataset")
@@ -171,7 +162,7 @@ class ResultArchive:
 
     def write_summary(self, path) -> None:
         with open(path, "w") as fh:
-            yaml.safe_dump(self.summary, fh, sort_keys=False, default_flow_style=False)
+            yaml.dump(self.summary, fh, Dumper=_DUMPER, sort_keys=False, default_flow_style=False)
 
 
 def export_csv(archive: ResultArchive, dataset: str, path) -> None:

@@ -197,17 +197,18 @@ def synth_cfr(
     in the path set.
     """
     w = waveform
-    data = np.empty((w.n_symbols, w.n_subcarriers), dtype=complex)
     if mode == "fixed":
         if callable(paths):
             raise UsageError("fixed mode takes a path list, not a callback")
         dopplers = np.array([p.doppler for p in paths])
         phasors = np.exp(2j * np.pi * w.t_sym * np.outer(np.arange(w.n_symbols), dopplers))
         gains = phasors * np.array([p.gain for p in paths], dtype=complex)
-        data = gains @ phase_ramps(np.array([p.delay for p in paths]), w.delta_f, w.n_subcarriers)
+        ramps = phase_ramps(np.array([p.delay for p in paths]), w.delta_f, w.n_subcarriers)
+        data = np.einsum("mp,pk->mk", gains, ramps)   # not `@`: threaded zgemm spins per link
     elif mode == "geometric":
         if not callable(paths):
             raise UsageError("geometric mode needs a block callback times -> PathTable")
+        data = np.empty((w.n_symbols, w.n_subcarriers), dtype=complex)
         times = t0 + np.arange(w.n_symbols) * w.t_sym
         start, block = 0, 1
         while start < w.n_symbols:
@@ -227,7 +228,8 @@ def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:
     The noise variance is mean(|H|^2) / 10^(snr/10); snr_db = +inf returns
     the cube unchanged. The full noise block is drawn from one seeded
     generator in a single call, so the result is independent of any
-    worker-pool parallelism in the surrounding pipeline.
+    worker-pool parallelism in the surrounding pipeline; its (re, im)
+    pairs are read as complex, scaled and summed with the cube in place.
     """
     if np.isinf(snr_db) and snr_db > 0:
         return SlowTimeCube(cube.data.copy(), cube.waveform, cube.t0)
@@ -239,9 +241,10 @@ def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"noise seed {seed!r}: {err}") from None
-    re_im = rng.standard_normal((*cube.data.shape, 2))
-    noise = np.sqrt(var / 2.0) * (re_im[..., 0] + 1j * re_im[..., 1])
-    return SlowTimeCube(cube.data + noise, cube.waveform, cube.t0)
+    noisy = rng.standard_normal((*cube.data.shape, 2)).view(complex)[..., 0]
+    noisy *= math.sqrt(var / 2.0)
+    noisy += cube.data
+    return SlowTimeCube(noisy, cube.waveform, cube.t0)
 
 
 def cir_from_cfr(row: np.ndarray, window: str = "none") -> np.ndarray:
@@ -266,7 +269,8 @@ def named_window(name: str | None, n: int, sym: bool = False,
     "none", "rect" and "rectangular" give ones; "hann" and "gaussian"
     (standard deviation sigma, default n/6) use scipy.signal's formulas,
     bit for bit, without importing it; any other name goes to scipy's
-    get_window. An unknown name raises ConfigError.
+    get_window. An unknown name, or another name without scipy installed,
+    raises ConfigError.
     """
     if name in (None, "none", "rect", "rectangular"):
         return np.ones(n)
@@ -279,8 +283,10 @@ def named_window(name: str | None, n: int, sym: bool = False,
             k = np.arange(0, m, dtype=float) - (m - 1.0) / 2.0
             w = np.exp(-k ** 2 / (2 * std * std))
         return w[:n]
-    from scipy.signal import get_window   # slow to import, so only for the rarer windows
-
+    try:   # slow to import, so only for the rarer windows; scipy is the optional "windows" extra
+        from scipy.signal import get_window
+    except ImportError:
+        raise ConfigError(f"window {name!r} needs scipy: install bisim[windows]") from None
     spec = ("gaussian", n / 6.0 if sigma is None else sigma) if name == "gaussian" else name
     try:
         return get_window(spec, n, fftbins=not sym)

@@ -6,13 +6,14 @@ optional CSV exports. Identical config + seed produce byte-identical
 archives for any worker count: threads only fan out the fixed blocks of
 grid points of reflectivity and flyover scans, whose boundaries come from a
 memory budget and not from the worker count, each written to its own slice
-of the output; links are synthesized in order and noise blocks are drawn
-from per-link seeded generators.
+of the output; links are streamed in order, one at a time, each synthesized
+and noised (from its own seeded generator) just before it is processed.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .processing import (
     delay_doppler_map,
     detect_peaks,
     magnitude_db,
+    parabolic_offset,
     stft_spectrogram,
     subtract_dominant_paths,
     time_gate,
@@ -58,25 +60,25 @@ def _base_summary(subcommand: str, cfg: RunConfig) -> dict:
     }
 
 
-def _simulate_links(cfg: RunConfig) -> list[tuple[str, str, SlowTimeCube]]:
-    """One CFR cube per link, in link order. Links run one after another: a
-    thread pool over them measured slower than one thread, in both modes."""
+def _link_cube(cfg: RunConfig, i: int, tx_id: str, rx_id: str) -> SlowTimeCube:
+    """The CFR cube of link i, noised from generator seed [noise seed, i]."""
     scene = cfg.scene
-    out = []
-    for tx_id, rx_id in scene.links():
-        if cfg.mode == "geometric":
-            cube = synth_cfr(link_callback(scene, tx_id, rx_id), cfg.waveform,
-                             mode="geometric", t0=cfg.t0)
-        else:
-            paths = link_paths(scene, tx_id, rx_id, cfg.t0, doppler=True).paths()
-            cube = synth_cfr(paths, cfg.waveform, mode="fixed", t0=cfg.t0)
-        out.append((tx_id, rx_id, cube))
-    if cfg.noise.snr_db is not None:
-        out = [
-            (tx, rx, add_noise(cube, cfg.noise.snr_db, seed=[cfg.noise.seed, i]))
-            for i, (tx, rx, cube) in enumerate(out)
-        ]
-    return out
+    if cfg.mode == "geometric":
+        cube = synth_cfr(link_callback(scene, tx_id, rx_id), cfg.waveform,
+                         mode="geometric", t0=cfg.t0)
+    else:
+        paths = link_paths(scene, tx_id, rx_id, cfg.t0, doppler=True).paths()
+        cube = synth_cfr(paths, cfg.waveform, mode="fixed", t0=cfg.t0)
+    if cfg.noise.snr_db is None:
+        return cube
+    return add_noise(cube, cfg.noise.snr_db, seed=[cfg.noise.seed, i])
+
+
+def _simulate_links(cfg: RunConfig) -> Iterator[tuple[str, str, SlowTimeCube]]:
+    """Each link's cube in link order, made when asked for and held only by the caller, so a
+    run holds one link's cube beyond its archive. A pool over links measured slower."""
+    for i, (tx_id, rx_id) in enumerate(cfg.scene.links()):
+        yield tx_id, rx_id, _link_cube(cfg, i, tx_id, rx_id)
 
 
 def _cube_axes(cube: SlowTimeCube) -> list[Axis]:
@@ -200,13 +202,6 @@ def run_clean(cfg: RunConfig, threads: int = 1) -> ResultArchive:
     return archive
 
 
-def _parabolic_offset(m1: float, p0: float, p1: float) -> float:
-    denom = m1 - 2.0 * p0 + p1
-    if denom == 0:
-        return 0.0
-    return float(np.clip(0.5 * (m1 - p1) / denom, -0.5, 0.5))
-
-
 def run_localize(cfg: RunConfig, threads: int = 1) -> ResultArchive:
     """Per-link peak extraction followed by multistatic fusion."""
     archive = ResultArchive(summary=_base_summary("localize", cfg))
@@ -225,12 +220,8 @@ def run_localize(cfg: RunConfig, threads: int = 1) -> ResultArchive:
         d = dets[0]
         mag = np.abs(ddm.data)
         i, j = d.delay_bin, d.doppler_bin
-        di = _parabolic_offset(
-            mag[(i - 1) % mag.shape[0], j], mag[i, j], mag[(i + 1) % mag.shape[0], j]
-        )
-        dj = _parabolic_offset(
-            mag[i, (j - 1) % mag.shape[1]], mag[i, j], mag[i, (j + 1) % mag.shape[1]]
-        )
+        di = parabolic_offset(mag[i - 1, j], mag[i, j], mag[(i + 1) % mag.shape[0], j])
+        dj = parabolic_offset(mag[i, j - 1], mag[i, j], mag[i, (j + 1) % mag.shape[1]])
         delay = d.delay + di / cube.waveform.bandwidth
         dopp_step = float(ddm.doppler_hz[1] - ddm.doppler_hz[0])
         doppler = d.doppler + dj * dopp_step

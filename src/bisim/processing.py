@@ -72,9 +72,10 @@ def delay_doppler_map(cube: SlowTimeCube, fast_window: str = "none",
         raise UsageError("need at least two symbols for Doppler resolution")
     wf = named_window(fast_window, w.n_subcarriers)
     ws = named_window(slow_window, w.n_symbols)
-    profiles = np.fft.ifft(cube.data * wf[None, :], axis=1, norm="ortho")
-    dd = np.fft.fft(profiles * ws[:, None], axis=0, norm="ortho")
-    dd = np.fft.fftshift(dd, axes=0).T
+    dd = np.fft.ifft(cube.data * wf[None, :], axis=1, norm="ortho")   # delay profiles
+    dd *= ws[:, None]   # in place, and each stage rebinds `dd` so the last one is freed
+    dd = np.fft.fft(dd, axis=0, norm="ortho")
+    dd = np.ascontiguousarray(np.fft.fftshift(dd, axes=0).T)   # C order: archived without a copy
     delay = np.arange(w.n_subcarriers) / w.bandwidth
     doppler = np.fft.fftshift(np.fft.fftfreq(w.n_symbols, w.t_sym))
     return DelayDopplerMap(dd, delay, doppler, fast_window, slow_window)
@@ -130,6 +131,14 @@ class CleanResult:
     peak_db_above_floor: list[float] = field(default_factory=list)
 
 
+def parabolic_offset(m1: float, p0: float, p1: float) -> float:
+    """Vertex of the parabola through three unit-spaced samples, within +/- 0.5."""
+    denom = m1 - 2.0 * p0 + p1
+    if denom == 0:
+        return 0.0
+    return float(np.clip(0.5 * (m1 - p1) / denom, -0.5, 0.5))
+
+
 def _ramp(tau: float, k: np.ndarray, delta_f: float) -> np.ndarray:
     return np.exp(-2j * np.pi * delta_f * tau * k)
 
@@ -138,35 +147,36 @@ def _fit_static_path(mean_row: np.ndarray, delta_f: float, bandwidth: float,
                      tau_hint: float | None = None) -> tuple[float, complex]:
     """Best (delay, amplitude) of one static path against a mean CFR row.
 
-    Coarse peak from the delay profile, then continuous delay refinement by
-    maximizing the matched-ramp correlation (Brent over +/- one bin), then
-    closed-form least-squares amplitude.
+    The delay x (in bins of 1/B) maximizes f = |S(x)|^2, the matched-ramp
+    correlation S(x) = sum_k r_k exp(+j2π k x Δf/B), within +/- one bin of
+    the profile peak or of tau_hint. A safeguarded Newton iteration on the
+    analytic f' and f'' starts from a parabola through the three profile
+    samples at the peak; a step that leaves the shrinking bracket, or meets
+    curvature that is not negative, bisects the bracket instead. The
+    amplitude is then the closed-form least-squares fit.
     """
-    from scipy.optimize import minimize_scalar  # only clean pays for importing scipy
-
-    k = np.arange(mean_row.size)
     n = mean_row.size
     if tau_hint is None:
-        profile = np.fft.ifft(mean_row)
-        peak = int(np.argmax(np.abs(profile)))
-        tau0 = peak / bandwidth
+        profile = np.abs(np.fft.ifft(mean_row))
+        centre = int(np.argmax(profile))
+        x = centre + parabolic_offset(profile[centre - 1], profile[centre], profile[(centre + 1) % n])
     else:
-        tau0 = tau_hint
-
-    def neg_corr(tau):
-        return -abs(np.vdot(_ramp(tau, k, delta_f), mean_row))
-
-    span = 1.0 / bandwidth
-    res = minimize_scalar(
-        neg_corr,
-        bounds=(tau0 - span, tau0 + span),
-        method="bounded",
-        options={"xatol": 1e-16},
-    )
-    tau = float(np.clip(res.x, 0.0, None))
-    ramp = _ramp(tau, k, delta_f)
-    amp = complex(np.vdot(ramp, mean_row) / n)
-    return tau, amp
+        x = centre = tau_hint * bandwidth
+    lo, hi = centre - 1.0, centre + 1.0
+    kc = np.arange(n) - (n - 1) / 2.0          # centred index: |S| is unchanged, sums stay small
+    moments = mean_row * np.stack([np.ones(n), kc, kc * kc])
+    theta = 2.0 * np.pi * delta_f / bandwidth
+    for _ in range(64):   # bisection alone would shrink the bracket below 1e-10 bins in 35
+        s0, s1, s2 = (moments * np.exp(1j * theta * x * kc)).sum(axis=1).tolist()
+        slope = (s0.conjugate() * s1).imag     # f'(x) = -2θ·slope
+        curv = abs(s1) ** 2 - (s0.conjugate() * s2).real   # f''(x) = 2θ²·curv
+        lo, hi = (x, hi) if slope < 0 else (lo, x)
+        step = slope / (theta * curv) if curv < 0 else np.inf
+        x, x_old = (x + step if lo <= x + step <= hi else 0.5 * (lo + hi)), x
+        if abs(x - x_old) <= 1e-10:   # bins; Newton's next step would be quadratically smaller
+            break
+    tau = max(x / bandwidth, 0.0)
+    return tau, complex(np.vdot(_ramp(tau, np.arange(n), delta_f), mean_row) / n)
 
 
 def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int,
@@ -175,8 +185,9 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int,
     """Iteratively remove the strongest static (zero-Doppler) paths.
 
     Each pass locates the strongest delay peak of the slow-time-averaged
-    profile, refines its delay continuously, least-squares fits the complex
-    amplitude against the model phase ramp, and subtracts the reconstructed
+    profile, refines its delay by a safeguarded Newton iteration on the
+    matched-ramp correlation (numpy only, no scipy), least-squares fits the
+    complex amplitude against the model phase ramp and subtracts the reconstructed
     path. A few alternating re-fit cycles polish mutually interfering paths.
     Subtracting a static path shifts the slow-time mean row by exactly that
     path's ramp, so the fits run on the mean row alone and the sum of the

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisim.archive import Axis, Dataset, ResultArchive, export_csv, read_csv_column
+from bisim.config import load_config
 from bisim.errors import ConfigError, UsageError
+from bisim.pipeline import SUBCOMMANDS, run
 
 
 def sample_archive():
@@ -86,6 +91,64 @@ def one_dataset(tmp_path_factory):
     path = tmp_path_factory.mktemp("corrupt") / "a.bisim"
     archive.write(path)
     return path.read_bytes(), path
+
+
+def peak_traced_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def large_archive():
+    rng = np.random.default_rng(5)
+    archive = ResultArchive()
+    for i in range(4):
+        archive.add(f"cube{i}", rng.normal(size=(256, 512)) + 1j * rng.normal(size=(256, 512)),
+                    [Axis("slow_time", "s", np.arange(256.0)), Axis("subcarrier", "Hz", np.arange(512.0))])
+    return archive, 4 * 256 * 512 * 16
+
+
+class TestArchiveCopies:
+    def test_contiguous_arrays_are_kept_not_copied(self):
+        cfr = np.ones((4, 8), dtype="<c16")
+        floats = np.arange(5.0)
+        archive = ResultArchive()
+        assert archive.add("cfr", cfr, [Axis("a", "s", np.arange(4.0)), Axis("b", "Hz", np.arange(8.0))]).values is cfr
+        assert archive.add("floats", floats, [Axis("i", "count", np.arange(5))]).values is floats
+        transposed = archive.add("t", cfr.T, [Axis("b", "Hz", np.arange(8.0)), Axis("a", "s", np.arange(4.0))])
+        assert transposed.values.flags.c_contiguous and np.array_equal(transposed.values, cfr.T)
+
+    def test_write_allocates_no_copy_of_the_archive(self, tmp_path):
+        archive, nbytes = large_archive()
+        _, peak = peak_traced_bytes(lambda: archive.write(tmp_path / "big.bisim"))
+        assert (tmp_path / "big.bisim").stat().st_size > nbytes
+        assert peak < 0.05 * nbytes
+
+    def test_read_holds_one_copy_of_the_file(self, tmp_path):
+        archive, nbytes = large_archive()
+        archive.write(tmp_path / "big.bisim")
+        back, peak = peak_traced_bytes(lambda: ResultArchive.read(tmp_path / "big.bisim"))
+        assert peak < 1.05 * nbytes
+        for name, ds in archive.datasets.items():
+            assert np.array_equal(back.datasets[name].values, ds.values)
+            assert back.datasets[name].values.flags.writeable
+
+
+class TestSummaryDump:
+    def test_summaries_match_the_pure_python_dumper(self, full_scene_config, rotor_config, tmp_path):
+        # every subcommand's summary, written with libyaml's emitter where present
+        rotor_runs = [s for s in SUBCOMMANDS if s not in ("reflectivity", "flyover", "linkbudget")]
+        for path, subs in ((full_scene_config, SUBCOMMANDS), (rotor_config, rotor_runs)):
+            cfg = load_config(path)
+            for sub in subs:
+                archive, _ = run(sub, cfg, out_dir=tmp_path / path.stem)
+                text = (tmp_path / path.stem / f"{sub}_summary.yaml").read_text()
+                assert text == yaml.safe_dump(archive.summary, sort_keys=False,
+                                              default_flow_style=False), (path.stem, sub)
 
 
 def read_bytes(path, raw):

@@ -1,3 +1,6 @@
+import textwrap
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,33 @@ from bisim.config import load_config
 from bisim.errors import ConfigError
 from bisim.geometry import C0, pose_at
 from bisim.pipeline import run
+
+# 2 Tx x 4 Rx in fixed mode: eight 256 x 512 links with LoS, two clutter
+# scatterers and a mover, noised and cleaned
+EIGHT_LINK_FIXED = """
+mode: fixed
+waveform: {carrier_hz: 28e9, bandwidth_hz: 100e6, n_subcarriers: 512, n_symbols: 256}
+scene:
+  include_los: true
+  tx_nodes:
+    - {id: tx0, position: [-160, -178, 0]}
+    - {id: tx1, position: [160, -178, 0]}
+  rx_nodes:
+    - {id: rx0, position: [-225, -82, 0]}
+    - {id: rx1, position: [-58, -233, 0]}
+    - {id: rx2, position: [58, -233, 0]}
+    - {id: rx3, position: [225, -82, 0]}
+  targets:
+    - kind: rigid
+      name: mover
+      scatterers: [{amplitude: 2.0}]
+      trajectory: [[0.0, [0, 12, 0]], [10.0, [-60, 244, 0]]]
+  clutter:
+    - {position: [95, -60, 0], amplitude: [-16.0, -1.0]}
+    - {position: [-91, 58, 0], amplitude: [-17.0, -7.0]}
+processing: {clean_paths: 3, detect_threshold_db: 20.0}
+noise: {snr_db: 25.0, seed: 7}
+"""
 
 
 class TestPipelineSubcommands:
@@ -226,3 +256,21 @@ class TestCliMain:
             )
             == 0
         )
+
+
+class TestRunMemory:
+    def test_ddmap_holds_one_link_in_flight(self, tmp_path):
+        (tmp_path / "eight.yaml").write_text(textwrap.dedent(EIGHT_LINK_FIXED))
+        cfg = load_config(tmp_path / "eight.yaml")
+        tracemalloc.start()
+        try:
+            archive, _ = run("ddmap", cfg, out_dir=tmp_path / "o")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cube_bytes = cfg.waveform.n_symbols * cfg.waveform.n_subcarriers * 16
+        archive_bytes = sum(ds.values.nbytes + sum(ax.values.nbytes for ax in ds.axes)
+                            for ds in archive.datasets.values())
+        assert len(archive.datasets) == 8
+        # every link's cube alive at once would cost 8 cubes on their own
+        assert peak < archive_bytes + 8 * cube_bytes, (peak - archive_bytes) / cube_bytes

@@ -18,6 +18,7 @@ from bisim.errors import ConfigError, UsageError
 from bisim.geometry import C0, NodePose, Trajectory, bistatic_doppler, bistatic_range, vec3
 from bisim.processing import (
     DelayDopplerMap,
+    _fit_static_path,
     background_subtract,
     delay_doppler_map,
     detect_peaks,
@@ -279,6 +280,43 @@ class TestSubtractDominantPaths:
         assert np.abs(res.residual.data - (cube.data - removed)).max() <= 1e-12
         assert not np.shares_memory(res.residual.data, cube.data)
 
+    def test_fitted_delay_is_a_stationary_maximum(self):
+        # noisy rows of three paths: the correlation is lower 1e-3 bins either side
+        rng = np.random.default_rng(11)
+        for k in (64, 128, 512):
+            w = waveform(8, k)
+            ramp = lambda tau: np.exp(-2j * np.pi * w.delta_f * tau * np.arange(k))
+            for trial in range(10):
+                paths = [PathParameterSet(rng.uniform(2, k - 3) / w.bandwidth, 0.0, complex(*rng.normal(size=2)))
+                         for _ in range(3)]
+                row = add_noise(synth_cfr(paths, w), 10.0, seed=trial).data.mean(axis=0)
+                tau, amp = _fit_static_path(row, w.delta_f, w.bandwidth)
+                corr = lambda t: abs(np.vdot(ramp(t), row))
+                step = 1e-3 / w.bandwidth
+                assert corr(tau - step) < corr(tau) > corr(tau + step)
+                assert amp == pytest.approx(np.vdot(ramp(tau), row) / k, rel=1e-12)
+
+    def test_off_grid_single_paths_recovered_to_1e_14_s(self):
+        rng = np.random.default_rng(12)
+        for k in (64, 128, 512):
+            w = waveform(8, k)
+            for tau_bins in [0.05, 0.5, k - 1.2, *rng.uniform(0.0, k - 1.0, 10)]:
+                tau = tau_bins / w.bandwidth
+                cube = synth_cfr([PathParameterSet(tau, 0.0, complex(*rng.normal(size=2)))], w)
+                res = subtract_dominant_paths(cube, 1)
+                assert res.removed[0].delay == pytest.approx(tau, abs=1e-14), (k, tau_bins)
+
+    @pytest.mark.parametrize("offset_bins", [-0.95, -0.8, -0.6, 0.6, 0.8, 0.95])
+    def test_fit_from_a_far_hint_falls_back_to_the_bracket(self, offset_bins):
+        # the hint sits where |S|^2 curves upward: plain Newton steps would walk away
+        w = waveform(8, 128)
+        tau = 40.3 / w.bandwidth
+        cube = synth_cfr([PathParameterSet(tau, 0.0, 0.7 + 0.2j)], w)
+        row = cube.data.mean(axis=0)
+        fit, amp = _fit_static_path(row, w.delta_f, w.bandwidth, tau_hint=tau + offset_bins / w.bandwidth)
+        assert fit == pytest.approx(tau, abs=1e-14)
+        assert amp == pytest.approx(0.7 + 0.2j, abs=1e-12)
+
     def test_noise_floor_flagging(self):
         rng = np.random.default_rng(9)
         w = waveform(32, 64)
@@ -356,6 +394,43 @@ class TestNamedWindow:
                 std = n / 6.0 if sigma is None else sigma
                 assert np.array_equal(named_window("gaussian", n, sym=sym, sigma=sigma),
                                       gaussian(n, std=std, sym=sym))
+
+    def test_other_windows_without_scipy_name_the_extra(self):
+        code = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None   # as if scipy were not installed
+            from bisim.channel import named_window
+            from bisim.errors import ConfigError
+            assert named_window("hann", 8).shape == named_window("gaussian", 8).shape == (8,)
+            try:
+                named_window("hamming", 8)
+            except ConfigError as err:
+                sys.exit(0 if "bisim[windows]" in str(err) else f"message: {err}")
+            sys.exit("no ConfigError")
+        """)
+        src = str(Path(bisim.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              timeout=120, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_clean_and_localize_runs_import_no_scipy(self, tmp_path):
+        (tmp_path / "full.yaml").write_text(textwrap.dedent(FULL_SCENE))
+        code = textwrap.dedent(f"""
+            import sys
+            import yaml
+            from bisim.cli import main
+            for sub in ("clean", "localize"):
+                argv = [sub, "--config", {str(tmp_path / "full.yaml")!r}, "--out", {str(tmp_path / "out")!r}]
+                assert main([*argv, "--clean", "2"]) == 0, sub
+            summary = yaml.safe_load(open({str(tmp_path / "out" / "clean_summary.yaml")!r}))
+            assert len(summary["results"]["tx0_rx0"]["removed"]) == 2
+            loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+            sys.exit(f"imported {{loaded}}" if loaded else 0)
+        """)
+        src = str(Path(bisim.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              timeout=120, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_startup_and_config_load_do_not_import_scipy_signal(self, tmp_path):
         doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
