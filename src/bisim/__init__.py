@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .channel import (
-    PathParameterSet,
+    PathTable,
     SlowTimeCube,
     WaveformConfig,
     add_noise,

@@ -165,11 +165,15 @@ class ResultArchive:
             yaml.dump(self.summary, fh, Dumper=_DUMPER, sort_keys=False, default_flow_style=False)
 
 
+_CSV_BLOCK_VALUES = 1 << 14   # values formatted per write: about 1 MB of transient text
+
+
 def export_csv(archive: ResultArchive, dataset: str, path) -> None:
     """Write one <=2-D dataset as plain CSV with an axis-value header row.
 
     Complex data exports as dB magnitude; float data keeps 17 significant
-    digits so a round trip is value-exact.
+    digits so a round trip is value-exact. Rows are converted and written a
+    fixed block at a time, so memory stays bounded whatever the dataset size.
     """
     if dataset not in archive.datasets:
         raise ConfigError(f"archive has no dataset {dataset!r}")
@@ -178,26 +182,25 @@ def export_csv(archive: ResultArchive, dataset: str, path) -> None:
         raise UsageError(
             f"dataset {dataset!r} is {ds.values.ndim}-D; slice it to <=2-D before CSV export"
         )
-    if np.iscomplexobj(ds.values):
-        values = magnitude_db(ds.values)
-        label = "power_db"
-    else:
-        values = ds.values
-        label = "value"
-    lines = []
+    complex_values = np.iscomplexobj(ds.values)
+    label = "power_db" if complex_values else "value"
+    row_ax = ds.axes[0]
     if ds.values.ndim == 1:
-        ax = ds.axes[0]
-        lines.append(f"{ax.name}_{ax.unit},{label}")
-        lines += ["%.17g,%.17g" % pair for pair in zip(ax.values.tolist(), values.tolist())]
+        values = ds.values[:, None]
+        header = f"{row_ax.name}_{row_ax.unit},{label}"
     else:
-        row_ax, col_ax = ds.axes
-        header = [f"{row_ax.name}_{row_ax.unit}\\{col_ax.name}_{col_ax.unit}"]
-        header += ["%.17g" % a for a in col_ax.values.tolist()]
-        lines.append(",".join(header))
-        row_fmt = ",".join(["%.17g"] * (values.shape[1] + 1))
-        lines += [row_fmt % (a, *row) for a, row in zip(row_ax.values.tolist(), values.tolist())]
+        values, col_ax = ds.values, ds.axes[1]
+        header = ",".join([f"{row_ax.name}_{row_ax.unit}\\{col_ax.name}_{col_ax.unit}",
+                           *("%.17g" % a for a in col_ax.values.tolist())])
+    row_fmt = ",".join(["%.17g"] * (values.shape[1] + 1)) + "\n"
+    block = max(1, _CSV_BLOCK_VALUES // max(1, values.shape[1]))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, values.shape[0], block):
+            rows = values[start:start + block]
+            rows = magnitude_db(rows) if complex_values else rows
+            fh.write("".join(row_fmt % (a, *row) for a, row in
+                             zip(row_ax.values[start:start + block].tolist(), rows.tolist())))
 
 
 def read_csv_column(path, column: int = 1) -> np.ndarray:

@@ -85,27 +85,6 @@ class WaveformConfig:
 
 
 @dataclass(eq=False)
-class PathParameterSet:
-    """One propagation path: delay, Doppler, complex gain, directions.
-
-    The gain carries the carrier phase exp(-j2π f_c τ); dod / doa are unit
-    vectors from Tx toward the interaction point and from Rx toward it.
-    jones optionally holds the 2x2 polarimetric response of the interaction.
-    """
-
-    delay: float
-    doppler: float
-    gain: complex
-    dod: np.ndarray | None = None
-    doa: np.ndarray | None = None
-    jones: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.delay < 0:
-            raise ConfigError(f"path delay must be >= 0, got {self.delay}")
-
-
-@dataclass(eq=False)
 class SlowTimeCube:
     """Complex channel frequency response over (symbol x subcarrier)."""
 
@@ -133,30 +112,39 @@ class SlowTimeCube:
 
 @dataclass(eq=False)
 class PathTable:
-    """P paths evaluated at one or more times; arrays have shape (..., P).
+    """P propagation paths at one or more times; arrays have shape (..., P).
 
-    delay (s) and gain carry the leading time axes; doppler (Hz) is filled
-    only on request, for fixed-mode synthesis.
+    delay (s, >= 0) and gain carry the leading time axes; the gain holds the
+    path's carrier phase exp(-j2π f_c τ). doppler (Hz) is filled on request:
+    fixed-mode synthesis, illumination channels and clean's removed paths
+    carry it, and None means static paths. Geometric synthesis leaves it
+    None, as Doppler there emerges from the delays over time.
     """
 
     delay: np.ndarray
     gain: np.ndarray
     doppler: np.ndarray | None = None
 
+    def __post_init__(self):
+        self.delay, self.gain = np.asarray(self.delay, dtype=float), np.asarray(self.gain, dtype=complex)
+        self.doppler = None if self.doppler is None else np.asarray(self.doppler, dtype=float)
+        shape = self.delay.shape
+        if self.gain.shape != shape or (self.doppler is not None and self.doppler.shape != shape):
+            raise ConfigError(f"path gain and doppler must have the delay shape {shape}")
+        if self.delay.size and self.delay.min() < 0:
+            raise ConfigError(f"path delay must be >= 0, got {self.delay.min()}")
+
     def __len__(self) -> int:
         return self.delay.shape[-1]
 
-    def paths(self) -> list[PathParameterSet]:
-        """The paths of a single-instant table as PathParameterSet objects."""
-        doppler = np.zeros(len(self)) if self.doppler is None else self.doppler
-        return [PathParameterSet(float(d), float(f), complex(g))
-                for d, f, g in zip(self.delay, doppler, self.gain)]
-
 
 def join_paths(tables: Sequence[PathTable], shape: tuple) -> PathTable:
-    """Concatenate tables along the path axis, each broadcast to shape + (P_i,)."""
+    """Concatenate tables along the path axis, each broadcast to shape + (P_i,);
+    a single table that already has that shape is returned as it is."""
     if not tables:
         return PathTable(np.zeros((*shape, 0)), np.zeros((*shape, 0), dtype=complex))
+    if len(tables) == 1 and tables[0].delay.shape[:-1] == tuple(shape):
+        return tables[0]
 
     def cat(arrays):
         return np.concatenate([np.broadcast_to(a, (*shape, a.shape[-1])) for a in arrays], axis=-1)
@@ -181,29 +169,30 @@ def phase_ramps(delay, delta_f: float, n_subcarriers: int) -> np.ndarray:
 
 
 def synth_cfr(
-    paths: Sequence[PathParameterSet] | Callable[[np.ndarray], PathTable],
+    paths: PathTable | Callable[[np.ndarray], PathTable],
     waveform: WaveformConfig,
     mode: str = "fixed",
     t0: float = 0.0,
 ) -> SlowTimeCube:
     """Synthesize a slow-time CFR capture from path parameters.
 
-    fixed mode takes a static list of paths. geometric mode takes a block
-    callback: an array of consecutive symbol times t0 + m*T_sym in, a
-    PathTable with delay and gain of shape (len(times), P) out. The first
-    call gets one symbol; later blocks hold as many symbols as keep one
-    (block x P x K) recurrence slab within 2^16 complex entries (1 MiB), or
-    one symbol if P*K alone exceeds that. Superposition is exactly linear
-    in the path set.
+    fixed mode takes a single-instant PathTable of shape (P,); its doppler
+    array sets each path's per-symbol phasor, and doppler=None means static
+    paths. geometric mode takes a block callback: an array of consecutive
+    symbol times t0 + m*T_sym in, a PathTable with delay and gain of shape
+    (len(times), P) out. The first call gets one symbol; later blocks hold
+    as many symbols as keep one (block x P x K) recurrence slab within 2^16
+    complex entries (1 MiB), or one symbol if P*K alone exceeds that.
+    Superposition is exactly linear in the path set.
     """
     w = waveform
     if mode == "fixed":
-        if callable(paths):
-            raise UsageError("fixed mode takes a path list, not a callback")
-        dopplers = np.array([p.doppler for p in paths])
+        if callable(paths) or paths.delay.ndim != 1:
+            raise UsageError("fixed mode takes a single-instant path table, not a callback")
+        dopplers = np.zeros(len(paths)) if paths.doppler is None else paths.doppler
         phasors = np.exp(2j * np.pi * w.t_sym * np.outer(np.arange(w.n_symbols), dopplers))
-        gains = phasors * np.array([p.gain for p in paths], dtype=complex)
-        ramps = phase_ramps(np.array([p.delay for p in paths]), w.delta_f, w.n_subcarriers)
+        gains = phasors * paths.gain
+        ramps = phase_ramps(paths.delay, w.delta_f, w.n_subcarriers)
         data = np.einsum("mp,pk->mk", gains, ramps)   # not `@`: threaded zgemm spins per link
     elif mode == "geometric":
         if not callable(paths):

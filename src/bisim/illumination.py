@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathParameterSet
+from .channel import PathTable
 from .errors import ConfigError
 
 
@@ -64,34 +64,32 @@ def _weighted_spread(dopplers: np.ndarray, powers: np.ndarray) -> tuple[float, f
 class DopplerCompensation:
     """Per-path Doppler matching result with before/after spreads (Hz)."""
 
-    paths: list[PathParameterSet]
+    paths: PathTable
     offsets_hz: np.ndarray
     reference_hz: float
     spread_before_hz: float
     spread_after_hz: float
 
 
-def doppler_precompensate(paths) -> DopplerCompensation:
+def doppler_precompensate(paths: PathTable) -> DopplerCompensation:
     """Shift every illumination path's Doppler onto the power-weighted mean.
 
+    Takes a (P,) table whose doppler is filled (None reads as static).
     Applies the per-path offset -f_D,i + f_ref, so in the ideal per-path
     model the residual power-weighted Doppler spread is exactly zero while
-    the total path power is untouched. Both the original and the residual
-    spread are reported.
+    the total path power is untouched. The result's paths keep the delays
+    and gains and carry f_ref as every Doppler; both the original and the
+    residual spread are reported.
     """
-    paths = list(paths)
-    if not paths:
+    if len(paths) == 0:
         raise ConfigError("need at least one path")
-    dopplers = np.array([p.doppler for p in paths])
-    powers = np.array([abs(p.gain) ** 2 for p in paths])
+    dopplers = np.zeros(len(paths)) if paths.doppler is None else paths.doppler
+    powers = np.abs(paths.gain) ** 2
     if powers.sum() <= 0:
         raise ConfigError("paths carry no power")
     f_ref, before = _weighted_spread(dopplers, powers)
     offsets = f_ref - dopplers
     # applying -f_D,i + f_ref lands every path exactly on the reference
-    compensated = [
-        PathParameterSet(p.delay, f_ref, p.gain, p.dod, p.doa, p.jones)
-        for p in paths
-    ]
-    _, after = _weighted_spread(np.array([p.doppler for p in compensated]), powers)
+    compensated = PathTable(paths.delay, paths.gain, np.full(len(paths), f_ref))
+    _, after = _weighted_spread(compensated.doppler, powers)
     return DopplerCompensation(compensated, offsets, f_ref, before, after)

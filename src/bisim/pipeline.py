@@ -67,7 +67,7 @@ def _link_cube(cfg: RunConfig, i: int, tx_id: str, rx_id: str) -> SlowTimeCube:
         cube = synth_cfr(link_callback(scene, tx_id, rx_id), cfg.waveform,
                          mode="geometric", t0=cfg.t0)
     else:
-        paths = link_paths(scene, tx_id, rx_id, cfg.t0, doppler=True).paths()
+        paths = link_paths(scene, tx_id, rx_id, cfg.t0, doppler=True)
         cube = synth_cfr(paths, cfg.waveform, mode="fixed", t0=cfg.t0)
     if cfg.noise.snr_db is None:
         return cube
@@ -99,12 +99,13 @@ def run_simulate(cfg: RunConfig, threads: int = 1) -> ResultArchive:
     links = []
     for tx_id, rx_id, cube in _simulate_links(cfg):
         archive.add(f"cfr_{tx_id}_{rx_id}", cube.data, _cube_axes(cube))
+        los = _los_delay(cfg, tx_id, rx_id)
         links.append(
             {
                 "tx": tx_id,
                 "rx": rx_id,
-                "los_delay_s": _los_delay(cfg, tx_id, rx_id),
-                "los_delay_ns": _los_delay(cfg, tx_id, rx_id) * 1e9,
+                "los_delay_s": los,
+                "los_delay_ns": los * 1e9,
                 "mean_power_db": float(10 * np.log10(max(cube.mean_power(), 1e-300))),
             }
         )
@@ -190,12 +191,13 @@ def run_clean(cfg: RunConfig, threads: int = 1) -> ResultArchive:
         results[f"{tx_id}_{rx_id}"] = {
             "removed": [
                 {
-                    "delay_s": p.delay,
-                    "delay_ns": p.delay * 1e9,
-                    "gain_db": float(magnitude_db(np.array(p.gain))),
+                    "delay_s": delay,
+                    "delay_ns": delay * 1e9,
+                    "gain_db": float(magnitude_db(gain)),
                     "at_noise_floor": bool(flag),
                 }
-                for p, flag in zip(res.removed, res.at_noise_floor)
+                for delay, gain, flag in zip(res.removed.delay.tolist(), res.removed.gain,
+                                             res.at_noise_floor)
             ]
         }
     archive.summary["results"] = results
@@ -351,9 +353,9 @@ def run_focus(cfg: RunConfig, threads: int = 1) -> ResultArchive:
     for tx in cfg.scene.tx_nodes:
         paths = illumination_paths(cfg.scene, tx.node_id, point, cfg.t0,
                                    point_velocity=velocity)
-        ramps = phase_ramps([p.delay for p in paths], w.delta_f, w.n_subcarriers)
-        cfr = np.array([p.gain for p in paths]) @ ramps
+        cfr = paths.gain @ phase_ramps(paths.delay, w.delta_f, w.n_subcarriers)
         pre = time_reversal_prefilter(cfr)
+        gain = focusing_gain(cfr)
         comp = doppler_precompensate(paths)
         archive.add(
             f"prefilter_{tx.node_id}",
@@ -362,8 +364,8 @@ def run_focus(cfg: RunConfig, threads: int = 1) -> ResultArchive:
         )
         results[tx.node_id] = {
             "n_paths": len(paths),
-            "focusing_gain": focusing_gain(cfr),
-            "focusing_gain_db": float(10 * np.log10(focusing_gain(cfr))),
+            "focusing_gain": gain,
+            "focusing_gain_db": float(10 * np.log10(gain)),
             "doppler_spread_before_hz": comp.spread_before_hz,
             "doppler_spread_after_hz": comp.spread_after_hz,
             "doppler_reference_hz": comp.reference_hz,

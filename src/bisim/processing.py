@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import PathParameterSet, SlowTimeCube, named_window
+from .channel import PathTable, SlowTimeCube, named_window
 from .errors import ConfigError, UsageError
 
 DB_FLOOR = -300.0
@@ -123,10 +123,10 @@ def time_gate(values: np.ndarray, delay_s: np.ndarray, center_s: float,
 
 @dataclass(eq=False)
 class CleanResult:
-    """Residual capture plus the static paths removed from it."""
+    """Residual capture plus the static paths removed from it, as a zero-Doppler table."""
 
     residual: SlowTimeCube
-    removed: list[PathParameterSet] = field(default_factory=list)
+    removed: PathTable = field(default_factory=lambda: PathTable([], [], []))
     at_noise_floor: list[bool] = field(default_factory=list)
     peak_db_above_floor: list[float] = field(default_factory=list)
 
@@ -221,9 +221,8 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int,
             mean_row = mean_row - amp * _ramp(tau, k, w.delta_f)
             estimates[i] = (tau, amp)
     result.residual.data -= sum(amp * _ramp(tau, k, w.delta_f) for tau, amp in estimates)
-    result.removed = [
-        PathParameterSet(delay=tau, doppler=0.0, gain=amp) for tau, amp in estimates
-    ]
+    delays, gains = zip(*estimates)
+    result.removed = PathTable(delays, gains, np.zeros(len(estimates)))
     return result
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import PathParameterSet, PathTable, join_paths
+from .channel import PathTable, join_paths
 from .errors import ConfigError, GeometryError
 from .geometry import C0, NodePose, NodeTrack, Trajectory, as_vec3, bistatic_doppler, bistatic_range, track_at
 from .targets import FOUR_PI, ScattererStates, StaticScatterer, bounce_paths, target_paths
@@ -129,11 +129,12 @@ def link_callback(scene: SceneConfig, tx_id: str, rx_id: str):
 
 
 def illumination_paths(scene: SceneConfig, tx_id: str, point, t: float,
-                       point_velocity=None) -> list[PathParameterSet]:
+                       point_velocity=None) -> PathTable:
     """One-way Tx-to-point channel: direct ray plus single bounces via clutter.
 
     This is the illumination channel a transmitter can pre-distort against;
-    the target position is treated as the receive point. A moving point
+    the target position is treated as the receive point. Returns a (P,)
+    table, direct ray first, whose doppler array is filled: a moving point
     (point_velocity) gives each path its own Doppler via the path's final
     leg, which is what makes per-path Doppler matching meaningful.
     """
@@ -143,7 +144,7 @@ def illumination_paths(scene: SceneConfig, tx_id: str, point, t: float,
     tables = [los_paths(tx, end, scene.wavelength, doppler=True)]
     if scene.clutter:
         tables.append(clutter_paths(scene.clutter, tx, end, scene.wavelength, doppler=True))
-    return join_paths(tables, ()).paths()
+    return join_paths(tables, ())
 
 
 def ground_truth_observation(scene: SceneConfig, tx_id: str, rx_id: str,

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from bisim.channel import WaveformConfig, synth_cfr
+from bisim.channel import PathTable, WaveformConfig, synth_cfr
 from bisim.config import load_config
 from bisim.fusion import BistaticObservation, estimate_velocity, fuse, localize
 from bisim.geometry import (
@@ -403,18 +403,14 @@ def test_criterion_8_time_reversal_focusing():
         bins = rng.choice(np.arange(1, k // 2), size=8, replace=False)
         kk = np.arange(k)
         cfr = np.zeros(k, dtype=complex)
-        paths = []
+        gains, dopplers = [], []
         for b in bins:
-            from bisim.channel import PathParameterSet
-
-            gain = np.exp(2j * np.pi * rng.random())
-            paths.append(
-                PathParameterSet(b / (k * delta_f), rng.uniform(-500, 500), gain)
-            )
-            cfr += gain * np.exp(-2j * np.pi * b * kk / k)
+            gains.append(np.exp(2j * np.pi * rng.random()))
+            dopplers.append(rng.uniform(-500, 500))
+            cfr += gains[-1] * np.exp(-2j * np.pi * b * kk / k)
         gain = focusing_gain(cfr)
         gain_ok = abs(gain - 8.0) / 8.0 <= 1e-6
-        comp = doppler_precompensate(paths)
+        comp = doppler_precompensate(PathTable(bins / (k * delta_f), gains, dopplers))
         comp_ok = comp.spread_after_hz == 0.0 and comp.spread_before_hz > 0
     report(
         8,
@@ -434,7 +430,7 @@ def test_criterion_9_link_budget_consistency():
             [PointScatterer([0, 0, 0], s)],
             Trajectory.from_waypoints([(0.0, (0, 0, 0))]),
         )
-        paths = target_paths(target, tx, rx, 0.0, LAM, doppler=True).paths()
+        paths = target_paths(target, tx, rx, 0.0, LAM, doppler=True)
         w = WaveformConfig(3.7e9, 20e6, 64, 16)
         cube = synth_cfr(paths, w)
         synth_db = 10 * np.log10(cube.mean_power())

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisim.channel import (
-    PathParameterSet,
     PathTable,
     SlowTimeCube,
     WaveformConfig,
     add_noise,
     cir_from_cfr,
     delay_axis,
+    join_paths,
     phase_ramps,
     nyquist_check,
     synth_cfr,
@@ -42,11 +42,31 @@ class TestWaveformConfig:
         assert w.duration == pytest.approx(0.02, rel=1e-12)
 
 
+class TestPathTable:
+    def test_negative_delay_rejected(self):
+        with pytest.raises(ConfigError, match="delay"):
+            PathTable([1e-7, -1e-9], [1.0, 1.0])
+
+    def test_gain_shape_must_match_delay(self):
+        with pytest.raises(ConfigError, match="shape"):
+            PathTable([1e-7, 2e-7], [1.0])
+
+    def test_doppler_shape_must_match_delay(self):
+        with pytest.raises(ConfigError, match="shape"):
+            PathTable([1e-7, 2e-7], [1.0, 0.5], doppler=[0.0, 1.0, 2.0])
+
+    def test_empty_table_synthesizes_a_silent_capture(self):
+        table = PathTable([], [])
+        assert len(table) == 0 and table.doppler is None
+        cube = synth_cfr(table, small_waveform(8, 16))
+        assert cube.data.shape == (8, 16) and not cube.data.any()
+
+
 class TestSynthFixed:
     def test_static_path_constant_slow_time(self):
         w = small_waveform()
         tau = 3.3 / w.bandwidth
-        paths = [PathParameterSet(delay=tau, doppler=0.0, gain=1.0 + 0j)]
+        paths = PathTable(delay=[tau], gain=[1.0 + 0j], doppler=[0.0])
         cube = synth_cfr(paths, w)
         assert np.allclose(cube.data, cube.data[0][None, :])
         # linear phase ramp across subcarriers with slope -2*pi*df*tau
@@ -58,7 +78,7 @@ class TestSynthFixed:
     def test_doppler_phasor_step(self):
         w = small_waveform()
         fd = 740.0
-        paths = [PathParameterSet(delay=0.0, doppler=fd, gain=1.0 + 0j)]
+        paths = PathTable(delay=[0.0], gain=[1.0 + 0j], doppler=[fd])
         cube = synth_cfr(paths, w)
         dphi = np.angle(cube.data[1:, 0] * np.conj(cube.data[:-1, 0]))
         assert np.allclose(dphi, 2 * np.pi * fd * w.t_sym, atol=1e-12)
@@ -68,23 +88,20 @@ class TestSynthFixed:
         with pytest.raises(UsageError):
             synth_cfr(lambda t: [], w, mode="fixed")
         with pytest.raises(UsageError):
-            synth_cfr([], w, mode="geometric")
+            synth_cfr(PathTable([], []), w, mode="geometric")
         with pytest.raises(UsageError):
-            synth_cfr([], w, mode="bogus")
+            synth_cfr(PathTable([], []), w, mode="bogus")
 
     def test_linearity_of_superposition(self):
         w = small_waveform()
         rng = np.random.default_rng(5)
-        mk = lambda: [
-            PathParameterSet(
-                delay=rng.uniform(0, 20) / w.bandwidth,
-                doppler=rng.uniform(-2000, 2000),
-                gain=complex(rng.normal(), rng.normal()),
-            )
-            for _ in range(3)
-        ]
+        mk = lambda: PathTable(
+            delay=rng.uniform(0, 20, 3) / w.bandwidth,
+            gain=rng.normal(size=3) + 1j * rng.normal(size=3),
+            doppler=rng.uniform(-2000, 2000, 3),
+        )
         p1, p2 = mk(), mk()
-        combined = synth_cfr(p1 + p2, w).data
+        combined = synth_cfr(join_paths([p1, p2], ()), w).data
         separate = synth_cfr(p1, w).data + synth_cfr(p2, w).data
         assert np.allclose(combined, separate, rtol=1e-12, atol=1e-15)
 
@@ -117,13 +134,7 @@ class TestSynthGeometric:
         rb0 = ranges(0.0)
         fd0 = bistatic_doppler(self.tx, self.rx, p0, vel, LAM)
         fixed = synth_cfr(
-            [
-                PathParameterSet(
-                    delay=rb0 / C0,
-                    doppler=fd0,
-                    gain=complex(np.exp(-2j * np.pi * rb0 / LAM)),
-                )
-            ],
+            PathTable(delay=[rb0 / C0], gain=[np.exp(-2j * np.pi * rb0 / LAM)], doppler=[fd0]),
             w,
         )
         times = geo.symbol_times()
@@ -187,7 +198,7 @@ class TestPhaseRamps:
 class TestAddNoise:
     def test_infinite_snr_identity(self):
         w = small_waveform()
-        cube = synth_cfr([PathParameterSet(0.0, 0.0, 1.0 + 0j)], w)
+        cube = synth_cfr(PathTable([0.0], [1.0 + 0j]), w)
         noisy = add_noise(cube, np.inf, seed=1)
         assert np.array_equal(noisy.data, cube.data)
 
@@ -201,7 +212,7 @@ class TestAddNoise:
 
     def test_deterministic_for_seed(self):
         w = small_waveform()
-        cube = synth_cfr([PathParameterSet(0.0, 0.0, 1.0 + 0j)], w)
+        cube = synth_cfr(PathTable([0.0], [1.0 + 0j]), w)
         a = add_noise(cube, 10.0, seed=1234)
         b = add_noise(cube, 10.0, seed=1234)
         assert np.array_equal(a.data, b.data)
@@ -213,7 +224,7 @@ class TestCirFromCfr:
     def test_on_grid_delay_peaks_at_bin(self):
         w = small_waveform()
         n = 9
-        paths = [PathParameterSet(delay=n / w.bandwidth, doppler=0.0, gain=1.0 + 0j)]
+        paths = PathTable(delay=[n / w.bandwidth], gain=[1.0 + 0j], doppler=[0.0])
         cube = synth_cfr(paths, w)
         h = cir_from_cfr(cube.data[0])
         assert np.argmax(np.abs(h)) == n
@@ -231,7 +242,7 @@ class TestCirFromCfr:
         w = small_waveform()
         n = 7
         tau = (n + 0.5) / w.bandwidth
-        cube = synth_cfr([PathParameterSet(tau, 0.0, 1.0 + 0j)], w)
+        cube = synth_cfr(PathTable([tau], [1.0 + 0j]), w)
         h = np.abs(cir_from_cfr(cube.data[0]))
         assert h[n] == pytest.approx(h[n + 1], rel=1e-12)
         assert set(np.argsort(h)[-2:]) == {n, n + 1}
@@ -264,14 +275,12 @@ class TestNyquistCheck:
 def test_linearity_property(seed, n_paths):
     rng = np.random.default_rng(seed)
     w = small_waveform(16, 16)
-    paths = [
-        PathParameterSet(
-            delay=rng.uniform(0, 10) / w.bandwidth,
-            doppler=rng.uniform(-1000, 1000),
-            gain=complex(rng.normal(), rng.normal()),
-        )
-        for _ in range(n_paths)
-    ]
+    paths = PathTable(
+        delay=rng.uniform(0, 10, n_paths) / w.bandwidth,
+        gain=rng.normal(size=n_paths) + 1j * rng.normal(size=n_paths),
+        doppler=rng.uniform(-1000, 1000, n_paths),
+    )
     total = synth_cfr(paths, w).data
-    parts = sum(synth_cfr([p], w).data for p in paths)
+    parts = sum(synth_cfr(PathTable(paths.delay[[i]], paths.gain[[i]], paths.doppler[[i]]), w).data
+                for i in range(n_paths))
     assert np.allclose(total, parts, rtol=1e-10, atol=1e-14)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisim.channel import PathParameterSet, WaveformConfig, synth_cfr
+from bisim.channel import PathTable, WaveformConfig, synth_cfr
 from bisim.errors import ConfigError
 from bisim.illumination import (
     doppler_precompensate,
@@ -16,8 +16,8 @@ from bisim.processing import delay_doppler_map
 def cfr_from_paths(paths, k=256, delta_f=78125.0):
     kk = np.arange(k)
     out = np.zeros(k, dtype=complex)
-    for p in paths:
-        out += p.gain * np.exp(-2j * np.pi * delta_f * p.delay * kk)
+    for delay, gain in zip(paths.delay, paths.gain):
+        out += gain * np.exp(-2j * np.pi * delta_f * delay * kk)
     return out
 
 
@@ -35,7 +35,7 @@ class TestTimeReversalPrefilter:
     def test_single_path_constant_cascade(self):
         k = 128
         delta_f = 78125.0
-        paths = [PathParameterSet(11 / (k * delta_f) * k, 0.0, 0.7 - 0.2j)]
+        paths = PathTable([11 / (k * delta_f) * k], [0.7 - 0.2j], [0.0])
         cfr = cfr_from_paths(paths, k, delta_f)
         g = time_reversal_prefilter(cfr)
         cascade = cfr * g
@@ -68,10 +68,7 @@ class TestTimeReversalPrefilter:
         bandwidth = k * delta_f
         for n in (2, 4, 8):
             bins = rng.choice(np.arange(1, k // 2), size=n, replace=False)
-            paths = [
-                PathParameterSet(b / bandwidth, 0.0, np.exp(2j * np.pi * rng.random()))
-                for b in bins
-            ]
+            paths = PathTable(bins / bandwidth, np.exp(2j * np.pi * rng.random(n)), np.zeros(n))
             cfr = cfr_from_paths(paths, k, delta_f)
             assert focusing_gain(cfr) == pytest.approx(n, rel=1e-9)
 
@@ -81,14 +78,11 @@ class TestTimeReversalPrefilter:
         rng = np.random.default_rng(seed)
         k = 128
         delta_f = 78125.0
-        paths = [
-            PathParameterSet(
-                rng.uniform(0, (k / 2) / (k * delta_f)),
-                0.0,
-                complex(rng.normal(), rng.normal()),
-            )
-            for _ in range(n)
-        ]
+        paths = PathTable(
+            rng.uniform(0, (k / 2) / (k * delta_f), n),
+            rng.normal(size=n) + 1j * rng.normal(size=n),
+            np.zeros(n),
+        )
         cfr = cfr_from_paths(paths, k, delta_f)
         if np.sum(np.abs(cfr) ** 2) == 0:
             return
@@ -97,59 +91,56 @@ class TestTimeReversalPrefilter:
 
 class TestDopplerPrecompensate:
     def test_single_path_zero_offsets(self):
-        out = doppler_precompensate([PathParameterSet(0.0, 435.0, 1.0 + 0j)])
+        out = doppler_precompensate(PathTable([0.0], [1.0 + 0j], [435.0]))
         assert out.spread_before_hz == 0.0
         assert out.spread_after_hz == 0.0
         assert out.offsets_hz[0] == pytest.approx(0.0)
         assert out.reference_hz == pytest.approx(435.0)
 
     def test_two_paths_collapse(self):
-        paths = [
-            PathParameterSet(0.0, 100.0, 1.0 + 0j),
-            PathParameterSet(1e-7, 400.0, 1.0 + 0j),
-        ]
+        paths = PathTable([0.0, 1e-7], [1.0 + 0j, 1.0 + 0j], [100.0, 400.0])
         out = doppler_precompensate(paths)
         assert out.spread_before_hz == pytest.approx(150.0)  # equal-power std
         assert out.spread_after_hz == 0.0
         assert out.reference_hz == pytest.approx(250.0)
-        assert all(p.doppler == pytest.approx(250.0) for p in out.paths)
+        assert all(f == pytest.approx(250.0) for f in out.paths.doppler)
 
     def test_power_preserved_and_spread_reduced(self):
         rng = np.random.default_rng(4)
-        paths = [
-            PathParameterSet(
-                rng.uniform(0, 1e-6),
-                rng.uniform(-800, 800),
-                complex(rng.normal(), rng.normal()),
-            )
-            for _ in range(6)
-        ]
+        paths = PathTable(
+            rng.uniform(0, 1e-6, 6),
+            rng.normal(size=6) + 1j * rng.normal(size=6),
+            rng.uniform(-800, 800, 6),
+        )
         out = doppler_precompensate(paths)
-        before = sum(abs(p.gain) ** 2 for p in paths)
-        after = sum(abs(p.gain) ** 2 for p in out.paths)
+        before = np.sum(np.abs(paths.gain) ** 2)
+        after = np.sum(np.abs(out.paths.gain) ** 2)
         assert after == pytest.approx(before, rel=1e-12)
         assert out.spread_after_hz <= out.spread_before_hz
         assert out.spread_after_hz == 0.0
 
+    def test_compensated_table_keeps_delays_and_gains(self):
+        paths = PathTable([0.0, 2e-7, 5e-7], [1.0 + 0j, 0.3 - 0.4j, 0.2j], [120.0, -340.0, 75.0])
+        out = doppler_precompensate(paths)
+        assert np.array_equal(out.paths.delay, paths.delay)
+        assert np.array_equal(out.paths.gain, paths.gain)
+        assert np.array_equal(out.paths.doppler, np.full(3, out.reference_hz))
+        assert np.array_equal(paths.doppler, [120.0, -340.0, 75.0])   # input untouched
+
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            doppler_precompensate([])
+            doppler_precompensate(PathTable([], [], []))
 
     def test_map_shows_single_ridge_after_compensation(self):
         w = WaveformConfig(3.7e9, 20e6, 64, 128)
         res = 1.0 / (w.n_symbols * w.t_sym)
-        paths = [
-            PathParameterSet(3 / w.bandwidth, 10 * res, 1.0 + 0j),
-            PathParameterSet(9 / w.bandwidth, -14 * res, 0.8 + 0j),
-            PathParameterSet(15 / w.bandwidth, 27 * res, 0.6 + 0j),
-        ]
+        paths = PathTable(np.array([3, 9, 15]) / w.bandwidth, [1.0, 0.8, 0.6],
+                          np.array([10, -14, 27]) * res)
         before = delay_doppler_map(synth_cfr(paths, w))
         comp = doppler_precompensate(paths)
         # shift the common reference onto the Doppler grid for a bin-exact test
         ref = round(comp.reference_hz / res) * res
-        aligned = [
-            PathParameterSet(p.delay, ref, p.gain, p.dod, p.doa) for p in comp.paths
-        ]
+        aligned = PathTable(comp.paths.delay, comp.paths.gain, np.full(len(paths), ref))
         after = delay_doppler_map(synth_cfr(aligned, w))
 
         def occupied_doppler_bins(ddm):

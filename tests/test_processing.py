@@ -13,7 +13,7 @@ from scipy.signal import get_window
 from scipy.signal.windows import gaussian
 
 import bisim
-from bisim.channel import PathParameterSet, SlowTimeCube, WaveformConfig, add_noise, named_window, synth_cfr
+from bisim.channel import PathTable, SlowTimeCube, WaveformConfig, add_noise, join_paths, named_window, synth_cfr
 from bisim.errors import ConfigError, UsageError
 from bisim.geometry import C0, NodePose, Trajectory, bistatic_doppler, bistatic_range, vec3
 from bisim.processing import (
@@ -44,7 +44,7 @@ def on_grid_doppler(w, n):
 class TestDelayDopplerMap:
     def test_static_path_collapses_at_zero_doppler(self):
         w = waveform()
-        cube = synth_cfr([PathParameterSet(7.3 / w.bandwidth, 0.0, 1.0 + 0j)], w)
+        cube = synth_cfr(PathTable([7.3 / w.bandwidth], [1.0 + 0j], [0.0]), w)
         ddm = delay_doppler_map(cube)
         energy = np.abs(ddm.data) ** 2
         zero = ddm.zero_doppler_bin
@@ -54,7 +54,7 @@ class TestDelayDopplerMap:
     def test_on_grid_tone_single_bin(self):
         w = waveform()
         fd = on_grid_doppler(w, 9)
-        cube = synth_cfr([PathParameterSet(4 / w.bandwidth, fd, 1.0 + 0j)], w)
+        cube = synth_cfr(PathTable([4 / w.bandwidth], [1.0 + 0j], [fd]), w)
         ddm = delay_doppler_map(cube)
         energy = np.abs(ddm.data) ** 2
         i, j = np.unravel_index(np.argmax(energy), energy.shape)
@@ -104,7 +104,7 @@ class TestDelayDopplerMap:
     def test_doppler_axis_resolution_and_span(self):
         w = WaveformConfig(3.7e9, 4 * 125e3, 4, 2048)  # t_sym = 8 us
         assert w.t_sym == 8e-6
-        cube = synth_cfr([PathParameterSet(0.0, 0.0, 1.0 + 0j)], w)
+        cube = synth_cfr(PathTable([0.0], [1.0 + 0j], [0.0]), w)
         ddm = delay_doppler_map(cube)
         res = ddm.doppler_hz[1] - ddm.doppler_hz[0]
         assert res == pytest.approx(61.03515625, rel=1e-12)
@@ -115,35 +115,33 @@ class TestDelayDopplerMap:
 class TestBackgroundSubtract:
     def test_identity(self):
         w = waveform(32, 32)
-        cube = synth_cfr([PathParameterSet(0.0, 0.0, 1.0 + 0j)], w)
+        cube = synth_cfr(PathTable([0.0], [1.0 + 0j], [0.0]), w)
         out = background_subtract(cube, cube)
         assert np.all(out.data == 0)
 
     def test_superposition_exact(self):
         w = waveform(32, 32)
-        clutter = [PathParameterSet(3 / w.bandwidth, 0.0, 1.0 + 0j)]
-        target = [PathParameterSet(9 / w.bandwidth, 500.0, 0.1 + 0j)]
-        both = synth_cfr(clutter + target, w)
+        clutter = PathTable([3 / w.bandwidth], [1.0 + 0j], [0.0])
+        target = PathTable([9 / w.bandwidth], [0.1 + 0j], [500.0])
+        both = synth_cfr(join_paths([clutter, target], ()), w)
         bg = synth_cfr(clutter, w)
         tgt = synth_cfr(target, w)
         out = background_subtract(both, bg)
         assert np.allclose(out.data, tgt.data, rtol=1e-12, atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
-        a = synth_cfr([PathParameterSet(0.0, 0.0, 1.0 + 0j)], waveform(16, 16))
-        b = synth_cfr([PathParameterSet(0.0, 0.0, 1.0 + 0j)], waveform(16, 32))
+        a = synth_cfr(PathTable([0.0], [1.0 + 0j], [0.0]), waveform(16, 16))
+        b = synth_cfr(PathTable([0.0], [1.0 + 0j], [0.0]), waveform(16, 32))
         with pytest.raises(UsageError):
             background_subtract(a, b)
 
     def test_noisy_subtraction_suppresses_clutter(self):
         w = waveform(128, 128)
         rng_delays = [5, 21, 40, 77, 101]
-        clutter = [
-            PathParameterSet(n / w.bandwidth, 0.0, 1.0 + 0j) for n in rng_delays
-        ]
+        clutter = PathTable(np.array(rng_delays) / w.bandwidth, np.ones(5), np.zeros(5))
         fd = on_grid_doppler(w, 17)
-        target = [PathParameterSet(60 / w.bandwidth, fd, 0.05 + 0j)]
-        meas = add_noise(synth_cfr(clutter + target, w), 20.0, seed=1)
+        target = PathTable([60 / w.bandwidth], [0.05 + 0j], [fd])
+        meas = add_noise(synth_cfr(join_paths([clutter, target], ()), w), 20.0, seed=1)
         bg = add_noise(synth_cfr(clutter, w), 20.0, seed=2)
         diff = background_subtract(meas, bg)
 
@@ -203,27 +201,27 @@ class TestTimeGate:
 class TestSubtractDominantPaths:
     def test_zero_paths_identity(self):
         w = waveform(32, 32)
-        cube = synth_cfr([PathParameterSet(3.3 / w.bandwidth, 0.0, 1.0 + 0j)], w)
+        cube = synth_cfr(PathTable([3.3 / w.bandwidth], [1.0 + 0j], [0.0]), w)
         res = subtract_dominant_paths(cube, 0)
         assert np.array_equal(res.residual.data, cube.data)
-        assert res.removed == []
+        assert len(res.removed) == 0
 
     def test_single_path_removed_below_60db(self):
         w = waveform(64, 128)
         tau = 13.37 / w.bandwidth  # deliberately off-grid
-        cube = synth_cfr([PathParameterSet(tau, 0.0, 0.8 - 0.3j)], w)
+        cube = synth_cfr(PathTable([tau], [0.8 - 0.3j], [0.0]), w)
         res = subtract_dominant_paths(cube, 1)
         assert res.residual.energy() <= 1e-6 * cube.energy()
-        assert res.removed[0].delay == pytest.approx(tau, abs=1e-14)
+        assert res.removed.delay[0] == pytest.approx(tau, abs=1e-14)
 
     def test_two_paths_with_weak_mover(self):
         # strong direct path + dominant reflection + weak moving target
         w = waveform(256, 256)
         fd = on_grid_doppler(w, 23)
-        los = PathParameterSet(20.4 / w.bandwidth, 0.0, 1.0 + 0j)
-        refl = PathParameterSet(35.8 / w.bandwidth, 0.0, 0.4 - 0.2j)
-        target = PathParameterSet(50.1 / w.bandwidth, fd, 0.0316 + 0j)  # -30 dB
-        cube = synth_cfr([los, refl, target], w)
+        # direct path, reflection and a -30 dB target
+        paths = PathTable(np.array([20.4, 35.8, 50.1]) / w.bandwidth,
+                          [1.0 + 0j, 0.4 - 0.2j, 0.0316 + 0j], [0.0, 0.0, fd])
+        cube = synth_cfr(paths, w)
         res = subtract_dominant_paths(cube, 2)
 
         static_before = np.sum(np.abs(cube.data.mean(axis=0)) ** 2)
@@ -235,9 +233,9 @@ class TestSubtractDominantPaths:
         i, j = np.unravel_index(np.argmax(energy), energy.shape)
         assert ddm.doppler_hz[j] == pytest.approx(fd)
         assert i == 50
-        delays = sorted(p.delay for p in res.removed)
-        assert delays[0] == pytest.approx(los.delay, abs=1e-13)
-        assert delays[1] == pytest.approx(refl.delay, abs=1e-13)
+        delays = np.sort(res.removed.delay)
+        assert delays[0] == pytest.approx(paths.delay[0], abs=1e-13)
+        assert delays[1] == pytest.approx(paths.delay[1], abs=1e-13)
 
     def test_never_increases_energy_on_noise(self):
         rng = np.random.default_rng(8)
@@ -252,31 +250,26 @@ class TestSubtractDominantPaths:
         # re-subtracting the already-removed paths changes nothing: the
         # residual is orthogonal to their model ramps
         w = waveform(32, 64)
-        paths = [
-            PathParameterSet(12.3 / w.bandwidth, 0.0, 1.0 + 0j),
-            PathParameterSet(30.7 / w.bandwidth, 0.0, 0.5 - 0.2j),
-        ]
+        paths = PathTable(np.array([12.3, 30.7]) / w.bandwidth, [1.0 + 0j, 0.5 - 0.2j])
         cube = add_noise(synth_cfr(paths, w), 40.0, seed=3)
         res = subtract_dominant_paths(cube, 2)
         assert res.residual.energy() <= cube.energy()
         k = np.arange(w.n_subcarriers)
         mean_row = res.residual.data.mean(axis=0)
-        for p in res.removed:
-            ramp = np.exp(-2j * np.pi * w.delta_f * p.delay * k)
+        for delay, gain in zip(res.removed.delay, res.removed.gain):
+            ramp = np.exp(-2j * np.pi * w.delta_f * delay * k)
             coeff = abs(np.vdot(ramp, mean_row)) / w.n_subcarriers
-            assert coeff <= 1e-9 * abs(p.gain)
+            assert coeff <= 1e-9 * abs(gain)
 
     def test_residual_is_the_cube_minus_the_removed_paths(self):
         w = waveform(32, 64)
-        paths = [
-            PathParameterSet(12.3 / w.bandwidth, 0.0, 1.0 + 0j),
-            PathParameterSet(30.7 / w.bandwidth, 0.0, 0.5 - 0.2j),
-            PathParameterSet(41.2 / w.bandwidth, 0.0, 0.1 + 0.3j),
-        ]
+        paths = PathTable(np.array([12.3, 30.7, 41.2]) / w.bandwidth,
+                          [1.0 + 0j, 0.5 - 0.2j, 0.1 + 0.3j])
         cube = add_noise(synth_cfr(paths, w), 30.0, seed=4)
         res = subtract_dominant_paths(cube, 3)
         k = np.arange(w.n_subcarriers)
-        removed = sum(p.gain * np.exp(-2j * np.pi * w.delta_f * p.delay * k) for p in res.removed)
+        removed = sum(gain * np.exp(-2j * np.pi * w.delta_f * delay * k)
+                      for delay, gain in zip(res.removed.delay, res.removed.gain))
         assert np.abs(res.residual.data - (cube.data - removed)).max() <= 1e-12
         assert not np.shares_memory(res.residual.data, cube.data)
 
@@ -287,8 +280,8 @@ class TestSubtractDominantPaths:
             w = waveform(8, k)
             ramp = lambda tau: np.exp(-2j * np.pi * w.delta_f * tau * np.arange(k))
             for trial in range(10):
-                paths = [PathParameterSet(rng.uniform(2, k - 3) / w.bandwidth, 0.0, complex(*rng.normal(size=2)))
-                         for _ in range(3)]
+                paths = PathTable(rng.uniform(2, k - 3, 3) / w.bandwidth,
+                                  rng.normal(size=3) + 1j * rng.normal(size=3))
                 row = add_noise(synth_cfr(paths, w), 10.0, seed=trial).data.mean(axis=0)
                 tau, amp = _fit_static_path(row, w.delta_f, w.bandwidth)
                 corr = lambda t: abs(np.vdot(ramp(t), row))
@@ -302,16 +295,16 @@ class TestSubtractDominantPaths:
             w = waveform(8, k)
             for tau_bins in [0.05, 0.5, k - 1.2, *rng.uniform(0.0, k - 1.0, 10)]:
                 tau = tau_bins / w.bandwidth
-                cube = synth_cfr([PathParameterSet(tau, 0.0, complex(*rng.normal(size=2)))], w)
+                cube = synth_cfr(PathTable([tau], [complex(*rng.normal(size=2))]), w)
                 res = subtract_dominant_paths(cube, 1)
-                assert res.removed[0].delay == pytest.approx(tau, abs=1e-14), (k, tau_bins)
+                assert res.removed.delay[0] == pytest.approx(tau, abs=1e-14), (k, tau_bins)
 
     @pytest.mark.parametrize("offset_bins", [-0.95, -0.8, -0.6, 0.6, 0.8, 0.95])
     def test_fit_from_a_far_hint_falls_back_to_the_bracket(self, offset_bins):
         # the hint sits where |S|^2 curves upward: plain Newton steps would walk away
         w = waveform(8, 128)
         tau = 40.3 / w.bandwidth
-        cube = synth_cfr([PathParameterSet(tau, 0.0, 0.7 + 0.2j)], w)
+        cube = synth_cfr(PathTable([tau], [0.7 + 0.2j], [0.0]), w)
         row = cube.data.mean(axis=0)
         fit, amp = _fit_static_path(row, w.delta_f, w.bandwidth, tau_hint=tau + offset_bins / w.bandwidth)
         assert fit == pytest.approx(tau, abs=1e-14)
@@ -494,10 +487,7 @@ class TestDetectPeaks:
     def test_exclude_zero_doppler_hides_static_scene(self):
         w = waveform(64, 64)
         cube = synth_cfr(
-            [
-                PathParameterSet(5 / w.bandwidth, 0.0, 1.0 + 0j),
-                PathParameterSet(11 / w.bandwidth, 0.0, 0.5 + 0j),
-            ],
+            PathTable(np.array([5, 11]) / w.bandwidth, [1.0 + 0j, 0.5 + 0j]),
             w,
         )
         ddm = delay_doppler_map(cube)

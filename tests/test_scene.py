@@ -51,14 +51,15 @@ class TestSceneConfig:
 class TestLinkPaths:
     def test_los_only(self):
         scene = basic_scene()
-        (los,) = link_paths(scene, "tx0", "rx0", 0.0, doppler=True).paths()
-        assert los.delay == pytest.approx(100 / C0)
-        assert abs(los.gain) == pytest.approx(LAM / (FOUR_PI * 100))
-        assert los.doppler == 0.0
+        los = link_paths(scene, "tx0", "rx0", 0.0, doppler=True)
+        assert len(los) == 1
+        assert los.delay[0] == pytest.approx(100 / C0)
+        assert abs(los.gain[0]) == pytest.approx(LAM / (FOUR_PI * 100))
+        assert los.doppler[0] == 0.0
 
     def test_los_can_be_disabled(self):
         scene = basic_scene(include_los=False)
-        assert link_paths(scene, "tx0", "rx0", 0.0).paths() == []
+        assert len(link_paths(scene, "tx0", "rx0", 0.0)) == 0
 
     def test_clutter_and_target_counts(self):
         target = RigidTarget(
@@ -75,13 +76,12 @@ class TestLinkPaths:
     def test_clutter_delay_and_gain(self):
         sc = StaticScatterer(vec3(30, 40, 0), 2.0)
         scene = basic_scene(clutter=[sc])
-        paths = link_paths(scene, "tx0", "rx0", 0.0, doppler=True).paths()
-        clutter = paths[1]
+        paths = link_paths(scene, "tx0", "rx0", 0.0, doppler=True)
         d1 = 50.0
         d2 = np.linalg.norm(np.array([100, 0, 0]) - sc.position)
-        assert clutter.delay == pytest.approx((d1 + d2) / C0)
-        assert abs(clutter.gain) == pytest.approx(2.0 * LAM / (FOUR_PI * d1 * d2))
-        assert clutter.doppler == 0.0
+        assert paths.delay[1] == pytest.approx((d1 + d2) / C0)
+        assert abs(paths.gain[1]) == pytest.approx(2.0 * LAM / (FOUR_PI * d1 * d2))
+        assert paths.doppler[1] == 0.0
 
     def test_geometric_synthesis_runs(self):
         target = RigidTarget(
@@ -93,6 +93,30 @@ class TestLinkPaths:
         cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w, mode="geometric")
         assert cube.data.shape == (16, 32)
         assert cube.energy() > 0
+
+    @pytest.mark.parametrize("doppler", [True, False])
+    def test_fixed_synthesis_is_the_explicit_path_sum(self, doppler):
+        # sum_p a_p exp(+j2π f_D,p m T) exp(-j2π k Δf τ_p); doppler=False gives static paths
+        target = RigidTarget(
+            [PointScatterer([0, 0, 0], 1.0), PointScatterer([0.4, 0.2, 0], 0.6)],
+            Trajectory.from_waypoints([(0.0, (50, 60, 0)), (1.0, (62, 55, 0))]),
+        )
+        scene = basic_scene(targets=[target], clutter=[StaticScatterer(vec3(20, -30, 0), 1.0)])
+        paths = link_paths(scene, "tx0", "rx0", 0.25, doppler=doppler)
+        assert (paths.doppler is not None) == doppler
+        w = WaveformConfig(3.7e9, 20e6, 48, 40)
+        cube = synth_cfr(paths, w)
+        f_d = paths.doppler if doppler else np.zeros(len(paths))
+        m, k = np.arange(w.n_symbols), np.arange(w.n_subcarriers)
+        expected = np.zeros((w.n_symbols, w.n_subcarriers), dtype=complex)
+        for tau, a, f in zip(paths.delay, paths.gain, f_d):
+            expected += a * np.outer(np.exp(2j * np.pi * f * m * w.t_sym),
+                                     np.exp(-2j * np.pi * k * w.delta_f * tau))
+        assert np.abs(cube.data - expected).max() <= 1e-12 * np.abs(expected).max()
+        if doppler:
+            assert np.any(paths.doppler != 0.0)
+        else:
+            assert np.allclose(cube.data, cube.data[0])
 
     def test_unknown_node(self):
         scene = basic_scene()
@@ -246,15 +270,15 @@ class TestIlluminationPaths:
         point = vec3(60, 10, 0)
         paths = illumination_paths(scene, "tx0", point, 0.0)
         assert len(paths) == 3
-        assert paths[0].delay == pytest.approx(np.linalg.norm(point) / C0)
-        assert paths[1].delay > paths[0].delay
+        assert paths.delay[0] == pytest.approx(np.linalg.norm(point) / C0)
+        assert paths.delay[1] > paths.delay[0]
 
     def test_moving_point_gets_per_path_doppler(self):
         scene = basic_scene(clutter=[StaticScatterer(vec3(20, 30, 0), 1.5)])
         paths = illumination_paths(
             scene, "tx0", vec3(60, 10, 0), 0.0, point_velocity=vec3(-12, 3, 0)
         )
-        dopplers = {round(p.doppler, 6) for p in paths}
+        dopplers = {round(f, 6) for f in paths.doppler.tolist()}
         assert len(dopplers) == len(paths)  # distinct per-path shifts
         out = doppler_precompensate(paths)
         assert out.spread_before_hz > 0
@@ -268,8 +292,8 @@ class TestIlluminationPaths:
         paths = illumination_paths(scene, "tx0", vec3(60, 10, 0), 0.0)
         k = np.arange(w.n_subcarriers)
         cfr = np.zeros(w.n_subcarriers, dtype=complex)
-        for p in paths:
-            cfr += p.gain * np.exp(-2j * np.pi * w.delta_f * p.delay * k)
+        for delay, gain in zip(paths.delay, paths.gain):
+            cfr += gain * np.exp(-2j * np.pi * w.delta_f * delay * k)
         assert focusing_gain(cfr) > 1.0
 
     def test_coincident_point_rejected(self):

@@ -111,21 +111,23 @@ class TestTargetPaths:
         rx = NodePose(vec3(d, 0, 0))
         s = 0.05
         target = single_point_target(s, track=((0.0, (0, 0, 0)),))
-        (path,) = target_paths(target, tx, rx, 0.0, LAM).paths()
-        assert abs(path.gain) == pytest.approx(s * LAM / (FOUR_PI * d * d), rel=1e-12)
+        paths = target_paths(target, tx, rx, 0.0, LAM)
+        assert len(paths) == 1
+        gain = paths.gain[0]
+        assert abs(gain) == pytest.approx(s * LAM / (FOUR_PI * d * d), rel=1e-12)
         # and the gain squared is the radar equation with sigma = 4*pi*s^2
         sigma = equivalent_rcs(s)
         expected_power = LAM**2 * sigma / (FOUR_PI**3 * d**2 * d**2)
-        assert abs(path.gain) ** 2 == pytest.approx(expected_power, rel=1e-12)
+        assert abs(gain) ** 2 == pytest.approx(expected_power, rel=1e-12)
 
     def test_distance_doubling_drops_12db(self):
         tx = NodePose(vec3(-60, 0, 0))
         rx = NodePose(vec3(60, 0, 0))
-        near = target_paths(single_point_target(track=((0, (0, 25, 0)),)), tx, rx, 0.0, LAM).paths()[0]
+        near = target_paths(single_point_target(track=((0, (0, 25, 0)),)), tx, rx, 0.0, LAM).gain[0]
         tx2 = NodePose(vec3(-120, 0, 0))
         rx2 = NodePose(vec3(120, 0, 0))
-        far = target_paths(single_point_target(track=((0, (0, 50, 0)),)), tx2, rx2, 0.0, LAM).paths()[0]
-        drop = 20 * np.log10(abs(near.gain) / abs(far.gain))
+        far = target_paths(single_point_target(track=((0, (0, 50, 0)),)), tx2, rx2, 0.0, LAM).gain[0]
+        drop = 20 * np.log10(abs(near) / abs(far))
         assert drop == pytest.approx(20 * np.log10(4), rel=1e-9)
 
     def test_drone_sized_target_within_2ns(self):
@@ -136,19 +138,19 @@ class TestTargetPaths:
             [PointScatterer([0, 0.15, 0], 0.05), PointScatterer([0, -0.15, 0], 0.05)],
             Trajectory.from_waypoints([(0.0, (0, 60, 0))]),
         )
-        paths = target_paths(target, tx, rx, 0.0, LAM).paths()
-        spread = max(p.delay for p in paths) - min(p.delay for p in paths)
+        paths = target_paths(target, tx, rx, 0.0, LAM)
+        spread = paths.delay.max() - paths.delay.min()
         assert spread <= 2e-9
 
     def test_doppler_from_scatterer_velocity(self):
         rotor = make_rotor()
         tx = NodePose(vec3(-50, 0, 0))
         rx = NodePose(vec3(50, 0, 0))
-        paths = target_paths(rotor, tx, rx, 0.0, LAM, doppler=True).paths()
+        paths = target_paths(rotor, tx, rx, 0.0, LAM, doppler=True)
         tip_speed = rotor.rate * rotor.blade_radius
         bound = 2 * tip_speed / LAM  # loosest possible bistatic bound
-        assert all(abs(p.doppler) <= bound * (1 + 1e-9) for p in paths)
-        assert any(abs(p.doppler) > 0 for p in paths)
+        assert np.all(np.abs(paths.doppler) <= bound * (1 + 1e-9))
+        assert np.any(np.abs(paths.doppler) > 0)
 
     def test_polarization_selection(self):
         jones = np.array([[1.0, 0.2j], [0.1, -1.0]])
@@ -183,7 +185,7 @@ class TestRcsAndLinkBudget:
         tx = NodePose(vec3(-d_tx, 0, 0))
         rx = NodePose(vec3(d_rx, 0, 0))
         target = single_point_target(s, track=((0.0, (0, 0, 0)),))
-        paths = target_paths(target, tx, rx, 0.0, LAM, doppler=True).paths()
+        paths = target_paths(target, tx, rx, 0.0, LAM, doppler=True)
         w = WaveformConfig(C0 / LAM, 20e6, 32, 16)
         cube = synth_cfr(paths, w)
         power_db = 10 * np.log10(cube.mean_power())
