@@ -79,9 +79,8 @@ class WaveformConfig:
         return self.n_symbols * self.t_sym
 
     def subcarrier_frequencies(self) -> np.ndarray:
-        """Absolute subcarrier frequencies, k indexing offset (k - K/2)·Δf."""
-        k = np.arange(self.n_subcarriers)
-        return self.f_c + (k - self.n_subcarriers / 2.0) * self.delta_f
+        """Absolute frequency f_c + kΔf of subcarrier k = 0..K-1, as synthesized."""
+        return self.f_c + np.arange(self.n_subcarriers) * self.delta_f
 
 
 @dataclass(eq=False)

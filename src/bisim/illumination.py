@@ -76,10 +76,12 @@ def doppler_precompensate(paths: PathTable) -> DopplerCompensation:
 
     Takes a (P,) table whose doppler is filled (None reads as static).
     Applies the per-path offset -f_D,i + f_ref, so in the ideal per-path
-    model the residual power-weighted Doppler spread is exactly zero while
-    the total path power is untouched. The result's paths keep the delays
-    and gains and carry f_ref as every Doppler; both the original and the
-    residual spread are reported.
+    model the residual power-weighted Doppler spread is zero while the
+    total path power is untouched. The result's paths keep the delays and
+    gains and carry f_ref as every Doppler. Both the original spread and
+    the residual one are reported; the residual is residual_spread of the
+    input Dopplers plus the offsets, so only rounding (well under 1e-9 Hz)
+    separates it from zero, and a wrong offset shows.
     """
     if len(paths) == 0:
         raise ConfigError("need at least one path")
@@ -89,7 +91,12 @@ def doppler_precompensate(paths: PathTable) -> DopplerCompensation:
         raise ConfigError("paths carry no power")
     f_ref, before = _weighted_spread(dopplers, powers)
     offsets = f_ref - dopplers
-    # applying -f_D,i + f_ref lands every path exactly on the reference
     compensated = PathTable(paths.delay, paths.gain, np.full(len(paths), f_ref))
-    _, after = _weighted_spread(compensated.doppler, powers)
-    return DopplerCompensation(compensated, offsets, f_ref, before, after)
+    return DopplerCompensation(compensated, offsets, f_ref, before, residual_spread(paths, offsets))
+
+
+def residual_spread(paths: PathTable, offsets_hz) -> float:
+    """Power-weighted Doppler spread (Hz) left once each path's Doppler is
+    shifted by its offset; None Dopplers read as static."""
+    dopplers = np.zeros(len(paths)) if paths.doppler is None else paths.doppler
+    return _weighted_spread(dopplers + offsets_hz, np.abs(paths.gain) ** 2)[1]

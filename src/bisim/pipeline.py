@@ -3,11 +3,11 @@
 Every subcommand is a pure function of (RunConfig, threads) returning a
 ResultArchive; run() also writes the archive, its YAML summary sidecar, and
 optional CSV exports. Identical config + seed produce byte-identical
-archives for any worker count: threads only fan out the fixed blocks of
-grid points of reflectivity and flyover scans, whose boundaries come from a
-memory budget and not from the worker count, each written to its own slice
-of the output; links are streamed in order, one at a time, each synthesized
-and noised (from its own seeded generator) just before it is processed.
+archives for any worker count: threads only fan out the fixed blocks of Rx
+directions of a reflectivity scan, whose boundaries come from a memory
+budget and not from the worker count, each written to its own slice of the
+output; links are streamed in order, one at a time, each synthesized and
+noised (from its own seeded generator) just before it is processed.
 """
 
 from __future__ import annotations
@@ -312,7 +312,6 @@ def run_flyover(cfg: RunConfig, threads: int = 1) -> ResultArchive:
         job.band,
         elevation_deg=job.elevation_deg,
         sweep_window=job.sweep_window,
-        threads=threads,
     )
     data = fly.data
     if cfg.processing.gate is not None:

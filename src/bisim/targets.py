@@ -362,41 +362,86 @@ def _map_in_order(fn, items, threads: int) -> list:
 
 def _scan_profiles(states: ScattererStates, jones: np.ndarray, u_tx: np.ndarray, u_rx: np.ndarray,
                    d_tx: float, d_rx: float, band: FrequencyBand, sweep_window: str,
-                   threads: int) -> np.ndarray:
-    """Delay profiles of a scan target for antennas at radii d_tx, d_rx in G direction pairs.
+                   threads: int = 1) -> np.ndarray:
+    """Delay profiles of a scan target for every pair of I Tx and J Rx directions.
 
-    u_tx, u_rx are (G, 3) unit vectors (a (3,) one broadcasts); jones is one
-    (N, ...) value per scatterer. Returns (G, n_freq, ...): the fftshifted
-    inverse transform of the tapered sweep sum_n s_n λ_f/(4π r1 r2)
-    exp(-j2π f τ_n) jones_n, τ_n relative to (d_tx + d_rx)/c; the ramps come
-    from phase_ramps with exp(-j2π f_lo τ_n) folded into the weights. Points
-    go in fixed blocks keeping one (block x N x n_freq) slab within
-    _SLAB_ELEMENTS; threads only spreads the blocks over a pool.
+    u_tx (I, 3) and u_rx (J, 3) are unit vectors to antennas at radii d_tx
+    and d_rx; jones is one (N, ...) value per scatterer. Returns
+    (I, J, n_freq, ...): the fftshifted inverse transform of the tapered
+    sweep sum_n s_n λ_f/(4π r1 r2) exp(-j2π f τ_n) jones_n, where
+    τ_n = τ1 + τ2, τ1 = (r1 - d_tx)/c and τ2 = (r2 - d_rx)/c, is relative to
+    the target-centre delay. The ramps come from phase_ramps with
+    exp(-j2π f_lo τ) folded into the weights.
+
+    Each hop depends on one direction only, so the sweep is a product over
+    scatterers: sweep[i, j, f] = sum_n A[i, n, f] jones_n B[j, n, f], with
+    A = s_n exp(-j2π f τ1)/(4π r1) and B = exp(-j2π f τ2)/r2. The ramps of
+    I + J directions replace those of I·J pairs. Rx directions go in blocks
+    whose ramps are built once; for each, the Tx directions go in blocks
+    whose ramps are folded with the Jones columns and the λ_f taper scale,
+    and each pair of blocks is one stacked matrix product per frequency,
+    (I_b·C x N) @ (N x J_b). threads spreads the Rx blocks over a pool;
+    each writes its own slice, so the result does not depend on it.
+
+    With one Tx direction and one Jones column (a flyover) no ramp is
+    shared, so the ramps of the combined delay τ_n are weighted and summed
+    over scatterers, in Rx blocks on one thread. Blocks are sized so that
+    every temporary stays within _SLAB_ELEMENTS complex entries.
     """
-    u_tx, u_rx = np.broadcast_arrays(u_tx, u_rx)
-    n_points, n_scat, n_freq = len(u_tx), len(states), band.n_points
+    n_tx, n_rx, n_scat, n_freq = len(u_tx), len(u_rx), len(states), band.n_points
     cols = jones.reshape(n_scat, -1)
-    out = np.empty((n_points, n_freq, cols.shape[1]), dtype=complex)
+    n_cols = cols.shape[1]
+    out = np.empty((n_tx, n_rx, n_freq, n_cols), dtype=complex)
     taper = named_window(sweep_window, n_freq, sym=True)
-    scale = (C0 / band.frequencies() * taper / taper.mean())[:, None]   # λ_f times a unit-gain taper
-    block = max(1, _SLAB_ELEMENTS // (n_scat * n_freq))
+    scale = C0 / band.frequencies() * taper / taper.mean()   # λ_f times a unit-gain taper
+
+    def ramps(r, d, weights):
+        """(n, N, n_freq) ramps of the delays (r - d)/c, times the weights."""
+        tau = (r - d) / C0
+        z = phase_ramps(tau, band.delta_f, n_freq)
+        z *= (weights * np.exp(-2j * np.pi * band.f_lo * tau))[..., None]
+        return z
+
+    def hop_ramps(u, d, gains):
+        """Ramps of the hop between the scatterers and antennas at d·u (n, 3), weighted gains/r."""
+        r, _ = two_hop(states.positions, d * u[:, None], d * u[:, None])   # coincidence-checked
+        return ramps(r, d, gains / r)
+
+    def profiles(sweep):
+        """Centred delay profiles of scaled sweeps whose first axis is frequency; reuses sweep."""
+        return np.fft.fftshift(np.fft.ifft(sweep, axis=0, out=sweep), axes=0)
+
+    if n_tx == 1 and n_cols == 1:
+        block = max(1, _SLAB_ELEMENTS // (n_scat * n_freq))
+        for start in range(0, n_rx, block):
+            at = slice(start, start + block)
+            r1, r2 = two_hop(states.positions, d_tx * u_tx, d_rx * u_rx[at, None])
+            weights = states.amplitudes * cols[:, 0] / (FOUR_PI * r1 * r2)
+            sweep = ramps(r1 + r2, d_tx + d_rx, weights).sum(axis=1)
+            out[0, at, :, 0] = profiles(sweep.T * scale[:, None]).T
+        return out.reshape(n_tx, n_rx, n_freq, *jones.shape[1:])
+
+    tx_block = max(1, min(n_tx, _SLAB_ELEMENTS // (n_cols * n_scat * n_freq)))
+    rx_block = max(1, min(_SLAB_ELEMENTS // (n_scat * n_freq),
+                          _SLAB_ELEMENTS // (tx_block * n_cols * n_freq)))
+    amps = states.amplitudes / FOUR_PI
+    scaled_cols = scale[:, None, None, None] * cols.T          # (n_freq, 1, C, N)
 
     def evaluate(start: int) -> None:
-        at = slice(start, start + block)
-        r1, r2 = two_hop(states.positions, d_tx * u_tx[at, None], d_rx * u_rx[at, None])
-        tau = (r1 + r2 - (d_tx + d_rx)) / C0
-        ramps = phase_ramps(tau, band.delta_f, n_freq)
-        weights = states.amplitudes / (FOUR_PI * r1 * r2) * np.exp(-2j * np.pi * band.f_lo * tau)
-        if cols.shape[1] == 1:  # a one-column matmul would go to threaded BLAS gemv
-            ramps *= (weights * cols[:, 0])[..., None]
-            sweep = ramps.sum(axis=1)[..., None]
-        else:
-            ramps *= weights[..., None]
-            sweep = np.swapaxes(ramps, 1, 2) @ cols
-        out[at] = np.fft.fftshift(np.fft.ifft(sweep * scale, axis=1), axes=1)
+        rj = slice(start, start + rx_block)
+        rx = np.ascontiguousarray(hop_ramps(u_rx[rj], d_rx, 1.0).transpose(2, 1, 0))   # (n_freq, N, J_b)
+        fold = np.empty((n_freq, tx_block, n_cols, n_scat), dtype=complex)
+        for i in range(0, n_tx, tx_block):
+            ti = slice(i, i + tx_block)
+            a = fold[:, :len(u_tx[ti])]                                # (n_freq, I_b, C, N)
+            tx = hop_ramps(u_tx[ti], d_tx, amps).transpose(2, 0, 1)
+            np.multiply(tx[:, :, None, :], scaled_cols, out=a)
+            del tx                                                     # one Tx slab at a time
+            sweep = a.reshape(n_freq, -1, n_scat) @ rx                 # (n_freq, I_b·C, J_b)
+            out[ti, rj] = profiles(sweep).reshape(a.shape[:3] + (-1,)).transpose(1, 3, 0, 2)
 
-    _map_in_order(evaluate, range(0, n_points, block), threads)
-    return out.reshape(n_points, n_freq, *jones.shape[1:])
+    _map_in_order(evaluate, range(0, n_rx, rx_block), threads)
+    return out.reshape(n_tx, n_rx, n_freq, *jones.shape[1:])
 
 
 def _directions(az_deg, el_deg) -> np.ndarray:
@@ -414,9 +459,12 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     arrays of degrees. Antennas are placed at radii d_tx / d_rx in each
     direction pair, a frequency sweep is synthesized over the band, and the
     delay profile is obtained by inverse transform (fftshift-centered on the
-    target-center delay). The grid is flattened and evaluated in fixed blocks
-    of points (see _scan_profiles); with threads > 1 the blocks run on a
-    thread pool, and the result does not depend on the worker count.
+    target-center delay). The grid is the product of its az_tx x el_tx Tx
+    directions and az_rx x el_rx Rx directions, and _scan_profiles evaluates
+    it as such: one-hop ramps per direction, one matrix product per
+    frequency for each pair of Tx and Rx blocks. With threads > 1 the Rx
+    blocks run on a thread pool; the result does not depend on the worker
+    count.
     """
     states = _scan_states(target, t, d_tx, d_rx)
     axes = []
@@ -427,8 +475,7 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     az_tx, el_tx, az_rx, el_rx = axes
     u_tx = _directions(az_tx[:, None], el_tx).reshape(-1, 3)
     u_rx = _directions(az_rx[:, None], el_rx).reshape(-1, 3)
-    profiles = _scan_profiles(states, states.jones, np.repeat(u_tx, len(u_rx), axis=0),
-                              np.tile(u_rx, (len(u_tx), 1)), d_tx, d_rx, band, sweep_window, threads)
+    profiles = _scan_profiles(states, states.jones, u_tx, u_rx, d_tx, d_rx, band, sweep_window, threads)
     data = profiles.reshape(len(az_tx), len(el_tx), len(az_rx), len(el_rx), band.n_points, 2, 2)
     return ReflectivityTensor(
         az_tx, el_tx, az_rx, el_rx, band.delay_axis(), data, d_tx, d_rx, band
@@ -450,17 +497,17 @@ class FlyoverMap:
 def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, float],
                  d_tx: float, d_rx: float, band: FrequencyBand,
                  elevation_deg: float = 0.0, t: float = 0.0,
-                 sweep_window: str = "none",
-                 threads: int = 1) -> FlyoverMap:
+                 sweep_window: str = "none") -> FlyoverMap:
     """Emulate a flyover: one antenna fixed, the other swept in azimuth.
 
     The swept angle is the bistatic separation relative to the fixed
     antenna, running e.g. 10..180 degrees from quasi-monostatic to forward
     scattering, with at most MAX_AXIS_POINTS angles. Both antennas sit at
     elevation_deg (default 0) and the H-H polarization is extracted, so the
-    output is directly comparable to gantry measurement maps. All swept
-    angles go through one blocked evaluation against the fixed Tx direction
-    (see _scan_profiles); the result does not depend on threads.
+    output is directly comparable to gantry measurement maps. The one fixed
+    Tx direction shares no ramp with another, so _scan_profiles sums the
+    ramps of each scatterer's combined two-hop delay over the scatterers,
+    in fixed blocks of swept angles on one thread.
     """
     start, stop, step = sweep
     if step <= 0 or stop <= start:
@@ -471,11 +518,10 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
     angles = start + step * np.arange(n)
     angles = angles[angles <= stop + 1e-9]
     states = _scan_states(target, t, d_tx, d_rx)
-    u_tx = direction_from_angles(fixed_angle_deg, elevation_deg)
+    u_tx = direction_from_angles(fixed_angle_deg, elevation_deg)[None]
     u_rx = _directions(fixed_angle_deg + angles, elevation_deg)
-    data = _scan_profiles(states, states.jones[:, 0, 0], u_tx, u_rx, d_tx, d_rx, band,
-                          sweep_window, threads)
-    return FlyoverMap(angles, band.delay_axis(), data, d_tx, d_rx, band)
+    data = _scan_profiles(states, states.jones[:, 0, 0], u_tx, u_rx, d_tx, d_rx, band, sweep_window)
+    return FlyoverMap(angles, band.delay_axis(), data[0], d_tx, d_rx, band)
 
 
 # ---------------------------------------------------------------------------

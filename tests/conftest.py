@@ -1,6 +1,10 @@
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 FULL_SCENE = """
 mode: geometric
@@ -111,3 +115,13 @@ def rotor_config(tmp_path):
     path = tmp_path / "rotor.yaml"
     path.write_text(textwrap.dedent(ROTOR_SCENE))
     return path
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """The benchmark's workloads module: seeded inputs and its own output checks."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    return workloads

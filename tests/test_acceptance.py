@@ -411,7 +411,7 @@ def test_criterion_8_time_reversal_focusing():
         gain = focusing_gain(cfr)
         gain_ok = abs(gain - 8.0) / 8.0 <= 1e-6
         comp = doppler_precompensate(PathTable(bins / (k * delta_f), gains, dopplers))
-        comp_ok = comp.spread_after_hz == 0.0 and comp.spread_before_hz > 0
+        comp_ok = comp.spread_after_hz <= 1e-9 and comp.spread_before_hz > 0
     report(
         8,
         gain_ok and comp_ok and t.ok(),

@@ -7,11 +7,10 @@ any other test, so install and uninstall it here.
 """
 
 import sys
-from pathlib import Path
+
+from conftest import BENCH
 
 from bisim import pipeline, scene
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_tracer_installs_and_restores_bisim_functions(monkeypatch):

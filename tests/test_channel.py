@@ -41,6 +41,14 @@ class TestWaveformConfig:
         w = WaveformConfig(3.7e9, 160e6, 1280, 2500)
         assert w.duration == pytest.approx(0.02, rel=1e-12)
 
+    def test_subcarrier_axis_labels_the_synthesized_frequencies(self):
+        w = WaveformConfig(3.7e9, 40e6, 128, 4)
+        tau = 3.3 / w.bandwidth   # off the delay grid
+        # a unit-magnitude path carries its carrier phase exp(-j2π f_c τ) in its gain
+        cube = synth_cfr(PathTable([tau], [np.exp(-2j * np.pi * w.f_c * tau)]), w)
+        expected = np.exp(-2j * np.pi * w.subcarrier_frequencies() * tau)
+        assert np.max(np.abs(cube.data - expected)) <= 1e-12
+
 
 class TestPathTable:
     def test_negative_delay_rejected(self):

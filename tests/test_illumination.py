@@ -8,6 +8,7 @@ from bisim.errors import ConfigError
 from bisim.illumination import (
     doppler_precompensate,
     focusing_gain,
+    residual_spread,
     time_reversal_prefilter,
 )
 from bisim.processing import delay_doppler_map
@@ -117,7 +118,22 @@ class TestDopplerPrecompensate:
         after = np.sum(np.abs(out.paths.gain) ** 2)
         assert after == pytest.approx(before, rel=1e-12)
         assert out.spread_after_hz <= out.spread_before_hz
-        assert out.spread_after_hz == 0.0
+        assert out.spread_after_hz <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_after_spread_is_the_residual_of_the_offsets(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        paths = PathTable(rng.uniform(0, 1e-6, n), rng.normal(size=n) + 1j * rng.normal(size=n),
+                          rng.uniform(-5e3, 5e3, n))
+        out = doppler_precompensate(paths)
+        assert out.spread_before_hz > 1.0
+        assert out.spread_after_hz <= 1e-9
+        assert out.spread_after_hz == residual_spread(paths, out.offsets_hz)
+        wrong = out.offsets_hz.copy()
+        wrong[0] += 1.0
+        assert residual_spread(paths, wrong) > 1e-3
+        assert residual_spread(paths, -out.offsets_hz) > out.spread_before_hz
 
     def test_compensated_table_keeps_delays_and_gains(self):
         paths = PathTable([0.0, 2e-7, 5e-7], [1.0 + 0j, 0.3 - 0.4j, 0.2j], [120.0, -340.0, 75.0])

@@ -410,14 +410,22 @@ def rotor_samples(rotor, t):
     return np.array(pos)
 
 
-def spans_partial_blocks(n_points, n_scat, n_freq):
-    block = _SLAB_ELEMENTS // (n_scat * n_freq)
-    return n_points > block and n_points % block != 0
+def scan_blocks(n_tx, n_scat, n_freq, n_cols=4):
+    """(Tx, Rx) block sizes of a reflectivity scan: Tx ramps folded with the
+    Jones columns, Rx ramps, and the per-frequency product each fill at most
+    one slab."""
+    tx = max(1, min(n_tx, _SLAB_ELEMENTS // (n_cols * n_scat * n_freq)))
+    rx = max(1, min(_SLAB_ELEMENTS // (n_scat * n_freq), _SLAB_ELEMENTS // (tx * n_cols * n_freq)))
+    return tx, rx
+
+
+def spans_partial_blocks(n, block):
+    return n > block and n % block != 0
 
 
 class TestBlockedScan:
     def test_reflectivity_matches_per_point_oracle(self):
-        cloud, offsets, amps, jones = jones_cloud()
+        cloud, offsets, amps, jones = jones_cloud(n=12)
         rotor = Rotor(vec3(0.1, -0.05, 0.02), np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0),
                       blade_radius=0.3, rate=40.0, n_blades=2, samples_per_blade=16,
                       sample_amplitude=0.01 + 0.004j, phase0=0.3)
@@ -430,11 +438,12 @@ class TestBlockedScan:
              np.broadcast_to(np.eye(2), (32, 2, 2)), "none",
              small_grid([0, 70, 140, 210, 280], [0, 25], np.arange(13) * 27.0, [-5, 12])),
         ]
-        band = FrequencyBand(3e9, 5e9, 32)
+        band = FrequencyBand(3e9, 5e9, 128)
         d_tx, d_rx = 6.0, 9.0
         for target, pos, s, j, window, grid in cases:
-            n_points = np.prod([len(grid[k]) for k in ("az_tx", "el_tx", "az_rx", "el_rx")])
-            assert spans_partial_blocks(n_points, len(s), band.n_points)
+            n_tx, n_rx = len(grid["az_tx"]) * len(grid["el_tx"]), len(grid["az_rx"]) * len(grid["el_rx"])
+            tx_block, rx_block = scan_blocks(n_tx, len(s), band.n_points)
+            assert spans_partial_blocks(n_tx, tx_block) and spans_partial_blocks(n_rx, rx_block)
             tensor = reflectivity_scan(target, grid, d_tx, d_rx, band, t=t, sweep_window=window)
             taper = get_window(window, band.n_points, fftbins=False) if window != "none" \
                 else np.ones(band.n_points)
@@ -451,7 +460,7 @@ class TestBlockedScan:
         band = FrequencyBand(2e9, 18e9, 512)
         fly = flyover_scan(cloud, 20.0, (10, 178, 3), 6.0, 9.0, band, elevation_deg=7.0,
                            sweep_window="hann")
-        assert spans_partial_blocks(len(fly.angles_deg), len(amps), band.n_points)
+        assert spans_partial_blocks(len(fly.angles_deg), _SLAB_ELEMENTS // (len(amps) * band.n_points))
         taper = get_window("hann", band.n_points, fftbins=False)
         oracle = np.array([
             oracle_profile(offsets, amps, jones, direction(20.0, 7.0), direction(20.0 + a, 7.0),
@@ -487,11 +496,25 @@ class TestBlockedScan:
         assert peak < tensor.data.nbytes + 32e6
         assert np.all(np.isfinite(tensor.data)) and np.any(tensor.data != 0)
 
+    def test_benchmark_car_scan_transient_stays_small(self, bench_workloads):
+        cfg = parse_config(bench_workloads.make_inputs("angle_sweeps", 1)[0])
+        job = cfg.reflectivity
+        target = cfg.scene.target(job.target)
+        tracemalloc.start()
+        try:
+            tensor = reflectivity_scan(target, job.grid, job.d_tx, job.d_rx, job.band,
+                                       sweep_window=job.sweep_window)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tensor.data.nbytes > 28e6
+        assert peak - tensor.data.nbytes <= 4e6
+
     def test_reflectivity_archive_same_for_any_thread_count(self, tmp_path):
         doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
-        doc["reflectivity"].update(az_rx={"start": 0, "stop": 350, "n": 36}, el_rx=[0, 10, 20],
+        doc["reflectivity"].update(az_rx={"start": 0, "stop": 350, "n": 35}, el_rx=[0, 10, 20],
                                    band={"f_lo": 3.6e9, "f_hi": 3.8e9, "n_points": 2048})
-        assert spans_partial_blocks(2 * 36 * 3, 1, 2048)
+        assert spans_partial_blocks(35 * 3, scan_blocks(2, 1, 2048)[1])   # 27 Rx blocks to spread
         blobs = []
         for threads in (1, 4):
             run("reflectivity", parse_config(doc), out_dir=tmp_path / f"t{threads}", threads=threads)
