@@ -13,9 +13,11 @@ synthesis modes:
 Both modes build the ramps exp(-j2πkΔf τ) by a phasor recurrence (see
 phase_ramps): z = exp(-j2πΔf τ) once per path, and per symbol in geometric
 mode, then z^k by a cumulative product over subcarriers. Geometric mode
-reduces each block's ramps with its gains; one (block x P x K) complex slab
-is live at a time, and the block size keeps it at about 1 MiB whatever the
-capture size.
+runs on path_rows, the one blocked path-sum kernel, which the flyover scan
+of targets.py shares: it reduces each block's ramps with its weights, and
+one (block x P x K) complex slab is live at a time, about 1 MiB whatever
+the capture size. Fixed mode builds one ramp set for all symbols and stays
+one einsum product.
 
 Fractional delays are exact frequency-domain phase ramps; the carrier phase
 of a path lives in its complex gain, keeping delay-bin positions baseband
@@ -34,6 +36,13 @@ import numpy as np
 from .errors import ConfigError, UsageError
 
 _ORTHO_RTOL = 1e-12
+MAX_ENTRIES = 1 << 28  # largest capture, reflectivity tensor or flyover map: complex entries, 4 GiB
+
+
+def check_entries(entries: int, what: str) -> None:
+    """ConfigError naming `what` if an output of that many complex entries exceeds MAX_ENTRIES."""
+    if entries > MAX_ENTRIES:
+        raise ConfigError(f"{what}: {entries} complex entries, more than the {MAX_ENTRIES} allowed")
 
 
 @dataclass(eq=False)
@@ -55,6 +64,7 @@ class WaveformConfig:
             raise ConfigError("carrier and bandwidth must be positive")
         if self.n_subcarriers < 1 or self.n_symbols < 1:
             raise ConfigError("need at least one subcarrier and one symbol")
+        check_entries(self.n_symbols * self.n_subcarriers, "capture of n_symbols x n_subcarriers")
         if self.t_sym is None:
             self.t_sym = 1.0 / self.delta_f
         elif not math.isclose(self.t_sym * self.delta_f, 1.0, rel_tol=_ORTHO_RTOL):
@@ -167,6 +177,29 @@ def phase_ramps(delay, delta_f: float, n_subcarriers: int) -> np.ndarray:
     return np.cumprod(ramps, axis=-1, out=ramps)
 
 
+def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n: int,
+              f0: float = 0.0) -> np.ndarray:
+    """Rows of path sums sum_p w_p exp(-j2π(f0 + kΔf)τ_p), k = 0..n-1 -> (n_rows, n).
+
+    paths_of(rows) gives the (delay, weight) arrays, each (b, P), of the b
+    consecutive rows of a slice. The first block is one row; later blocks
+    hold as many rows as keep one (b x P x n) phase_ramps slab within
+    _SLAB_ELEMENTS, or one row if P*n alone exceeds it. exp(-j2π f0 τ) is
+    folded into the weights when f0 is not 0. The reduction is an einsum,
+    not `@`: threaded zgemm spins its helper threads on every block.
+    """
+    out = np.empty((n_rows, n), dtype=complex)
+    start, block = 0, 1
+    while start < n_rows:
+        delay, weight = paths_of(slice(start, min(start + block, n_rows)))
+        if f0:
+            weight = weight * np.exp(-2j * np.pi * f0 * delay)
+        out[start:start + block] = np.einsum("mp,mpk->mk", weight, phase_ramps(delay, delta_f, n))
+        start += block
+        block = max(1, _SLAB_ELEMENTS // max(1, delay.shape[-1] * n))
+    return out
+
+
 def synth_cfr(
     paths: PathTable | Callable[[np.ndarray], PathTable],
     waveform: WaveformConfig,
@@ -179,9 +212,8 @@ def synth_cfr(
     array sets each path's per-symbol phasor, and doppler=None means static
     paths. geometric mode takes a block callback: an array of consecutive
     symbol times t0 + m*T_sym in, a PathTable with delay and gain of shape
-    (len(times), P) out. The first call gets one symbol; later blocks hold
-    as many symbols as keep one (block x P x K) recurrence slab within 2^16
-    complex entries (1 MiB), or one symbol if P*K alone exceeds that.
+    (len(times), P) out, called on the symbol blocks of path_rows. Fixed
+    mode stays one einsum: zgemm measured faster but spins BLAS threads.
     Superposition is exactly linear in the path set.
     """
     w = waveform
@@ -196,15 +228,12 @@ def synth_cfr(
     elif mode == "geometric":
         if not callable(paths):
             raise UsageError("geometric mode needs a block callback times -> PathTable")
-        data = np.empty((w.n_symbols, w.n_subcarriers), dtype=complex)
         times = t0 + np.arange(w.n_symbols) * w.t_sym
-        start, block = 0, 1
-        while start < w.n_symbols:
-            table = paths(times[start:start + block])
-            ramps = phase_ramps(table.delay, w.delta_f, w.n_subcarriers)
-            data[start:start + block] = np.einsum("mp,mpk->mk", table.gain, ramps)
-            start += block
-            block = max(1, _SLAB_ELEMENTS // max(1, len(table) * w.n_subcarriers))
+
+        def block(at: slice):
+            table = paths(times[at])
+            return table.delay, table.gain
+        data = path_rows(block, w.n_symbols, w.delta_f, w.n_subcarriers)
     else:
         raise UsageError(f"unknown synthesis mode {mode!r}")
     return SlowTimeCube(data, w, t0)

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import _SLAB_ELEMENTS, PathTable, named_window, phase_ramps
+from .channel import _SLAB_ELEMENTS, PathTable, check_entries, named_window, path_rows, phase_ramps
 from .errors import ConfigError
 from .geometry import C0, NodePose, NodeTrack, Trajectory, as_vec3, direction_from_angles, track_at, two_hop, unit
 from .geometry import bistatic_doppler  # noqa: F401  unused; bench/tracing.py counts calls made through it
@@ -286,7 +286,7 @@ class FrequencyBand:
 
     def delay_axis(self) -> np.ndarray:
         """Centered delay axis of the de-embedded profile (s, around 0)."""
-        return np.fft.fftshift(np.fft.fftfreq(self.n_points, self.delta_f))
+        return (np.arange(self.n_points) - self.n_points // 2) * (1.0 / (self.n_points * self.delta_f))
 
 
 @dataclass(eq=False)
@@ -319,9 +319,6 @@ class ReflectivityTensor:
             raise ConfigError(
                 f"tensor shape {self.data.shape} inconsistent with axes {expected}"
             )
-        for ax in (self.az_tx_deg, self.el_tx_deg, self.az_rx_deg, self.el_rx_deg):
-            if len(ax) > 1 and not np.all(np.diff(ax) > 0):
-                raise ConfigError("angle grids must be strictly increasing")
 
 
 def _body_states(target, t: float = 0.0) -> ScattererStates:
@@ -360,93 +357,18 @@ def _map_in_order(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _scan_profiles(states: ScattererStates, jones: np.ndarray, u_tx: np.ndarray, u_rx: np.ndarray,
-                   d_tx: float, d_rx: float, band: FrequencyBand, sweep_window: str,
-                   threads: int = 1) -> np.ndarray:
-    """Delay profiles of a scan target for every pair of I Tx and J Rx directions.
-
-    u_tx (I, 3) and u_rx (J, 3) are unit vectors to antennas at radii d_tx
-    and d_rx; jones is one (N, ...) value per scatterer. Returns
-    (I, J, n_freq, ...): the fftshifted inverse transform of the tapered
-    sweep sum_n s_n λ_f/(4π r1 r2) exp(-j2π f τ_n) jones_n, where
-    τ_n = τ1 + τ2, τ1 = (r1 - d_tx)/c and τ2 = (r2 - d_rx)/c, is relative to
-    the target-centre delay. The ramps come from phase_ramps with
-    exp(-j2π f_lo τ) folded into the weights.
-
-    Each hop depends on one direction only, so the sweep is a product over
-    scatterers: sweep[i, j, f] = sum_n A[i, n, f] jones_n B[j, n, f], with
-    A = s_n exp(-j2π f τ1)/(4π r1) and B = exp(-j2π f τ2)/r2. The ramps of
-    I + J directions replace those of I·J pairs. Rx directions go in blocks
-    whose ramps are built once; for each, the Tx directions go in blocks
-    whose ramps are folded with the Jones columns and the λ_f taper scale,
-    and each pair of blocks is one stacked matrix product per frequency,
-    (I_b·C x N) @ (N x J_b). threads spreads the Rx blocks over a pool;
-    each writes its own slice, so the result does not depend on it.
-
-    With one Tx direction and one Jones column (a flyover) no ramp is
-    shared, so the ramps of the combined delay τ_n are weighted and summed
-    over scatterers, in Rx blocks on one thread. Blocks are sized so that
-    every temporary stays within _SLAB_ELEMENTS complex entries.
-    """
-    n_tx, n_rx, n_scat, n_freq = len(u_tx), len(u_rx), len(states), band.n_points
-    cols = jones.reshape(n_scat, -1)
-    n_cols = cols.shape[1]
-    out = np.empty((n_tx, n_rx, n_freq, n_cols), dtype=complex)
-    taper = named_window(sweep_window, n_freq, sym=True)
-    scale = C0 / band.frequencies() * taper / taper.mean()   # λ_f times a unit-gain taper
-
-    def ramps(r, d, weights):
-        """(n, N, n_freq) ramps of the delays (r - d)/c, times the weights."""
-        tau = (r - d) / C0
-        z = phase_ramps(tau, band.delta_f, n_freq)
-        z *= (weights * np.exp(-2j * np.pi * band.f_lo * tau))[..., None]
-        return z
-
-    def hop_ramps(u, d, gains):
-        """Ramps of the hop between the scatterers and antennas at d·u (n, 3), weighted gains/r."""
-        r, _ = two_hop(states.positions, d * u[:, None], d * u[:, None])   # coincidence-checked
-        return ramps(r, d, gains / r)
-
-    def profiles(sweep):
-        """Centred delay profiles of scaled sweeps whose first axis is frequency; reuses sweep."""
-        return np.fft.fftshift(np.fft.ifft(sweep, axis=0, out=sweep), axes=0)
-
-    if n_tx == 1 and n_cols == 1:
-        block = max(1, _SLAB_ELEMENTS // (n_scat * n_freq))
-        for start in range(0, n_rx, block):
-            at = slice(start, start + block)
-            r1, r2 = two_hop(states.positions, d_tx * u_tx, d_rx * u_rx[at, None])
-            weights = states.amplitudes * cols[:, 0] / (FOUR_PI * r1 * r2)
-            sweep = ramps(r1 + r2, d_tx + d_rx, weights).sum(axis=1)
-            out[0, at, :, 0] = profiles(sweep.T * scale[:, None]).T
-        return out.reshape(n_tx, n_rx, n_freq, *jones.shape[1:])
-
-    tx_block = max(1, min(n_tx, _SLAB_ELEMENTS // (n_cols * n_scat * n_freq)))
-    rx_block = max(1, min(_SLAB_ELEMENTS // (n_scat * n_freq),
-                          _SLAB_ELEMENTS // (tx_block * n_cols * n_freq)))
-    amps = states.amplitudes / FOUR_PI
-    scaled_cols = scale[:, None, None, None] * cols.T          # (n_freq, 1, C, N)
-
-    def evaluate(start: int) -> None:
-        rj = slice(start, start + rx_block)
-        rx = np.ascontiguousarray(hop_ramps(u_rx[rj], d_rx, 1.0).transpose(2, 1, 0))   # (n_freq, N, J_b)
-        fold = np.empty((n_freq, tx_block, n_cols, n_scat), dtype=complex)
-        for i in range(0, n_tx, tx_block):
-            ti = slice(i, i + tx_block)
-            a = fold[:, :len(u_tx[ti])]                                # (n_freq, I_b, C, N)
-            tx = hop_ramps(u_tx[ti], d_tx, amps).transpose(2, 0, 1)
-            np.multiply(tx[:, :, None, :], scaled_cols, out=a)
-            del tx                                                     # one Tx slab at a time
-            sweep = a.reshape(n_freq, -1, n_scat) @ rx                 # (n_freq, I_b·C, J_b)
-            out[ti, rj] = profiles(sweep).reshape(a.shape[:3] + (-1,)).transpose(1, 3, 0, 2)
-
-    _map_in_order(evaluate, range(0, n_rx, rx_block), threads)
-    return out.reshape(n_tx, n_rx, n_freq, *jones.shape[1:])
-
-
 def _directions(az_deg, el_deg) -> np.ndarray:
     """Unit vectors (..., 3) of azimuth/elevation arrays broadcast to one shape (...)."""
     return np.moveaxis(direction_from_angles(*np.broadcast_arrays(az_deg, el_deg)), 0, -1)
+
+
+def _sweep_scale(band: FrequencyBand, sweep_window: str) -> np.ndarray:
+    """Per-frequency factor of a scan sweep: λ_f times a unit-mean taper, times
+    exp(-j2πk⌊n/2⌋/n), which centres the inverse transform on zero delay (the fftshift)."""
+    n = band.n_points
+    taper = named_window(sweep_window, n, sym=True)
+    shift = np.exp(-2j * np.pi * (np.arange(n) * (n // 2) % n) / n)
+    return C0 / band.frequencies() * taper / taper.mean() * shift
 
 
 def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
@@ -456,30 +378,69 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     """Full 4-D angular scan of a solitaire target's bistatic reflectivity.
 
     grid maps the four angle axes ("az_tx", "el_tx", "az_rx", "el_rx") to
-    arrays of degrees. Antennas are placed at radii d_tx / d_rx in each
-    direction pair, a frequency sweep is synthesized over the band, and the
-    delay profile is obtained by inverse transform (fftshift-centered on the
-    target-center delay). The grid is the product of its az_tx x el_tx Tx
-    directions and az_rx x el_rx Rx directions, and _scan_profiles evaluates
-    it as such: one-hop ramps per direction, one matrix product per
-    frequency for each pair of Tx and Rx blocks. With threads > 1 the Rx
-    blocks run on a thread pool; the result does not depend on the worker
-    count.
+    strictly increasing arrays of degrees. Antennas sit at radii d_tx / d_rx
+    in each direction pair; the sweep over the band is the tapered
+    sum_n s_n λ_f/(4π r1 r2) exp(-j2π f (τ1 + τ2)) jones_n, τ1 = (r1 - d_tx)/c,
+    τ2 = (r2 - d_rx)/c, and its inverse transform, centred on the
+    target-center delay, is the delay profile.
+
+    Each hop depends on one direction only, so the grid is evaluated as the
+    product of its az_tx x el_tx Tx and az_rx x el_rx Rx directions:
+    sweep[i, j, f] = sum_n A[i, n, f] jones_n B[j, n, f], A = s_n
+    exp(-j2π f τ1)/(4π r1) and B = exp(-j2π f τ2)/r2 from phase_ramps.
+    Rx blocks build their ramps once; Tx blocks fold theirs with the Jones
+    columns and the per-frequency factor, and each pair of blocks is one
+    stacked product per frequency, (I_b·4 x N) @ (N x J_b), inverse-
+    transformed in place. Every temporary stays within _SLAB_ELEMENTS
+    complex entries. threads spreads the Rx blocks over a pool; each writes
+    its own slice, so the result does not depend on it.
     """
-    states = _scan_states(target, t, d_tx, d_rx)
     axes = []
     for key in ("az_tx", "el_tx", "az_rx", "el_rx"):
         if key not in grid or len(np.atleast_1d(grid[key])) == 0:
             raise ConfigError(f"angle grid {key!r} is missing or empty")
         axes.append(np.atleast_1d(np.asarray(grid[key], dtype=float)))
+        if not np.all(np.diff(axes[-1]) > 0):
+            raise ConfigError(f"angle grid {key!r} must be strictly increasing")
+    check_entries(math.prod(map(len, axes)) * band.n_points * 4,
+                  "reflectivity tensor of az_tx x el_tx x az_rx x el_rx x band.n_points x 2 x 2")
+    states = _scan_states(target, t, d_tx, d_rx)
     az_tx, el_tx, az_rx, el_rx = axes
     u_tx = _directions(az_tx[:, None], el_tx).reshape(-1, 3)
     u_rx = _directions(az_rx[:, None], el_rx).reshape(-1, 3)
-    profiles = _scan_profiles(states, states.jones, u_tx, u_rx, d_tx, d_rx, band, sweep_window, threads)
-    data = profiles.reshape(len(az_tx), len(el_tx), len(az_rx), len(el_rx), band.n_points, 2, 2)
-    return ReflectivityTensor(
-        az_tx, el_tx, az_rx, el_rx, band.delay_axis(), data, d_tx, d_rx, band
-    )
+    n_tx, n_rx, n_scat, n_freq = len(u_tx), len(u_rx), len(states), band.n_points
+    out = np.empty((n_tx, n_rx, n_freq, 4), dtype=complex)
+    tx_block = max(1, min(n_tx, _SLAB_ELEMENTS // (4 * n_scat * n_freq)))
+    rx_block = max(1, min(_SLAB_ELEMENTS // (n_scat * n_freq), _SLAB_ELEMENTS // (tx_block * 4 * n_freq)))
+    amps = states.amplitudes / FOUR_PI
+    cols = _sweep_scale(band, sweep_window)[:, None, None, None] * states.jones.reshape(n_scat, 4).T
+
+    def hop_ramps(u, d, gains):
+        """(n, N, n_freq) ramps of the delays (r - d)/c of the hops between the scatterers and
+        antennas at d·u (n, 3), weighted by gains/r and the f_lo phase."""
+        r, _ = two_hop(states.positions, d * u[:, None], d * u[:, None])   # coincidence-checked
+        tau = (r - d) / C0
+        z = phase_ramps(tau, band.delta_f, n_freq)
+        z *= (gains / r * np.exp(-2j * np.pi * band.f_lo * tau))[..., None]
+        return z
+
+    def evaluate(start: int) -> None:
+        rj = slice(start, start + rx_block)
+        rx = np.ascontiguousarray(hop_ramps(u_rx[rj], d_rx, 1.0).transpose(2, 1, 0))   # (n_freq, N, J_b)
+        fold = np.empty((n_freq, tx_block, 4, n_scat), dtype=complex)
+        for i in range(0, n_tx, tx_block):
+            ti = slice(i, i + tx_block)
+            a = fold[:, :len(u_tx[ti])]                                # (n_freq, I_b, 4, N)
+            tx = hop_ramps(u_tx[ti], d_tx, amps).transpose(2, 0, 1)
+            np.multiply(tx[:, :, None, :], cols, out=a)
+            del tx                                                     # one Tx slab at a time
+            sweep = a.reshape(n_freq, -1, n_scat) @ rx                 # (n_freq, I_b·4, J_b)
+            np.fft.ifft(sweep, axis=0, out=sweep)
+            out[ti, rj] = sweep.reshape(a.shape[:3] + (-1,)).transpose(1, 3, 0, 2)
+
+    _map_in_order(evaluate, range(0, n_rx, rx_block), threads)
+    data = out.reshape(len(az_tx), len(el_tx), len(az_rx), len(el_rx), n_freq, 2, 2)
+    return ReflectivityTensor(az_tx, el_tx, az_rx, el_rx, band.delay_axis(), data, d_tx, d_rx, band)
 
 
 @dataclass(eq=False)
@@ -504,10 +465,11 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
     antenna, running e.g. 10..180 degrees from quasi-monostatic to forward
     scattering, with at most MAX_AXIS_POINTS angles. Both antennas sit at
     elevation_deg (default 0) and the H-H polarization is extracted, so the
-    output is directly comparable to gantry measurement maps. The one fixed
-    Tx direction shares no ramp with another, so _scan_profiles sums the
-    ramps of each scatterer's combined two-hop delay over the scatterers,
-    in fixed blocks of swept angles on one thread.
+    output is directly comparable to gantry measurement maps. The fixed
+    Tx direction shares no ramp with another, so each swept angle is one
+    row of channel.path_rows, the kernel geometric synthesis runs on: the
+    delays (r1 + r2 - d_tx - d_rx)/c with weights s_n J_HH/(4π r1 r2) and
+    f0 = f_lo, times the per-frequency factor, inverse-transformed in place.
     """
     start, stop, step = sweep
     if step <= 0 or stop <= start:
@@ -515,13 +477,21 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
     n = int(round((stop - start) / step)) + 1 if stop - start < step * MAX_AXIS_POINTS else 0
     if not 1 <= n <= MAX_AXIS_POINTS:
         raise ConfigError(f"sweep ({start}, {stop}, {step}): expected 1 to {MAX_AXIS_POINTS} angles")
+    check_entries(n * band.n_points, "flyover map of swept angles x band.n_points")
     angles = start + step * np.arange(n)
     angles = angles[angles <= stop + 1e-9]
     states = _scan_states(target, t, d_tx, d_rx)
-    u_tx = direction_from_angles(fixed_angle_deg, elevation_deg)[None]
-    u_rx = _directions(fixed_angle_deg + angles, elevation_deg)
-    data = _scan_profiles(states, states.jones[:, 0, 0], u_tx, u_rx, d_tx, d_rx, band, sweep_window)
-    return FlyoverMap(angles, band.delay_axis(), data[0], d_tx, d_rx, band)
+    p_tx = d_tx * direction_from_angles(fixed_angle_deg, elevation_deg)
+    p_rx = d_rx * _directions(fixed_angle_deg + angles, elevation_deg)[:, None]
+    weights = states.amplitudes * states.jones[:, 0, 0] / FOUR_PI
+
+    def block(rows: slice):
+        r1, r2 = two_hop(states.positions, p_tx, p_rx[rows])   # coincidence-checked
+        return (r1 + r2 - (d_tx + d_rx)) / C0, weights / (r1 * r2)
+    data = path_rows(block, len(angles), band.delta_f, band.n_points, f0=band.f_lo)
+    data *= _sweep_scale(band, sweep_window)
+    np.fft.ifft(data, axis=1, out=data)
+    return FlyoverMap(angles, band.delay_axis(), data, d_tx, d_rx, band)
 
 
 # ---------------------------------------------------------------------------

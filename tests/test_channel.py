@@ -13,6 +13,7 @@ from bisim.channel import (
     cir_from_cfr,
     delay_axis,
     join_paths,
+    path_rows,
     phase_ramps,
     nyquist_check,
     synth_cfr,
@@ -201,6 +202,25 @@ class TestPhaseRamps:
         exact = np.array([[np.exp(-2j * np.pi * float(Fraction(df) * Fraction(tau) * k % 1))
                            for k in ks] for tau in delay])
         assert np.abs(ramps[:, ks] - exact).max() <= bound
+
+
+class TestPathRows:
+    def test_blocks_and_carrier_offset(self):
+        # P·n = 2100 entries per row: blocks of 1, then 31 rows, the last one partial
+        n_rows, n_paths, n, df, f0 = 40, 7, 300, 1e5, 3.5e9
+        rng = np.random.default_rng(3)
+        delay = rng.uniform(0.0, 1e-7, (n_rows, n_paths))
+        weight = rng.normal(size=(n_rows, n_paths)) + 1j * rng.normal(size=(n_rows, n_paths))
+        asked = []
+
+        def paths_of(rows):
+            asked.append((rows.start, rows.stop))
+            return delay[rows], weight[rows]
+        rows = path_rows(paths_of, n_rows, df, n, f0=f0)
+        assert asked == [(0, 1), (1, 32), (32, 40)]
+        freqs = f0 + df * np.arange(n)
+        direct = np.einsum("mp,mpk->mk", weight, np.exp(-2j * np.pi * freqs * delay[..., None]))
+        assert np.abs(rows - direct).max() <= 1e-11 * np.abs(direct).max()
 
 
 class TestAddNoise:

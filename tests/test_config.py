@@ -303,6 +303,25 @@ class TestStrictParsing:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # Each size is one numpy refuses (or cannot allocate), so a missing check fails fast.
+    @pytest.mark.parametrize("paths, value, sub, key", [
+        ([("waveform", "n_symbols")], 2**62, "simulate", "n_symbols"),
+        ([("reflectivity", axis) for axis in ("az_tx", "el_tx", "az_rx", "el_rx")],
+         {"start": 0, "stop": 359, "n": 1 << 20}, "reflectivity", "az_tx"),
+        ([("flyover", "band", "n_points")], 2**62, "flyover", "n_points"),
+    ], ids=["capture", "reflectivity-tensor", "flyover-map"])
+    def test_oversized_output_exits_2_naming_its_key(self, paths, value, sub, key, tmp_path, capsys,
+                                                     caplog):
+        doc = full_scene()
+        for path in paths:
+            at(doc, path[:-1])[path[-1]] = value
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert key in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_exactly_one_alternative(self):
         doc = full_scene()
         doc["budget"]["scattering_length"] = 0.1

@@ -10,8 +10,9 @@ from scipy.signal import get_window
 from bisim.channel import _SLAB_ELEMENTS, WaveformConfig, synth_cfr
 from bisim.config import parse_config
 from bisim.errors import ConfigError
-from bisim.geometry import C0, NodePose, Trajectory, direction_from_angles, vec3
+from bisim.geometry import C0, NodePose, Trajectory, direction_from_angles, pose_at, vec3
 from bisim.pipeline import run
+from bisim.scene import SceneConfig, SceneNode, link_callback
 from bisim.targets import (
     FOUR_PI,
     FrequencyBand,
@@ -329,6 +330,12 @@ class TestReflectivityScan:
         with pytest.raises(ConfigError):
             reflectivity_scan(centered_scatterer(), {"az_tx": []}, 8.0, 8.0, self.band)
 
+    def test_decreasing_axis_rejected_before_the_scan(self):
+        big = RigidTarget([PointScatterer([5.0, 0, 0], 0.05)], Trajectory.from_waypoints([(0.0, (0, 0, 0))]))
+        # antennas inside the target fail the scan set-up, so the axis check must come first
+        with pytest.raises(ConfigError, match="'az_rx' must be strictly increasing"):
+            reflectivity_scan(big, small_grid(0, 0, [90, 0], 0), 2.0, 2.0, self.band)
+
     def test_antenna_inside_target_rejected(self):
         big = RigidTarget(
             [PointScatterer([5.0, 0, 0], 0.05)],
@@ -510,6 +517,21 @@ class TestBlockedScan:
         assert tensor.data.nbytes > 28e6
         assert peak - tensor.data.nbytes <= 4e6
 
+    def test_benchmark_car_flyover_transient_stays_small(self, bench_workloads):
+        cfg = parse_config(bench_workloads.make_inputs("angle_sweeps", 1)[0])
+        job = cfg.flyover
+        target = cfg.scene.target(job.target)
+        tracemalloc.start()
+        try:
+            fly = flyover_scan(target, job.fixed_angle_deg, (job.start_deg, job.stop_deg, job.step_deg),
+                               job.d_tx, job.d_rx, job.band, elevation_deg=job.elevation_deg,
+                               sweep_window=job.sweep_window)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fly.data.nbytes > 5e6
+        assert peak - fly.data.nbytes <= 2e6
+
     def test_reflectivity_archive_same_for_any_thread_count(self, tmp_path):
         doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
         doc["reflectivity"].update(az_rx={"start": 0, "stop": 350, "n": 35}, el_rx=[0, 10, 20],
@@ -520,3 +542,55 @@ class TestBlockedScan:
             run("reflectivity", parse_config(doc), out_dir=tmp_path / f"t{threads}", threads=threads)
             blobs.append((tmp_path / f"t{threads}" / "reflectivity.bisim").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestSynthesisMatchesScan:
+    """Geometric synthesis and the reflectivity scan sum the same two-hop scatterer
+    responses. At symbol m, H[m, k] exp(+j2π f_k τ0) λ_k/λ_c, τ0 = (d_tx + d_rx)/c,
+    is the untapered scan sweep at that symbol's body-frame antenna directions and
+    radii, over the subcarrier frequencies f_k = f_c + kΔf."""
+
+    waveform = WaveformConfig(3.7e9, 40e6, 64, 96)
+    tx, rx = vec3(-4.0, 3.0, 1.0), vec3(3.0, 5.0, -0.5)
+
+    def target(self, kind):
+        if kind == "rotor":
+            return Rotor(vec3(0.1, -0.05, 0.02), np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0),
+                         blade_radius=0.3, rate=600.0, samples_per_blade=12,
+                         sample_amplitude=0.01 + 0.004j, phase0=0.3)
+        rng = np.random.default_rng(17)
+        offsets, amps = rng.uniform(-0.4, 0.4, (6, 3)), rng.normal(size=6) + 1j * rng.normal(size=6)
+        # the heading turns between symbols 37 and 95
+        track = [(0.0, (0, 0, 0)), (8e-5, (0.02, 0.01, 0)), (1e-3, (0.05, 0.3, 0.01))]
+        return RigidTarget([PointScatterer(o, a) for o, a in zip(offsets, amps)],
+                           Trajectory.from_waypoints(track), yaw="track")
+
+    def to_body(self, target, t, p):
+        """World point p in the scan frame of the target at time t."""
+        if isinstance(target, Rotor):
+            return p   # a rotor's scan frame is the world frame
+        pose = pose_at(target.trajectory, t)
+        yaw = np.arctan2(pose.velocity[1], pose.velocity[0])
+        c, s = np.cos(yaw), np.sin(yaw)
+        return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ (p - pose.position)
+
+    @pytest.mark.parametrize("kind", ["rigid", "rotor"])
+    def test_cfr_rows_equal_scan_sweeps(self, kind):
+        w, target = self.waveform, self.target(kind)
+        scene = SceneConfig([SceneNode("tx0", NodePose(self.tx))], [SceneNode("rx0", NodePose(self.rx))],
+                            [target], wavelength=w.wavelength, include_los=False)
+        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w, mode="geometric")
+        freqs = w.subcarrier_frequencies()
+        band = FrequencyBand(freqs[0], freqs[-1], w.n_subcarriers)
+        for m in (0, 37, 95):
+            t = m * w.t_sym
+            grid, radii = {}, []
+            for side, p in (("tx", self.tx), ("rx", self.rx)):
+                e = self.to_body(target, t, p)
+                radii.append(float(np.linalg.norm(e)))
+                grid[f"az_{side}"] = [np.degrees(np.arctan2(e[1], e[0]))]
+                grid[f"el_{side}"] = [np.degrees(np.arcsin(e[2] / radii[-1]))]
+            profile = reflectivity_scan(target, grid, *radii, band, t=t).data[0, 0, 0, 0, :, 0, 0]
+            sweep = np.fft.fft(np.fft.ifftshift(profile))
+            row = cube.data[m] * np.exp(2j * np.pi * freqs * sum(radii) / C0) * w.f_c / freqs
+            assert np.max(np.abs(row - sweep)) <= 1e-12 * np.max(np.abs(sweep))
