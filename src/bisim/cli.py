@@ -1,11 +1,13 @@
 """Command-line surface: config in, archives out.
 
-    bisim <subcommand> --config scene.yaml [--out DIR] [--seed N]
-                       [--threads N] [--format bin|csv] [-v]
+    bisim <subcommand> --config scene.yaml [--out DIR] [--threads N]
+                       [--format bin|csv] [-v] [override flags]
 
-Subcommands: simulate, ddmap, spectrogram, clean, localize, reflectivity,
-flyover, focus, linkbudget. Logs go to stderr; results go to files only.
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+The subcommands are pipeline.SUBCOMMANDS. Each override flag of OVERRIDES
+writes its value into the config document at its key path before the one
+parse_config, so the schema checks it like a value in the file and the
+summary echoes the config that ran. Logs go to stderr; results go to files
+only. Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from typing import Callable, NamedTuple
 
-from .config import load_config
+from .config import load_document, parse_config
 from .errors import ConfigError, NumericalError
 from .pipeline import SUBCOMMANDS, run
 
@@ -24,6 +27,34 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+
+class Override(NamedTuple):
+    """A flag that sets one config key: the document value at `path` is value(flag text)."""
+
+    flag: str
+    path: tuple[str, ...]
+    subcommands: tuple[str, ...]
+    help: str
+    value: Callable = lambda text: text
+
+
+OVERRIDES = (
+    Override("--seed", ("noise", "seed"), SUBCOMMANDS, "override the noise seed"),
+    Override("--clean", ("processing", "clean_paths"), ("ddmap", "localize", "clean"),
+             "override number of dominant paths to subtract"),
+    Override("--gate-ns", ("processing", "gate"), ("flyover",),
+             "apply a time gate of this width around delay zero",
+             lambda text: {"center_ns": 0, "width_ns": text, "edge_ns": 0}),
+    Override("--fft", ("processing", "stft", "fft_size"), ("spectrogram",), "override STFT size"),
+    Override("--hop", ("processing", "stft", "hop"), ("spectrogram",), "override STFT hop"),
+)
+
+
+def _threads(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,21 +67,27 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--out", default=None, help="output directory (default from config)")
-        p.add_argument("--seed", type=int, default=None, help="override the noise seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=_threads, default=1, help="worker threads")
         p.add_argument("--format", choices=("bin", "csv"), default=None,
                        help="output format (csv additionally exports <=2-D datasets)")
         p.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
-        if name in ("ddmap", "localize", "clean"):
-            p.add_argument("--clean", type=int, default=None,
-                           help="override number of dominant paths to subtract")
-        if name == "flyover":
-            p.add_argument("--gate-ns", type=float, default=None,
-                           help="apply a time gate of this width around delay zero")
-        if name == "spectrogram":
-            p.add_argument("--fft", type=int, default=None, help="override STFT size")
-            p.add_argument("--hop", type=int, default=None, help="override STFT hop")
+        for o in OVERRIDES:
+            if name in o.subcommands:
+                p.add_argument(o.flag, help=o.help)
     return parser
+
+
+def _override(doc, path: tuple[str, ...], value) -> None:
+    """Set doc[path] = value, making absent mappings on the way. A non-mapping on the
+    way is left for parse_config to reject with its key path."""
+    for key in path[:-1]:
+        if not isinstance(doc, dict):
+            return
+        if doc.get(key) is None:
+            doc[key] = {}
+        doc = doc[key]
+    if isinstance(doc, dict):
+        doc[path[-1]] = value
 
 
 def main(argv=None) -> int:
@@ -61,21 +98,13 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.noise.seed = args.seed
-        if getattr(args, "clean", None) is not None:
-            cfg.processing.clean_paths = args.clean
-        if getattr(args, "gate_ns", None) is not None:
-            from .config import GateConfig
-
-            cfg.processing.gate = GateConfig(center_ns=0.0, width_ns=args.gate_ns, edge_ns=0.0)
-        if getattr(args, "fft", None) is not None:
-            cfg.processing.stft.fft_size = args.fft
-        if getattr(args, "hop", None) is not None:
-            cfg.processing.stft.hop = args.hop
+        doc = load_document(args.config)
+        for o in OVERRIDES:
+            text = getattr(args, o.flag[2:].replace("-", "_"), None)   # argparse's dest
+            if text is not None:
+                _override(doc, o.path, o.value(text))
         archive, written = run(
-            args.subcommand, cfg, out_dir=args.out, threads=args.threads, fmt=args.format
+            args.subcommand, parse_config(doc), out_dir=args.out, threads=args.threads, fmt=args.format
         )
     except ConfigError as err:
         log.error("%s: %s", args.subcommand, err)

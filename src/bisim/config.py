@@ -22,9 +22,10 @@ ConfigError naming its key path:
 
 Leaves with several forms take exactly one, and the echo writes the first:
 a waypoint is {t, position} or [t, [x, y, z]]; an angle axis a list, a
-number, {start, stop, n} or {start, stop, step > 0}; a node has a trajectory
-or a position; a rotor rate is rate_rad_s or rate_rpm; a budget RCS rcs_m2
-or scattering_length s (σ = 4π|s|²); a target kind rigid (default) or rotor.
+number, {start, stop, n} or {start, stop, step > 0} (no point past stop);
+a node has a trajectory or a position; a rotor rate is rate_rad_s or
+rate_rpm; a budget RCS rcs_m2 or scattering_length s (σ = 4π|s|²); a
+target kind rigid (default) or rotor.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import ConfigError
 from .geometry import C0, NodePose, Trajectory
 from .scene import SceneConfig, SceneNode
 from .targets import (MAX_AXIS_POINTS, FrequencyBand, LinkBudget, PointScatterer, RigidTarget, Rotor,
-                      StaticScatterer, equivalent_rcs)
+                      StaticScatterer, equivalent_rcs, stepped_axis)
 
 REQUIRED = object()  # default of a key that must be given
 
@@ -287,13 +288,11 @@ def _angle_axis(value, where: str, root: dict) -> np.ndarray:
     start, stop, n, step = _build(dict, value, _RANGE, where, root).values()
     if (n is None) == (step is None):
         raise ConfigError(f"{where}: give a point count or a step, not both or neither")
-    if step is not None and step <= 0:
-        raise ConfigError(f"{where}: the step must be > 0, got {step}")
     if step is not None:
-        n = int(round((stop - start) / step)) + 1 if abs(stop - start) < step * MAX_AXIS_POINTS else 0
+        return stepped_axis(start, stop, step, where)
     if not 1 <= n <= MAX_AXIS_POINTS:
         raise ConfigError(f"{where}: axis of {n} points, expected 1 to {MAX_AXIS_POINTS}")
-    return np.linspace(start, stop, n) if step is None else start + step * np.arange(n)
+    return np.linspace(start, stop, n)
 
 
 # The tables.
@@ -396,8 +395,8 @@ def parse_config(doc) -> RunConfig:
     return cfg
 
 
-def load_config(path) -> RunConfig:
-    """Parse and validate a YAML run configuration file."""
+def load_document(path):
+    """The YAML document of a run configuration file, not yet validated; {} if empty."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -408,7 +407,12 @@ def load_config(path) -> RunConfig:
         mark = getattr(err, "problem_mark", None)
         at = "" if mark is None else f" at line {mark.line + 1}, column {mark.column + 1}"
         raise ConfigError(f"{path}: parse error{at}: {err}") from None
-    return parse_config(doc if doc is not None else {})
+    return doc if doc is not None else {}
+
+
+def load_config(path) -> RunConfig:
+    """Parse and validate a YAML run configuration file."""
+    return parse_config(load_document(path))
 
 
 def config_echo(cfg: RunConfig) -> dict:

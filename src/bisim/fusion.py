@@ -65,7 +65,6 @@ class StateEstimate:
     ambiguous: bool = False
     alternates: list[np.ndarray] = field(default_factory=list)
     converged: bool = True
-    iterations: int = 0
 
 
 def _link_nodes(pairs) -> np.ndarray:
@@ -119,9 +118,8 @@ def _gauss_newton(p0, links, targets, weights, dim, max_iter=100, step_tol=1e-9)
     lam = 1e-6
     res, rows = _range_residuals(p, links, targets, sqrt_w)
     cost = float(res @ res)
-    it = 0
     converged = False
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         jac = rows[:, :dim]
         jtj = jac.T @ jac
         jtr = jac.T @ res
@@ -143,7 +141,7 @@ def _gauss_newton(p0, links, targets, weights, dim, max_iter=100, step_tol=1e-9)
             lam *= 10.0
             if lam > 1e12:
                 break
-    return p, np.sqrt(cost / len(targets)), converged, it
+    return p, np.sqrt(cost / len(targets)), converged
 
 
 def _scene_box(links, targets, cell: float, dim: int):
@@ -228,9 +226,9 @@ def localize(obs: Sequence[BistaticObservation], nodes, dim: int = 2,
 
     def refine(seeds):
         for seed in seeds:
-            p, rms, converged, its = _gauss_newton(seed, links, targets, weights, dim, max_iter)
+            p, rms, converged = _gauss_newton(seed, links, targets, weights, dim, max_iter)
             if not any(np.linalg.norm(p - q) < dedupe for q, *_ in solutions):
-                solutions.append((p, rms, converged, its))
+                solutions.append((p, rms, converged))
         solutions.sort(key=lambda s: s[1])
 
     refine(_grid_minima(axes, _grid_cost(axes, links, targets, weights), _MAX_SEEDS))
@@ -240,7 +238,7 @@ def localize(obs: Sequence[BistaticObservation], nodes, dim: int = 2,
             window = _box_axes(p[:dim], 2 * steps, grid_cell)
             refine(_grid_minima(window, _grid_cost(window, links, targets, weights),
                                 _MAX_SEEDS // _REGRID))
-    best_p, best_rms, best_conv, best_its = solutions[0]
+    best_p, best_rms, best_conv = solutions[0]
 
     scale = max(float(np.max(targets)), 1.0)
     close = [s for s in solutions if s[1] <= max(10.0 * best_rms, 1e-9 * scale)]
@@ -257,7 +255,6 @@ def localize(obs: Sequence[BistaticObservation], nodes, dim: int = 2,
         ambiguous=bool(ambiguous),
         alternates=[p for p, *_ in close[1:]],
         converged=bool(best_conv),
-        iterations=best_its,
     )
 
 

@@ -1,7 +1,9 @@
 """Run orchestration: subcommands from config to ResultArchive.
 
-Every subcommand is a pure function of (RunConfig, threads) returning a
-ResultArchive; run() also writes the archive, its YAML summary sidecar, and
+SUBCOMMANDS are the keys of one runner table. run() makes the archive,
+whose summary echoes the config and names the subcommand; the runner adds
+its datasets and returns its results, a pure function of (RunConfig,
+threads); run() then writes the archive, its YAML summary sidecar, and
 optional CSV exports. Identical config + seed produce byte-identical
 archives for any worker count: threads only fan out the fixed blocks of Rx
 directions of a reflectivity scan, whose boundaries come from a memory
@@ -37,29 +39,6 @@ from .processing import (
 from .scene import illumination_paths, link_callback, link_paths
 from .targets import Rotor, flyover_scan, link_budget, reflectivity_scan
 
-SUBCOMMANDS = (
-    "simulate",
-    "ddmap",
-    "spectrogram",
-    "clean",
-    "localize",
-    "reflectivity",
-    "flyover",
-    "focus",
-    "linkbudget",
-)
-
-
-def _base_summary(subcommand: str, cfg: RunConfig) -> dict:
-    return {
-        "tool": "bisim",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": config_echo(cfg),
-        "results": {},
-    }
-
-
 def _link_cube(cfg: RunConfig, i: int, tx_id: str, rx_id: str) -> SlowTimeCube:
     """The CFR cube of link i, noised from generator seed [noise seed, i]."""
     scene = cfg.scene
@@ -94,8 +73,7 @@ def _los_delay(cfg: RunConfig, tx_id: str, rx_id: str) -> float:
     return float(np.linalg.norm(rx.position - tx.position)) / C0
 
 
-def run_simulate(cfg: RunConfig, threads: int = 1) -> ResultArchive:
-    archive = ResultArchive(summary=_base_summary("simulate", cfg))
+def run_simulate(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     links = []
     for tx_id, rx_id, cube in _simulate_links(cfg):
         archive.add(f"cfr_{tx_id}_{rx_id}", cube.data, _cube_axes(cube))
@@ -109,8 +87,7 @@ def run_simulate(cfg: RunConfig, threads: int = 1) -> ResultArchive:
                 "mean_power_db": float(10 * np.log10(max(cube.mean_power(), 1e-300))),
             }
         )
-    archive.summary["results"]["links"] = links
-    return archive
+    return {"links": links}
 
 
 def _detections_summary(dets, limit: int = 10) -> list[dict]:
@@ -127,27 +104,29 @@ def _detections_summary(dets, limit: int = 10) -> list[dict]:
     ]
 
 
-def run_ddmap(cfg: RunConfig, threads: int = 1) -> ResultArchive:
-    archive = ResultArchive(summary=_base_summary("ddmap", cfg))
-    results = {}
+def _detected_links(cfg: RunConfig, exclude_zero_doppler: bool):
+    """Each link's DD map after clean, its detections and its LoS delay, in link order."""
+    proc = cfg.processing
     for tx_id, rx_id, cube in _simulate_links(cfg):
-        if cfg.processing.clean_paths > 0:
-            cube = subtract_dominant_paths(cube, cfg.processing.clean_paths).residual
-        ddm = delay_doppler_map(cube, cfg.processing.fast_window, cfg.processing.slow_window)
+        if proc.clean_paths > 0:
+            cube = subtract_dominant_paths(cube, proc.clean_paths).residual
+        ddm = delay_doppler_map(cube, proc.fast_window, proc.slow_window)
+        los = _los_delay(cfg, tx_id, rx_id)
+        dets = detect_peaks(ddm, proc.detect_threshold_db,
+                            exclude_zero_doppler=exclude_zero_doppler, los_delay_s=los)
+        yield tx_id, rx_id, ddm, dets, los
+
+
+def run_ddmap(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
+    results = {}
+    for tx_id, rx_id, ddm, dets, _ in _detected_links(cfg, cfg.processing.exclude_zero_doppler):
         archive.add(
             f"ddmap_{tx_id}_{rx_id}",
             ddm.data,
             [Axis("delay", "s", ddm.delay_s), Axis("doppler", "Hz", ddm.doppler_hz)],
         )
-        dets = detect_peaks(
-            ddm,
-            cfg.processing.detect_threshold_db,
-            exclude_zero_doppler=cfg.processing.exclude_zero_doppler,
-            los_delay_s=_los_delay(cfg, tx_id, rx_id),
-        )
         results[f"{tx_id}_{rx_id}"] = {"detections": _detections_summary(dets)}
-    archive.summary["results"] = results
-    return archive
+    return results
 
 
 def _delay_bin_series(cube: SlowTimeCube) -> tuple[np.ndarray, int]:
@@ -157,8 +136,7 @@ def _delay_bin_series(cube: SlowTimeCube) -> tuple[np.ndarray, int]:
     return profiles[:, bin_idx], bin_idx
 
 
-def run_spectrogram(cfg: RunConfig, threads: int = 1) -> ResultArchive:
-    archive = ResultArchive(summary=_base_summary("spectrogram", cfg))
+def run_spectrogram(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     results = {}
     st = cfg.processing.stft
     for tx_id, rx_id, cube in _simulate_links(cfg):
@@ -177,12 +155,10 @@ def run_spectrogram(cfg: RunConfig, threads: int = 1) -> ResultArchive:
             "delay_bin": bin_idx,
             "observation_s": float(cube.waveform.duration),
         }
-    archive.summary["results"] = results
-    return archive
+    return results
 
 
-def run_clean(cfg: RunConfig, threads: int = 1) -> ResultArchive:
-    archive = ResultArchive(summary=_base_summary("clean", cfg))
+def run_clean(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     results = {}
     n = cfg.processing.clean_paths
     for tx_id, rx_id, cube in _simulate_links(cfg):
@@ -200,44 +176,30 @@ def run_clean(cfg: RunConfig, threads: int = 1) -> ResultArchive:
                                              res.at_noise_floor)
             ]
         }
-    archive.summary["results"] = results
-    return archive
+    return results
 
 
-def run_localize(cfg: RunConfig, threads: int = 1) -> ResultArchive:
+def _observation(cfg: RunConfig, tx_id: str, rx_id: str, ddm, d, los: float) -> BistaticObservation:
+    """Detection d of a link's DD map, refined to a sub-bin delay and Doppler."""
+    mag = np.abs(ddm.data)
+    i, j = d.delay_bin, d.doppler_bin
+    di = parabolic_offset(mag[i - 1, j], mag[i, j], mag[(i + 1) % mag.shape[0], j])
+    dj = parabolic_offset(mag[i, j - 1], mag[i, j], mag[i, (j + 1) % mag.shape[1]])
+    delay = d.delay + di / cfg.waveform.bandwidth
+    doppler = d.doppler + dj * float(ddm.doppler_hz[1] - ddm.doppler_hz[0])
+    return BistaticObservation(tx_id=tx_id, rx_id=rx_id, excess_delay=max(delay - los, 0.0), doppler=doppler,
+                               wavelength=cfg.scene.wavelength, timestamp=cfg.t0)
+
+
+def run_localize(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     """Per-link peak extraction followed by multistatic fusion."""
-    archive = ResultArchive(summary=_base_summary("localize", cfg))
     obs = []
     per_link = {}
-    for tx_id, rx_id, cube in _simulate_links(cfg):
-        if cfg.processing.clean_paths > 0:
-            cube = subtract_dominant_paths(cube, cfg.processing.clean_paths).residual
-        ddm = delay_doppler_map(cube, cfg.processing.fast_window, cfg.processing.slow_window)
-        los = _los_delay(cfg, tx_id, rx_id)
-        dets = detect_peaks(ddm, cfg.processing.detect_threshold_db,
-                            exclude_zero_doppler=True, los_delay_s=los)
-        if not dets:
-            per_link[f"{tx_id}_{rx_id}"] = {"detections": []}
-            continue
-        d = dets[0]
-        mag = np.abs(ddm.data)
-        i, j = d.delay_bin, d.doppler_bin
-        di = parabolic_offset(mag[i - 1, j], mag[i, j], mag[(i + 1) % mag.shape[0], j])
-        dj = parabolic_offset(mag[i, j - 1], mag[i, j], mag[i, (j + 1) % mag.shape[1]])
-        delay = d.delay + di / cube.waveform.bandwidth
-        dopp_step = float(ddm.doppler_hz[1] - ddm.doppler_hz[0])
-        doppler = d.doppler + dj * dopp_step
-        obs.append(
-            BistaticObservation(
-                tx_id=tx_id,
-                rx_id=rx_id,
-                excess_delay=max(delay - los, 0.0),
-                doppler=doppler,
-                wavelength=cfg.scene.wavelength,
-                timestamp=cfg.t0,
-            )
-        )
+    for tx_id, rx_id, ddm, dets, los in _detected_links(cfg, exclude_zero_doppler=True):
         per_link[f"{tx_id}_{rx_id}"] = {"detections": _detections_summary(dets, 3)}
+        if dets:
+            obs.append(_observation(cfg, tx_id, rx_id, ddm, dets[0], los))
+        del ddm   # else this map lives on while the next link's is made
     if not obs:
         raise ConfigError("no link produced a detection; cannot localize")
     nodes = {n.node_id: n.pose(cfg.t0) for n in [*cfg.scene.tx_nodes, *cfg.scene.rx_nodes]}
@@ -246,7 +208,7 @@ def run_localize(cfg: RunConfig, threads: int = 1) -> ResultArchive:
         archive.summary["numerical_failure"] = "localization did not converge"
     archive.add("position", est.position, [Axis("axis", "index", np.arange(3))])
     archive.add("velocity", est.velocity, [Axis("axis", "index", np.arange(3))])
-    archive.summary["results"] = {
+    return {
         "links": per_link,
         "estimate": {
             "position_m": [float(x) for x in est.position],
@@ -261,17 +223,15 @@ def run_localize(cfg: RunConfig, threads: int = 1) -> ResultArchive:
             "alternates_m": [[float(x) for x in p] for p in est.alternates],
         },
     }
-    return archive
 
 
-def run_reflectivity(cfg: RunConfig, threads: int = 1) -> ResultArchive:
+def run_reflectivity(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     if cfg.reflectivity is None:
         raise ConfigError("config has no reflectivity section")
     job = cfg.reflectivity
     target = cfg.scene.target(job.target)
     tensor = reflectivity_scan(target, job.grid, job.d_tx, job.d_rx, job.band,
                                sweep_window=job.sweep_window, threads=threads)
-    archive = ResultArchive(summary=_base_summary("reflectivity", cfg))
     pol = np.array([0.0, 1.0])
     archive.add(
         "reflectivity",
@@ -286,7 +246,7 @@ def run_reflectivity(cfg: RunConfig, threads: int = 1) -> ResultArchive:
             Axis("tx_pol", "index", pol),
         ],
     )
-    archive.summary["results"] = {
+    return {
         "target": getattr(target, "name", "target"),
         "d_tx_m": job.d_tx,
         "d_rx_m": job.d_rx,
@@ -295,10 +255,9 @@ def run_reflectivity(cfg: RunConfig, threads: int = 1) -> ResultArchive:
             * len(tensor.az_rx_deg) * len(tensor.el_rx_deg)
         ),
     }
-    return archive
 
 
-def run_flyover(cfg: RunConfig, threads: int = 1) -> ResultArchive:
+def run_flyover(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     if cfg.flyover is None:
         raise ConfigError("config has no flyover section")
     job = cfg.flyover
@@ -318,19 +277,17 @@ def run_flyover(cfg: RunConfig, threads: int = 1) -> ResultArchive:
         g = cfg.processing.gate
         data = time_gate(data, fly.delay_s, g.center_ns * 1e-9, g.width_ns * 1e-9,
                          g.edge_ns * 1e-9)
-    archive = ResultArchive(summary=_base_summary("flyover", cfg))
     archive.add(
         "flyover",
         data,
         [Axis("bistatic_angle", "deg", fly.angles_deg), Axis("delay", "ns", fly.delay_s * 1e9)],
     )
-    archive.summary["results"] = {
+    return {
         "target": getattr(target, "name", "target"),
         "angles_deg": [float(a) for a in fly.angles_deg],
         "delay_resolution_ns": float(1e9 / (job.band.f_hi - job.band.f_lo)),
         "gated": cfg.processing.gate is not None,
     }
-    return archive
 
 
 def _target_center_velocity(cfg: RunConfig, target) -> tuple[np.ndarray, np.ndarray]:
@@ -342,9 +299,8 @@ def _target_center_velocity(cfg: RunConfig, target) -> tuple[np.ndarray, np.ndar
     return pose.position, pose.velocity
 
 
-def run_focus(cfg: RunConfig, threads: int = 1) -> ResultArchive:
+def run_focus(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     """Time-reversal prefilters and Doppler matching for every Tx node."""
-    archive = ResultArchive(summary=_base_summary("focus", cfg))
     target = cfg.scene.target()
     point, velocity = _target_center_velocity(cfg, target)
     w = cfg.waveform
@@ -369,15 +325,13 @@ def run_focus(cfg: RunConfig, threads: int = 1) -> ResultArchive:
             "doppler_spread_after_hz": comp.spread_after_hz,
             "doppler_reference_hz": comp.reference_hz,
         }
-    archive.summary["results"] = results
-    return archive
+    return results
 
 
-def run_linkbudget(cfg: RunConfig, threads: int = 1) -> ResultArchive:
+def run_linkbudget(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     if cfg.budget is None:
         raise ConfigError("config has no budget section")
     out = link_budget(cfg.budget)
-    archive = ResultArchive(summary=_base_summary("linkbudget", cfg))
     archive.add(
         "received_power_dbm",
         np.array([out["received_power_dbm"]]),
@@ -388,8 +342,7 @@ def run_linkbudget(cfg: RunConfig, threads: int = 1) -> ResultArchive:
         np.array([out["processing_gain_db"]]),
         [Axis("value", "dB", np.zeros(1))],
     )
-    archive.summary["results"] = dict(out)
-    return archive
+    return dict(out)
 
 
 _RUNNERS = {
@@ -403,18 +356,23 @@ _RUNNERS = {
     "focus": run_focus,
     "linkbudget": run_linkbudget,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def run(subcommand: str, cfg: RunConfig, out_dir=None, threads: int = 1,
         fmt: str | None = None) -> tuple[ResultArchive, list[Path]]:
     """Execute one subcommand, write its archive + summary, return both.
 
-    Returns the archive and the list of files written. fmt="csv"
-    additionally exports every dataset of <= 2 dimensions.
+    The subcommand's runner adds its datasets to the archive and returns the
+    summary's results. Returns the archive and the list of files written.
+    fmt="csv" additionally exports every dataset of <= 2 dimensions.
     """
     if subcommand not in _RUNNERS:
         raise UsageError(f"unknown subcommand {subcommand!r}")
-    archive = _RUNNERS[subcommand](cfg, threads=threads)
+    # "results" is placed ahead of any numerical_failure the runner records
+    archive = ResultArchive(summary={"tool": "bisim", "version": __version__, "subcommand": subcommand,
+                                     "config": config_echo(cfg), "results": {}})
+    archive.summary["results"] = _RUNNERS[subcommand](cfg, archive, threads)
     out_dir = Path(out_dir if out_dir is not None else cfg.outputs.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt = fmt or cfg.outputs.format

@@ -10,11 +10,12 @@ energy equals cube energy with rectangular windows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import PathTable, SlowTimeCube, named_window
+from .channel import PathTable, SlowTimeCube, delay_axis, named_window
 from .errors import ConfigError, UsageError
 
 DB_FLOOR = -300.0
@@ -76,9 +77,8 @@ def delay_doppler_map(cube: SlowTimeCube, fast_window: str = "none",
     dd *= ws[:, None]   # in place, and each stage rebinds `dd` so the last one is freed
     dd = np.fft.fft(dd, axis=0, norm="ortho")
     dd = np.ascontiguousarray(np.fft.fftshift(dd, axes=0).T)   # C order: archived without a copy
-    delay = np.arange(w.n_subcarriers) / w.bandwidth
     doppler = np.fft.fftshift(np.fft.fftfreq(w.n_symbols, w.t_sym))
-    return DelayDopplerMap(dd, delay, doppler, fast_window, slow_window)
+    return DelayDopplerMap(dd, delay_axis(w.n_subcarriers, w.bandwidth), doppler, fast_window, slow_window)
 
 
 def background_subtract(measurement: SlowTimeCube, background: SlowTimeCube) -> SlowTimeCube:
@@ -164,14 +164,16 @@ def _fit_static_path(mean_row: np.ndarray, delta_f: float, bandwidth: float,
         x = centre = tau_hint * bandwidth
     lo, hi = centre - 1.0, centre + 1.0
     kc = np.arange(n) - (n - 1) / 2.0          # centred index: |S| is unchanged, sums stay small
-    moments = mean_row * np.stack([np.ones(n), kc, kc * kc])
+    # an exact power-of-two scale to a unit peak: products of the sums neither under- nor overflow
+    scale = 2.0 ** -max(math.frexp(float(np.max(np.abs(mean_row))))[1], -1000)
+    moments = mean_row * scale * np.stack([np.ones(n), kc, kc * kc])
     theta = 2.0 * np.pi * delta_f / bandwidth
     for _ in range(64):   # bisection alone would shrink the bracket below 1e-10 bins in 35
         s0, s1, s2 = (moments * np.exp(1j * theta * x * kc)).sum(axis=1).tolist()
         slope = (s0.conjugate() * s1).imag     # f'(x) = -2θ·slope
         curv = abs(s1) ** 2 - (s0.conjugate() * s2).real   # f''(x) = 2θ²·curv
         lo, hi = (x, hi) if slope < 0 else (lo, x)
-        step = slope / (theta * curv) if curv < 0 else np.inf
+        step = slope / (theta * curv) if theta * curv < 0 else np.inf   # θ·curv may underflow to -0
         x, x_old = (x + step if lo <= x + step <= hi else 0.5 * (lo + hi)), x
         if abs(x - x_old) <= 1e-10:   # bins; Newton's next step would be quadratically smaller
             break
@@ -195,9 +197,9 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int,
     rises less than floor_margin_db above the profile median are flagged as
     at the noise floor.
     """
-    if n_paths < 0:
-        raise ConfigError("n_paths must be >= 0")
     w = cube.waveform
+    if not 0 <= n_paths <= w.n_subcarriers:   # clean resolves at most one path per delay bin
+        raise ConfigError(f"clean_paths = {n_paths}: expected 0 to n_subcarriers = {w.n_subcarriers}")
     result = CleanResult(SlowTimeCube(cube.data.copy(), w, cube.t0))
     if n_paths == 0:
         return result

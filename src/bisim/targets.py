@@ -29,7 +29,20 @@ from .geometry import C0, NodePose, NodeTrack, Trajectory, as_vec3, direction_fr
 from .geometry import bistatic_doppler  # noqa: F401  unused; bench/tracing.py counts calls made through it
 
 FOUR_PI = 4.0 * np.pi
-MAX_AXIS_POINTS = 1 << 20  # longest scan angle axis: a config {start, stop, n | step} form or a flyover sweep
+MAX_AXIS_POINTS = 1 << 20  # longest scan angle axis, and most samples of one rotor
+
+
+def stepped_axis(start: float, stop: float, step: float, what: str) -> np.ndarray:
+    """start, start + step, ... up to stop and never beyond it (1e-9 slack), at most
+    MAX_AXIS_POINTS points: a config {start, stop, step} angle axis or a flyover sweep.
+    A ConfigError names the axis as `what`."""
+    if not step > 0 or stop < start:
+        raise ConfigError(f"{what} ({start}, {stop}, {step}): expected step > 0 and stop >= start")
+    n = int(round((stop - start) / step)) + 1 if stop - start < step * MAX_AXIS_POINTS else 0
+    if not 1 <= n <= MAX_AXIS_POINTS:
+        raise ConfigError(f"{what} ({start}, {stop}, {step}): more than {MAX_AXIS_POINTS} points")
+    points = start + step * np.arange(n)
+    return points[points <= stop + 1e-9]
 
 
 def jones_identity() -> np.ndarray:
@@ -94,10 +107,6 @@ class RigidTarget:
         if not self.scatterers:
             raise ConfigError("rigid target needs at least one scatterer")
 
-    def extent(self) -> float:
-        """Largest scatterer offset from the body origin."""
-        return max(float(np.linalg.norm(s.offset)) for s in self.scatterers)
-
 
 @dataclass(eq=False)
 class Rotor:
@@ -132,6 +141,9 @@ class Rotor:
             raise ConfigError("blade radius must be positive")
         if self.n_blades < 1 or self.samples_per_blade < 2:
             raise ConfigError("need n_blades >= 1 and samples_per_blade >= 2")
+        if self.n_blades * self.samples_per_blade > MAX_AXIS_POINTS:
+            raise ConfigError(f"{self.n_blades} blades x {self.samples_per_blade} samples_per_blade: "
+                              f"more than {MAX_AXIS_POINTS} rotor samples")
         self.sample_amplitude = complex(self.sample_amplitude)
 
     @property
@@ -141,9 +153,6 @@ class Rotor:
     def sampling_ok(self, lam: float) -> bool:
         """True if blade sampling is finer than λ/4."""
         return self.sample_spacing < lam / 4.0
-
-    def extent(self) -> float:
-        return float(np.linalg.norm(self.hub_offset)) + self.blade_radius
 
     @cached_property
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -471,15 +480,8 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
     delays (r1 + r2 - d_tx - d_rx)/c with weights s_n J_HH/(4π r1 r2) and
     f0 = f_lo, times the per-frequency factor, inverse-transformed in place.
     """
-    start, stop, step = sweep
-    if step <= 0 or stop <= start:
-        raise ConfigError("sweep must be (start, stop, step) with step > 0")
-    n = int(round((stop - start) / step)) + 1 if stop - start < step * MAX_AXIS_POINTS else 0
-    if not 1 <= n <= MAX_AXIS_POINTS:
-        raise ConfigError(f"sweep ({start}, {stop}, {step}): expected 1 to {MAX_AXIS_POINTS} angles")
-    check_entries(n * band.n_points, "flyover map of swept angles x band.n_points")
-    angles = start + step * np.arange(n)
-    angles = angles[angles <= stop + 1e-9]
+    angles = stepped_axis(*sweep, "flyover sweep")
+    check_entries(len(angles) * band.n_points, "flyover map of swept angles x band.n_points")
     states = _scan_states(target, t, d_tx, d_rx)
     p_tx = d_tx * direction_from_angles(fixed_angle_deg, elevation_deg)
     p_rx = d_rx * _directions(fixed_angle_deg + angles, elevation_deg)[:, None]

@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
+from conftest import FULL_SCENE
 
 from bisim.archive import ResultArchive
-from bisim.cli import main
-from bisim.config import load_config
+from bisim.cli import OVERRIDES, main
+from bisim.config import config_echo, load_config, parse_config
 from bisim.errors import ConfigError
 from bisim.geometry import C0, pose_at
 from bisim.pipeline import run
@@ -240,6 +242,51 @@ class TestCliMain:
     def test_negative_seed_override_exits_2(self, full_scene_config, tmp_path):
         out = tmp_path / "n"
         assert main(["simulate", "--config", str(full_scene_config), "--out", str(out), "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_non_finite_gate_width_exits_2(self, full_scene_config, tmp_path, caplog, width):
+        out = tmp_path / "g"
+        assert main(["flyover", "--config", str(full_scene_config), "--out", str(out), "--gate-ns", width]) == 2
+        assert "processing.gate.width_ns" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, full_scene_config, tmp_path, threads):
+        out = tmp_path / "t"
+        with pytest.raises(SystemExit) as exit_:
+            main(["linkbudget", "--config", str(full_scene_config), "--out", str(out), "--threads", threads])
+        assert exit_.value.code == 2
+        assert not out.exists()
+
+    SAMPLE_TEXT = {"--seed": "42", "--clean": "2", "--gate-ns": "2.5", "--fft": "1024", "--hop": "64"}
+
+    @pytest.mark.parametrize("override", OVERRIDES, ids=lambda o: o.flag)
+    def test_override_is_echoed_and_the_echo_parses_back(self, override, full_scene_config, tmp_path):
+        sub, text, out = override.subcommands[0], self.SAMPLE_TEXT[override.flag], tmp_path / "o"
+        assert main([sub, "--config", str(full_scene_config), "--out", str(out), override.flag, text]) == 0
+        echo = yaml.safe_load((out / f"{sub}_summary.yaml").read_text())["config"]
+        node = echo
+        for key in override.path:
+            node = node[key]
+        assert node == override.value(yaml.safe_load(text))
+        assert config_echo(parse_config(echo)) == echo
+
+    @pytest.mark.parametrize("override, section", [
+        pytest.param(o, o.path[:d], id=f"{o.flag}:{'.'.join(o.path[:d])}")
+        for o in OVERRIDES for d in range(1, len(o.path))])
+    def test_override_into_a_non_mapping_exits_2_with_the_parser_message(self, override, section, tmp_path,
+                                                                         caplog, capsys):
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        node = doc
+        for key in section[:-1]:
+            node = node.setdefault(key, {})
+        node[section[-1]] = [1, 2]
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        sub, text = override.subcommands[0], self.SAMPLE_TEXT[override.flag]
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "o"), override.flag, text]) == 2
+        assert f"{'.'.join(section)}: expected a mapping" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_seed_override(self, full_scene_config, tmp_path):
         assert (

@@ -13,6 +13,7 @@ from test_acceptance import DETERMINISM_CONFIG
 from bisim.cli import main
 from bisim.config import config_echo, load_config, parse_config
 from bisim.errors import ConfigError
+from bisim.targets import flyover_scan
 
 MINIMAL = """
 waveform:
@@ -262,6 +263,16 @@ class TestStrictParsing:
         doc["reflectivity"]["az_tx"] = spec
         assert np.allclose(parse_config(doc).reflectivity.grid["az_tx"], expected)
 
+    def test_stepped_axis_and_flyover_sweep_never_pass_stop(self):
+        doc = full_scene()
+        doc["reflectivity"]["az_tx"] = {"start": 0, "stop": 1, "step": 0.6}
+        doc["flyover"].update(start_deg=0, stop_deg=1, step_deg=0.6)
+        cfg = parse_config(doc)
+        job = cfg.flyover
+        fly = flyover_scan(cfg.scene.target(job.target), job.fixed_angle_deg,
+                           (job.start_deg, job.stop_deg, job.step_deg), job.d_tx, job.d_rx, job.band)
+        assert cfg.reflectivity.grid["az_tx"].tolist() == fly.angles_deg.tolist() == [0, 0.6]
+
     @pytest.mark.parametrize("spec", [
         {"start": 0, "stop": 90, "step": -5},
         {"start": 0, "stop": 90, "n": 4, "step": 30},
@@ -303,16 +314,22 @@ class TestStrictParsing:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    # Each size is one numpy refuses (or cannot allocate), so a missing check fails fast.
-    @pytest.mark.parametrize("paths, value, sub, key", [
-        ([("waveform", "n_symbols")], 2**62, "simulate", "n_symbols"),
-        ([("reflectivity", axis) for axis in ("az_tx", "el_tx", "az_rx", "el_rx")],
+    # Each size is one numpy refuses (or cannot allocate), or 129 clean passes of milliseconds,
+    # so a missing check fails fast.
+    @pytest.mark.parametrize("scene, paths, value, sub, key", [
+        (FULL_SCENE, [("waveform", "n_symbols")], 2**62, "simulate", "n_symbols"),
+        (FULL_SCENE, [("reflectivity", axis) for axis in ("az_tx", "el_tx", "az_rx", "el_rx")],
          {"start": 0, "stop": 359, "n": 1 << 20}, "reflectivity", "az_tx"),
-        ([("flyover", "band", "n_points")], 2**62, "flyover", "n_points"),
-    ], ids=["capture", "reflectivity-tensor", "flyover-map"])
-    def test_oversized_output_exits_2_naming_its_key(self, paths, value, sub, key, tmp_path, capsys,
-                                                     caplog):
-        doc = full_scene()
+        (FULL_SCENE, [("flyover", "band", "n_points")], 2**62, "flyover", "n_points"),
+        (ROTOR_SCENE, [("scene", "targets", 0, "samples_per_blade")], 2**62, "simulate",
+         "samples_per_blade"),
+        (ROTOR_SCENE, [("scene", "targets", 0, "blades")], 2**62, "simulate", "blades"),
+        (FULL_SCENE, [("processing", "clean_paths")], 129, "clean", "clean_paths"),
+    ], ids=["capture", "reflectivity-tensor", "flyover-map", "rotor-samples", "rotor-blades",
+            "clean-paths"])
+    def test_oversized_output_exits_2_naming_its_key(self, scene, paths, value, sub, key, tmp_path,
+                                                     capsys, caplog):
+        doc = yaml.safe_load(textwrap.dedent(scene))
         for path in paths:
             at(doc, path[:-1])[path[-1]] = value
         cfg = tmp_path / "big.yaml"

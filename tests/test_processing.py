@@ -310,6 +310,14 @@ class TestSubtractDominantPaths:
         assert fit == pytest.approx(tau, abs=1e-14)
         assert amp == pytest.approx(0.7 + 0.2j, abs=1e-12)
 
+    def test_fit_of_a_subnormal_scale_row(self):
+        # |r|² underflows: θ·curv once rounded to -0.0 and the Newton step divided by it
+        w = waveform(8, 128, bandwidth=40e6)
+        tau = 20.2 / w.bandwidth
+        row = 3.7e-166 * np.exp(-2j * np.pi * np.arange(128) * w.delta_f * tau)
+        fit, _ = _fit_static_path(row, w.delta_f, w.bandwidth)
+        assert np.isfinite(fit) and abs(fit - tau) <= 1 / w.bandwidth
+
     def test_noise_floor_flagging(self):
         rng = np.random.default_rng(9)
         w = waveform(32, 64)
