@@ -15,8 +15,8 @@ Layout, all little-endian:
 
 Round trips are bit-exact. A run's sidecar summary (config echo, estimates,
 library version) is plain YAML next to the binary. Complex datasets export
-to CSV as dB magnitudes (20 log10 |.|, exact zeros floored at -300 dB);
-float datasets export with 17 significant digits.
+to CSV as dB magnitudes (20 log10 |.|, exact zeros floored at -300 dB, NaN
+kept) with 10 decimals, within 5e-11 dB; float data keeps 17 significant digits.
 """
 
 from __future__ import annotations
@@ -165,15 +165,42 @@ class ResultArchive:
             yaml.dump(self.summary, fh, Dumper=_DUMPER, sort_keys=False, default_flow_style=False)
 
 
-_CSV_BLOCK_VALUES = 1 << 14   # values formatted per write: about 1 MB of transient text
+_CSV_BLOCK_VALUES = 1 << 13   # values formatted per write: about 1 MB of transient arrays and text
+_DIGITS = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+# 4-byte pieces of a dB value's text, one uint32 each so that one gather places four
+# characters; NUL bytes are padding, deleted from the text
+_INT, _QUAD, _DOT3, _TRIPLE = (np.ascontiguousarray(t, np.uint8).view(np.uint32)[:, 0] for t in (
+    np.where(np.arange(10**4)[:, None] >= [1000, 100, 10, 0], _DIGITS, 0),   # "0".."9999"
+    _DIGITS,                                                                 # "0000".."9999"
+    np.c_[np.full(1000, ord(".")), _DIGITS[:1000, 1:]],                      # ".000"..".999"
+    np.c_[_DIGITS[:1000, 1:], np.full(1000, ord(","))]))                     # "000,".."999,"
+_MINUS, _NAN, _INF, _SEP = np.frombuffer(b"\0\0\0-\0nan\0inf\0\0\0,", np.uint32)
+
+
+def _db_text(db: np.ndarray) -> str:
+    """CSV text of 2-D rows of dB values, |db| < 10**4 as magnitude_db gives: finite ones
+    rounded to 10 decimals (within 5e-11 + 1e-16 dB, unsigned if 0), the others nan, inf, -inf."""
+    finite = np.isfinite(db)
+    frac, whole = np.modf(np.where(finite, db, 0.0))   # exact parts: only the rounding below errs
+    q = whole.astype(np.int64) * 10**10 + np.rint(frac * 1e10).astype(np.int64)
+    ints, fracs = np.divmod(np.abs(q), 10**10)
+    words = np.stack([np.where(q < 0, _MINUS, 0), _INT[ints], _DOT3[fracs // 10**7],
+                      _QUAD[fracs // 1000 % 10**4], _TRIPLE[fracs % 1000]], axis=-1)
+    bad = ~finite
+    words[bad, 0] = np.where(db[bad] < 0, _MINUS, 0)
+    words[bad, 1] = np.where(np.isnan(db[bad]), _NAN, _INF)
+    words[bad, 2:] = [0, 0, _SEP]
+    words.view(np.uint8)[:, -1, -1] = ord("\n")
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def export_csv(archive: ResultArchive, dataset: str, path) -> None:
     """Write one <=2-D dataset as plain CSV with an axis-value header row.
 
-    Complex data exports as dB magnitude; float data keeps 17 significant
-    digits so a round trip is value-exact. Rows are converted and written a
-    fixed block at a time, so memory stays bounded whatever the dataset size.
+    Complex data exports as dB magnitude in fixed point with 10 decimals
+    (within 5e-11 dB; nan, inf or -inf if not finite); float data and axis
+    values keep 17 significant digits so a round trip is value-exact. Rows
+    are written a fixed block at a time, so memory stays bounded.
     """
     if dataset not in archive.datasets:
         raise ConfigError(f"archive has no dataset {dataset!r}")
@@ -197,10 +224,12 @@ def export_csv(archive: ResultArchive, dataset: str, path) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, values.shape[0], block):
-            rows = values[start:start + block]
-            rows = magnitude_db(rows) if complex_values else rows
-            fh.write("".join(row_fmt % (a, *row) for a, row in
-                             zip(row_ax.values[start:start + block].tolist(), rows.tolist())))
+            rows, axis = values[start:start + block], row_ax.values[start:start + block].tolist()
+            if complex_values and values.shape[1]:
+                lines = _db_text(magnitude_db(rows)).split("\n")
+                fh.write("".join("%.17g,%s\n" % (a, line) for a, line in zip(axis, lines)))
+            else:
+                fh.write("".join(row_fmt % (a, *row) for a, row in zip(axis, rows.tolist())))
 
 
 def read_csv_column(path, column: int = 1) -> np.ndarray:

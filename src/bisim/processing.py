@@ -22,12 +22,9 @@ DB_FLOOR = -300.0
 
 
 def magnitude_db(x, floor_db: float = DB_FLOOR) -> np.ndarray:
-    """20 log10 |x| with exact zeros clamped to the floor."""
-    mag = np.abs(np.asarray(x))
-    out = np.full(mag.shape, floor_db, dtype=float)
-    np.log10(mag, out=out, where=mag > 0)
-    out = np.where(mag > 0, 20.0 * out, floor_db)
-    return np.maximum(out, floor_db)
+    """20 log10 |x| clamped below at the floor (exact zeros included); NaN stays NaN."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(20.0 * np.log10(np.abs(np.asarray(x))), floor_db)
 
 
 @dataclass(eq=False)

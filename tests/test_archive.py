@@ -1,16 +1,23 @@
+import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from bisim.archive import Axis, Dataset, ResultArchive, export_csv, read_csv_column
+from bisim.archive import Axis, Dataset, ResultArchive, _db_text, export_csv, read_csv_column
 from bisim.config import load_config
 from bisim.errors import ConfigError, UsageError
 from bisim.pipeline import SUBCOMMANDS, run
 from bisim.processing import magnitude_db
+
+
+DB_TEXT = re.compile(r"-?(0|[1-9][0-9]{0,3})\.[0-9]{10}")
+DB_TEXT_ERROR = Fraction("5e-11") + Fraction("1e-16")   # 10-decimal rounding, plus one product's
 
 
 def sample_archive():
@@ -260,12 +267,50 @@ class TestCsvExport:
         archive.add("cfr", values, [Axis("slow_time", "s", rows), Axis("subcarrier", "Hz", cols)])
         path = tmp_path / "cfr.csv"
         _, peak = peak_traced_bytes(lambda: export_csv(archive, "cfr", path))
-        assert peak < 2e6   # the 2.1 MB dataset alone exceeds it; its 2.6 MB of text far more
-        # the whole-text formula: every row formatted at once and joined
-        row_fmt = ",".join(["%.17g"] * 513)
-        lines = ["slow_time_s\\subcarrier_Hz," + ",".join("%.17g" % c for c in cols.tolist())]
-        lines += [row_fmt % (a, *row) for a, row in zip(rows.tolist(), magnitude_db(values).tolist())]
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert peak < 2e6   # the 2.1 MB dataset alone exceeds it
+        lines = path.read_text().splitlines()
+        assert lines[0] == "slow_time_s\\subcarrier_Hz," + ",".join("%.17g" % c for c in cols.tolist())
+        table = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in table] == ["%.17g" % a for a in rows.tolist()]
+        texts = [text for row in table for text in row[1:]]
+        assert all(DB_TEXT.fullmatch(text) for text in texts)
+        err = np.abs(np.array(texts, dtype=float).reshape(values.shape) - magnitude_db(values))
+        assert err.max() <= 5.0001e-11
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6), elements=st.one_of(
+        st.sampled_from([-300.0, 6163.0103, 4e-11, -4e-11]),
+        st.integers(-299, 6199).map(lambda k: k - 4e-11),   # must carry to k.0000000000
+        st.integers(-3 * 10**12, 62 * 10**12).map(lambda n: (n + 0.5) / 1e10),   # near a half: exact rounding
+        st.floats(-300.0, 6200.0, exclude_max=True))))
+    def test_db_text_is_10_decimal_fixed_point(self, db):
+        lines = _db_text(db).split("\n")
+        assert lines.pop() == ""
+        texts = np.array([line.split(",") for line in lines])
+        assert texts.shape == db.shape
+        for text, value in zip(texts.ravel().tolist(), db.ravel().tolist()):
+            assert DB_TEXT.fullmatch(text) and text != "-0.0000000000", text
+            # exact rational error: parsing to a double would add up to half an ulp of the value
+            assert abs(Fraction(text) - Fraction(value)) <= DB_TEXT_ERROR, (text, value)
+
+    def test_non_finite_db_among_finite_values(self, tmp_path):
+        vals = np.array([[1.0, np.inf + 0j, 0.5j], [complex(np.nan, 1.0), 0.0, 10.0]])
+        archive = ResultArchive()
+        archive.add("m", vals, [Axis("r", "m", np.array([0.5, 1.5])), Axis("c", "s", np.arange(3.0))])
+        export_csv(archive, "m", tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_text().splitlines() == [
+            "r_m\\c_s,0,1,2",
+            "0.5,0.0000000000,inf,-6.0205999133",
+            "1.5,nan,-300.0000000000,20.0000000000",
+        ]
+        # -inf cannot come out of magnitude_db, whose floor is finite; the text kernel spells it too
+        assert _db_text(np.array([[-np.inf, -7.5], [np.nan, np.inf]])) == "-inf,-7.5000000000\nnan,inf\n"
+
+    def test_zero_column_complex_export_writes_the_row_axis(self, tmp_path):
+        archive = ResultArchive()
+        archive.add("e", np.zeros((2, 0), complex), [Axis("r", "m", np.array([1.0, 2.0])), Axis("c", "s", [])])
+        export_csv(archive, "e", tmp_path / "e.csv")
+        assert (tmp_path / "e.csv").read_text().splitlines() == ["r_m\\c_s", "1", "2"]
 
     def test_three_d_rejected_with_advice(self, tmp_path):
         archive = sample_archive()

@@ -13,6 +13,7 @@ from scipy.signal import get_window
 from scipy.signal.windows import gaussian
 
 import bisim
+from bisim.archive import Axis, ResultArchive, export_csv
 from bisim.channel import PathTable, SlowTimeCube, WaveformConfig, add_noise, join_paths, named_window, synth_cfr
 from bisim.errors import ConfigError, UsageError
 from bisim.geometry import C0, NodePose, Trajectory, bistatic_doppler, bistatic_range, vec3
@@ -539,3 +540,14 @@ class TestMagnitudeDb:
         assert out[0] == -300.0
         assert out[1] == 0.0
         assert out[2] == pytest.approx(20.0)
+
+    def test_nan_stays_nan_through_csv_export(self, tmp_path):
+        # only an exact zero takes the floor: a corrupted entry must not read as silence
+        values = np.array([np.nan + 0j, 0j, complex(1.0, np.nan)])
+        out = magnitude_db(values)
+        assert np.isnan(out[0]) and out[1] == -300.0 and np.isnan(out[2])
+        archive = ResultArchive()
+        archive.add("p", values, [Axis("delay", "ns", np.arange(3.0))])
+        export_csv(archive, "p", tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_text().splitlines() == [
+            "delay_ns,power_db", "0,nan", "1,-300.0000000000", "2,nan"]
