@@ -38,7 +38,6 @@ class BistaticObservation:
     excess_delay: float
     doppler: float
     wavelength: float
-    timestamp: float = 0.0
     weight: float = 1.0
 
     def __post_init__(self):
@@ -100,6 +99,14 @@ def _hops(points, tx, rx, strict: bool = False):
     u_tx /= d_tx[..., None]
     u_rx /= d_rx[..., None]
     return u_tx, u_rx, d_tx + d_rx
+
+
+def _condition(sv: np.ndarray, n_axes: int) -> float:
+    """Condition number sv[0] / sv[-1] of a matrix from its descending singular values sv;
+    inf when it has fewer than n_axes of them or is rank-deficient (a blind geometry)."""
+    if sv.size < n_axes or not sv[-1] > _RANK_TOL * sv[0]:
+        return np.inf
+    return float(sv[0] / sv[-1])
 
 
 def _embed(p: np.ndarray, dim: int) -> np.ndarray:
@@ -245,13 +252,10 @@ def localize(obs: Sequence[BistaticObservation], nodes, dim: int = 2,
     ambiguous = len(obs) < dim or len(close) > 1
 
     _, rows = _range_residuals(best_p, links, targets, np.sqrt(weights))
-    sv = np.linalg.svd(rows[:, :dim], compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > _RANK_TOL * sv[0] else np.inf
-
     return StateEstimate(
         position=best_p,
         position_residual_rms=float(best_rms),
-        range_condition=cond,
+        range_condition=_condition(np.linalg.svd(rows[:, :dim], compute_uv=False), dim),
         ambiguous=bool(ambiguous),
         alternates=[p for p, *_ in close[1:]],
         converged=bool(best_conv),
@@ -288,7 +292,6 @@ def estimate_velocity(obs: Sequence[BistaticObservation], position, nodes,
     u, s, vt = np.linalg.svd(a, full_matrices=True)
     n_axes = a.shape[1]
     rank = int(np.sum(s > _RANK_TOL * (s[0] if s.size else 1.0)))
-    cond = float(s[0] / s[-1]) if (rank == n_axes and s.size == n_axes) else np.inf
     ub = u.T @ b
     coeffs = np.zeros(n_axes)
     coeffs[:rank] = ub[:rank] / s[:rank]
@@ -301,7 +304,7 @@ def estimate_velocity(obs: Sequence[BistaticObservation], position, nodes,
         position=_embed(np.asarray(position, dtype=float), dim),
         velocity=v3,
         velocity_residual_rms=float(np.sqrt(np.mean(residual**2))) if len(obs) else 0.0,
-        doppler_condition=cond,
+        doppler_condition=_condition(s, n_axes),
         doppler_rank=rank,
         blind_directions=blind,
     )
@@ -338,11 +341,5 @@ def geometry_condition(links: Sequence[tuple[NodePose, NodePose]], position,
     u_tx, u_rx, _ = _hops(position, nodes[:, 0], nodes[:, 1], strict=True)
     rows_r = (u_tx + u_rx)[:, :n_axes]
     rows_d = -rows_r / lams[:, None]
-
-    def cond_of(m):
-        sv = np.linalg.svd(m, compute_uv=False)
-        if m.shape[0] < n_axes or sv[-1] <= _RANK_TOL * sv[0] or sv[-1] == 0.0:
-            return np.inf
-        return float(sv[0] / sv[-1])
-
-    return {"position_gdop": cond_of(rows_r), "velocity_condition": cond_of(rows_d)}
+    return {"position_gdop": _condition(np.linalg.svd(rows_r, compute_uv=False), n_axes),
+            "velocity_condition": _condition(np.linalg.svd(rows_d, compute_uv=False), n_axes)}

@@ -3,12 +3,13 @@
 All positions are meters in a fixed right-handed East-North-Up frame,
 velocities m/s, Doppler Hz. Sign convention: a shrinking bistatic range
 produces a positive Doppler shift (an approaching target is "blue").
+NodePose is the one kinematic state of nodes and target centres, at one
+instant or at many: pose_at gives it on a Trajectory for any array of times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +28,10 @@ def vec3(x: float, y: float, z: float = 0.0) -> np.ndarray:
     return v
 
 
-def as_vec3(v) -> np.ndarray:
+def as_vec3(v, many: bool = False) -> np.ndarray:
+    """v as a finite float 3-vector (3,); many=True also accepts stacks (..., 3)."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,) or (v.ndim != 1 and not many):
         raise ConfigError(f"expected a 3-vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ConfigError(f"vector components must be finite, got {v}")
@@ -52,15 +54,16 @@ def direction_from_angles(az_deg: float, el_deg: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class NodePose:
-    """Position and velocity of one radio node at an instant."""
+    """Position and velocity of a node or target centre named node_id: finite (3,)
+    vectors at one instant (they broadcast over any times), or (..., 3) at many."""
 
     position: np.ndarray
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     node_id: str = ""
 
     def __post_init__(self):
-        self.position = as_vec3(self.position)
-        self.velocity = as_vec3(self.velocity)
+        self.position = as_vec3(self.position, many=True)
+        self.velocity = as_vec3(self.velocity, many=True)
 
 
 @dataclass(eq=False)
@@ -102,43 +105,27 @@ class Trajectory:
         return cls(times, points)
 
     @property
-    def t_start(self) -> float:
-        return float(self.times[0])
-
-    @property
     def t_end(self) -> float:
         return float(self.times[-1])
 
 
-class NodeTrack(NamedTuple):
-    """Positions and velocities at one or more times, each of shape (..., 3)."""
+def pose_at(traj: Trajectory, t, node_id: str = "") -> NodePose:
+    """Pose on a trajectory at time(s) t, arrays of shape t.shape + (3,).
 
-    position: np.ndarray
-    velocity: np.ndarray
-
-
-def track_at(traj: Trajectory, t) -> NodeTrack:
-    """Poses on a trajectory at time(s) t, each of shape t.shape + (3,).
-
-    Vectorised pose_at with the same clamping: before the first waypoint
-    and at or after the last one the position holds with zero velocity.
+    Before the first waypoint and at or after the last one the position
+    holds with zero velocity.
     """
     t = np.asarray(t, dtype=float)[..., None]
     times, pts = traj.times, traj.points
     if times.size == 1:
         shape = t.shape[:-1] + (3,)
-        return NodeTrack(np.broadcast_to(pts[0], shape).copy(), np.zeros(shape))
+        return NodePose(np.broadcast_to(pts[0], shape).copy(), np.zeros(shape), node_id)
     i = np.clip(np.searchsorted(times, t[..., 0], side="right") - 1, 0, times.size - 2)
     slope = (pts[i + 1] - pts[i]) / (times[i + 1] - times[i])[..., None]
     pos = pts[i] + slope * (t - times[i][..., None])
     before, after = t < times[0], t >= times[-1]
     pos = np.where(before, pts[0], np.where(after, pts[-1], pos))
-    return NodeTrack(pos, np.where(before | after, 0.0, slope))
-
-
-def pose_at(traj: Trajectory, t: float, node_id: str = "") -> NodePose:
-    """Pose on a trajectory at time t (clamped outside the waypoint span)."""
-    return NodePose(*track_at(traj, t), node_id)
+    return NodePose(pos, np.where(before | after, 0.0, slope), node_id)
 
 
 def two_hop(points, p_tx, p_rx) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ from .processing import (
     time_gate,
 )
 from .scene import illumination_paths, link_callback, link_paths
-from .targets import Rotor, flyover_scan, link_budget, reflectivity_scan
+from .targets import flyover_scan, link_budget, reflectivity_scan
 
 def _link_cube(cfg: RunConfig, i: int, tx_id: str, rx_id: str) -> SlowTimeCube:
     """The CFR cube of link i, noised from generator seed [noise seed, i]."""
@@ -188,7 +188,7 @@ def _observation(cfg: RunConfig, tx_id: str, rx_id: str, ddm, d, los: float) -> 
     delay = d.delay + di / cfg.waveform.bandwidth
     doppler = d.doppler + dj * float(ddm.doppler_hz[1] - ddm.doppler_hz[0])
     return BistaticObservation(tx_id=tx_id, rx_id=rx_id, excess_delay=max(delay - los, 0.0), doppler=doppler,
-                               wavelength=cfg.scene.wavelength, timestamp=cfg.t0)
+                               wavelength=cfg.scene.wavelength)
 
 
 def run_localize(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
@@ -290,24 +290,14 @@ def run_flyover(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     }
 
 
-def _target_center_velocity(cfg: RunConfig, target) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(target, Rotor):
-        return target.hub_offset, np.zeros(3)
-    from .geometry import pose_at
-
-    pose = pose_at(target.trajectory, cfg.t0)
-    return pose.position, pose.velocity
-
-
 def run_focus(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     """Time-reversal prefilters and Doppler matching for every Tx node."""
-    target = cfg.scene.target()
-    point, velocity = _target_center_velocity(cfg, target)
+    center = cfg.scene.target().pose(cfg.t0)
     w = cfg.waveform
     results = {}
     for tx in cfg.scene.tx_nodes:
-        paths = illumination_paths(cfg.scene, tx.node_id, point, cfg.t0,
-                                   point_velocity=velocity)
+        paths = illumination_paths(cfg.scene, tx.node_id, center.position, cfg.t0,
+                                   point_velocity=center.velocity)
         cfr = paths.gain @ phase_ramps(paths.delay, w.delta_f, w.n_subcarriers)
         pre = time_reversal_prefilter(cfr)
         gain = focusing_gain(cfr)

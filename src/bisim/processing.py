@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import PathTable, SlowTimeCube, delay_axis, named_window
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, NumericalError, UsageError
 
 DB_FLOOR = -300.0
 
@@ -34,8 +34,6 @@ class DelayDopplerMap:
     data: np.ndarray          # (n_delay, n_doppler)
     delay_s: np.ndarray
     doppler_hz: np.ndarray
-    fast_window: str = "none"
-    slow_window: str = "none"
 
     def __post_init__(self):
         if self.data.shape != (len(self.delay_s), len(self.doppler_hz)):
@@ -75,7 +73,7 @@ def delay_doppler_map(cube: SlowTimeCube, fast_window: str = "none",
     dd = np.fft.fft(dd, axis=0, norm="ortho")
     dd = np.ascontiguousarray(np.fft.fftshift(dd, axes=0).T)   # C order: archived without a copy
     doppler = np.fft.fftshift(np.fft.fftfreq(w.n_symbols, w.t_sym))
-    return DelayDopplerMap(dd, delay_axis(w.n_subcarriers, w.bandwidth), doppler, fast_window, slow_window)
+    return DelayDopplerMap(dd, delay_axis(w.n_subcarriers, w.bandwidth), doppler)
 
 
 def background_subtract(measurement: SlowTimeCube, background: SlowTimeCube) -> SlowTimeCube:
@@ -298,10 +296,13 @@ def detect_peaks(ddm: DelayDopplerMap, threshold_db: float,
     The floor is the median map magnitude in dB, robust to sparse targets.
     exclude_zero_doppler drops the 0 Hz bin column, separating static
     clutter from movers. excess_delay is reported relative to los_delay_s.
+    A map with a non-finite cell raises NumericalError: its floor means nothing.
     """
     if not np.isfinite(threshold_db):
         raise ConfigError("threshold must be finite")
     db = magnitude_db(ddm.data)
+    if not np.all(np.isfinite(db)):
+        raise NumericalError(f"delay-Doppler map has {np.count_nonzero(~np.isfinite(db))} non-finite cells")
     floor = float(np.median(db))
     limit = floor + threshold_db
     peak = db

@@ -3,22 +3,22 @@
 A scene is the geometric ground truth. link_paths() turns it into the path
 table the channel synthesizer consumes, one call per link and block of
 symbol times: the direct Tx-Rx line-of-sight, one path per clutter
-scatterer, and one path per target scatterer sample. Paths of static
-endpoints are evaluated once per call and broadcast over its times.
-illumination_paths() builds the one-way
-Tx-to-point channel (direct plus single bounces off clutter) used for
-transmit predistortion.
+scatterer, and one path per target scatterer sample. Every node answers
+pose(t) with a NodePose: (3,) for a static node, whose paths are then
+evaluated once per call and broadcast over its times, t.shape + (3,) on a
+trajectory. illumination_paths() builds the one-way Tx-to-point channel
+(direct plus single bounces off clutter) used for transmit predistortion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channel import PathTable, join_paths
 from .errors import ConfigError, GeometryError
-from .geometry import C0, NodePose, NodeTrack, Trajectory, as_vec3, bistatic_doppler, bistatic_range, track_at
+from .geometry import C0, NodePose, Trajectory, as_vec3, bistatic_doppler, bistatic_range, pose_at
 from .targets import FOUR_PI, ScattererStates, StaticScatterer, bounce_paths, target_paths
 
 
@@ -29,14 +29,15 @@ class SceneNode:
     node_id: str
     motion: NodePose | Trajectory
 
-    def pose(self, t: float) -> NodePose:
-        return NodePose(*self.track(t), self.node_id)
+    def __post_init__(self):
+        if isinstance(self.motion, NodePose):
+            self.motion = replace(self.motion, node_id=self.node_id)
 
-    def track(self, t) -> NodeTrack:
-        """Position and velocity at time(s) t; a static node gives its (3,) pose."""
+    def pose(self, t) -> NodePose:
+        """Pose at time(s) t, carrying node_id; a static node gives its stored (3,) pose."""
         if isinstance(self.motion, Trajectory):
-            return track_at(self.motion, t)
-        return NodeTrack(self.motion.position, self.motion.velocity)
+            return pose_at(self.motion, t, self.node_id)
+        return self.motion
 
 
 @dataclass(eq=False)
@@ -82,7 +83,7 @@ class SceneConfig:
         return [(tx.node_id, rx.node_id) for tx in self.tx_nodes for rx in self.rx_nodes]
 
 
-def los_paths(tx: NodeTrack, rx: NodeTrack, lam: float, doppler: bool = False) -> PathTable:
+def los_paths(tx: NodePose, rx: NodePose, lam: float, doppler: bool = False) -> PathTable:
     """Direct path between two nodes with free-space (Friis) amplitude λ/(4πd)."""
     sep = rx.position - tx.position
     d = np.linalg.norm(sep, axis=-1, keepdims=True)
@@ -95,13 +96,10 @@ def los_paths(tx: NodeTrack, rx: NodeTrack, lam: float, doppler: bool = False) -
     return table
 
 
-def clutter_paths(clutter: list[StaticScatterer], tx: NodeTrack, rx: NodeTrack, lam: float,
+def clutter_paths(clutter: list[StaticScatterer], tx: NodePose, rx: NodePose, lam: float,
                   doppler: bool = False) -> PathTable:
     """Single-bounce paths via the static environment scatterers."""
-    points = np.stack([sc.position for sc in clutter])
-    states = ScattererStates(points, np.zeros_like(points),
-                             np.array([sc.amplitude for sc in clutter]),
-                             np.stack([sc.jones for sc in clutter]))
+    states = ScattererStates.stack(clutter, np.stack([sc.position for sc in clutter]))
     return bounce_paths(states, tx, rx, lam, doppler)
 
 
@@ -111,8 +109,8 @@ def link_paths(scene: SceneConfig, tx_id: str, rx_id: str, t, doppler: bool = Fa
     Returns a PathTable of shape t.shape + (P,). Geometric synthesis passes
     a block of symbol times; fixed mode passes one time and doppler=True.
     """
-    tx = scene.node(tx_id).track(t)
-    rx = scene.node(rx_id).track(t)
+    tx = scene.node(tx_id).pose(t)
+    rx = scene.node(rx_id).pose(t)
     tables = []
     if scene.include_los:
         tables.append(los_paths(tx, rx, scene.wavelength, doppler))
@@ -138,9 +136,8 @@ def illumination_paths(scene: SceneConfig, tx_id: str, point, t: float,
     (point_velocity) gives each path its own Doppler via the path's final
     leg, which is what makes per-path Doppler matching meaningful.
     """
-    tx = scene.node(tx_id).track(t)
-    v_pt = np.zeros(3) if point_velocity is None else as_vec3(point_velocity)
-    end = NodeTrack(as_vec3(point), v_pt)
+    tx = scene.node(tx_id).pose(t)
+    end = NodePose(as_vec3(point), np.zeros(3) if point_velocity is None else as_vec3(point_velocity))
     tables = [los_paths(tx, end, scene.wavelength, doppler=True)]
     if scene.clutter:
         tables.append(clutter_paths(scene.clutter, tx, end, scene.wavelength, doppler=True))
@@ -163,6 +160,5 @@ def ground_truth_observation(scene: SceneConfig, tx_id: str, rx_id: str,
         excess_delay=excess / C0,
         doppler=fd,
         wavelength=scene.wavelength,
-        timestamp=t,
         weight=weight,
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import _SLAB_ELEMENTS, PathTable, check_entries, named_window, path_rows, phase_ramps
 from .errors import ConfigError
-from .geometry import C0, NodePose, NodeTrack, Trajectory, as_vec3, direction_from_angles, track_at, two_hop, unit
+from .geometry import C0, NodePose, Trajectory, as_vec3, direction_from_angles, pose_at, two_hop, unit
 from .geometry import bistatic_doppler  # noqa: F401  unused; bench/tracing.py counts calls made through it
 
 FOUR_PI = 4.0 * np.pi
@@ -107,6 +107,10 @@ class RigidTarget:
         if not self.scatterers:
             raise ConfigError("rigid target needs at least one scatterer")
 
+    def pose(self, t) -> NodePose:
+        """The cloud's body-frame origin on its track at time(s) t."""
+        return pose_at(self.trajectory, t, self.name)
+
 
 @dataclass(eq=False)
 class Rotor:
@@ -146,6 +150,10 @@ class Rotor:
                               f"more than {MAX_AXIS_POINTS} rotor samples")
         self.sample_amplitude = complex(self.sample_amplitude)
 
+    def pose(self, t) -> NodePose:
+        """The hub, at rest at every time."""
+        return NodePose(self.hub_offset, node_id=self.name)
+
     @property
     def sample_spacing(self) -> float:
         return self.blade_radius / self.samples_per_blade
@@ -180,9 +188,16 @@ class ScattererStates:
     def __len__(self) -> int:
         return self.amplitudes.shape[0]
 
+    @classmethod
+    def stack(cls, scatterers, positions, velocities=None) -> "ScattererStates":
+        """States of point or static scatterers at positions (..., N, 3); at rest by default."""
+        return cls(positions, np.zeros_like(positions) if velocities is None else velocities,
+                   np.array([s.amplitude for s in scatterers], dtype=complex),
+                   np.stack([s.jones for s in scatterers]))
+
 
 def _rigid_states(target: RigidTarget, t) -> ScattererStates:
-    track = track_at(target.trajectory, t)
+    track = target.pose(t)
     offsets = np.stack([s.offset for s in target.scatterers])
     if target.yaw == "track":
         vx, vy = track.velocity[..., 0], track.velocity[..., 1]
@@ -194,9 +209,7 @@ def _rigid_states(target: RigidTarget, t) -> ScattererStates:
     body = np.stack([c * ox - s * oy, s * ox + c * oy, np.broadcast_to(oz, (*yaw.shape, oz.size))], -1)
     positions = track.position[..., None, :] + body
     velocities = np.broadcast_to(track.velocity[..., None, :], positions.shape)
-    amps = np.array([s.amplitude for s in target.scatterers], dtype=complex)
-    jones = np.stack([s.jones for s in target.scatterers])
-    return ScattererStates(positions, velocities, amps, jones)
+    return ScattererStates.stack(target.scatterers, positions, velocities)
 
 
 def _rotor_states(rotor: Rotor, t) -> ScattererStates:
@@ -233,8 +246,8 @@ def scatterer_gain(amplitude: complex, d_tx, d_rx, lam: float):
     return amplitude * lam / (FOUR_PI * d_tx * d_rx) * np.exp(-2j * np.pi * (d_tx + d_rx) / lam)
 
 
-def bounce_paths(states: ScattererStates, tx: NodePose | NodeTrack, rx: NodePose | NodeTrack,
-                 lam: float, doppler: bool = False) -> PathTable:
+def bounce_paths(states: ScattererStates, tx: NodePose, rx: NodePose, lam: float,
+                 doppler: bool = False) -> PathTable:
     """One single-bounce path per scatterer, between two (moving) antennas.
 
     Delay is the per-scatterer bistatic delay (no far-field plane-wave
@@ -255,8 +268,7 @@ def bounce_paths(states: ScattererStates, tx: NodePose | NodeTrack, rx: NodePose
     return table
 
 
-def target_paths(target, tx: NodePose | NodeTrack, rx: NodePose | NodeTrack, t, lam: float,
-                 doppler: bool = False) -> PathTable:
+def target_paths(target, tx: NodePose, rx: NodePose, t, lam: float, doppler: bool = False) -> PathTable:
     """One propagation path per scatterer of the target: a t.shape + (N,) table."""
     return bounce_paths(scatterer_states(target, t), tx, rx, lam, doppler)
 
@@ -333,15 +345,9 @@ class ReflectivityTensor:
 def _body_states(target, t: float = 0.0) -> ScattererStates:
     """Scatterer states of a solitaire object centered for a range scan."""
     if isinstance(target, RigidTarget):
-        offsets = np.stack([s.offset for s in target.scatterers])
-        amps = np.array([s.amplitude for s in target.scatterers], dtype=complex)
-        jones = np.stack([s.jones for s in target.scatterers])
-        return ScattererStates(offsets, np.zeros_like(offsets), amps, jones)
+        return ScattererStates.stack(target.scatterers, np.stack([s.offset for s in target.scatterers]))
     if isinstance(target, Rotor):
         return _rotor_states(target, t)
-    if isinstance(target, (list, tuple)):
-        sc = [s if isinstance(s, PointScatterer) else PointScatterer(*s) for s in target]
-        return _body_states(RigidTarget(sc, Trajectory.from_waypoints([(0.0, (0, 0, 0))])))
     raise ConfigError(f"unsupported scan target type {type(target).__name__}")
 
 

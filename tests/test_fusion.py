@@ -121,6 +121,18 @@ class TestLocalize:
         assert est.ambiguous
         assert est.position_residual_rms <= 1e-6
 
+    def test_one_link_in_two_d_is_unconditioned(self):
+        # one range row cannot fix two axes: the same verdict as geometry_condition
+        nodes = {"tx0": NodePose(vec3(-40, 0, 0), node_id="tx0"),
+                 "rx0": NodePose(vec3(40, 0, 0), node_id="rx0")}
+        target = vec3(5, 30, 0)
+        est = fuse(make_obs(nodes, [("tx0", "rx0")], target, velocity=vec3(3, -2, 0)), nodes, dim=2)
+        assert est.ambiguous
+        assert np.isinf(est.range_condition)
+        assert np.isinf(est.doppler_condition)
+        gdop = geometry_condition([(nodes["tx0"], nodes["rx0"])], est.position, dim=2)
+        assert np.isinf(gdop["position_gdop"]) and np.isinf(gdop["velocity_condition"])
+
     def test_no_observations_rejected(self):
         with pytest.raises(ConfigError):
             localize([], {}, dim=2)

@@ -36,6 +36,25 @@ def random_scene(rng, min_sep=1.0):
     return tx, rx, tgt, v_tx, v_rx, v_tgt
 
 
+class TestNodePose:
+    def test_accepts_stacks_of_three_vectors(self):
+        pose = NodePose(np.zeros((4, 3)), np.ones((4, 3)), "n0")
+        assert pose.position.shape == pose.velocity.shape == (4, 3)
+        assert NodePose(np.zeros((4, 3))).velocity.shape == (3,)
+
+    @pytest.mark.parametrize("field", ["position", "velocity"])
+    def test_rejects_a_last_axis_other_than_three(self, field):
+        with pytest.raises(ConfigError, match=r"\(4, 2\)"):
+            NodePose(**{"position": np.zeros((4, 3)), field: np.zeros((4, 2))})
+
+    @pytest.mark.parametrize("field", ["position", "velocity"])
+    def test_rejects_non_finite_values(self, field):
+        bad = np.zeros((4, 3))
+        bad[2, 1] = np.nan
+        with pytest.raises(ConfigError, match="finite"):
+            NodePose(**{"position": np.zeros((4, 3)), field: bad})
+
+
 class TestPoseAt:
     def test_midpoint_interpolation(self):
         traj = Trajectory.from_waypoints([(0, (0, 0, 0)), (1, (10, 0, 0))])

@@ -15,7 +15,7 @@ from scipy.signal.windows import gaussian
 import bisim
 from bisim.archive import Axis, ResultArchive, export_csv
 from bisim.channel import PathTable, SlowTimeCube, WaveformConfig, add_noise, join_paths, named_window, synth_cfr
-from bisim.errors import ConfigError, UsageError
+from bisim.errors import ConfigError, NumericalError, UsageError
 from bisim.geometry import C0, NodePose, Trajectory, bistatic_doppler, bistatic_range, vec3
 from bisim.processing import (
     DelayDopplerMap,
@@ -513,6 +513,28 @@ class TestDetectPeaks:
         expected = np.argwhere(db >= maximum_filter(db, size=3, mode="wrap"))
         found = [(d.delay_bin, d.doppler_bin) for d in detect_peaks(ddm, -1e3)]
         assert sorted(found) == [tuple(ij) for ij in expected]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cell_raises(self, bad):
+        rng = np.random.default_rng(13)
+        ddm = noise_map(rng)
+        ddm.data[17, 29] = 1e3
+        assert len(detect_peaks(ddm, 20.0)) == 1
+        ddm.data[3, 4] = bad
+        with pytest.raises(NumericalError, match="1 non-finite"):
+            detect_peaks(ddm, 20.0)
+
+    def test_non_finite_capture_exits_3(self, full_scene_config, tmp_path, monkeypatch):
+        from bisim import pipeline
+        from bisim.cli import main
+
+        def corrupt(cube, *args, **kwargs):
+            data = cube.data.copy()
+            data[3, 5] = np.nan   # the transforms spread it over the whole map
+            return SlowTimeCube(data, cube.waveform)
+
+        monkeypatch.setattr(pipeline, "add_noise", corrupt)
+        assert main(["ddmap", "--config", str(full_scene_config), "--out", str(tmp_path / "out")]) == 3
 
     def test_excess_delay_reference(self):
         rng = np.random.default_rng(14)

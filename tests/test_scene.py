@@ -48,6 +48,31 @@ class TestSceneConfig:
         assert len(scene.links()) == 6
 
 
+class TestSceneNodePose:
+    TIMES = np.array([-0.5, 0.0, 0.13, 0.5, 0.77, 1.0, 2.0])
+
+    @pytest.mark.parametrize("motion", [
+        NodePose(vec3(3, -4, 1), vec3(2, 0, -1)),
+        Trajectory.from_waypoints([(0.0, (0, 0, 0)), (0.5, (10, 3, 0)), (1.0, (7, 9, 2))]),
+    ], ids=["static", "trajectory"])
+    def test_times_array_equals_scalar_poses_bit_for_bit(self, motion):
+        node = SceneNode("rx3", motion)
+        many = node.pose(self.TIMES)
+        assert many.node_id == "rx3"
+        shape = (len(self.TIMES), 3)
+        for i, t in enumerate(self.TIMES):
+            one = node.pose(t)
+            assert one.node_id == "rx3"
+            assert np.array_equal(np.broadcast_to(many.position, shape)[i], one.position)
+            assert np.array_equal(np.broadcast_to(many.velocity, shape)[i], one.velocity)
+
+    def test_static_node_returns_its_stored_pose(self):
+        stored = NodePose(vec3(3, -4, 1))
+        node = SceneNode("tx1", stored)
+        assert node.pose(0.0) is node.pose(self.TIMES) is node.motion
+        assert stored.node_id == ""   # the caller's pose is not renamed
+
+
 class TestLinkPaths:
     def test_los_only(self):
         scene = basic_scene()

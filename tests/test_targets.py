@@ -50,6 +50,24 @@ def make_rotor(radius=0.12, rate=625.0, blades=2, samples=32):
     )
 
 
+class TestTargetPose:
+    def test_rotor_pose_is_the_hub_at_rest(self):
+        rotor = make_rotor()
+        for t in (0.0, 0.37, np.linspace(0.0, 1.0, 4)):
+            pose = rotor.pose(t)
+            assert np.array_equal(pose.position, rotor.hub_offset)
+            assert np.array_equal(pose.velocity, np.zeros(3))
+            assert pose.node_id == rotor.name
+
+    def test_rigid_pose_is_its_track(self):
+        target = single_point_target(track=((0.0, (50, 40, 0)), (1.0, (58, 34, 1)), (2.0, (60, 30, 1))))
+        for t in (-1.0, 0.25, 1.0, np.array([0.1, 1.5, 3.0])):
+            pose, track = target.pose(t), pose_at(target.trajectory, t)
+            assert np.array_equal(pose.position, track.position)
+            assert np.array_equal(pose.velocity, track.velocity)
+            assert pose.node_id == target.name
+
+
 class TestScattererStates:
     def test_rotor_periodicity(self):
         rotor = make_rotor()
