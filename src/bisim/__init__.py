@@ -52,11 +52,9 @@ from .targets import (
     ReflectivityTensor,
     RigidTarget,
     Rotor,
-    StaticScatterer,
     equivalent_rcs,
     flyover_scan,
     link_budget,
     reflectivity_scan,
-    scatterer_states,
     target_paths,
 )

@@ -242,18 +242,21 @@ def synth_cfr(
 def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:
     """Add circularly-symmetric complex white noise at the given SNR.
 
-    The noise variance is mean(|H|^2) / 10^(snr/10); snr_db = +inf returns
-    the cube unchanged. The full noise block is drawn from one seeded
-    generator in a single call, so the result is independent of any
-    worker-pool parallelism in the surrounding pipeline; its (re, im)
+    The noise variance is mean(|H|^2) / 10^(snr/10) and must be finite;
+    snr_db = +inf returns the cube unchanged. The full noise block is drawn
+    from one seeded generator in a single call, so the result is independent
+    of any worker-pool parallelism in the surrounding pipeline; its (re, im)
     pairs are read as complex, scaled and summed with the cube in place.
     """
     if np.isinf(snr_db) and snr_db > 0:
         return SlowTimeCube(cube.data.copy(), cube.waveform, cube.t0)
-    if not np.isfinite(snr_db):
-        raise ConfigError("snr_db must be finite or +inf")
     sig_power = cube.mean_power()
-    var = sig_power / (10.0 ** (snr_db / 10.0))
+    try:
+        var = sig_power / (10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        var = math.inf
+    if not math.isfinite(var):
+        raise ConfigError(f"snr_db {snr_db:g} and signal power {sig_power:g} give no finite noise variance")
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as err:

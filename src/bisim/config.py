@@ -44,7 +44,7 @@ from .errors import ConfigError
 from .geometry import C0, NodePose, Trajectory
 from .scene import SceneConfig, SceneNode
 from .targets import (MAX_AXIS_POINTS, FrequencyBand, LinkBudget, PointScatterer, RigidTarget, Rotor,
-                      StaticScatterer, equivalent_rcs, stepped_axis)
+                      equivalent_rcs, stepped_axis)
 
 REQUIRED = object()  # default of a key that must be given
 
@@ -315,7 +315,8 @@ TARGET = _tagged("kind", {
     "rigid": (RigidTarget, [
         NAME,
         Key("yaw", _leaf(lambda v, where: v if v == "track" else _float(v, where)), None),
-        Key("scatterers", _list(_section(PointScatterer, [Key("offset", VEC, [0, 0, 0]), AMPLITUDE]))),
+        Key("scatterers", _list(_section(PointScatterer, [
+            Key("offset", VEC, [0, 0, 0], to="position"), AMPLITUDE]))),
         TRAJECTORY,
     ]),
     "rotor": (Rotor, [
@@ -367,7 +368,7 @@ RUN = _record("RunConfig", [
     Key("scene", _section(SceneConfig, [
         WAVELENGTH, Key("include_los", BOOL, True),
         Key("tx_nodes", _list(NODE)), Key("rx_nodes", _list(NODE)), Key("targets", _list(TARGET), []),
-        Key("clutter", _list(_section(StaticScatterer, [POSITION, AMPLITUDE])), []),
+        Key("clutter", _list(_section(PointScatterer, [POSITION, AMPLITUDE])), []),
     ])),
     Key("processing", PROCESSING, {}),
     Key("noise", NOISE, {}),

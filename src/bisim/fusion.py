@@ -332,14 +332,15 @@ def geometry_condition(links: Sequence[tuple[NodePose, NodePose]], position,
     """
     if not links:
         raise ConfigError("need at least one link")
+    if dim not in (2, 3):
+        raise ConfigError("dim must be 2 or 3")
     position = as_vec3(_embed(np.asarray(position, dtype=float), dim))
-    n_axes = 2 if dim == 2 else 3
     lams = np.asarray(wavelengths if wavelengths is not None else np.ones(len(links)), dtype=float)
     if lams.shape != (len(links),):
         raise ConfigError(f"need one wavelength per link, got {lams.size} for {len(links)}")
     nodes = _link_nodes(links)
     u_tx, u_rx, _ = _hops(position, nodes[:, 0], nodes[:, 1], strict=True)
-    rows_r = (u_tx + u_rx)[:, :n_axes]
+    rows_r = (u_tx + u_rx)[:, :dim]
     rows_d = -rows_r / lams[:, None]
-    return {"position_gdop": _condition(np.linalg.svd(rows_r, compute_uv=False), n_axes),
-            "velocity_condition": _condition(np.linalg.svd(rows_d, compute_uv=False), n_axes)}
+    return {"position_gdop": _condition(np.linalg.svd(rows_r, compute_uv=False), dim),
+            "velocity_condition": _condition(np.linalg.svd(rows_d, compute_uv=False), dim)}

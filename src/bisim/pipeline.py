@@ -247,7 +247,7 @@ def run_reflectivity(cfg: RunConfig, archive: ResultArchive, threads: int) -> di
         ],
     )
     return {
-        "target": getattr(target, "name", "target"),
+        "target": target.name,
         "d_tx_m": job.d_tx,
         "d_rx_m": job.d_rx,
         "grid_points": int(
@@ -283,7 +283,7 @@ def run_flyover(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
         [Axis("bistatic_angle", "deg", fly.angles_deg), Axis("delay", "ns", fly.delay_s * 1e9)],
     )
     return {
-        "target": getattr(target, "name", "target"),
+        "target": target.name,
         "angles_deg": [float(a) for a in fly.angles_deg],
         "delay_resolution_ns": float(1e9 / (job.band.f_hi - job.band.f_lo)),
         "gated": cfg.processing.gate is not None,

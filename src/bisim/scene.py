@@ -3,11 +3,13 @@
 A scene is the geometric ground truth. link_paths() turns it into the path
 table the channel synthesizer consumes, one call per link and block of
 symbol times: the direct Tx-Rx line-of-sight, one path per clutter
-scatterer, and one path per target scatterer sample. Every node answers
-pose(t) with a NodePose: (3,) for a static node, whose paths are then
-evaluated once per call and broadcast over its times, t.shape + (3,) on a
-trajectory. illumination_paths() builds the one-way Tx-to-point channel
-(direct plus single bounces off clutter) used for transmit predistortion.
+scatterer (a PointScatterer at rest at its world-frame position), and one
+path per sample of target.states(t), whatever the kind of target. Every
+node answers pose(t) with a NodePose: (3,) for a static node, whose paths
+are then evaluated once per call and broadcast over its times, t.shape +
+(3,) on a trajectory. illumination_paths() builds the one-way Tx-to-point
+channel (direct plus single bounces off clutter) used for transmit
+predistortion.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .channel import PathTable, join_paths
 from .errors import ConfigError, GeometryError
 from .geometry import C0, NodePose, Trajectory, as_vec3, bistatic_doppler, bistatic_range, pose_at
-from .targets import FOUR_PI, ScattererStates, StaticScatterer, bounce_paths, target_paths
+from .targets import FOUR_PI, PointScatterer, RigidTarget, Rotor, ScattererStates, bounce_paths, target_paths
 
 
 @dataclass(eq=False)
@@ -46,8 +48,8 @@ class SceneConfig:
 
     tx_nodes: list[SceneNode]
     rx_nodes: list[SceneNode]
-    targets: list = field(default_factory=list)
-    clutter: list[StaticScatterer] = field(default_factory=list)
+    targets: list[RigidTarget | Rotor] = field(default_factory=list)
+    clutter: list[PointScatterer] = field(default_factory=list)
     wavelength: float = C0 / 3.7e9
     include_los: bool = True
 
@@ -75,7 +77,7 @@ class SceneConfig:
         if name is None:
             return self.targets[0]
         for t in self.targets:
-            if getattr(t, "name", None) == name:
+            if t.name == name:
                 return t
         raise ConfigError(f"scene has no target named {name!r}")
 
@@ -96,11 +98,10 @@ def los_paths(tx: NodePose, rx: NodePose, lam: float, doppler: bool = False) -> 
     return table
 
 
-def clutter_paths(clutter: list[StaticScatterer], tx: NodePose, rx: NodePose, lam: float,
+def clutter_paths(clutter: list[PointScatterer], tx: NodePose, rx: NodePose, lam: float,
                   doppler: bool = False) -> PathTable:
     """Single-bounce paths via the static environment scatterers."""
-    states = ScattererStates.stack(clutter, np.stack([sc.position for sc in clutter]))
-    return bounce_paths(states, tx, rx, lam, doppler)
+    return bounce_paths(ScattererStates.stack(clutter), tx, rx, lam, doppler)
 
 
 def link_paths(scene: SceneConfig, tx_id: str, rx_id: str, t, doppler: bool = False) -> PathTable:

@@ -1,9 +1,10 @@
 """Extended-target scattering: point clouds, rotors, reflectivity scans, RCS.
 
-Targets are superpositions of point scatterers with complex scattering
-length s (meters) and an optional 2x2 Jones matrix over the (H, V)
-polarization basis. The conventions are tied together so link budgets are
-exact by construction:
+Every scatterer is a PointScatterer: a position (in its target's body
+frame, or in the world frame for clutter), a complex scattering length s
+(meters) and an optional 2x2 Jones matrix over the (H, V) polarization
+basis. The conventions are tied together so link budgets are exact by
+construction:
 
     sigma = 4π |s|^2                         (equivalent-sphere RCS)
     a     = s λ / (4π d_tx d_rx) e^{-j2πR/λ} (per-scatterer channel gain)
@@ -13,6 +14,12 @@ so |a|^2 of a single-scatterer channel reproduces the bistatic radar
 equation at unity gains. Spherical wavefronts are kept throughout: every
 scatterer has its own Tx/Rx distances, which is what makes the model valid
 in the near field and scalable with antenna distance.
+
+A target (RigidTarget, Rotor) answers name, pose(t) (its body-frame
+origin), states(t) (world-frame states of every sample at time(s) t) and
+body(t) (the states a range scan centres on: a rigid cloud at rest in its
+body frame, a rotor's states(t)). No code outside this module asks which
+kind a target is.
 """
 
 from __future__ import annotations
@@ -45,13 +52,9 @@ def stepped_axis(start: float, stop: float, step: float, what: str) -> np.ndarra
     return points[points <= stop + 1e-9]
 
 
-def jones_identity() -> np.ndarray:
-    return np.eye(2, dtype=complex)
-
-
 def _as_jones(j) -> np.ndarray:
     if j is None:
-        return jones_identity()
+        return np.eye(2, dtype=complex)
     j = np.ascontiguousarray(j, dtype=complex)
     if j.shape != (2, 2):
         raise ConfigError(f"Jones matrix must be 2x2, got shape {j.shape}")
@@ -62,21 +65,7 @@ def _as_jones(j) -> np.ndarray:
 
 @dataclass(eq=False)
 class PointScatterer:
-    """Point scatterer: body-frame offset, scattering length s (m), Jones."""
-
-    offset: np.ndarray
-    amplitude: complex
-    jones: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.offset = as_vec3(self.offset)
-        self.amplitude = complex(self.amplitude)
-        self.jones = _as_jones(self.jones)
-
-
-@dataclass(eq=False)
-class StaticScatterer:
-    """A fixed environment scatterer (clutter) at an absolute position."""
+    """Point scatterer: position (target body frame; world frame for clutter), s (m), Jones."""
 
     position: np.ndarray
     amplitude: complex
@@ -86,6 +75,31 @@ class StaticScatterer:
         self.position = as_vec3(self.position)
         self.amplitude = complex(self.amplitude)
         self.jones = _as_jones(self.jones)
+
+
+@dataclass(eq=False)
+class ScattererStates:
+    """States of all N samples of one target, or of the clutter, at time(s) t.
+
+    positions and velocities have shape t.shape + (N, 3); amplitudes (N,)
+    and jones (N, 2, 2) do not change with time.
+    """
+
+    positions: np.ndarray
+    velocities: np.ndarray
+    amplitudes: np.ndarray  # (N,) complex
+    jones: np.ndarray       # (N, 2, 2) complex
+
+    def __len__(self) -> int:
+        return self.amplitudes.shape[0]
+
+    @classmethod
+    def stack(cls, scatterers, positions=None, velocities=None) -> "ScattererStates":
+        """States of scatterers at positions (..., N, 3), by default their own; at rest by default."""
+        positions = np.stack([s.position for s in scatterers]) if positions is None else positions
+        return cls(positions, np.zeros_like(positions) if velocities is None else velocities,
+                   np.array([s.amplitude for s in scatterers], dtype=complex),
+                   np.stack([s.jones for s in scatterers]))
 
 
 @dataclass(eq=False)
@@ -110,6 +124,25 @@ class RigidTarget:
     def pose(self, t) -> NodePose:
         """The cloud's body-frame origin on its track at time(s) t."""
         return pose_at(self.trajectory, t, self.name)
+
+    def states(self, t) -> ScattererStates:
+        """The cloud in the world frame: rotated by its yaw, carried along its track."""
+        track = self.pose(t)
+        if self.yaw == "track":
+            vx, vy = track.velocity[..., 0], track.velocity[..., 1]
+            yaw = np.where(np.hypot(vx, vy) < 1e-12, 0.0, np.arctan2(vy, vx))
+        else:
+            yaw = np.full(np.shape(t), float(self.yaw or 0.0))
+        c, s = np.cos(yaw)[..., None], np.sin(yaw)[..., None]   # rotation about +z
+        ox, oy, oz = np.stack([s.position for s in self.scatterers]).T
+        rotated = np.stack([c * ox - s * oy, s * ox + c * oy, np.broadcast_to(oz, (*yaw.shape, oz.size))], -1)
+        positions = track.position[..., None, :] + rotated
+        velocities = np.broadcast_to(track.velocity[..., None, :], positions.shape)
+        return ScattererStates.stack(self.scatterers, positions, velocities)
+
+    def body(self, t) -> ScattererStates:
+        """The cloud at rest in its body frame, at every time."""
+        return ScattererStates.stack(self.scatterers)
 
 
 @dataclass(eq=False)
@@ -171,74 +204,25 @@ class Rotor:
         e1 = unit(np.cross(ref, self.axis))
         return e1, np.cross(self.axis, e1)
 
+    def states(self, t) -> ScattererStates:
+        """Every blade sample in the world frame at time(s) t."""
+        e1, e2 = self.basis
+        radii = self.blade_radius * np.arange(1, self.samples_per_blade + 1) / self.samples_per_blade
+        t = np.asarray(t, dtype=float)[..., None]
+        blade_angles = self.phase0 + self.rate * t + 2.0 * np.pi * np.arange(self.n_blades) / self.n_blades
+        cos, sin = np.cos(blade_angles)[..., None, None], np.sin(blade_angles)[..., None, None]
+        r = radii[:, None]                              # (S, 1) against (..., B, 1, 1)
+        positions = self.hub_offset + r * (cos * e1 + sin * e2)
+        velocities = self.rate * r * (-sin * e1 + cos * e2)
+        n = self.n_blades * self.samples_per_blade
+        shape = (*t.shape[:-1], n, 3)
+        amps = np.full(n, self.sample_amplitude, dtype=complex)
+        jones = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
+        return ScattererStates(positions.reshape(shape), velocities.reshape(shape), amps, jones)
 
-@dataclass(eq=False)
-class ScattererStates:
-    """World-frame states of all N samples of one target at time(s) t.
-
-    positions and velocities have shape t.shape + (N, 3); amplitudes (N,)
-    and jones (N, 2, 2) do not change with time.
-    """
-
-    positions: np.ndarray
-    velocities: np.ndarray
-    amplitudes: np.ndarray  # (N,) complex
-    jones: np.ndarray       # (N, 2, 2) complex
-
-    def __len__(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @classmethod
-    def stack(cls, scatterers, positions, velocities=None) -> "ScattererStates":
-        """States of point or static scatterers at positions (..., N, 3); at rest by default."""
-        return cls(positions, np.zeros_like(positions) if velocities is None else velocities,
-                   np.array([s.amplitude for s in scatterers], dtype=complex),
-                   np.stack([s.jones for s in scatterers]))
-
-
-def _rigid_states(target: RigidTarget, t) -> ScattererStates:
-    track = target.pose(t)
-    offsets = np.stack([s.offset for s in target.scatterers])
-    if target.yaw == "track":
-        vx, vy = track.velocity[..., 0], track.velocity[..., 1]
-        yaw = np.where(np.hypot(vx, vy) < 1e-12, 0.0, np.arctan2(vy, vx))
-    else:
-        yaw = np.full(np.shape(t), float(target.yaw or 0.0))
-    c, s = np.cos(yaw)[..., None], np.sin(yaw)[..., None]   # rotation about +z
-    ox, oy, oz = offsets.T
-    body = np.stack([c * ox - s * oy, s * ox + c * oy, np.broadcast_to(oz, (*yaw.shape, oz.size))], -1)
-    positions = track.position[..., None, :] + body
-    velocities = np.broadcast_to(track.velocity[..., None, :], positions.shape)
-    return ScattererStates.stack(target.scatterers, positions, velocities)
-
-
-def _rotor_states(rotor: Rotor, t) -> ScattererStates:
-    e1, e2 = rotor.basis
-    radii = rotor.blade_radius * np.arange(1, rotor.samples_per_blade + 1) / rotor.samples_per_blade
-    t = np.asarray(t, dtype=float)[..., None]
-    blade_angles = rotor.phase0 + rotor.rate * t + 2.0 * np.pi * np.arange(rotor.n_blades) / rotor.n_blades
-    cos, sin = np.cos(blade_angles)[..., None, None], np.sin(blade_angles)[..., None, None]
-    r = radii[:, None]                              # (S, 1) against (..., B, 1, 1)
-    positions = rotor.hub_offset + r * (cos * e1 + sin * e2)
-    velocities = rotor.rate * r * (-sin * e1 + cos * e2)
-    n = rotor.n_blades * rotor.samples_per_blade
-    shape = (*t.shape[:-1], n, 3)
-    amps = np.full(n, rotor.sample_amplitude, dtype=complex)
-    jones = np.broadcast_to(jones_identity(), (n, 2, 2))
-    return ScattererStates(positions.reshape(shape), velocities.reshape(shape), amps, jones)
-
-
-def scatterer_states(target, t) -> ScattererStates:
-    """World-frame (position, velocity, amplitude, jones) of every sample.
-
-    t is a time or an array of times; positions and velocities gain its
-    shape as leading axes.
-    """
-    if isinstance(target, RigidTarget):
-        return _rigid_states(target, t)
-    if isinstance(target, Rotor):
-        return _rotor_states(target, t)
-    raise ConfigError(f"unsupported target type {type(target).__name__}")
+    def body(self, t) -> ScattererStates:
+        """The scan states: states(t), hub offset included."""
+        return self.states(t)
 
 
 def scatterer_gain(amplitude: complex, d_tx, d_rx, lam: float):
@@ -270,7 +254,7 @@ def bounce_paths(states: ScattererStates, tx: NodePose, rx: NodePose, lam: float
 
 def target_paths(target, tx: NodePose, rx: NodePose, t, lam: float, doppler: bool = False) -> PathTable:
     """One propagation path per scatterer of the target: a t.shape + (N,) table."""
-    return bounce_paths(scatterer_states(target, t), tx, rx, lam, doppler)
+    return bounce_paths(target.states(t), tx, rx, lam, doppler)
 
 
 def select_polarization(table: PathTable, states: ScattererStates, tx_pol: int = 0,
@@ -342,18 +326,9 @@ class ReflectivityTensor:
             )
 
 
-def _body_states(target, t: float = 0.0) -> ScattererStates:
-    """Scatterer states of a solitaire object centered for a range scan."""
-    if isinstance(target, RigidTarget):
-        return ScattererStates.stack(target.scatterers, np.stack([s.offset for s in target.scatterers]))
-    if isinstance(target, Rotor):
-        return _rotor_states(target, t)
-    raise ConfigError(f"unsupported scan target type {type(target).__name__}")
-
-
 def _scan_states(target, t: float, d_tx: float, d_rx: float) -> ScattererStates:
     """Body states of a scan target whose extent both antenna radii must exceed."""
-    states = _body_states(target, t)
+    states = target.body(t)
     extent = float(np.max(np.linalg.norm(states.positions, axis=1))) if len(states) else 0.0
     if d_tx <= extent or d_rx <= extent:
         raise ConfigError(
@@ -525,6 +500,8 @@ class LinkBudget:
             raise ConfigError("wavelength and distances must be positive")
         if not self.rcs_m2 > 0:
             raise ConfigError("RCS must be > 0")
+        if self.n_subcarriers < 1 or self.n_symbols < 1:
+            raise ConfigError("budget needs n_subcarriers >= 1 and n_symbols >= 1")
 
 
 def equivalent_rcs(s: complex) -> float:

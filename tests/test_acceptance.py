@@ -32,7 +32,6 @@ from bisim.targets import (
     PointScatterer,
     RigidTarget,
     Rotor,
-    StaticScatterer,
     equivalent_rcs,
     flyover_scan,
     link_budget,
@@ -116,11 +115,11 @@ def clutter_scene():
         name="mover",
     )
     clutter = [
-        StaticScatterer(vec3(60, -50, 0), 1.0),
-        StaticScatterer(vec3(210, 80, 0), 0.8),
-        StaticScatterer(vec3(90, 140, 0), 1.2),
-        StaticScatterer(vec3(250, -120, 0), 0.9),
-        StaticScatterer(vec3(30, 70, 0), 1.1),
+        PointScatterer(vec3(60, -50, 0), 1.0),
+        PointScatterer(vec3(210, 80, 0), 0.8),
+        PointScatterer(vec3(90, 140, 0), 1.2),
+        PointScatterer(vec3(250, -120, 0), 0.9),
+        PointScatterer(vec3(30, 70, 0), 1.1),
     ]
     return SceneConfig([tx], [rx], [target], clutter, wavelength=LAM)
 
@@ -164,7 +163,7 @@ def test_criterion_4_clean_efficacy():
         rx = SceneNode("rx0", NodePose(vec3(300, 0, 0)))
         # one dominant reflector plus a weak mover 30 dB below the LoS
         los_gain = LAM / (4 * np.pi * 300.0)
-        reflector = StaticScatterer(vec3(150, 120, 0), 6.0)
+        reflector = PointScatterer(vec3(150, 120, 0), 6.0)
         # choose the mover's scattering length for -30 dB vs LoS at mid-CPI
         target_pos = vec3(120, 90, 0)
         d1 = np.linalg.norm(target_pos)

@@ -288,6 +288,26 @@ class TestCliMain:
         assert f"{'.'.join(section)}: expected a mapping" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
+    def run_edited(self, sub, section, key, value, tmp_path, capsys) -> int:
+        """main() on FULL_SCENE with section.key set to value; stderr must hold no traceback."""
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc[section][key] = value
+        cfg = tmp_path / "edited.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        code = main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert "Traceback" not in capsys.readouterr().err
+        return code
+
+    @pytest.mark.parametrize("key, value", [("n_subcarriers", 0), ("n_symbols", -1)])
+    def test_budget_count_below_one_exits_2(self, key, value, tmp_path, caplog, capsys):
+        assert self.run_edited("linkbudget", "budget", key, value, tmp_path, capsys) == 2
+        assert key in caplog.text
+
+    @pytest.mark.parametrize("snr_db", [1e308, -1e308])
+    def test_snr_without_a_finite_noise_variance_exits_2(self, snr_db, tmp_path, caplog, capsys):
+        assert self.run_edited("simulate", "noise", "snr_db", snr_db, tmp_path, capsys) == 2
+        assert "snr_db" in caplog.text
+
     def test_seed_override(self, full_scene_config, tmp_path):
         assert (
             main(

@@ -229,6 +229,12 @@ class TestGeometryCondition:
         with pytest.raises(ConfigError, match="one wavelength per link"):
             geometry_condition(links, vec3(0, 30, 0), wavelengths=wavelengths)
 
+    @pytest.mark.parametrize("dim", [1, 7])
+    def test_dim_other_than_two_or_three_rejected(self, dim):
+        links = [(NodePose(vec3(-50, 0, 0)), NodePose(vec3(50, 0, 0)))] * 3
+        with pytest.raises(ConfigError, match="dim must be 2 or 3"):
+            geometry_condition(links, vec3(0, 30, 0), dim=dim)
+
     def test_symmetric_triangle_well_conditioned(self):
         target = vec3(0, 0, 0)
         links = []

@@ -29,7 +29,7 @@ from bisim.processing import (
     time_gate,
 )
 from bisim.scene import SceneConfig, SceneNode, link_callback
-from bisim.targets import PointScatterer, RigidTarget, StaticScatterer
+from bisim.targets import PointScatterer, RigidTarget
 
 LAM = C0 / 3.7e9
 
@@ -73,8 +73,8 @@ class TestDelayDopplerMap:
             name="car",
         )
         clutter = [
-            StaticScatterer(vec3(80, -60, 0), 1.0),
-            StaticScatterer(vec3(300, 90, 0), 1.0),
+            PointScatterer(vec3(80, -60, 0), 1.0),
+            PointScatterer(vec3(300, 90, 0), 1.0),
         ]
         scene = SceneConfig([tx], [rx], [target], clutter, wavelength=LAM)
         cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w, mode="geometric")

@@ -18,7 +18,7 @@ from bisim.scene import (
     link_callback,
     link_paths,
 )
-from bisim.targets import FOUR_PI, PointScatterer, RigidTarget, Rotor, StaticScatterer
+from bisim.targets import FOUR_PI, PointScatterer, RigidTarget, Rotor
 
 LAM = C0 / 3.7e9
 
@@ -93,13 +93,13 @@ class TestLinkPaths:
         )
         scene = basic_scene(
             targets=[target],
-            clutter=[StaticScatterer(vec3(20, -30, 0), 1.0)],
+            clutter=[PointScatterer(vec3(20, -30, 0), 1.0)],
         )
         paths = link_paths(scene, "tx0", "rx0", 0.0)
         assert len(paths) == 1 + 1 + 2
 
     def test_clutter_delay_and_gain(self):
-        sc = StaticScatterer(vec3(30, 40, 0), 2.0)
+        sc = PointScatterer(vec3(30, 40, 0), 2.0)
         scene = basic_scene(clutter=[sc])
         paths = link_paths(scene, "tx0", "rx0", 0.0, doppler=True)
         d1 = 50.0
@@ -126,7 +126,7 @@ class TestLinkPaths:
             [PointScatterer([0, 0, 0], 1.0), PointScatterer([0.4, 0.2, 0], 0.6)],
             Trajectory.from_waypoints([(0.0, (50, 60, 0)), (1.0, (62, 55, 0))]),
         )
-        scene = basic_scene(targets=[target], clutter=[StaticScatterer(vec3(20, -30, 0), 1.0)])
+        scene = basic_scene(targets=[target], clutter=[PointScatterer(vec3(20, -30, 0), 1.0)])
         paths = link_paths(scene, "tx0", "rx0", 0.25, doppler=doppler)
         assert (paths.doppler is not None) == doppler
         w = WaveformConfig(3.7e9, 20e6, 48, 40)
@@ -174,7 +174,7 @@ def oracle_scene(w):
         [SceneNode("tx0", NodePose(vec3(0, 0, 0)))],
         [SceneNode("rx0", rx_track)],
         targets=[target, rotor],
-        clutter=[StaticScatterer(vec3(20, -15, 0), 1.5)],
+        clutter=[PointScatterer(vec3(20, -15, 0), 1.5)],
         wavelength=LAM,
     )
 
@@ -212,7 +212,7 @@ def direct_cfr(scene, w):
         yaw = math.atan2(vy, vx) if math.hypot(vx, vy) >= 1e-12 else 0.0
         rot = np.array([[math.cos(yaw), -math.sin(yaw), 0], [math.sin(yaw), math.cos(yaw), 0],
                         [0, 0, 1]])
-        points += [(position + rot @ s.offset, s.amplitude) for s in target.scatterers]
+        points += [(position + rot @ s.position, s.amplitude) for s in target.scatterers]
         for b in range(rotor.n_blades):
             ang = rotor.phase0 + rotor.rate * t + 2 * np.pi * b / rotor.n_blades
             for s in range(1, rotor.samples_per_blade + 1):
@@ -290,7 +290,7 @@ class TestGeometricSynthesis:
 class TestIlluminationPaths:
     def test_direct_plus_bounces(self):
         scene = basic_scene(
-            clutter=[StaticScatterer(vec3(20, 30, 0), 1.5), StaticScatterer(vec3(40, -25, 0), 1.0)]
+            clutter=[PointScatterer(vec3(20, 30, 0), 1.5), PointScatterer(vec3(40, -25, 0), 1.0)]
         )
         point = vec3(60, 10, 0)
         paths = illumination_paths(scene, "tx0", point, 0.0)
@@ -299,7 +299,7 @@ class TestIlluminationPaths:
         assert paths.delay[1] > paths.delay[0]
 
     def test_moving_point_gets_per_path_doppler(self):
-        scene = basic_scene(clutter=[StaticScatterer(vec3(20, 30, 0), 1.5)])
+        scene = basic_scene(clutter=[PointScatterer(vec3(20, 30, 0), 1.5)])
         paths = illumination_paths(
             scene, "tx0", vec3(60, 10, 0), 0.0, point_velocity=vec3(-12, 3, 0)
         )
@@ -311,7 +311,7 @@ class TestIlluminationPaths:
 
     def test_focusing_gain_over_multipath(self):
         scene = basic_scene(
-            clutter=[StaticScatterer(vec3(20, 35, 0), 4.0), StaticScatterer(vec3(45, -30, 0), 4.0)]
+            clutter=[PointScatterer(vec3(20, 35, 0), 4.0), PointScatterer(vec3(45, -30, 0), 4.0)]
         )
         w = WaveformConfig(3.7e9, 160e6, 256, 1)
         paths = illumination_paths(scene, "tx0", vec3(60, 10, 0), 0.0)

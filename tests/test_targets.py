@@ -12,7 +12,7 @@ from bisim.config import parse_config
 from bisim.errors import ConfigError
 from bisim.geometry import C0, NodePose, Trajectory, direction_from_angles, pose_at, vec3
 from bisim.pipeline import run
-from bisim.scene import SceneConfig, SceneNode, link_callback
+from bisim.scene import SceneConfig, SceneNode, link_callback, link_paths
 from bisim.targets import (
     FOUR_PI,
     FrequencyBand,
@@ -24,7 +24,6 @@ from bisim.targets import (
     flyover_scan,
     link_budget,
     reflectivity_scan,
-    scatterer_states,
     select_polarization,
     target_paths,
 )
@@ -68,12 +67,82 @@ class TestTargetPose:
             assert pose.node_id == target.name
 
 
+class Forwarding:
+    """A target of no bisim class: it forwards the four interface members to another."""
+
+    def __init__(self, inner):
+        self.inner, self.name = inner, inner.name
+
+    def pose(self, t):
+        return self.inner.pose(t)
+
+    def states(self, t):
+        return self.inner.states(t)
+
+    def body(self, t):
+        return self.inner.body(t)
+
+
+class TestTargetInterface:
+    """Scenes and scans reach a target only through name, pose(t), states(t) and body(t)."""
+
+    def target(self):
+        jones = np.array([[1.0, 0.2j], [-0.1, 0.7 + 0.1j]])
+        track = [(0.0, (40, 30, 0)), (0.5, (44, 27, 0.5)), (1.0, (49, 27, 1))]
+        return RigidTarget([PointScatterer([0.3, 0.1, 0], 0.05, jones), PointScatterer([-0.2, 0, 0.1], 0.03j)],
+                           Trajectory.from_waypoints(track), yaw="track", name="car")
+
+    def scene(self, target):
+        rx_track = Trajectory.from_waypoints([(0.0, (90, 0, 0)), (1.0, (90, 6, 0))])
+        return SceneConfig([SceneNode("tx0", NodePose(vec3(0, 0, 0)))], [SceneNode("rx0", rx_track)],
+                           [target], clutter=[PointScatterer(vec3(20, -30, 0), 1.0)], wavelength=LAM)
+
+    @staticmethod
+    def assert_same_table(a, b):
+        for field in ("delay", "gain", "doppler"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None and y is None) or np.array_equal(x, y), field
+
+    def test_link_paths_are_bit_identical(self):
+        target = self.target()
+        wrapped, plain = self.scene(Forwarding(target)), self.scene(target)
+        assert wrapped.target("car").inner is target
+        times = np.linspace(0.2, 0.7, 9)
+        self.assert_same_table(link_paths(wrapped, "tx0", "rx0", times), link_paths(plain, "tx0", "rx0", times))
+        self.assert_same_table(link_paths(wrapped, "tx0", "rx0", 0.3, doppler=True),
+                               link_paths(plain, "tx0", "rx0", 0.3, doppler=True))
+
+    def test_scans_are_bit_identical(self):
+        target = self.target()
+        band = FrequencyBand(3.6e9, 3.8e9, 16)
+        grid = small_grid([0, 90], [0, 20], [0, 60, 180], [-10, 0])
+        a = reflectivity_scan(Forwarding(target), grid, 8.0, 9.0, band, t=0.4)
+        b = reflectivity_scan(target, grid, 8.0, 9.0, band, t=0.4)
+        assert np.array_equal(a.data, b.data)
+        a = flyover_scan(Forwarding(target), 0.0, (10, 180, 17), 8.0, 9.0, band)
+        b = flyover_scan(target, 0.0, (10, 180, 17), 8.0, 9.0, band)
+        assert np.array_equal(a.data, b.data)
+
+    def test_rigid_body_is_the_cloud_at_rest(self):
+        target = self.target()
+        body = target.body(0.6)
+        assert np.array_equal(body.positions, np.stack([s.position for s in target.scatterers]))
+        assert np.array_equal(body.velocities, np.zeros((2, 3)))
+
+    def test_rotor_body_is_its_states(self):
+        rotor = make_rotor(samples=8)
+        for t in (0.0, 0.37, np.linspace(0.0, 0.01, 3)):
+            a, b = rotor.body(t), rotor.states(t)
+            for field in ("positions", "velocities", "amplitudes", "jones"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
 class TestScattererStates:
     def test_rotor_periodicity(self):
         rotor = make_rotor()
         period = 2 * np.pi / rotor.rate
-        a = scatterer_states(rotor, 0.37)
-        b = scatterer_states(rotor, 0.37 + period)
+        a = rotor.states(0.37)
+        b = rotor.states(0.37 + period)
         assert np.allclose(a.positions, b.positions, atol=1e-9)
         assert np.allclose(a.velocities, b.velocities, atol=1e-6)
 
@@ -86,12 +155,12 @@ class TestScattererStates:
         assert np.allclose([e1 @ e1, e2 @ e2, e1 @ e2, e1 @ rotor.axis], [1, 1, 0, 0], atol=1e-12)
         assert np.allclose(np.cross(e1, e2), rotor.axis, atol=1e-12)
         # blade samples stay in the rotor plane through the hub
-        states = scatterer_states(rotor, np.linspace(0.0, 0.01, 5))
+        states = rotor.states(np.linspace(0.0, 0.01, 5))
         assert np.allclose((states.positions - rotor.hub_offset) @ rotor.axis, 0.0, atol=1e-12)
 
     def test_rotor_tip_speed(self):
         rotor = make_rotor()
-        states = scatterer_states(rotor, 0.123)
+        states = rotor.states(0.123)
         speeds = np.linalg.norm(states.velocities, axis=1)
         assert speeds.max() == pytest.approx(rotor.rate * rotor.blade_radius, rel=1e-12)
         # speed grows linearly along the blade
@@ -100,7 +169,7 @@ class TestScattererStates:
 
     def test_rotor_velocity_perpendicular(self):
         rotor = make_rotor()
-        states = scatterer_states(rotor, 0.05)
+        states = rotor.states(0.05)
         arms = states.positions - rotor.hub_offset
         dots_arm = np.abs(np.sum(states.velocities * arms, axis=1))
         dots_axis = np.abs(states.velocities @ rotor.axis)
@@ -112,7 +181,7 @@ class TestScattererStates:
             [PointScatterer([0.2, 0, 0], 0.1), PointScatterer([-0.2, 0.1, 0], 0.1)],
             Trajectory.from_waypoints([(0, (0, 0, 0)), (2, (20, 10, 0))]),
         )
-        states = scatterer_states(target, 1.0)
+        states = target.states(1.0)
         assert np.allclose(states.velocities, [10, 5, 0])
 
     def test_rotor_sampling_check(self):
@@ -180,7 +249,7 @@ class TestTargetPaths:
             Trajectory.from_waypoints([(0.0, (0, 30, 0))]),
         )
         paths = target_paths(target, tx, rx, 0.0, LAM)
-        states = scatterer_states(target, 0.0)
+        states = target.states(0.0)
         hh = select_polarization(paths, states, tx_pol=0, rx_pol=0)
         vh = select_polarization(paths, states, tx_pol=0, rx_pol=1)
         assert hh.gain[0] == pytest.approx(paths.gain[0] * jones[0, 0])
