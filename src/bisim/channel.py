@@ -10,14 +10,15 @@ synthesis modes:
                 track the scene geometry and Doppler emerges from the
                 carrier phase rotation itself.
 
-Both modes build the ramps exp(-j2πkΔf τ) by a phasor recurrence (see
-phase_ramps): z = exp(-j2πΔf τ) once per path, and per symbol in geometric
-mode, then z^k by a cumulative product over subcarriers. Geometric mode
-runs on path_rows, the one blocked path-sum kernel, which the flyover scan
-of targets.py shares: it reduces each block's ramps with its weights, and
-one (block x P x K) complex slab is live at a time, about 1 MiB whatever
-the capture size. Fixed mode builds one ramp set for all symbols and stays
-one einsum product.
+Both modes build the ramps exp(-j2πkΔfτ) frequency-major, (K, ...), by
+doubling (see phase_ramps): rows [n, 2n) are rows [0, n) times
+exp(-j2πnΔfτ), one exp per delay per power of two. Geometric mode runs on
+path_rows, the one blocked path-sum kernel, which the flyover scan of
+targets.py shares: each block's ramps are reduced with its weights by one
+batched matrix product, and one (K x block x P) complex slab is live at a
+time, about 1 MiB whatever the capture size. Fixed mode builds one ramp set
+for all symbols and is one matrix product, gains @ ramps. Both products run
+on BLAS; pipeline.run pins it to one thread (one_blas_thread).
 
 Fractional delays are exact frequency-domain phase ramps; the carrier phase
 of a path lives in its complex gain, keeping delay-bin positions baseband
@@ -27,8 +28,12 @@ while f_D * T_sym << 1.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +48,43 @@ def check_entries(entries: int, what: str) -> None:
     """ConfigError naming `what` if an output of that many complex entries exceeds MAX_ENTRIES."""
     if entries > MAX_ENTRIES:
         raise ConfigError(f"{what}: {entries} complex entries, more than the {MAX_ENTRIES} allowed")
+
+
+@functools.cache
+def _openblas():
+    """The OpenBLAS that numpy bundles, through ctypes, or None where it is not found."""
+    here = Path(np.__file__).parent   # wheels keep it in numpy.libs beside numpy, or in numpy/.dylibs
+    for path in sorted([*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, and restore its thread count after.
+
+    The products of a run are many and small, and OpenBLAS's helper threads
+    cost more CPU than they save on them; with one BLAS thread a thread pool
+    of the caller's scales instead. Without that library this does nothing.
+    The count is the process's: runs that overlap in two threads share it.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
 
 
 @dataclass(eq=False)
@@ -166,15 +208,21 @@ _SLAB_ELEMENTS = 1 << 16  # complex entries of one (block x P x K) slab: 1 MiB
 
 
 def phase_ramps(delay, delta_f: float, n_subcarriers: int) -> np.ndarray:
-    """Frequency ramps exp(-j2π k Δf τ), k = 0..K-1, of delays (..., P) -> (..., P, K).
+    """Frequency ramps exp(-j2π k Δf τ), k = 0..K-1, of delays (...) -> (K, ...).
 
-    exp is taken once per delay; z^k comes from a cumulative product over the
-    subcarriers, whose rounding error grows about linearly in k.
+    Row 0 is 1, and rows [n, 2n) are rows [0, n) times exp(-j2π n Δf τ) for
+    n = 1, 2, 4, ...: one exp per delay per power of two, and row k carries
+    popcount(k) products rather than k.
     """
-    z = np.exp(-2j * np.pi * delta_f * np.asarray(delay))
-    ramps = np.repeat(z[..., None], n_subcarriers, axis=-1)
-    ramps[..., 0] = 1.0
-    return np.cumprod(ramps, axis=-1, out=ramps)
+    delay = np.asarray(delay, dtype=float)
+    ramps = np.empty((n_subcarriers, *delay.shape), dtype=complex)
+    ramps[0] = 1.0
+    n = 1
+    while n < n_subcarriers:
+        m = min(n, n_subcarriers - n)
+        np.multiply(ramps[:m], np.exp(-2j * np.pi * (n * delta_f) * delay), out=ramps[n:n + m])
+        n *= 2
+    return ramps
 
 
 def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n: int,
@@ -183,10 +231,10 @@ def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n
 
     paths_of(rows) gives the (delay, weight) arrays, each (b, P), of the b
     consecutive rows of a slice. The first block is one row; later blocks
-    hold as many rows as keep one (b x P x n) phase_ramps slab within
+    hold as many rows as keep one (n x b x P) phase_ramps slab within
     _SLAB_ELEMENTS, or one row if P*n alone exceeds it. exp(-j2π f0 τ) is
-    folded into the weights when f0 is not 0. The reduction is an einsum,
-    not `@`: threaded zgemm spins its helper threads on every block.
+    folded into the weights when f0 is not 0. Each block is one batched
+    product, (b, n, P) @ (b, P, 1), of a view of the ramps.
     """
     out = np.empty((n_rows, n), dtype=complex)
     start, block = 0, 1
@@ -194,7 +242,8 @@ def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n
         delay, weight = paths_of(slice(start, min(start + block, n_rows)))
         if f0:
             weight = weight * np.exp(-2j * np.pi * f0 * delay)
-        out[start:start + block] = np.einsum("mp,mpk->mk", weight, phase_ramps(delay, delta_f, n))
+        ramps = phase_ramps(delay, delta_f, n).transpose(1, 0, 2)
+        out[start:start + block] = (ramps @ weight[..., None])[..., 0]
         start += block
         block = max(1, _SLAB_ELEMENTS // max(1, delay.shape[-1] * n))
     return out
@@ -213,7 +262,8 @@ def synth_cfr(
     paths. geometric mode takes a block callback: an array of consecutive
     symbol times t0 + m*T_sym in, a PathTable with delay and gain of shape
     (len(times), P) out, called on the symbol blocks of path_rows. Fixed
-    mode stays one einsum: zgemm measured faster but spins BLAS threads.
+    mode is one product, (M x P) gains @ (P x K) ramps, the ramps made
+    C-contiguous: a transposed operand measured a larger peak RSS.
     Superposition is exactly linear in the path set.
     """
     w = waveform
@@ -223,8 +273,7 @@ def synth_cfr(
         dopplers = np.zeros(len(paths)) if paths.doppler is None else paths.doppler
         phasors = np.exp(2j * np.pi * w.t_sym * np.outer(np.arange(w.n_symbols), dopplers))
         gains = phasors * paths.gain
-        ramps = phase_ramps(paths.delay, w.delta_f, w.n_subcarriers)
-        data = np.einsum("mp,pk->mk", gains, ramps)   # not `@`: threaded zgemm spins per link
+        data = gains @ np.ascontiguousarray(phase_ramps(paths.delay, w.delta_f, w.n_subcarriers).T)
     elif mode == "geometric":
         if not callable(paths):
             raise UsageError("geometric mode needs a block callback times -> PathTable")

@@ -130,11 +130,15 @@ def pose_at(traj: Trajectory, t, node_id: str = "") -> NodePose:
 
 def two_hop(points, p_tx, p_rx) -> tuple[np.ndarray, np.ndarray]:
     """Tx-to-point and point-to-Rx distances of (..., 3) arrays, broadcast
-    over leading axes; GeometryError if any point coincides with an antenna."""
-    d_tx = np.linalg.norm(points - p_tx, axis=-1)
-    d_rx = np.linalg.norm(points - p_rx, axis=-1)
+    over leading axes; GeometryError if any point coincides with an antenna
+    or any distance is not finite (coordinates so large that it overflows)."""
+    with np.errstate(over="ignore"):   # an overflow is reported below
+        d_tx = np.linalg.norm(points - p_tx, axis=-1)
+        d_rx = np.linalg.norm(points - p_rx, axis=-1)
     if d_tx.size and min(d_tx.min(), d_rx.min()) < _EPS_COINCIDENT:
         raise GeometryError("scatterer coincides with an antenna position")
+    if d_tx.size and not max(d_tx.max(), d_rx.max()) < np.inf:
+        raise GeometryError("a hop distance is not finite: node, target or antenna coordinates too large")
     return d_tx, d_rx
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .archive import Axis, ResultArchive, export_csv
-from .channel import SlowTimeCube, add_noise, phase_ramps, synth_cfr
+from .channel import SlowTimeCube, add_noise, one_blas_thread, phase_ramps, synth_cfr
 from .config import RunConfig, config_echo
 from .errors import ConfigError, UsageError
 from .fusion import BistaticObservation, fuse
@@ -298,7 +298,7 @@ def run_focus(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     for tx in cfg.scene.tx_nodes:
         paths = illumination_paths(cfg.scene, tx.node_id, center.position, cfg.t0,
                                    point_velocity=center.velocity)
-        cfr = paths.gain @ phase_ramps(paths.delay, w.delta_f, w.n_subcarriers)
+        cfr = phase_ramps(paths.delay, w.delta_f, w.n_subcarriers) @ paths.gain
         pre = time_reversal_prefilter(cfr)
         gain = focusing_gain(cfr)
         comp = doppler_precompensate(paths)
@@ -354,7 +354,8 @@ def run(subcommand: str, cfg: RunConfig, out_dir=None, threads: int = 1,
     """Execute one subcommand, write its archive + summary, return both.
 
     The subcommand's runner adds its datasets to the archive and returns the
-    summary's results. Returns the archive and the list of files written.
+    summary's results; it runs with numpy's BLAS on one thread. Returns the
+    archive and the list of files written.
     fmt="csv" additionally exports every dataset of <= 2 dimensions.
     """
     if subcommand not in _RUNNERS:
@@ -362,7 +363,8 @@ def run(subcommand: str, cfg: RunConfig, out_dir=None, threads: int = 1,
     # "results" is placed ahead of any numerical_failure the runner records
     archive = ResultArchive(summary={"tool": "bisim", "version": __version__, "subcommand": subcommand,
                                      "config": config_echo(cfg), "results": {}})
-    archive.summary["results"] = _RUNNERS[subcommand](cfg, archive, threads)
+    with one_blas_thread():
+        archive.summary["results"] = _RUNNERS[subcommand](cfg, archive, threads)
     out_dir = Path(out_dir if out_dir is not None else cfg.outputs.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt = fmt or cfg.outputs.format

@@ -88,9 +88,12 @@ class SceneConfig:
 def los_paths(tx: NodePose, rx: NodePose, lam: float, doppler: bool = False) -> PathTable:
     """Direct path between two nodes with free-space (Friis) amplitude λ/(4πd)."""
     sep = rx.position - tx.position
-    d = np.linalg.norm(sep, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):   # an overflow is reported below
+        d = np.linalg.norm(sep, axis=-1, keepdims=True)
     if np.any(d < 1e-9):
         raise GeometryError("path endpoints coincide; no direct path")
+    if not np.all(d < np.inf):
+        raise GeometryError("direct path length is not finite: node coordinates too large")
     gain = lam / (FOUR_PI * d) * np.exp(-1j * (2 * np.pi * d / lam))
     table = PathTable(d / C0, gain)
     if doppler:

@@ -377,13 +377,15 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     Each hop depends on one direction only, so the grid is evaluated as the
     product of its az_tx x el_tx Tx and az_rx x el_rx Rx directions:
     sweep[i, j, f] = sum_n A[i, n, f] jones_n B[j, n, f], A = s_n
-    exp(-j2π f τ1)/(4π r1) and B = exp(-j2π f τ2)/r2 from phase_ramps.
-    Rx blocks build their ramps once; Tx blocks fold theirs with the Jones
-    columns and the per-frequency factor, and each pair of blocks is one
-    stacked product per frequency, (I_b·4 x N) @ (N x J_b), inverse-
-    transformed in place. Every temporary stays within _SLAB_ELEMENTS
-    complex entries. threads spreads the Rx blocks over a pool; each writes
-    its own slice, so the result does not depend on it.
+    exp(-j2π f τ1)/(4π r1) and B = exp(-j2π f τ2)/r2 from phase_ramps,
+    which is frequency-major. Rx blocks build their ramps once, as the
+    (n_freq, N, J_b) right operand itself; Tx blocks build theirs as
+    (n_freq, I_b, N) and fold them with the Jones columns and the
+    per-frequency factor, and each pair of blocks is one stacked product per
+    frequency, (I_b·4 x N) @ (N x J_b), inverse-transformed in place. Every
+    temporary stays within _SLAB_ELEMENTS complex entries. threads spreads
+    the Rx blocks over a pool (with BLAS on one thread, it pays); each
+    writes its own slice, so the result does not depend on it.
     """
     axes = []
     for key in ("az_tx", "el_tx", "az_rx", "el_rx"):
@@ -405,23 +407,23 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     amps = states.amplitudes / FOUR_PI
     cols = _sweep_scale(band, sweep_window)[:, None, None, None] * states.jones.reshape(n_scat, 4).T
 
-    def hop_ramps(u, d, gains):
-        """(n, N, n_freq) ramps of the delays (r - d)/c of the hops between the scatterers and
-        antennas at d·u (n, 3), weighted by gains/r and the f_lo phase."""
-        r, _ = two_hop(states.positions, d * u[:, None], d * u[:, None])   # coincidence-checked
+    def hop_ramps(points, antennas, d, gains):
+        """(n_freq, ...) ramps of the delays (r - d)/c of the hops between points and antennas,
+        both (..., 3) and broadcast, weighted by gains/r and the f_lo phase."""
+        r, _ = two_hop(points, antennas, antennas)   # coincidence- and overflow-checked
         tau = (r - d) / C0
         z = phase_ramps(tau, band.delta_f, n_freq)
-        z *= (gains / r * np.exp(-2j * np.pi * band.f_lo * tau))[..., None]
+        z *= gains / r * np.exp(-2j * np.pi * band.f_lo * tau)
         return z
 
     def evaluate(start: int) -> None:
         rj = slice(start, start + rx_block)
-        rx = np.ascontiguousarray(hop_ramps(u_rx[rj], d_rx, 1.0).transpose(2, 1, 0))   # (n_freq, N, J_b)
+        rx = hop_ramps(states.positions[:, None], d_rx * u_rx[rj], d_rx, 1.0)   # (n_freq, N, J_b)
         fold = np.empty((n_freq, tx_block, 4, n_scat), dtype=complex)
         for i in range(0, n_tx, tx_block):
             ti = slice(i, i + tx_block)
             a = fold[:, :len(u_tx[ti])]                                # (n_freq, I_b, 4, N)
-            tx = hop_ramps(u_tx[ti], d_tx, amps).transpose(2, 0, 1)
+            tx = hop_ramps(states.positions, d_tx * u_tx[ti, None], d_tx, amps)   # (n_freq, I_b, N)
             np.multiply(tx[:, :, None, :], cols, out=a)
             del tx                                                     # one Tx slab at a time
             sweep = a.reshape(n_freq, -1, n_scat) @ rx                 # (n_freq, I_b·4, J_b)
@@ -469,7 +471,7 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
     weights = states.amplitudes * states.jones[:, 0, 0] / FOUR_PI
 
     def block(rows: slice):
-        r1, r2 = two_hop(states.positions, p_tx, p_rx[rows])   # coincidence-checked
+        r1, r2 = two_hop(states.positions, p_tx, p_rx[rows])   # coincidence- and overflow-checked
         return (r1 + r2 - (d_tx + d_rx)) / C0, weights / (r1 * r2)
     data = path_rows(block, len(angles), band.delta_f, band.n_points, f0=band.f_lo)
     data *= _sweep_scale(band, sweep_window)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisim.channel import (
@@ -185,23 +185,45 @@ class TestSynthGeometric:
 
 class TestPhaseRamps:
     def test_recurrence_matches_direct_exp_at_4096(self):
-        # delays cover the whole unambiguous span [0, 1/Δf]. z^k carries k
-        # roundings of z, each worth up to ε of a 2π phase, so the recurrence
-        # stays within 2πKε of the exact ramp; the direct exp rounds a ~2πK
-        # argument and lands within the same order, so the two agree to twice that
+        # delays cover the whole unambiguous span [0, 1/Δf]. The ramps are
+        # frequency-major, (K, P), and row k is the product of
+        # exp(-j2π·2^b·Δf·τ) over the set bits b of k: each factor's argument
+        # carries about 2ε relative error, and each exp and product about 2ε
+        # absolute, so row k lies within 2ε·2πkΔfτ + 4ε·popcount(k) of the
+        # exact ramp, plus 8ε for the rounding of the reference itself
         n_sub, df = 4096, 125e3
-        bound = 2 * np.pi * n_sub * np.finfo(float).eps
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(7)
         delay = np.concatenate([np.linspace(0.0, 1.0 / df, 33), rng.uniform(0.0, 1.0 / df, 99)])
         ramps = phase_ramps(delay, df, n_sub)
-        direct = np.exp(-2j * np.pi * df * np.outer(delay, np.arange(n_sub)))
-        assert np.abs(ramps - direct).max() <= 2 * bound
-        assert np.all(ramps[:, 0] == 1.0)
+        assert ramps.shape == (n_sub, delay.size) and ramps.flags.c_contiguous
+        assert np.all(ramps[0] == 1.0)
         # exact ramp: Δf·τ·k reduced mod 1 in rational arithmetic, sampled k
-        ks = [*range(0, n_sub, 61), n_sub - 1]
-        exact = np.array([[np.exp(-2j * np.pi * float(Fraction(df) * Fraction(tau) * k % 1))
-                           for k in ks] for tau in delay])
-        assert np.abs(ramps[:, ks] - exact).max() <= bound
+        ks = np.array([*range(0, n_sub, 61), 2047, 3071, n_sub - 1])
+        exact = np.array([[np.exp(-2j * np.pi * float(Fraction(df) * Fraction(tau) * int(k) % 1))
+                           for tau in delay] for k in ks])
+        popcount = np.array([bin(int(k)).count("1") for k in ks])[:, None]
+        err = np.abs(ramps[ks] - exact)
+        assert np.all(err <= 2 * eps * 2 * np.pi * ks[:, None] * df * delay + 4 * eps * (popcount + 2))
+        assert err.max() <= 2 * np.pi * n_sub * eps
+        # and the direct exp, which rounds a ~2πK argument, within twice that
+        direct = np.exp(-2j * np.pi * df * np.outer(np.arange(n_sub), delay))
+        assert np.abs(ramps - direct).max() <= 4 * np.pi * n_sub * eps
+
+    @pytest.mark.parametrize("n_sub", [1, 2, 5, 300])
+    def test_leading_axis_is_frequency_for_any_delay_shape(self, n_sub):
+        delay = np.random.default_rng(1).uniform(0.0, 1e-6, (3, 4))
+        ramps = phase_ramps(delay, 1e5, n_sub)
+        assert ramps.shape == (n_sub, 3, 4)
+        for i in range(3):
+            assert np.array_equal(ramps[:, i], phase_ramps(delay[i], 1e5, n_sub))
+        assert phase_ramps(np.zeros((2, 0)), 1e5, n_sub).shape == (n_sub, 2, 0)
+
+
+def _direct_rows(delay, weight, df, n, f0):
+    """sum_p w_p exp(-j2π(f0 + kΔf)τ_p) by one exp per entry."""
+    freqs = f0 + df * np.arange(n)
+    return np.sum(weight[..., None] * np.exp(-2j * np.pi * freqs * delay[..., None]), axis=1)
 
 
 class TestPathRows:
@@ -218,9 +240,31 @@ class TestPathRows:
             return delay[rows], weight[rows]
         rows = path_rows(paths_of, n_rows, df, n, f0=f0)
         assert asked == [(0, 1), (1, 32), (32, 40)]
-        freqs = f0 + df * np.arange(n)
-        direct = np.einsum("mp,mpk->mk", weight, np.exp(-2j * np.pi * freqs * delay[..., None]))
+        direct = _direct_rows(delay, weight, df, n, f0)
         assert np.abs(rows - direct).max() <= 1e-11 * np.abs(direct).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 70), st.integers(0, 9), st.integers(1, 700),
+           st.sampled_from([0.0, 3.5e9]))
+    @example(seed=1, n_rows=5, n_paths=3, n=1, f0=0.0)          # one subcarrier
+    @example(seed=2, n_rows=4, n_paths=0, n=64, f0=3.5e9)       # no paths
+    @example(seed=3, n_rows=50, n_paths=9, n=300, f0=0.0)       # n not a power of two, partial last block
+    def test_equals_the_direct_exp_sum(self, seed, n_rows, n_paths, n, f0):
+        # delays up to 1/Δf span every phase of the ramps; up to 1e-7 s where a
+        # carrier offset is folded in, so the direct exp's argument stays below 3e3
+        df = 1e5
+        rng = np.random.default_rng(seed)
+        delay = rng.uniform(0.0, 1e-7 if f0 else 1.0 / df, (n_rows, n_paths))
+        weight = rng.normal(size=(n_rows, n_paths)) + 1j * rng.normal(size=(n_rows, n_paths))
+        asked = []
+
+        def paths_of(rows):
+            asked.append((rows.start, rows.stop))
+            return delay[rows], weight[rows]
+        rows = path_rows(paths_of, n_rows, df, n, f0=f0)
+        assert [a for a, _ in asked] == [0, *[b for _, b in asked[:-1]]] and asked[-1][1] == n_rows
+        scale = np.abs(weight).sum(axis=1).max()
+        assert np.abs(rows - _direct_rows(delay, weight, df, n, f0)).max() <= 1e-11 * scale
 
 
 class TestAddNoise:

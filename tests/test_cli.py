@@ -6,6 +6,7 @@ import pytest
 import yaml
 from conftest import FULL_SCENE
 
+from bisim import channel, pipeline
 from bisim.archive import ResultArchive
 from bisim.cli import OVERRIDES, main
 from bisim.config import config_echo, load_config, parse_config
@@ -308,6 +309,24 @@ class TestCliMain:
         assert self.run_edited("simulate", "noise", "snr_db", snr_db, tmp_path, capsys) == 2
         assert "snr_db" in caplog.text
 
+    @pytest.mark.parametrize("sub, distance", [("reflectivity", 1e200), ("flyover", 1e308)])
+    def test_scan_radius_that_overflows_a_hop_exits_2(self, sub, distance, tmp_path, caplog, capsys):
+        assert self.run_edited(sub, sub, "d_tx", distance, tmp_path, capsys) == 2
+        assert "not finite" in caplog.text
+        assert not (tmp_path / "o" / f"{sub}.bisim").exists()
+
+    def test_node_so_far_that_a_path_overflows_exits_2(self, tmp_path, caplog, capsys):
+        # without a noise section nothing downstream notices the NaN paths
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc["scene"]["rx_nodes"][0]["position"] = [1e200, 0, 0]
+        del doc["noise"]
+        cfg = tmp_path / "far.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "not finite" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "o" / "simulate.bisim").exists()
+
     def test_seed_override(self, full_scene_config, tmp_path):
         assert (
             main(
@@ -323,6 +342,57 @@ class TestCliMain:
             )
             == 0
         )
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def blas(self):
+        """numpy's OpenBLAS, its thread count restored after the test."""
+        lib = channel._openblas()
+        if lib is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        old = lib.scipy_openblas_get_num_threads64_()
+        yield lib
+        lib.scipy_openblas_set_num_threads64_(old)
+
+    def test_run_pins_one_thread_and_restores_the_count(self, blas, full_scene_config, tmp_path, monkeypatch):
+        seen = []
+
+        def runner(cfg, archive, threads):
+            seen.append(blas.scipy_openblas_get_num_threads64_())
+            return {}
+        monkeypatch.setitem(pipeline._RUNNERS, "linkbudget", runner)
+        blas.scipy_openblas_set_num_threads64_(2)
+        before = blas.scipy_openblas_get_num_threads64_()
+        run("linkbudget", load_config(full_scene_config), out_dir=tmp_path / "o")
+        assert seen == [1]
+        assert blas.scipy_openblas_get_num_threads64_() == before
+
+    def test_count_restored_after_a_runner_raises(self, blas, rotor_config, tmp_path):
+        blas.scipy_openblas_set_num_threads64_(2)
+        before = blas.scipy_openblas_get_num_threads64_()
+        with pytest.raises(ConfigError, match="no reflectivity section"):
+            run("reflectivity", load_config(rotor_config), out_dir=tmp_path / "o")
+        assert blas.scipy_openblas_get_num_threads64_() == before
+
+    def test_no_library_no_change(self, monkeypatch):
+        lib = channel._openblas()
+        monkeypatch.setattr(channel, "_openblas", lambda: None)
+        counts = []
+        with channel.one_blas_thread():
+            if lib is not None:
+                counts.append(lib.scipy_openblas_get_num_threads64_())
+        if lib is not None:
+            assert counts == [lib.scipy_openblas_get_num_threads64_()]
+
+    def test_archive_bytes_do_not_depend_on_the_blas_thread_count(self, blas, full_scene_config, tmp_path):
+        for sub in ("simulate", "reflectivity"):
+            blobs = []
+            for count in (1, 2):
+                blas.scipy_openblas_set_num_threads64_(count)
+                run(sub, load_config(full_scene_config), out_dir=tmp_path / f"b{count}")
+                blobs.append((tmp_path / f"b{count}" / f"{sub}.bisim").read_bytes())
+            assert blobs[0] == blobs[1], sub
 
 
 class TestRunMemory:

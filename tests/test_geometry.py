@@ -11,6 +11,7 @@ from bisim.geometry import (
     bistatic_range,
     iso_range_ellipse,
     pose_at,
+    two_hop,
     vec3,
 )
 
@@ -114,6 +115,15 @@ class TestBistaticRange:
     def test_coincident_target_raises(self):
         with pytest.raises(GeometryError):
             bistatic_range((0, 0, 0), (10, 0, 0), (0, 0, 0))
+
+    @pytest.mark.parametrize("far", [(1e200, 0, 0), (1e308, -1e308, 0)])
+    def test_overflowing_hop_raises(self, far):
+        # finite coordinates whose distance overflows to inf
+        points = np.array([[1.0, 2.0, 0.0], [3.0, 0.0, 1.0]])
+        with pytest.raises(GeometryError, match="not finite"):
+            two_hop(points, np.zeros(3), np.array(far))
+        with pytest.raises(GeometryError, match="not finite"):
+            bistatic_range(far, (10, 0, 0), (1, 2, 0))
 
     def test_excess_nonnegative_random(self):
         rng = np.random.default_rng(7)
