@@ -1,13 +1,14 @@
 """Phase-coherent OFDM channel frequency response synthesis over slow time.
 
 A capture is an M x K complex matrix H[m, k] (symbol x subcarrier). Two
-synthesis modes:
+synthesis modes, which synth_cfr tells apart by its input:
 
-* fixed      -- paths hold their delay/gain, Doppler applied as a per-symbol
-                phasor:  H[m,k] = sum_i a_i exp(-j2πkΔf τ_i) exp(+j2π f_Di m T)
-* geometric  -- a block callback maps an array of symbol times to a
-                PathTable of delays and gains, so delays and carrier phases
-                track the scene geometry and Doppler emerges from the
+* fixed      -- a PathTable: paths hold their delay/gain, Doppler applied
+                as a per-symbol phasor:
+                H[m,k] = sum_i a_i exp(-j2πkΔf τ_i) exp(+j2π f_Di m T)
+* geometric  -- a callable: a block callback maps an array of symbol times
+                to a PathTable of delays and gains, so delays and carrier
+                phases track the scene geometry and Doppler emerges from the
                 carrier phase rotation itself.
 
 Both modes build the ramps exp(-j2πkΔfτ) frequency-major, (K, ...), by
@@ -252,31 +253,22 @@ def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n
 def synth_cfr(
     paths: PathTable | Callable[[np.ndarray], PathTable],
     waveform: WaveformConfig,
-    mode: str = "fixed",
     t0: float = 0.0,
 ) -> SlowTimeCube:
     """Synthesize a slow-time CFR capture from path parameters.
 
-    fixed mode takes a single-instant PathTable of shape (P,); its doppler
-    array sets each path's per-symbol phasor, and doppler=None means static
-    paths. geometric mode takes a block callback: an array of consecutive
-    symbol times t0 + m*T_sym in, a PathTable with delay and gain of shape
+    The input picks the mode. A PathTable means fixed mode: it must be
+    single-instant, of shape (P,); its doppler array sets each path's
+    per-symbol phasor, and doppler=None means static paths. A callable means
+    geometric mode: a block callback, an array of consecutive symbol times
+    t0 + m*T_sym in, a PathTable with delay and gain of shape
     (len(times), P) out, called on the symbol blocks of path_rows. Fixed
     mode is one product, (M x P) gains @ (P x K) ramps, the ramps made
     C-contiguous: a transposed operand measured a larger peak RSS.
     Superposition is exactly linear in the path set.
     """
     w = waveform
-    if mode == "fixed":
-        if callable(paths) or paths.delay.ndim != 1:
-            raise UsageError("fixed mode takes a single-instant path table, not a callback")
-        dopplers = np.zeros(len(paths)) if paths.doppler is None else paths.doppler
-        phasors = np.exp(2j * np.pi * w.t_sym * np.outer(np.arange(w.n_symbols), dopplers))
-        gains = phasors * paths.gain
-        data = gains @ np.ascontiguousarray(phase_ramps(paths.delay, w.delta_f, w.n_subcarriers).T)
-    elif mode == "geometric":
-        if not callable(paths):
-            raise UsageError("geometric mode needs a block callback times -> PathTable")
+    if callable(paths):
         times = t0 + np.arange(w.n_symbols) * w.t_sym
 
         def block(at: slice):
@@ -284,7 +276,12 @@ def synth_cfr(
             return table.delay, table.gain
         data = path_rows(block, w.n_symbols, w.delta_f, w.n_subcarriers)
     else:
-        raise UsageError(f"unknown synthesis mode {mode!r}")
+        if paths.delay.ndim != 1:
+            raise UsageError("fixed mode takes a single-instant path table of shape (P,)")
+        dopplers = np.zeros(len(paths)) if paths.doppler is None else paths.doppler
+        phasors = np.exp(2j * np.pi * w.t_sym * np.outer(np.arange(w.n_symbols), dopplers))
+        gains = phasors * paths.gain
+        data = gains @ np.ascontiguousarray(phase_ramps(paths.delay, w.delta_f, w.n_subcarriers).T)
     return SlowTimeCube(data, w, t0)
 
 
@@ -316,18 +313,15 @@ def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:
     return SlowTimeCube(noisy, cube.waveform, cube.t0)
 
 
-def cir_from_cfr(row: np.ndarray, window: str = "none") -> np.ndarray:
+def cir_from_cfr(row: np.ndarray) -> np.ndarray:
     """Inverse DFT of one subcarrier vector -> complex delay profile.
 
-    Delay bin spacing is 1/B for a K-point row spanning bandwidth B. With
-    window="none" energy is preserved in the 1/K-IDFT sense:
-    sum|h|^2 = (1/K) sum|H|^2.
+    Delay bin spacing is 1/B for a K-point row spanning bandwidth B. Energy
+    is preserved in the 1/K-IDFT sense: sum|h|^2 = (1/K) sum|H|^2.
     """
     row = np.asarray(row, dtype=complex)
     if row.ndim != 1:
         raise UsageError("cir_from_cfr expects a 1-D subcarrier vector")
-    if window != "none":
-        row = row * named_window(window, row.size)
     return np.fft.ifft(row)
 
 

@@ -7,14 +7,16 @@ with the scene or with dim=3) seeds a damped Gauss-Newton refinement,
 guarding against the multimodal ellipse-intersection cost. Velocity follows
 from the linear system f_D,l = -(1/λ_l)(û_tx,l + û_rx,l)·v solved by
 weighted least squares, with rank/conditioning diagnostics that expose
-Doppler-blind subspaces explicitly. _hops gives every link's unit vectors
-and bistatic range at once for all of these.
+Doppler-blind subspaces explicitly. Each observation carries its link's
+two node poses, so no call takes a node map; _link_nodes stacks them, as it
+does geometry_condition's pose pairs, and _hops gives every link's unit
+vectors and bistatic range at once for all of these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,14 +29,17 @@ _AXIS_CELLS = 64        # grid cells per axis, coarse grid and re-grid windows a
 _REGRID = 4             # best solutions re-gridded at grid_cell spacing
 _MAX_SEEDS = 64         # Gauss-Newton seeds from the coarse grid, and from all windows
 _BLOCK_ELEMENTS = 2**14  # (cells x links) scored at once
+_MAX_ITER = 100         # Gauss-Newton iterations per seed
+_STEP_TOL = 1e-9        # a Gauss-Newton step shorter than this (m) has converged
 
 
 @dataclass(eq=False)
 class BistaticObservation:
-    """One link's measurement: excess delay (s) and bistatic Doppler (Hz)."""
+    """One link's measurement, excess delay (s) and bistatic Doppler (Hz), with the
+    poses of the link's Tx and Rx nodes at the time of the measurement."""
 
-    tx_id: str
-    rx_id: str
+    tx: NodePose
+    rx: NodePose
     excess_delay: float
     doppler: float
     wavelength: float
@@ -67,16 +72,9 @@ class StateEstimate:
 
 
 def _link_nodes(pairs) -> np.ndarray:
-    """(L, 4, 3): Tx position, Rx position, Tx velocity, Rx velocity of each link."""
+    """(L, 4, 3): Tx position, Rx position, Tx velocity, Rx velocity of each
+    (Tx, Rx) pose pair."""
     return np.array([[tx.position, rx.position, tx.velocity, rx.velocity] for tx, rx in pairs])
-
-
-def _resolve_nodes(obs: Sequence[BistaticObservation], nodes) -> np.ndarray:
-    table = dict(nodes) if isinstance(nodes, Mapping) else {n.node_id: n for n in nodes}
-    try:
-        return _link_nodes([(table[o.tx_id], table[o.rx_id]) for o in obs])
-    except KeyError as err:
-        raise ConfigError(f"observation references unknown node id {err.args[0]!r}")
 
 
 def _hops(points, tx, rx, strict: bool = False):
@@ -118,7 +116,7 @@ def _range_residuals(p3, links, targets, sqrt_w):
     return sqrt_w * (ranges - targets), sqrt_w[:, None] * (u_tx + u_rx)
 
 
-def _gauss_newton(p0, links, targets, weights, dim, max_iter=100, step_tol=1e-9):
+def _gauss_newton(p0, links, targets, weights, dim):
     """Levenberg-damped Gauss-Newton on the range cost from a seed point."""
     p = _embed(np.asarray(p0, dtype=float), dim)
     sqrt_w = np.sqrt(weights)
@@ -126,7 +124,7 @@ def _gauss_newton(p0, links, targets, weights, dim, max_iter=100, step_tol=1e-9)
     res, rows = _range_residuals(p, links, targets, sqrt_w)
     cost = float(res @ res)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         jac = rows[:, :dim]
         jtj = jac.T @ jac
         jtr = jac.T @ res
@@ -141,7 +139,7 @@ def _gauss_newton(p0, links, targets, weights, dim, max_iter=100, step_tol=1e-9)
         if new_cost <= cost:
             p, res, rows, cost = cand, new_res, new_rows, new_cost
             lam = max(lam / 10.0, 1e-15)
-            if np.linalg.norm(step) < step_tol:
+            if np.linalg.norm(step) < _STEP_TOL:
                 converged = True
                 break
         else:
@@ -204,8 +202,8 @@ def _grid_minima(axes, cost, limit: int) -> np.ndarray:
     return _cell_points(axes, idx[np.lexsort((idx, cost.ravel()[idx]))][:limit])
 
 
-def localize(obs: Sequence[BistaticObservation], nodes, dim: int = 2,
-             grid_cell: float = 1.0, max_iter: int = 100) -> StateEstimate:
+def localize(obs: Sequence[BistaticObservation], dim: int = 2,
+             grid_cell: float = 1.0) -> StateEstimate:
     """Position estimate minimizing the weighted bistatic-range misfit.
 
     A coarse grid over the 1.5x-expanded box of every link's ellipse, at
@@ -223,7 +221,7 @@ def localize(obs: Sequence[BistaticObservation], nodes, dim: int = 2,
         raise ConfigError("dim must be 2 or 3")
     if not obs:
         raise ConfigError("need at least one observation")
-    links = _resolve_nodes(obs, nodes)
+    links = _link_nodes((o.tx, o.rx) for o in obs)
     targets = (C0 * np.array([o.excess_delay for o in obs])
                + np.linalg.norm(links[:, 1] - links[:, 0], axis=1))
     weights = np.array([o.weight for o in obs])
@@ -233,7 +231,7 @@ def localize(obs: Sequence[BistaticObservation], nodes, dim: int = 2,
 
     def refine(seeds):
         for seed in seeds:
-            p, rms, converged = _gauss_newton(seed, links, targets, weights, dim, max_iter)
+            p, rms, converged = _gauss_newton(seed, links, targets, weights, dim)
             if not any(np.linalg.norm(p - q) < dedupe for q, *_ in solutions):
                 solutions.append((p, rms, converged))
         solutions.sort(key=lambda s: s[1])
@@ -272,7 +270,7 @@ def _doppler_matrix(obs, links, position, dim):
     return rows, np.array([o.doppler for o in obs]) - node_rate / lam
 
 
-def estimate_velocity(obs: Sequence[BistaticObservation], position, nodes,
+def estimate_velocity(obs: Sequence[BistaticObservation], position,
                       dim: int = 2) -> StateEstimate:
     """Velocity vector from measured Dopplers at a known target position.
 
@@ -285,7 +283,7 @@ def estimate_velocity(obs: Sequence[BistaticObservation], position, nodes,
         raise ConfigError("need at least one observation")
     if dim not in (2, 3):
         raise ConfigError("dim must be 2 or 3")
-    rows, rhs = _doppler_matrix(obs, _resolve_nodes(obs, nodes), position, dim)
+    rows, rhs = _doppler_matrix(obs, _link_nodes((o.tx, o.rx) for o in obs), position, dim)
     weights = np.sqrt(np.array([o.weight for o in obs]))
     a = weights[:, None] * rows
     b = weights * rhs
@@ -310,11 +308,11 @@ def estimate_velocity(obs: Sequence[BistaticObservation], position, nodes,
     )
 
 
-def fuse(obs: Sequence[BistaticObservation], nodes, dim: int = 2,
+def fuse(obs: Sequence[BistaticObservation], dim: int = 2,
          grid_cell: float = 1.0) -> StateEstimate:
     """localize + estimate_velocity in one pass, merged into one estimate."""
-    pos_est = localize(obs, nodes, dim, grid_cell)
-    vel_est = estimate_velocity(obs, pos_est.position, nodes, dim)
+    pos_est = localize(obs, dim, grid_cell)
+    vel_est = estimate_velocity(obs, pos_est.position, dim)
     pos_est.velocity = vel_est.velocity
     pos_est.velocity_residual_rms = vel_est.velocity_residual_rms
     pos_est.doppler_condition = vel_est.doppler_condition

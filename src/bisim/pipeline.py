@@ -9,13 +9,16 @@ archives for any worker count: threads only fan out the fixed blocks of Rx
 directions of a reflectivity scan, whose boundaries come from a memory
 budget and not from the worker count, each written to its own slice of the
 output; links are streamed in order, one at a time, each synthesized and
-noised (from its own seeded generator) just before it is processed.
+noised (from its own seeded generator) just before it is processed. A link
+is resolved once into a Link of its two node poses at t0, which names its
+datasets and summary keys, gives its LoS delay and rides on its fusion
+observation.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .channel import SlowTimeCube, add_noise, one_blas_thread, phase_ramps, synt
 from .config import RunConfig, config_echo
 from .errors import ConfigError, UsageError
 from .fusion import BistaticObservation, fuse
-from .geometry import C0
+from .geometry import C0, NodePose
 from .illumination import doppler_precompensate, focusing_gain, time_reversal_prefilter
 from .processing import (
     delay_doppler_map,
@@ -39,25 +42,42 @@ from .processing import (
 from .scene import illumination_paths, link_callback, link_paths
 from .targets import flyover_scan, link_budget, reflectivity_scan
 
-def _link_cube(cfg: RunConfig, i: int, tx_id: str, rx_id: str) -> SlowTimeCube:
+class Link(NamedTuple):
+    """One Tx/Rx link: the poses of its two nodes at t0, as SceneNode.pose gives them."""
+
+    tx: NodePose
+    rx: NodePose
+
+    @property
+    def name(self) -> str:
+        return f"{self.tx.node_id}_{self.rx.node_id}"
+
+    @property
+    def los_delay(self) -> float:
+        # the norm of one 3-vector: los_paths's norm(axis=-1) can differ in the last bit
+        return float(np.linalg.norm(self.rx.position - self.tx.position)) / C0
+
+
+def _link_cube(cfg: RunConfig, i: int, link: Link) -> SlowTimeCube:
     """The CFR cube of link i, noised from generator seed [noise seed, i]."""
-    scene = cfg.scene
+    scene, tx_id, rx_id = cfg.scene, link.tx.node_id, link.rx.node_id
     if cfg.mode == "geometric":
-        cube = synth_cfr(link_callback(scene, tx_id, rx_id), cfg.waveform,
-                         mode="geometric", t0=cfg.t0)
+        paths = link_callback(scene, tx_id, rx_id)
     else:
         paths = link_paths(scene, tx_id, rx_id, cfg.t0, doppler=True)
-        cube = synth_cfr(paths, cfg.waveform, mode="fixed", t0=cfg.t0)
+    cube = synth_cfr(paths, cfg.waveform, t0=cfg.t0)
     if cfg.noise.snr_db is None:
         return cube
     return add_noise(cube, cfg.noise.snr_db, seed=[cfg.noise.seed, i])
 
 
-def _simulate_links(cfg: RunConfig) -> Iterator[tuple[str, str, SlowTimeCube]]:
-    """Each link's cube in link order, made when asked for and held only by the caller, so a
-    run holds one link's cube beyond its archive. A pool over links measured slower."""
-    for i, (tx_id, rx_id) in enumerate(cfg.scene.links()):
-        yield tx_id, rx_id, _link_cube(cfg, i, tx_id, rx_id)
+def _simulate_links(cfg: RunConfig) -> Iterator[tuple[Link, SlowTimeCube]]:
+    """Each link and its cube in link order, the cube made when asked for and held only by the
+    caller, so a run holds one link's cube beyond its archive. A pool over links measured slower."""
+    scene = cfg.scene
+    for i, (tx_id, rx_id) in enumerate(scene.links()):
+        link = Link(scene.node(tx_id).pose(cfg.t0), scene.node(rx_id).pose(cfg.t0))
+        yield link, _link_cube(cfg, i, link)
 
 
 def _cube_axes(cube: SlowTimeCube) -> list[Axis]:
@@ -67,21 +87,15 @@ def _cube_axes(cube: SlowTimeCube) -> list[Axis]:
     ]
 
 
-def _los_delay(cfg: RunConfig, tx_id: str, rx_id: str) -> float:
-    tx = cfg.scene.node(tx_id).pose(cfg.t0)
-    rx = cfg.scene.node(rx_id).pose(cfg.t0)
-    return float(np.linalg.norm(rx.position - tx.position)) / C0
-
-
 def run_simulate(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     links = []
-    for tx_id, rx_id, cube in _simulate_links(cfg):
-        archive.add(f"cfr_{tx_id}_{rx_id}", cube.data, _cube_axes(cube))
-        los = _los_delay(cfg, tx_id, rx_id)
+    for link, cube in _simulate_links(cfg):
+        archive.add(f"cfr_{link.name}", cube.data, _cube_axes(cube))
+        los = link.los_delay
         links.append(
             {
-                "tx": tx_id,
-                "rx": rx_id,
+                "tx": link.tx.node_id,
+                "rx": link.rx.node_id,
                 "los_delay_s": los,
                 "los_delay_ns": los * 1e9,
                 "mean_power_db": float(10 * np.log10(max(cube.mean_power(), 1e-300))),
@@ -105,27 +119,26 @@ def _detections_summary(dets, limit: int = 10) -> list[dict]:
 
 
 def _detected_links(cfg: RunConfig, exclude_zero_doppler: bool):
-    """Each link's DD map after clean, its detections and its LoS delay, in link order."""
+    """Each link, its DD map after clean and its detections, in link order."""
     proc = cfg.processing
-    for tx_id, rx_id, cube in _simulate_links(cfg):
+    for link, cube in _simulate_links(cfg):
         if proc.clean_paths > 0:
             cube = subtract_dominant_paths(cube, proc.clean_paths).residual
         ddm = delay_doppler_map(cube, proc.fast_window, proc.slow_window)
-        los = _los_delay(cfg, tx_id, rx_id)
         dets = detect_peaks(ddm, proc.detect_threshold_db,
-                            exclude_zero_doppler=exclude_zero_doppler, los_delay_s=los)
-        yield tx_id, rx_id, ddm, dets, los
+                            exclude_zero_doppler=exclude_zero_doppler, los_delay_s=link.los_delay)
+        yield link, ddm, dets
 
 
 def run_ddmap(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     results = {}
-    for tx_id, rx_id, ddm, dets, _ in _detected_links(cfg, cfg.processing.exclude_zero_doppler):
+    for link, ddm, dets in _detected_links(cfg, cfg.processing.exclude_zero_doppler):
         archive.add(
-            f"ddmap_{tx_id}_{rx_id}",
+            f"ddmap_{link.name}",
             ddm.data,
             [Axis("delay", "s", ddm.delay_s), Axis("doppler", "Hz", ddm.doppler_hz)],
         )
-        results[f"{tx_id}_{rx_id}"] = {"detections": _detections_summary(dets)}
+        results[link.name] = {"detections": _detections_summary(dets)}
     return results
 
 
@@ -139,15 +152,16 @@ def _delay_bin_series(cube: SlowTimeCube) -> tuple[np.ndarray, int]:
 def run_spectrogram(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     results = {}
     st = cfg.processing.stft
-    for tx_id, rx_id, cube in _simulate_links(cfg):
+    for link, cube in _simulate_links(cfg):
         series, bin_idx = _delay_bin_series(cube)
-        spec = stft_spectrogram(series, cube.waveform.t_sym, st.fft_size, st.hop, st.window)
+        spec = stft_spectrogram(series, cube.waveform.t_sym, st.fft_size, st.hop, st.window,
+                                t0=cube.t0)
         archive.add(
-            f"spectrogram_{tx_id}_{rx_id}",
+            f"spectrogram_{link.name}",
             spec.data,
             [Axis("slow_time", "s", spec.time_s), Axis("doppler", "Hz", spec.doppler_hz)],
         )
-        results[f"{tx_id}_{rx_id}"] = {
+        results[link.name] = {
             "fft_size": spec.fft_size,
             "hop": spec.hop,
             "window": spec.window,
@@ -161,10 +175,10 @@ def run_spectrogram(cfg: RunConfig, archive: ResultArchive, threads: int) -> dic
 def run_clean(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     results = {}
     n = cfg.processing.clean_paths
-    for tx_id, rx_id, cube in _simulate_links(cfg):
+    for link, cube in _simulate_links(cfg):
         res = subtract_dominant_paths(cube, n)
-        archive.add(f"clean_residual_{tx_id}_{rx_id}", res.residual.data, _cube_axes(cube))
-        results[f"{tx_id}_{rx_id}"] = {
+        archive.add(f"clean_residual_{link.name}", res.residual.data, _cube_axes(cube))
+        results[link.name] = {
             "removed": [
                 {
                     "delay_s": delay,
@@ -179,7 +193,7 @@ def run_clean(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     return results
 
 
-def _observation(cfg: RunConfig, tx_id: str, rx_id: str, ddm, d, los: float) -> BistaticObservation:
+def _observation(cfg: RunConfig, link: Link, ddm, d) -> BistaticObservation:
     """Detection d of a link's DD map, refined to a sub-bin delay and Doppler."""
     mag = np.abs(ddm.data)
     i, j = d.delay_bin, d.doppler_bin
@@ -187,23 +201,22 @@ def _observation(cfg: RunConfig, tx_id: str, rx_id: str, ddm, d, los: float) -> 
     dj = parabolic_offset(mag[i, j - 1], mag[i, j], mag[i, (j + 1) % mag.shape[1]])
     delay = d.delay + di / cfg.waveform.bandwidth
     doppler = d.doppler + dj * float(ddm.doppler_hz[1] - ddm.doppler_hz[0])
-    return BistaticObservation(tx_id=tx_id, rx_id=rx_id, excess_delay=max(delay - los, 0.0), doppler=doppler,
-                               wavelength=cfg.scene.wavelength)
+    return BistaticObservation(link.tx, link.rx, excess_delay=max(delay - link.los_delay, 0.0),
+                               doppler=doppler, wavelength=cfg.scene.wavelength)
 
 
 def run_localize(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     """Per-link peak extraction followed by multistatic fusion."""
     obs = []
     per_link = {}
-    for tx_id, rx_id, ddm, dets, los in _detected_links(cfg, exclude_zero_doppler=True):
-        per_link[f"{tx_id}_{rx_id}"] = {"detections": _detections_summary(dets, 3)}
+    for link, ddm, dets in _detected_links(cfg, exclude_zero_doppler=True):
+        per_link[link.name] = {"detections": _detections_summary(dets, 3)}
         if dets:
-            obs.append(_observation(cfg, tx_id, rx_id, ddm, dets[0], los))
+            obs.append(_observation(cfg, link, ddm, dets[0]))
         del ddm   # else this map lives on while the next link's is made
     if not obs:
         raise ConfigError("no link produced a detection; cannot localize")
-    nodes = {n.node_id: n.pose(cfg.t0) for n in [*cfg.scene.tx_nodes, *cfg.scene.rx_nodes]}
-    est = fuse(obs, nodes, dim=2)
+    est = fuse(obs, dim=2)
     if not est.converged:
         archive.summary["numerical_failure"] = "localization did not converge"
     archive.add("position", est.position, [Axis("axis", "index", np.arange(3))])

@@ -19,6 +19,8 @@ from .channel import PathTable, SlowTimeCube, delay_axis, named_window
 from .errors import ConfigError, NumericalError, UsageError
 
 DB_FLOOR = -300.0
+_REFINE_CYCLES = 3          # clean's alternating re-fit cycles over all found paths
+_FLOOR_MARGIN_DB = 10.0     # a path peak less far above the profile median is at the noise floor
 
 
 def magnitude_db(x, floor_db: float = DB_FLOOR) -> np.ndarray:
@@ -42,12 +44,6 @@ class DelayDopplerMap:
     @property
     def zero_doppler_bin(self) -> int:
         return int(np.argmin(np.abs(self.doppler_hz)))
-
-    def magnitude_db(self, normalize: bool = False) -> np.ndarray:
-        db = magnitude_db(self.data)
-        if normalize:
-            db = db - db.max()
-        return db
 
     def energy(self) -> float:
         return float(np.sum(np.abs(self.data) ** 2))
@@ -176,21 +172,19 @@ def _fit_static_path(mean_row: np.ndarray, delta_f: float, bandwidth: float,
     return tau, complex(np.vdot(_ramp(tau, np.arange(n), delta_f), mean_row) / n)
 
 
-def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int,
-                            refine_cycles: int = 3,
-                            floor_margin_db: float = 10.0) -> CleanResult:
+def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int) -> CleanResult:
     """Iteratively remove the strongest static (zero-Doppler) paths.
 
     Each pass locates the strongest delay peak of the slow-time-averaged
     profile, refines its delay by a safeguarded Newton iteration on the
     matched-ramp correlation (numpy only, no scipy), least-squares fits the
     complex amplitude against the model phase ramp and subtracts the reconstructed
-    path. A few alternating re-fit cycles polish mutually interfering paths.
-    Subtracting a static path shifts the slow-time mean row by exactly that
-    path's ramp, so the fits run on the mean row alone and the sum of the
-    fitted paths leaves every symbol once at the end. Paths whose peak
-    rises less than floor_margin_db above the profile median are flagged as
-    at the noise floor.
+    path. _REFINE_CYCLES alternating re-fit cycles polish mutually
+    interfering paths. Subtracting a static path shifts the slow-time mean
+    row by exactly that path's ramp, so the fits run on the mean row alone
+    and the sum of the fitted paths leaves every symbol once at the end.
+    Paths whose peak rises less than _FLOOR_MARGIN_DB above the profile
+    median are flagged as at the noise floor.
     """
     w = cube.waveform
     if not 0 <= n_paths <= w.n_subcarriers:   # clean resolves at most one path per delay bin
@@ -209,9 +203,9 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int,
         tau, amp = _fit_static_path(mean_row, w.delta_f, w.bandwidth)
         mean_row = mean_row - amp * _ramp(tau, k, w.delta_f)
         estimates.append((tau, amp))
-        result.at_noise_floor.append(above < floor_margin_db)
+        result.at_noise_floor.append(above < _FLOOR_MARGIN_DB)
         result.peak_db_above_floor.append(above)
-    for _ in range(refine_cycles if len(estimates) > 1 else 0):
+    for _ in range(_REFINE_CYCLES if len(estimates) > 1 else 0):
         for i, (tau_i, amp_i) in enumerate(estimates):
             mean_row = mean_row + amp_i * _ramp(tau_i, k, w.delta_f)
             tau, amp = _fit_static_path(mean_row, w.delta_f, w.bandwidth, tau_hint=tau_i)
@@ -241,14 +235,14 @@ class Spectrogram:
 
 
 def stft_spectrogram(series: np.ndarray, t_step: float, fft_size: int = 2048,
-                     hop: int = 32, window: str = "gaussian",
-                     sigma: float | None = None, t0: float = 0.0) -> Spectrogram:
+                     hop: int = 32, window: str = "gaussian", t0: float = 0.0) -> Spectrogram:
     """Sliding-window Doppler spectrogram of a complex slow-time series.
 
-    Frames start every `hop` samples; each is windowed (Gaussian with
-    sigma = fft_size/6 by default), FFT'd, fftshift-centered, and converted
-    to dB relative to the spectrogram peak. The Doppler axis spans
-    +/- 1/(2 t_step).
+    Frames start every `hop` samples; each is windowed (a Gaussian has
+    sigma = fft_size/6), FFT'd, fftshift-centered, and converted to dB
+    relative to the spectrogram peak. The series' first sample is at time
+    t0, so a frame's time, at its centre, is t0 + (start + fft_size/2) t_step.
+    The Doppler axis spans +/- 1/(2 t_step).
     """
     series = np.asarray(series, dtype=complex)
     if series.ndim != 1:
@@ -259,10 +253,7 @@ def stft_spectrogram(series: np.ndarray, t_step: float, fft_size: int = 2048,
         raise ConfigError(
             f"series of {series.size} samples is shorter than fft_size={fft_size}"
         )
-    if window == "gaussian":
-        sigma = fft_size / 6.0 if sigma is None else sigma
-    else:
-        sigma = 0.0
+    sigma = fft_size / 6.0 if window == "gaussian" else 0.0
     win = named_window(window, fft_size, sigma=sigma)
     starts = np.arange(0, series.size - fft_size + 1, hop)
     frames = np.stack([series[s:s + fft_size] * win for s in starts])

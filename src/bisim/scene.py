@@ -159,8 +159,8 @@ def ground_truth_observation(scene: SceneConfig, tx_id: str, rx_id: str,
     _, excess = bistatic_range(tx.position, rx.position, target_pos)
     fd = bistatic_doppler(tx, rx, target_pos, target_vel, scene.wavelength)
     return BistaticObservation(
-        tx_id=tx_id,
-        rx_id=rx_id,
+        tx=tx,
+        rx=rx,
         excess_delay=excess / C0,
         doppler=fd,
         wavelength=scene.wavelength,

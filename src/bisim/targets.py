@@ -300,8 +300,8 @@ class ReflectivityTensor:
 
     data[i_az_tx, i_el_tx, i_az_rx, i_el_rx, i_delay, p_rx, p_tx] holds the
     complex delay profile of the full 2x2 Jones response for antennas at
-    radii (d_tx, d_rx) in the given directions. The delay axis is relative
-    to the target-center bistatic delay (d_tx + d_rx)/c.
+    the scan's radii (d_tx, d_rx) in the given directions. The delay axis is
+    relative to the target-center bistatic delay (d_tx + d_rx)/c.
     """
 
     az_tx_deg: np.ndarray
@@ -310,9 +310,6 @@ class ReflectivityTensor:
     el_rx_deg: np.ndarray
     delay_s: np.ndarray
     data: np.ndarray
-    d_tx: float
-    d_rx: float
-    band: FrequencyBand
 
     def __post_init__(self):
         expected = (
@@ -432,7 +429,7 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
 
     _map_in_order(evaluate, range(0, n_rx, rx_block), threads)
     data = out.reshape(len(az_tx), len(el_tx), len(az_rx), len(el_rx), n_freq, 2, 2)
-    return ReflectivityTensor(az_tx, el_tx, az_rx, el_rx, band.delay_axis(), data, d_tx, d_rx, band)
+    return ReflectivityTensor(az_tx, el_tx, az_rx, el_rx, band.delay_axis(), data)
 
 
 @dataclass(eq=False)
@@ -442,9 +439,6 @@ class FlyoverMap:
     angles_deg: np.ndarray
     delay_s: np.ndarray
     data: np.ndarray
-    d_tx: float
-    d_rx: float
-    band: FrequencyBand
 
 
 def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, float],
@@ -476,7 +470,7 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
     data = path_rows(block, len(angles), band.delta_f, band.n_points, f0=band.f_lo)
     data *= _sweep_scale(band, sweep_window)
     np.fft.ifft(data, axis=1, out=data)
-    return FlyoverMap(angles, band.delay_axis(), data, d_tx, d_rx, band)
+    return FlyoverMap(angles, band.delay_axis(), data)
 
 
 # ---------------------------------------------------------------------------

@@ -131,12 +131,12 @@ def test_criterion_3_clutter_collapse():
         background = SceneConfig(
             scene.tx_nodes, scene.rx_nodes, [], scene.clutter, wavelength=LAM
         )
-        bg_cube = synth_cfr(link_callback(background, "tx0", "rx0"), w, mode="geometric")
+        bg_cube = synth_cfr(link_callback(background, "tx0", "rx0"), w)
         bg_map = delay_doppler_map(bg_cube)
         energy = np.abs(bg_map.data) ** 2
         frac = energy[:, bg_map.zero_doppler_bin].sum() / energy.sum()
 
-        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w, mode="geometric")
+        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
         ddm = delay_doppler_map(cube)
         t_mid = w.duration / 2
         pose = pose_at(scene.targets[0].trajectory, t_mid)
@@ -174,16 +174,16 @@ def test_criterion_4_clean_efficacy():
             Trajectory.from_waypoints([(0.0, (120, 90, 0)), (1.0, (160, 50, 0))]),
         )
         scene = SceneConfig([tx], [rx], [target], [reflector], wavelength=LAM)
-        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w, mode="geometric")
+        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
 
         res = subtract_dominant_paths(cube, 2)
         # residual static-path power: what survives of (LoS + reflection)
         # after subtraction, isolated from the mover by exact superposition
         static_scene = SceneConfig([tx], [rx], [], [reflector], wavelength=LAM)
-        static_cube = synth_cfr(link_callback(static_scene, "tx0", "rx0"), w, mode="geometric")
+        static_cube = synth_cfr(link_callback(static_scene, "tx0", "rx0"), w)
         target_scene = SceneConfig([tx], [rx], [target], [], wavelength=LAM,
                                    include_los=False)
-        target_cube = synth_cfr(link_callback(target_scene, "tx0", "rx0"), w, mode="geometric")
+        target_cube = synth_cfr(link_callback(target_scene, "tx0", "rx0"), w)
         leftover = res.residual.data - target_cube.data
         suppression_db = 10 * np.log10(
             np.sum(np.abs(leftover) ** 2) / static_cube.energy()
@@ -239,7 +239,7 @@ def test_criterion_5_micro_doppler_band():
         rx = SceneNode("rx0", NodePose(vec3(-10, -0.25, 0)))
         scene = SceneConfig([tx], [rx], [rotor], wavelength=LAM, include_los=False)
         w = WaveformConfig(3.7e9, 16e6, 128, 2048 + 32 * 14)  # t_sym = 8 us
-        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w, mode="geometric")
+        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
 
         profiles = np.fft.ifft(cube.data, axis=1)
         series = profiles[:, int(np.argmax(np.mean(np.abs(profiles) ** 2, axis=0)))]
@@ -369,8 +369,8 @@ def test_criterion_7_fusion_closed_loop():
             for a, b in links:
                 _, excess = bistatic_range(nodes[a].position, nodes[b].position, target)
                 fd = bistatic_doppler(nodes[a], nodes[b], target, vel, LAM)
-                obs.append(BistaticObservation(a, b, excess / C0, fd, LAM))
-            est = fuse(obs, nodes, dim=2)
+                obs.append(BistaticObservation(nodes[a], nodes[b], excess / C0, fd, LAM))
+            est = fuse(obs, dim=2)
             worst_pos = max(worst_pos, float(np.linalg.norm(est.position - target)))
             worst_vel = max(worst_vel, float(np.linalg.norm(est.velocity - vel)))
 
@@ -383,8 +383,8 @@ def test_criterion_7_fusion_closed_loop():
         fd_blind = bistatic_doppler(
             blind_nodes["tx0"], blind_nodes["rx0"], pos, vec3(9, 0, 0), LAM
         )
-        blind_obs = [BistaticObservation("tx0", "rx0", 1e-7, fd_blind, LAM)]
-        blind_est = estimate_velocity(blind_obs, pos, blind_nodes, dim=2)
+        blind_obs = [BistaticObservation(blind_nodes["tx0"], blind_nodes["rx0"], 1e-7, fd_blind, LAM)]
+        blind_est = estimate_velocity(blind_obs, pos, dim=2)
         blind_ok = abs(fd_blind) <= 1e-9 and blind_est.doppler_rank == 1
     report(
         7,

@@ -92,14 +92,11 @@ class TestSynthFixed:
         dphi = np.angle(cube.data[1:, 0] * np.conj(cube.data[:-1, 0]))
         assert np.allclose(dphi, 2 * np.pi * fd * w.t_sym, atol=1e-12)
 
-    def test_mode_mismatch_raises(self):
+    def test_multi_instant_table_raises(self):
+        # a table is fixed mode, which holds each path at one instant
         w = small_waveform()
-        with pytest.raises(UsageError):
-            synth_cfr(lambda t: [], w, mode="fixed")
-        with pytest.raises(UsageError):
-            synth_cfr(PathTable([], []), w, mode="geometric")
-        with pytest.raises(UsageError):
-            synth_cfr(PathTable([], []), w, mode="bogus")
+        with pytest.raises(UsageError, match="single-instant"):
+            synth_cfr(PathTable(np.zeros((2, 1)), np.ones((2, 1))), w)
 
     def test_linearity_of_superposition(self):
         w = small_waveform()
@@ -138,7 +135,7 @@ class TestSynthGeometric:
     def test_geometric_vs_fixed_phase_bound(self):
         w = WaveformConfig(3.7e9, 160e6, 256, 512)
         callback, ranges, p0, vel = crossing_target_callback(w, self.tx, self.rx)
-        geo = synth_cfr(callback, w, mode="geometric")
+        geo = synth_cfr(callback, w)
 
         rb0 = ranges(0.0)
         fd0 = bistatic_doppler(self.tx, self.rx, p0, vel, LAM)
@@ -163,7 +160,7 @@ class TestSynthGeometric:
         callback, ranges, _, _ = crossing_target_callback(
             w, self.tx, self.rx, p0=vec3(150, 80, 0), vel=vec3(-15, -10, 0)
         )
-        cube = synth_cfr(callback, w, mode="geometric")
+        cube = synth_cfr(callback, w)
         times = cube.symbol_times()
         h = cube.data[:, 0]
         dphi = np.angle(h[1:] * np.conj(h[:-1]))
@@ -175,9 +172,9 @@ class TestSynthGeometric:
         w = WaveformConfig(3.7e9, 20e6, 16, 128)
         w2 = WaveformConfig(3.7e9, 20e6, 16, 256)
         callback, *_ = crossing_target_callback(w, self.tx, self.rx)
-        frame_a = synth_cfr(callback, w, mode="geometric", t0=0.0)
-        frame_b = synth_cfr(callback, w, mode="geometric", t0=w.n_symbols * w.t_sym)
-        whole = synth_cfr(callback, w2, mode="geometric", t0=0.0)
+        frame_a = synth_cfr(callback, w, t0=0.0)
+        frame_b = synth_cfr(callback, w, t0=w.n_symbols * w.t_sym)
+        whole = synth_cfr(callback, w2, t0=0.0)
         stitched = np.vstack([frame_a.data, frame_b.data])
         jump = np.abs(np.angle(whole.data[w.n_symbols] * np.conj(stitched[w.n_symbols])))
         assert jump.max() <= 1e-9

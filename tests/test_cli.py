@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import yaml
-from conftest import FULL_SCENE
+from conftest import FULL_SCENE, ROTOR_SCENE
 
 from bisim import channel, pipeline
 from bisim.archive import ResultArchive
@@ -100,6 +100,14 @@ class TestPipelineSubcommands:
         spec = archive.datasets["spectrogram_tx0_rx0"]
         assert spec.values.shape[1] == 2048
         assert meta["observation_s"] == pytest.approx(2304 * cfg.waveform.t_sym)
+
+    def test_spectrogram_frame_times_start_at_t0(self, tmp_path):
+        (tmp_path / "rotor.yaml").write_text(textwrap.dedent(ROTOR_SCENE) + "t0: 0.5\n")
+        cfg = load_config(tmp_path / "rotor.yaml")
+        archive, _ = run("spectrogram", cfg, out_dir=tmp_path / "o")
+        times = archive.datasets["spectrogram_tx0_rx0"].axes[0].values
+        # the first frame is centred fft_size/2 symbols into a capture that starts at t0
+        assert times[0] == pytest.approx(0.5 + 2048 / 2 * cfg.waveform.t_sym, rel=1e-12)
 
     def test_clean_reports_removed_paths(self, full_scene_config, tmp_path):
         cfg = load_config(full_scene_config)
@@ -411,3 +419,30 @@ class TestRunMemory:
         assert len(archive.datasets) == 8
         # every link's cube alive at once would cost 8 cubes on their own
         assert peak < archive_bytes + 8 * cube_bytes, (peak - archive_bytes) / cube_bytes
+
+    # tracemalloc peak above the archive, in link cubes: the measured peak + 0.5 cube
+    # (FULL_SCENE simulate 1.0, clean 2.0, ddmap 3.5, localize 5.0, spectrogram 4.0;
+    # ROTOR_SCENE 0.5, 1.0, 3.5, 4.5, 2.5), so one more cube held across a link fails
+    CUBE_BUDGETS = {
+        "FULL_SCENE": {"simulate": 1.5, "clean": 2.5, "ddmap": 4.0, "localize": 5.5, "spectrogram": 4.5},
+        "ROTOR_SCENE": {"simulate": 1.0, "clean": 1.5, "ddmap": 4.0, "localize": 5.0, "spectrogram": 3.0},
+    }
+
+    @pytest.mark.parametrize("scene", ["FULL_SCENE", "ROTOR_SCENE"])
+    @pytest.mark.parametrize("sub", ["simulate", "clean", "ddmap", "localize", "spectrogram"])
+    def test_link_streaming_runner_peak_above_its_archive(self, sub, scene, tmp_path):
+        (tmp_path / "scene.yaml").write_text(textwrap.dedent({"FULL_SCENE": FULL_SCENE,
+                                                              "ROTOR_SCENE": ROTOR_SCENE}[scene]))
+        cfg = load_config(tmp_path / "scene.yaml")
+        run(sub, cfg, out_dir=tmp_path / "o")   # warm-up: one-off allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            archive, _ = run(sub, cfg, out_dir=tmp_path / "o")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cube_bytes = cfg.waveform.n_symbols * cfg.waveform.n_subcarriers * 16
+        archive_bytes = sum(ds.values.nbytes + sum(ax.values.nbytes for ax in ds.axes)
+                            for ds in archive.datasets.values())
+        cubes = (peak - archive_bytes) / cube_bytes
+        assert cubes < self.CUBE_BUDGETS[scene][sub], cubes

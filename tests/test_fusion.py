@@ -25,7 +25,7 @@ def make_obs(nodes, links, target, velocity=None, lam=LAM):
         tx, rx = nodes[tx_id], nodes[rx_id]
         _, excess = bistatic_range(tx.position, rx.position, target)
         fd = bistatic_doppler(tx, rx, target, velocity, lam)
-        obs.append(BistaticObservation(tx_id, rx_id, excess / C0, fd, lam))
+        obs.append(BistaticObservation(tx, rx, excess / C0, fd, lam))
     return obs
 
 
@@ -66,7 +66,7 @@ class TestLocalize:
         for _ in range(10):
             nodes, links, target, _ = three_link_scene(rng, min_cond=20.0)
             obs = make_obs(nodes, links, target)
-            est = localize(obs, nodes, dim=2)
+            est = localize(obs, dim=2)
             assert est.converged
             assert np.linalg.norm(est.position - target) <= 1e-6
             assert not est.ambiguous
@@ -75,7 +75,7 @@ class TestLocalize:
         rng = np.random.default_rng(32)
         nodes, links, target, _ = three_link_scene(rng, min_cond=20.0)
         obs = make_obs(nodes, links, target)
-        est = localize(obs, nodes, dim=2)
+        est = localize(obs, dim=2)
 
         # independent oracle: dense 1 cm grid around the scene center
         xs = np.arange(target[0] - 2.0, target[0] + 2.0, 0.01)
@@ -103,7 +103,7 @@ class TestLocalize:
         target = vec3(15, 30, 0)
         twin = vec3(15, -30, 0)
         obs = make_obs(nodes, [("tx0", "rx0"), ("tx0", "rx1")], target)
-        est = localize(obs, nodes, dim=2)
+        est = localize(obs, dim=2)
         assert est.ambiguous
         found = [est.position, *est.alternates]
         d_target = min(np.linalg.norm(p - target) for p in found)
@@ -116,8 +116,8 @@ class TestLocalize:
             "tx0": NodePose(vec3(-40, 0, 0), node_id="tx0"),
             "rx0": NodePose(vec3(40, 0, 0), node_id="rx0"),
         }
-        obs = [BistaticObservation("tx0", "rx0", 0.0, 0.0, LAM)]
-        est = localize(obs, nodes, dim=2)
+        obs = [BistaticObservation(nodes["tx0"], nodes["rx0"], 0.0, 0.0, LAM)]
+        est = localize(obs, dim=2)
         assert est.ambiguous
         assert est.position_residual_rms <= 1e-6
 
@@ -126,7 +126,7 @@ class TestLocalize:
         nodes = {"tx0": NodePose(vec3(-40, 0, 0), node_id="tx0"),
                  "rx0": NodePose(vec3(40, 0, 0), node_id="rx0")}
         target = vec3(5, 30, 0)
-        est = fuse(make_obs(nodes, [("tx0", "rx0")], target, velocity=vec3(3, -2, 0)), nodes, dim=2)
+        est = fuse(make_obs(nodes, [("tx0", "rx0")], target, velocity=vec3(3, -2, 0)), dim=2)
         assert est.ambiguous
         assert np.isinf(est.range_condition)
         assert np.isinf(est.doppler_condition)
@@ -135,12 +135,7 @@ class TestLocalize:
 
     def test_no_observations_rejected(self):
         with pytest.raises(ConfigError):
-            localize([], {}, dim=2)
-
-    def test_unknown_node_rejected(self):
-        obs = [BistaticObservation("tx9", "rx0", 1e-7, 0.0, LAM)]
-        with pytest.raises(ConfigError):
-            localize(obs, {"rx0": NodePose(vec3(0, 0, 0))}, dim=2)
+            localize([], dim=2)
 
     def test_three_d_recovery(self):
         nodes = {
@@ -153,7 +148,7 @@ class TestLocalize:
         target = vec3(4, 7, 12)
         links = [("tx0", r) for r in ("rx0", "rx1", "rx2", "rx3")]
         obs = make_obs(nodes, links, target)
-        est = localize(obs, nodes, dim=3, grid_cell=2.0)
+        est = localize(obs, dim=3, grid_cell=2.0)
         assert np.linalg.norm(est.position - target) <= 1e-6
 
 
@@ -167,7 +162,7 @@ class TestEstimateVelocity:
         vel = vec3(9.0, 0, 0)  # tangential to the iso-range ellipse here
         obs = make_obs(nodes, [("tx0", "rx0")], target, vel)
         assert obs[0].doppler == pytest.approx(0.0, abs=1e-9)
-        est = estimate_velocity(obs, target, nodes, dim=2)
+        est = estimate_velocity(obs, target, dim=2)
         assert est.doppler_rank == 1
         assert est.blind_directions is not None
         assert np.linalg.norm(est.velocity) <= 1e-9
@@ -180,7 +175,7 @@ class TestEstimateVelocity:
         for _ in range(10):
             nodes, links, target, vel = three_link_scene(rng, min_cond=20.0)
             obs = make_obs(nodes, links, target, vel)
-            est = estimate_velocity(obs, target, nodes, dim=2)
+            est = estimate_velocity(obs, target, dim=2)
             assert est.doppler_rank == 2
             assert np.linalg.norm(est.velocity - vel) <= 1e-9
 
@@ -193,7 +188,7 @@ class TestEstimateVelocity:
         target = vec3(5, 20, 0)
         vel = vec3(-7, 11, 0)
         obs = make_obs(nodes, [("tx0", "rx0"), ("tx0", "rx1")], target, vel)
-        est = estimate_velocity(obs, target, nodes, dim=2)
+        est = estimate_velocity(obs, target, dim=2)
         assert np.linalg.norm(est.velocity - vel) <= 1e-9
 
     def test_blind_directions_are_null_space(self):
@@ -203,7 +198,7 @@ class TestEstimateVelocity:
         }
         target = vec3(10, 25, 0)
         obs = make_obs(nodes, [("tx0", "rx0")], target, vec3(3, 4, 0))
-        est = estimate_velocity(obs, target, nodes, dim=2)
+        est = estimate_velocity(obs, target, dim=2)
         tx, rx = nodes["tx0"], nodes["rx0"]
         u1 = (target - tx.position) / np.linalg.norm(target - tx.position)
         u2 = (target - rx.position) / np.linalg.norm(target - rx.position)
@@ -285,7 +280,7 @@ class TestClosedLoop:
         for _ in range(25):
             nodes, links, target, vel = three_link_scene(rng, min_cond=25.0)
             obs = make_obs(nodes, links, target, vel)
-            est = fuse(obs, nodes, dim=2)
+            est = fuse(obs, dim=2)
             assert np.linalg.norm(est.position - target) <= 1e-6
             assert np.linalg.norm(est.velocity - vel) <= 1e-9
 
@@ -293,7 +288,7 @@ class TestClosedLoop:
         rng = np.random.default_rng(41)
         nodes, links, target, vel = three_link_scene(rng, min_cond=25.0)
         obs = make_obs(nodes, links, target, vel)
-        est = fuse(obs, nodes, dim=2)
+        est = fuse(obs, dim=2)
 
         ang = 0.77
         c, s = np.cos(ang), np.sin(ang)
@@ -303,8 +298,10 @@ class TestClosedLoop:
             k: NodePose(rot @ n.position + shift, rot @ n.velocity, k)
             for k, n in nodes.items()
         }
-        # observations are invariants of the geometry, reuse them verbatim
-        est2 = fuse(obs, moved, dim=2)
+        # the measurements are invariants of the geometry: reuse them on the moved poses
+        moved_obs = [BistaticObservation(moved[a], moved[b], o.excess_delay, o.doppler, o.wavelength)
+                     for o, (a, b) in zip(obs, links)]
+        est2 = fuse(moved_obs, dim=2)
         assert np.linalg.norm(est2.position - (rot @ target + shift)) <= 1e-6
         assert np.linalg.norm(est2.velocity - rot @ vel) <= 1e-8
 
@@ -321,7 +318,7 @@ class TestClosedLoop:
         for t in np.linspace(0.0, 0.4, 5):
             pos_t = p0 + vel * t
             obs = make_obs(nodes, links, pos_t, vel)
-            est = fuse(obs, nodes, dim=2)
+            est = fuse(obs, dim=2)
             assert np.linalg.norm(est.position - pos_t) <= 1e-6
             assert np.linalg.norm(est.velocity - vel) <= 1e-9
 
@@ -386,7 +383,7 @@ class TestCoarseToFine:
         rng = np.random.default_rng(50 + n_links)
         for _ in range(10):
             nodes, links, obs = noisy_scene(rng, n_links)
-            est = localize(obs, nodes, dim=2)
+            est = localize(obs, dim=2)
             cell, refined = dense_grid_oracle(nodes, links, obs)
             assert est.converged
             assert np.linalg.norm(est.position - cell) <= 1.0
@@ -408,7 +405,7 @@ class TestCoarseToFine:
                 "rx1": NodePose(rx_for_twins(p, q, tx, -rng.uniform(60, 120)), node_id="rx1"),
             }
             obs = make_obs(nodes, [("tx0", "rx0"), ("tx0", "rx1")], p)
-            est = localize(obs, nodes, dim=2)
+            est = localize(obs, dim=2)
             found = [est.position, *est.alternates]
             assert est.ambiguous
             assert min(np.linalg.norm(x - p) for x in found) <= 1e-6
@@ -436,7 +433,7 @@ class TestCoarseToFine:
             return hops(points, tx, rx, strict)
 
         monkeypatch.setattr(fusion, "_hops", spy)
-        est = localize(obs, nodes, dim=2)
+        est = localize(obs, dim=2)
         assert any(scored), "no scored cell fell on the node"
         assert est.converged
         assert np.linalg.norm(est.position - target) <= 1e-6
@@ -454,7 +451,7 @@ class TestCoarseToFine:
         obs = make_obs(nodes, links, target, vel)
         tracemalloc.start()
         try:
-            est = fuse(obs, nodes, dim=3)
+            est = fuse(obs, dim=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

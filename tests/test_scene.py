@@ -115,7 +115,7 @@ class TestLinkPaths:
         )
         scene = basic_scene(targets=[target])
         w = WaveformConfig(3.7e9, 20e6, 32, 16)
-        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w, mode="geometric")
+        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
         assert cube.data.shape == (16, 32)
         assert cube.energy() > 0
 
@@ -233,7 +233,7 @@ class TestGeometricSynthesis:
         scene = oracle_scene(w)
         assert scene.rx_nodes[0].motion.t_end < w.duration / 2
         assert scene.targets[0].trajectory.t_end < w.duration
-        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w, mode="geometric")
+        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
         ref = direct_cfr(scene, w)
         assert np.max(np.abs(cube.data - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -253,7 +253,7 @@ class TestGeometricSynthesis:
             return link_paths(scene, "tx0", "rx0", times)
 
         with pytest.raises(GeometryError):
-            synth_cfr(callback, w, mode="geometric")
+            synth_cfr(callback, w)
         assert blocks[-1][0] < t_hit <= blocks[-1][-1] and t_hit in blocks[-1]
 
         doc = {
@@ -279,7 +279,7 @@ class TestGeometricSynthesis:
         assert w.n_symbols * 64 * w.n_subcarriers * 16 >= 1e9
         tracemalloc.start()
         try:
-            cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w, mode="geometric")
+            cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

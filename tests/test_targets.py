@@ -666,7 +666,7 @@ class TestSynthesisMatchesScan:
         w, target = self.waveform, self.target(kind)
         scene = SceneConfig([SceneNode("tx0", NodePose(self.tx))], [SceneNode("rx0", NodePose(self.rx))],
                             [target], wavelength=w.wavelength, include_los=False)
-        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w, mode="geometric")
+        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
         freqs = w.subcarrier_frequencies()
         band = FrequencyBand(freqs[0], freqs[-1], w.n_subcarriers)
         for m in (0, 37, 95):
