@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConfigError, UsageError
 
 _ORTHO_RTOL = 1e-12
-MAX_ENTRIES = 1 << 28  # largest capture, reflectivity tensor or flyover map: complex entries, 4 GiB
+MAX_ENTRIES = 1 << 28  # largest capture, scan output, or array of paths x frequencies or symbols: 4 GiB
 
 
 def check_entries(entries: int, what: str) -> None:
@@ -213,9 +213,11 @@ def phase_ramps(delay, delta_f: float, n_subcarriers: int) -> np.ndarray:
 
     Row 0 is 1, and rows [n, 2n) are rows [0, n) times exp(-j2π n Δf τ) for
     n = 1, 2, 4, ...: one exp per delay per power of two, and row k carries
-    popcount(k) products rather than k.
+    popcount(k) products rather than k. More than MAX_ENTRIES ramps raise
+    ConfigError before any is made.
     """
     delay = np.asarray(delay, dtype=float)
+    check_entries(n_subcarriers * delay.size, f"phase ramps of {n_subcarriers} frequencies x {delay.size} delays")
     ramps = np.empty((n_subcarriers, *delay.shape), dtype=complex)
     ramps[0] = 1.0
     n = 1
@@ -278,6 +280,7 @@ def synth_cfr(
     else:
         if paths.delay.ndim != 1:
             raise UsageError("fixed mode takes a single-instant path table of shape (P,)")
+        check_entries(w.n_symbols * len(paths), "fixed-mode phasors of n_symbols x paths")
         dopplers = np.zeros(len(paths)) if paths.doppler is None else paths.doppler
         phasors = np.exp(2j * np.pi * w.t_sym * np.outer(np.arange(w.n_symbols), dopplers))
         gains = phasors * paths.gain
@@ -325,12 +328,11 @@ def cir_from_cfr(row: np.ndarray) -> np.ndarray:
     return np.fft.ifft(row)
 
 
-def named_window(name: str | None, n: int, sym: bool = False,
-                 sigma: float | None = None) -> np.ndarray:
+def named_window(name: str | None, n: int, sym: bool = False) -> np.ndarray:
     """Named window of length n, periodic (for FFTs) unless sym=True.
 
     "none", "rect" and "rectangular" give ones; "hann" and "gaussian"
-    (standard deviation sigma, default n/6) use scipy.signal's formulas,
+    (standard deviation n/6) use scipy.signal's formulas,
     bit for bit, without importing it; any other name goes to scipy's
     get_window. An unknown name, or another name without scipy installed,
     raises ConfigError.
@@ -342,7 +344,7 @@ def named_window(name: str | None, n: int, sym: bool = False,
         if name == "hann":
             w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m))
         else:
-            std = n / 6.0 if sigma is None else sigma
+            std = n / 6.0
             k = np.arange(0, m, dtype=float) - (m - 1.0) / 2.0
             w = np.exp(-k ** 2 / (2 * std * std))
         return w[:n]
@@ -350,7 +352,7 @@ def named_window(name: str | None, n: int, sym: bool = False,
         from scipy.signal import get_window
     except ImportError:
         raise ConfigError(f"window {name!r} needs scipy: install bisim[windows]") from None
-    spec = ("gaussian", n / 6.0 if sigma is None else sigma) if name == "gaussian" else name
+    spec = ("gaussian", n / 6.0) if name == "gaussian" else name
     try:
         return get_window(spec, n, fftbins=not sym)
     except (TypeError, ValueError) as err:

@@ -143,10 +143,11 @@ def run_ddmap(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
 
 
 def _delay_bin_series(cube: SlowTimeCube) -> tuple[np.ndarray, int]:
-    """Slow-time series at the strongest mean-power delay bin."""
+    """Slow-time series at the strongest mean-power delay bin, copied out so the
+    profiles are freed before the caller's STFT."""
     profiles = np.fft.ifft(cube.data, axis=1)
     bin_idx = int(np.argmax(np.mean(np.abs(profiles) ** 2, axis=0)))
-    return profiles[:, bin_idx], bin_idx
+    return profiles[:, bin_idx].copy(), bin_idx
 
 
 def run_spectrogram(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import PathTable, SlowTimeCube, delay_axis, named_window
+from .channel import PathTable, SlowTimeCube, check_entries, delay_axis, named_window
 from .errors import ConfigError, NumericalError, UsageError
 
 DB_FLOOR = -300.0
@@ -254,8 +254,9 @@ def stft_spectrogram(series: np.ndarray, t_step: float, fft_size: int = 2048,
             f"series of {series.size} samples is shorter than fft_size={fft_size}"
         )
     sigma = fft_size / 6.0 if window == "gaussian" else 0.0
-    win = named_window(window, fft_size, sigma=sigma)
+    win = named_window(window, fft_size)
     starts = np.arange(0, series.size - fft_size + 1, hop)
+    check_entries(len(starts) * fft_size, "spectrogram of frames x fft_size")
     frames = np.stack([series[s:s + fft_size] * win for s in starts])
     spec = np.fft.fftshift(np.fft.fft(frames, axis=1), axes=1)
     db = magnitude_db(spec)

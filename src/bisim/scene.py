@@ -4,7 +4,8 @@ A scene is the geometric ground truth. link_paths() turns it into the path
 table the channel synthesizer consumes, one call per link and block of
 symbol times: the direct Tx-Rx line-of-sight, one path per clutter
 scatterer (a PointScatterer at rest at its world-frame position), and one
-path per sample of target.states(t), whatever the kind of target. Every
+path per sample of targets.states(target, t), the one body-to-world map
+pose(t) + rotation(t)·body(t), whatever the kind of target. Every
 node answers pose(t) with a NodePose: (3,) for a static node, whose paths
 are then evaluated once per call and broadcast over its times, t.shape +
 (3,) on a trajectory. illumination_paths() builds the one-way Tx-to-point

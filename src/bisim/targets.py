@@ -16,10 +16,12 @@ scatterer has its own Tx/Rx distances, which is what makes the model valid
 in the near field and scalable with antenna distance.
 
 A target (RigidTarget, Rotor) answers name, pose(t) (its body-frame
-origin), states(t) (world-frame states of every sample at time(s) t) and
-body(t) (the states a range scan centres on: a rigid cloud at rest in its
-body frame, a rotor's states(t)). No code outside this module asks which
-kind a target is.
+origin and that origin's velocity), rotation(t) (its body axes in world
+coordinates, (..., 3, 3), or None when they are the world axes) and
+body(t) (its samples in the body frame: a rigid cloud at rest, a rotor's
+blades about its hub). states(target, t) is the one body-to-world map,
+pose(t) + rotation(t)·body(t), which synthesis uses; a range scan centres
+on the pose and uses body(t) as it is. No code branches on the kind of a target.
 """
 
 from __future__ import annotations
@@ -94,11 +96,10 @@ class ScattererStates:
         return self.amplitudes.shape[0]
 
     @classmethod
-    def stack(cls, scatterers, positions=None, velocities=None) -> "ScattererStates":
-        """States of scatterers at positions (..., N, 3), by default their own; at rest by default."""
-        positions = np.stack([s.position for s in scatterers]) if positions is None else positions
-        return cls(positions, np.zeros_like(positions) if velocities is None else velocities,
-                   np.array([s.amplitude for s in scatterers], dtype=complex),
+    def stack(cls, scatterers) -> "ScattererStates":
+        """States of scatterers at rest at their own positions, (N, 3)."""
+        positions = np.stack([s.position for s in scatterers])
+        return cls(positions, np.zeros_like(positions), np.array([s.amplitude for s in scatterers], dtype=complex),
                    np.stack([s.jones for s in scatterers]))
 
 
@@ -125,20 +126,20 @@ class RigidTarget:
         """The cloud's body-frame origin on its track at time(s) t."""
         return pose_at(self.trajectory, t, self.name)
 
-    def states(self, t) -> ScattererStates:
-        """The cloud in the world frame: rotated by its yaw, carried along its track."""
-        track = self.pose(t)
+    def rotation(self, t) -> np.ndarray | None:
+        """The body axes in world coordinates, t.shape + (3, 3): a turn about +z by the
+        yaw at time(s) t; None without a yaw."""
+        if self.yaw is None:
+            return None
         if self.yaw == "track":
-            vx, vy = track.velocity[..., 0], track.velocity[..., 1]
+            v = self.pose(t).velocity
+            vx, vy = v[..., 0], v[..., 1]
             yaw = np.where(np.hypot(vx, vy) < 1e-12, 0.0, np.arctan2(vy, vx))
         else:
-            yaw = np.full(np.shape(t), float(self.yaw or 0.0))
-        c, s = np.cos(yaw)[..., None], np.sin(yaw)[..., None]   # rotation about +z
-        ox, oy, oz = np.stack([s.position for s in self.scatterers]).T
-        rotated = np.stack([c * ox - s * oy, s * ox + c * oy, np.broadcast_to(oz, (*yaw.shape, oz.size))], -1)
-        positions = track.position[..., None, :] + rotated
-        velocities = np.broadcast_to(track.velocity[..., None, :], positions.shape)
-        return ScattererStates.stack(self.scatterers, positions, velocities)
+            yaw = np.full(np.shape(t), float(self.yaw))
+        c, s = np.cos(yaw), np.sin(yaw)
+        zero, one = np.zeros_like(c), np.ones_like(c)
+        return np.stack([c, -s, zero, s, c, zero, zero, zero, one], -1).reshape(*c.shape, 3, 3)
 
     def body(self, t) -> ScattererStates:
         """The cloud at rest in its body frame, at every time."""
@@ -149,8 +150,10 @@ class RigidTarget:
 class Rotor:
     """Rotating blade set, sampled as uniform line arrays along each blade.
 
-    hub_offset is the hub position (world frame for a standalone rotor),
-    axis the unit rotation axis, rate the signed angular rate in rad/s.
+    hub_offset is the hub position in the world frame and is the rotor's
+    pose; body(t) gives the blade samples about the hub, along world axes
+    (rotation(t) is None). axis is the unit rotation axis, rate the signed
+    angular rate in rad/s.
     Every sample shares sample_amplitude as its scattering length. The
     sample speed grows linearly with radius up to rate*blade_radius at the
     tips. For spectrally smooth micro-Doppler keep the inter-sample spacing
@@ -182,10 +185,11 @@ class Rotor:
             raise ConfigError(f"{self.n_blades} blades x {self.samples_per_blade} samples_per_blade: "
                               f"more than {MAX_AXIS_POINTS} rotor samples")
         self.sample_amplitude = complex(self.sample_amplitude)
+        self._hub = NodePose(self.hub_offset, node_id=self.name)   # made once: synthesis asks on every block
 
     def pose(self, t) -> NodePose:
         """The hub, at rest at every time."""
-        return NodePose(self.hub_offset, node_id=self.name)
+        return self._hub
 
     @property
     def sample_spacing(self) -> float:
@@ -204,15 +208,19 @@ class Rotor:
         e1 = unit(np.cross(ref, self.axis))
         return e1, np.cross(self.axis, e1)
 
-    def states(self, t) -> ScattererStates:
-        """Every blade sample in the world frame at time(s) t."""
+    def rotation(self, t) -> None:
+        """None: the blade samples are along the world axes."""
+        return None
+
+    def body(self, t) -> ScattererStates:
+        """Every blade sample about the hub at time(s) t, t.shape + (N, 3)."""
         e1, e2 = self.basis
         radii = self.blade_radius * np.arange(1, self.samples_per_blade + 1) / self.samples_per_blade
         t = np.asarray(t, dtype=float)[..., None]
         blade_angles = self.phase0 + self.rate * t + 2.0 * np.pi * np.arange(self.n_blades) / self.n_blades
         cos, sin = np.cos(blade_angles)[..., None, None], np.sin(blade_angles)[..., None, None]
         r = radii[:, None]                              # (S, 1) against (..., B, 1, 1)
-        positions = self.hub_offset + r * (cos * e1 + sin * e2)
+        positions = r * (cos * e1 + sin * e2)
         velocities = self.rate * r * (-sin * e1 + cos * e2)
         n = self.n_blades * self.samples_per_blade
         shape = (*t.shape[:-1], n, 3)
@@ -220,9 +228,27 @@ class Rotor:
         jones = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
         return ScattererStates(positions.reshape(shape), velocities.reshape(shape), amps, jones)
 
-    def body(self, t) -> ScattererStates:
-        """The scan states: states(t), hub offset included."""
-        return self.states(t)
+
+def _rotate(rotation: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rotation · v for every sample: (..., 3, 3) against (..., N, 3), summed over body axes
+    0, 1, 2 in elementwise products, so no fused multiply-add moves a bit."""
+    r = rotation[..., None, :, :]
+    return r[..., 0] * v[..., 0:1] + r[..., 1] * v[..., 1:2] + r[..., 2] * v[..., 2:3]
+
+
+def states(target, t) -> ScattererStates:
+    """World states of every sample of a target at time(s) t: pose(t) + rotation(t)·body(t).
+
+    Velocities are the pose velocity plus the rotated body velocities, so a
+    turning body frame (a rigid target's yaw) adds no velocity of its own. A
+    rotation of None is skipped.
+    """
+    pose, rotation, body = target.pose(t), target.rotation(t), target.body(t)
+    positions, velocities = body.positions, body.velocities
+    if rotation is not None:
+        positions, velocities = _rotate(rotation, positions), _rotate(rotation, velocities)
+    return ScattererStates(pose.position[..., None, :] + positions, pose.velocity[..., None, :] + velocities,
+                           body.amplitudes, body.jones)
 
 
 def scatterer_gain(amplitude: complex, d_tx, d_rx, lam: float):
@@ -254,7 +280,7 @@ def bounce_paths(states: ScattererStates, tx: NodePose, rx: NodePose, lam: float
 
 def target_paths(target, tx: NodePose, rx: NodePose, t, lam: float, doppler: bool = False) -> PathTable:
     """One propagation path per scatterer of the target: a t.shape + (N,) table."""
-    return bounce_paths(target.states(t), tx, rx, lam, doppler)
+    return bounce_paths(states(target, t), tx, rx, lam, doppler)
 
 
 def select_polarization(table: PathTable, states: ScattererStates, tx_pol: int = 0,
@@ -300,8 +326,9 @@ class ReflectivityTensor:
 
     data[i_az_tx, i_el_tx, i_az_rx, i_el_rx, i_delay, p_rx, p_tx] holds the
     complex delay profile of the full 2x2 Jones response for antennas at
-    the scan's radii (d_tx, d_rx) in the given directions. The delay axis is
-    relative to the target-center bistatic delay (d_tx + d_rx)/c.
+    the scan's radii (d_tx, d_rx) in the given directions, both about the
+    target's pose and along its body axes. The delay axis is relative to the
+    target-center bistatic delay (d_tx + d_rx)/c.
     """
 
     az_tx_deg: np.ndarray
@@ -324,7 +351,7 @@ class ReflectivityTensor:
 
 
 def _scan_states(target, t: float, d_tx: float, d_rx: float) -> ScattererStates:
-    """Body states of a scan target whose extent both antenna radii must exceed."""
+    """Body states of a scan target, about its pose, whose extent both antenna radii must exceed."""
     states = target.body(t)
     extent = float(np.max(np.linalg.norm(states.positions, axis=1))) if len(states) else 0.0
     if d_tx <= extent or d_rx <= extent:
@@ -364,9 +391,11 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
                       threads: int = 1) -> ReflectivityTensor:
     """Full 4-D angular scan of a solitaire target's bistatic reflectivity.
 
-    grid maps the four angle axes ("az_tx", "el_tx", "az_rx", "el_rx") to
-    strictly increasing arrays of degrees. Antennas sit at radii d_tx / d_rx
-    in each direction pair; the sweep over the band is the tapered
+    The scan centres on the target's pose: it sums the body(t) samples, so
+    its angles are in the body frame and where the target sits does not
+    matter. grid maps the four angle axes ("az_tx", "el_tx", "az_rx",
+    "el_rx") to strictly increasing arrays of degrees. Antennas sit at radii
+    d_tx / d_rx in each direction pair; the sweep over the band is the tapered
     sum_n s_n λ_f/(4π r1 r2) exp(-j2π f (τ1 + τ2)) jones_n, τ1 = (r1 - d_tx)/c,
     τ2 = (r2 - d_rx)/c, and its inverse transform, centred on the
     target-center delay, is the delay profile.
@@ -398,6 +427,7 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     u_tx = _directions(az_tx[:, None], el_tx).reshape(-1, 3)
     u_rx = _directions(az_rx[:, None], el_rx).reshape(-1, 3)
     n_tx, n_rx, n_scat, n_freq = len(u_tx), len(u_rx), len(states), band.n_points
+    check_entries(4 * n_scat * n_freq, "reflectivity Jones columns of 4 x scan samples x band.n_points")
     out = np.empty((n_tx, n_rx, n_freq, 4), dtype=complex)
     tx_block = max(1, min(n_tx, _SLAB_ELEMENTS // (4 * n_scat * n_freq)))
     rx_block = max(1, min(_SLAB_ELEMENTS // (n_scat * n_freq), _SLAB_ELEMENTS // (tx_block * 4 * n_freq)))
@@ -447,7 +477,8 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
                  sweep_window: str = "none") -> FlyoverMap:
     """Emulate a flyover: one antenna fixed, the other swept in azimuth.
 
-    The swept angle is the bistatic separation relative to the fixed
+    Like reflectivity_scan it centres on the target's pose, on its body(t)
+    samples. The swept angle is the bistatic separation relative to the fixed
     antenna, running e.g. 10..180 degrees from quasi-monostatic to forward
     scattering, with at most MAX_AXIS_POINTS angles. Both antennas sit at
     elevation_deg (default 0) and the H-H polarization is extracted, so the

@@ -335,6 +335,51 @@ class TestCliMain:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "o" / "simulate.bisim").exists()
 
+    def run_rotor(self, sub, edit, tmp_path, capsys) -> int:
+        """main() on ROTOR_SCENE after edit(doc); stderr must hold no traceback."""
+        doc = yaml.safe_load(textwrap.dedent(ROTOR_SCENE))
+        edit(doc)
+        cfg = tmp_path / "rotor.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        code = main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert "Traceback" not in capsys.readouterr().err
+        return code
+
+    SCAN = {"d_tx": 10.0, "d_rx": 10.0, "az_tx": [0, 90], "el_tx": [0], "az_rx": [0, 90, 180], "el_rx": [0],
+            "band": {"f_lo": 3.6e9, "f_hi": 3.8e9, "n_points": 16}, "target": "prop"}
+    FLYOVER = {"d_tx": 10.0, "d_rx": 10.0, "start_deg": 10, "stop_deg": 180, "step_deg": 17,
+               "band": {"f_lo": 2e9, "f_hi": 18e9, "n_points": 128}, "target": "prop"}
+    SMALL = {"carrier_hz": 3.7e9, "bandwidth_hz": 16e6, "n_subcarriers": 16, "n_symbols": 8}
+
+    def test_rotor_reflectivity_centres_on_the_hub(self, tmp_path, capsys):
+        # the hub sits 8 m from the origin, and the blades reach 0.12 m from it
+        scan = dict(self.SCAN, d_tx=1.0, d_rx=1.0)
+        assert self.run_rotor("reflectivity", lambda doc: doc.update(reflectivity=scan), tmp_path, capsys) == 0
+
+    # Each case lets its outputs through MAX_ENTRIES (lowered to keep it fast) but not an array
+    # of paths or scan samples x frequencies or symbols: the ramps of one synthesis row (K x P),
+    # fixed mode's phasors (M x P), a scan's Jones columns (4 x N x n_freq) and a flyover row's
+    # ramps (n_freq x N).
+    BOUNDED = {
+        "geometric ramps": ("simulate", 64 * 128, "phase ramps", lambda doc: (
+            doc["waveform"].update(n_symbols=64), doc["scene"]["targets"][0].update(samples_per_blade=64))),
+        "fixed phasors": ("simulate", 256 * 16, "fixed-mode phasors", lambda doc: (
+            doc.update(mode="fixed"), doc["waveform"].update(n_symbols=256, n_subcarriers=16),
+            doc["scene"]["targets"][0].update(samples_per_blade=64))),
+        "scan columns": ("reflectivity", 6 * 16 * 4, "Jones columns", lambda doc: doc.update(
+            waveform=TestCliMain.SMALL, reflectivity=TestCliMain.SCAN)),
+        "flyover ramps": ("flyover", 11 * 128, "phase ramps", lambda doc: doc.update(
+            waveform=TestCliMain.SMALL, flyover=TestCliMain.FLYOVER)),
+    }
+
+    @pytest.mark.parametrize("case", list(BOUNDED))
+    def test_paths_times_frequencies_past_the_bound_exit_2(self, case, tmp_path, caplog, capsys, monkeypatch):
+        sub, entries, what, edit = self.BOUNDED[case]
+        monkeypatch.setattr(channel, "MAX_ENTRIES", entries)
+        assert self.run_rotor(sub, edit, tmp_path, capsys) == 2
+        assert what in caplog.text and "allowed" in caplog.text
+        assert not (tmp_path / "o" / f"{sub}.bisim").exists()
+
     def test_seed_override(self, full_scene_config, tmp_path):
         assert (
             main(
@@ -421,10 +466,10 @@ class TestRunMemory:
         assert peak < archive_bytes + 8 * cube_bytes, (peak - archive_bytes) / cube_bytes
 
     # tracemalloc peak above the archive, in link cubes: the measured peak + 0.5 cube
-    # (FULL_SCENE simulate 1.0, clean 2.0, ddmap 3.5, localize 5.0, spectrogram 4.0;
+    # (FULL_SCENE simulate 1.0, clean 2.0, ddmap 3.5, localize 5.0, spectrogram 3.0;
     # ROTOR_SCENE 0.5, 1.0, 3.5, 4.5, 2.5), so one more cube held across a link fails
     CUBE_BUDGETS = {
-        "FULL_SCENE": {"simulate": 1.5, "clean": 2.5, "ddmap": 4.0, "localize": 5.5, "spectrogram": 4.5},
+        "FULL_SCENE": {"simulate": 1.5, "clean": 2.5, "ddmap": 4.0, "localize": 5.5, "spectrogram": 3.5},
         "ROTOR_SCENE": {"simulate": 1.0, "clean": 1.5, "ddmap": 4.0, "localize": 5.0, "spectrogram": 3.0},
     }
 

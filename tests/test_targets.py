@@ -1,5 +1,7 @@
+import ast
 import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import yaml
 from conftest import FULL_SCENE
 from scipy.signal import get_window
 
+import bisim
+from bisim import targets
 from bisim.channel import _SLAB_ELEMENTS, WaveformConfig, synth_cfr
 from bisim.config import parse_config
 from bisim.errors import ConfigError
@@ -76,15 +80,15 @@ class Forwarding:
     def pose(self, t):
         return self.inner.pose(t)
 
-    def states(self, t):
-        return self.inner.states(t)
+    def rotation(self, t):
+        return self.inner.rotation(t)
 
     def body(self, t):
         return self.inner.body(t)
 
 
 class TestTargetInterface:
-    """Scenes and scans reach a target only through name, pose(t), states(t) and body(t)."""
+    """Scenes and scans reach a target only through name, pose(t), rotation(t) and body(t)."""
 
     def target(self):
         jones = np.array([[1.0, 0.2j], [-0.1, 0.7 + 0.1j]])
@@ -129,20 +133,38 @@ class TestTargetInterface:
         assert np.array_equal(body.positions, np.stack([s.position for s in target.scatterers]))
         assert np.array_equal(body.velocities, np.zeros((2, 3)))
 
-    def test_rotor_body_is_its_states(self):
-        rotor = make_rotor(samples=8)
-        for t in (0.0, 0.37, np.linspace(0.0, 0.01, 3)):
-            a, b = rotor.body(t), rotor.states(t)
-            for field in ("positions", "velocities", "amplitudes", "jones"):
-                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    @pytest.mark.parametrize("kind", ["rigid", "rotor"])
+    def test_states_are_pose_plus_rotated_body(self, kind):
+        target = self.target() if kind == "rigid" else make_rotor(samples=8)
+        for t in (0.0, 0.37, np.linspace(0.0, 0.9, 3)):
+            pose, rot, body, world = target.pose(t), target.rotation(t), target.body(t), targets.states(target, t)
+            rot = np.eye(3) if rot is None else rot
+            turn = lambda v: np.einsum("...ij,...nj->...ni", np.broadcast_to(rot, (*np.shape(t), 3, 3)), v)
+            assert np.allclose(world.positions, pose.position[..., None, :] + turn(body.positions), rtol=0, atol=1e-12)
+            assert np.allclose(world.velocities, pose.velocity[..., None, :] + turn(body.velocities), rtol=0,
+                               atol=1e-9)
+            assert np.array_equal(world.amplitudes, body.amplitudes) and np.array_equal(world.jones, body.jones)
+
+
+def test_no_module_branches_on_target_class():
+    """No isinstance call in src/bisim names RigidTarget or Rotor: code reaches a target
+    only through name, pose(t), rotation(t) and body(t)."""
+    found = []
+    for path in sorted(Path(bisim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                names = {getattr(n, "id", getattr(n, "attr", None)) for arg in node.args[1:] for n in ast.walk(arg)}
+                if names & {"RigidTarget", "Rotor"}:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
 
 
 class TestScattererStates:
     def test_rotor_periodicity(self):
         rotor = make_rotor()
         period = 2 * np.pi / rotor.rate
-        a = rotor.states(0.37)
-        b = rotor.states(0.37 + period)
+        a = targets.states(rotor, 0.37)
+        b = targets.states(rotor, 0.37 + period)
         assert np.allclose(a.positions, b.positions, atol=1e-9)
         assert np.allclose(a.velocities, b.velocities, atol=1e-6)
 
@@ -155,12 +177,12 @@ class TestScattererStates:
         assert np.allclose([e1 @ e1, e2 @ e2, e1 @ e2, e1 @ rotor.axis], [1, 1, 0, 0], atol=1e-12)
         assert np.allclose(np.cross(e1, e2), rotor.axis, atol=1e-12)
         # blade samples stay in the rotor plane through the hub
-        states = rotor.states(np.linspace(0.0, 0.01, 5))
+        states = targets.states(rotor, np.linspace(0.0, 0.01, 5))
         assert np.allclose((states.positions - rotor.hub_offset) @ rotor.axis, 0.0, atol=1e-12)
 
     def test_rotor_tip_speed(self):
         rotor = make_rotor()
-        states = rotor.states(0.123)
+        states = targets.states(rotor, 0.123)
         speeds = np.linalg.norm(states.velocities, axis=1)
         assert speeds.max() == pytest.approx(rotor.rate * rotor.blade_radius, rel=1e-12)
         # speed grows linearly along the blade
@@ -169,7 +191,7 @@ class TestScattererStates:
 
     def test_rotor_velocity_perpendicular(self):
         rotor = make_rotor()
-        states = rotor.states(0.05)
+        states = targets.states(rotor, 0.05)
         arms = states.positions - rotor.hub_offset
         dots_arm = np.abs(np.sum(states.velocities * arms, axis=1))
         dots_axis = np.abs(states.velocities @ rotor.axis)
@@ -181,7 +203,7 @@ class TestScattererStates:
             [PointScatterer([0.2, 0, 0], 0.1), PointScatterer([-0.2, 0.1, 0], 0.1)],
             Trajectory.from_waypoints([(0, (0, 0, 0)), (2, (20, 10, 0))]),
         )
-        states = target.states(1.0)
+        states = targets.states(target, 1.0)
         assert np.allclose(states.velocities, [10, 5, 0])
 
     def test_rotor_sampling_check(self):
@@ -249,7 +271,7 @@ class TestTargetPaths:
             Trajectory.from_waypoints([(0.0, (0, 30, 0))]),
         )
         paths = target_paths(target, tx, rx, 0.0, LAM)
-        states = target.states(0.0)
+        states = targets.states(target, 0.0)
         hh = select_polarization(paths, states, tx_pol=0, rx_pol=0)
         vh = select_polarization(paths, states, tx_pol=0, rx_pol=1)
         assert hh.gain[0] == pytest.approx(paths.gain[0] * jones[0, 0])
@@ -413,6 +435,16 @@ class TestReflectivityScan:
             oracle = np.fft.fftshift(np.fft.ifft(h))
             assert np.allclose(tensor.data[i, 0, i, 0, :, 0, 0], oracle, rtol=1e-9, atol=1e-18)
 
+    def test_rotor_scan_centres_on_its_hub(self):
+        # 1 m antenna radii: inside 8 m of the origin, outside the 0.12 m blades about the hub
+        make = lambda hub: Rotor(vec3(*hub), vec3(0, 0, 1), blade_radius=0.12, rate=625.0, samples_per_blade=16)
+        grid = small_grid([0, 90], [0, 20], [0, 60, 180], [-10, 0])
+        a, b = (reflectivity_scan(make(hub), grid, 1.0, 1.0, self.band, t=0.01).data for hub in ((0, 8, 0), (0, 0, 0)))
+        assert np.array_equal(a, b)
+        a, b = (flyover_scan(make(hub), 0.0, (10, 180, 17), 1.0, 1.5, self.band, t=0.01).data
+                for hub in ((0, 8, 0), (0, 0, 0)))
+        assert np.array_equal(a, b)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             reflectivity_scan(centered_scatterer(), {"az_tx": []}, 8.0, 8.0, self.band)
@@ -528,7 +560,7 @@ class TestBlockedScan:
             (cloud, offsets, amps, jones, "hann",
              small_grid([0, 40, 95, 150, 200, 260, 330], [-10, 5, 30], np.arange(11) * 31.0,
                         [0, 8, 16, 24, 40])),
-            (rotor, rotor_samples(rotor, t), np.full(32, rotor.sample_amplitude),
+            (rotor, rotor_samples(rotor, t) - rotor.hub_offset, np.full(32, rotor.sample_amplitude),
              np.broadcast_to(np.eye(2), (32, 2, 2)), "none",
              small_grid([0, 70, 140, 210, 280], [0, 25], np.arange(13) * 27.0, [-5, 12])),
         ]
@@ -653,13 +685,9 @@ class TestSynthesisMatchesScan:
                            Trajectory.from_waypoints(track), yaw="track")
 
     def to_body(self, target, t, p):
-        """World point p in the scan frame of the target at time t."""
-        if isinstance(target, Rotor):
-            return p   # a rotor's scan frame is the world frame
-        pose = pose_at(target.trajectory, t)
-        yaw = np.arctan2(pose.velocity[1], pose.velocity[0])
-        c, s = np.cos(yaw), np.sin(yaw)
-        return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ (p - pose.position)
+        """World point p in the scan frame of the target at time t: rotation(t)ᵀ(p − pose(t))."""
+        rot, e = target.rotation(t), p - target.pose(t).position
+        return e if rot is None else rot.T @ e
 
     @pytest.mark.parametrize("kind", ["rigid", "rotor"])
     def test_cfr_rows_equal_scan_sweeps(self, kind):
