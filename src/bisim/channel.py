@@ -15,11 +15,14 @@ Both modes build the ramps exp(-j2πkΔfτ) frequency-major, (K, ...), by
 doubling (see phase_ramps): rows [n, 2n) are rows [0, n) times
 exp(-j2πnΔfτ), one exp per delay per power of two. Geometric mode runs on
 path_rows, the one blocked path-sum kernel, which the flyover scan of
-targets.py shares: each block's ramps are reduced with its weights by one
-batched matrix product, and one (K x block x P) complex slab is live at a
-time, about 1 MiB whatever the capture size. Fixed mode builds one ramp set
-for all symbols and is one matrix product, gains @ ramps. Both products run
-on BLAS; pipeline.run pins it to one thread (one_blas_thread).
+targets.py shares. It asks for the geometry of as many rows at once as
+hold _PATH_BUDGET paths, and splits each row's K ramps into about √K low
+and √K high ones: the high ramps take the weights, and a block of rows is
+one batched (high x P) @ (P x low) product. The low ramps, the high ramps
+and the product stay within _SLAB_ELEMENTS, 1 MiB, whatever the capture
+size. Fixed mode builds one ramp set for all symbols and is one matrix
+product, gains @ ramps. Both products run on BLAS; pipeline.run pins it to
+one thread (one_blas_thread).
 
 Fractional delays are exact frequency-domain phase ramps; the carrier phase
 of a path lives in its complex gain, keeping delay-bin positions baseband
@@ -205,7 +208,8 @@ def join_paths(tables: Sequence[PathTable], shape: tuple) -> PathTable:
     return PathTable(cat([t.delay for t in tables]), cat([t.gain for t in tables]), doppler)
 
 
-_SLAB_ELEMENTS = 1 << 16  # complex entries of one (block x P x K) slab: 1 MiB
+_SLAB_ELEMENTS = 1 << 16  # complex entries of one block's temporaries in a blocked kernel: 1 MiB
+_PATH_BUDGET = 1 << 12    # paths of one path_rows geometry call after its first
 
 
 def phase_ramps(delay, delta_f: float, n_subcarriers: int) -> np.ndarray:
@@ -233,22 +237,44 @@ def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n
     """Rows of path sums sum_p w_p exp(-j2π(f0 + kΔf)τ_p), k = 0..n-1 -> (n_rows, n).
 
     paths_of(rows) gives the (delay, weight) arrays, each (b, P), of the b
-    consecutive rows of a slice. The first block is one row; later blocks
-    hold as many rows as keep one (n x b x P) phase_ramps slab within
-    _SLAB_ELEMENTS, or one row if P*n alone exceeds it. exp(-j2π f0 τ) is
-    folded into the weights when f0 is not 0. Each block is one batched
-    product, (b, n, P) @ (b, P, 1), of a view of the ramps.
+    consecutive rows of a slice. Its first call asks for one row, which
+    gives P; each later call asks for as many rows as hold _PATH_BUDGET
+    paths, or one row if P alone exceeds it. exp(-j2π f0 τ) is folded into
+    the weights when f0 is not 0.
+
+    Each row is a low x high ramp product. With L = 2^ceil(log2(n)/2),
+    Q = ceil(n/L) and z_p = exp(-j2πΔfτ_p), entry qL + r is
+    sum_p (w_p z_p^(qL)) z_p^r: phase_ramps builds the L low ramps at Δf and
+    the Q high ramps at LΔf, the high ramps take the weights in place, and
+    a block of b rows is one batched product (b, Q, P) @ (b, P, L), of which
+    the first n columns are kept; when n = QL it is written in place. That
+    is (L + Q)·P exps and products per row where a full ramp set takes n·P,
+    and the n·P multiply-adds run on BLAS.
+    Blocks keep the low ramps, the high ramps and the product together
+    within _SLAB_ELEMENTS, or are one row.
     """
     out = np.empty((n_rows, n), dtype=complex)
-    start, block = 0, 1
+    low = 1 << ((n - 1).bit_length() + 1) // 2
+    high = -(-n // low)
+    whole = high * low == n   # then each block's product is written into its rows of out
+    start, rows = 0, 1
     while start < n_rows:
-        delay, weight = paths_of(slice(start, min(start + block, n_rows)))
+        stop = min(start + rows, n_rows)
+        delay, weight = paths_of(slice(start, stop))
         if f0:
             weight = weight * np.exp(-2j * np.pi * f0 * delay)
-        ramps = phase_ramps(delay, delta_f, n).transpose(1, 0, 2)
-        out[start:start + block] = (ramps @ weight[..., None])[..., 0]
-        start += block
-        block = max(1, _SLAB_ELEMENTS // max(1, delay.shape[-1] * n))
+        n_paths = delay.shape[-1]
+        block = max(1, _SLAB_ELEMENTS // ((low + high) * n_paths + high * low))
+        for i in range(start, stop, block):
+            at = slice(i - start, min(i + block, stop) - start)
+            hi = phase_ramps(delay[at], low * delta_f, high)
+            hi *= weight[at]
+            b = hi.shape[1]
+            sums = out[i:i + b].reshape(b, high, low) if whole else np.empty((b, high, low), dtype=complex)
+            np.matmul(hi.transpose(1, 0, 2), phase_ramps(delay[at], delta_f, low).transpose(1, 2, 0), out=sums)
+            if not whole:
+                out[i:i + b] = sums.reshape(b, -1)[:, :n]
+        start, rows = stop, max(1, _PATH_BUDGET // max(1, n_paths))
     return out
 
 
@@ -264,7 +290,8 @@ def synth_cfr(
     per-symbol phasor, and doppler=None means static paths. A callable means
     geometric mode: a block callback, an array of consecutive symbol times
     t0 + m*T_sym in, a PathTable with delay and gain of shape
-    (len(times), P) out, called on the symbol blocks of path_rows. Fixed
+    (len(times), P) out, called first on one symbol and then on chunks of
+    path_rows's path budget (128 symbols a call for 32 paths). Fixed
     mode is one product, (M x P) gains @ (P x K) ramps, the ramps made
     C-contiguous: a transposed operand measured a larger peak RSS.
     Superposition is exactly linear in the path set.

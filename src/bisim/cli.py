@@ -7,7 +7,8 @@ The subcommands are pipeline.SUBCOMMANDS. Each override flag of OVERRIDES
 writes its value into the config document at its key path before the one
 parse_config, so the schema checks it like a value in the file and the
 summary echoes the config that ran. Logs go to stderr; results go to files
-only. Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+only. Exit codes: 0 success, 2 config error or out of memory, 3 numerical
+failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -108,6 +109,9 @@ def main(argv=None) -> int:
         )
     except ConfigError as err:
         log.error("%s: %s", args.subcommand, err)
+        return EXIT_CONFIG
+    except MemoryError as err:   # an array within MAX_ENTRIES that this process still cannot hold
+        log.error("%s: out of memory: %s", args.subcommand, err)
         return EXIT_CONFIG
     except NumericalError as err:
         log.error("%s: numerical failure: %s", args.subcommand, err)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all bisim modules.
 
 The CLI maps these onto exit codes: ConfigError (and subclasses) -> 2,
-NumericalError -> 3, OSError -> 4.
+NumericalError -> 3, OSError -> 4. A MemoryError, an allocation within
+channel.MAX_ENTRIES that the process cannot make, also exits 2.
 """
 
 

@@ -126,15 +126,24 @@ class RigidTarget:
         """The cloud's body-frame origin on its track at time(s) t."""
         return pose_at(self.trajectory, t, self.name)
 
+    @cached_property
+    def _headings(self) -> np.ndarray:
+        """Yaw of each track segment's horizontal velocity, pose_at's slope, 0 where it is
+        below 1e-12 m/s; one more 0 at the end (index -1) for the cloud at rest."""
+        times, pts = self.trajectory.times, self.trajectory.points
+        slope = (pts[1:] - pts[:-1]) / (times[1:] - times[:-1])[..., None]
+        vx, vy = slope[..., 0], slope[..., 1]
+        return np.append(np.where(np.hypot(vx, vy) < 1e-12, 0.0, np.arctan2(vy, vx)), 0.0)
+
     def rotation(self, t) -> np.ndarray | None:
         """The body axes in world coordinates, t.shape + (3, 3): a turn about +z by the
         yaw at time(s) t; None without a yaw."""
         if self.yaw is None:
             return None
-        if self.yaw == "track":
-            v = self.pose(t).velocity
-            vx, vy = v[..., 0], v[..., 1]
-            yaw = np.where(np.hypot(vx, vy) < 1e-12, 0.0, np.arctan2(vy, vx))
+        if self.yaw == "track":   # pose_at's segment, at rest before the first and from the last waypoint
+            times = self.trajectory.times
+            i = np.searchsorted(times, t, side="right") - 1
+            yaw = self._headings[np.where((i < 0) | (i >= times.size - 1), -1, i)]
         else:
             yaw = np.full(np.shape(t), float(self.yaw))
         c, s = np.cos(yaw), np.sin(yaw)
@@ -487,6 +496,9 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
     row of channel.path_rows, the kernel geometric synthesis runs on: the
     delays (r1 + r2 - d_tx - d_rx)/c with weights s_n J_HH/(4π r1 r2) and
     f0 = f_lo, times the per-frequency factor, inverse-transformed in place.
+    path_rows asks for the hops of as many angles at once as its path
+    budget holds (85 for 48 scatterers) and sums each angle's sweep as
+    high x low ramps (32 x 32 for 1024 frequencies).
     """
     angles = stepped_axis(*sweep, "flyover sweep")
     check_entries(len(angles) * band.n_points, "flyover map of swept angles x band.n_points")

@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bisim import channel
 from bisim.channel import (
     PathTable,
     SlowTimeCube,
@@ -225,7 +228,8 @@ def _direct_rows(delay, weight, df, n, f0):
 
 class TestPathRows:
     def test_blocks_and_carrier_offset(self):
-        # P·n = 2100 entries per row: blocks of 1, then 31 rows, the last one partial
+        # 7 paths a row: one row, then the other 39 in one call of up to
+        # _PATH_BUDGET // 7 = 585 rows; n = 300 is 10 high x 32 low ramps
         n_rows, n_paths, n, df, f0 = 40, 7, 300, 1e5, 3.5e9
         rng = np.random.default_rng(3)
         delay = rng.uniform(0.0, 1e-7, (n_rows, n_paths))
@@ -236,7 +240,7 @@ class TestPathRows:
             asked.append((rows.start, rows.stop))
             return delay[rows], weight[rows]
         rows = path_rows(paths_of, n_rows, df, n, f0=f0)
-        assert asked == [(0, 1), (1, 32), (32, 40)]
+        assert asked == [(0, 1), (1, 40)]
         direct = _direct_rows(delay, weight, df, n, f0)
         assert np.abs(rows - direct).max() <= 1e-11 * np.abs(direct).max()
 
@@ -246,6 +250,9 @@ class TestPathRows:
     @example(seed=1, n_rows=5, n_paths=3, n=1, f0=0.0)          # one subcarrier
     @example(seed=2, n_rows=4, n_paths=0, n=64, f0=3.5e9)       # no paths
     @example(seed=3, n_rows=50, n_paths=9, n=300, f0=0.0)       # n not a power of two, partial last block
+    @example(seed=4, n_rows=6, n_paths=4, n=3, f0=0.0)          # 2 x 2 ramp product, one column dropped
+    @example(seed=5, n_rows=7, n_paths=5, n=5, f0=3.5e9)        # 2 x 4 ramp product, three dropped
+    @example(seed=6, n_rows=20, n_paths=48, n=1024, f0=3.5e9)   # the flyover's 32 x 32 shape
     def test_equals_the_direct_exp_sum(self, seed, n_rows, n_paths, n, f0):
         # delays up to 1/Δf span every phase of the ramps; up to 1e-7 s where a
         # carrier offset is folded in, so the direct exp's argument stays below 3e3
@@ -262,6 +269,35 @@ class TestPathRows:
         assert [a for a, _ in asked] == [0, *[b for _, b in asked[:-1]]] and asked[-1][1] == n_rows
         scale = np.abs(weight).sum(axis=1).max()
         assert np.abs(rows - _direct_rows(delay, weight, df, n, f0)).max() <= 1e-11 * scale
+
+    @pytest.mark.parametrize("budget, slab, n_rows, n_paths, n", [
+        (64, 1 << 16, 100, 8, 64),     # 8 rows a call, the last call partial
+        (64, 1 << 10, 100, 8, 300),    # each call walked in one-row blocks
+        (64, 600, 37, 7, 40),          # 9 rows a call, in blocks of 4, 4 and 1 rows
+        (5, 1 << 16, 12, 7, 16),       # P above the budget: one row a call
+        (64, 1 << 16, 9, 0, 16),       # no paths: 64 rows a call
+        (4096, 1 << 16, 341, 48, 1024),  # the flyover's shape: 5 calls
+    ])
+    def test_asks_for_each_row_once_in_budgeted_calls(self, budget, slab, n_rows, n_paths, n):
+        df, f0 = 1e5, 3.5e9
+        rng = np.random.default_rng(n_rows)
+        delay = rng.uniform(0.0, 1e-7, (n_rows, n_paths))
+        weight = rng.normal(size=(n_rows, n_paths)) + 1j * rng.normal(size=(n_rows, n_paths))
+        asked = []
+
+        def paths_of(rows):
+            asked.append((rows.start, rows.stop))
+            return delay[rows], weight[rows]
+        with mock.patch.object(channel, "_PATH_BUDGET", budget), mock.patch.object(channel, "_SLAB_ELEMENTS", slab):
+            rows = path_rows(paths_of, n_rows, df, n, f0=f0)
+        per_call = max(1, budget // max(1, n_paths))   # the most rows whose paths fit the budget
+        assert asked == [(0, 1), *[(a, min(a + per_call, n_rows)) for a in range(1, n_rows, per_call)]]
+        if n_paths and budget % n_paths == 0:
+            assert len(asked) <= 1 + math.ceil((n_rows - 1) * n_paths / budget)
+        scale = np.abs(weight).sum(axis=1).max()
+        direct = np.concatenate([_direct_rows(delay[i:i + 16], weight[i:i + 16], df, n, f0)
+                                 for i in range(0, n_rows, 16)])   # 16 rows keep the exps near 13 MB
+        assert np.abs(rows - direct).max() <= 1e-11 * scale
 
 
 class TestAddNoise:

@@ -1,11 +1,17 @@
+import os
+import resource
+import subprocess
+import sys
 import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from conftest import FULL_SCENE, ROTOR_SCENE
 
+import bisim
 from bisim import channel, pipeline
 from bisim.archive import ResultArchive
 from bisim.cli import OVERRIDES, main
@@ -357,9 +363,9 @@ class TestCliMain:
         assert self.run_rotor("reflectivity", lambda doc: doc.update(reflectivity=scan), tmp_path, capsys) == 0
 
     # Each case lets its outputs through MAX_ENTRIES (lowered to keep it fast) but not an array
-    # of paths or scan samples x frequencies or symbols: the ramps of one synthesis row (K x P),
-    # fixed mode's phasors (M x P), a scan's Jones columns (4 x N x n_freq) and a flyover row's
-    # ramps (n_freq x N).
+    # of paths or scan samples x frequencies or symbols: the low ramps of a block of synthesis
+    # rows (L x b x P), fixed mode's phasors (M x P), a scan's Jones columns (4 x N x n_freq) and
+    # the low ramps of a block of flyover rows (L x b x N).
     BOUNDED = {
         "geometric ramps": ("simulate", 64 * 128, "phase ramps", lambda doc: (
             doc["waveform"].update(n_symbols=64), doc["scene"]["targets"][0].update(samples_per_blade=64))),
@@ -379,6 +385,23 @@ class TestCliMain:
         assert self.run_rotor(sub, edit, tmp_path, capsys) == 2
         assert what in caplog.text and "allowed" in caplog.text
         assert not (tmp_path / "o" / f"{sub}.bisim").exists()
+
+    def test_an_allocation_the_process_cannot_make_exits_2(self, tmp_path):
+        # 2^28 cells pass MAX_ENTRIES, but the 4 GiB cube does not fit a 3 GiB address space
+        doc = yaml.safe_load(textwrap.dedent(ROTOR_SCENE))
+        doc["waveform"].update(n_subcarriers=512, n_symbols=1 << 19)
+        cfg = tmp_path / "rotor.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        src = str(Path(bisim.__file__).resolve().parents[1])
+        code = "import sys; from bisim.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": src}, timeout=120, capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)))
+        assert done.returncode == 2, done.stderr
+        assert "simulate: out of memory" in done.stderr and "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) == 1
+        assert not (tmp_path / "o" / "simulate.bisim").exists()
 
     def test_seed_override(self, full_scene_config, tmp_path):
         assert (

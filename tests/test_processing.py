@@ -102,6 +102,17 @@ class TestDelayDopplerMap:
         ddm = delay_doppler_map(cube)
         assert ddm.energy() == pytest.approx(cube.energy(), rel=1e-10)
 
+    @pytest.mark.parametrize("fast, slow", [("none", "none"), ("rect", "hann"), ("hann", "rectangular"),
+                                            ("gaussian", "hann")])
+    def test_windows_of_ones_leave_the_map_bit_identical(self, fast, slow):
+        rng = np.random.default_rng(5)
+        w = waveform(32, 48)
+        cube = SlowTimeCube(rng.normal(size=(32, 48)) + 1j * rng.normal(size=(32, 48)), w)
+        wf, ws = named_window(fast, 48), named_window(slow, 32)
+        dd = np.fft.ifft(cube.data * wf, axis=1, norm="ortho") * ws[:, None]
+        want = np.fft.fftshift(np.fft.fft(dd, axis=0, norm="ortho"), axes=0).T
+        assert np.array_equal(delay_doppler_map(cube, fast, slow).data, want)
+
     def test_doppler_axis_resolution_and_span(self):
         w = WaveformConfig(3.7e9, 4 * 125e3, 4, 2048)  # t_sym = 8 us
         assert w.t_sym == 8e-6

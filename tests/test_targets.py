@@ -2,6 +2,7 @@ import ast
 import textwrap
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -69,6 +70,33 @@ class TestTargetPose:
             assert np.array_equal(pose.position, track.position)
             assert np.array_equal(pose.velocity, track.velocity)
             assert pose.node_id == target.name
+
+    def test_track_yaw_is_the_heading_of_the_track_velocity(self):
+        # segments: moving, at rest, moving back, straight up; times before, on, between and after waypoints
+        track = ((0.0, (50, 40, 0)), (1.0, (58, 34, 1)), (2.0, (58, 34, 1)), (3.0, (52, 34.5, 0)),
+                 (3.5, (52, 34.5, 2)), (4.0, (53, 30, 2)))
+        target = RigidTarget([PointScatterer([0.3, 0.1, 0], 0.05), PointScatterer([-0.2, 0, 0.1], 0.03j)],
+                             Trajectory.from_waypoints(track), yaw="track")
+        t = np.array([-1.0, 0.0, 0.4, 1.0, 1.5, 2.0, 2.7, 3.0, 3.2, 3.5, 3.9, 4.0, 9.0])
+        for at in (t, t[1:].reshape(3, 4), *t):
+            with mock.patch.object(targets, "pose_at", side_effect=AssertionError("pose_at called")):
+                rot = target.rotation(at)
+            # the rotation as it was made from the track velocity, and the world states it gave
+            pose, body = target.pose(at), target.body(at)
+            vx, vy = pose.velocity[..., 0], pose.velocity[..., 1]
+            yaw = np.where(np.hypot(vx, vy) < 1e-12, 0.0, np.arctan2(vy, vx))
+            c, s, zero, one = np.cos(yaw), np.sin(yaw), np.zeros(np.shape(yaw)), np.ones(np.shape(yaw))
+            want = np.stack([c, -s, zero, s, c, zero, zero, zero, one], -1).reshape(*np.shape(yaw), 3, 3)
+            assert np.array_equal(rot, want)
+            r = want[..., None, :, :]
+            turn = lambda v: r[..., 0] * v[..., 0:1] + r[..., 1] * v[..., 1:2] + r[..., 2] * v[..., 2:3]
+            world = targets.states(target, at)
+            assert np.array_equal(world.positions, pose.position[..., None, :] + turn(body.positions))
+            assert np.array_equal(world.velocities, pose.velocity[..., None, :] + turn(body.velocities))
+        a, b, c = np.arctan2(-6, 8), np.arctan2(0.5, -6), np.arctan2(-9, 2)
+        rot = target.rotation(t)
+        assert np.allclose(np.arctan2(rot[:, 1, 0], rot[:, 0, 0]), [0, a, a, 0, 0, b, b, 0, 0, c, c, 0, 0],
+                           rtol=0, atol=1e-15)
 
 
 class Forwarding:
