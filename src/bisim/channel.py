@@ -247,16 +247,15 @@ def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n
     sum_p (w_p z_p^(qL)) z_p^r: phase_ramps builds the L low ramps at Δf and
     the Q high ramps at LΔf, the high ramps take the weights in place, and
     a block of b rows is one batched product (b, Q, P) @ (b, P, L), of which
-    the first n columns are kept; when n = QL it is written in place. That
-    is (L + Q)·P exps and products per row where a full ramp set takes n·P,
-    and the n·P multiply-adds run on BLAS.
+    the first n columns are kept. That is (L + Q)·P exps and products per
+    row where a full ramp set takes n·P, and the n·P multiply-adds run on
+    BLAS.
     Blocks keep the low ramps, the high ramps and the product together
     within _SLAB_ELEMENTS, or are one row.
     """
     out = np.empty((n_rows, n), dtype=complex)
     low = 1 << ((n - 1).bit_length() + 1) // 2
     high = -(-n // low)
-    whole = high * low == n   # then each block's product is written into its rows of out
     start, rows = 0, 1
     while start < n_rows:
         stop = min(start + rows, n_rows)
@@ -269,11 +268,9 @@ def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n
             at = slice(i - start, min(i + block, stop) - start)
             hi = phase_ramps(delay[at], low * delta_f, high)
             hi *= weight[at]
+            lo = phase_ramps(delay[at], delta_f, low)
             b = hi.shape[1]
-            sums = out[i:i + b].reshape(b, high, low) if whole else np.empty((b, high, low), dtype=complex)
-            np.matmul(hi.transpose(1, 0, 2), phase_ramps(delay[at], delta_f, low).transpose(1, 2, 0), out=sums)
-            if not whole:
-                out[i:i + b] = sums.reshape(b, -1)[:, :n]
+            out[i:i + b] = np.matmul(hi.transpose(1, 0, 2), lo.transpose(1, 2, 0)).reshape(b, -1)[:, :n]
         start, rows = stop, max(1, _PATH_BUDGET // max(1, n_paths))
     return out
 

@@ -10,6 +10,7 @@ instant or at many: pose_at gives it on a Trajectory for any array of times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,19 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.times[-1])
 
+    @cached_property
+    def slopes(self) -> np.ndarray:
+        """Velocity on each segment, then the zero velocity at rest (row -1): (n, 3)."""
+        return np.concatenate([np.diff(self.points, axis=0) / np.diff(self.times)[:, None], np.zeros((1, 3))])
+
+    def segment(self, t) -> np.ndarray:
+        """Row of slopes that is the velocity at time(s) t: the segment holding t,
+        the following one at an interior waypoint, and row -1 (at rest) before
+        the first waypoint and at or after the last one."""
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self.times, t, side="right") - 1
+        return np.where((t < self.times[0]) | (t >= self.times[-1]), -1, i)
+
 
 def pose_at(traj: Trajectory, t, node_id: str = "") -> NodePose:
     """Pose on a trajectory at time(s) t, arrays of shape t.shape + (3,).
@@ -115,17 +129,13 @@ def pose_at(traj: Trajectory, t, node_id: str = "") -> NodePose:
     Before the first waypoint and at or after the last one the position
     holds with zero velocity.
     """
-    t = np.asarray(t, dtype=float)[..., None]
+    t = np.asarray(t, dtype=float)
     times, pts = traj.times, traj.points
-    if times.size == 1:
-        shape = t.shape[:-1] + (3,)
-        return NodePose(np.broadcast_to(pts[0], shape).copy(), np.zeros(shape), node_id)
-    i = np.clip(np.searchsorted(times, t[..., 0], side="right") - 1, 0, times.size - 2)
-    slope = (pts[i + 1] - pts[i]) / (times[i + 1] - times[i])[..., None]
-    pos = pts[i] + slope * (t - times[i][..., None])
-    before, after = t < times[0], t >= times[-1]
-    pos = np.where(before, pts[0], np.where(after, pts[-1], pos))
-    return NodePose(pos, np.where(before | after, 0.0, slope), node_id)
+    i = traj.segment(t)
+    velocity = traj.slopes[i]
+    pos = pts[i] + velocity * (t - times[i])[..., None]
+    before, after = (t < times[0])[..., None], (t >= times[-1])[..., None]
+    return NodePose(np.where(before, pts[0], np.where(after, pts[-1], pos)), velocity, node_id)
 
 
 def two_hop(points, p_tx, p_rx) -> tuple[np.ndarray, np.ndarray]:

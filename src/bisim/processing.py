@@ -57,17 +57,15 @@ def delay_doppler_map(cube: SlowTimeCube, fast_window: str = "none",
     delay bin, fftshifted so 0 Hz is an exact center bin (even M keeps the
     zero-Doppler energy in one unstraddled bin). Static paths land entirely
     in that bin; movers separate along the Doppler axis at resolution
-    1/(M*T_sym). A window of all ones is not multiplied in.
+    1/(M*T_sym).
     """
     w = cube.waveform
     if w.n_symbols < 2:
         raise UsageError("need at least two symbols for Doppler resolution")
     wf = named_window(fast_window, w.n_subcarriers)
     ws = named_window(slow_window, w.n_symbols)
-    dd = np.fft.ifft(cube.data if np.all(wf == 1.0) else cube.data * wf,
-                     axis=1, norm="ortho")   # delay profiles
-    if not np.all(ws == 1.0):
-        dd *= ws[:, None]   # in place, and each stage rebinds `dd` so the last one is freed
+    dd = np.fft.ifft(cube.data * wf[None, :], axis=1, norm="ortho")   # delay profiles
+    dd *= ws[:, None]   # in place, and each stage rebinds `dd` so the last one is freed
     dd = np.fft.fft(dd, axis=0, norm="ortho")
     dd = np.ascontiguousarray(np.fft.fftshift(dd, axes=0).T)   # C order: archived without a copy
     doppler = np.fft.fftshift(np.fft.fftfreq(w.n_symbols, w.t_sym))

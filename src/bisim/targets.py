@@ -128,22 +128,17 @@ class RigidTarget:
 
     @cached_property
     def _headings(self) -> np.ndarray:
-        """Yaw of each track segment's horizontal velocity, pose_at's slope, 0 where it is
-        below 1e-12 m/s; one more 0 at the end (index -1) for the cloud at rest."""
-        times, pts = self.trajectory.times, self.trajectory.points
-        slope = (pts[1:] - pts[:-1]) / (times[1:] - times[:-1])[..., None]
-        vx, vy = slope[..., 0], slope[..., 1]
-        return np.append(np.where(np.hypot(vx, vy) < 1e-12, 0.0, np.arctan2(vy, vx)), 0.0)
+        """Yaw of each row of the track's slopes, 0 where its horizontal speed is below 1e-12 m/s."""
+        vx, vy = self.trajectory.slopes[:, 0], self.trajectory.slopes[:, 1]
+        return np.where(np.hypot(vx, vy) < 1e-12, 0.0, np.arctan2(vy, vx))
 
     def rotation(self, t) -> np.ndarray | None:
         """The body axes in world coordinates, t.shape + (3, 3): a turn about +z by the
         yaw at time(s) t; None without a yaw."""
         if self.yaw is None:
             return None
-        if self.yaw == "track":   # pose_at's segment, at rest before the first and from the last waypoint
-            times = self.trajectory.times
-            i = np.searchsorted(times, t, side="right") - 1
-            yaw = self._headings[np.where((i < 0) | (i >= times.size - 1), -1, i)]
+        if self.yaw == "track":
+            yaw = self._headings[self.trajectory.segment(t)]
         else:
             yaw = np.full(np.shape(t), float(self.yaw))
         c, s = np.cos(yaw), np.sin(yaw)

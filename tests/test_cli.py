@@ -396,7 +396,9 @@ class TestCliMain:
         code = "import sys; from bisim.cli import main; sys.exit(main(sys.argv[1:]))"
         done = subprocess.run(
             [sys.executable, "-c", code, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o")],
-            env={**os.environ, "PYTHONPATH": src}, timeout=120, capture_output=True, text=True,
+            # one BLAS thread from the start, so that the cube is the only allocation the limit can stop
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            timeout=120, capture_output=True, text=True,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)))
         assert done.returncode == 2, done.stderr
         assert "simulate: out of memory" in done.stderr and "Traceback" not in done.stderr

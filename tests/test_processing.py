@@ -104,7 +104,7 @@ class TestDelayDopplerMap:
 
     @pytest.mark.parametrize("fast, slow", [("none", "none"), ("rect", "hann"), ("hann", "rectangular"),
                                             ("gaussian", "hann")])
-    def test_windows_of_ones_leave_the_map_bit_identical(self, fast, slow):
+    def test_map_is_the_windowed_transforms_bit_for_bit(self, fast, slow):
         rng = np.random.default_rng(5)
         w = waveform(32, 48)
         cube = SlowTimeCube(rng.normal(size=(32, 48)) + 1j * rng.normal(size=(32, 48)), w)
