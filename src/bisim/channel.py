@@ -232,15 +232,14 @@ def phase_ramps(delay, delta_f: float, n_subcarriers: int) -> np.ndarray:
     return ramps
 
 
-def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n: int,
-              f0: float = 0.0) -> np.ndarray:
-    """Rows of path sums sum_p w_p exp(-j2π(f0 + kΔf)τ_p), k = 0..n-1 -> (n_rows, n).
+def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n: int) -> np.ndarray:
+    """Rows of path sums sum_p w_p exp(-j2πkΔfτ_p), k = 0..n-1 -> (n_rows, n).
 
     paths_of(rows) gives the (delay, weight) arrays, each (b, P), of the b
     consecutive rows of a slice. Its first call asks for one row, which
     gives P; each later call asks for as many rows as hold _PATH_BUDGET
-    paths, or one row if P alone exceeds it. exp(-j2π f0 τ) is folded into
-    the weights when f0 is not 0.
+    paths, or one row if P alone exceeds it. A sum over a band that starts
+    at f0 rather than 0 takes exp(-j2π f0 τ) in its weights.
 
     Each row is a low x high ramp product. With L = 2^ceil(log2(n)/2),
     Q = ceil(n/L) and z_p = exp(-j2πΔfτ_p), entry qL + r is
@@ -260,8 +259,6 @@ def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n
     while start < n_rows:
         stop = min(start + rows, n_rows)
         delay, weight = paths_of(slice(start, stop))
-        if f0:
-            weight = weight * np.exp(-2j * np.pi * f0 * delay)
         n_paths = delay.shape[-1]
         block = max(1, _SLAB_ELEMENTS // ((low + high) * n_paths + high * low))
         for i in range(start, stop, block):

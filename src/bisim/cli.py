@@ -1,14 +1,14 @@
 """Command-line surface: config in, archives out.
 
-    bisim <subcommand> --config scene.yaml [--out DIR] [--threads N]
-                       [--format bin|csv] [-v] [override flags]
+    bisim <subcommand> --config scene.yaml [--threads N] [-v] [override flags]
 
 The subcommands are pipeline.SUBCOMMANDS. Each override flag of OVERRIDES
 writes its value into the config document at its key path before the one
 parse_config, so the schema checks it like a value in the file and the
-summary echoes the config that ran. Logs go to stderr; results go to files
-only. Exit codes: 0 success, 2 config error or out of memory, 3 numerical
-failure, 4 I/O error.
+summary echoes the config that ran: --out DIR and --format bin|csv on
+every subcommand, --seed, --clean, --gate-ns, --fft and --hop where they
+apply. Logs go to stderr; results go to files only. Exit codes: 0 success,
+2 config error or out of memory, 3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ class Override(NamedTuple):
 
 
 OVERRIDES = (
+    Override("--out", ("outputs", "directory"), SUBCOMMANDS, "output directory (default from config)"),
+    Override("--format", ("outputs", "format"), SUBCOMMANDS,
+             "output format, bin or csv (csv additionally exports <=2-D datasets)"),
     Override("--seed", ("noise", "seed"), SUBCOMMANDS, "override the noise seed"),
     Override("--clean", ("processing", "clean_paths"), ("ddmap", "localize", "clean"),
              "override number of dominant paths to subtract"),
@@ -67,10 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--out", default=None, help="output directory (default from config)")
         p.add_argument("--threads", type=_threads, default=1, help="worker threads")
-        p.add_argument("--format", choices=("bin", "csv"), default=None,
-                       help="output format (csv additionally exports <=2-D datasets)")
         p.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
         for o in OVERRIDES:
             if name in o.subcommands:
@@ -104,9 +104,7 @@ def main(argv=None) -> int:
             text = getattr(args, o.flag[2:].replace("-", "_"), None)   # argparse's dest
             if text is not None:
                 _override(doc, o.path, o.value(text))
-        archive, written = run(
-            args.subcommand, parse_config(doc), out_dir=args.out, threads=args.threads, fmt=args.format
-        )
+        archive, written = run(args.subcommand, parse_config(doc), threads=args.threads)
     except ConfigError as err:
         log.error("%s: %s", args.subcommand, err)
         return EXIT_CONFIG

@@ -23,9 +23,9 @@ ConfigError naming its key path:
 Leaves with several forms take exactly one, and the echo writes the first:
 a waypoint is {t, position} or [t, [x, y, z]]; an angle axis a list, a
 number, {start, stop, n} or {start, stop, step > 0} (no point past stop);
-a node has a trajectory or a position; a rotor rate is rate_rad_s or
-rate_rpm; a budget RCS rcs_m2 or scattering_length s (σ = 4π|s|²); a
-target kind rigid (default) or rotor.
+a node has a trajectory or a position, at which it rests; a rotor rate is
+rate_rad_s or rate_rpm; a budget RCS rcs_m2 or scattering_length s
+(σ = 4π|s|²); a target kind rigid (default) or rotor.
 """
 
 from __future__ import annotations
@@ -308,8 +308,7 @@ SCAN_TARGET = Key("target", TEXT, None)
 
 NODE = _section(SceneNode, [
     Key("id", TEXT, to="node_id"),
-    Either(TRAJECTORY._replace(to="motion"),
-           Group("motion", NodePose, [POSITION, Key("velocity", VEC, [0, 0, 0])])),
+    Either(TRAJECTORY._replace(to="motion"), Group("motion", NodePose, [POSITION])),
 ])
 TARGET = _tagged("kind", {
     "rigid": (RigidTarget, [

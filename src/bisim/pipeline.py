@@ -4,7 +4,8 @@ SUBCOMMANDS are the keys of one runner table. run() makes the archive,
 whose summary echoes the config and names the subcommand; the runner adds
 its datasets and returns its results, a pure function of (RunConfig,
 threads); run() then writes the archive, its YAML summary sidecar, and
-optional CSV exports. Identical config + seed produce byte-identical
+optional CSV exports where the echoed outputs say. Synthesis starts at t0,
+and the scans see their target at t0. Identical config + seed produce byte-identical
 archives for any worker count: threads only fan out the fixed blocks of Rx
 directions of a reflectivity scan, whose boundaries come from a memory
 budget and not from the worker count, each written to its own slice of the
@@ -17,6 +18,8 @@ observation.
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -25,7 +28,7 @@ import numpy as np
 from . import __version__
 from .archive import Axis, ResultArchive, export_csv
 from .channel import SlowTimeCube, add_noise, one_blas_thread, phase_ramps, synth_cfr
-from .config import RunConfig, config_echo
+from .config import OUTPUTS, RunConfig, config_echo
 from .errors import ConfigError, UsageError
 from .fusion import BistaticObservation, fuse
 from .geometry import C0, NodePose
@@ -128,6 +131,7 @@ def _detected_links(cfg: RunConfig, exclude_zero_doppler: bool):
         dets = detect_peaks(ddm, proc.detect_threshold_db,
                             exclude_zero_doppler=exclude_zero_doppler, los_delay_s=link.los_delay)
         yield link, ddm, dets
+        del ddm   # so a caller that lets the map go frees it before the next link's is made
 
 
 def run_ddmap(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
@@ -195,11 +199,12 @@ def run_clean(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
 
 
 def _observation(cfg: RunConfig, link: Link, ddm, d) -> BistaticObservation:
-    """Detection d of a link's DD map, refined to a sub-bin delay and Doppler."""
-    mag = np.abs(ddm.data)
+    """Detection d of a link's DD map, refined to a sub-bin delay and Doppler from |.| of
+    the peak cell and its four neighbours, wrapping round the map's edges."""
     i, j = d.delay_bin, d.doppler_bin
-    di = parabolic_offset(mag[i - 1, j], mag[i, j], mag[(i + 1) % mag.shape[0], j])
-    dj = parabolic_offset(mag[i, j - 1], mag[i, j], mag[i, (j + 1) % mag.shape[1]])
+    n, m = ddm.data.shape
+    up, peak, down, left, right = np.abs(ddm.data[[i - 1, i, (i + 1) % n, i, i], [j, j, j, j - 1, (j + 1) % m]])
+    di, dj = parabolic_offset(up, peak, down), parabolic_offset(left, peak, right)
     delay = d.delay + di / cfg.waveform.bandwidth
     doppler = d.doppler + dj * float(ddm.doppler_hz[1] - ddm.doppler_hz[0])
     return BistaticObservation(link.tx, link.rx, excess_delay=max(delay - link.los_delay, 0.0),
@@ -214,7 +219,7 @@ def run_localize(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
         per_link[link.name] = {"detections": _detections_summary(dets, 3)}
         if dets:
             obs.append(_observation(cfg, link, ddm, dets[0]))
-        del ddm   # else this map lives on while the next link's is made
+        del ddm   # else this map lives on while the next link's is made (_detected_links lets it go too)
     if not obs:
         raise ConfigError("no link produced a detection; cannot localize")
     est = fuse(obs, dim=2)
@@ -244,7 +249,7 @@ def run_reflectivity(cfg: RunConfig, archive: ResultArchive, threads: int) -> di
         raise ConfigError("config has no reflectivity section")
     job = cfg.reflectivity
     target = cfg.scene.target(job.target)
-    tensor = reflectivity_scan(target, job.grid, job.d_tx, job.d_rx, job.band,
+    tensor = reflectivity_scan(target, job.grid, job.d_tx, job.d_rx, job.band, t=cfg.t0,
                                sweep_window=job.sweep_window, threads=threads)
     pol = np.array([0.0, 1.0])
     archive.add(
@@ -264,10 +269,7 @@ def run_reflectivity(cfg: RunConfig, archive: ResultArchive, threads: int) -> di
         "target": target.name,
         "d_tx_m": job.d_tx,
         "d_rx_m": job.d_rx,
-        "grid_points": int(
-            len(tensor.az_tx_deg) * len(tensor.el_tx_deg)
-            * len(tensor.az_rx_deg) * len(tensor.el_rx_deg)
-        ),
+        "grid_points": math.prod(tensor.data.shape[:4]),
     }
 
 
@@ -276,16 +278,8 @@ def run_flyover(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
         raise ConfigError("config has no flyover section")
     job = cfg.flyover
     target = cfg.scene.target(job.target)
-    fly = flyover_scan(
-        target,
-        job.fixed_angle_deg,
-        (job.start_deg, job.stop_deg, job.step_deg),
-        job.d_tx,
-        job.d_rx,
-        job.band,
-        elevation_deg=job.elevation_deg,
-        sweep_window=job.sweep_window,
-    )
+    fly = flyover_scan(target, job.fixed_angle_deg, (job.start_deg, job.stop_deg, job.step_deg), job.d_tx,
+                       job.d_rx, job.band, elevation_deg=job.elevation_deg, t=cfg.t0, sweep_window=job.sweep_window)
     data = fly.data
     if cfg.processing.gate is not None:
         g = cfg.processing.gate
@@ -367,21 +361,25 @@ def run(subcommand: str, cfg: RunConfig, out_dir=None, threads: int = 1,
         fmt: str | None = None) -> tuple[ResultArchive, list[Path]]:
     """Execute one subcommand, write its archive + summary, return both.
 
-    The subcommand's runner adds its datasets to the archive and returns the
-    summary's results; it runs with numpy's BLAS on one thread. Returns the
-    archive and the list of files written.
-    fmt="csv" additionally exports every dataset of <= 2 dimensions.
+    out_dir and fmt, where given, replace outputs.directory and outputs.format
+    (checked as file values are, and echoed; the caller's cfg is kept). The
+    runner adds its datasets to the archive and returns the summary's
+    results, with numpy's BLAS on one thread. Returns the archive and the
+    files written to outputs.directory; format csv adds every dataset of
+    <= 2 dimensions.
     """
     if subcommand not in _RUNNERS:
         raise UsageError(f"unknown subcommand {subcommand!r}")
+    given = {"directory": None if out_dir is None else str(out_dir), "format": fmt}
+    outputs = {**OUTPUTS.emit(cfg.outputs), **{k: v for k, v in given.items() if v is not None}}
+    cfg = replace(cfg, outputs=OUTPUTS.parse(outputs, "outputs", None))
     # "results" is placed ahead of any numerical_failure the runner records
     archive = ResultArchive(summary={"tool": "bisim", "version": __version__, "subcommand": subcommand,
                                      "config": config_echo(cfg), "results": {}})
     with one_blas_thread():
         archive.summary["results"] = _RUNNERS[subcommand](cfg, archive, threads)
-    out_dir = Path(out_dir if out_dir is not None else cfg.outputs.directory)
+    out_dir = Path(cfg.outputs.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = fmt or cfg.outputs.format
     written = []
     bin_path = out_dir / f"{subcommand}.bisim"
     archive.write(bin_path)
@@ -389,7 +387,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir=None, threads: int = 1,
     summary_path = out_dir / f"{subcommand}_summary.yaml"
     archive.write_summary(summary_path)
     written.append(summary_path)
-    if fmt == "csv":
+    if cfg.outputs.format == "csv":
         for name, ds in archive.datasets.items():
             if ds.values.ndim <= 2:
                 csv_path = out_dir / f"{subcommand}_{name}.csv"

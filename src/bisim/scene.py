@@ -27,13 +27,16 @@ from .targets import FOUR_PI, PointScatterer, RigidTarget, Rotor, ScattererState
 
 @dataclass(eq=False)
 class SceneNode:
-    """A radio node: static pose or a trajectory, plus its unique id."""
+    """A radio node: a pose at rest or a trajectory, whose slopes both synthesis modes
+    follow, plus its unique id. A static pose with a velocity raises ConfigError."""
 
     node_id: str
     motion: NodePose | Trajectory
 
     def __post_init__(self):
         if isinstance(self.motion, NodePose):
+            if np.any(self.motion.velocity != 0):
+                raise ConfigError(f"node {self.node_id!r}: a static node is at rest; give it a trajectory to move")
             self.motion = replace(self.motion, node_id=self.node_id)
 
     def pose(self, t) -> NodePose:

@@ -489,8 +489,9 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
     output is directly comparable to gantry measurement maps. The fixed
     Tx direction shares no ramp with another, so each swept angle is one
     row of channel.path_rows, the kernel geometric synthesis runs on: the
-    delays (r1 + r2 - d_tx - d_rx)/c with weights s_n J_HH/(4π r1 r2) and
-    f0 = f_lo, times the per-frequency factor, inverse-transformed in place.
+    delays τ = (r1 + r2 - d_tx - d_rx)/c with weights
+    s_n J_HH/(4π r1 r2) exp(-j2π f_lo τ), as reflectivity_scan's hops take
+    theirs, times the per-frequency factor, inverse-transformed in place.
     path_rows asks for the hops of as many angles at once as its path
     budget holds (85 for 48 scatterers) and sums each angle's sweep as
     high x low ramps (32 x 32 for 1024 frequencies).
@@ -504,8 +505,9 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
 
     def block(rows: slice):
         r1, r2 = two_hop(states.positions, p_tx, p_rx[rows])   # coincidence- and overflow-checked
-        return (r1 + r2 - (d_tx + d_rx)) / C0, weights / (r1 * r2)
-    data = path_rows(block, len(angles), band.delta_f, band.n_points, f0=band.f_lo)
+        tau = (r1 + r2 - (d_tx + d_rx)) / C0
+        return tau, weights / (r1 * r2) * np.exp(-2j * np.pi * band.f_lo * tau)
+    data = path_rows(block, len(angles), band.delta_f, band.n_points)
     data *= _sweep_scale(band, sweep_window)
     np.fft.ifft(data, axis=1, out=data)
     return FlyoverMap(angles, band.delay_axis(), data)

@@ -238,8 +238,8 @@ class TestPathRows:
 
         def paths_of(rows):
             asked.append((rows.start, rows.stop))
-            return delay[rows], weight[rows]
-        rows = path_rows(paths_of, n_rows, df, n, f0=f0)
+            return delay[rows], weight[rows] * np.exp(-2j * np.pi * f0 * delay[rows])   # the band starts at f0
+        rows = path_rows(paths_of, n_rows, df, n)
         assert asked == [(0, 1), (1, 40)]
         direct = _direct_rows(delay, weight, df, n, f0)
         assert np.abs(rows - direct).max() <= 1e-11 * np.abs(direct).max()
@@ -254,8 +254,8 @@ class TestPathRows:
     @example(seed=5, n_rows=7, n_paths=5, n=5, f0=3.5e9)        # 2 x 4 ramp product, three dropped
     @example(seed=6, n_rows=20, n_paths=48, n=1024, f0=3.5e9)   # the flyover's 32 x 32 shape
     def test_equals_the_direct_exp_sum(self, seed, n_rows, n_paths, n, f0):
-        # delays up to 1/Δf span every phase of the ramps; up to 1e-7 s where a
-        # carrier offset is folded in, so the direct exp's argument stays below 3e3
+        # delays up to 1/Δf span every phase of the ramps; up to 1e-7 s where the
+        # weights take a carrier offset, so the direct exp's argument stays below 3e3
         df = 1e5
         rng = np.random.default_rng(seed)
         delay = rng.uniform(0.0, 1e-7 if f0 else 1.0 / df, (n_rows, n_paths))
@@ -264,8 +264,8 @@ class TestPathRows:
 
         def paths_of(rows):
             asked.append((rows.start, rows.stop))
-            return delay[rows], weight[rows]
-        rows = path_rows(paths_of, n_rows, df, n, f0=f0)
+            return delay[rows], weight[rows] * np.exp(-2j * np.pi * f0 * delay[rows])   # the band starts at f0
+        rows = path_rows(paths_of, n_rows, df, n)
         assert [a for a, _ in asked] == [0, *[b for _, b in asked[:-1]]] and asked[-1][1] == n_rows
         scale = np.abs(weight).sum(axis=1).max()
         assert np.abs(rows - _direct_rows(delay, weight, df, n, f0)).max() <= 1e-11 * scale
@@ -287,9 +287,9 @@ class TestPathRows:
 
         def paths_of(rows):
             asked.append((rows.start, rows.stop))
-            return delay[rows], weight[rows]
+            return delay[rows], weight[rows] * np.exp(-2j * np.pi * f0 * delay[rows])   # the band starts at f0
         with mock.patch.object(channel, "_PATH_BUDGET", budget), mock.patch.object(channel, "_SLAB_ELEMENTS", slab):
-            rows = path_rows(paths_of, n_rows, df, n, f0=f0)
+            rows = path_rows(paths_of, n_rows, df, n)
         per_call = max(1, budget // max(1, n_paths))   # the most rows whose paths fit the budget
         assert asked == [(0, 1), *[(a, min(a + per_call, n_rows)) for a in range(1, n_rows, per_call)]]
         if n_paths and budget % n_paths == 0:

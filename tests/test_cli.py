@@ -19,6 +19,7 @@ from bisim.config import config_echo, load_config, parse_config
 from bisim.errors import ConfigError
 from bisim.geometry import C0, pose_at
 from bisim.pipeline import run
+from bisim.targets import flyover_scan, reflectivity_scan
 
 # 2 Tx x 4 Rx in fixed mode: eight 256 x 512 links with LoS, two clutter
 # scatterers and a mover, noised and cleaned
@@ -273,18 +274,43 @@ class TestCliMain:
         assert exit_.value.code == 2
         assert not out.exists()
 
-    SAMPLE_TEXT = {"--seed": "42", "--clean": "2", "--gate-ns": "2.5", "--fft": "1024", "--hop": "64"}
+    SAMPLE_TEXT = {"--out": "sample_out", "--format": "csv", "--seed": "42", "--clean": "2", "--gate-ns": "2.5",
+                   "--fft": "1024", "--hop": "64"}
 
     @pytest.mark.parametrize("override", OVERRIDES, ids=lambda o: o.flag)
-    def test_override_is_echoed_and_the_echo_parses_back(self, override, full_scene_config, tmp_path):
-        sub, text, out = override.subcommands[0], self.SAMPLE_TEXT[override.flag], tmp_path / "o"
-        assert main([sub, "--config", str(full_scene_config), "--out", str(out), override.flag, text]) == 0
-        echo = yaml.safe_load((out / f"{sub}_summary.yaml").read_text())["config"]
+    def test_override_is_echoed_and_the_echo_parses_back(self, override, full_scene_config, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)   # the relative sample --out, which comes last and wins, lands here
+        sub, text = override.subcommands[0], self.SAMPLE_TEXT[override.flag]
+        assert main([sub, "--config", str(full_scene_config), "--out", "o", override.flag, text]) == 0
+        summary = next(p for p in capsys.readouterr().out.split() if p.endswith("_summary.yaml"))
+        echo = yaml.safe_load(Path(summary).read_text())["config"]
         node = echo
         for key in override.path:
             node = node[key]
         assert node == override.value(yaml.safe_load(text))
         assert config_echo(parse_config(echo)) == echo
+
+    def test_out_and_format_are_echoed_as_they_ran(self, full_scene_config, tmp_path):
+        out = str(tmp_path / "flags")
+        assert main(["simulate", "--config", str(full_scene_config), "--out", out, "--format", "csv"]) == 0
+        echo = yaml.safe_load((tmp_path / "flags" / "simulate_summary.yaml").read_text())["config"]
+        assert echo["outputs"] == {"directory": out, "format": "csv"}
+        assert (tmp_path / "flags" / "simulate_cfr_tx0_rx0.csv").exists()
+        cfg = load_config(full_scene_config)
+        archive, written = run("linkbudget", cfg, out_dir=tmp_path / "run", fmt="csv")
+        assert archive.summary["config"]["outputs"] == {"directory": str(tmp_path / "run"), "format": "csv"}
+        assert tmp_path / "run" / "linkbudget_received_power_dbm.csv" in written
+        assert config_echo(cfg)["outputs"] == {"directory": "out", "format": "bin"}   # the caller's cfg is kept
+
+    def test_unknown_format_exits_2_and_names_the_key(self, full_scene_config, tmp_path, caplog):
+        out = tmp_path / "x"
+        assert main(["linkbudget", "--config", str(full_scene_config), "--out", str(out), "--format", "xml"]) == 2
+        assert "outputs.format" in caplog.text
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="outputs.format"):
+            run("linkbudget", load_config(full_scene_config), out_dir=out, fmt="xml")
+        assert not out.exists()
 
     @pytest.mark.parametrize("override, section", [
         pytest.param(o, o.path[:d], id=f"{o.flag}:{'.'.join(o.path[:d])}")
@@ -361,6 +387,25 @@ class TestCliMain:
         # the hub sits 8 m from the origin, and the blades reach 0.12 m from it
         scan = dict(self.SCAN, d_tx=1.0, d_rx=1.0)
         assert self.run_rotor("reflectivity", lambda doc: doc.update(reflectivity=scan), tmp_path, capsys) == 0
+
+    @pytest.mark.parametrize("sub", ["flyover", "reflectivity"])
+    def test_rotor_scan_sees_the_blades_at_t0(self, sub, tmp_path):
+        # at 625 rad/s, t0 = 4e-4 s turns the blades by 0.25 rad
+        doc = dict(yaml.safe_load(textwrap.dedent(ROTOR_SCENE)), flyover=self.FLYOVER, reflectivity=self.SCAN)
+        maps = [run(sub, parse_config(dict(doc, t0=t0)), out_dir=tmp_path / str(t0))[0].datasets[sub].values
+                for t0 in (0.0, 4e-4)]
+        cfg = parse_config(dict(doc, t0=4e-4))
+        if sub == "flyover":
+            job = cfg.flyover
+            scan = flyover_scan(cfg.scene.target(job.target), job.fixed_angle_deg,
+                                (job.start_deg, job.stop_deg, job.step_deg), job.d_tx, job.d_rx, job.band,
+                                elevation_deg=job.elevation_deg, t=4e-4, sweep_window=job.sweep_window)
+        else:
+            job = cfg.reflectivity
+            scan = reflectivity_scan(cfg.scene.target(job.target), job.grid, job.d_tx, job.d_rx, job.band,
+                                     t=4e-4, sweep_window=job.sweep_window)
+        assert np.array_equal(maps[1], scan.data)
+        assert not np.array_equal(maps[0], maps[1])
 
     # Each case lets its outputs through MAX_ENTRIES (lowered to keep it fast) but not an array
     # of paths or scan samples x frequencies or symbols: the low ramps of a block of synthesis
@@ -491,10 +536,10 @@ class TestRunMemory:
         assert peak < archive_bytes + 8 * cube_bytes, (peak - archive_bytes) / cube_bytes
 
     # tracemalloc peak above the archive, in link cubes: the measured peak + 0.5 cube
-    # (FULL_SCENE simulate 1.0, clean 2.0, ddmap 3.5, localize 5.0, spectrogram 3.0;
+    # (FULL_SCENE simulate 1.0, clean 2.0, ddmap 3.5, localize 4.5, spectrogram 3.0;
     # ROTOR_SCENE 0.5, 1.0, 3.5, 4.5, 2.5), so one more cube held across a link fails
     CUBE_BUDGETS = {
-        "FULL_SCENE": {"simulate": 1.5, "clean": 2.5, "ddmap": 4.0, "localize": 5.5, "spectrogram": 3.5},
+        "FULL_SCENE": {"simulate": 1.5, "clean": 2.5, "ddmap": 4.0, "localize": 5.0, "spectrogram": 3.5},
         "ROTOR_SCENE": {"simulate": 1.0, "clean": 1.5, "ddmap": 4.0, "localize": 5.0, "spectrogram": 3.0},
     }
 

@@ -209,6 +209,7 @@ MALFORMED = [
     pytest.param(("waveform", "n_symbols"), True, "simulate", id="bool-as-int"),
     pytest.param(("waveform", "n_symbol"), 32, "simulate", id="misspelled-key"),
     pytest.param(("processing", "fast_window"), "bogus", "ddmap", id="unknown-window"),
+    pytest.param(("scene", "rx_nodes", 0, "velocity"), [20, 0, 0], "simulate", id="static-node-velocity"),
 ]
 
 

@@ -52,7 +52,7 @@ class TestSceneNodePose:
     TIMES = np.array([-0.5, 0.0, 0.13, 0.5, 0.77, 1.0, 2.0])
 
     @pytest.mark.parametrize("motion", [
-        NodePose(vec3(3, -4, 1), vec3(2, 0, -1)),
+        NodePose(vec3(3, -4, 1)),   # at rest: a static node with a velocity is rejected
         Trajectory.from_waypoints([(0.0, (0, 0, 0)), (0.5, (10, 3, 0)), (1.0, (7, 9, 2))]),
     ], ids=["static", "trajectory"])
     def test_times_array_equals_scalar_poses_bit_for_bit(self, motion):
@@ -65,6 +65,21 @@ class TestSceneNodePose:
             assert one.node_id == "rx3"
             assert np.array_equal(np.broadcast_to(many.position, shape)[i], one.position)
             assert np.array_equal(np.broadcast_to(many.velocity, shape)[i], one.velocity)
+
+    def test_static_node_with_a_velocity_is_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="rx3"):
+            SceneNode("rx3", NodePose(vec3(3, -4, 1), vec3(20, 0, 0)))
+
+    def test_los_doppler_of_a_moving_node_is_the_same_in_both_modes(self):
+        # the Rx recedes along the line of sight at 20 m/s, so the path length grows linearly
+        w = WaveformConfig(3.7e9, 4e6, 16, 64)
+        rx = SceneNode("rx0", Trajectory.from_waypoints([(0.0, (100, 0, 0)), (1.0, (120, 0, 0))]))
+        scene = SceneConfig([SceneNode("tx0", NodePose(vec3(0, 0, 0)))], [rx], wavelength=w.wavelength)
+        fixed = link_paths(scene, "tx0", "rx0", 0.0, doppler=True).doppler[0]
+        phase = np.unwrap(np.angle(synth_cfr(link_callback(scene, "tx0", "rx0"), w).data[:, 0]))
+        slope = (phase[-1] - phase[0]) / (2 * np.pi * (w.n_symbols - 1) * w.t_sym)
+        assert fixed == pytest.approx(-20 / w.wavelength, rel=1e-12)
+        assert slope == pytest.approx(fixed, rel=1e-9)
 
     def test_static_node_returns_its_stored_pose(self):
         stored = NodePose(vec3(3, -4, 1))
