@@ -128,6 +128,7 @@ def _detected_links(cfg: RunConfig, exclude_zero_doppler: bool):
         if proc.clean_paths > 0:
             cube = subtract_dominant_paths(cube, proc.clean_paths).residual
         ddm = delay_doppler_map(cube, proc.fast_window, proc.slow_window)
+        del cube  # so detect_peaks' temporaries do not sit on top of it
         dets = detect_peaks(ddm, proc.detect_threshold_db,
                             exclude_zero_doppler=exclude_zero_doppler, los_delay_s=link.los_delay)
         yield link, ddm, dets

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -408,14 +408,17 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     product of its az_tx x el_tx Tx and az_rx x el_rx Rx directions:
     sweep[i, j, f] = sum_n A[i, n, f] jones_n B[j, n, f], A = s_n
     exp(-j2π f τ1)/(4π r1) and B = exp(-j2π f τ2)/r2 from phase_ramps,
-    which is frequency-major. Rx blocks build their ramps once, as the
-    (n_freq, N, J_b) right operand itself; Tx blocks build theirs as
-    (n_freq, I_b, N) and fold them with the Jones columns and the
-    per-frequency factor, and each pair of blocks is one stacked product per
-    frequency, (I_b·4 x N) @ (N x J_b), inverse-transformed in place. Every
-    temporary stays within _SLAB_ELEMENTS complex entries. threads spreads
-    the Rx blocks over a pool (with BLAS on one thread, it pays); each
-    writes its own slice, so the result does not depend on it.
+    which is frequency-major. Only the n_col distinct nonzero HH/HV/VH/VV
+    Jones columns enter the product (one for identity Jones), each result is
+    written to every polarisation it serves, and the rest stay exactly 0.
+    Tx blocks are the outer loop: each builds its ramps once, folded with the
+    Jones columns and the per-frequency factor as (n_freq, I_b·n_col, N), and
+    each Rx block under it builds its (n_freq, N, J_b) ramps and makes one
+    stacked product per frequency, inverse-transformed in place. I_b and J_b
+    keep the fold, the Rx ramps and the product within _SLAB_ELEMENTS complex
+    entries each. threads spreads the Rx blocks over a pool (with BLAS on one
+    thread, it pays); each writes its own slice, so the result does not
+    depend on it.
     """
     axes = []
     for key in ("az_tx", "el_tx", "az_rx", "el_rx"):
@@ -432,11 +435,16 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     u_rx = _directions(az_rx[:, None], el_rx).reshape(-1, 3)
     n_tx, n_rx, n_scat, n_freq = len(u_tx), len(u_rx), len(states), band.n_points
     check_entries(4 * n_scat * n_freq, "reflectivity Jones columns of 4 x scan samples x band.n_points")
-    out = np.empty((n_tx, n_rx, n_freq, 4), dtype=complex)
-    tx_block = max(1, min(n_tx, _SLAB_ELEMENTS // (4 * n_scat * n_freq)))
-    rx_block = max(1, min(_SLAB_ELEMENTS // (n_scat * n_freq), _SLAB_ELEMENTS // (tx_block * 4 * n_freq)))
+    jones = states.jones.reshape(n_scat, 4).T                          # (4, N): HH, HV, VH, VV
+    slots = np.flatnonzero(np.any(jones != 0, axis=1))
+    cols, col_of = np.unique(jones[slots], axis=0, return_inverse=True)
+    n_col = len(cols)
+    width = max(n_col, 1)                                              # with 0 columns the operands are empty
+    out = np.zeros((n_tx, n_rx, n_freq, 4), dtype=complex)
+    tx_block = max(1, min(n_tx, _SLAB_ELEMENTS // (width * n_scat * n_freq)))
+    rx_block = max(1, min(_SLAB_ELEMENTS // (n_scat * n_freq), _SLAB_ELEMENTS // (tx_block * width * n_freq)))
     amps = states.amplitudes / FOUR_PI
-    cols = _sweep_scale(band, sweep_window)[:, None, None, None] * states.jones.reshape(n_scat, 4).T
+    cols = _sweep_scale(band, sweep_window)[:, None, None, None] * cols   # (n_freq, 1, n_col, N)
 
     def hop_ramps(points, antennas, d, gains):
         """(n_freq, ...) ramps of the delays (r - d)/c of the hops between points and antennas,
@@ -447,21 +455,21 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
         z *= gains / r * np.exp(-2j * np.pi * band.f_lo * tau)
         return z
 
-    def evaluate(start: int) -> None:
+    def evaluate(ti: slice, fold: np.ndarray, start: int) -> None:
         rj = slice(start, start + rx_block)
         rx = hop_ramps(states.positions[:, None], d_rx * u_rx[rj], d_rx, 1.0)   # (n_freq, N, J_b)
-        fold = np.empty((n_freq, tx_block, 4, n_scat), dtype=complex)
-        for i in range(0, n_tx, tx_block):
-            ti = slice(i, i + tx_block)
-            a = fold[:, :len(u_tx[ti])]                                # (n_freq, I_b, 4, N)
-            tx = hop_ramps(states.positions, d_tx * u_tx[ti, None], d_tx, amps)   # (n_freq, I_b, N)
-            np.multiply(tx[:, :, None, :], cols, out=a)
-            del tx                                                     # one Tx slab at a time
-            sweep = a.reshape(n_freq, -1, n_scat) @ rx                 # (n_freq, I_b·4, J_b)
-            np.fft.ifft(sweep, axis=0, out=sweep)
-            out[ti, rj] = sweep.reshape(a.shape[:3] + (-1,)).transpose(1, 3, 0, 2)
+        sweep = fold.reshape(n_freq, -1, n_scat) @ rx                  # (n_freq, I_b·n_col, J_b)
+        np.fft.ifft(sweep, axis=0, out=sweep)
+        sweep = sweep.reshape(fold.shape[:3] + rx.shape[2:]).transpose(1, 3, 0, 2)
+        for slot, c in zip(slots, col_of.ravel()):
+            out[ti, rj, :, slot] = sweep[..., c]
 
-    _map_in_order(evaluate, range(0, n_rx, rx_block), threads)
+    for i in range(0, n_tx, tx_block):
+        ti = slice(i, i + tx_block)
+        tx = hop_ramps(states.positions, d_tx * u_tx[ti, None], d_tx, amps)   # (n_freq, I_b, N)
+        fold = tx[:, :, None] * cols                                   # (n_freq, I_b, n_col, N)
+        del tx                                                         # freed before the Rx blocks run
+        _map_in_order(partial(evaluate, ti, fold), range(0, n_rx, rx_block), threads)
     data = out.reshape(len(az_tx), len(el_tx), len(az_rx), len(el_rx), n_freq, 2, 2)
     return ReflectivityTensor(az_tx, el_tx, az_rx, el_rx, band.delay_axis(), data)
 

@@ -564,17 +564,34 @@ def rotor_samples(rotor, t):
     return np.array(pos)
 
 
-def scan_blocks(n_tx, n_scat, n_freq, n_cols=4):
-    """(Tx, Rx) block sizes of a reflectivity scan: Tx ramps folded with the
-    Jones columns, Rx ramps, and the per-frequency product each fill at most
-    one slab."""
-    tx = max(1, min(n_tx, _SLAB_ELEMENTS // (n_cols * n_scat * n_freq)))
-    rx = max(1, min(_SLAB_ELEMENTS // (n_scat * n_freq), _SLAB_ELEMENTS // (tx * n_cols * n_freq)))
+def jones_columns(jones):
+    """Distinct HH/HV/VH/VV columns of (N, 2, 2) Jones matrices with a nonzero entry."""
+    return len({tuple(c) for c in np.reshape(jones, (-1, 4)).T if np.any(c != 0)})
+
+
+def scan_blocks(n_tx, n_scat, n_freq, n_cols):
+    """(Tx, Rx) block sizes of a reflectivity scan, Tx blocks outside: each Tx
+    block's ramps folded with the n_cols Jones columns, each Rx block's ramps,
+    and their per-frequency product each fill at most one slab."""
+    width = max(n_cols, 1)
+    tx = max(1, min(n_tx, _SLAB_ELEMENTS // (width * n_scat * n_freq)))
+    rx = max(1, min(_SLAB_ELEMENTS // (n_scat * n_freq), _SLAB_ELEMENTS // (tx * width * n_freq)))
     return tx, rx
 
 
 def spans_partial_blocks(n, block):
     return n > block and n % block != 0
+
+
+def scan_oracle(pos, amps, jones, grid, d_tx, d_rx, band, taper):
+    """Reflectivity tensor data from oracle_profile, one direction pair at a time."""
+    shape = tuple(len(grid[k]) for k in ("az_tx", "el_tx", "az_rx", "el_rx"))
+    oracle = np.empty(shape + (band.n_points, 2, 2), dtype=complex)
+    for i, k, l, m in np.ndindex(shape):
+        oracle[i, k, l, m] = oracle_profile(pos, amps, jones, direction(grid["az_tx"][i], grid["el_tx"][k]),
+                                            direction(grid["az_rx"][l], grid["el_rx"][m]),
+                                            d_tx, d_rx, band, taper)
+    return oracle
 
 
 class TestBlockedScan:
@@ -590,24 +607,71 @@ class TestBlockedScan:
                         [0, 8, 16, 24, 40])),
             (rotor, rotor_samples(rotor, t) - rotor.hub_offset, np.full(32, rotor.sample_amplitude),
              np.broadcast_to(np.eye(2), (32, 2, 2)), "none",
-             small_grid([0, 70, 140, 210, 280], [0, 25], np.arange(13) * 27.0, [-5, 12])),
+             small_grid([0, 70, 140, 210, 280], [0, 25, 50, 70], np.arange(13) * 27.0, [-5, 12])),
         ]
         band = FrequencyBand(3e9, 5e9, 128)
         d_tx, d_rx = 6.0, 9.0
         for target, pos, s, j, window, grid in cases:
             n_tx, n_rx = len(grid["az_tx"]) * len(grid["el_tx"]), len(grid["az_rx"]) * len(grid["el_rx"])
-            tx_block, rx_block = scan_blocks(n_tx, len(s), band.n_points)
+            tx_block, rx_block = scan_blocks(n_tx, len(s), band.n_points, jones_columns(j))
             assert spans_partial_blocks(n_tx, tx_block) and spans_partial_blocks(n_rx, rx_block)
             tensor = reflectivity_scan(target, grid, d_tx, d_rx, band, t=t, sweep_window=window)
             taper = get_window(window, band.n_points, fftbins=False) if window != "none" \
                 else np.ones(band.n_points)
-            oracle = np.empty_like(tensor.data)
-            for idx in np.ndindex(oracle.shape[:4]):
-                i, k, l, m = idx
-                u_tx = direction(grid["az_tx"][i], grid["el_tx"][k])
-                u_rx = direction(grid["az_rx"][l], grid["el_rx"][m])
-                oracle[idx] = oracle_profile(pos, s, j, u_tx, u_rx, d_tx, d_rx, band, taper)
+            oracle = scan_oracle(pos, s, j, grid, d_tx, d_rx, band, taper)
             assert np.max(np.abs(tensor.data - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    # Jones structures the scan folds into fewer than four columns. The grid has 27 Tx and
+    # 14 Rx directions, so with 10 scatterers at 256 frequencies it spans partial Tx and Rx
+    # blocks for 1, 2 and 3 columns.
+    JONES_GRID = small_grid(np.arange(9) * 40.0, [-10, 5, 30], np.arange(7) * 50.0, [0, 20])
+    JONES_BAND = FrequencyBand(3e9, 5e9, 256)
+
+    def scan_jones(self, jones):
+        """Scan of a 10-scatterer cloud with the given Jones matrices, checked against the oracle."""
+        rng = np.random.default_rng(43)
+        offsets = rng.uniform(-0.4, 0.4, size=(10, 3))
+        amps = rng.normal(size=10) + 1j * rng.normal(size=10)
+        target = RigidTarget([PointScatterer(o, a, j) for o, a, j in zip(offsets, amps, jones)],
+                             Trajectory.from_waypoints([(0.0, (0, 0, 0))]))
+        grid, band = self.JONES_GRID, self.JONES_BAND
+        n_tx, n_rx = len(grid["az_tx"]) * len(grid["el_tx"]), len(grid["az_rx"]) * len(grid["el_rx"])
+        tx_block, rx_block = scan_blocks(n_tx, 10, band.n_points, jones_columns(jones))
+        assert spans_partial_blocks(n_tx, tx_block) and spans_partial_blocks(n_rx, rx_block)
+        tensor = reflectivity_scan(target, grid, 6.0, 9.0, band)
+        oracle = scan_oracle(offsets, amps, jones, grid, 6.0, 9.0, band, np.ones(band.n_points))
+        assert np.max(np.abs(tensor.data - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+        return tensor
+
+    def test_identity_and_diagonal_scatterers(self):
+        jones = np.array([np.eye(2) if n % 3 else np.diag([1.0, 0.5]) for n in range(10)], dtype=complex)
+        assert jones_columns(jones) == 2
+        self.scan_jones(jones)
+
+    def test_duplicate_nonzero_column(self):
+        jones = np.random.default_rng(44).normal(size=(10, 2, 2)) + 1j
+        jones[:, 0, 1] = jones[:, 0, 0]   # HV column equals HH column
+        assert jones_columns(jones) == 3
+        tensor = self.scan_jones(jones)
+        assert np.array_equal(tensor.data[..., 0, 1], tensor.data[..., 0, 0])
+
+    def test_one_zero_jones_among_identity(self):
+        jones = np.array([np.eye(2)] * 10, dtype=complex)
+        jones[4] = 0.0
+        assert jones_columns(jones) == 1
+        self.scan_jones(jones)
+
+    def test_all_zero_jones_gives_zero_tensor(self):
+        tensor = self.scan_jones(np.zeros((10, 2, 2), dtype=complex))
+        assert tensor.data.shape == (9, 3, 7, 2, self.JONES_BAND.n_points, 2, 2)
+        assert not np.any(tensor.data)
+
+    def test_identity_cloud_copies_hh_to_vv_and_zeroes_cross_pol(self):
+        tensor = self.scan_jones(np.array([np.eye(2)] * 10, dtype=complex))
+        assert tensor.data[..., 0, 0].tobytes() == tensor.data[..., 1, 1].tobytes()
+        cross = tensor.data[..., [0, 1], [1, 0]]                        # HV and VH
+        assert np.all(cross == 0)
+        assert not np.any(np.signbit(cross.real) | np.signbit(cross.imag))   # +0.0: never computed
 
     def test_flyover_matches_per_point_oracle(self):
         cloud, offsets, amps, jones = jones_cloud()
@@ -683,7 +747,7 @@ class TestBlockedScan:
         doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
         doc["reflectivity"].update(az_rx={"start": 0, "stop": 350, "n": 35}, el_rx=[0, 10, 20],
                                    band={"f_lo": 3.6e9, "f_hi": 3.8e9, "n_points": 2048})
-        assert spans_partial_blocks(35 * 3, scan_blocks(2, 1, 2048)[1])   # 27 Rx blocks to spread
+        assert spans_partial_blocks(35 * 3, scan_blocks(2, 1, 2048, 1)[1])   # 7 Rx blocks to spread
         blobs = []
         for threads in (1, 4):
             run("reflectivity", parse_config(doc), out_dir=tmp_path / f"t{threads}", threads=threads)
