@@ -7,7 +7,6 @@ from .channel import (
     SlowTimeCube,
     WaveformConfig,
     add_noise,
-    cir_from_cfr,
     delay_axis,
     nyquist_check,
     synth_cfr,
@@ -27,7 +26,6 @@ from .geometry import (
     Trajectory,
     bistatic_doppler,
     bistatic_range,
-    iso_range_ellipse,
     pose_at,
     vec3,
 )
@@ -36,7 +34,6 @@ from .processing import (
     DelayDopplerMap,
     Detection,
     Spectrogram,
-    background_subtract,
     delay_doppler_map,
     detect_peaks,
     magnitude_db,
@@ -44,7 +41,7 @@ from .processing import (
     subtract_dominant_paths,
     time_gate,
 )
-from .scene import SceneConfig, SceneNode, ground_truth_observation, link_paths
+from .scene import SceneConfig, SceneNode, link_paths
 from .targets import (
     FrequencyBand,
     LinkBudget,

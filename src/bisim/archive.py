@@ -230,10 +230,3 @@ def export_csv(archive: ResultArchive, dataset: str, path) -> None:
                 fh.write("".join("%.17g,%s\n" % (a, line) for a, line in zip(axis, lines)))
             else:
                 fh.write("".join(row_fmt % (a, *row) for a, row in zip(axis, rows.tolist())))
-
-
-def read_csv_column(path, column: int = 1) -> np.ndarray:
-    """Read one numeric column back from an exported 1-D CSV."""
-    with open(path) as fh:
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return np.array([float(r[column]) for r in rows[1:]])

@@ -337,18 +337,6 @@ def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:
     return SlowTimeCube(noisy, cube.waveform, cube.t0)
 
 
-def cir_from_cfr(row: np.ndarray) -> np.ndarray:
-    """Inverse DFT of one subcarrier vector -> complex delay profile.
-
-    Delay bin spacing is 1/B for a K-point row spanning bandwidth B. Energy
-    is preserved in the 1/K-IDFT sense: sum|h|^2 = (1/K) sum|H|^2.
-    """
-    row = np.asarray(row, dtype=complex)
-    if row.ndim != 1:
-        raise UsageError("cir_from_cfr expects a 1-D subcarrier vector")
-    return np.fft.ifft(row)
-
-
 def named_window(name: str | None, n: int, sym: bool = False) -> np.ndarray:
     """Named window of length n, periodic (for FFTs) unless sym=True.
 

@@ -15,7 +15,7 @@ class ConfigError(BisimError, ValueError):
 
 
 class GeometryError(ConfigError):
-    """Singular or degenerate geometry (coincident points, bad ellipse...)."""
+    """Singular or degenerate geometry (coincident points, non-finite hops...)."""
 
 
 class UsageError(ConfigError):

@@ -1,4 +1,4 @@
-"""Scene geometry: node kinematics and bistatic range/Doppler/ellipse math.
+"""Scene geometry: node kinematics and bistatic range and Doppler math.
 
 All positions are meters in a fixed right-handed East-North-Up frame,
 velocities m/s, Doppler Hz. Sign convention: a shrinking bistatic range
@@ -105,10 +105,6 @@ class Trajectory:
         points = np.array([as_vec3(p) for _, p in wps], dtype=float)
         return cls(times, points)
 
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
     @cached_property
     def slopes(self) -> np.ndarray:
         """Velocity on each segment, then the zero velocity at rest (row -1): (n, 3)."""
@@ -185,39 +181,3 @@ def bistatic_doppler(tx: NodePose, rx: NodePose, tgt_pos, tgt_vel, lam: float) -
         + np.dot(r_rx / d_rx, tgt_vel - rx.velocity)
     )
     return -range_rate / lam
-
-
-def iso_range_ellipse(tx, rx, r_b: float, n: int) -> np.ndarray:
-    """n points in the z=0 plane whose bistatic range to (tx, rx) equals r_b.
-
-    The curve is the ellipse with the two antennas as focal points; for
-    coincident antennas it degenerates to the monostatic circle of radius
-    r_b / 2.
-    """
-    tx, rx = as_vec3(tx), as_vec3(rx)
-    if n < 1:
-        raise ConfigError("need at least one ellipse point")
-    if abs(tx[2]) > 1e-9 or abs(rx[2]) > 1e-9:
-        raise GeometryError("iso-range ellipse is defined in the z=0 plane")
-    baseline = float(np.linalg.norm(rx - tx))
-    if r_b <= baseline:
-        raise GeometryError(
-            f"bistatic range {r_b} m does not exceed the {baseline} m baseline"
-        )
-    a = r_b / 2.0
-    c = baseline / 2.0
-    b = float(np.sqrt(a * a - c * c))
-    center = (tx + rx) / 2.0
-    if baseline < _EPS_COINCIDENT:
-        e1 = np.array([1.0, 0.0, 0.0])
-    else:
-        e1 = (rx - tx) / baseline
-    e2 = np.array([-e1[1], e1[0], 0.0])
-    theta = 2.0 * np.pi * np.arange(n) / n
-    pts = (
-        center[None, :]
-        + np.outer(a * np.cos(theta), e1)
-        + np.outer(b * np.sin(theta), e2)
-    )
-    pts[:, 2] = 0.0
-    return pts

@@ -10,6 +10,7 @@ common reference, removing the effective Doppler spread at the target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +24,15 @@ def time_reversal_prefilter(tx_to_target_cfr: np.ndarray) -> np.ndarray:
 
     Frequency-domain equivalent of transmitting the time-mirrored conjugate
     impulse response; normalized so that sum |g|^2 = 1, which makes focusing
-    comparisons power-fair.
+    comparisons power-fair. An energy that is not positive and finite
+    raises ConfigError.
     """
     cfr = np.asarray(tx_to_target_cfr, dtype=complex)
     if cfr.ndim != 1:
         raise ConfigError("prefilter expects a 1-D subcarrier vector")
     energy = float(np.sum(np.abs(cfr) ** 2))
-    if energy <= 0.0:
-        raise ConfigError("illumination channel has no energy")
+    if not 0.0 < energy < math.inf:
+        raise ConfigError(f"illumination channel energy {energy:g} is not positive and finite")
     return np.conj(cfr) / np.sqrt(energy)
 
 
@@ -53,10 +55,14 @@ def focusing_gain(tx_to_target_cfr: np.ndarray) -> float:
 
 def _weighted_spread(dopplers: np.ndarray, powers: np.ndarray) -> tuple[float, float]:
     total = float(powers.sum())
+    if not 0.0 < total < math.inf:
+        raise ConfigError(f"path power sum {total:g} is not positive and finite")
     mean = float(np.sum(powers * dopplers) / total)
     if np.ptp(dopplers) == 0.0:
         return float(dopplers[0]), 0.0
     spread = float(np.sqrt(np.sum(powers * (dopplers - mean) ** 2) / total))
+    if not math.isfinite(spread):
+        raise ConfigError(f"power-weighted Doppler spread {spread:g} Hz is not finite")
     return mean, spread
 
 
@@ -81,15 +87,13 @@ def doppler_precompensate(paths: PathTable) -> DopplerCompensation:
     gains and carry f_ref as every Doppler. Both the original spread and
     the residual one are reported; the residual is residual_spread of the
     input Dopplers plus the offsets, so only rounding (well under 1e-9 Hz)
-    separates it from zero, and a wrong offset shows.
+    separates it from zero, and a wrong offset shows. A power sum or a
+    spread that is not finite raises ConfigError.
     """
     if len(paths) == 0:
         raise ConfigError("need at least one path")
     dopplers = np.zeros(len(paths)) if paths.doppler is None else paths.doppler
-    powers = np.abs(paths.gain) ** 2
-    if powers.sum() <= 0:
-        raise ConfigError("paths carry no power")
-    f_ref, before = _weighted_spread(dopplers, powers)
+    f_ref, before = _weighted_spread(dopplers, np.abs(paths.gain) ** 2)
     offsets = f_ref - dopplers
     compensated = PathTable(paths.delay, paths.gain, np.full(len(paths), f_ref))
     return DopplerCompensation(compensated, offsets, f_ref, before, residual_spread(paths, offsets))

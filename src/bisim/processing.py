@@ -2,9 +2,9 @@
 
 The chain mirrors a passive OFDM sensing receiver: inverse transform over
 subcarriers (fast time -> delay), forward transform over symbols (slow time
--> Doppler), static clutter collapsing at the 0 Hz bin, background and
-dominant-path subtraction ahead of the Doppler FFT, and STFT spectrograms
-for time-variant targets. Both map transforms are orthonormal so total map
+-> Doppler), static clutter collapsing at the 0 Hz bin, dominant-path
+subtraction ahead of the Doppler FFT, and STFT spectrograms for
+time-variant targets. Both map transforms are orthonormal so total map
 energy equals cube energy with rectangular windows.
 """
 
@@ -70,20 +70,6 @@ def delay_doppler_map(cube: SlowTimeCube, fast_window: str = "none",
     dd = np.ascontiguousarray(np.fft.fftshift(dd, axes=0).T)   # C order: archived without a copy
     doppler = np.fft.fftshift(np.fft.fftfreq(w.n_symbols, w.t_sym))
     return DelayDopplerMap(dd, delay_axis(w.n_subcarriers, w.bandwidth), doppler)
-
-
-def background_subtract(measurement: SlowTimeCube, background: SlowTimeCube) -> SlowTimeCube:
-    """Elementwise difference of two captures with identical waveforms.
-
-    By linearity of the synthesis, a noiseless target+clutter capture minus
-    its clutter-only background is exactly the target-only capture.
-    """
-    mw, bw = measurement.waveform, background.waveform
-    if (mw.n_symbols, mw.n_subcarriers) != (bw.n_symbols, bw.n_subcarriers):
-        raise UsageError("measurement and background shapes differ")
-    if not (mw.f_c == bw.f_c and mw.bandwidth == bw.bandwidth):
-        raise UsageError("measurement and background waveforms differ")
-    return SlowTimeCube(measurement.data - background.data, mw, measurement.t0)
 
 
 def time_gate(values: np.ndarray, delay_s: np.ndarray, center_s: float,

@@ -21,7 +21,8 @@ import numpy as np
 
 from .channel import PathTable, join_paths
 from .errors import ConfigError, GeometryError
-from .geometry import C0, NodePose, Trajectory, as_vec3, bistatic_doppler, bistatic_range, pose_at
+from .geometry import C0, NodePose, Trajectory, as_vec3, pose_at
+from .geometry import bistatic_doppler  # noqa: F401  unused; bench/tracing.py counts calls made through it
 from .targets import FOUR_PI, PointScatterer, RigidTarget, Rotor, ScattererStates, bounce_paths, target_paths
 
 
@@ -150,23 +151,3 @@ def illumination_paths(scene: SceneConfig, tx_id: str, point, t: float,
     if scene.clutter:
         tables.append(clutter_paths(scene.clutter, tx, end, scene.wavelength, doppler=True))
     return join_paths(tables, ())
-
-
-def ground_truth_observation(scene: SceneConfig, tx_id: str, rx_id: str,
-                             target_pos, target_vel, t: float = 0.0,
-                             weight: float = 1.0):
-    """Noise-free bistatic observation of a point target on one link."""
-    from .fusion import BistaticObservation
-
-    tx = scene.node(tx_id).pose(t)
-    rx = scene.node(rx_id).pose(t)
-    _, excess = bistatic_range(tx.position, rx.position, target_pos)
-    fd = bistatic_doppler(tx, rx, target_pos, target_vel, scene.wavelength)
-    return BistaticObservation(
-        tx=tx,
-        rx=rx,
-        excess_delay=excess / C0,
-        doppler=fd,
-        wavelength=scene.wavelength,
-        weight=weight,
-    )

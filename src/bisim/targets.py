@@ -15,6 +15,12 @@ equation at unity gains. Spherical wavefronts are kept throughout: every
 scatterer has its own Tx/Rx distances, which is what makes the model valid
 in the near field and scalable with antenna distance.
 
+Polarization lives in the scans only. Synthesis is single-polarization:
+a link's paths carry the scalar s alone. reflectivity_scan weights each
+scatterer by all four entries of its Jones matrix, flyover_scan (the
+gantry HH map) by J_HH. The config sets no Jones matrix, so every
+scatterer it builds has the identity.
+
 A target (RigidTarget, Rotor) answers name, pose(t) (its body-frame
 origin and that origin's velocity), rotation(t) (its body axes in world
 coordinates, (..., 3, 3), or None when they are the world axes) and
@@ -285,13 +291,6 @@ def bounce_paths(states: ScattererStates, tx: NodePose, rx: NodePose, lam: float
 def target_paths(target, tx: NodePose, rx: NodePose, t, lam: float, doppler: bool = False) -> PathTable:
     """One propagation path per scatterer of the target: a t.shape + (N,) table."""
     return bounce_paths(states(target, t), tx, rx, lam, doppler)
-
-
-def select_polarization(table: PathTable, states: ScattererStates, tx_pol: int = 0,
-                        rx_pol: int = 0) -> PathTable:
-    """A target's paths for one (rx, tx) polarization pair, weighted by the
-    Jones matrices of its scatterer states; H=0, V=1. H-H default."""
-    return PathTable(table.delay, table.gain * states.jones[:, rx_pol, tx_pol], table.doppler)
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,25 @@ class TestCliMain:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "o" / "simulate.bisim").exists()
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("scene", "clutter", 0, "amplitude"), 1e300, "energy inf is not positive and finite"),
+        (("scene", "targets", 0, "trajectory", 1, 0), 1e-300, "Doppler spread inf Hz is not finite"),
+    ], ids=["clutter_amplitude_1e300", "second_waypoint_at_1e-300_s"])
+    def test_focus_whose_illumination_overflows_exits_2(self, path, value, message, tmp_path, caplog, capsys):
+        # |cfr|^2 overflows, or the target moves so fast that its Doppler spread does
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc["waveform"]["n_symbols"] = 256
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = tmp_path / "focus.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["focus", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "o" / "focus.bisim").exists()
+
     def run_rotor(self, sub, edit, tmp_path, capsys) -> int:
         """main() on ROTOR_SCENE after edit(doc); stderr must hold no traceback."""
         doc = yaml.safe_load(textwrap.dedent(ROTOR_SCENE))

@@ -9,7 +9,6 @@ from bisim.geometry import (
     Trajectory,
     bistatic_doppler,
     bistatic_range,
-    iso_range_ellipse,
     pose_at,
     two_hop,
     vec3,
@@ -178,38 +177,6 @@ class TestBistaticDoppler:
             fd_num = -(rb_p - rb_m) / (2 * dt) / self.lam
             scale = max(abs(fd_num), 1.0)
             assert abs(fd - fd_num) / scale <= 1e-6
-
-
-class TestIsoRangeEllipse:
-    def test_monostatic_circle(self):
-        pts = iso_range_ellipse(vec3(10, 5, 0), vec3(10, 5, 0), 40.0, 64)
-        radii = np.linalg.norm(pts - np.array([10, 5, 0]), axis=1)
-        assert np.allclose(radii, 20.0, rtol=1e-12)
-
-    def test_pythagorean_point_on_curve(self):
-        tx, rx = vec3(-50, 0, 0), vec3(50, 0, 0)
-        pts = iso_range_ellipse(tx, rx, 125.0, 5000)
-        target = np.array([0, 37.5, 0])
-        assert np.min(np.linalg.norm(pts - target, axis=1)) < 0.1
-        rb, _ = bistatic_range(tx, rx, target)
-        assert rb == pytest.approx(125.0)
-
-    def test_focal_sum_self_consistency(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            tx = vec3(*rng.uniform(-50, 50, 2), 0)
-            rx = vec3(*rng.uniform(-50, 50, 2), 0)
-            baseline = np.linalg.norm(rx - tx)
-            rb = baseline + rng.uniform(1.0, 100.0)
-            pts = iso_range_ellipse(tx, rx, rb, 128)
-            for p in pts:
-                got, excess = bistatic_range(tx, rx, p)
-                assert abs(got - rb) <= 1e-9 * rb
-                assert excess == pytest.approx(rb - baseline, abs=1e-9 * rb)
-
-    def test_degenerate_ellipse_rejected(self):
-        with pytest.raises(GeometryError):
-            iso_range_ellipse(vec3(0, 0, 0), vec3(100, 0, 0), 99.0, 16)
 
 
 def _random_rotation(rng):

@@ -14,13 +14,12 @@ from scipy.signal.windows import gaussian
 
 import bisim
 from bisim.archive import Axis, ResultArchive, export_csv
-from bisim.channel import PathTable, SlowTimeCube, WaveformConfig, add_noise, join_paths, named_window, synth_cfr
-from bisim.errors import ConfigError, NumericalError, UsageError
+from bisim.channel import PathTable, SlowTimeCube, WaveformConfig, add_noise, named_window, synth_cfr
+from bisim.errors import ConfigError, NumericalError
 from bisim.geometry import C0, NodePose, Trajectory, bistatic_doppler, bistatic_range, vec3
 from bisim.processing import (
     DelayDopplerMap,
     _fit_static_path,
-    background_subtract,
     delay_doppler_map,
     detect_peaks,
     magnitude_db,
@@ -122,52 +121,6 @@ class TestDelayDopplerMap:
         assert res == pytest.approx(61.03515625, rel=1e-12)
         assert ddm.doppler_hz[0] == pytest.approx(-62500.0)
         assert ddm.doppler_hz[-1] == pytest.approx(62500.0 - res)
-
-
-class TestBackgroundSubtract:
-    def test_identity(self):
-        w = waveform(32, 32)
-        cube = synth_cfr(PathTable([0.0], [1.0 + 0j], [0.0]), w)
-        out = background_subtract(cube, cube)
-        assert np.all(out.data == 0)
-
-    def test_superposition_exact(self):
-        w = waveform(32, 32)
-        clutter = PathTable([3 / w.bandwidth], [1.0 + 0j], [0.0])
-        target = PathTable([9 / w.bandwidth], [0.1 + 0j], [500.0])
-        both = synth_cfr(join_paths([clutter, target], ()), w)
-        bg = synth_cfr(clutter, w)
-        tgt = synth_cfr(target, w)
-        out = background_subtract(both, bg)
-        assert np.allclose(out.data, tgt.data, rtol=1e-12, atol=1e-15)
-
-    def test_shape_mismatch_rejected(self):
-        a = synth_cfr(PathTable([0.0], [1.0 + 0j], [0.0]), waveform(16, 16))
-        b = synth_cfr(PathTable([0.0], [1.0 + 0j], [0.0]), waveform(16, 32))
-        with pytest.raises(UsageError):
-            background_subtract(a, b)
-
-    def test_noisy_subtraction_suppresses_clutter(self):
-        w = waveform(128, 128)
-        rng_delays = [5, 21, 40, 77, 101]
-        clutter = PathTable(np.array(rng_delays) / w.bandwidth, np.ones(5), np.zeros(5))
-        fd = on_grid_doppler(w, 17)
-        target = PathTable([60 / w.bandwidth], [0.05 + 0j], [fd])
-        meas = add_noise(synth_cfr(join_paths([clutter, target], ()), w), 20.0, seed=1)
-        bg = add_noise(synth_cfr(clutter, w), 20.0, seed=2)
-        diff = background_subtract(meas, bg)
-
-        ddm_meas = delay_doppler_map(meas)
-        ddm_diff = delay_doppler_map(diff)
-        zero = ddm_meas.zero_doppler_bin
-        before = sum(np.abs(ddm_meas.data[n, zero]) ** 2 for n in rng_delays)
-        after = sum(np.abs(ddm_diff.data[n, zero]) ** 2 for n in rng_delays)
-        assert 10 * np.log10(before / after) >= 40.0
-
-        tgt_j = int(np.argmin(np.abs(ddm_meas.doppler_hz - fd)))
-        true_power = np.abs(delay_doppler_map(synth_cfr(target, w)).data[60, tgt_j]) ** 2
-        diff_power = np.abs(ddm_diff.data[60, tgt_j]) ** 2
-        assert abs(10 * np.log10(diff_power / true_power)) <= 3.1
 
 
 class TestTimeGate:
@@ -564,7 +517,7 @@ class TestPipelineLinearity:
         w = waveform(32, 32)
         a = SlowTimeCube(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)), w)
         b = SlowTimeCube(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)), w)
-        lhs = delay_doppler_map(background_subtract(a, b)).data
+        lhs = delay_doppler_map(SlowTimeCube(a.data - b.data, w)).data
         rhs = delay_doppler_map(a).data - delay_doppler_map(b).data
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 

@@ -1,0 +1,48 @@
+"""Checks that read the source of src/bisim and bench/ with ast."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import bisim
+
+SRC = Path(bisim.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# Public functions kept although nothing in src/bisim or bench/ calls them, each with its use.
+UNCALLED = {
+    "bistatic_range": "scalar analytic oracle that tests check the vectorised path delays against",
+    "bistatic_doppler": "scalar analytic oracle that tests check the path Dopplers against",
+    "vec3": "the public 3-vector constructor for scenes built in Python, as the tests build theirs",
+    "nyquist_check": "spatial-Nyquist diagnostic that the run diagnostics (ROADMAP item 2) will report",
+    "Rotor.sampling_ok": "rotor sample-spacing diagnostic that the run diagnostics (ROADMAP item 2) will report",
+    "geometry_condition": "GDOP diagnostic that the run diagnostics (ROADMAP item 2) will report",
+}
+
+
+def public_defs(tree):
+    """(name, def) of each public top-level function and each public method, as Class.method."""
+    for node in tree.body:
+        prefix, members = (f"{node.name}.", node.body) if isinstance(node, ast.ClassDef) else ("", [node])
+        for d in members:
+            if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"):
+                yield prefix + d.name, d
+
+
+def references(node) -> Counter:
+    """How often each identifier is read as a Name or an Attribute under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_function_has_a_caller():
+    """A public function or method that only tests call is dead weight in the package:
+    each needs a reference in src/bisim or bench/ outside its own body and __init__.py,
+    or an entry in UNCALLED."""
+    trees = {p: ast.parse(p.read_text(), str(p))
+             for p in [*sorted(SRC.glob("*.py")), *sorted(BENCH.glob("*.py"))] if p != SRC / "__init__.py"}
+    total = sum((references(t) for t in trees.values()), Counter())
+    uncalled = {name for p, t in trees.items() if p.parent == SRC
+                for name, d in public_defs(t) if total[d.name] == references(d)[d.name]}
+    assert not uncalled - UNCALLED.keys(), f"no caller in src/bisim or bench/: {sorted(uncalled - UNCALLED.keys())}"
+    assert not UNCALLED.keys() - uncalled, f"called now, so drop from UNCALLED: {sorted(UNCALLED.keys() - uncalled)}"

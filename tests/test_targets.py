@@ -29,7 +29,6 @@ from bisim.targets import (
     flyover_scan,
     link_budget,
     reflectivity_scan,
-    select_polarization,
     target_paths,
 )
 
@@ -289,21 +288,6 @@ class TestTargetPaths:
         bound = 2 * tip_speed / LAM  # loosest possible bistatic bound
         assert np.all(np.abs(paths.doppler) <= bound * (1 + 1e-9))
         assert np.any(np.abs(paths.doppler) > 0)
-
-    def test_polarization_selection(self):
-        jones = np.array([[1.0, 0.2j], [0.1, -1.0]])
-        tx = NodePose(vec3(-50, 0, 0))
-        rx = NodePose(vec3(50, 0, 0))
-        target = RigidTarget(
-            [PointScatterer([0, 0, 0], 0.05, jones)],
-            Trajectory.from_waypoints([(0.0, (0, 30, 0))]),
-        )
-        paths = target_paths(target, tx, rx, 0.0, LAM)
-        states = targets.states(target, 0.0)
-        hh = select_polarization(paths, states, tx_pol=0, rx_pol=0)
-        vh = select_polarization(paths, states, tx_pol=0, rx_pol=1)
-        assert hh.gain[0] == pytest.approx(paths.gain[0] * jones[0, 0])
-        assert vh.gain[0] == pytest.approx(paths.gain[0] * jones[1, 0])
 
 
 class TestRcsAndLinkBudget:
