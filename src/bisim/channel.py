@@ -11,14 +11,15 @@ synthesis modes, which synth_cfr tells apart by its input:
                 phases track the scene geometry and Doppler emerges from the
                 carrier phase rotation itself.
 
-Both modes build the ramps exp(-j2πkΔfτ) frequency-major, (K, ...), by
-doubling (see phase_ramps): rows [n, 2n) are rows [0, n) times
-exp(-j2πnΔfτ), one exp per delay per power of two. Geometric mode runs on
-path_rows, the one blocked path-sum kernel, which the flyover scan of
-targets.py shares. It asks for the geometry of as many rows at once as
-hold _PATH_BUDGET paths, and splits each row's K ramps into about √K low
-and √K high ones: the high ramps take the weights, and a block of rows is
-one batched (high x P) @ (P x low) product. The low ramps, the high ramps
+Both modes build the ramps exp(-j2πkΔfτ) frequency-major, (K, ...), from
+one exp per delay, z = exp(-j2πΔfτ), by doubling (see phase_ramps): rows
+[n, 2n) are rows [0, n) times z^n, and z^(2n) is z^n squared. Geometric
+mode runs on path_rows, the one blocked path-sum kernel, which the flyover
+scan of targets.py shares. It asks for the geometry of as many rows at
+once as hold _PATH_BUDGET paths, and splits each row's K ramps into about
+√K low and √K high ones, all powers of the one z: the high ramps take the
+weights, and a block of rows is one batched (high x P) @ (P x low)
+product. The low ramps, the high ramps
 and the product stay within _SLAB_ELEMENTS, 1 MiB, whatever the capture
 size. Fixed mode builds one ramp set for all symbols and is one matrix
 product, gains @ ramps. Both products run on BLAS; pipeline.run pins it to
@@ -155,11 +156,21 @@ class SlowTimeCube:
                 f"cube shape {self.data.shape} does not match waveform {expected}"
             )
 
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.data) ** 2))
+    def scaled_power(self) -> tuple[float, int]:
+        """Mean |H|^2 as (m, e), mean |H|^2 = m·4^e, where 2^e is the power of two
+        just above the peak |H| (e = 0 for an all-zero cube). |H| is scaled by 2^-e
+        before it is squared, so no square overflows; the scaling is exact, so
+        m·4^e is the unscaled mean bit for bit wherever that is a normal float."""
+        mag = np.abs(self.data)
+        e = math.frexp(float(mag.max(initial=0.0)))[1]
+        np.ldexp(mag, -e, out=mag)
+        return float(np.mean(np.square(mag, out=mag))), e
 
-    def mean_power(self) -> float:
-        return float(np.mean(np.abs(self.data) ** 2))
+    def mean_power_db(self) -> float:
+        """10 log10 of the mean |H|^2, as 10 log10(m) + 20e log10(2) of scaled_power,
+        so finite for any finite cube; -3000 dB for an all-zero one."""
+        m, e = self.scaled_power()
+        return float(10 * np.log10(max(m, 1e-300)) + e * (20 * np.log10(2.0)))
 
     def symbol_times(self) -> np.ndarray:
         return self.t0 + np.arange(self.waveform.n_symbols) * self.waveform.t_sym
@@ -212,24 +223,36 @@ _SLAB_ELEMENTS = 1 << 16  # complex entries of one block's temporaries in a bloc
 _PATH_BUDGET = 1 << 12    # paths of one path_rows geometry call after its first
 
 
+def _powers(z, n: int) -> np.ndarray:
+    """Powers z^k, k = 0..n-1, of an array z (...) -> (n, ...), by doubling.
+
+    Row 0 is 1, and rows [m, 2m) are rows [0, m) times z^m for
+    m = 1, 2, 4, ..., where z^(2m) is z^m squared in place: row k carries
+    popcount(k) products and z is left as its 2^ceil(log2 n)-th power (z^n
+    for n a power of two). More than MAX_ENTRIES powers raise ConfigError
+    before any is made.
+    """
+    check_entries(n * z.size, f"phase ramps of {n} frequencies x {z.size} delays")
+    out = np.empty((n, *z.shape), dtype=complex)
+    out[0] = 1.0
+    m = 1
+    while m < n:
+        k = min(m, n - m)
+        np.multiply(out[:k], z, out=out[m:m + k])
+        z *= z
+        m *= 2
+    return out
+
+
 def phase_ramps(delay, delta_f: float, n_subcarriers: int) -> np.ndarray:
     """Frequency ramps exp(-j2π k Δf τ), k = 0..K-1, of delays (...) -> (K, ...).
 
-    Row 0 is 1, and rows [n, 2n) are rows [0, n) times exp(-j2π n Δf τ) for
-    n = 1, 2, 4, ...: one exp per delay per power of two, and row k carries
-    popcount(k) products rather than k. More than MAX_ENTRIES ramps raise
-    ConfigError before any is made.
+    One exp per delay, z = exp(-j2πΔfτ), then its powers z^k by doubling
+    and squaring (_powers). More than MAX_ENTRIES ramps raise ConfigError
+    before any is made.
     """
     delay = np.asarray(delay, dtype=float)
-    check_entries(n_subcarriers * delay.size, f"phase ramps of {n_subcarriers} frequencies x {delay.size} delays")
-    ramps = np.empty((n_subcarriers, *delay.shape), dtype=complex)
-    ramps[0] = 1.0
-    n = 1
-    while n < n_subcarriers:
-        m = min(n, n_subcarriers - n)
-        np.multiply(ramps[:m], np.exp(-2j * np.pi * (n * delta_f) * delay), out=ramps[n:n + m])
-        n *= 2
-    return ramps
+    return _powers(np.exp(-2j * np.pi * delta_f * delay), n_subcarriers)
 
 
 def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n: int) -> np.ndarray:
@@ -243,12 +266,12 @@ def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n
 
     Each row is a low x high ramp product. With L = 2^ceil(log2(n)/2),
     Q = ceil(n/L) and z_p = exp(-j2πΔfτ_p), entry qL + r is
-    sum_p (w_p z_p^(qL)) z_p^r: phase_ramps builds the L low ramps at Δf and
-    the Q high ramps at LΔf, the high ramps take the weights in place, and
-    a block of b rows is one batched product (b, Q, P) @ (b, P, L), of which
-    the first n columns are kept. That is (L + Q)·P exps and products per
-    row where a full ramp set takes n·P, and the n·P multiply-adds run on
-    BLAS.
+    sum_p (w_p z_p^(qL)) z_p^r: one exp per delay gives z_p, its powers the
+    L low ramps, and the powers of z_p^L, which their squarings leave, the
+    Q high ramps. The high ramps take the weights in place, and a block of
+    b rows is one batched product (b, Q, P) @ (b, P, L), of which the first
+    n columns are kept. That is P exps and (L + Q)·P products per row where
+    a full ramp set takes n·P, and the n·P multiply-adds run on BLAS.
     Blocks keep the low ramps, the high ramps and the product together
     within _SLAB_ELEMENTS, or are one row.
     """
@@ -263,9 +286,10 @@ def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n
         block = max(1, _SLAB_ELEMENTS // ((low + high) * n_paths + high * low))
         for i in range(start, stop, block):
             at = slice(i - start, min(i + block, stop) - start)
-            hi = phase_ramps(delay[at], low * delta_f, high)
+            z = np.exp(-2j * np.pi * delta_f * delay[at])
+            lo = _powers(z, low)   # leaves z^low in z
+            hi = _powers(z, high)
             hi *= weight[at]
-            lo = phase_ramps(delay[at], delta_f, low)
             b = hi.shape[1]
             out[i:i + b] = np.matmul(hi.transpose(1, 0, 2), lo.transpose(1, 2, 0)).reshape(b, -1)[:, :n]
         start, rows = stop, max(1, _PATH_BUDGET // max(1, n_paths))
@@ -320,13 +344,14 @@ def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:
     """
     if np.isinf(snr_db) and snr_db > 0:
         return SlowTimeCube(cube.data.copy(), cube.waveform, cube.t0)
-    sig_power = cube.mean_power()
+    m, e = cube.scaled_power()
     try:
-        var = sig_power / (10.0 ** (snr_db / 10.0))
+        var = math.ldexp(m, 2 * e) / (10.0 ** (snr_db / 10.0))
     except (OverflowError, ZeroDivisionError):
         var = math.inf
     if not math.isfinite(var):
-        raise ConfigError(f"snr_db {snr_db:g} and signal power {sig_power:g} give no finite noise variance")
+        raise ConfigError(f"snr_db {snr_db:g} and signal power {cube.mean_power_db():.1f} dB "
+                          "give no finite noise variance")
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as err:

@@ -134,13 +134,21 @@ def pose_at(traj: Trajectory, t, node_id: str = "") -> NodePose:
     return NodePose(np.where(before, pts[0], np.where(after, pts[-1], pos)), velocity, node_id)
 
 
+def _distance(points, p) -> np.ndarray:
+    """|points - p| over the last axis of (..., 3) arrays, summed in the order
+    np.linalg.norm(axis=-1) sums, so bit for bit its result, at less cost."""
+    d = np.subtract(points, p, dtype=float)
+    d *= d
+    return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
+
+
 def two_hop(points, p_tx, p_rx) -> tuple[np.ndarray, np.ndarray]:
     """Tx-to-point and point-to-Rx distances of (..., 3) arrays, broadcast
     over leading axes; GeometryError if any point coincides with an antenna
     or any distance is not finite (coordinates so large that it overflows)."""
     with np.errstate(over="ignore"):   # an overflow is reported below
-        d_tx = np.linalg.norm(points - p_tx, axis=-1)
-        d_rx = np.linalg.norm(points - p_rx, axis=-1)
+        d_tx = _distance(points, p_tx)
+        d_rx = _distance(points, p_rx)
     if d_tx.size and min(d_tx.min(), d_rx.min()) < _EPS_COINCIDENT:
         raise GeometryError("scatterer coincides with an antenna position")
     if d_tx.size and not max(d_tx.max(), d_rx.max()) < np.inf:

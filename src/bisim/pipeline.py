@@ -101,7 +101,7 @@ def run_simulate(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
                 "rx": link.rx.node_id,
                 "los_delay_s": los,
                 "los_delay_ns": los * 1e9,
-                "mean_power_db": float(10 * np.log10(max(cube.mean_power(), 1e-300))),
+                "mean_power_db": cube.mean_power_db(),
             }
         )
     return {"links": links}

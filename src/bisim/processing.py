@@ -45,9 +45,6 @@ class DelayDopplerMap:
     def zero_doppler_bin(self) -> int:
         return int(np.argmin(np.abs(self.doppler_hz)))
 
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.data) ** 2))
-
 
 def delay_doppler_map(cube: SlowTimeCube, fast_window: str = "none",
                       slow_window: str = "none") -> DelayDopplerMap:

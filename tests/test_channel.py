@@ -185,11 +185,16 @@ class TestSynthGeometric:
 class TestPhaseRamps:
     def test_recurrence_matches_direct_exp_at_4096(self):
         # delays cover the whole unambiguous span [0, 1/Δf]. The ramps are
-        # frequency-major, (K, P), and row k is the product of
-        # exp(-j2π·2^b·Δf·τ) over the set bits b of k: each factor's argument
-        # carries about 2ε relative error, and each exp and product about 2ε
-        # absolute, so row k lies within 2ε·2πkΔfτ + 4ε·popcount(k) of the
-        # exact ramp, plus 8ε for the rounding of the reference itself
+        # frequency-major, (K, P): one exp gives z = exp(-j2πΔfτ), b squarings
+        # give z^(2^b), and row k is the product of z^(2^b) over the set bits b
+        # of k. The argument of z carries about 2ε relative error, which the
+        # squarings scale with the exponent: 2ε·2πkΔfτ over row k. The exp
+        # and each squaring of a unit number add about ε absolute, and each
+        # squaring doubles the error it is given, so z^(2^b) is off by
+        # (2^(b+1) - 1)ε beyond its argument, and the set bits of k sum that
+        # to (2k - popcount(k))ε < 2kε; each product adds about 2ε. Row k thus
+        # lies within 2ε·2πkΔfτ + 2ε·popcount(k) + 2kε of the exact ramp, plus
+        # 8ε for the rounding of the reference itself, inside the bound below
         n_sub, df = 4096, 125e3
         eps = np.finfo(float).eps
         rng = np.random.default_rng(7)
@@ -203,7 +208,8 @@ class TestPhaseRamps:
                            for tau in delay] for k in ks])
         popcount = np.array([bin(int(k)).count("1") for k in ks])[:, None]
         err = np.abs(ramps[ks] - exact)
-        assert np.all(err <= 2 * eps * 2 * np.pi * ks[:, None] * df * delay + 4 * eps * (popcount + 2))
+        k = ks[:, None]
+        assert np.all(err <= 2 * eps * 2 * np.pi * k * df * delay + 4 * eps * (popcount + 2) + 2 * eps * k)
         assert err.max() <= 2 * np.pi * n_sub * eps
         # and the direct exp, which rounds a ~2πK argument, within twice that
         direct = np.exp(-2j * np.pi * df * np.outer(np.arange(n_sub), delay))
@@ -268,6 +274,21 @@ class TestPathRows:
         assert [a for a, _ in asked] == [0, *[b for _, b in asked[:-1]]] and asked[-1][1] == n_rows
         scale = np.abs(weight).sum(axis=1).max()
         assert np.abs(rows - _direct_rows(delay, weight, df, n, f0)).max() <= 1e-11 * scale
+
+    def test_equals_the_direct_exp_sum_at_4096(self):
+        # n = 4096 is L = Q = 64 low and high ramps: the high ramps are powers of z^64,
+        # six squarings of one exp, and entry qL + r is their product with low ramp r,
+        # which carries the error terms of ramp qL + r of phase_ramps plus one product.
+        # Delays span [0, 1/Δf], where those ramps lie within 4πnε of the direct exp
+        # (TestPhaseRamps), so each row sum lies within 4πnε·sum_p |w_p| of it
+        n_rows, n_paths, n, df = 6, 40, 4096, 125e3
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(11)
+        delay = np.vstack([np.linspace(0.0, 1.0 / df, n_paths), rng.uniform(0.0, 1.0 / df, (n_rows - 1, n_paths))])
+        weight = rng.normal(size=(n_rows, n_paths)) + 1j * rng.normal(size=(n_rows, n_paths))
+        rows = path_rows(lambda at: (delay[at], weight[at]), n_rows, df, n)
+        scale = np.abs(weight).sum(axis=1, keepdims=True)
+        assert np.all(np.abs(rows - _direct_rows(delay, weight, df, n, 0.0)) <= 4 * np.pi * n * eps * scale)
 
     @pytest.mark.parametrize("budget, slab, n_rows, n_paths, n", [
         (64, 1 << 16, 100, 8, 64),     # 8 rows a call, the last call partial

@@ -1,9 +1,11 @@
+import math
 import os
 import resource
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +397,22 @@ class TestCliMain:
         code = main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert "Traceback" not in capsys.readouterr().err
         return code
+
+    def test_mean_power_of_a_cube_whose_squares_overflow_is_finite(self, tmp_path, capsys):
+        # |H| reaches 1.3e297, whose square overflows; the summary's mean power is still
+        # the 0.01-amplitude rotor's plus 20 log10(1e302) dB, and numpy warns of nothing
+        def power_db(amplitude):
+            out = tmp_path / str(amplitude)
+            out.mkdir()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = self.run_rotor("simulate", lambda doc: doc["scene"]["targets"][0].update(
+                    sample_amplitude=amplitude), out, capsys)
+            assert code == 0 and not caught
+            summary = yaml.safe_load((out / "o" / "simulate_summary.yaml").read_text())
+            return summary["results"]["links"][0]["mean_power_db"]
+        huge = power_db(1e300)
+        assert math.isfinite(huge) and huge == pytest.approx(power_db(0.01) + 6040.0, abs=1e-6)
 
     SCAN = {"d_tx": 10.0, "d_rx": 10.0, "az_tx": [0, 90], "el_tx": [0], "az_rx": [0, 90, 180], "el_rx": [0],
             "band": {"f_lo": 3.6e9, "f_hi": 3.8e9, "n_points": 16}, "target": "prop"}

@@ -124,6 +124,27 @@ class TestBistaticRange:
         with pytest.raises(GeometryError, match="not finite"):
             bistatic_range(far, (10, 0, 0), (1, 2, 0))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.lists(st.integers(1, 4), max_size=3), st.floats(-3.0, 150.0))
+    def test_distances_are_linalg_norm_bit_for_bit(self, seed, lead, log_scale):
+        # points and antennas broadcast against each other, at magnitudes 1e-3 to 1e150
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        points = rng.normal(size=(*[1 if rng.random() < 0.3 else n for n in lead], 3)) * scale
+        p_tx = rng.normal(size=3) * scale
+        p_rx = rng.normal(size=(*[1 if rng.random() < 0.3 else n for n in lead], 3)) * scale
+        d_tx, d_rx = two_hop(points, p_tx, p_rx)
+        assert np.array_equal(d_tx, np.linalg.norm(points - p_tx, axis=-1))
+        assert np.array_equal(d_rx, np.linalg.norm(points - p_rx, axis=-1))
+
+    def test_distance_that_overflows_where_norm_does_raises(self):
+        # squares of 1e160 overflow, as in np.linalg.norm, though the coordinates are finite
+        points = np.random.default_rng(2).normal(size=(4, 5, 3)) * 1e160
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.linalg.norm(points, axis=-1)).all()
+        with pytest.raises(GeometryError, match="not finite"):
+            two_hop(points, np.zeros(3), np.ones(3))
+
     def test_excess_nonnegative_random(self):
         rng = np.random.default_rng(7)
         for _ in range(500):

@@ -99,7 +99,7 @@ class TestDelayDopplerMap:
         w = waveform(64, 64)
         cube = SlowTimeCube(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)), w)
         ddm = delay_doppler_map(cube)
-        assert ddm.energy() == pytest.approx(cube.energy(), rel=1e-10)
+        assert np.sum(np.abs(ddm.data) ** 2) == pytest.approx(np.sum(np.abs(cube.data) ** 2), rel=1e-10)
 
     @pytest.mark.parametrize("fast, slow", [("none", "none"), ("rect", "hann"), ("hann", "rectangular"),
                                             ("gaussian", "hann")])
@@ -176,7 +176,7 @@ class TestSubtractDominantPaths:
         tau = 13.37 / w.bandwidth  # deliberately off-grid
         cube = synth_cfr(PathTable([tau], [0.8 - 0.3j], [0.0]), w)
         res = subtract_dominant_paths(cube, 1)
-        assert res.residual.energy() <= 1e-6 * cube.energy()
+        assert np.sum(np.abs(res.residual.data) ** 2) <= 1e-6 * np.sum(np.abs(cube.data) ** 2)
         assert res.removed.delay[0] == pytest.approx(tau, abs=1e-14)
 
     def test_two_paths_with_weak_mover(self):
@@ -209,7 +209,7 @@ class TestSubtractDominantPaths:
             rng.normal(size=(32, 64)) + 1j * rng.normal(size=(32, 64)), w
         )
         res = subtract_dominant_paths(cube, 2)
-        assert res.residual.energy() <= cube.energy() * (1 + 1e-12)
+        assert np.sum(np.abs(res.residual.data) ** 2) <= np.sum(np.abs(cube.data) ** 2) * (1 + 1e-12)
 
     def test_idempotent_on_own_residual(self):
         # re-subtracting the already-removed paths changes nothing: the
@@ -218,7 +218,7 @@ class TestSubtractDominantPaths:
         paths = PathTable(np.array([12.3, 30.7]) / w.bandwidth, [1.0 + 0j, 0.5 - 0.2j])
         cube = add_noise(synth_cfr(paths, w), 40.0, seed=3)
         res = subtract_dominant_paths(cube, 2)
-        assert res.residual.energy() <= cube.energy()
+        assert np.sum(np.abs(res.residual.data) ** 2) <= np.sum(np.abs(cube.data) ** 2)
         k = np.arange(w.n_subcarriers)
         mean_row = res.residual.data.mean(axis=0)
         for delay, gain in zip(res.removed.delay, res.removed.gain):

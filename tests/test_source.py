@@ -29,10 +29,15 @@ def public_defs(tree):
                 yield prefix + d.name, d
 
 
-def references(node) -> Counter:
-    """How often each identifier is read as a Name or an Attribute under node."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+def references(node, kinds) -> Counter:
+    """How often each identifier is read as one of the node kinds (Name, Attribute) under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, kinds))
+
+
+# Reference kinds, keyed by "is a method": a function is reached by its name or as
+# module.function, a method only as an attribute, so a local variable that shares a
+# method's name is no reference to it.
+KINDS = {False: (ast.Name, ast.Attribute), True: (ast.Attribute,)}
 
 
 def test_every_public_function_has_a_caller():
@@ -41,8 +46,8 @@ def test_every_public_function_has_a_caller():
     or an entry in UNCALLED."""
     trees = {p: ast.parse(p.read_text(), str(p))
              for p in [*sorted(SRC.glob("*.py")), *sorted(BENCH.glob("*.py"))] if p != SRC / "__init__.py"}
-    total = sum((references(t) for t in trees.values()), Counter())
-    uncalled = {name for p, t in trees.items() if p.parent == SRC
-                for name, d in public_defs(t) if total[d.name] == references(d)[d.name]}
+    total = {method: sum((references(t, kinds) for t in trees.values()), Counter()) for method, kinds in KINDS.items()}
+    uncalled = {name for p, t in trees.items() if p.parent == SRC for name, d in public_defs(t)
+                if total["." in name][d.name] == references(d, KINDS["." in name])[d.name]}
     assert not uncalled - UNCALLED.keys(), f"no caller in src/bisim or bench/: {sorted(uncalled - UNCALLED.keys())}"
     assert not UNCALLED.keys() - uncalled, f"called now, so drop from UNCALLED: {sorted(UNCALLED.keys() - uncalled)}"
