@@ -336,8 +336,10 @@ def synth_cfr(
 def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:
     """Add circularly-symmetric complex white noise at the given SNR.
 
-    The noise variance is mean(|H|^2) / 10^(snr/10) and must be finite;
-    snr_db = +inf returns the cube unchanged. The full noise block is drawn
+    The noise variance is mean(|H|^2) / 10^(snr/10); its per-component standard
+    deviation, 2^e·sqrt(m / 10^(snr/10) / 2) from scaled_power's (m, e), is finite
+    wherever it is a float, even where the variance overflows, and ConfigError
+    otherwise. snr_db = +inf returns the cube unchanged. The full noise block is drawn
     from one seeded generator in a single call, so the result is independent
     of any worker-pool parallelism in the surrounding pipeline; its (re, im)
     pairs are read as complex, scaled and summed with the cube in place.
@@ -345,11 +347,11 @@ def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:
     if np.isinf(snr_db) and snr_db > 0:
         return SlowTimeCube(cube.data.copy(), cube.waveform, cube.t0)
     m, e = cube.scaled_power()
-    try:
-        var = math.ldexp(m, 2 * e) / (10.0 ** (snr_db / 10.0))
+    try:   # bit for bit sqrt(var / 2) wherever m·4^e and var / 2 are normal floats
+        std = math.ldexp(math.sqrt(m / 10.0 ** (snr_db / 10.0) / 2.0), e)
     except (OverflowError, ZeroDivisionError):
-        var = math.inf
-    if not math.isfinite(var):
+        std = math.inf
+    if not math.isfinite(std):
         raise ConfigError(f"snr_db {snr_db:g} and signal power {cube.mean_power_db():.1f} dB "
                           "give no finite noise variance")
     try:
@@ -357,7 +359,7 @@ def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:
     except (TypeError, ValueError) as err:
         raise ConfigError(f"noise seed {seed!r}: {err}") from None
     noisy = rng.standard_normal((*cube.data.shape, 2)).view(complex)[..., 0]
-    noisy *= math.sqrt(var / 2.0)
+    noisy *= std
     noisy += cube.data
     return SlowTimeCube(noisy, cube.waveform, cube.t0)
 

@@ -55,12 +55,11 @@ def direction_from_angles(az_deg: float, el_deg: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class NodePose:
-    """Position and velocity of a node or target centre named node_id: finite (3,)
+    """Position and velocity of a node or target centre, with no name: finite (3,)
     vectors at one instant (they broadcast over any times), or (..., 3) at many."""
 
     position: np.ndarray
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    node_id: str = ""
 
     def __post_init__(self):
         self.position = as_vec3(self.position, many=True)
@@ -119,8 +118,8 @@ class Trajectory:
         return np.where((t < self.times[0]) | (t >= self.times[-1]), -1, i)
 
 
-def pose_at(traj: Trajectory, t, node_id: str = "") -> NodePose:
-    """Pose on a trajectory at time(s) t, arrays of shape t.shape + (3,).
+def pose_at(traj: Trajectory, t) -> NodePose:
+    """Anonymous pose on a trajectory at time(s) t, arrays of shape t.shape + (3,).
 
     Before the first waypoint and at or after the last one the position
     holds with zero velocity.
@@ -131,7 +130,7 @@ def pose_at(traj: Trajectory, t, node_id: str = "") -> NodePose:
     velocity = traj.slopes[i]
     pos = pts[i] + velocity * (t - times[i])[..., None]
     before, after = (t < times[0])[..., None], (t >= times[-1])[..., None]
-    return NodePose(np.where(before, pts[0], np.where(after, pts[-1], pos)), velocity, node_id)
+    return NodePose(np.where(before, pts[0], np.where(after, pts[-1], pos)), velocity)
 
 
 def _distance(points, p) -> np.ndarray:

@@ -30,7 +30,8 @@ def time_reversal_prefilter(tx_to_target_cfr: np.ndarray) -> np.ndarray:
     cfr = np.asarray(tx_to_target_cfr, dtype=complex)
     if cfr.ndim != 1:
         raise ConfigError("prefilter expects a 1-D subcarrier vector")
-    energy = float(np.sum(np.abs(cfr) ** 2))
+    with np.errstate(over="ignore"):   # an overflow is reported below
+        energy = float(np.sum(np.abs(cfr) ** 2))
     if not 0.0 < energy < math.inf:
         raise ConfigError(f"illumination channel energy {energy:g} is not positive and finite")
     return np.conj(cfr) / np.sqrt(energy)
@@ -60,7 +61,8 @@ def _weighted_spread(dopplers: np.ndarray, powers: np.ndarray) -> tuple[float, f
     mean = float(np.sum(powers * dopplers) / total)
     if np.ptp(dopplers) == 0.0:
         return float(dopplers[0]), 0.0
-    spread = float(np.sqrt(np.sum(powers * (dopplers - mean) ** 2) / total))
+    with np.errstate(over="ignore"):   # an overflow is reported below
+        spread = float(np.sqrt(np.sum(powers * (dopplers - mean) ** 2) / total))
     if not math.isfinite(spread):
         raise ConfigError(f"power-weighted Doppler spread {spread:g} Hz is not finite")
     return mean, spread

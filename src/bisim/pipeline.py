@@ -11,9 +11,10 @@ directions of a reflectivity scan, whose boundaries come from a memory
 budget and not from the worker count, each written to its own slice of the
 output; links are streamed in order, one at a time, each synthesized and
 noised (from its own seeded generator) just before it is processed. A link
-is resolved once into a Link of its two node poses at t0, which names its
-datasets and summary keys, gives its LoS delay and rides on its fusion
-observation.
+is resolved once into a Link of its two nodes and their poses at t0: fixed
+mode takes its paths at those poses, geometric mode asks the nodes for
+their poses block by block, and the Link names its datasets and summary
+keys, gives its LoS delay and rides on its fusion observation.
 """
 
 from __future__ import annotations
@@ -42,18 +43,20 @@ from .processing import (
     subtract_dominant_paths,
     time_gate,
 )
-from .scene import illumination_paths, link_callback, link_paths
+from .scene import SceneNode, illumination_paths, link_callback, link_paths
 from .targets import flyover_scan, link_budget, reflectivity_scan
 
 class Link(NamedTuple):
-    """One Tx/Rx link: the poses of its two nodes at t0, as SceneNode.pose gives them."""
+    """One Tx/Rx link: its two nodes, which hold the names, and their poses at t0."""
 
+    tx_node: SceneNode
+    rx_node: SceneNode
     tx: NodePose
     rx: NodePose
 
     @property
     def name(self) -> str:
-        return f"{self.tx.node_id}_{self.rx.node_id}"
+        return f"{self.tx_node.node_id}_{self.rx_node.node_id}"
 
     @property
     def los_delay(self) -> float:
@@ -63,11 +66,10 @@ class Link(NamedTuple):
 
 def _link_cube(cfg: RunConfig, i: int, link: Link) -> SlowTimeCube:
     """The CFR cube of link i, noised from generator seed [noise seed, i]."""
-    scene, tx_id, rx_id = cfg.scene, link.tx.node_id, link.rx.node_id
     if cfg.mode == "geometric":
-        paths = link_callback(scene, tx_id, rx_id)
+        paths = link_callback(cfg.scene, link.tx_node, link.rx_node)
     else:
-        paths = link_paths(scene, tx_id, rx_id, cfg.t0, doppler=True)
+        paths = link_paths(cfg.scene, link.tx, link.rx, cfg.t0, doppler=True)
     cube = synth_cfr(paths, cfg.waveform, t0=cfg.t0)
     if cfg.noise.snr_db is None:
         return cube
@@ -77,9 +79,8 @@ def _link_cube(cfg: RunConfig, i: int, link: Link) -> SlowTimeCube:
 def _simulate_links(cfg: RunConfig) -> Iterator[tuple[Link, SlowTimeCube]]:
     """Each link and its cube in link order, the cube made when asked for and held only by the
     caller, so a run holds one link's cube beyond its archive. A pool over links measured slower."""
-    scene = cfg.scene
-    for i, (tx_id, rx_id) in enumerate(scene.links()):
-        link = Link(scene.node(tx_id).pose(cfg.t0), scene.node(rx_id).pose(cfg.t0))
+    for i, (tx, rx) in enumerate(cfg.scene.links()):
+        link = Link(tx, rx, tx.pose(cfg.t0), rx.pose(cfg.t0))
         yield link, _link_cube(cfg, i, link)
 
 
@@ -97,8 +98,8 @@ def run_simulate(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
         los = link.los_delay
         links.append(
             {
-                "tx": link.tx.node_id,
-                "rx": link.rx.node_id,
+                "tx": link.tx_node.node_id,
+                "rx": link.rx_node.node_id,
                 "los_delay_s": los,
                 "los_delay_ns": los * 1e9,
                 "mean_power_db": cube.mean_power_db(),
@@ -305,8 +306,7 @@ def run_focus(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     w = cfg.waveform
     results = {}
     for tx in cfg.scene.tx_nodes:
-        paths = illumination_paths(cfg.scene, tx.node_id, center.position, cfg.t0,
-                                   point_velocity=center.velocity)
+        paths = illumination_paths(cfg.scene, tx.pose(cfg.t0), center)
         cfr = phase_ramps(paths.delay, w.delta_f, w.n_subcarriers) @ paths.gain
         pre = time_reversal_prefilter(cfr)
         gain = focusing_gain(cfr)

@@ -1,27 +1,29 @@
 """Scene assembly: nodes, targets, and clutter composed into per-link paths.
 
-A scene is the geometric ground truth. link_paths() turns it into the path
-table the channel synthesizer consumes, one call per link and block of
-symbol times: the direct Tx-Rx line-of-sight, one path per clutter
-scatterer (a PointScatterer at rest at its world-frame position), and one
-path per sample of targets.states(target, t), the one body-to-world map
-pose(t) + rotation(t)·body(t), whatever the kind of target. Every
-node answers pose(t) with a NodePose: (3,) for a static node, whose paths
-are then evaluated once per call and broadcast over its times, t.shape +
-(3,) on a trajectory. illumination_paths() builds the one-way Tx-to-point
-channel (direct plus single bounces off clutter) used for transmit
-predistortion.
+A scene is the geometric ground truth, and it passes objects, not ids: a
+link is a pair of SceneNodes (links()), and every path function takes the
+two antenna poses at t. link_paths() turns the scene into the path table
+the channel synthesizer consumes, one call per link and block of symbol
+times: the direct Tx-Rx line-of-sight, one path per clutter scatterer (a
+PointScatterer at rest at its world-frame position), and one path per
+sample of targets.states(target, t), the one body-to-world map
+pose(t) + rotation(t)·body(t), whatever the kind of target. Every node
+answers pose(t) with an anonymous NodePose: (3,) for a static node, whose
+paths are then evaluated once per call and broadcast over its times,
+t.shape + (3,) on a trajectory; names live on SceneNode.node_id and a
+target's name. illumination_paths() builds the one-way Tx-to-point channel
+(direct plus single bounces off clutter) used for transmit predistortion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import PathTable, join_paths
 from .errors import ConfigError, GeometryError
-from .geometry import C0, NodePose, Trajectory, as_vec3, pose_at
+from .geometry import C0, NodePose, Trajectory, pose_at
 from .geometry import bistatic_doppler  # noqa: F401  unused; bench/tracing.py counts calls made through it
 from .targets import FOUR_PI, PointScatterer, RigidTarget, Rotor, ScattererStates, bounce_paths, target_paths
 
@@ -38,12 +40,11 @@ class SceneNode:
         if isinstance(self.motion, NodePose):
             if np.any(self.motion.velocity != 0):
                 raise ConfigError(f"node {self.node_id!r}: a static node is at rest; give it a trajectory to move")
-            self.motion = replace(self.motion, node_id=self.node_id)
 
     def pose(self, t) -> NodePose:
-        """Pose at time(s) t, carrying node_id; a static node gives its stored (3,) pose."""
+        """Pose at time(s) t; a static node gives its stored (3,) pose."""
         if isinstance(self.motion, Trajectory):
-            return pose_at(self.motion, t, self.node_id)
+            return pose_at(self.motion, t)
         return self.motion
 
 
@@ -69,12 +70,6 @@ class SceneConfig:
                 raise ConfigError(f"duplicate node id {node.node_id!r}")
             seen.add(node.node_id)
 
-    def node(self, node_id: str) -> SceneNode:
-        for node in [*self.tx_nodes, *self.rx_nodes]:
-            if node.node_id == node_id:
-                return node
-        raise ConfigError(f"unknown node id {node_id!r}")
-
     def target(self, name: str | None = None):
         """The target called name, or the first target when name is None."""
         if not self.targets:
@@ -86,8 +81,8 @@ class SceneConfig:
                 return t
         raise ConfigError(f"scene has no target named {name!r}")
 
-    def links(self) -> list[tuple[str, str]]:
-        return [(tx.node_id, rx.node_id) for tx in self.tx_nodes for rx in self.rx_nodes]
+    def links(self) -> list[tuple[SceneNode, SceneNode]]:
+        return [(tx, rx) for tx in self.tx_nodes for rx in self.rx_nodes]
 
 
 def los_paths(tx: NodePose, rx: NodePose, lam: float, doppler: bool = False) -> PathTable:
@@ -112,14 +107,14 @@ def clutter_paths(clutter: list[PointScatterer], tx: NodePose, rx: NodePose, lam
     return bounce_paths(ScattererStates.stack(clutter), tx, rx, lam, doppler)
 
 
-def link_paths(scene: SceneConfig, tx_id: str, rx_id: str, t, doppler: bool = False) -> PathTable:
+def link_paths(scene: SceneConfig, tx: NodePose, rx: NodePose, t, doppler: bool = False) -> PathTable:
     """All paths of one sensing link at time(s) t: LoS + clutter + targets.
 
-    Returns a PathTable of shape t.shape + (P,). Geometric synthesis passes
-    a block of symbol times; fixed mode passes one time and doppler=True.
+    tx and rx are the two antenna poses at t. Returns a PathTable of shape
+    t.shape + (P,). Geometric synthesis passes a block of symbol times
+    (through link_callback); fixed mode passes one time, the link's poses
+    at t0, and doppler=True.
     """
-    tx = scene.node(tx_id).pose(t)
-    rx = scene.node(rx_id).pose(t)
     tables = []
     if scene.include_los:
         tables.append(los_paths(tx, rx, scene.wavelength, doppler))
@@ -130,23 +125,21 @@ def link_paths(scene: SceneConfig, tx_id: str, rx_id: str, t, doppler: bool = Fa
     return join_paths(tables, np.shape(t))
 
 
-def link_callback(scene: SceneConfig, tx_id: str, rx_id: str):
-    """Block callback times -> PathTable for geometric-mode synthesis of one link."""
-    return lambda times: link_paths(scene, tx_id, rx_id, times)
+def link_callback(scene: SceneConfig, tx_node: SceneNode, rx_node: SceneNode):
+    """Geometric-mode block callback: times -> link_paths at the nodes' poses at those times."""
+    return lambda times: link_paths(scene, tx_node.pose(times), rx_node.pose(times), times)
 
 
-def illumination_paths(scene: SceneConfig, tx_id: str, point, t: float,
-                       point_velocity=None) -> PathTable:
+def illumination_paths(scene: SceneConfig, tx: NodePose, end: NodePose) -> PathTable:
     """One-way Tx-to-point channel: direct ray plus single bounces via clutter.
 
     This is the illumination channel a transmitter can pre-distort against;
-    the target position is treated as the receive point. Returns a (P,)
-    table, direct ray first, whose doppler array is filled: a moving point
-    (point_velocity) gives each path its own Doppler via the path's final
-    leg, which is what makes per-path Doppler matching meaningful.
+    tx is the Tx pose and end the receive point's pose (a target's), both
+    at one instant. Returns a (P,) table, direct ray first, whose doppler
+    array is filled: a moving point gives each path its own Doppler via the
+    path's final leg, which is what makes per-path Doppler matching
+    meaningful.
     """
-    tx = scene.node(tx_id).pose(t)
-    end = NodePose(as_vec3(point), np.zeros(3) if point_velocity is None else as_vec3(point_velocity))
     tables = [los_paths(tx, end, scene.wavelength, doppler=True)]
     if scene.clutter:
         tables.append(clutter_paths(scene.clutter, tx, end, scene.wavelength, doppler=True))

@@ -130,7 +130,7 @@ class RigidTarget:
 
     def pose(self, t) -> NodePose:
         """The cloud's body-frame origin on its track at time(s) t."""
-        return pose_at(self.trajectory, t, self.name)
+        return pose_at(self.trajectory, t)
 
     @cached_property
     def _headings(self) -> np.ndarray:
@@ -195,7 +195,7 @@ class Rotor:
             raise ConfigError(f"{self.n_blades} blades x {self.samples_per_blade} samples_per_blade: "
                               f"more than {MAX_AXIS_POINTS} rotor samples")
         self.sample_amplitude = complex(self.sample_amplitude)
-        self._hub = NodePose(self.hub_offset, node_id=self.name)   # made once: synthesis asks on every block
+        self._hub = NodePose(self.hub_offset)   # made once: synthesis asks on every block
 
     def pose(self, t) -> NodePose:
         """The hub, at rest at every time."""

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from bisim.scene import link_paths
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 FULL_SCENE = """
@@ -101,6 +103,12 @@ processing:
 outputs:
   directory: out
 """
+
+
+def first_link_paths(scene, t, doppler=False):
+    """link_paths of a scene's first link, at its two nodes' poses at time(s) t."""
+    tx, rx = scene.links()[0]
+    return link_paths(scene, tx.pose(t), rx.pose(t), t, doppler)
 
 
 @pytest.fixture

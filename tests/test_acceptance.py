@@ -131,17 +131,17 @@ def test_criterion_3_clutter_collapse():
         background = SceneConfig(
             scene.tx_nodes, scene.rx_nodes, [], scene.clutter, wavelength=LAM
         )
-        bg_cube = synth_cfr(link_callback(background, "tx0", "rx0"), w)
+        bg_cube = synth_cfr(link_callback(background, *background.links()[0]), w)
         bg_map = delay_doppler_map(bg_cube)
         energy = np.abs(bg_map.data) ** 2
         frac = energy[:, bg_map.zero_doppler_bin].sum() / energy.sum()
 
-        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
+        cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
         ddm = delay_doppler_map(cube)
         t_mid = w.duration / 2
         pose = pose_at(scene.targets[0].trajectory, t_mid)
-        tx0 = scene.node("tx0").pose(t_mid)
-        rx0 = scene.node("rx0").pose(t_mid)
+        tx0 = scene.tx_nodes[0].pose(t_mid)
+        rx0 = scene.rx_nodes[0].pose(t_mid)
         rb, _ = bistatic_range(tx0.position, rx0.position, pose.position)
         fd = bistatic_doppler(tx0, rx0, pose.position, pose.velocity, LAM)
         pred = (int(round(rb / C0 * w.bandwidth)), int(np.argmin(np.abs(ddm.doppler_hz - fd))))
@@ -174,16 +174,16 @@ def test_criterion_4_clean_efficacy():
             Trajectory.from_waypoints([(0.0, (120, 90, 0)), (1.0, (160, 50, 0))]),
         )
         scene = SceneConfig([tx], [rx], [target], [reflector], wavelength=LAM)
-        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
+        cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
 
         res = subtract_dominant_paths(cube, 2)
         # residual static-path power: what survives of (LoS + reflection)
         # after subtraction, isolated from the mover by exact superposition
         static_scene = SceneConfig([tx], [rx], [], [reflector], wavelength=LAM)
-        static_cube = synth_cfr(link_callback(static_scene, "tx0", "rx0"), w)
+        static_cube = synth_cfr(link_callback(static_scene, *static_scene.links()[0]), w)
         target_scene = SceneConfig([tx], [rx], [target], [], wavelength=LAM,
                                    include_los=False)
-        target_cube = synth_cfr(link_callback(target_scene, "tx0", "rx0"), w)
+        target_cube = synth_cfr(link_callback(target_scene, *target_scene.links()[0]), w)
         leftover = res.residual.data - target_cube.data
         suppression_db = 10 * np.log10(
             np.sum(np.abs(leftover) ** 2) / np.sum(np.abs(static_cube.data) ** 2)
@@ -239,7 +239,7 @@ def test_criterion_5_micro_doppler_band():
         rx = SceneNode("rx0", NodePose(vec3(-10, -0.25, 0)))
         scene = SceneConfig([tx], [rx], [rotor], wavelength=LAM, include_los=False)
         w = WaveformConfig(3.7e9, 16e6, 128, 2048 + 32 * 14)  # t_sym = 8 us
-        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
+        cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
 
         profiles = np.fft.ifft(cube.data, axis=1)
         series = profiles[:, int(np.argmax(np.mean(np.abs(profiles) ** 2, axis=0)))]
@@ -341,9 +341,9 @@ def fusion_scene(rng, span=80.0):
         tx = np.append(rng.uniform(-span, span, 2), 0.0)
         if min(np.linalg.norm(target - p) for p in [tx, *rx]) < 5.0:
             continue
-        nodes = {"tx0": NodePose(tx, node_id="tx0")}
+        nodes = {"tx0": NodePose(tx)}
         nodes.update(
-            {f"rx{i}": NodePose(p, node_id=f"rx{i}") for i, p in enumerate(rx)}
+            {f"rx{i}": NodePose(p) for i, p in enumerate(rx)}
         )
         links = [("tx0", f"rx{i}") for i in range(3)]
         rows = []
@@ -376,8 +376,8 @@ def test_criterion_7_fusion_closed_loop():
 
         # single-link Doppler blindness: tangential velocity measures 0 Hz
         blind_nodes = {
-            "tx0": NodePose(vec3(-50, 0, 0), node_id="tx0"),
-            "rx0": NodePose(vec3(50, 0, 0), node_id="rx0"),
+            "tx0": NodePose(vec3(-50, 0, 0)),
+            "rx0": NodePose(vec3(50, 0, 0)),
         }
         pos = vec3(0, 40, 0)
         fd_blind = bistatic_doppler(

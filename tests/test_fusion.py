@@ -45,10 +45,10 @@ def three_link_scene(rng, span=80.0, min_cond=None):
         if min(np.linalg.norm(target - p) for p in [tx, *rx]) < 5.0:
             continue
         nodes = {
-            "tx0": NodePose(tx, node_id="tx0"),
-            "rx0": NodePose(rx[0], node_id="rx0"),
-            "rx1": NodePose(rx[1], node_id="rx1"),
-            "rx2": NodePose(rx[2], node_id="rx2"),
+            "tx0": NodePose(tx),
+            "rx0": NodePose(rx[0]),
+            "rx1": NodePose(rx[1]),
+            "rx2": NodePose(rx[2]),
         }
         links = [("tx0", "rx0"), ("tx0", "rx1"), ("tx0", "rx2")]
         if min_cond is not None:
@@ -96,9 +96,9 @@ class TestLocalize:
     def test_two_links_return_twin_solutions(self):
         # all nodes collinear: ellipse intersections mirror across the axis
         nodes = {
-            "tx0": NodePose(vec3(-50, 0, 0), node_id="tx0"),
-            "rx0": NodePose(vec3(50, 0, 0), node_id="rx0"),
-            "rx1": NodePose(vec3(10, 0, 0), node_id="rx1"),
+            "tx0": NodePose(vec3(-50, 0, 0)),
+            "rx0": NodePose(vec3(50, 0, 0)),
+            "rx1": NodePose(vec3(10, 0, 0)),
         }
         target = vec3(15, 30, 0)
         twin = vec3(15, -30, 0)
@@ -113,8 +113,8 @@ class TestLocalize:
 
     def test_forward_scattering_degenerate(self):
         nodes = {
-            "tx0": NodePose(vec3(-40, 0, 0), node_id="tx0"),
-            "rx0": NodePose(vec3(40, 0, 0), node_id="rx0"),
+            "tx0": NodePose(vec3(-40, 0, 0)),
+            "rx0": NodePose(vec3(40, 0, 0)),
         }
         obs = [BistaticObservation(nodes["tx0"], nodes["rx0"], 0.0, 0.0, LAM)]
         est = localize(obs, dim=2)
@@ -123,8 +123,8 @@ class TestLocalize:
 
     def test_one_link_in_two_d_is_unconditioned(self):
         # one range row cannot fix two axes: the same verdict as geometry_condition
-        nodes = {"tx0": NodePose(vec3(-40, 0, 0), node_id="tx0"),
-                 "rx0": NodePose(vec3(40, 0, 0), node_id="rx0")}
+        nodes = {"tx0": NodePose(vec3(-40, 0, 0)),
+                 "rx0": NodePose(vec3(40, 0, 0))}
         target = vec3(5, 30, 0)
         est = fuse(make_obs(nodes, [("tx0", "rx0")], target, velocity=vec3(3, -2, 0)), dim=2)
         assert est.ambiguous
@@ -139,11 +139,11 @@ class TestLocalize:
 
     def test_three_d_recovery(self):
         nodes = {
-            "tx0": NodePose(vec3(-30, 0, 2), node_id="tx0"),
-            "rx0": NodePose(vec3(30, 5, 0), node_id="rx0"),
-            "rx1": NodePose(vec3(0, 35, 10), node_id="rx1"),
-            "rx2": NodePose(vec3(-5, -28, 6), node_id="rx2"),
-            "rx3": NodePose(vec3(12, 8, 30), node_id="rx3"),
+            "tx0": NodePose(vec3(-30, 0, 2)),
+            "rx0": NodePose(vec3(30, 5, 0)),
+            "rx1": NodePose(vec3(0, 35, 10)),
+            "rx2": NodePose(vec3(-5, -28, 6)),
+            "rx3": NodePose(vec3(12, 8, 30)),
         }
         target = vec3(4, 7, 12)
         links = [("tx0", r) for r in ("rx0", "rx1", "rx2", "rx3")]
@@ -155,8 +155,8 @@ class TestLocalize:
 class TestEstimateVelocity:
     def test_tangential_single_link_is_blind(self):
         nodes = {
-            "tx0": NodePose(vec3(-50, 0, 0), node_id="tx0"),
-            "rx0": NodePose(vec3(50, 0, 0), node_id="rx0"),
+            "tx0": NodePose(vec3(-50, 0, 0)),
+            "rx0": NodePose(vec3(50, 0, 0)),
         }
         target = vec3(0, 40, 0)
         vel = vec3(9.0, 0, 0)  # tangential to the iso-range ellipse here
@@ -181,9 +181,9 @@ class TestEstimateVelocity:
 
     def test_moving_nodes_compensated(self):
         nodes = {
-            "tx0": NodePose(vec3(-60, 10, 0), vec3(5, -3, 0), node_id="tx0"),
-            "rx0": NodePose(vec3(70, 0, 0), vec3(-4, 2, 0), node_id="rx0"),
-            "rx1": NodePose(vec3(0, 90, 0), vec3(1, 6, 0), node_id="rx1"),
+            "tx0": NodePose(vec3(-60, 10, 0), vec3(5, -3, 0)),
+            "rx0": NodePose(vec3(70, 0, 0), vec3(-4, 2, 0)),
+            "rx1": NodePose(vec3(0, 90, 0), vec3(1, 6, 0)),
         }
         target = vec3(5, 20, 0)
         vel = vec3(-7, 11, 0)
@@ -193,8 +193,8 @@ class TestEstimateVelocity:
 
     def test_blind_directions_are_null_space(self):
         nodes = {
-            "tx0": NodePose(vec3(-50, 0, 0), node_id="tx0"),
-            "rx0": NodePose(vec3(50, 0, 0), node_id="rx0"),
+            "tx0": NodePose(vec3(-50, 0, 0)),
+            "rx0": NodePose(vec3(50, 0, 0)),
         }
         target = vec3(10, 25, 0)
         obs = make_obs(nodes, [("tx0", "rx0")], target, vec3(3, 4, 0))
@@ -295,7 +295,7 @@ class TestClosedLoop:
         rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
         shift = vec3(120, -45, 0)
         moved = {
-            k: NodePose(rot @ n.position + shift, rot @ n.velocity, k)
+            k: NodePose(rot @ n.position + shift, rot @ n.velocity)
             for k, n in nodes.items()
         }
         # the measurements are invariants of the geometry: reuse them on the moved poses
@@ -307,10 +307,10 @@ class TestClosedLoop:
 
     def test_snapshot_consistency_along_trajectory(self):
         nodes = {
-            "tx0": NodePose(vec3(-90, 0, 0), node_id="tx0"),
-            "rx0": NodePose(vec3(90, 10, 0), node_id="rx0"),
-            "rx1": NodePose(vec3(0, 100, 0), node_id="rx1"),
-            "rx2": NodePose(vec3(20, -80, 0), node_id="rx2"),
+            "tx0": NodePose(vec3(-90, 0, 0)),
+            "rx0": NodePose(vec3(90, 10, 0)),
+            "rx1": NodePose(vec3(0, 100, 0)),
+            "rx2": NodePose(vec3(20, -80, 0)),
         }
         links = [("tx0", "rx0"), ("tx0", "rx1"), ("tx0", "rx2")]
         p0 = vec3(10, 20, 0)
@@ -330,8 +330,7 @@ def noisy_scene(rng, n_links, sigma_m=0.3):
     nodes, links, target, vel = three_link_scene(rng, min_cond=20.0)
     if n_links == 4:
         ang = rng.uniform(0, 2 * np.pi)
-        nodes["tx1"] = NodePose(target + rng.uniform(40, 80) * np.array([np.cos(ang), np.sin(ang), 0]),
-                                node_id="tx1")
+        nodes["tx1"] = NodePose(target + rng.uniform(40, 80) * np.array([np.cos(ang), np.sin(ang), 0]))
         links.append(("tx1", "rx0"))
     obs = make_obs(nodes, links, target, vel)
     for o in obs:
@@ -400,9 +399,9 @@ class TestCoarseToFine:
             side = ang + np.pi / 2 + rng.uniform(-0.3, 0.3)
             tx = p + rng.uniform(80, 150) * np.array([np.cos(side), np.sin(side), 0.0])
             nodes = {
-                "tx0": NodePose(tx, node_id="tx0"),
-                "rx0": NodePose(rx_for_twins(p, q, tx, rng.uniform(60, 120)), node_id="rx0"),
-                "rx1": NodePose(rx_for_twins(p, q, tx, -rng.uniform(60, 120)), node_id="rx1"),
+                "tx0": NodePose(tx),
+                "rx0": NodePose(rx_for_twins(p, q, tx, rng.uniform(60, 120))),
+                "rx1": NodePose(rx_for_twins(p, q, tx, -rng.uniform(60, 120))),
             }
             obs = make_obs(nodes, [("tx0", "rx0"), ("tx0", "rx1")], p)
             est = localize(obs, dim=2)
@@ -415,14 +414,14 @@ class TestCoarseToFine:
         # link tx0-rx0 alone sets the search box: center 0, 64 cells per
         # axis over 1.5x its ellipse's extent; rx1 then sits on one of them
         target = vec3(20, 50, 0)
-        nodes = {"tx0": NodePose(vec3(-200, 0, 0), node_id="tx0"),
-                 "rx0": NodePose(vec3(200, 0, 0), node_id="rx0"),
-                 "rx2": NodePose(vec3(-30, 40, 0), node_id="rx2")}
+        nodes = {"tx0": NodePose(vec3(-200, 0, 0)),
+                 "rx0": NodePose(vec3(200, 0, 0)),
+                 "rx2": NodePose(vec3(-30, 40, 0))}
         a = bistatic_range(nodes["tx0"].position, nodes["rx0"].position, target)[0] / 2
         xs = np.linspace(-1.5 * (200 + a), 1.5 * (200 + a), 64)
         ys = np.linspace(-1.5 * a, 1.5 * a, 64)
         node = vec3(xs[np.argmin(abs(xs - 60))], ys[np.argmin(abs(ys + 20))], 0)
-        nodes["rx1"] = NodePose(node, node_id="rx1")
+        nodes["rx1"] = NodePose(node)
         obs = make_obs(nodes, [("tx0", "rx0"), ("tx0", "rx1"), ("tx0", "rx2")], target)
 
         scored = []
@@ -445,7 +444,7 @@ class TestCoarseToFine:
         heights = [10.0, 25.0, 0.0, 15.0, 5.0, 20.0]
         pos = [vec3(240 * np.cos(b), 240 * np.sin(b), h) for b, h in zip(bearing, heights)]
         names = ["tx0", "tx1", "rx0", "rx1", "rx2", "rx3"]
-        nodes = {n: NodePose(p, node_id=n) for n, p in zip(names, pos)}
+        nodes = {n: NodePose(p) for n, p in zip(names, pos)}
         links = [(t, r) for t in names[:2] for r in names[2:]]
         target, vel = vec3(4, -7, 1.5), vec3(18, -12, 0)
         obs = make_obs(nodes, links, target, vel)

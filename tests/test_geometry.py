@@ -38,7 +38,7 @@ def random_scene(rng, min_sep=1.0):
 
 class TestNodePose:
     def test_accepts_stacks_of_three_vectors(self):
-        pose = NodePose(np.zeros((4, 3)), np.ones((4, 3)), "n0")
+        pose = NodePose(np.zeros((4, 3)), np.ones((4, 3)))
         assert pose.position.shape == pose.velocity.shape == (4, 3)
         assert NodePose(np.zeros((4, 3))).velocity.shape == (3,)
 

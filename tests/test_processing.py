@@ -76,7 +76,7 @@ class TestDelayDopplerMap:
             PointScatterer(vec3(300, 90, 0), 1.0),
         ]
         scene = SceneConfig([tx], [rx], [target], clutter, wavelength=LAM)
-        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
+        cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
         ddm = delay_doppler_map(cube)
 
         t_mid = w.n_symbols * w.t_sym / 2

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import yaml
+from conftest import first_link_paths
 
 from bisim.channel import WaveformConfig, synth_cfr
 from bisim.cli import main
@@ -15,7 +16,6 @@ from bisim.scene import (
     SceneNode,
     illumination_paths,
     link_callback,
-    link_paths,
 )
 from bisim.targets import FOUR_PI, PointScatterer, RigidTarget, Rotor
 
@@ -44,7 +44,7 @@ class TestSceneConfig:
         tx = [SceneNode(f"tx{i}", NodePose(vec3(i, 0, 0))) for i in range(2)]
         rx = [SceneNode(f"rx{i}", NodePose(vec3(0, i + 1, 0))) for i in range(3)]
         scene = SceneConfig(tx, rx, wavelength=LAM)
-        assert len(scene.links()) == 6
+        assert scene.links() == [(t, r) for t in tx for r in rx]
 
 
 class TestSceneNodePose:
@@ -57,11 +57,9 @@ class TestSceneNodePose:
     def test_times_array_equals_scalar_poses_bit_for_bit(self, motion):
         node = SceneNode("rx3", motion)
         many = node.pose(self.TIMES)
-        assert many.node_id == "rx3"
         shape = (len(self.TIMES), 3)
         for i, t in enumerate(self.TIMES):
             one = node.pose(t)
-            assert one.node_id == "rx3"
             assert np.array_equal(np.broadcast_to(many.position, shape)[i], one.position)
             assert np.array_equal(np.broadcast_to(many.velocity, shape)[i], one.velocity)
 
@@ -74,8 +72,8 @@ class TestSceneNodePose:
         w = WaveformConfig(3.7e9, 4e6, 16, 64)
         rx = SceneNode("rx0", Trajectory.from_waypoints([(0.0, (100, 0, 0)), (1.0, (120, 0, 0))]))
         scene = SceneConfig([SceneNode("tx0", NodePose(vec3(0, 0, 0)))], [rx], wavelength=w.wavelength)
-        fixed = link_paths(scene, "tx0", "rx0", 0.0, doppler=True).doppler[0]
-        phase = np.unwrap(np.angle(synth_cfr(link_callback(scene, "tx0", "rx0"), w).data[:, 0]))
+        fixed = first_link_paths(scene, 0.0, doppler=True).doppler[0]
+        phase = np.unwrap(np.angle(synth_cfr(link_callback(scene, *scene.links()[0]), w).data[:, 0]))
         slope = (phase[-1] - phase[0]) / (2 * np.pi * (w.n_symbols - 1) * w.t_sym)
         assert fixed == pytest.approx(-20 / w.wavelength, rel=1e-12)
         assert slope == pytest.approx(fixed, rel=1e-9)
@@ -83,14 +81,13 @@ class TestSceneNodePose:
     def test_static_node_returns_its_stored_pose(self):
         stored = NodePose(vec3(3, -4, 1))
         node = SceneNode("tx1", stored)
-        assert node.pose(0.0) is node.pose(self.TIMES) is node.motion
-        assert stored.node_id == ""   # the caller's pose is not renamed
+        assert node.pose(0.0) is node.pose(self.TIMES) is node.motion is stored
 
 
 class TestLinkPaths:
     def test_los_only(self):
         scene = basic_scene()
-        los = link_paths(scene, "tx0", "rx0", 0.0, doppler=True)
+        los = first_link_paths(scene, 0.0, doppler=True)
         assert len(los) == 1
         assert los.delay[0] == pytest.approx(100 / C0)
         assert abs(los.gain[0]) == pytest.approx(LAM / (FOUR_PI * 100))
@@ -98,7 +95,7 @@ class TestLinkPaths:
 
     def test_los_can_be_disabled(self):
         scene = basic_scene(include_los=False)
-        assert len(link_paths(scene, "tx0", "rx0", 0.0)) == 0
+        assert len(first_link_paths(scene, 0.0)) == 0
 
     def test_clutter_and_target_counts(self):
         target = RigidTarget(
@@ -109,13 +106,13 @@ class TestLinkPaths:
             targets=[target],
             clutter=[PointScatterer(vec3(20, -30, 0), 1.0)],
         )
-        paths = link_paths(scene, "tx0", "rx0", 0.0)
+        paths = first_link_paths(scene, 0.0)
         assert len(paths) == 1 + 1 + 2
 
     def test_clutter_delay_and_gain(self):
         sc = PointScatterer(vec3(30, 40, 0), 2.0)
         scene = basic_scene(clutter=[sc])
-        paths = link_paths(scene, "tx0", "rx0", 0.0, doppler=True)
+        paths = first_link_paths(scene, 0.0, doppler=True)
         d1 = 50.0
         d2 = np.linalg.norm(np.array([100, 0, 0]) - sc.position)
         assert paths.delay[1] == pytest.approx((d1 + d2) / C0)
@@ -129,7 +126,7 @@ class TestLinkPaths:
         )
         scene = basic_scene(targets=[target])
         w = WaveformConfig(3.7e9, 20e6, 32, 16)
-        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
+        cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
         assert cube.data.shape == (16, 32)
         assert np.sum(np.abs(cube.data) ** 2) > 0
 
@@ -141,7 +138,7 @@ class TestLinkPaths:
             Trajectory.from_waypoints([(0.0, (50, 60, 0)), (1.0, (62, 55, 0))]),
         )
         scene = basic_scene(targets=[target], clutter=[PointScatterer(vec3(20, -30, 0), 1.0)])
-        paths = link_paths(scene, "tx0", "rx0", 0.25, doppler=doppler)
+        paths = first_link_paths(scene, 0.25, doppler=doppler)
         assert (paths.doppler is not None) == doppler
         w = WaveformConfig(3.7e9, 20e6, 48, 40)
         cube = synth_cfr(paths, w)
@@ -156,11 +153,6 @@ class TestLinkPaths:
             assert np.any(paths.doppler != 0.0)
         else:
             assert np.allclose(cube.data, cube.data[0])
-
-    def test_unknown_node(self):
-        scene = basic_scene()
-        with pytest.raises(ConfigError):
-            link_paths(scene, "tx9", "rx0", 0.0)
 
 
 def oracle_scene(w):
@@ -247,7 +239,7 @@ class TestGeometricSynthesis:
         scene = oracle_scene(w)
         assert scene.rx_nodes[0].motion.times[-1] < w.duration / 2
         assert scene.targets[0].trajectory.times[-1] < w.duration
-        cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
+        cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
         ref = direct_cfr(scene, w)
         assert np.max(np.abs(cube.data - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -264,7 +256,7 @@ class TestGeometricSynthesis:
 
         def callback(times):
             blocks.append(times)
-            return link_paths(scene, "tx0", "rx0", times)
+            return first_link_paths(scene, times)
 
         with pytest.raises(GeometryError):
             synth_cfr(callback, w)
@@ -293,7 +285,7 @@ class TestGeometricSynthesis:
         assert w.n_symbols * 64 * w.n_subcarriers * 16 >= 1e9
         tracemalloc.start()
         try:
-            cube = synth_cfr(link_callback(scene, "tx0", "rx0"), w)
+            cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -307,16 +299,15 @@ class TestIlluminationPaths:
             clutter=[PointScatterer(vec3(20, 30, 0), 1.5), PointScatterer(vec3(40, -25, 0), 1.0)]
         )
         point = vec3(60, 10, 0)
-        paths = illumination_paths(scene, "tx0", point, 0.0)
+        paths = illumination_paths(scene, scene.tx_nodes[0].pose(0.0), NodePose(point))
         assert len(paths) == 3
         assert paths.delay[0] == pytest.approx(np.linalg.norm(point) / C0)
         assert paths.delay[1] > paths.delay[0]
 
     def test_moving_point_gets_per_path_doppler(self):
         scene = basic_scene(clutter=[PointScatterer(vec3(20, 30, 0), 1.5)])
-        paths = illumination_paths(
-            scene, "tx0", vec3(60, 10, 0), 0.0, point_velocity=vec3(-12, 3, 0)
-        )
+        moving = NodePose(vec3(60, 10, 0), vec3(-12, 3, 0))
+        paths = illumination_paths(scene, scene.tx_nodes[0].pose(0.0), moving)
         dopplers = {round(f, 6) for f in paths.doppler.tolist()}
         assert len(dopplers) == len(paths)  # distinct per-path shifts
         out = doppler_precompensate(paths)
@@ -328,7 +319,7 @@ class TestIlluminationPaths:
             clutter=[PointScatterer(vec3(20, 35, 0), 4.0), PointScatterer(vec3(45, -30, 0), 4.0)]
         )
         w = WaveformConfig(3.7e9, 160e6, 256, 1)
-        paths = illumination_paths(scene, "tx0", vec3(60, 10, 0), 0.0)
+        paths = illumination_paths(scene, scene.tx_nodes[0].pose(0.0), NodePose(vec3(60, 10, 0)))
         k = np.arange(w.n_subcarriers)
         cfr = np.zeros(w.n_subcarriers, dtype=complex)
         for delay, gain in zip(paths.delay, paths.gain):
@@ -338,4 +329,4 @@ class TestIlluminationPaths:
     def test_coincident_point_rejected(self):
         scene = basic_scene()
         with pytest.raises(GeometryError):
-            illumination_paths(scene, "tx0", vec3(0, 0, 0), 0.0)
+            illumination_paths(scene, scene.tx_nodes[0].pose(0.0), NodePose(vec3(0, 0, 0)))
