@@ -18,7 +18,7 @@ ConfigError naming its key path:
 - booleans are YAML true/false only, so "false" is an error;
 - window names must be known to channel.named_window();
 - echo-only keys (waveform.subcarrier_spacing_hz) are derived: the echo
-  writes them, the parser accepts and ignores them.
+  writes them, and a given one must match to 1e-12 relative.
 
 Leaves with several forms take exactly one, and the echo writes the first:
 a waypoint is {t, position} or [t, [x, y, z]]; an angle axis a list, a
@@ -39,7 +39,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .channel import WaveformConfig, named_window
+from .channel import _ORTHO_RTOL, WaveformConfig, named_window
 from .errors import ConfigError
 from .geometry import C0, NodePose, Trajectory
 from .scene import SceneConfig, SceneNode
@@ -201,9 +201,14 @@ def _build(cls: Callable, spec, table: list, where: str, root: dict | None):
         if not getattr(entry, "echo_only", False):
             fields[entry.attr] = entry.read(spec, where, fields if root is None else root)
     try:
-        return cls(**fields)
+        obj = cls(**fields)
     except ConfigError as err:
         raise type(err)(f"{where or 'config'}: {err}") from None
+    for entry in (e for e in table if getattr(e, "echo_only", False) and spec.get(e.name) is not None):
+        derived = getattr(obj, entry.attr)
+        if not math.isclose(entry.read(spec, where, root), derived, rel_tol=_ORTHO_RTOL):
+            raise ConfigError(f"{_at(where, entry.name)}: expected {derived} to {_ORTHO_RTOL:g} relative")
+    return obj
 
 
 def _echo(obj, table: list) -> dict:

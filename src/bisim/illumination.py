@@ -37,19 +37,18 @@ def time_reversal_prefilter(tx_to_target_cfr: np.ndarray) -> np.ndarray:
     return np.conj(cfr) / np.sqrt(energy)
 
 
-def focusing_gain(tx_to_target_cfr: np.ndarray) -> float:
+def focusing_gain(tx_to_target_cfr: np.ndarray, prefilter: np.ndarray) -> float:
     """Peak received power with time reversal over the unfocused peak.
 
-    Both excitations carry unit transmit energy: the prefilter versus a
-    flat spectrum. The cascade H·conj(H) is real and nonnegative, so its
-    peak is the coherent sum of all path power; the ratio is >= 1 for every
-    channel and exactly N for N equal-power paths at distinct on-grid
-    delays.
+    prefilter is the channel's time_reversal_prefilter. Both excitations
+    carry unit transmit energy: the prefilter versus a flat spectrum. The
+    cascade H·conj(H) is real and nonnegative, so its peak is the coherent
+    sum of all path power; the ratio is >= 1 for every channel and exactly N
+    for N equal-power paths at distinct on-grid delays.
     """
     cfr = np.asarray(tx_to_target_cfr, dtype=complex)
-    g = time_reversal_prefilter(cfr)
     flat = np.ones(cfr.size) / np.sqrt(cfr.size)
-    focused_peak = float(np.max(np.abs(np.fft.ifft(cfr * g)) ** 2))
+    focused_peak = float(np.max(np.abs(np.fft.ifft(cfr * prefilter)) ** 2))
     unfocused_peak = float(np.max(np.abs(np.fft.ifft(cfr * flat)) ** 2))
     return focused_peak / unfocused_peak
 
@@ -72,7 +71,6 @@ def _weighted_spread(dopplers: np.ndarray, powers: np.ndarray) -> tuple[float, f
 class DopplerCompensation:
     """Per-path Doppler matching result with before/after spreads (Hz)."""
 
-    paths: PathTable
     offsets_hz: np.ndarray
     reference_hz: float
     spread_before_hz: float
@@ -84,21 +82,19 @@ def doppler_precompensate(paths: PathTable) -> DopplerCompensation:
 
     Takes a (P,) table whose doppler is filled (None reads as static).
     Applies the per-path offset -f_D,i + f_ref, so in the ideal per-path
-    model the residual power-weighted Doppler spread is zero while the
-    total path power is untouched. The result's paths keep the delays and
-    gains and carry f_ref as every Doppler. Both the original spread and
-    the residual one are reported; the residual is residual_spread of the
-    input Dopplers plus the offsets, so only rounding (well under 1e-9 Hz)
-    separates it from zero, and a wrong offset shows. A power sum or a
-    spread that is not finite raises ConfigError.
+    model the residual power-weighted Doppler spread is zero while the total
+    path power is untouched. Both the original spread and the residual one
+    are reported; the residual is residual_spread of the input Dopplers plus
+    the offsets, so only rounding (well under 1e-9 Hz) separates it from
+    zero, and a wrong offset shows. A power sum or a spread that is not
+    finite raises ConfigError.
     """
     if len(paths) == 0:
         raise ConfigError("need at least one path")
     dopplers = np.zeros(len(paths)) if paths.doppler is None else paths.doppler
     f_ref, before = _weighted_spread(dopplers, np.abs(paths.gain) ** 2)
     offsets = f_ref - dopplers
-    compensated = PathTable(paths.delay, paths.gain, np.full(len(paths), f_ref))
-    return DopplerCompensation(compensated, offsets, f_ref, before, residual_spread(paths, offsets))
+    return DopplerCompensation(offsets, f_ref, before, residual_spread(paths, offsets))
 
 
 def residual_spread(paths: PathTable, offsets_hz) -> float:

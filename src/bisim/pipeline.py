@@ -5,16 +5,17 @@ whose summary echoes the config and names the subcommand; the runner adds
 its datasets and returns its results, a pure function of (RunConfig,
 threads); run() then writes the archive, its YAML summary sidecar, and
 optional CSV exports where the echoed outputs say. Synthesis starts at t0,
-and the scans see their target at t0. Identical config + seed produce byte-identical
-archives for any worker count: threads only fan out the fixed blocks of Rx
-directions of a reflectivity scan, whose boundaries come from a memory
-budget and not from the worker count, each written to its own slice of the
-output; links are streamed in order, one at a time, each synthesized and
-noised (from its own seeded generator) just before it is processed. A link
-is resolved once into a Link of its two nodes and their poses at t0: fixed
-mode takes its paths at those poses, geometric mode asks the nodes for
-their poses block by block, and the Link names its datasets and summary
-keys, gives its LoS delay and rides on its fusion observation.
+and the scans see their target's body in its own frame. Identical config +
+seed produce byte-identical archives for any worker count: threads only fan
+out the fixed blocks of Rx directions of a reflectivity scan, whose
+boundaries come from a memory budget and not from the worker count, each
+written to its own slice of the output; links are streamed in order, one at
+a time, each synthesized and noised (from its own seeded generator) just
+before it is processed. A link is resolved once into a Link of its two
+nodes and their poses at t0: fixed mode takes its paths at those poses,
+geometric mode asks the nodes for their poses block by block, and the Link
+names its datasets and summary keys, gives its LoS delay and rides on its
+fusion observation.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def run_reflectivity(cfg: RunConfig, archive: ResultArchive, threads: int) -> di
         raise ConfigError("config has no reflectivity section")
     job = cfg.reflectivity
     target = cfg.scene.target(job.target)
-    tensor = reflectivity_scan(target, job.grid, job.d_tx, job.d_rx, job.band, t=cfg.t0,
+    tensor = reflectivity_scan(target, job.grid, job.d_tx, job.d_rx, job.band,
                                sweep_window=job.sweep_window, threads=threads)
     pol = np.array([0.0, 1.0])
     archive.add(
@@ -281,7 +282,7 @@ def run_flyover(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     job = cfg.flyover
     target = cfg.scene.target(job.target)
     fly = flyover_scan(target, job.fixed_angle_deg, (job.start_deg, job.stop_deg, job.step_deg), job.d_tx,
-                       job.d_rx, job.band, elevation_deg=job.elevation_deg, t=cfg.t0, sweep_window=job.sweep_window)
+                       job.d_rx, job.band, elevation_deg=job.elevation_deg, sweep_window=job.sweep_window)
     data = fly.data
     if cfg.processing.gate is not None:
         g = cfg.processing.gate
@@ -309,7 +310,7 @@ def run_focus(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
         paths = illumination_paths(cfg.scene, tx.pose(cfg.t0), center)
         cfr = phase_ramps(paths.delay, w.delta_f, w.n_subcarriers) @ paths.gain
         pre = time_reversal_prefilter(cfr)
-        gain = focusing_gain(cfr)
+        gain = focusing_gain(cfr, pre)
         comp = doppler_precompensate(paths)
         archive.add(
             f"prefilter_{tx.node_id}",

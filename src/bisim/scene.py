@@ -7,7 +7,7 @@ the channel synthesizer consumes, one call per link and block of symbol
 times: the direct Tx-Rx line-of-sight, one path per clutter scatterer (a
 PointScatterer at rest at its world-frame position), and one path per
 sample of targets.states(target, t), the one body-to-world map
-pose(t) + rotation(t)·body(t), whatever the kind of target. Every node
+pose(t) + rotation(t)·body, whatever the kind of target. Every node
 answers pose(t) with an anonymous NodePose: (3,) for a static node, whose
 paths are then evaluated once per call and broadcast over its times,
 t.shape + (3,) on a trajectory; names live on SceneNode.node_id and a

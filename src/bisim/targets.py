@@ -21,13 +21,12 @@ scatterer by all four entries of its Jones matrix, flyover_scan (the
 gantry HH map) by J_HH. The config sets no Jones matrix, so every
 scatterer it builds has the identity.
 
-A target (RigidTarget, Rotor) answers name, pose(t) (its body-frame
+A target (RigidTarget, Rotor) is a rigid body: name, pose(t) (its body
 origin and that origin's velocity), rotation(t) (its body axes in world
-coordinates, (..., 3, 3), or None when they are the world axes) and
-body(t) (its samples in the body frame: a rigid cloud at rest, a rotor's
-blades about its hub). states(target, t) is the one body-to-world map,
-pose(t) + rotation(t)·body(t), which synthesis uses; a range scan centres
-on the pose and uses body(t) as it is. No code branches on the kind of a target.
+coordinates, (..., 3, 3), or None for the world axes) and body, its
+samples in the body frame, built once. states(target, t) is the one
+body-to-world map, pose(t) + rotation(t)·body; a scan centres on the pose
+and sees the body in its own frame. No code branches on the kind of target.
 """
 
 from __future__ import annotations
@@ -89,12 +88,12 @@ class PointScatterer:
 class ScattererStates:
     """States of all N samples of one target, or of the clutter, at time(s) t.
 
-    positions and velocities have shape t.shape + (N, 3); amplitudes (N,)
-    and jones (N, 2, 2) do not change with time.
+    positions and velocities (None without Doppler) have shape t.shape + (N, 3);
+    amplitudes (N,) and jones (N, 2, 2) do not change with time.
     """
 
     positions: np.ndarray
-    velocities: np.ndarray
+    velocities: np.ndarray | None
     amplitudes: np.ndarray  # (N,) complex
     jones: np.ndarray       # (N, 2, 2) complex
 
@@ -147,12 +146,11 @@ class RigidTarget:
             yaw = self._headings[self.trajectory.segment(t)]
         else:
             yaw = np.full(np.shape(t), float(self.yaw))
-        c, s = np.cos(yaw), np.sin(yaw)
-        zero, one = np.zeros_like(c), np.ones_like(c)
-        return np.stack([c, -s, zero, s, c, zero, zero, zero, one], -1).reshape(*c.shape, 3, 3)
+        return _z_turn(yaw)
 
-    def body(self, t) -> ScattererStates:
-        """The cloud at rest in its body frame, at every time."""
+    @cached_property
+    def body(self) -> ScattererStates:
+        """The cloud at rest in its body frame."""
         return ScattererStates.stack(self.scatterers)
 
 
@@ -161,14 +159,11 @@ class Rotor:
     """Rotating blade set, sampled as uniform line arrays along each blade.
 
     hub_offset is the hub position in the world frame and is the rotor's
-    pose; body(t) gives the blade samples about the hub, along world axes
-    (rotation(t) is None). axis is the unit rotation axis, rate the signed
-    angular rate in rad/s.
-    Every sample shares sample_amplitude as its scattering length. The
-    sample speed grows linearly with radius up to rate*blade_radius at the
-    tips. For spectrally smooth micro-Doppler keep the inter-sample spacing
-    blade_radius/samples_per_blade below a quarter wavelength
-    (see sampling_ok).
+    pose; body holds the blade samples about the hub at phase0, and
+    rotation(t) turns them by rate·t about axis (unit; rate in rad/s). Every
+    sample has scattering length sample_amplitude and speed rate·r at radius
+    r. For spectrally smooth micro-Doppler keep the sample spacing
+    blade_radius/samples_per_blade below λ/4 (sampling_ok).
     """
 
     hub_offset: np.ndarray
@@ -201,13 +196,9 @@ class Rotor:
         """The hub, at rest at every time."""
         return self._hub
 
-    @property
-    def sample_spacing(self) -> float:
-        return self.blade_radius / self.samples_per_blade
-
     def sampling_ok(self, lam: float) -> bool:
         """True if blade sampling is finer than λ/4."""
-        return self.sample_spacing < lam / 4.0
+        return self.blade_radius / self.samples_per_blade < lam / 4.0
 
     @cached_property
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -218,25 +209,34 @@ class Rotor:
         e1 = unit(np.cross(ref, self.axis))
         return e1, np.cross(self.axis, e1)
 
-    def rotation(self, t) -> None:
-        """None: the blade samples are along the world axes."""
-        return None
+    @cached_property
+    def _frame(self) -> np.ndarray:
+        """F = [e1 e2 axis], the rotor frame's axes as columns."""
+        return np.stack([*self.basis, self.axis], axis=1)
 
-    def body(self, t) -> ScattererStates:
-        """Every blade sample about the hub at time(s) t, t.shape + (N, 3)."""
+    def rotation(self, t) -> np.ndarray:
+        """The turn by rate·t about axis, F·Rz(rate·t)·Fᵀ, t.shape + (3, 3); the identity at t = 0."""
+        return self._frame @ _z_turn(self.rate * np.asarray(t, dtype=float)) @ self._frame.T
+
+    @cached_property
+    def body(self) -> ScattererStates:
+        """Every blade sample about the hub at phase0, with its velocity rate·r(−sin φ e1 + cos φ e2)."""
         e1, e2 = self.basis
-        radii = self.blade_radius * np.arange(1, self.samples_per_blade + 1) / self.samples_per_blade
-        t = np.asarray(t, dtype=float)[..., None]
-        blade_angles = self.phase0 + self.rate * t + 2.0 * np.pi * np.arange(self.n_blades) / self.n_blades
-        cos, sin = np.cos(blade_angles)[..., None, None], np.sin(blade_angles)[..., None, None]
-        r = radii[:, None]                              # (S, 1) against (..., B, 1, 1)
-        positions = r * (cos * e1 + sin * e2)
-        velocities = self.rate * r * (-sin * e1 + cos * e2)
+        r = (self.blade_radius * np.arange(1, self.samples_per_blade + 1) / self.samples_per_blade)[:, None]
+        blade_angles = self.phase0 + 2.0 * np.pi * np.arange(self.n_blades) / self.n_blades
+        cos, sin = np.cos(blade_angles)[:, None, None], np.sin(blade_angles)[:, None, None]  # against r (S, 1)
         n = self.n_blades * self.samples_per_blade
-        shape = (*t.shape[:-1], n, 3)
-        amps = np.full(n, self.sample_amplitude, dtype=complex)
-        jones = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
-        return ScattererStates(positions.reshape(shape), velocities.reshape(shape), amps, jones)
+        return ScattererStates((r * (cos * e1 + sin * e2)).reshape(n, 3),
+                               (self.rate * r * (-sin * e1 + cos * e2)).reshape(n, 3),
+                               np.full(n, self.sample_amplitude, dtype=complex),
+                               np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)))
+
+
+def _z_turn(angle) -> np.ndarray:
+    """Turns about +z by angle(s), angle.shape + (3, 3)."""
+    c, s = np.cos(angle), np.sin(angle)
+    zero, one = np.zeros_like(c), np.ones_like(c)
+    return np.stack([c, -s, zero, s, c, zero, zero, zero, one], -1).reshape(*c.shape, 3, 3)
 
 
 def _rotate(rotation: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -246,18 +246,16 @@ def _rotate(rotation: np.ndarray, v: np.ndarray) -> np.ndarray:
     return r[..., 0] * v[..., 0:1] + r[..., 1] * v[..., 1:2] + r[..., 2] * v[..., 2:3]
 
 
-def states(target, t) -> ScattererStates:
-    """World states of every sample of a target at time(s) t: pose(t) + rotation(t)·body(t).
+def states(target, t, doppler: bool = False) -> ScattererStates:
+    """World states of every sample of a target at time(s) t: pose(t) + rotation(t)·body.
 
-    Velocities are the pose velocity plus the rotated body velocities, so a
-    turning body frame (a rigid target's yaw) adds no velocity of its own. A
-    rotation of None is skipped.
+    Velocities, None unless doppler=True, are the pose velocity plus the rotated body
+    velocities, so a turning body frame (a rigid target's yaw) adds none of its own.
     """
-    pose, rotation, body = target.pose(t), target.rotation(t), target.body(t)
-    positions, velocities = body.positions, body.velocities
-    if rotation is not None:
-        positions, velocities = _rotate(rotation, positions), _rotate(rotation, velocities)
-    return ScattererStates(pose.position[..., None, :] + positions, pose.velocity[..., None, :] + velocities,
+    pose, rotation, body = target.pose(t), target.rotation(t), target.body
+    turn = (lambda v: v) if rotation is None else partial(_rotate, rotation)
+    velocities = pose.velocity[..., None, :] + turn(body.velocities) if doppler else None
+    return ScattererStates(pose.position[..., None, :] + turn(body.positions), velocities,
                            body.amplitudes, body.jones)
 
 
@@ -290,7 +288,7 @@ def bounce_paths(states: ScattererStates, tx: NodePose, rx: NodePose, lam: float
 
 def target_paths(target, tx: NodePose, rx: NodePose, t, lam: float, doppler: bool = False) -> PathTable:
     """One propagation path per scatterer of the target: a t.shape + (N,) table."""
-    return bounce_paths(states(target, t), tx, rx, lam, doppler)
+    return bounce_paths(states(target, t, doppler), tx, rx, lam, doppler)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +351,9 @@ class ReflectivityTensor:
             )
 
 
-def _scan_states(target, t: float, d_tx: float, d_rx: float) -> ScattererStates:
-    """Body states of a scan target, about its pose, whose extent both antenna radii must exceed."""
-    states = target.body(t)
+def _scan_states(target, d_tx: float, d_rx: float) -> ScattererStates:
+    """The body of a scan target, about its pose, whose extent both antenna radii must exceed."""
+    states = target.body
     extent = float(np.max(np.linalg.norm(states.positions, axis=1))) if len(states) else 0.0
     if d_tx <= extent or d_rx <= extent:
         raise ConfigError(
@@ -389,14 +387,13 @@ def _sweep_scale(band: FrequencyBand, sweep_window: str) -> np.ndarray:
 
 
 def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
-                      band: FrequencyBand, t: float = 0.0,
-                      sweep_window: str = "none",
+                      band: FrequencyBand, sweep_window: str = "none",
                       threads: int = 1) -> ReflectivityTensor:
     """Full 4-D angular scan of a solitaire target's bistatic reflectivity.
 
-    The scan centres on the target's pose: it sums the body(t) samples, so
-    its angles are in the body frame and where the target sits does not
-    matter. grid maps the four angle axes ("az_tx", "el_tx", "az_rx",
+    The scan centres on the target's pose and sums its body samples in the
+    body frame, so neither where the target sits nor how it moves or turns
+    matters. grid maps the four angle axes ("az_tx", "el_tx", "az_rx",
     "el_rx") to strictly increasing arrays of degrees. Antennas sit at radii
     d_tx / d_rx in each direction pair; the sweep over the band is the tapered
     sum_n s_n λ_f/(4π r1 r2) exp(-j2π f (τ1 + τ2)) jones_n, τ1 = (r1 - d_tx)/c,
@@ -428,7 +425,7 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
             raise ConfigError(f"angle grid {key!r} must be strictly increasing")
     check_entries(math.prod(map(len, axes)) * band.n_points * 4,
                   "reflectivity tensor of az_tx x el_tx x az_rx x el_rx x band.n_points x 2 x 2")
-    states = _scan_states(target, t, d_tx, d_rx)
+    states = _scan_states(target, d_tx, d_rx)
     az_tx, el_tx, az_rx, el_rx = axes
     u_tx = _directions(az_tx[:, None], el_tx).reshape(-1, 3)
     u_rx = _directions(az_rx[:, None], el_rx).reshape(-1, 3)
@@ -484,12 +481,11 @@ class FlyoverMap:
 
 def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, float],
                  d_tx: float, d_rx: float, band: FrequencyBand,
-                 elevation_deg: float = 0.0, t: float = 0.0,
-                 sweep_window: str = "none") -> FlyoverMap:
+                 elevation_deg: float = 0.0, sweep_window: str = "none") -> FlyoverMap:
     """Emulate a flyover: one antenna fixed, the other swept in azimuth.
 
-    Like reflectivity_scan it centres on the target's pose, on its body(t)
-    samples. The swept angle is the bistatic separation relative to the fixed
+    Like reflectivity_scan it sees the body about the target's pose, in its
+    own frame. The swept angle is the bistatic separation relative to the fixed
     antenna, running e.g. 10..180 degrees from quasi-monostatic to forward
     scattering, with at most MAX_AXIS_POINTS angles. Both antennas sit at
     elevation_deg (default 0) and the H-H polarization is extracted, so the
@@ -505,7 +501,7 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
     """
     angles = stepped_axis(*sweep, "flyover sweep")
     check_entries(len(angles) * band.n_points, "flyover map of swept angles x band.n_points")
-    states = _scan_states(target, t, d_tx, d_rx)
+    states = _scan_states(target, d_tx, d_rx)
     p_tx = d_tx * direction_from_angles(fixed_angle_deg, elevation_deg)
     p_rx = d_rx * _directions(fixed_angle_deg + angles, elevation_deg)[:, None]
     weights = states.amplitudes * states.jones[:, 0, 0] / FOUR_PI

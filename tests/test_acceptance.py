@@ -22,7 +22,7 @@ from bisim.geometry import (
     pose_at,
     vec3,
 )
-from bisim.illumination import doppler_precompensate, focusing_gain
+from bisim.illumination import doppler_precompensate, focusing_gain, time_reversal_prefilter
 from bisim.pipeline import run
 from bisim.processing import delay_doppler_map, stft_spectrogram, subtract_dominant_paths
 from bisim.scene import SceneConfig, SceneNode, link_callback
@@ -407,7 +407,7 @@ def test_criterion_8_time_reversal_focusing():
             gains.append(np.exp(2j * np.pi * rng.random()))
             dopplers.append(rng.uniform(-500, 500))
             cfr += gains[-1] * np.exp(-2j * np.pi * b * kk / k)
-        gain = focusing_gain(cfr)
+        gain = focusing_gain(cfr, time_reversal_prefilter(cfr))
         gain_ok = abs(gain - 8.0) / 8.0 <= 1e-6
         comp = doppler_precompensate(PathTable(bins / (k * delta_f), gains, dopplers))
         comp_ok = comp.spread_after_hz <= 1e-9 and comp.spread_before_hz > 0

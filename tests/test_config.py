@@ -249,9 +249,17 @@ class TestStrictParsing:
                 parse_config(doc)
 
     def test_echo_only_key_accepted_and_ignored(self):
+        # accepted when it is the derived bandwidth_hz / n_subcarriers within 1e-12 relative, the
+        # echo's own value included; the derived value is used either way
         doc = full_scene()
-        doc["waveform"]["subcarrier_spacing_hz"] = 1.0
-        assert parse_config(doc).waveform.delta_f == 40e6 / 128
+        for value in (config_echo(parse_config(doc))["waveform"]["subcarrier_spacing_hz"], 40e6 / 128 * (1 + 5e-13),
+                      "312500"):
+            doc["waveform"]["subcarrier_spacing_hz"] = value
+            assert parse_config(doc).waveform.delta_f == 40e6 / 128
+        for value in ("abc", True, 30e3, 40e6 / 128 * (1 + 2e-12)):
+            doc["waveform"]["subcarrier_spacing_hz"] = value
+            with pytest.raises(ConfigError, match=re.escape("waveform.subcarrier_spacing_hz")):
+                parse_config(doc)
 
     @pytest.mark.parametrize("spec, expected", [
         ({"start": 0, "stop": 90, "step": 30}, [0, 30, 60, 90]),

@@ -71,7 +71,7 @@ class TestTimeReversalPrefilter:
             bins = rng.choice(np.arange(1, k // 2), size=n, replace=False)
             paths = PathTable(bins / bandwidth, np.exp(2j * np.pi * rng.random(n)), np.zeros(n))
             cfr = cfr_from_paths(paths, k, delta_f)
-            assert focusing_gain(cfr) == pytest.approx(n, rel=1e-9)
+            assert focusing_gain(cfr, time_reversal_prefilter(cfr)) == pytest.approx(n, rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 12))
@@ -87,7 +87,7 @@ class TestTimeReversalPrefilter:
         cfr = cfr_from_paths(paths, k, delta_f)
         if np.sum(np.abs(cfr) ** 2) == 0:
             return
-        assert focusing_gain(cfr) >= 1.0 - 1e-9
+        assert focusing_gain(cfr, time_reversal_prefilter(cfr)) >= 1.0 - 1e-9
 
 
 class TestDopplerPrecompensate:
@@ -104,7 +104,7 @@ class TestDopplerPrecompensate:
         assert out.spread_before_hz == pytest.approx(150.0)  # equal-power std
         assert out.spread_after_hz == 0.0
         assert out.reference_hz == pytest.approx(250.0)
-        assert all(f == pytest.approx(250.0) for f in out.paths.doppler)
+        assert all(f == pytest.approx(250.0) for f in paths.doppler + out.offsets_hz)
 
     def test_power_preserved_and_spread_reduced(self):
         rng = np.random.default_rng(4)
@@ -113,9 +113,9 @@ class TestDopplerPrecompensate:
             rng.normal(size=6) + 1j * rng.normal(size=6),
             rng.uniform(-800, 800, 6),
         )
-        out = doppler_precompensate(paths)
         before = np.sum(np.abs(paths.gain) ** 2)
-        after = np.sum(np.abs(out.paths.gain) ** 2)
+        out = doppler_precompensate(paths)
+        after = np.sum(np.abs(paths.gain) ** 2)
         assert after == pytest.approx(before, rel=1e-12)
         assert out.spread_after_hz <= out.spread_before_hz
         assert out.spread_after_hz <= 1e-9
@@ -138,10 +138,11 @@ class TestDopplerPrecompensate:
     def test_compensated_table_keeps_delays_and_gains(self):
         paths = PathTable([0.0, 2e-7, 5e-7], [1.0 + 0j, 0.3 - 0.4j, 0.2j], [120.0, -340.0, 75.0])
         out = doppler_precompensate(paths)
-        assert np.array_equal(out.paths.delay, paths.delay)
-        assert np.array_equal(out.paths.gain, paths.gain)
-        assert np.array_equal(out.paths.doppler, np.full(3, out.reference_hz))
-        assert np.array_equal(paths.doppler, [120.0, -340.0, 75.0])   # input untouched
+        assert np.allclose(paths.doppler + out.offsets_hz, np.full(3, out.reference_hz), rtol=1e-15, atol=0)
+        # input untouched: the compensated paths are its delays and gains at the reference Doppler
+        assert np.array_equal(paths.delay, [0.0, 2e-7, 5e-7])
+        assert np.array_equal(paths.gain, [1.0 + 0j, 0.3 - 0.4j, 0.2j])
+        assert np.array_equal(paths.doppler, [120.0, -340.0, 75.0])
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
@@ -156,7 +157,7 @@ class TestDopplerPrecompensate:
         comp = doppler_precompensate(paths)
         # shift the common reference onto the Doppler grid for a bin-exact test
         ref = round(comp.reference_hz / res) * res
-        aligned = PathTable(comp.paths.delay, comp.paths.gain, np.full(len(paths), ref))
+        aligned = PathTable(paths.delay, paths.gain, np.full(len(paths), ref))
         after = delay_doppler_map(synth_cfr(aligned, w))
 
         def occupied_doppler_bins(ddm):

@@ -10,7 +10,7 @@ from bisim.channel import WaveformConfig, synth_cfr
 from bisim.cli import main
 from bisim.errors import ConfigError, GeometryError
 from bisim.geometry import C0, NodePose, Trajectory, vec3
-from bisim.illumination import doppler_precompensate, focusing_gain
+from bisim.illumination import doppler_precompensate, focusing_gain, time_reversal_prefilter
 from bisim.scene import (
     SceneConfig,
     SceneNode,
@@ -324,7 +324,7 @@ class TestIlluminationPaths:
         cfr = np.zeros(w.n_subcarriers, dtype=complex)
         for delay, gain in zip(paths.delay, paths.gain):
             cfr += gain * np.exp(-2j * np.pi * w.delta_f * delay * k)
-        assert focusing_gain(cfr) > 1.0
+        assert focusing_gain(cfr, time_reversal_prefilter(cfr)) > 1.0
 
     def test_coincident_point_rejected(self):
         scene = basic_scene()

@@ -79,7 +79,7 @@ class TestTargetPose:
             with mock.patch.object(targets, "pose_at", side_effect=AssertionError("pose_at called")):
                 rot = target.rotation(at)
             # the rotation as it was made from the track velocity, and the world states it gave
-            pose, body = target.pose(at), target.body(at)
+            pose, body = target.pose(at), target.body
             vx, vy = pose.velocity[..., 0], pose.velocity[..., 1]
             yaw = np.where(np.hypot(vx, vy) < 1e-12, 0.0, np.arctan2(vy, vx))
             c, s, zero, one = np.cos(yaw), np.sin(yaw), np.zeros(np.shape(yaw)), np.ones(np.shape(yaw))
@@ -87,7 +87,7 @@ class TestTargetPose:
             assert np.array_equal(rot, want)
             r = want[..., None, :, :]
             turn = lambda v: r[..., 0] * v[..., 0:1] + r[..., 1] * v[..., 1:2] + r[..., 2] * v[..., 2:3]
-            world = targets.states(target, at)
+            world = targets.states(target, at, doppler=True)
             assert np.array_equal(world.positions, pose.position[..., None, :] + turn(body.positions))
             assert np.array_equal(world.velocities, pose.velocity[..., None, :] + turn(body.velocities))
         a, b, c = np.arctan2(-6, 8), np.arctan2(0.5, -6), np.arctan2(-9, 2)
@@ -108,12 +108,13 @@ class Forwarding:
     def rotation(self, t):
         return self.inner.rotation(t)
 
-    def body(self, t):
-        return self.inner.body(t)
+    @property
+    def body(self):
+        return self.inner.body
 
 
 class TestTargetInterface:
-    """Scenes and scans reach a target only through name, pose(t), rotation(t) and body(t)."""
+    """Scenes and scans reach a target only through name, pose(t), rotation(t) and body."""
 
     def target(self):
         jones = np.array([[1.0, 0.2j], [-0.1, 0.7 + 0.1j]])
@@ -145,8 +146,8 @@ class TestTargetInterface:
         target = self.target()
         band = FrequencyBand(3.6e9, 3.8e9, 16)
         grid = small_grid([0, 90], [0, 20], [0, 60, 180], [-10, 0])
-        a = reflectivity_scan(Forwarding(target), grid, 8.0, 9.0, band, t=0.4)
-        b = reflectivity_scan(target, grid, 8.0, 9.0, band, t=0.4)
+        a = reflectivity_scan(Forwarding(target), grid, 8.0, 9.0, band)
+        b = reflectivity_scan(target, grid, 8.0, 9.0, band)
         assert np.array_equal(a.data, b.data)
         a = flyover_scan(Forwarding(target), 0.0, (10, 180, 17), 8.0, 9.0, band)
         b = flyover_scan(target, 0.0, (10, 180, 17), 8.0, 9.0, band)
@@ -154,7 +155,7 @@ class TestTargetInterface:
 
     def test_rigid_body_is_the_cloud_at_rest(self):
         target = self.target()
-        body = target.body(0.6)
+        body = target.body
         assert np.array_equal(body.positions, np.stack([s.position for s in target.scatterers]))
         assert np.array_equal(body.velocities, np.zeros((2, 3)))
 
@@ -162,7 +163,8 @@ class TestTargetInterface:
     def test_states_are_pose_plus_rotated_body(self, kind):
         target = self.target() if kind == "rigid" else make_rotor(samples=8)
         for t in (0.0, 0.37, np.linspace(0.0, 0.9, 3)):
-            pose, rot, body, world = target.pose(t), target.rotation(t), target.body(t), targets.states(target, t)
+            pose, rot, body = target.pose(t), target.rotation(t), target.body
+            world = targets.states(target, t, doppler=True)
             rot = np.eye(3) if rot is None else rot
             turn = lambda v: np.einsum("...ij,...nj->...ni", np.broadcast_to(rot, (*np.shape(t), 3, 3)), v)
             assert np.allclose(world.positions, pose.position[..., None, :] + turn(body.positions), rtol=0, atol=1e-12)
@@ -173,7 +175,7 @@ class TestTargetInterface:
 
 def test_no_module_branches_on_target_class():
     """No isinstance call in src/bisim names RigidTarget or Rotor: code reaches a target
-    only through name, pose(t), rotation(t) and body(t)."""
+    only through name, pose(t), rotation(t) and body."""
     found = []
     for path in sorted(Path(bisim.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -188,8 +190,8 @@ class TestScattererStates:
     def test_rotor_periodicity(self):
         rotor = make_rotor()
         period = 2 * np.pi / rotor.rate
-        a = targets.states(rotor, 0.37)
-        b = targets.states(rotor, 0.37 + period)
+        a = targets.states(rotor, 0.37, doppler=True)
+        b = targets.states(rotor, 0.37 + period, doppler=True)
         assert np.allclose(a.positions, b.positions, atol=1e-9)
         assert np.allclose(a.velocities, b.velocities, atol=1e-6)
 
@@ -207,7 +209,7 @@ class TestScattererStates:
 
     def test_rotor_tip_speed(self):
         rotor = make_rotor()
-        states = targets.states(rotor, 0.123)
+        states = targets.states(rotor, 0.123, doppler=True)
         speeds = np.linalg.norm(states.velocities, axis=1)
         assert speeds.max() == pytest.approx(rotor.rate * rotor.blade_radius, rel=1e-12)
         # speed grows linearly along the blade
@@ -216,7 +218,7 @@ class TestScattererStates:
 
     def test_rotor_velocity_perpendicular(self):
         rotor = make_rotor()
-        states = targets.states(rotor, 0.05)
+        states = targets.states(rotor, 0.05, doppler=True)
         arms = states.positions - rotor.hub_offset
         dots_arm = np.abs(np.sum(states.velocities * arms, axis=1))
         dots_axis = np.abs(states.velocities @ rotor.axis)
@@ -228,7 +230,7 @@ class TestScattererStates:
             [PointScatterer([0.2, 0, 0], 0.1), PointScatterer([-0.2, 0.1, 0], 0.1)],
             Trajectory.from_waypoints([(0, (0, 0, 0)), (2, (20, 10, 0))]),
         )
-        states = targets.states(target, 1.0)
+        states = targets.states(target, 1.0, doppler=True)
         assert np.allclose(states.velocities, [10, 5, 0])
 
     def test_rotor_sampling_check(self):
@@ -236,6 +238,38 @@ class TestScattererStates:
         assert rotor.sampling_ok(LAM)  # 3.75 mm spacing < 20 mm
         coarse = make_rotor(samples=2)
         assert not coarse.sampling_ok(LAM)
+
+
+class TestRigidBody:
+    """Every target is a rigid body: its body is built once, motion lives in pose(t) and rotation(t)."""
+
+    def rigid(self):
+        return RigidTarget([PointScatterer([0.3, 0.1, 0], 0.05), PointScatterer([-0.2, 0, 0.1], 0.03j)],
+                           Trajectory.from_waypoints([(0.0, (40, 30, 0)), (1.0, (44, 27, 1))]), yaw="track")
+
+    @pytest.mark.parametrize("axis", [(0, 0, 1), (1, 0, 0), (1, 1, 2)])
+    def test_rotor_rotation_turns_the_blades_about_the_axis(self, axis):
+        rotor = Rotor(vec3(0.1, -0.05, 0.02), vec3(*axis) / np.linalg.norm(axis), blade_radius=0.3, rate=40.0,
+                      n_blades=3, samples_per_blade=8, phase0=0.3)
+        assert np.allclose(rotor.rotation(0.0), np.eye(3), rtol=0, atol=1e-15)
+        period = 2 * np.pi / rotor.rate
+        t = np.array([0.0, 0.013, 0.37, 2.9])
+        rot = rotor.rotation(t)
+        assert np.allclose(rot @ np.swapaxes(rot, -1, -2), np.eye(3), rtol=0, atol=1e-15)
+        assert np.allclose(np.linalg.det(rot), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(rot @ rotor.axis, rotor.axis, rtol=0, atol=1e-15)
+        assert np.allclose(rotor.rotation(t + period), rot, rtol=0, atol=1e-12)
+        for at in t:
+            assert np.allclose(targets.states(rotor, at).positions, rotor_samples(rotor, at), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["rigid", "rotor"])
+    def test_body_is_built_once_and_velocities_only_for_doppler(self, kind):
+        target = self.rigid() if kind == "rigid" else make_rotor(samples=8)
+        assert target.body is target.body
+        for t in (0.4, np.linspace(0.0, 0.9, 3)):
+            assert targets.states(target, t).velocities is None
+            assert targets.states(target, t, doppler=False).velocities is None
+            assert targets.states(target, t, doppler=True).velocities.shape == (*np.shape(t), len(target.body), 3)
 
 
 class TestTargetPaths:
@@ -449,9 +483,9 @@ class TestReflectivityScan:
         # 1 m antenna radii: inside 8 m of the origin, outside the 0.12 m blades about the hub
         make = lambda hub: Rotor(vec3(*hub), vec3(0, 0, 1), blade_radius=0.12, rate=625.0, samples_per_blade=16)
         grid = small_grid([0, 90], [0, 20], [0, 60, 180], [-10, 0])
-        a, b = (reflectivity_scan(make(hub), grid, 1.0, 1.0, self.band, t=0.01).data for hub in ((0, 8, 0), (0, 0, 0)))
+        a, b = (reflectivity_scan(make(hub), grid, 1.0, 1.0, self.band).data for hub in ((0, 8, 0), (0, 0, 0)))
         assert np.array_equal(a, b)
-        a, b = (flyover_scan(make(hub), 0.0, (10, 180, 17), 1.0, 1.5, self.band, t=0.01).data
+        a, b = (flyover_scan(make(hub), 0.0, (10, 180, 17), 1.0, 1.5, self.band).data
                 for hub in ((0, 8, 0), (0, 0, 0)))
         assert np.array_equal(a, b)
 
@@ -582,12 +616,11 @@ class TestBlockedScan:
         rotor = Rotor(vec3(0.1, -0.05, 0.02), np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0),
                       blade_radius=0.3, rate=40.0, n_blades=2, samples_per_blade=16,
                       sample_amplitude=0.01 + 0.004j, phase0=0.3)
-        t = 0.013
         cases = [
             (cloud, offsets, amps, jones, "hann",
              small_grid([0, 40, 95, 150, 200, 260, 330], [-10, 5, 30], np.arange(11) * 31.0,
                         [0, 8, 16, 24, 40])),
-            (rotor, rotor_samples(rotor, t) - rotor.hub_offset, np.full(32, rotor.sample_amplitude),
+            (rotor, rotor_samples(rotor, 0.0) - rotor.hub_offset, np.full(32, rotor.sample_amplitude),
              np.broadcast_to(np.eye(2), (32, 2, 2)), "none",
              small_grid([0, 70, 140, 210, 280], [0, 25, 50, 70], np.arange(13) * 27.0, [-5, 12])),
         ]
@@ -597,7 +630,7 @@ class TestBlockedScan:
             n_tx, n_rx = len(grid["az_tx"]) * len(grid["el_tx"]), len(grid["az_rx"]) * len(grid["el_rx"])
             tx_block, rx_block = scan_blocks(n_tx, len(s), band.n_points, jones_columns(j))
             assert spans_partial_blocks(n_tx, tx_block) and spans_partial_blocks(n_rx, rx_block)
-            tensor = reflectivity_scan(target, grid, d_tx, d_rx, band, t=t, sweep_window=window)
+            tensor = reflectivity_scan(target, grid, d_tx, d_rx, band, sweep_window=window)
             taper = get_window(window, band.n_points, fftbins=False) if window != "none" \
                 else np.ones(band.n_points)
             oracle = scan_oracle(pos, s, j, grid, d_tx, d_rx, band, taper)
@@ -779,7 +812,7 @@ class TestSynthesisMatchesScan:
                 radii.append(float(np.linalg.norm(e)))
                 grid[f"az_{side}"] = [np.degrees(np.arctan2(e[1], e[0]))]
                 grid[f"el_{side}"] = [np.degrees(np.arcsin(e[2] / radii[-1]))]
-            profile = reflectivity_scan(target, grid, *radii, band, t=t).data[0, 0, 0, 0, :, 0, 0]
+            profile = reflectivity_scan(target, grid, *radii, band).data[0, 0, 0, 0, :, 0, 0]
             sweep = np.fft.fft(np.fft.ifftshift(profile))
             row = cube.data[m] * np.exp(2j * np.pi * freqs * sum(radii) / C0) * w.f_c / freqs
             assert np.max(np.abs(row - sweep)) <= 1e-12 * np.max(np.abs(sweep))
