@@ -130,7 +130,9 @@ def _detected_links(cfg: RunConfig, exclude_zero_doppler: bool):
         if proc.clean_paths > 0:
             cube = subtract_dominant_paths(cube, proc.clean_paths).residual
         ddm = delay_doppler_map(cube, proc.fast_window, proc.slow_window)
-        del cube  # so detect_peaks' temporaries do not sit on top of it
+        # the map peaked at the cube and two map-sized stages; detect_peaks' |x| and its partitioned
+        # copy (half a map each) on top of the cube would reach that peak again
+        del cube
         dets = detect_peaks(ddm, proc.detect_threshold_db,
                             exclude_zero_doppler=exclude_zero_doppler, los_delay_s=link.los_delay)
         yield link, ddm, dets

@@ -5,7 +5,10 @@ subcarriers (fast time -> delay), forward transform over symbols (slow time
 -> Doppler), static clutter collapsing at the 0 Hz bin, dominant-path
 subtraction ahead of the Doppler FFT, and STFT spectrograms for
 time-variant targets. Both map transforms are orthonormal so total map
-energy equals cube energy with rectangular windows.
+energy equals cube energy with rectangular windows. The Doppler FFT runs
+along contiguous rows of the transposed delay profiles. Detection takes
+its floor as the median |x| in dB and goes to dB only on the candidate
+cells that a linear pre-threshold picks.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .errors import ConfigError, NumericalError, UsageError
 DB_FLOOR = -300.0
 _REFINE_CYCLES = 3          # clean's alternating re-fit cycles over all found paths
 _FLOOR_MARGIN_DB = 10.0     # a path peak less far above the profile median is at the noise floor
+_PRE_MARGIN_DB = 1e-6       # detection's linear pre-threshold lies this far below the limit: far
+                            # beyond log10's rounding, so no cell at the limit is missed
 
 
 def magnitude_db(x, floor_db: float = DB_FLOOR) -> np.ndarray:
@@ -50,11 +55,12 @@ def delay_doppler_map(cube: SlowTimeCube, fast_window: str = "none",
                       slow_window: str = "none") -> DelayDopplerMap:
     """Delay-Doppler map of a slow-time capture.
 
-    Unitary IFFT over subcarriers per symbol, unitary FFT over symbols per
-    delay bin, fftshifted so 0 Hz is an exact center bin (even M keeps the
-    zero-Doppler energy in one unstraddled bin). Static paths land entirely
-    in that bin; movers separate along the Doppler axis at resolution
-    1/(M*T_sym).
+    Unitary IFFT over subcarriers per symbol, then one transposed copy, so
+    each delay bin's slow-time series is a contiguous row, and a unitary
+    FFT over symbols along those rows, in place. The result is fftshifted
+    so 0 Hz is an exact center bin (even M keeps the zero-Doppler energy in
+    one unstraddled bin). Static paths land entirely in that bin; movers
+    separate along the Doppler axis at resolution 1/(M*T_sym).
     """
     w = cube.waveform
     if w.n_symbols < 2:
@@ -63,8 +69,9 @@ def delay_doppler_map(cube: SlowTimeCube, fast_window: str = "none",
     ws = named_window(slow_window, w.n_symbols)
     dd = np.fft.ifft(cube.data * wf[None, :], axis=1, norm="ortho")   # delay profiles
     dd *= ws[:, None]   # in place, and each stage rebinds `dd` so the last one is freed
-    dd = np.fft.fft(dd, axis=0, norm="ortho")
-    dd = np.ascontiguousarray(np.fft.fftshift(dd, axes=0).T)   # C order: archived without a copy
+    dd = dd.T.copy()    # (delay, symbol) in C order: the Doppler FFT runs along contiguous rows
+    np.fft.fft(dd, axis=1, norm="ortho", out=dd)
+    dd = np.fft.fftshift(dd, axes=1)   # C order: archived without a copy
     doppler = np.fft.fftshift(np.fft.fftfreq(w.n_symbols, w.t_sym))
     return DelayDopplerMap(dd, delay_axis(w.n_subcarriers, w.bandwidth), doppler)
 
@@ -268,36 +275,46 @@ def detect_peaks(ddm: DelayDopplerMap, threshold_db: float,
                  los_delay_s: float = 0.0) -> list[Detection]:
     """Local maxima above (median noise floor + threshold).
 
-    The floor is the median map magnitude in dB, robust to sparse targets.
-    exclude_zero_doppler drops the 0 Hz bin column, separating static
-    clutter from movers. excess_delay is reported relative to los_delay_s.
-    A map with a non-finite cell raises NumericalError: its floor means nothing.
+    The floor is the median map magnitude in dB, robust to sparse targets;
+    dB is monotone in |x|, so it is the middle |x| in dB, as np.median takes
+    it. A linear pre-threshold just below the limit picks candidate cells,
+    and only they go to dB for the limit and the 3 x 3 wrap-around
+    neighbourhood tests. exclude_zero_doppler drops the 0 Hz bin column,
+    separating static clutter from movers. excess_delay is reported relative
+    to los_delay_s. A map with a non-finite cell raises NumericalError: its
+    floor means nothing.
     """
     if not np.isfinite(threshold_db):
         raise ConfigError("threshold must be finite")
-    db = magnitude_db(ddm.data)
-    if not np.all(np.isfinite(db)):
-        raise NumericalError(f"delay-Doppler map has {np.count_nonzero(~np.isfinite(db))} non-finite cells")
-    floor = float(np.median(db))
-    limit = floor + threshold_db
-    peak = db
-    for axis in (0, 1):  # 3 x 3 wrap-around neighbourhood maximum, one axis at a time
-        peak = np.maximum(peak, np.maximum(np.roll(peak, 1, axis), np.roll(peak, -1, axis)))
-    local_max = db >= peak
-    candidates = local_max & (db >= limit)
+    mag = np.abs(ddm.data)
+    if not np.all(np.isfinite(mag)):
+        raise NumericalError(f"delay-Doppler map has {np.count_nonzero(~np.isfinite(mag))} non-finite cells")
+    half = mag.size // 2
+    part = np.partition(mag, half, axis=None)   # one selection: the lower middle is the left half's max
+    lower = part[half] if mag.size % 2 else part[:half].max()
+    limit = float(np.mean(magnitude_db(np.array([lower, part[half]])))) + threshold_db
+    pre_db = limit - _PRE_MARGIN_DB   # exact zeros stay candidates while the limit is at the floor
+    with np.errstate(over="ignore"):   # a limit above every finite |x| selects nothing
+        least = 0.0 if pre_db <= DB_FLOOR else np.power(10.0, pre_db / 20.0)
+    rows, cols = mag.shape
+    i, j = np.divmod(np.flatnonzero(mag >= least), cols)
     if exclude_zero_doppler:
-        candidates[:, ddm.zero_doppler_bin] = False
-    out = []
-    for i, j in np.argwhere(candidates):
-        out.append(
-            Detection(
-                delay=float(ddm.delay_s[i]),
-                doppler=float(ddm.doppler_hz[j]),
-                power_db=float(db[i, j]),
-                excess_delay=float(ddm.delay_s[i] - los_delay_s),
-                delay_bin=int(i),
-                doppler_bin=int(j),
-            )
+        moving = j != ddm.zero_doppler_bin
+        i, j = i[moving], j[moving]
+    db = magnitude_db(mag[i, j])
+    keep = db >= limit
+    for di, dj in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+        keep &= db >= magnitude_db(mag[(i + di) % rows, (j + dj) % cols])
+    out = [
+        Detection(
+            delay=float(ddm.delay_s[a]),
+            doppler=float(ddm.doppler_hz[b]),
+            power_db=float(p),
+            excess_delay=float(ddm.delay_s[a] - los_delay_s),
+            delay_bin=int(a),
+            doppler_bin=int(b),
         )
+        for a, b, p in zip(i[keep], j[keep], db[keep])
+    ]
     out.sort(key=lambda d: -d.power_db)
     return out

@@ -101,13 +101,15 @@ class TestDelayDopplerMap:
         ddm = delay_doppler_map(cube)
         assert np.sum(np.abs(ddm.data) ** 2) == pytest.approx(np.sum(np.abs(cube.data) ** 2), rel=1e-10)
 
+    # odd and even M: a fftshift folded into the slow window, as (-1)^m for even M, moves odd M's bytes
+    @pytest.mark.parametrize("m", [2, 3, 31, 32, 33])
     @pytest.mark.parametrize("fast, slow", [("none", "none"), ("rect", "hann"), ("hann", "rectangular"),
                                             ("gaussian", "hann")])
-    def test_map_is_the_windowed_transforms_bit_for_bit(self, fast, slow):
+    def test_map_is_the_windowed_transforms_bit_for_bit(self, fast, slow, m):
         rng = np.random.default_rng(5)
-        w = waveform(32, 48)
-        cube = SlowTimeCube(rng.normal(size=(32, 48)) + 1j * rng.normal(size=(32, 48)), w)
-        wf, ws = named_window(fast, 48), named_window(slow, 32)
+        w = waveform(m, 48)
+        cube = SlowTimeCube(rng.normal(size=(m, 48)) + 1j * rng.normal(size=(m, 48)), w)
+        wf, ws = named_window(fast, 48), named_window(slow, m)
         dd = np.fft.ifft(cube.data * wf, axis=1, norm="ortho") * ws[:, None]
         want = np.fft.fftshift(np.fft.fft(dd, axis=0, norm="ortho"), axes=0).T
         assert np.array_equal(delay_doppler_map(cube, fast, slow).data, want)
@@ -469,16 +471,61 @@ class TestDetectPeaks:
         assert detect_peaks(ddm, 20.0, exclude_zero_doppler=True) == []
         assert len(detect_peaks(ddm, 20.0, exclude_zero_doppler=False)) >= 1
 
+    @staticmethod
+    def reference(ddm, threshold_db, exclude_zero_doppler=False):
+        """The definition: the median of the dB map, and the 3 x 3 wrap-around maximum filter."""
+        db = magnitude_db(ddm.data)
+        hit = (db >= maximum_filter(db, size=3, mode="wrap")) & (db >= np.median(db) + threshold_db)
+        if exclude_zero_doppler:
+            hit[:, ddm.zero_doppler_bin] = False
+        return sorted((int(i), int(j), float(db[i, j])) for i, j in np.argwhere(hit))
+
+    @staticmethod
+    def found(dets):
+        assert [d.power_db for d in dets] == sorted((d.power_db for d in dets), reverse=True)
+        return sorted((d.delay_bin, d.doppler_bin, d.power_db) for d in dets)
+
     @pytest.mark.parametrize("shape", [(48, 48), (5, 7), (2, 9), (1, 6), (6, 1), (1, 1)])
     def test_local_maxima_match_the_wraparound_maximum_filter(self, shape):
         # magnitudes on a coarse lattice make ties between neighbours common
         rng = np.random.default_rng(15)
         data = rng.integers(1, 4, shape) + 0j
         ddm = DelayDopplerMap(data, np.arange(shape[0]) / 20e6, np.arange(shape[1]) * 100.0)
-        db = magnitude_db(data)
-        expected = np.argwhere(db >= maximum_filter(db, size=3, mode="wrap"))
-        found = [(d.delay_bin, d.doppler_bin) for d in detect_peaks(ddm, -1e3)]
-        assert sorted(found) == [tuple(ij) for ij in expected]
+        assert self.found(detect_peaks(ddm, -1e3)) == self.reference(ddm, -1e3)
+
+    # odd and even cell counts (one or two middle values); exact zeros, all of them at a -1e3 dB
+    # threshold, whose limit lies below DB_FLOOR; distinct magnitudes that tie at DB_FLOOR
+    @pytest.mark.parametrize("shape", [(7, 9), (8, 9), (48, 48), (1, 6), (5, 1)])
+    @pytest.mark.parametrize("fill, share", [(0.0, 0.0), (0.0, 0.3), (0.0, 1.0), (1e-16, 0.5)])
+    @pytest.mark.parametrize("threshold_db", [-1e3, 0.0, 6.0, 20.0])
+    def test_detections_match_the_reference_definition(self, shape, fill, share, threshold_db):
+        rng = np.random.default_rng([16, *shape])
+        data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        data.flat[rng.integers(data.size, size=3)] *= 100.0
+        filled = rng.random(shape) < share
+        data[filled] = fill * rng.random(np.count_nonzero(filled))
+        ddm = DelayDopplerMap(data, np.arange(shape[0]) / 20e6, np.arange(shape[1]) * 100.0 - 200.0)
+        for exclude in (False, True):
+            assert self.found(detect_peaks(ddm, threshold_db, exclude)) == self.reference(ddm, threshold_db, exclude)
+        if share == 1.0 and threshold_db == -1e3:   # every zero is a candidate, and a tie with its neighbours
+            assert len(detect_peaks(ddm, threshold_db)) == data.size
+
+    def test_a_cell_within_1e_9_db_of_the_limit(self):
+        rng = np.random.default_rng(17)
+        ddm = noise_map(rng, 49)
+        limit = np.median(magnitude_db(ddm.data)) + 20.0
+        at = below = 10.0 ** (limit / 20.0)
+        while magnitude_db(at) < limit:
+            at = np.nextafter(at, np.inf)
+        while magnitude_db(below) >= limit:
+            below = np.nextafter(below, 0.0)
+        assert 0.0 <= magnitude_db(at) - limit < 1e-9 and 0.0 < limit - magnitude_db(below) < 1e-9
+        # the two largest cells lie above the median, so the median stays put when they are replaced
+        at_cell, below_cell = zip(*np.unravel_index(np.argsort(np.abs(ddm.data), axis=None)[-2:], ddm.data.shape))
+        ddm.data[at_cell], ddm.data[below_cell] = at, below
+        assert np.median(magnitude_db(ddm.data)) + 20.0 == limit
+        want = [(int(at_cell[0]), int(at_cell[1]), float(magnitude_db(at)))]
+        assert self.found(detect_peaks(ddm, 20.0)) == self.reference(ddm, 20.0) == want
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_cell_raises(self, bad):
