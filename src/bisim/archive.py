@@ -17,6 +17,13 @@ Round trips are bit-exact. A run's sidecar summary (config echo, estimates,
 library version) is plain YAML next to the binary. Complex datasets export
 to CSV as dB magnitudes (20 log10 |.|, exact zeros floored at -300 dB, NaN
 kept) with 10 decimals, within 5e-11 dB; float data keeps 17 significant digits.
+
+Every output file is created fresh: a writer unlinks the file already at
+its path, then creates a new one, and never truncates in place (on ext4,
+closing a file that was truncated to zero and rewritten waits for its
+writeback). So a symlink or a read-only file at an output path is
+replaced, not written through, and a write killed halfway leaves a short
+file.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +78,13 @@ class Dataset:
                 )
 
 
+def _create(path, mode: str):
+    """A new file at path, open in mode: whatever was at path is unlinked first."""
+    with suppress(FileNotFoundError):
+        os.unlink(path)
+    return open(path, mode)
+
+
 def _str_bytes(s: str) -> bytes:
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
@@ -113,7 +128,10 @@ class ResultArchive:
         return ds
 
     def write(self, path) -> None:
-        """Write header fields and each array's own buffer; a bad name raises first."""
+        """Write header fields and each array's own buffer to a file created fresh at path.
+
+        A file already at path is unlinked first, once every name has passed its check.
+        """
         chunks = [MAGIC, struct.pack("<HI", VERSION, len(self.datasets))]
         for ds in self.datasets.values():
             chunks += [_str_bytes(ds.name), _str_bytes(ds.values.dtype.str),
@@ -121,7 +139,7 @@ class ResultArchive:
             for ax in ds.axes:
                 chunks += [_str_bytes(ax.name), _str_bytes(ax.unit), np.ascontiguousarray(ax.values)]
             chunks.append(ds.values)
-        with open(path, "wb") as fh:
+        with _create(path, "wb") as fh:
             fh.writelines(chunks)
 
     @classmethod
@@ -161,7 +179,8 @@ class ResultArchive:
         return archive
 
     def write_summary(self, path) -> None:
-        with open(path, "w") as fh:
+        """Write the summary as YAML to a file created fresh at path (an old one is unlinked first)."""
+        with _create(path, "w") as fh:
             yaml.dump(self.summary, fh, Dumper=_DUMPER, sort_keys=False, default_flow_style=False)
 
 
@@ -200,7 +219,9 @@ def export_csv(archive: ResultArchive, dataset: str, path) -> None:
     Complex data exports as dB magnitude in fixed point with 10 decimals
     (within 5e-11 dB; nan, inf or -inf if not finite); float data and axis
     values keep 17 significant digits so a round trip is value-exact. Rows
-    are written a fixed block at a time, so memory stays bounded.
+    are written a fixed block at a time, so memory stays bounded. The file
+    is created fresh: a file already at path is unlinked first, once the
+    dataset has passed its checks.
     """
     if dataset not in archive.datasets:
         raise ConfigError(f"archive has no dataset {dataset!r}")
@@ -221,7 +242,7 @@ def export_csv(archive: ResultArchive, dataset: str, path) -> None:
                            *("%.17g" % a for a in col_ax.values.tolist())])
     row_fmt = ",".join(["%.17g"] * (values.shape[1] + 1)) + "\n"
     block = max(1, _CSV_BLOCK_VALUES // max(1, values.shape[1]))
-    with open(path, "w") as fh:
+    with _create(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, values.shape[0], block):
             rows, axis = values[start:start + block], row_ax.values[start:start + block].tolist()

@@ -370,7 +370,9 @@ def run(subcommand: str, cfg: RunConfig, out_dir=None, threads: int = 1,
     runner adds its datasets to the archive and returns the summary's
     results, with numpy's BLAS on one thread. Returns the archive and the
     files written to outputs.directory; format csv adds every dataset of
-    <= 2 dimensions.
+    <= 2 dimensions. Each file is created fresh: a rerun unlinks the old
+    file first, so a symlink or read-only file there is replaced, not
+    written through, and a killed write leaves a short file.
     """
     if subcommand not in _RUNNERS:
         raise UsageError(f"unknown subcommand {subcommand!r}")

@@ -67,8 +67,12 @@ def delay_doppler_map(cube: SlowTimeCube, fast_window: str = "none",
         raise UsageError("need at least two symbols for Doppler resolution")
     wf = named_window(fast_window, w.n_subcarriers)
     ws = named_window(slow_window, w.n_symbols)
-    dd = np.fft.ifft(cube.data * wf[None, :], axis=1, norm="ortho")   # delay profiles
-    dd *= ws[:, None]   # in place, and each stage rebinds `dd` so the last one is freed
+    # a window of ones is skipped: multiplying by it changes no finite value, so this saves
+    # only a pass and a map-sized temporary
+    dd = np.fft.ifft(cube.data if np.all(wf == 1.0) else cube.data * wf[None, :],
+                     axis=1, norm="ortho")   # delay profiles
+    if not np.all(ws == 1.0):
+        dd *= ws[:, None]   # in place, and each stage rebinds `dd` so the last one is freed
     dd = dd.T.copy()    # (delay, symbol) in C order: the Doppler FFT runs along contiguous rows
     np.fft.fft(dd, axis=1, norm="ortho", out=dd)
     dd = np.fft.fftshift(dd, axes=1)   # C order: archived without a copy

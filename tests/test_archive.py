@@ -1,4 +1,6 @@
+import os
 import re
+import stat
 import tracemalloc
 from fractions import Fraction
 
@@ -157,6 +159,57 @@ class TestSummaryDump:
                 text = (tmp_path / path.stem / f"{sub}_summary.yaml").read_text()
                 assert text == yaml.safe_dump(archive.summary, sort_keys=False,
                                               default_flow_style=False), (path.stem, sub)
+
+
+WRITERS = {
+    "archive": lambda archive, path: archive.write(path),
+    "summary": lambda archive, path: archive.write_summary(path),
+    "csv": lambda archive, path: export_csv(archive, "map", path),
+}
+
+
+class TestFreshFiles:
+    """Every writer unlinks the file at its path and creates a new one."""
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    @pytest.mark.parametrize("old", ["hard link", "symlink", "read-only"])
+    def test_old_file_is_replaced_not_written_through(self, tmp_path, writer, old):
+        write = WRITERS[writer]
+        write(sample_archive(), tmp_path / "fresh")
+        shared, path = tmp_path / "shared", tmp_path / "out"
+        shared.write_bytes(b"old bytes, longer than nothing")
+        if old == "hard link":
+            os.link(shared, path)
+        elif old == "symlink":
+            path.symlink_to(shared)
+        else:
+            path.write_bytes(shared.read_bytes())
+            path.chmod(0o444)
+        write(sample_archive(), path)
+        assert shared.read_bytes() == b"old bytes, longer than nothing"
+        assert not path.is_symlink() and path.stat().st_mode & stat.S_IWUSR
+        assert path.read_bytes() == (tmp_path / "fresh").read_bytes()
+
+    def test_bad_dataset_name_raises_before_the_old_archive_is_touched(self, tmp_path):
+        path = tmp_path / "a.bisim"
+        sample_archive().write(path)
+        before, inode = path.read_bytes(), path.stat().st_ino
+        bad = sample_archive()
+        bad.add("x" * 0x10000, np.zeros(2), [Axis("i", "count", np.arange(2))])
+        with pytest.raises(ConfigError, match="too long"):
+            bad.write(path)
+        assert path.read_bytes() == before and path.stat().st_ino == inode
+
+    @pytest.mark.parametrize("dataset, error", [("absent", ConfigError), ("cube", UsageError)])
+    def test_bad_csv_dataset_raises_before_the_old_csv_is_touched(self, tmp_path, dataset, error):
+        archive = sample_archive()
+        archive.add("cube", np.zeros((2, 2, 2)), [Axis(a, "count", np.arange(2)) for a in "ijk"])
+        path = tmp_path / "map.csv"
+        export_csv(archive, "map", path)
+        before, inode = path.read_bytes(), path.stat().st_ino
+        with pytest.raises(error):
+            export_csv(archive, dataset, path)
+        assert path.read_bytes() == before and path.stat().st_ino == inode
 
 
 def read_bytes(path, raw):

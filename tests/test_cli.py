@@ -1,6 +1,7 @@
 import math
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -20,7 +21,7 @@ from bisim.cli import OVERRIDES, main
 from bisim.config import RunConfig, config_echo, load_config, parse_config
 from bisim.errors import ConfigError
 from bisim.geometry import C0, pose_at
-from bisim.pipeline import run
+from bisim.pipeline import SUBCOMMANDS, run
 from bisim.targets import flyover_scan, reflectivity_scan
 
 # 2 Tx x 4 Rx in fixed mode: eight 256 x 512 links with LoS, two clutter
@@ -227,6 +228,41 @@ class TestDeterminism:
             (tmp_path / "s1" / "simulate.bisim").read_bytes()
             != (tmp_path / "s2" / "simulate.bisim").read_bytes()
         )
+
+
+class TestRerun:
+    """A rerun into a used directory writes the bytes of a first run."""
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_rerun_over_longer_outputs_matches_a_run_in_an_empty_directory(self, tmp_path, sub):
+        small = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        big = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        big["waveform"]["n_subcarriers"] = 256
+        big["scene"]["rx_nodes"].append({"id": "rx3", "position": [0, -250, 0]})
+        big["flyover"]["band"]["n_points"] = 256
+        big["reflectivity"]["band"]["n_points"] = 32
+        out = tmp_path / "o"
+        _, old = run(sub, parse_config(big), out_dir=out, fmt="csv")
+        old_sizes = {path: path.stat().st_size for path in old}
+        _, written = run(sub, parse_config(small), out_dir=out, fmt="csv")
+        assert set(written) <= set(old_sizes)
+        assert all(old_sizes[path] >= path.stat().st_size for path in written)
+        assert any(old_sizes[path] > path.stat().st_size for path in written)
+        rerun = {path: path.read_bytes() for path in written}
+        shutil.rmtree(out)
+        _, first = run(sub, parse_config(small), out_dir=out, fmt="csv")
+        assert first == written
+        assert all(path.read_bytes() == rerun[path] for path in first)
+
+    @pytest.mark.parametrize("name", ["linkbudget.bisim", "linkbudget_summary.yaml",
+                                      "linkbudget_received_power_dbm.csv"])
+    def test_output_path_that_is_a_directory_exits_4(self, full_scene_config, tmp_path, caplog, name):
+        (tmp_path / "o" / name).mkdir(parents=True)
+        code = main(["linkbudget", "--config", str(full_scene_config), "--out", str(tmp_path / "o"),
+                     "--format", "csv"])
+        assert code == 4
+        assert "I/O error" in caplog.text
+        assert (tmp_path / "o" / name).is_dir()
 
 
 class TestCliMain:

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import DETERMINISM_CONFIG
 
+from bisim import config
 from bisim.cli import main
-from bisim.config import config_echo, load_config, parse_config
+from bisim.config import config_echo, load_config, load_document, parse_config
 from bisim.errors import ConfigError
 from bisim.targets import flyover_scan
 
@@ -127,6 +128,45 @@ class TestLoadConfig:
         text = MINIMAL.replace("kind: rigid", "kind: hologram")
         with pytest.raises(ConfigError, match="hologram"):
             load_config(write(tmp_path, text))
+
+
+LOADERS = [pytest.param(yaml.SafeLoader, id="python"),
+           pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
+                        marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                                 reason="PyYAML built without libyaml"))]
+
+
+def test_config_loader_is_libyaml_where_present():
+    assert config._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+class TestLoaders:
+    """Config files parse alike with PyYAML's Python loader and with libyaml's."""
+
+    @pytest.mark.parametrize("text", [FULL_SCENE, ROTOR_SCENE, MINIMAL, DETERMINISM_CONFIG],
+                             ids=["full", "rotor", "minimal", "determinism"])
+    def test_scenes_parse_to_equal_documents(self, tmp_path, monkeypatch, loader, text):
+        monkeypatch.setattr(config, "_LOADER", loader)
+        assert load_document(write(tmp_path, text)) == yaml.load(textwrap.dedent(text), yaml.SafeLoader)
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("waveform:\n  carrier_hz: [unclosed\n", 3, 1),
+        ("waveform:\n  carrier_hz: 1\n bad: 2\n", 3, 2),
+        ("scene:\n  - x\n  y: 1\n", 3, 3),
+        ("a: 'unterminated\n", 2, 1),
+        ("\tkey: 1\n", 1, 1),
+        ("a: *nope\n", 1, 4),
+        ("a: 1\n---\nb: 2\n", 2, 1),
+        ("a: !!python/object:os.system 1\n", 1, 4),
+    ])
+    def test_malformed_document_exits_2_naming_line_and_column(self, tmp_path, monkeypatch, caplog,
+                                                              loader, text, line, column):
+        monkeypatch.setattr(config, "_LOADER", loader)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"parse error at line {line}, column {column}:" in caplog.text
 
 
 class TestConfigEcho:
