@@ -1,34 +1,34 @@
 """Phase-coherent OFDM channel frequency response synthesis over slow time.
 
-A capture is an M x K complex matrix H[m, k] (symbol x subcarrier). Two
-synthesis modes, which synth_cfr tells apart by its input:
+A capture is an M x K complex matrix H[m, k] (symbol x subcarrier), the
+path sum sum_p a_p(t_m) exp(-j2πkΔf τ_p(t_m)) at t_m = t0 + mT. synth_cfr
+evaluates it on one kernel, path_rows, fed block by block with delays and
+gains from one of two inputs:
 
-* fixed      -- a PathTable: paths hold their delay/gain, Doppler applied
-                as a per-symbol phasor:
-                H[m,k] = sum_i a_i exp(-j2πkΔf τ_i) exp(+j2π f_Di m T)
-* geometric  -- a callable: a block callback maps an array of symbol times
-                to a PathTable of delays and gains, so delays and carrier
-                phases track the scene geometry and Doppler emerges from the
-                carrier phase rotation itself.
+* a block callback maps symbol times to a PathTable, so delays and carrier
+  phases track the scene geometry and Doppler emerges from the carrier
+  phase rotation itself (geometric mode);
+* a PathTable of shape (P,), the paths at t0 with their Dopplers, is taken
+  to first order in Δt = t - t0: delay τ_p - (f_D,p / f_c)Δt and gain
+  a_p exp(+j2π f_D,p Δt) (fixed mode). As each gain carries the carrier
+  phase exp(-j2π f_c τ), that is the Taylor expansion of the geometric
+  table, less the second-order term of the bistatic range acceleration.
 
-Both modes build the ramps exp(-j2πkΔfτ) frequency-major, (K, ...), from
-one exp per delay, z = exp(-j2πΔfτ), by doubling (see phase_ramps): rows
-[n, 2n) are rows [0, n) times z^n, and z^(2n) is z^n squared. Geometric
-mode runs on path_rows, the one blocked path-sum kernel, which the flyover
-scan of targets.py shares. It asks for the geometry of as many rows at
-once as hold _PATH_BUDGET paths, and splits each row's K ramps into about
-√K low and √K high ones, all powers of the one z: the high ramps take the
-weights, and a block of rows is one batched (high x P) @ (P x low)
-product. The low ramps, the high ramps
-and the product stay within _SLAB_ELEMENTS, 1 MiB, whatever the capture
-size. Fixed mode builds one ramp set for all symbols and is one matrix
-product, gains @ ramps. Both products run on BLAS; pipeline.run pins it to
-one thread (one_blas_thread).
+path_rows builds the ramps exp(-j2πkΔfτ) from one exp per delay,
+z = exp(-j2πΔfτ), by doubling (see _powers): rows [n, 2n) are rows [0, n)
+times z^n, and z^(2n) is z^n squared. The flyover scan of targets.py
+shares it. It asks for the geometry of as many rows at once as hold
+_PATH_BUDGET paths, and splits each row's K ramps into about √K low and √K
+high ones, all powers of the one z: the high ramps take the weights, and a
+block of rows is one batched (high x P) @ (P x low) product. The low
+ramps, the high ramps and the product stay within _SLAB_ELEMENTS, 1 MiB,
+whatever the capture size. The products run on BLAS; pipeline.run pins it
+to one thread (one_blas_thread).
 
 Fractional delays are exact frequency-domain phase ramps; the carrier phase
 of a path lives in its complex gain, keeping delay-bin positions baseband
-consistent. Doppler is a per-symbol phasor only (no intra-symbol ICI), valid
-while f_D * T_sym << 1.
+consistent. A path holds still within a symbol (no intra-symbol ICI),
+valid while f_D * T_sym << 1.
 """
 
 from __future__ import annotations
@@ -182,9 +182,10 @@ class PathTable:
 
     delay (s, >= 0) and gain carry the leading time axes; the gain holds the
     path's carrier phase exp(-j2π f_c τ). doppler (Hz) is filled on request:
-    fixed-mode synthesis, illumination channels and clean's removed paths
-    carry it, and None means static paths. Geometric synthesis leaves it
-    None, as Doppler there emerges from the delays over time.
+    a (P,) table at t0 that synth_cfr takes to first order in t - t0,
+    illumination channels and clean's removed paths carry it, and None means
+    static paths. A block callback's tables leave it None, as Doppler there
+    emerges from the delays over time.
     """
 
     delay: np.ndarray
@@ -301,36 +302,35 @@ def synth_cfr(
     waveform: WaveformConfig,
     t0: float = 0.0,
 ) -> SlowTimeCube:
-    """Synthesize a slow-time CFR capture from path parameters.
+    """Synthesize a slow-time CFR capture from path parameters, on path_rows.
 
-    The input picks the mode. A PathTable means fixed mode: it must be
-    single-instant, of shape (P,); its doppler array sets each path's
-    per-symbol phasor, and doppler=None means static paths. A callable means
-    geometric mode: a block callback, an array of consecutive symbol times
+    A callable is a block callback: an array of consecutive symbol times
     t0 + m*T_sym in, a PathTable with delay and gain of shape
     (len(times), P) out, called first on one symbol and then on chunks of
-    path_rows's path budget (128 symbols a call for 32 paths). Fixed
-    mode is one product, (M x P) gains @ (P x K) ramps, the ramps made
-    C-contiguous: a transposed operand measured a larger peak RSS.
-    Superposition is exactly linear in the path set.
+    path_rows's path budget (128 symbols a call for 32 paths). A PathTable
+    must be single-instant, of shape (P,): the paths at t0, which path_rows
+    takes to first order in Δt = t - t0, delay τ - (f_D / f_c)Δt and gain
+    a exp(+j2π f_D Δt); doppler=None means static paths. These rows are no
+    PathTable, as a first-order delay may fall below 0. Superposition is
+    exactly linear in the path set.
     """
     w = waveform
+    dt = np.arange(w.n_symbols) * w.t_sym
     if callable(paths):
-        times = t0 + np.arange(w.n_symbols) * w.t_sym
+        times = t0 + dt
 
         def block(at: slice):
             table = paths(times[at])
             return table.delay, table.gain
-        data = path_rows(block, w.n_symbols, w.delta_f, w.n_subcarriers)
     else:
         if paths.delay.ndim != 1:
             raise UsageError("fixed mode takes a single-instant path table of shape (P,)")
-        check_entries(w.n_symbols * len(paths), "fixed-mode phasors of n_symbols x paths")
-        dopplers = np.zeros(len(paths)) if paths.doppler is None else paths.doppler
-        phasors = np.exp(2j * np.pi * w.t_sym * np.outer(np.arange(w.n_symbols), dopplers))
-        gains = phasors * paths.gain
-        data = gains @ np.ascontiguousarray(phase_ramps(paths.delay, w.delta_f, w.n_subcarriers).T)
-    return SlowTimeCube(data, w, t0)
+        f_d = np.zeros(len(paths)) if paths.doppler is None else paths.doppler
+
+        def block(at: slice):
+            step = dt[at, None]
+            return paths.delay - f_d / w.f_c * step, paths.gain * np.exp(2j * np.pi * f_d * step)
+    return SlowTimeCube(path_rows(block, w.n_symbols, w.delta_f, w.n_subcarriers), w, t0)
 
 
 def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:

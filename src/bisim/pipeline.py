@@ -4,16 +4,18 @@ SUBCOMMANDS are the keys of one runner table. run() makes the archive,
 whose summary echoes the config and names the subcommand; the runner adds
 its datasets and returns its results, a pure function of (RunConfig,
 threads); run() then writes the archive, its YAML summary sidecar, and
-optional CSV exports where the echoed outputs say. Synthesis starts at t0,
-and the scans see their target's body in its own frame. Identical config +
-seed produce byte-identical archives for any worker count: threads only fan
-out the fixed blocks of Rx directions of a reflectivity scan, whose
-boundaries come from a memory budget and not from the worker count, each
-written to its own slice of the output; links are streamed in order, one at
-a time, each synthesized and noised (from its own seeded generator) just
-before it is processed. A link is resolved once into a Link of its two
-nodes and their poses at t0: fixed mode takes its paths at those poses,
-geometric mode asks the nodes for their poses block by block, and the Link
+optional CSV exports where the echoed outputs say, and the summary names
+those files. Synthesis starts at t0, and the scans see their target's body
+in its own frame. Identical config + seed produce byte-identical archives
+for any worker count: threads only fan out the fixed blocks of Rx
+directions of a reflectivity scan, whose boundaries come from a memory
+budget and not from the worker count, each written to its own slice of the
+output; links are streamed in order, one at a time, each synthesized and
+noised (from its own seeded generator) just before it is processed. A link
+is resolved once into a Link of its two nodes and their poses at t0. Both
+modes synthesize on one kernel: fixed mode takes its paths and their
+Dopplers at those poses, which synth_cfr carries to first order in t - t0,
+and geometric mode asks the nodes for their poses block by block. The Link
 names its datasets and summary keys, gives its LoS delay and rides on its
 fusion observation.
 """
@@ -370,9 +372,11 @@ def run(subcommand: str, cfg: RunConfig, out_dir=None, threads: int = 1,
     runner adds its datasets to the archive and returns the summary's
     results, with numpy's BLAS on one thread. Returns the archive and the
     files written to outputs.directory; format csv adds every dataset of
-    <= 2 dimensions. Each file is created fresh: a rerun unlinks the old
-    file first, so a symlink or read-only file there is replaced, not
-    written through, and a killed write leaves a short file.
+    <= 2 dimensions. The summary's files lists their names, so a file
+    that an earlier run left there can be told apart. Each file is created
+    fresh: a rerun unlinks the old file first, so a symlink or read-only
+    file there is replaced, not written through, and a killed write leaves
+    a short file.
     """
     if subcommand not in _RUNNERS:
         raise UsageError(f"unknown subcommand {subcommand!r}")
@@ -384,19 +388,13 @@ def run(subcommand: str, cfg: RunConfig, out_dir=None, threads: int = 1,
                                      "config": config_echo(cfg), "results": {}})
     with one_blas_thread():
         archive.summary["results"] = _RUNNERS[subcommand](cfg, archive, threads)
+    csv = [name for name, ds in archive.datasets.items() if cfg.outputs.format == "csv" and ds.values.ndim <= 2]
+    files = [f"{subcommand}.bisim", f"{subcommand}_summary.yaml", *(f"{subcommand}_{name}.csv" for name in csv)]
+    archive.summary["files"] = files
     out_dir = Path(cfg.outputs.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    bin_path = out_dir / f"{subcommand}.bisim"
-    archive.write(bin_path)
-    written.append(bin_path)
-    summary_path = out_dir / f"{subcommand}_summary.yaml"
-    archive.write_summary(summary_path)
-    written.append(summary_path)
-    if cfg.outputs.format == "csv":
-        for name, ds in archive.datasets.items():
-            if ds.values.ndim <= 2:
-                csv_path = out_dir / f"{subcommand}_{name}.csv"
-                export_csv(archive, name, csv_path)
-                written.append(csv_path)
-    return archive, written
+    archive.write(out_dir / files[0])
+    archive.write_summary(out_dir / files[1])
+    for name, file in zip(csv, files[2:]):
+        export_csv(archive, name, out_dir / file)
+    return archive, [out_dir / file for file in files]

@@ -113,7 +113,8 @@ def link_paths(scene: SceneConfig, tx: NodePose, rx: NodePose, t, doppler: bool 
     tx and rx are the two antenna poses at t. Returns a PathTable of shape
     t.shape + (P,). Geometric synthesis passes a block of symbol times
     (through link_callback); fixed mode passes one time, the link's poses
-    at t0, and doppler=True.
+    at t0, and doppler=True, a table that synth_cfr carries to first order
+    in t - t0.
     """
     tables = []
     if scene.include_los:

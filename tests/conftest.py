@@ -2,8 +2,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bisim.channel import SlowTimeCube
 from bisim.scene import link_paths
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -103,6 +105,16 @@ processing:
 outputs:
   directory: out
 """
+
+
+def tone_cube(paths, w):
+    """The cube of a (P,) table's paths held at their delays, each Doppler a per-symbol phasor:
+    one DD-map tone per path. synth_cfr's first-order delays would migrate by f_D/f_c per second,
+    and the band's spread of Doppler, f_D·B/f_c, would leak each tone into the bins around it."""
+    m, k = np.arange(w.n_symbols), np.arange(w.n_subcarriers)
+    return SlowTimeCube(sum(a * np.outer(np.exp(2j * np.pi * f * m * w.t_sym),
+                                         np.exp(-2j * np.pi * k * w.delta_f * tau))
+                            for tau, a, f in zip(paths.delay, paths.gain, paths.doppler)), w)
 
 
 def first_link_paths(scene, t, doppler=False):

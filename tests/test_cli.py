@@ -254,6 +254,21 @@ class TestRerun:
         assert first == written
         assert all(path.read_bytes() == rerun[path] for path in first)
 
+    def test_summary_names_the_files_of_its_own_run(self, tmp_path):
+        # a 4-Rx run leaves its fourth link's CSV behind; the 3-Rx summary does not name it
+        big = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        big["scene"]["rx_nodes"].append({"id": "rx3", "position": [0, -250, 0]})
+        out = tmp_path / "o"
+        _, old = run("simulate", parse_config(big), out_dir=out, fmt="csv")
+        archive, written = run("simulate", parse_config(yaml.safe_load(textwrap.dedent(FULL_SCENE))),
+                               out_dir=out, fmt="csv")
+        files = yaml.safe_load((out / "simulate_summary.yaml").read_text())["files"]
+        assert files == archive.summary["files"] == [path.name for path in written]
+        assert files == ["simulate.bisim", "simulate_summary.yaml",
+                         *(f"simulate_cfr_tx0_rx{i}.csv" for i in range(3))]
+        assert sorted(path.name for path in out.iterdir()) == sorted(path.name for path in old)
+        assert set(path.name for path in out.iterdir()) - set(files) == {"simulate_cfr_tx0_rx3.csv"}
+
     @pytest.mark.parametrize("name", ["linkbudget.bisim", "linkbudget_summary.yaml",
                                       "linkbudget_received_power_dbm.csv"])
     def test_output_path_that_is_a_directory_exits_4(self, full_scene_config, tmp_path, caplog, name):
@@ -517,12 +532,12 @@ class TestCliMain:
 
     # Each case lets its outputs through MAX_ENTRIES (lowered to keep it fast) but not an array
     # of paths or scan samples x frequencies or symbols: the low ramps of a block of synthesis
-    # rows (L x b x P), fixed mode's phasors (M x P), a scan's Jones columns (4 x N x n_freq) and
-    # the low ramps of a block of flyover rows (L x b x N).
+    # rows (L x b x P) in either mode, a scan's Jones columns (4 x N x n_freq) and the low ramps
+    # of a block of flyover rows (L x b x N).
     BOUNDED = {
         "geometric ramps": ("simulate", 64 * 128, "phase ramps", lambda doc: (
             doc["waveform"].update(n_symbols=64), doc["scene"]["targets"][0].update(samples_per_blade=64))),
-        "fixed phasors": ("simulate", 256 * 16, "fixed-mode phasors", lambda doc: (
+        "fixed ramps": ("simulate", 256 * 16, "phase ramps", lambda doc: (
             doc.update(mode="fixed"), doc["waveform"].update(n_symbols=256, n_subcarriers=16),
             doc["scene"]["targets"][0].update(samples_per_blade=64))),
         "scan columns": ("reflectivity", 6 * 16 * 4, "Jones columns", lambda doc: doc.update(
@@ -659,9 +674,9 @@ class TestRunMemory:
         return peak - archive_bytes, cfg
 
     # tracemalloc peak above the archive, in link cubes: the measured peak + 0.5 cube
-    # (FULL_SCENE simulate 1.0, clean 2.0, ddmap 2.0, localize 3.0, spectrogram 3.0;
-    # ROTOR_SCENE 0.5, 1.0, 2.0, 3.0, 2.5; FULL_SCENE with clean_paths 2: clean 2.0,
-    # ddmap 2.0, localize 3.0), so one more cube held across a link fails. ddmap and
+    # (FULL_SCENE simulate 1.0, clean 2.0, ddmap 2.0, localize 3.0, spectrogram 3.0, and the
+    # same in fixed mode; ROTOR_SCENE 0.5, 1.0, 2.0, 3.0, 2.5; FULL_SCENE with clean_paths 2:
+    # clean 2.0, ddmap 2.0, localize 3.0), so one more cube held across a link fails. ddmap and
     # localize peak while the map is made: the cube and two map-sized stages, with
     # localize's map not in its archive; detection holds half a map of |x| and half
     # a map of its partitioned copy
@@ -669,6 +684,7 @@ class TestRunMemory:
         "FULL_SCENE": {"simulate": 1.5, "clean": 2.5, "ddmap": 2.5, "localize": 3.5, "spectrogram": 3.5},
         "ROTOR_SCENE": {"simulate": 1.0, "clean": 1.5, "ddmap": 2.5, "localize": 3.5, "spectrogram": 3.0},
         "FULL_SCENE_CLEAN_2": {"clean": 2.5, "ddmap": 2.5, "localize": 3.5},
+        "FULL_SCENE_FIXED": {"simulate": 1.5, "clean": 2.5, "ddmap": 2.5, "localize": 3.5, "spectrogram": 3.5},
     }
 
     @pytest.mark.parametrize("sub, scene", [(sub, scene) for scene, subs in CUBE_BUDGETS.items() for sub in subs])
@@ -676,6 +692,8 @@ class TestRunMemory:
         doc = yaml.safe_load(textwrap.dedent(ROTOR_SCENE if scene == "ROTOR_SCENE" else FULL_SCENE))
         if scene == "FULL_SCENE_CLEAN_2":   # clean's residual replaces the cube it was made from
             doc["processing"]["clean_paths"] = 2
+        if scene == "FULL_SCENE_FIXED":
+            doc["mode"] = "fixed"
         above, cfg = self.peak_above_archive(sub, doc, tmp_path)
         cubes = above / (cfg.waveform.n_symbols * cfg.waveform.n_subcarriers * 16)
         assert cubes < self.CUBE_BUDGETS[scene][sub], cubes

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from conftest import tone_cube
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisim.channel import PathTable, WaveformConfig, synth_cfr
+from bisim.channel import PathTable, WaveformConfig
 from bisim.errors import ConfigError
 from bisim.illumination import (
     doppler_precompensate,
@@ -153,12 +154,12 @@ class TestDopplerPrecompensate:
         res = 1.0 / (w.n_symbols * w.t_sym)
         paths = PathTable(np.array([3, 9, 15]) / w.bandwidth, [1.0, 0.8, 0.6],
                           np.array([10, -14, 27]) * res)
-        before = delay_doppler_map(synth_cfr(paths, w))
+        before = delay_doppler_map(tone_cube(paths, w))
         comp = doppler_precompensate(paths)
         # shift the common reference onto the Doppler grid for a bin-exact test
         ref = round(comp.reference_hz / res) * res
         aligned = PathTable(paths.delay, paths.gain, np.full(len(paths), ref))
-        after = delay_doppler_map(synth_cfr(aligned, w))
+        after = delay_doppler_map(tone_cube(aligned, w))
 
         def occupied_doppler_bins(ddm):
             power = np.abs(ddm.data) ** 2

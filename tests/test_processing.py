@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from conftest import FULL_SCENE, ROTOR_SCENE
+from conftest import FULL_SCENE, ROTOR_SCENE, tone_cube
 from scipy.ndimage import maximum_filter
 from scipy.signal import get_window
 from scipy.signal.windows import gaussian
@@ -54,8 +54,7 @@ class TestDelayDopplerMap:
     def test_on_grid_tone_single_bin(self):
         w = waveform()
         fd = on_grid_doppler(w, 9)
-        cube = synth_cfr(PathTable([4 / w.bandwidth], [1.0 + 0j], [fd]), w)
-        ddm = delay_doppler_map(cube)
+        ddm = delay_doppler_map(tone_cube(PathTable([4 / w.bandwidth], [1.0 + 0j], [fd]), w))
         energy = np.abs(ddm.data) ** 2
         i, j = np.unravel_index(np.argmax(energy), energy.shape)
         assert i == 4

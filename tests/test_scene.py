@@ -1,13 +1,16 @@
 import math
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
-from conftest import first_link_paths
+from conftest import FULL_SCENE, first_link_paths
 
-from bisim.channel import WaveformConfig, synth_cfr
+from bisim import pipeline
+from bisim.channel import PathTable, WaveformConfig, synth_cfr
 from bisim.cli import main
+from bisim.config import parse_config
 from bisim.errors import ConfigError, GeometryError
 from bisim.geometry import C0, NodePose, Trajectory, vec3
 from bisim.illumination import doppler_precompensate, focusing_gain, time_reversal_prefilter
@@ -16,8 +19,9 @@ from bisim.scene import (
     SceneNode,
     illumination_paths,
     link_callback,
+    link_paths,
 )
-from bisim.targets import FOUR_PI, PointScatterer, RigidTarget, Rotor
+from bisim.targets import FOUR_PI, PointScatterer, RigidTarget, Rotor, states
 
 LAM = C0 / 3.7e9
 
@@ -132,7 +136,8 @@ class TestLinkPaths:
 
     @pytest.mark.parametrize("doppler", [True, False])
     def test_fixed_synthesis_is_the_explicit_path_sum(self, doppler):
-        # sum_p a_p exp(+j2π f_D,p m T) exp(-j2π k Δf τ_p); doppler=False gives static paths
+        # the t0 table to first order in Δt = mT: sum_p a_p exp(+j2π f_D,p Δt)
+        # exp(-j2π k Δf (τ_p - f_D,p Δt / f_c)); doppler=False gives static paths
         target = RigidTarget(
             [PointScatterer([0, 0, 0], 1.0), PointScatterer([0.4, 0.2, 0], 0.6)],
             Trajectory.from_waypoints([(0.0, (50, 60, 0)), (1.0, (62, 55, 0))]),
@@ -143,14 +148,18 @@ class TestLinkPaths:
         w = WaveformConfig(3.7e9, 20e6, 48, 40)
         cube = synth_cfr(paths, w)
         f_d = paths.doppler if doppler else np.zeros(len(paths))
-        m, k = np.arange(w.n_symbols), np.arange(w.n_subcarriers)
+        dt, freqs = np.arange(w.n_symbols) * w.t_sym, np.arange(w.n_subcarriers) * w.delta_f
         expected = np.zeros((w.n_symbols, w.n_subcarriers), dtype=complex)
+        frozen = expected.copy()   # the same sum with every delay held at t0
         for tau, a, f in zip(paths.delay, paths.gain, f_d):
-            expected += a * np.outer(np.exp(2j * np.pi * f * m * w.t_sym),
-                                     np.exp(-2j * np.pi * k * w.delta_f * tau))
-        assert np.abs(cube.data - expected).max() <= 1e-12 * np.abs(expected).max()
+            phasor = a * np.exp(2j * np.pi * f * dt)[:, None]
+            expected += phasor * np.exp(-2j * np.pi * np.outer(tau - f / w.f_c * dt, freqs))
+            frozen += phasor * np.exp(-2j * np.pi * tau * freqs)
+        peak = np.abs(expected).max()
+        assert np.abs(cube.data - expected).max() <= 1e-12 * peak
         if doppler:
             assert np.any(paths.doppler != 0.0)
+            assert np.abs(cube.data - frozen).max() > 1e-9 * peak   # the delays do move
         else:
             assert np.allclose(cube.data, cube.data[0])
 
@@ -291,6 +300,104 @@ class TestGeometricSynthesis:
             tracemalloc.stop()
         assert peak < 32e6
         assert np.all(np.isfinite(cube.data)) and np.sum(np.abs(cube.data) ** 2) > 0
+
+
+# A target and an Rx on straight tracks, the target crossing close to both nodes, with a
+# clutter point and LoS: every path of its one link has its own range acceleration
+STRAIGHT_TRACKS = {
+    "t0": 0.2,
+    "waveform": {"carrier_hz": 3.7e9, "bandwidth_hz": 40e6, "n_subcarriers": 64, "n_symbols": 2048},
+    "scene": {
+        "tx_nodes": [{"id": "tx0", "position": [0.0, 0.0, 0.0]}],
+        "rx_nodes": [{"id": "rx0", "trajectory": [[0.0, [100.0, -4.0, 0.0]], [1.0, [100.0, 16.0, 0.0]]]}],
+        "targets": [{"kind": "rigid", "name": "crosser", "yaw": "track",
+                     "scatterers": [{"amplitude": 1.0}, {"offset": [0.5, 0.2, 0.0], "amplitude": 0.5}],
+                     "trajectory": [[0.0, [50.0, 8.0, 0.0]], [1.0, [50.0, 68.0, 0.0]]]}],
+        "clutter": [{"position": [60.0, -30.0, 0.0], "amplitude": 1.0}],
+    },
+}
+
+
+def range_acceleration(scene, tx_node, rx_node, times) -> np.ndarray:
+    """R'' = sum over hops of |v_⊥|²/d of each path of link_paths at the times, (len(times), P).
+
+    On straight tracks each end of a hop moves at a constant velocity, so a hop of length
+    d = |Δp| has d' = Δv·Δp/d and d'' = (|Δv|² - d'²)/d = |v_⊥|²/d, v_⊥ the part of the
+    relative velocity Δv across the line of sight.
+    """
+    def hop(a, va, b, vb):
+        dp, dv = a - b, va - vb
+        d = np.linalg.norm(dp, axis=-1)
+        rate = np.sum(dv * dp, axis=-1) / d
+        return (np.sum(dv * dv, axis=-1) - rate ** 2) / d
+
+    shape = (len(times), 1, 3)
+    tx, rx = tx_node.pose(times), rx_node.pose(times)
+    (tp, tv), (rp, rv) = [(np.broadcast_to(n.position, (len(times), 3))[:, None],
+                           np.broadcast_to(n.velocity, (len(times), 3))[:, None]) for n in (tx, rx)]
+    points = [(np.broadcast_to(c.position, shape), np.zeros(shape)) for c in scene.clutter]
+    for target in scene.targets:
+        st = states(target, times, doppler=True)
+        points.append((st.positions, st.velocities))
+    curvature = [hop(tp, tv, rp, rv)] if scene.include_los else []
+    curvature += [hop(p, v, tp, tv) + hop(p, v, rp, rv) for p, v in points]
+    return np.concatenate(curvature, axis=1)
+
+
+class TestFixedModeBound:
+    """Fixed mode against geometric mode, path by path, within the second-order Taylor term.
+
+    A path of bistatic range R(t) has the geometric phase -2π(f_c + kΔf)R(t)/c at subcarrier
+    k, its gain carrying the carrier's share. Fixed mode takes the t0 table to first order,
+    delay τ0 - (f_D / f_c)Δt with f_D = -R'0/λ, that is (R0 + R'0Δt)/c, and gain
+    a0 exp(+j2π f_D Δt), so its phase is -2π(f_c + kΔf)(R0 + R'0Δt)/c. Taylor's theorem with
+    the Lagrange remainder gives R(t) - R0 - R'0Δt = R''(ξ)Δt²/2 for some ξ in [t0, t], so the
+    phase error is at most π(f_c + kΔf)·max|R''|·Δt²/c: π f_c (R''/c) Δt², plus the ramp share
+    kΔf/f_c < B/f_c of it. On straight tracks R'' is range_acceleration's closed form. A
+    delay held at τ0 would add the first-order error 2πkΔf|R'0|Δt/c, which both scenes make
+    larger than the bound, so the test tells the two apart.
+    """
+
+    @pytest.mark.parametrize("scene", ["FULL_SCENE", "STRAIGHT_TRACKS"])
+    def test_each_path_within_the_second_order_term(self, scene):
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE)) if scene == "FULL_SCENE" else STRAIGHT_TRACKS
+        cfg = parse_config(doc)
+        w, t0 = cfg.waveform, cfg.t0
+        dt = np.arange(w.n_symbols) * w.t_sym
+        freqs = w.subcarrier_frequencies()
+        frozen_over = tight = 0.0
+        for tx_node, rx_node in cfg.scene.links():
+            table = link_paths(cfg.scene, tx_node.pose(t0), rx_node.pose(t0), t0, doppler=True)
+            geometric = link_callback(cfg.scene, tx_node, rx_node)
+            curvature = range_acceleration(cfg.scene, tx_node, rx_node, t0 + dt).max(axis=0)
+            for p in range(len(table)):
+                def alone(times, p=p):
+                    paths = geometric(times)
+                    return PathTable(paths.delay[:, [p]], paths.gain[:, [p]])
+
+                fixed = synth_cfr(PathTable(table.delay[[p]], table.gain[[p]], table.doppler[[p]]), w, t0)
+                geo = synth_cfr(alone, w, t0)
+                error = np.abs(np.angle(geo.data * np.conj(fixed.data)))
+                bound = np.pi * np.outer(curvature[p] * dt ** 2, freqs) / C0
+                # 1e-9 rad covers rounding: a carrier phase of 2πR/λ < 4e4 rad carries about 1e-11
+                assert np.all(error <= bound * (1 + 1e-6) + 1e-9), (p, (error - bound).max())
+                if curvature[p] > 0:
+                    frozen = 2 * np.pi * (freqs[-1] - w.f_c) * abs(table.doppler[p]) / w.f_c * dt[-1]
+                    frozen_over = max(frozen_over, frozen / bound[-1, -1])
+                    tight = max(tight, error[-1, 0] / bound[-1, 0])
+        # a frozen delay breaks the bound on some path, and the bound is the error's own
+        # order: at the last symbol it is within a factor 2 of it
+        assert frozen_over > 1 and tight > 0.5, (frozen_over, tight)
+
+    def test_full_scene_within_1e3_of_each_row_peak(self):
+        # measured 7.3e-4, 8.8e-4 and 3.9e-4 of the row peak; delays held at t0 give 4.0e-3,
+        # 7.0e-3 and 2.8e-3
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc.pop("noise")
+        cubes = {mode: [cube.data for _, cube in pipeline._simulate_links(parse_config(dict(doc, mode=mode)))]
+                 for mode in ("fixed", "geometric")}
+        for fixed, geo in zip(cubes["fixed"], cubes["geometric"]):
+            assert (np.abs(fixed - geo).max(axis=1) / np.abs(geo).max(axis=1)).max() <= 1e-3
 
 
 class TestIlluminationPaths:
