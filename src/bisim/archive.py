@@ -14,7 +14,9 @@ Layout, all little-endian:
         payload      product(dims) x dtype, C order
 
 Round trips are bit-exact. A run's sidecar summary (config echo, estimates,
-library version) is plain YAML next to the binary. Complex datasets export
+library version) is block YAML next to the binary, written by a small
+emitter of its own types: the text of PyYAML's block dump, save that a
+string PyYAML would quote is one double-quoted line. Complex datasets export
 to CSV as dB magnitudes (20 log10 |.|, exact zeros floored at -300 dB, NaN
 kept) with 10 decimals, within 5e-11 dB; float data keeps 17 significant digits.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -44,6 +47,8 @@ MAGIC = b"BISIM1"
 VERSION = 1
 _DTYPES = {"<f8", "<c16"}
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)   # libyaml: same text, faster
+_PLAIN = re.compile(r"[A-Za-z0-9_./][A-Za-z0-9_./-]*")      # strings that may be written unquoted
+_RESOLVER = yaml.resolver.Resolver()
 
 
 @dataclass(eq=False)
@@ -179,9 +184,101 @@ class ResultArchive:
         return archive
 
     def write_summary(self, path) -> None:
-        """Write the summary as YAML to a file created fresh at path (an old one is unlinked first)."""
+        """Write the summary as block YAML to a file created fresh at path.
+
+        The text is _summary_text's: the bytes of yaml.dump(summary, sort_keys=False,
+        default_flow_style=False), save that a string PyYAML would quote is one
+        double-quoted line. It is made before the old file is unlinked, so a summary
+        that cannot be written (one holding a numpy scalar, say) raises
+        RepresenterError and leaves that file as it was.
+        """
+        text = _summary_text(self.summary)
         with _create(path, "w") as fh:
-            yaml.dump(self.summary, fh, Dumper=_DUMPER, sort_keys=False, default_flow_style=False)
+            fh.write(text)
+
+
+def _plain(s: str) -> bool:
+    """Whether s is written unquoted: it is in _PLAIN, starts no document end marker,
+    and PyYAML's resolver reads it back as a string."""
+    return (_PLAIN.fullmatch(s) is not None and not s.startswith("...")
+            and _RESOLVER.resolve(yaml.ScalarNode, s, (True, False)) == "tag:yaml.org,2002:str")
+
+
+def _float_text(x: float) -> str:
+    """SafeRepresenter's float text: repr, with ".0" before an exponent that has no point."""
+    text = repr(x)
+    if "n" in text:   # nan, inf or -inf
+        return ".nan" if x != x else ".inf" if x > 0 else "-.inf"
+    return text.replace("e", ".0e", 1) if "e" in text and "." not in text else text
+
+
+def _str_text(s: str) -> str:
+    """s plain where PyYAML writes it so, else as one double-quoted line (escaped, never folded)."""
+    return s if _plain(s) else yaml.dump(s, Dumper=_DUMPER, default_style='"', width=1 << 30)[:-1]
+
+
+_SCALARS = {
+    str: _str_text,
+    bool: lambda b: "true" if b else "false",
+    int: str,
+    float: _float_text,
+    type(None): lambda _: "null",
+}
+
+
+def _summary_text(tree) -> str:
+    """tree, a dict or list of dicts with plain str keys, lists, str, int, float, bool and
+    None, as the block YAML that yaml.dump(tree, Dumper=_DUMPER, sort_keys=False,
+    default_flow_style=False) writes, without PyYAML's Python representer.
+
+    A string that PyYAML would quote or fold is written as one double-quoted line, so it
+    loads back equal. Any other type, or a key that is not a plain string of fewer than
+    128 characters (PyYAML writes a longer one as "? key"), raises RepresenterError, as
+    an unsupported type does in yaml.dump. A dict or list that appears twice is written
+    twice; PyYAML would write it once with an anchor.
+    """
+    out = []
+
+    def text(x):
+        """x's one-line text; None for a non-empty dict or list."""
+        write = _SCALARS.get(type(x))
+        if write is not None:
+            return write(x)
+        if type(x) is not dict and type(x) is not list:
+            raise yaml.representer.RepresenterError("cannot represent an object", x)
+        return None if x else "{}" if type(x) is dict else "[]"
+
+    def block(x, col: int, glued: bool) -> None:
+        """Append the non-empty dict or list x at column col; glued: its first line follows "- "."""
+        pad = " " * col
+        if type(x) is dict:
+            for key, value in x.items():
+                if type(key) is not str or len(key) >= 128 or not _plain(key):
+                    raise yaml.representer.RepresenterError("cannot write as a plain key", key)
+                line, glued = (key if glued else pad + key), False
+                one = text(value)
+                if one is not None:
+                    out.append(f"{line}: {one}\n")
+                else:   # a list under a key is not indented
+                    out.append(line + ":\n")
+                    block(value, col + 2 if type(value) is dict else col, False)
+        else:
+            for item in x:
+                dash, glued = ("- " if glued else pad + "- "), False
+                one = text(item)
+                if one is not None:
+                    out.append(dash + one + "\n")
+                else:
+                    out.append(dash)
+                    block(item, col + 2, True)
+
+    if type(tree) is not dict and type(tree) is not list:
+        raise yaml.representer.RepresenterError("a summary is a dict or a list", tree)
+    one = text(tree)
+    if one is not None:
+        return one + "\n"
+    block(tree, 0, False)
+    return "".join(out)
 
 
 _CSV_BLOCK_VALUES = 1 << 13   # values formatted per write: about 1 MB of transient arrays and text

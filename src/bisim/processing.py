@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,8 +129,17 @@ def _ramp(tau: float, k: np.ndarray, delta_f: float) -> np.ndarray:
     return np.exp(-2j * np.pi * delta_f * tau * k)
 
 
-def _fit_static_path(mean_row: np.ndarray, delta_f: float, bandwidth: float,
-                     tau_hint: float | None = None) -> tuple[float, complex]:
+@lru_cache(maxsize=8)
+def _moment_basis(n: int) -> np.ndarray:
+    """Rows [1, kc, kc²] of the centred index kc = k - (n-1)/2 (|S| is unchanged, sums stay small)."""
+    kc = np.arange(n) - (n - 1) / 2.0
+    basis = np.stack([np.ones(n), kc, kc * kc])
+    basis.flags.writeable = False
+    return basis
+
+
+def _fit_static_path(mean_row: np.ndarray, delta_f: float, bandwidth: float, tau_hint: float | None = None,
+                     profile: np.ndarray | None = None) -> tuple[float, complex]:
     """Best (delay, amplitude) of one static path against a mean CFR row.
 
     The delay x (in bins of 1/B) maximizes f = |S(x)|^2, the matched-ramp
@@ -138,20 +148,22 @@ def _fit_static_path(mean_row: np.ndarray, delta_f: float, bandwidth: float,
     analytic f' and f'' starts from a parabola through the three profile
     samples at the peak; a step that leaves the shrinking bracket, or meets
     curvature that is not negative, bisects the bracket instead. The
-    amplitude is then the closed-form least-squares fit.
+    amplitude is then the closed-form least-squares fit. profile, where the
+    caller has it, is the row's |IFFT|.
     """
     n = mean_row.size
     if tau_hint is None:
-        profile = np.abs(np.fft.ifft(mean_row))
+        profile = np.abs(np.fft.ifft(mean_row)) if profile is None else profile
         centre = int(np.argmax(profile))
         x = centre + parabolic_offset(profile[centre - 1], profile[centre], profile[(centre + 1) % n])
     else:
         x = centre = tau_hint * bandwidth
     lo, hi = centre - 1.0, centre + 1.0
-    kc = np.arange(n) - (n - 1) / 2.0          # centred index: |S| is unchanged, sums stay small
+    basis = _moment_basis(n)
+    kc = basis[1]                              # centred index
     # an exact power-of-two scale to a unit peak: products of the sums neither under- nor overflow
     scale = 2.0 ** -max(math.frexp(float(np.max(np.abs(mean_row))))[1], -1000)
-    moments = mean_row * scale * np.stack([np.ones(n), kc, kc * kc])
+    moments = mean_row * scale * basis
     theta = 2.0 * np.pi * delta_f / bandwidth
     for _ in range(64):   # bisection alone would shrink the bracket below 1e-10 bins in 35
         s0, s1, s2 = (moments * np.exp(1j * theta * x * kc)).sum(axis=1).tolist()
@@ -175,40 +187,47 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int) -> CleanResult:
     complex amplitude against the model phase ramp and subtracts the reconstructed
     path. _REFINE_CYCLES alternating re-fit cycles polish mutually
     interfering paths. Subtracting a static path shifts the slow-time mean
-    row by exactly that path's ramp, so the fits run on the mean row alone
-    and the sum of the fitted paths leaves every symbol once at the end.
-    Paths whose peak rises less than _FLOOR_MARGIN_DB above the profile
-    median are flagged as at the noise floor.
+    row by exactly that path's ramp, so the fits run on the mean row alone,
+    each fit's ramp is built once and serves its add-back in the re-fit
+    cycles, and the residual is the cube less the sum of the fitted paths,
+    formed once at the end. Paths whose peak rises less than
+    _FLOOR_MARGIN_DB above the profile median are flagged as at the noise
+    floor.
     """
     w = cube.waveform
     if not 0 <= n_paths <= w.n_subcarriers:   # clean resolves at most one path per delay bin
         raise ConfigError(f"clean_paths = {n_paths}: expected 0 to n_subcarriers = {w.n_subcarriers}")
-    result = CleanResult(SlowTimeCube(cube.data.copy(), w, cube.t0))
     if n_paths == 0:
-        return result
+        return CleanResult(SlowTimeCube(cube.data.copy(), w, cube.t0))
+    # made before the fits' small arrays, so it can take the cube-sized hole a freed cube
+    # left (made after them, it raised multistatic_fixed's peak RSS by one cube)
+    residual = np.empty_like(cube.data)
     k = np.arange(w.n_subcarriers)
     mean_row = cube.data.mean(axis=0)
-    estimates: list[tuple[float, complex]] = []
+    estimates: list[tuple[float, complex, np.ndarray]] = []   # (delay, amplitude, its ramp)
+    at_noise_floor, peak_db_above_floor = [], []
     for _ in range(n_paths):
         profile = np.abs(np.fft.ifft(mean_row))
         floor = float(np.median(profile))
         peak = float(profile.max())
         above = 20.0 * np.log10(peak / floor) if floor > 0 else np.inf
-        tau, amp = _fit_static_path(mean_row, w.delta_f, w.bandwidth)
-        mean_row = mean_row - amp * _ramp(tau, k, w.delta_f)
-        estimates.append((tau, amp))
-        result.at_noise_floor.append(above < _FLOOR_MARGIN_DB)
-        result.peak_db_above_floor.append(above)
+        tau, amp = _fit_static_path(mean_row, w.delta_f, w.bandwidth, profile=profile)
+        ramp = _ramp(tau, k, w.delta_f)
+        mean_row = mean_row - amp * ramp
+        estimates.append((tau, amp, ramp))
+        at_noise_floor.append(above < _FLOOR_MARGIN_DB)
+        peak_db_above_floor.append(above)
     for _ in range(_REFINE_CYCLES if len(estimates) > 1 else 0):
-        for i, (tau_i, amp_i) in enumerate(estimates):
-            mean_row = mean_row + amp_i * _ramp(tau_i, k, w.delta_f)
+        for i, (tau_i, amp_i, ramp_i) in enumerate(estimates):
+            mean_row = mean_row + amp_i * ramp_i
             tau, amp = _fit_static_path(mean_row, w.delta_f, w.bandwidth, tau_hint=tau_i)
-            mean_row = mean_row - amp * _ramp(tau, k, w.delta_f)
-            estimates[i] = (tau, amp)
-    result.residual.data -= sum(amp * _ramp(tau, k, w.delta_f) for tau, amp in estimates)
-    delays, gains = zip(*estimates)
-    result.removed = PathTable(delays, gains, np.zeros(len(estimates)))
-    return result
+            ramp = _ramp(tau, k, w.delta_f)
+            mean_row = mean_row - amp * ramp
+            estimates[i] = (tau, amp, ramp)
+    np.subtract(cube.data, sum(amp * ramp for _, amp, ramp in estimates), out=residual)
+    delays, gains, _ = zip(*estimates)
+    removed = PathTable(delays, gains, np.zeros(len(estimates)))
+    return CleanResult(SlowTimeCube(residual, w, cube.t0), removed, at_noise_floor, peak_db_above_floor)
 
 
 @dataclass(eq=False)

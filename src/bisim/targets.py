@@ -386,6 +386,23 @@ def _sweep_scale(band: FrequencyBand, sweep_window: str) -> np.ndarray:
     return C0 / band.frequencies() * taper / taper.mean() * shift
 
 
+def _scan_blocks(n_tx: int, n_scat: int, n_freq: int, width: int) -> tuple[int, int]:
+    """(I_b, J_b): Tx and Rx directions per block of a reflectivity scan of n_scat
+    samples at n_freq frequencies, folded with width Jones columns.
+
+    The fold of I_b Tx directions, (n_freq, I_b·width, n_scat), fills at most two
+    slabs, and the Rx ramps of J_b directions, (n_freq, n_scat, J_b), share one slab
+    with the product, (n_freq, I_b·width, J_b); I_b leaves that slab room for one Rx
+    direction. So a scan whose whole fold fits in two slabs, as the benchmark
+    car's (1.5 slabs) does, mostly runs one Tx block, and each Rx block's ramps
+    are built once. Only a direction too large for its share on its own makes a
+    block of one go over.
+    """
+    fold_row = width * n_scat * n_freq                                  # fold entries of one Tx direction
+    tx_block = max(1, min(n_tx, 2 * _SLAB_ELEMENTS // fold_row, (_SLAB_ELEMENTS // n_freq - n_scat) // width))
+    return tx_block, max(1, _SLAB_ELEMENTS // (n_freq * (n_scat + tx_block * width)))
+
+
 def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
                       band: FrequencyBand, sweep_window: str = "none",
                       threads: int = 1) -> ReflectivityTensor:
@@ -410,11 +427,12 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     Tx blocks are the outer loop: each builds its ramps once, folded with the
     Jones columns and the per-frequency factor as (n_freq, I_b·n_col, N), and
     each Rx block under it builds its (n_freq, N, J_b) ramps and makes one
-    stacked product per frequency, inverse-transformed in place. I_b and J_b
-    keep the fold, the Rx ramps and the product within _SLAB_ELEMENTS complex
-    entries each. threads spreads the Rx blocks over a pool (with BLAS on one
-    thread, it pays); each writes its own slice, so the result does not
-    depend on it.
+    stacked product per frequency, inverse-transformed in place. _scan_blocks
+    sizes I_b and J_b so that the fold and, together, the Rx ramps and the
+    product stay within three _SLAB_ELEMENTS slabs of complex entries. With
+    one Jones column the fold is made in the Tx ramps' own buffer. threads
+    spreads the Rx blocks over a pool (with BLAS on one thread, it pays);
+    each writes its own slice, so the result does not depend on it.
     """
     axes = []
     for key in ("az_tx", "el_tx", "az_rx", "el_rx"):
@@ -437,8 +455,7 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     n_col = len(cols)
     width = max(n_col, 1)                                              # with 0 columns the operands are empty
     out = np.zeros((n_tx, n_rx, n_freq, 4), dtype=complex)
-    tx_block = max(1, min(n_tx, _SLAB_ELEMENTS // (width * n_scat * n_freq)))
-    rx_block = max(1, min(_SLAB_ELEMENTS // (n_scat * n_freq), _SLAB_ELEMENTS // (tx_block * width * n_freq)))
+    tx_block, rx_block = _scan_blocks(n_tx, n_scat, n_freq, width)
     amps = states.amplitudes / FOUR_PI
     cols = _sweep_scale(band, sweep_window)[:, None, None, None] * cols   # (n_freq, 1, n_col, N)
 
@@ -462,9 +479,9 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
 
     for i in range(0, n_tx, tx_block):
         ti = slice(i, i + tx_block)
-        tx = hop_ramps(states.positions, d_tx * u_tx[ti, None], d_tx, amps)   # (n_freq, I_b, N)
-        fold = tx[:, :, None] * cols                                   # (n_freq, I_b, n_col, N)
-        del tx                                                         # freed before the Rx blocks run
+        tx = hop_ramps(states.positions, d_tx * u_tx[ti, None], d_tx, amps)[:, :, None]   # (n_freq, I_b, 1, N)
+        fold = np.multiply(tx, cols, out=tx if n_col == 1 else None)   # (n_freq, I_b, n_col, N)
+        del tx                                                         # else freed before the Rx blocks run
         _map_in_order(partial(evaluate, ti, fold), range(0, n_rx, rx_block), threads)
     data = out.reshape(len(az_tx), len(el_tx), len(az_rx), len(el_rx), n_freq, 2, 2)
     return ReflectivityTensor(az_tx, el_tx, az_rx, el_rx, band.delay_axis(), data)

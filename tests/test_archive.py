@@ -1,8 +1,10 @@
+import math
 import os
 import re
 import stat
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from bisim.archive import Axis, Dataset, ResultArchive, _db_text, export_csv
+from bisim import archive as archive_module
+from bisim.archive import Axis, Dataset, ResultArchive, _db_text, _plain, _summary_text, export_csv
 from bisim.config import load_config
 from bisim.errors import ConfigError, UsageError
 from bisim.pipeline import SUBCOMMANDS, run
@@ -160,6 +163,122 @@ class TestSummaryDump:
                 assert text == yaml.safe_dump(archive.summary, sort_keys=False,
                                               default_flow_style=False), (path.stem, sub)
 
+    def test_awkward_directory_loads_back_equal(self, full_scene_config, tmp_path):
+        out = tmp_path / "run outputs é"
+        archive, _ = run("linkbudget", load_config(full_scene_config), out_dir=out)
+        text = (out / "linkbudget_summary.yaml").read_text()
+        quoted = yaml.safe_dump(str(out), default_style='"', width=1 << 30)[:-1]   # one line, escaped
+        assert f"  directory: {quoted}\n" in text
+        assert yaml.safe_load(text) == archive.summary
+
+
+DUMPERS = {"libyaml": getattr(yaml, "CSafeDumper", None), "python": yaml.SafeDumper}
+AWKWARD_STRINGS = ["yes", "No", "off", "ON", "y", "~", "null", "Null", "true", "1", "-1", "0x1f", "0o17",
+                   "1_000", "1:30", "1e3", "1.5", ".5", ".inf", "-.inf", ".nan", "2001-12-14", "12:30:00",
+                   "", " ", " lead", "trail ", "a: b", "a #b", "#c", "- x", "-", "---", "...", "...x",
+                   "a\nb", "\t", "x\x7f", "é", "\U0001F600", "'q'", '"q"', "[x]", "{x}", "a,b", "&a",
+                   "*a", "!t", "%p", "@", "`", "|", ">", "?", "=", "<<", "x" * 200, "a b" * 40]
+PLAIN_STRINGS = st.from_regex(archive_module._PLAIN, fullmatch=True)
+STRINGS = st.sampled_from(AWKWARD_STRINGS) | st.text(max_size=12) | PLAIN_STRINGS
+FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e300, math.nan, math.inf, -math.inf]) | st.floats()
+LEAVES = (STRINGS | FLOATS | st.booleans() | st.none()
+          | st.integers() | st.integers(min_value=-(2**200), max_value=2**200) | st.sampled_from([0, 1, True, False]))
+
+
+def plain_key(key) -> bool:
+    """Whether _summary_text writes key; PyYAML writes a key of 128 characters or more as "? key"."""
+    return type(key) is str and len(key) < 128 and _plain(key)
+
+
+KEYS = PLAIN_STRINGS.filter(plain_key)
+BAD_KEYS = STRINGS.filter(lambda k: not plain_key(k)) | st.integers() | st.booleans() | st.none()
+
+
+def collections(children):
+    return st.lists(children, max_size=4) | st.dictionaries(KEYS, children, max_size=4)
+
+
+TREES = st.one_of(st.lists(st.recursive(LEAVES, collections, max_leaves=12), max_size=4),
+                  st.dictionaries(KEYS, st.recursive(LEAVES, collections, max_leaves=12), max_size=5))
+
+
+def same(a, b) -> bool:
+    """a == b with types kept apart (True is not 1), floats bit for bit and NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return (a != a and b != b) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def strings(tree, keys: bool):
+    """The keys (keys=True) or the string values of tree."""
+    if type(tree) is dict:
+        for k, v in tree.items():
+            if keys:
+                yield k
+            yield from strings(v, keys)
+    elif type(tree) is list:
+        for v in tree:
+            yield from strings(v, keys)
+    elif type(tree) is str and not keys:
+        yield tree
+
+
+@pytest.mark.parametrize("dumper", [name for name, d in DUMPERS.items() if d is not None])
+class TestSummaryEmitter:
+    """_summary_text against PyYAML on generated trees, with libyaml and with the pure-Python dumper."""
+
+    @given(tree=TREES)
+    @settings(max_examples=150, deadline=None)
+    def test_loads_back_and_matches_the_dumper_where_plain(self, dumper, tree):
+        with mock.patch.object(archive_module, "_DUMPER", DUMPERS[dumper]):
+            text = _summary_text(tree)
+        assert same(yaml.safe_load(text), tree), text
+        if all(map(_plain, strings(tree, keys=False))):
+            assert text == yaml.safe_dump(tree, sort_keys=False, default_flow_style=False)
+
+    @given(tree=TREES, bad=st.sampled_from([np.float64(1.5), np.int64(3), np.bool_(True), np.str_("s"),
+                                            (1, "x"), object()]))
+    @settings(max_examples=40, deadline=None)
+    def test_unsupported_types_raise_as_in_pyyaml(self, dumper, tree, bad):
+        tree = {"tree": tree, "bad": [{"x": bad}]}
+        with mock.patch.object(archive_module, "_DUMPER", DUMPERS[dumper]), \
+                pytest.raises(yaml.representer.RepresenterError):
+            _summary_text(tree)
+
+    @given(tree=TREES, key=BAD_KEYS)
+    @settings(max_examples=40, deadline=None)
+    def test_keys_that_are_not_plain_raise(self, dumper, tree, key):
+        tree = {"tree": tree, "bad": [{key: 1}]}
+        with mock.patch.object(archive_module, "_DUMPER", DUMPERS[dumper]), \
+                pytest.raises(yaml.representer.RepresenterError):
+            _summary_text(tree)
+
+    def test_each_awkward_string_as_key_and_value(self, dumper):
+        for s in AWKWARD_STRINGS:
+            with mock.patch.object(archive_module, "_DUMPER", DUMPERS[dumper]):
+                for tree in ({"k": s}, [s, [s]], {"k": [{"k": s}]}):
+                    text = _summary_text(tree)
+                    assert same(yaml.safe_load(text), tree), text
+                    if _plain(s):
+                        assert text == yaml.safe_dump(tree, sort_keys=False, default_flow_style=False)
+                if plain_key(s):
+                    assert _summary_text({s: [{s: 1}]}) == yaml.safe_dump({s: [{s: 1}]}, sort_keys=False)
+                else:
+                    with pytest.raises(yaml.representer.RepresenterError):
+                        _summary_text({"k": [{s: 1}]})
+
+    @pytest.mark.parametrize("tree", [7, "s", None, (1, "x")])
+    def test_bare_scalars_and_tuples_raise(self, dumper, tree):
+        with mock.patch.object(archive_module, "_DUMPER", DUMPERS[dumper]), \
+                pytest.raises(yaml.representer.RepresenterError):
+            _summary_text(tree)
+
 
 WRITERS = {
     "archive": lambda archive, path: archive.write(path),
@@ -198,6 +317,16 @@ class TestFreshFiles:
         bad.add("x" * 0x10000, np.zeros(2), [Axis("i", "count", np.arange(2))])
         with pytest.raises(ConfigError, match="too long"):
             bad.write(path)
+        assert path.read_bytes() == before and path.stat().st_ino == inode
+
+    def test_unwritable_summary_raises_before_the_old_one_is_touched(self, tmp_path):
+        path = tmp_path / "s.yaml"
+        sample_archive().write_summary(path)
+        before, inode = path.read_bytes(), path.stat().st_ino
+        bad = sample_archive()
+        bad.summary["peak"] = np.float64(1.5)
+        with pytest.raises(yaml.representer.RepresenterError):
+            bad.write_summary(path)
         assert path.read_bytes() == before and path.stat().st_ino == inode
 
     @pytest.mark.parametrize("dataset, error", [("absent", ConfigError), ("cube", UsageError)])

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import textwrap
 import tracemalloc
 from pathlib import Path
@@ -28,6 +29,7 @@ from bisim.targets import (
     equivalent_rcs,
     flyover_scan,
     link_budget,
+    _scan_blocks,
     reflectivity_scan,
     target_paths,
 )
@@ -586,13 +588,8 @@ def jones_columns(jones):
 
 
 def scan_blocks(n_tx, n_scat, n_freq, n_cols):
-    """(Tx, Rx) block sizes of a reflectivity scan, Tx blocks outside: each Tx
-    block's ramps folded with the n_cols Jones columns, each Rx block's ramps,
-    and their per-frequency product each fill at most one slab."""
-    width = max(n_cols, 1)
-    tx = max(1, min(n_tx, _SLAB_ELEMENTS // (width * n_scat * n_freq)))
-    rx = max(1, min(_SLAB_ELEMENTS // (n_scat * n_freq), _SLAB_ELEMENTS // (tx * width * n_freq)))
-    return tx, rx
+    """(Tx, Rx) block sizes the reflectivity scan uses with n_cols Jones columns."""
+    return _scan_blocks(n_tx, n_scat, n_freq, max(n_cols, 1))
 
 
 def spans_partial_blocks(n, block):
@@ -616,30 +613,67 @@ class TestBlockedScan:
         rotor = Rotor(vec3(0.1, -0.05, 0.02), np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0),
                       blade_radius=0.3, rate=40.0, n_blades=2, samples_per_blade=16,
                       sample_amplitude=0.01 + 0.004j, phase0=0.3)
+        rotor_pos = rotor_samples(rotor, 0.0) - rotor.hub_offset
+        rotor_jones = np.broadcast_to(np.eye(2), (32, 2, 2))
+        # (target, ..., grid, whether one Tx block takes every direction): the cloud's four
+        # columns and the rotor's one span partial Tx and Rx blocks; the small rotor grid's
+        # fold fits one Tx block, and its Rx blocks are partial
         cases = [
             (cloud, offsets, amps, jones, "hann",
-             small_grid([0, 40, 95, 150, 200, 260, 330], [-10, 5, 30], np.arange(11) * 31.0,
-                        [0, 8, 16, 24, 40])),
-            (rotor, rotor_samples(rotor, 0.0) - rotor.hub_offset, np.full(32, rotor.sample_amplitude),
-             np.broadcast_to(np.eye(2), (32, 2, 2)), "none",
-             small_grid([0, 70, 140, 210, 280], [0, 25, 50, 70], np.arange(13) * 27.0, [-5, 12])),
+             small_grid([0, 40, 95, 150, 200, 260, 300, 330], [-10, 5, 30], np.arange(11) * 31.0,
+                        [0, 8, 16, 24, 32, 40]), False),
+            (rotor, rotor_pos, np.full(32, rotor.sample_amplitude), rotor_jones, "none",
+             small_grid(np.arange(9) * 40.0, [0, 25, 50, 70], np.arange(13) * 27.0, [-5, 12]), False),
+            (rotor, rotor_pos, np.full(32, rotor.sample_amplitude), rotor_jones, "none",
+             small_grid([0, 70, 140, 210, 280], [0, 25, 50, 70], np.arange(13) * 27.0, [-5, 12]), True),
         ]
         band = FrequencyBand(3e9, 5e9, 128)
         d_tx, d_rx = 6.0, 9.0
-        for target, pos, s, j, window, grid in cases:
+        for target, pos, s, j, window, grid, one_tx_block in cases:
             n_tx, n_rx = len(grid["az_tx"]) * len(grid["el_tx"]), len(grid["az_rx"]) * len(grid["el_rx"])
             tx_block, rx_block = scan_blocks(n_tx, len(s), band.n_points, jones_columns(j))
-            assert spans_partial_blocks(n_tx, tx_block) and spans_partial_blocks(n_rx, rx_block)
+            assert (tx_block == n_tx) if one_tx_block else spans_partial_blocks(n_tx, tx_block)
+            assert spans_partial_blocks(n_rx, rx_block)
             tensor = reflectivity_scan(target, grid, d_tx, d_rx, band, sweep_window=window)
             taper = get_window(window, band.n_points, fftbins=False) if window != "none" \
                 else np.ones(band.n_points)
             oracle = scan_oracle(pos, s, j, grid, d_tx, d_rx, band, taper)
             assert np.max(np.abs(tensor.data - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
-    # Jones structures the scan folds into fewer than four columns. The grid has 27 Tx and
+    def test_blocks_keep_the_fold_within_two_slabs_and_the_rest_within_one(self):
+        for n_tx, n_scat, n_freq, width in itertools.product([1, 7, 32, 1100, 5000], [1, 10, 48, 1024, 70000],
+                                                             [1, 16, 64, 128, 2048, 100000], [1, 2, 3, 4]):
+            tx, rx = _scan_blocks(n_tx, n_scat, n_freq, width)
+            assert 1 <= tx <= n_tx and rx >= 1
+            assert tx * width * n_scat * n_freq <= 2 * _SLAB_ELEMENTS or tx == 1
+            assert rx * n_freq * (n_scat + tx * width) <= _SLAB_ELEMENTS \
+                or tx == rx == 1 and n_freq * (n_scat + width) > _SLAB_ELEMENTS
+        assert _scan_blocks(32, 48, 64, 1) == (32, 12)   # the benchmark car: one Tx block
+
+    def test_one_scatterer_many_tx_directions(self):
+        # a fold of 2000 Tx directions fits in two slabs, but their product with one Rx
+        # direction would not fit in one slab beside the Rx ramps: two Tx blocks
+        s = np.array([0.05 - 0.02j])
+        pos = np.array([[0.2, -0.1, 0.05]])
+        target = RigidTarget([PointScatterer(pos[0], s[0])], Trajectory.from_waypoints([(0.0, (0, 0, 0))]))
+        grid = small_grid(np.arange(500) * 0.7, [0, 10, 20, 30], [30, 120, 200], 5)
+        band = FrequencyBand(3e9, 4e9, 64)
+        tx_block, rx_block = scan_blocks(2000, 1, band.n_points, 1)
+        assert spans_partial_blocks(2000, tx_block) and rx_block == 1
+        tracemalloc.start()
+        try:
+            tensor = reflectivity_scan(target, grid, 6.0, 9.0, band)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - tensor.data.nbytes < 3 * 16 * _SLAB_ELEMENTS   # 2.2 slabs; one Tx block would need 4
+        oracle = scan_oracle(pos, s, np.eye(2)[None], grid, 6.0, 9.0, band, np.ones(band.n_points))
+        assert np.max(np.abs(tensor.data - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    # Jones structures the scan folds into fewer than four columns. The grid has 54 Tx and
     # 14 Rx directions, so with 10 scatterers at 256 frequencies it spans partial Tx and Rx
-    # blocks for 1, 2 and 3 columns.
-    JONES_GRID = small_grid(np.arange(9) * 40.0, [-10, 5, 30], np.arange(7) * 50.0, [0, 20])
+    # blocks for 0, 1, 2 and 3 columns.
+    JONES_GRID = small_grid(np.arange(18) * 20.0, [-10, 5, 30], np.arange(7) * 50.0, [0, 20])
     JONES_BAND = FrequencyBand(3e9, 5e9, 256)
 
     def scan_jones(self, jones):
@@ -678,7 +712,7 @@ class TestBlockedScan:
 
     def test_all_zero_jones_gives_zero_tensor(self):
         tensor = self.scan_jones(np.zeros((10, 2, 2), dtype=complex))
-        assert tensor.data.shape == (9, 3, 7, 2, self.JONES_BAND.n_points, 2, 2)
+        assert tensor.data.shape == (18, 3, 7, 2, self.JONES_BAND.n_points, 2, 2)
         assert not np.any(tensor.data)
 
     def test_identity_cloud_copies_hh_to_vv_and_zeroes_cross_pol(self):
@@ -762,7 +796,7 @@ class TestBlockedScan:
         doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
         doc["reflectivity"].update(az_rx={"start": 0, "stop": 350, "n": 35}, el_rx=[0, 10, 20],
                                    band={"f_lo": 3.6e9, "f_hi": 3.8e9, "n_points": 2048})
-        assert spans_partial_blocks(35 * 3, scan_blocks(2, 1, 2048, 1)[1])   # 7 Rx blocks to spread
+        assert spans_partial_blocks(35 * 3, scan_blocks(2, 1, 2048, 1)[1])   # 11 Rx blocks to spread
         blobs = []
         for threads in (1, 4):
             run("reflectivity", parse_config(doc), out_dir=tmp_path / f"t{threads}", threads=threads)
