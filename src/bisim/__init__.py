@@ -48,7 +48,6 @@ from .targets import (
     PointScatterer,
     ReflectivityTensor,
     RigidTarget,
-    Rotor,
     equivalent_rcs,
     flyover_scan,
     link_budget,

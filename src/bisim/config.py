@@ -25,7 +25,10 @@ a waypoint is {t, position} or [t, [x, y, z]]; an angle axis a list, a
 number, {start, stop, n} or {start, stop, step > 0} (no point past stop);
 a node has a trajectory or a position, at which it rests; a rotor rate is
 rate_rad_s or rate_rpm; a budget RCS rcs_m2 or scattering_length s
-(σ = 4π|s|²); a target kind rigid (default) or rotor.
+(σ = 4π|s|²). A target's kind is rigid (default) or rotor, whose table
+feeds the builder targets.rotor(): a rotor is a spinning rigid target, and
+the echo writes it in that rigid form, its blade samples as scatterers,
+one waypoint at the hub and its spin, which parses to the same body.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .channel import _ORTHO_RTOL, WaveformConfig, named_window
 from .errors import ConfigError
 from .geometry import C0, NodePose, Trajectory
 from .scene import SceneConfig, SceneNode
-from .targets import (MAX_AXIS_POINTS, FrequencyBand, LinkBudget, PointScatterer, RigidTarget, Rotor,
-                      equivalent_rcs, stepped_axis)
+from .targets import (MAX_AXIS_POINTS, FrequencyBand, LinkBudget, PointScatterer, RigidTarget, Spin,
+                      equivalent_rcs, rotor, stepped_axis)
 
 REQUIRED = object()  # default of a key that must be given
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)   # libyaml: same documents, faster
@@ -99,6 +102,13 @@ def _window(value, where: str) -> str:
 def _complex(value, where: str) -> complex:
     re, im = _pair(value, where) if isinstance(value, list) else (value, 0.0)
     return complex(_float(re, where), _float(im, where))
+
+
+def _unit(value, where: str) -> np.ndarray:
+    v = VEC.parse(value, where, None)
+    if not math.isclose(float(np.linalg.norm(v)), 1.0, rel_tol=1e-9):
+        raise ConfigError(f"{where}: expected a unit vector, got {value!r}")
+    return v
 
 
 # Tables and their two walkers.
@@ -238,7 +248,8 @@ def _list(item: Kind) -> Kind:
 
 
 def _tagged(tag: str, variants: dict) -> Kind:
-    """A mapping whose `tag` key (default: the first variant) picks its class and table."""
+    """A mapping whose `tag` key (default: the first variant) picks the table and the class or
+    builder it feeds; an object echoes as the variant whose class is its type."""
     def parse(value, where: str, root: dict):
         spec = dict(value) if isinstance(value, dict) else value
         name = spec.pop(tag, None) if isinstance(spec, dict) else None
@@ -249,7 +260,7 @@ def _tagged(tag: str, variants: dict) -> Kind:
         return _build(cls, spec, table, where, root)
 
     def emit(obj) -> dict:
-        name = next(n for n, (cls, _) in variants.items() if isinstance(obj, cls))
+        name = next(n for n, (cls, _) in variants.items() if type(obj) is cls)
         return {tag: name, **_echo(obj, variants[name][1])}
     return Kind(parse, emit)
 
@@ -263,6 +274,7 @@ WINDOW = _leaf(_window)
 VEC = _leaf(lambda v, where: np.array([_float(x, where) for x in _triple(v, where)]),
             lambda v: [float(x) for x in v])
 COMPLEX = _leaf(_complex, lambda z: [z.real, z.imag])
+UNIT = _leaf(_unit, VEC.emit)
 
 
 POSITION = Key("position", VEC)
@@ -311,6 +323,7 @@ BAND = Key("band", _section(FrequencyBand, [
     Key("f_lo", FLOAT), Key("f_hi", FLOAT), Key("n_points", INT, 512)]))
 SWEEP_WINDOW = Key("sweep_window", WINDOW, "none")
 SCAN_TARGET = Key("target", TEXT, None)
+RATE = Key("rate_rad_s", FLOAT, to="rate")
 
 NODE = _section(SceneNode, [
     Key("id", TEXT, to="node_id"),
@@ -323,14 +336,12 @@ TARGET = _tagged("kind", {
         Key("scatterers", _list(_section(PointScatterer, [
             Key("offset", VEC, [0, 0, 0], to="position"), AMPLITUDE]))),
         TRAJECTORY,
+        Key("spin", _section(Spin, [Key("axis", UNIT, [0, 0, 1]), RATE]), None, skip_none=True),
     ]),
-    "rotor": (Rotor, [
-        NAME._replace(default="rotor"),
-        Key("hub", VEC, to="hub_offset"), Key("axis", VEC, [0, 0, 1]),
-        Key("radius", FLOAT, to="blade_radius"),
-        Either(Key("rate_rad_s", FLOAT, to="rate"),
-               Key("rate_rpm", _leaf(lambda v, where: _float(v, where) * 2.0 * np.pi / 60.0))),
-        Key("blades", INT, 2, to="n_blades"), Key("samples_per_blade", INT, 32),
+    "rotor": (rotor, [
+        NAME._replace(default="rotor"), Key("hub", VEC), Key("axis", UNIT, [0, 0, 1]), Key("radius", FLOAT),
+        Either(RATE, Key("rate_rpm", _leaf(lambda v, where: _float(v, where) * 2.0 * np.pi / 60.0))),
+        Key("blades", INT, 2), Key("samples_per_blade", INT, 32),
         Key("sample_amplitude", COMPLEX, 1e-2), Key("phase0", FLOAT, 0.0),
     ]),
 })

@@ -202,6 +202,7 @@ def run_clean(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
                                              res.at_noise_floor)
             ]
         }
+        del cube, res   # else held while the next link's cube is made; the residual is in the archive
     return results
 
 

@@ -7,7 +7,7 @@ the channel synthesizer consumes, one call per link and block of symbol
 times: the direct Tx-Rx line-of-sight, one path per clutter scatterer (a
 PointScatterer at rest at its world-frame position), and one path per
 sample of targets.states(target, t), the one body-to-world map
-pose(t) + rotation(t)·body, whatever the kind of target. Every node
+pose(t) + rotation(t)·body, the same for every target. Every node
 answers pose(t) with an anonymous NodePose: (3,) for a static node, whose
 paths are then evaluated once per call and broadcast over its times,
 t.shape + (3,) on a trajectory; names live on SceneNode.node_id and a
@@ -25,7 +25,7 @@ from .channel import PathTable, join_paths
 from .errors import ConfigError, GeometryError
 from .geometry import C0, NodePose, Trajectory, pose_at
 from .geometry import bistatic_doppler  # noqa: F401  unused; bench/tracing.py counts calls made through it
-from .targets import FOUR_PI, PointScatterer, RigidTarget, Rotor, ScattererStates, bounce_paths, target_paths
+from .targets import FOUR_PI, PointScatterer, RigidTarget, ScattererStates, bounce_paths, target_paths
 
 
 @dataclass(eq=False)
@@ -54,7 +54,7 @@ class SceneConfig:
 
     tx_nodes: list[SceneNode]
     rx_nodes: list[SceneNode]
-    targets: list[RigidTarget | Rotor] = field(default_factory=list)
+    targets: list[RigidTarget] = field(default_factory=list)
     clutter: list[PointScatterer] = field(default_factory=list)
     wavelength: float = C0 / 3.7e9
     include_los: bool = True

@@ -21,12 +21,13 @@ scatterer by all four entries of its Jones matrix, flyover_scan (the
 gantry HH map) by J_HH. The config sets no Jones matrix, so every
 scatterer it builds has the identity.
 
-A target (RigidTarget, Rotor) is a rigid body: name, pose(t) (its body
-origin and that origin's velocity), rotation(t) (its body axes in world
-coordinates, (..., 3, 3), or None for the world axes) and body, its
-samples in the body frame, built once. states(target, t) is the one
+A target is a RigidTarget: name, pose(t) (its body origin and that
+origin's velocity), rotation(t) (its body axes in world coordinates,
+(..., 3, 3), or None for the world axes: a yaw, a Spin, both or neither)
+and body, its samples in the body frame, built once. rotor() builds a
+blade set as one that spins at rest. states(target, t) is the one
 body-to-world map, pose(t) + rotation(t)·body; a scan centres on the pose
-and sees the body in its own frame. No code branches on the kind of target.
+and sees the body in its own frame. No code branches on a target's class.
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ class PointScatterer:
 class ScattererStates:
     """States of all N samples of one target, or of the clutter, at time(s) t.
 
-    positions and velocities (None without Doppler) have shape t.shape + (N, 3);
-    amplitudes (N,) and jones (N, 2, 2) do not change with time.
+    positions and velocities (None without Doppler) have shape t.shape + (N, 3), or
+    (N, 3) for a target at rest that does not turn, as a static node's pose
+    broadcasts; amplitudes (N,) and jones (N, 2, 2) do not change with time.
     """
 
     positions: np.ndarray
@@ -109,27 +111,58 @@ class ScattererStates:
 
 
 @dataclass(eq=False)
+class Spin:
+    """A steady turn at rate (rad/s) about a unit axis of the body frame."""
+
+    axis: np.ndarray
+    rate: float
+
+    def __post_init__(self):
+        self.axis = as_vec3(self.axis)
+        if not math.isclose(float(np.linalg.norm(self.axis)), 1.0, rel_tol=1e-9):
+            raise ConfigError("spin axis must be unit-norm")
+        self.rate = float(self.rate)
+        along = np.outer(self.axis, self.axis)   # the three terms, made once: synthesis turns every block
+        self._terms = (np.eye(3) - along, np.cross(np.eye(3), self.axis), along)
+
+    def turn(self, t) -> np.ndarray:
+        """The turn by θ = rate·t, t.shape + (3, 3): cos θ (I − aaᵀ) + sin θ [a]ₓ + aaᵀ."""
+        theta = self.rate * np.asarray(t, dtype=float)[..., None, None]
+        across, cross, along = self._terms
+        return np.cos(theta) * across + np.sin(theta) * cross + along
+
+
+@dataclass(eq=False)
 class RigidTarget:
-    """Rigid scatterer cloud on a piecewise-linear track.
+    """Rigid scatterer cloud on a piecewise-linear track, optionally spinning.
 
     yaw=None keeps the body frame aligned with the world axes; a float yaw
     rotates the cloud about +z by that fixed angle; yaw="track" points the
     body +x axis along the horizontal track direction (piecewise-constant
-    heading, contributing no rotational velocity).
+    heading, contributing no rotational velocity). A spin turns the cloud
+    about its body axis on top of the yaw, and gives each sample b the body
+    velocity rate·(axis × b). A one-waypoint track holds the cloud at rest
+    there, with one (3,) pose as a static node has.
     """
 
     scatterers: list[PointScatterer]
     trajectory: Trajectory
     yaw: float | str | None = None
     name: str = "target"
+    spin: Spin | None = None
 
     def __post_init__(self):
         if not self.scatterers:
             raise ConfigError("rigid target needs at least one scatterer")
 
+    @cached_property
+    def _rest(self) -> NodePose | None:
+        """The one pose of a one-waypoint track, made once: synthesis asks on every block."""
+        return NodePose(self.trajectory.points[0]) if self.trajectory.times.size == 1 else None
+
     def pose(self, t) -> NodePose:
         """The cloud's body-frame origin on its track at time(s) t."""
-        return pose_at(self.trajectory, t)
+        return pose_at(self.trajectory, t) if self._rest is None else self._rest
 
     @cached_property
     def _headings(self) -> np.ndarray:
@@ -138,98 +171,51 @@ class RigidTarget:
         return np.where(np.hypot(vx, vy) < 1e-12, 0.0, np.arctan2(vy, vx))
 
     def rotation(self, t) -> np.ndarray | None:
-        """The body axes in world coordinates, t.shape + (3, 3): a turn about +z by the
-        yaw at time(s) t; None without a yaw."""
+        """The body axes in world coordinates, t.shape + (3, 3): the turn about +z by the
+        yaw at time(s) t times the spin's turn, either alone, or None with neither."""
+        spin = None if self.spin is None else self.spin.turn(t)
         if self.yaw is None:
-            return None
-        if self.yaw == "track":
-            yaw = self._headings[self.trajectory.segment(t)]
-        else:
-            yaw = np.full(np.shape(t), float(self.yaw))
-        return _z_turn(yaw)
+            return spin
+        yaw = _z_turn(self._headings[self.trajectory.segment(t)] if self.yaw == "track"
+                      else np.full(np.shape(t), float(self.yaw)))
+        return yaw if spin is None else yaw @ spin
 
     @cached_property
     def body(self) -> ScattererStates:
-        """The cloud at rest in its body frame."""
-        return ScattererStates.stack(self.scatterers)
+        """The cloud in its body frame, with its spin's velocities (at rest without one)."""
+        body = ScattererStates.stack(self.scatterers)
+        if self.spin is not None:
+            body.velocities = self.spin.rate * np.cross(self.spin.axis, body.positions)
+        return body
 
 
-@dataclass(eq=False)
-class Rotor:
-    """Rotating blade set, sampled as uniform line arrays along each blade.
+def rotor(hub, axis, radius: float, rate: float, blades: int = 2, samples_per_blade: int = 32,
+          sample_amplitude: complex = 1e-2, phase0: float = 0.0, name: str = "rotor") -> RigidTarget:
+    """A rotating blade set: a RigidTarget at rest at hub that spins at rate (rad/s) about axis.
 
-    hub_offset is the hub position in the world frame and is the rotor's
-    pose; body holds the blade samples about the hub at phase0, and
-    rotation(t) turns them by rate·t about axis (unit; rate in rad/s). Every
-    sample has scattering length sample_amplitude and speed rate·r at radius
-    r. For spectrally smooth micro-Doppler keep the sample spacing
-    blade_radius/samples_per_blade below λ/4 (sampling_ok).
+    Each blade is a uniform line array of samples_per_blade samples of
+    scattering length sample_amplitude out to radius, blade k at angle
+    phase0 + 2πk/blades from e1 in the plane of (e1, e2), e1 x e2 = axis. For
+    spectrally smooth micro-Doppler keep the spacing radius/samples_per_blade
+    below λ/4.
     """
-
-    hub_offset: np.ndarray
-    axis: np.ndarray
-    blade_radius: float
-    rate: float
-    n_blades: int = 2
-    samples_per_blade: int = 32
-    sample_amplitude: complex = 1e-2
-    phase0: float = 0.0
-    name: str = "rotor"
-
-    def __post_init__(self):
-        self.hub_offset = as_vec3(self.hub_offset)
-        self.axis = as_vec3(self.axis)
-        n = float(np.linalg.norm(self.axis))
-        if not math.isclose(n, 1.0, rel_tol=1e-9):
-            raise ConfigError("rotor axis must be unit-norm")
-        if self.blade_radius <= 0:
-            raise ConfigError("blade radius must be positive")
-        if self.n_blades < 1 or self.samples_per_blade < 2:
-            raise ConfigError("need n_blades >= 1 and samples_per_blade >= 2")
-        if self.n_blades * self.samples_per_blade > MAX_AXIS_POINTS:
-            raise ConfigError(f"{self.n_blades} blades x {self.samples_per_blade} samples_per_blade: "
-                              f"more than {MAX_AXIS_POINTS} rotor samples")
-        self.sample_amplitude = complex(self.sample_amplitude)
-        self._hub = NodePose(self.hub_offset)   # made once: synthesis asks on every block
-
-    def pose(self, t) -> NodePose:
-        """The hub, at rest at every time."""
-        return self._hub
-
-    def sampling_ok(self, lam: float) -> bool:
-        """True if blade sampling is finer than λ/4."""
-        return self.blade_radius / self.samples_per_blade < lam / 4.0
-
-    @cached_property
-    def basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit vectors (e1, e2) spanning the rotor plane, e1 x e2 = axis."""
-        ref = np.array([0.0, 0.0, 1.0])
-        if abs(np.dot(ref, self.axis)) > 0.9:
-            ref = np.array([1.0, 0.0, 0.0])
-        e1 = unit(np.cross(ref, self.axis))
-        return e1, np.cross(self.axis, e1)
-
-    @cached_property
-    def _frame(self) -> np.ndarray:
-        """F = [e1 e2 axis], the rotor frame's axes as columns."""
-        return np.stack([*self.basis, self.axis], axis=1)
-
-    def rotation(self, t) -> np.ndarray:
-        """The turn by rate·t about axis, F·Rz(rate·t)·Fᵀ, t.shape + (3, 3); the identity at t = 0."""
-        return self._frame @ _z_turn(self.rate * np.asarray(t, dtype=float)) @ self._frame.T
-
-    @cached_property
-    def body(self) -> ScattererStates:
-        """Every blade sample about the hub at phase0, with its velocity rate·r(−sin φ e1 + cos φ e2)."""
-        e1, e2 = self.basis
-        r = (self.blade_radius * np.arange(1, self.samples_per_blade + 1) / self.samples_per_blade)[:, None]
-        blade_angles = self.phase0 + 2.0 * np.pi * np.arange(self.n_blades) / self.n_blades
-        cos, sin = np.cos(blade_angles)[:, None, None], np.sin(blade_angles)[:, None, None]  # against r (S, 1)
-        n = self.n_blades * self.samples_per_blade
-        return ScattererStates((r * (cos * e1 + sin * e2)).reshape(n, 3),
-                               (self.rate * r * (-sin * e1 + cos * e2)).reshape(n, 3),
-                               np.full(n, self.sample_amplitude, dtype=complex),
-                               np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)))
+    spin = Spin(axis, rate)
+    if radius <= 0:
+        raise ConfigError("rotor radius must be positive")
+    if blades < 1 or samples_per_blade < 2:
+        raise ConfigError("need blades >= 1 and samples_per_blade >= 2")
+    if blades * samples_per_blade > MAX_AXIS_POINTS:
+        raise ConfigError(f"{blades} blades x {samples_per_blade} samples_per_blade: "
+                          f"more than {MAX_AXIS_POINTS} rotor samples")
+    ref = np.array([1.0, 0.0, 0.0] if abs(np.dot([0.0, 0.0, 1.0], spin.axis)) > 0.9 else [0.0, 0.0, 1.0])
+    e1 = unit(np.cross(ref, spin.axis))
+    e2 = np.cross(spin.axis, e1)
+    r = (radius * np.arange(1, samples_per_blade + 1) / samples_per_blade)[:, None]
+    blade_angles = phase0 + 2.0 * np.pi * np.arange(blades) / blades
+    cos, sin = np.cos(blade_angles)[:, None, None], np.sin(blade_angles)[:, None, None]  # against r (S, 1)
+    samples = (r * (cos * e1 + sin * e2)).reshape(-1, 3)
+    return RigidTarget([PointScatterer(b, sample_amplitude) for b in samples],
+                       Trajectory.from_waypoints([(0.0, hub)]), name=name, spin=spin)
 
 
 def _z_turn(angle) -> np.ndarray:
@@ -250,7 +236,7 @@ def states(target, t, doppler: bool = False) -> ScattererStates:
     """World states of every sample of a target at time(s) t: pose(t) + rotation(t)·body.
 
     Velocities, None unless doppler=True, are the pose velocity plus the rotated body
-    velocities, so a turning body frame (a rigid target's yaw) adds none of its own.
+    velocities, a spin's; a yaw's piecewise-constant turn adds none of its own.
     """
     pose, rotation, body = target.pose(t), target.rotation(t), target.body
     turn = (lambda v: v) if rotation is None else partial(_rotate, rotation)

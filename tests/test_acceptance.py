@@ -31,10 +31,10 @@ from bisim.targets import (
     LinkBudget,
     PointScatterer,
     RigidTarget,
-    Rotor,
     equivalent_rcs,
     flyover_scan,
     link_budget,
+    rotor,
     target_paths,
 )
 
@@ -226,18 +226,11 @@ def _support_edge(freq, prof_db, thr_db):
 
 def test_criterion_5_micro_doppler_band():
     with Timer(60.0) as t:
-        rotor = Rotor(
-            hub_offset=vec3(0, 8, 0),
-            axis=vec3(0, 0, 1),
-            blade_radius=0.12,
-            rate=625.0,  # tip speed 75 m/s
-            n_blades=2,
-            samples_per_blade=32,
-            sample_amplitude=0.01,
-        )
+        hub, radius, rate = vec3(0, 8, 0), 0.12, 625.0   # tip speed 75 m/s
+        blades = rotor(hub, vec3(0, 0, 1), radius, rate, blades=2, samples_per_blade=32, sample_amplitude=0.01)
         tx = SceneNode("tx0", NodePose(vec3(-10, 0.25, 0)))
         rx = SceneNode("rx0", NodePose(vec3(-10, -0.25, 0)))
-        scene = SceneConfig([tx], [rx], [rotor], wavelength=LAM, include_los=False)
+        scene = SceneConfig([tx], [rx], [blades], wavelength=LAM, include_los=False)
         w = WaveformConfig(3.7e9, 16e6, 128, 2048 + 32 * 14)  # t_sym = 8 us
         cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
 
@@ -250,10 +243,10 @@ def test_criterion_5_micro_doppler_band():
         # geometric tip-Doppler bound over one revolution, true tip positions
         phis = np.linspace(0, 2 * np.pi, 7200, endpoint=False)
         e1, e2 = np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
-        tips = rotor.hub_offset + rotor.blade_radius * (
+        tips = hub + radius * (
             np.cos(phis)[:, None] * e1 + np.sin(phis)[:, None] * e2
         )
-        vels = rotor.rate * rotor.blade_radius * (
+        vels = rate * radius * (
             -np.sin(phis)[:, None] * e1 + np.cos(phis)[:, None] * e2
         )
         u1 = tips - tx.motion.position

@@ -674,17 +674,18 @@ class TestRunMemory:
         return peak - archive_bytes, cfg
 
     # tracemalloc peak above the archive, in link cubes: the measured peak + 0.5 cube
-    # (FULL_SCENE simulate 1.0, clean 2.0, ddmap 2.0, localize 3.0, spectrogram 3.0, and the
+    # (FULL_SCENE simulate 1.0, clean 1.0, ddmap 2.0, localize 3.0, spectrogram 3.0, and the
     # same in fixed mode; ROTOR_SCENE 0.5, 1.0, 2.0, 3.0, 2.5; FULL_SCENE with clean_paths 2:
-    # clean 2.0, ddmap 2.0, localize 3.0), so one more cube held across a link fails. ddmap and
+    # clean 1.0, ddmap 2.0, localize 3.0), so one more cube held across a link fails. clean
+    # drops each link's cube and residual before the next link's cube is made. ddmap and
     # localize peak while the map is made: the cube and two map-sized stages, with
     # localize's map not in its archive; detection holds half a map of |x| and half
     # a map of its partitioned copy
     CUBE_BUDGETS = {
-        "FULL_SCENE": {"simulate": 1.5, "clean": 2.5, "ddmap": 2.5, "localize": 3.5, "spectrogram": 3.5},
+        "FULL_SCENE": {"simulate": 1.5, "clean": 1.5, "ddmap": 2.5, "localize": 3.5, "spectrogram": 3.5},
         "ROTOR_SCENE": {"simulate": 1.0, "clean": 1.5, "ddmap": 2.5, "localize": 3.5, "spectrogram": 3.0},
-        "FULL_SCENE_CLEAN_2": {"clean": 2.5, "ddmap": 2.5, "localize": 3.5},
-        "FULL_SCENE_FIXED": {"simulate": 1.5, "clean": 2.5, "ddmap": 2.5, "localize": 3.5, "spectrogram": 3.5},
+        "FULL_SCENE_CLEAN_2": {"clean": 1.5, "ddmap": 2.5, "localize": 3.5},
+        "FULL_SCENE_FIXED": {"simulate": 1.5, "clean": 1.5, "ddmap": 2.5, "localize": 3.5, "spectrogram": 3.5},
     }
 
     @pytest.mark.parametrize("sub, scene", [(sub, scene) for scene, subs in CUBE_BUDGETS.items() for sub in subs])

@@ -14,7 +14,7 @@ from bisim import config
 from bisim.cli import main
 from bisim.config import config_echo, load_config, load_document, parse_config
 from bisim.errors import ConfigError
-from bisim.targets import flyover_scan
+from bisim.targets import flyover_scan, states
 
 MINIMAL = """
 waveform:
@@ -120,9 +120,20 @@ class TestLoadConfig:
         """
         cfg = load_config(write(tmp_path, text))
         rotor = cfg.scene.targets[0]
-        assert rotor.rate == pytest.approx(6000 * 2 * np.pi / 60)
-        assert rotor.samples_per_blade == 32
+        assert rotor.spin.rate == pytest.approx(6000 * 2 * np.pi / 60)
+        assert len(rotor.scatterers) == 2 * 32   # samples_per_blade defaults to 32
         assert cfg.flyover.band.n_points == 128
+
+    def test_rigid_target_with_a_spin(self):
+        doc = full_scene()
+        doc["scene"]["targets"][0]["spin"] = {"axis": [0, 0.6, 0.8], "rate_rad_s": 40}
+        cfg = parse_config(doc)
+        car = cfg.scene.targets[0]
+        assert np.array_equal(car.spin.axis, [0, 0.6, 0.8]) and car.spin.rate == 40.0
+        assert config_echo(cfg)["scene"]["targets"][0]["spin"] == {"axis": [0.0, 0.6, 0.8], "rate_rad_s": 40.0}
+        del doc["scene"]["targets"][0]["spin"]
+        assert parse_config(doc).scene.targets[0].spin is None
+        assert "spin" not in config_echo(parse_config(doc))["scene"]["targets"][0]
 
     def test_unknown_target_kind(self, tmp_path):
         text = MINIMAL.replace("kind: rigid", "kind: hologram")
@@ -204,6 +215,21 @@ class TestConfigEcho:
             assert len(again.scene.targets) == len(cfg.scene.targets) >= 1, name
             # the echo is a fixed point: echo -> parse -> echo changes nothing
             assert config_echo(again) == echo, name
+
+
+    def test_rotor_echo_reparses_to_the_same_body(self, tmp_path):
+        cfg = load_config(write(tmp_path, ROTOR_SCENE))
+        echo = config_echo(cfg)
+        entry = echo["scene"]["targets"][0]
+        assert entry["kind"] == "rigid" and len(entry["scatterers"]) == 2 * 16 and len(entry["trajectory"]) == 1
+        assert entry["spin"] == {"axis": [0.0, 0.0, 1.0], "rate_rad_s": 625.0}
+        rotor, again = cfg.scene.targets[0], parse_config(yaml.safe_load(yaml.safe_dump(echo))).scene.targets[0]
+        for field in ("positions", "velocities", "amplitudes", "jones"):
+            assert np.array_equal(getattr(rotor.body, field), getattr(again.body, field)), field
+        assert again.name == rotor.name == "prop"
+        t = np.linspace(0.0, 1e-3, 7)
+        assert np.array_equal(states(again, t, doppler=True).positions, states(rotor, t, doppler=True).positions)
+        assert np.array_equal(states(again, t, doppler=True).velocities, states(rotor, t, doppler=True).velocities)
 
 
 FULL_DOC = yaml.safe_load(textwrap.dedent(FULL_SCENE))
@@ -387,6 +413,32 @@ class TestStrictParsing:
         assert key in caplog.text
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("axis", [[0, 0, 0], [0, 0, 2], [0.6, 0, 0.7]])
+    def test_spin_axis_not_unit_exits_2_naming_its_key(self, axis, tmp_path, capsys, caplog):
+        doc = full_scene()
+        doc["scene"]["targets"][0]["spin"] = {"axis": axis, "rate_rad_s": 10.0}
+        cfg = tmp_path / "spin.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "scene.targets[0].spin.axis" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    # (key, value, what the error names) of each rotor key a malformed value fails on
+    @pytest.mark.parametrize("key, value, named", [
+        ("axis", [0, 0, 0], "scene.targets[0].axis"), ("axis", [0, 0, 2], "scene.targets[0].axis"),
+        ("hub", [0, 8], "scene.targets[0].hub"), ("radius", 0, "radius"), ("radius", -0.1, "radius"),
+        ("blades", 0, "blades"), ("samples_per_blade", 1, "samples_per_blade"),
+        ("samples_per_blade", 1.5, "scene.targets[0].samples_per_blade"), ("rate_rad_s", None, "rate_rad_s"),
+        ("rate_rpm", 6000, "rate_rpm"), ("sample_amplitude", "loud", "scene.targets[0].sample_amplitude"),
+        ("phase0", float("nan"), "scene.targets[0].phase0"), ("pitch", 0.2, "scene.targets[0].pitch"),
+    ])
+    def test_rotor_error_names_its_key(self, key, value, named):
+        doc = yaml.safe_load(textwrap.dedent(ROTOR_SCENE))
+        doc["scene"]["targets"][0][key] = value
+        with pytest.raises(ConfigError, match=re.escape(named)) as err:
+            parse_config(doc)
+        assert str(err.value).startswith("scene.targets[0]")
 
     def test_exactly_one_alternative(self):
         doc = full_scene()

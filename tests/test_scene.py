@@ -21,7 +21,7 @@ from bisim.scene import (
     link_callback,
     link_paths,
 )
-from bisim.targets import FOUR_PI, PointScatterer, RigidTarget, Rotor, states
+from bisim.targets import FOUR_PI, PointScatterer, RigidTarget, rotor, states
 
 LAM = C0 / 3.7e9
 
@@ -164,6 +164,11 @@ class TestLinkPaths:
             assert np.allclose(cube.data, cube.data[0])
 
 
+# blade parameters of oracle_scene's rotor, which direct_cfr lays out on its own
+ORACLE_ROTOR = dict(hub=vec3(25, -10, 2), axis=vec3(0, 0.6, 0.8), radius=0.1, rate=900.0, blades=2,
+                    samples_per_blade=16, sample_amplitude=0.02, phase0=0.3)
+
+
 def oracle_scene(w):
     """LoS, one clutter point, a turning yaw-track target, a rotor, and an Rx.
 
@@ -183,12 +188,10 @@ def oracle_scene(w):
         ]),
         yaw="track",
     )
-    rotor = Rotor(vec3(25, -10, 2), vec3(0, 0.6, 0.8), blade_radius=0.1, rate=900.0,
-                  n_blades=2, samples_per_blade=16, sample_amplitude=0.02, phase0=0.3)
     return SceneConfig(
         [SceneNode("tx0", NodePose(vec3(0, 0, 0)))],
         [SceneNode("rx0", rx_track)],
-        targets=[target, rotor],
+        targets=[target, rotor(**ORACLE_ROTOR)],
         clutter=[PointScatterer(vec3(20, -15, 0), 1.5)],
         wavelength=LAM,
     )
@@ -209,11 +212,12 @@ def direct_cfr(scene, w):
     scalar poses and per-path norms."""
     k = np.arange(w.n_subcarriers)
     tx = scene.tx_nodes[0].motion.position
-    target, rotor = scene.targets
+    target = scene.targets[0]
+    blades = ORACLE_ROTOR
     ref = np.array([0.0, 0.0, 1.0])
-    e1 = np.cross(ref, rotor.axis)
+    e1 = np.cross(ref, blades["axis"])
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(rotor.axis, e1)
+    e2 = np.cross(blades["axis"], e1)
     data = np.zeros((w.n_symbols, w.n_subcarriers), dtype=complex)
     for m in range(w.n_symbols):
         t = m * w.t_sym
@@ -228,12 +232,12 @@ def direct_cfr(scene, w):
         rot = np.array([[math.cos(yaw), -math.sin(yaw), 0], [math.sin(yaw), math.cos(yaw), 0],
                         [0, 0, 1]])
         points += [(position + rot @ s.position, s.amplitude) for s in target.scatterers]
-        for b in range(rotor.n_blades):
-            ang = rotor.phase0 + rotor.rate * t + 2 * np.pi * b / rotor.n_blades
-            for s in range(1, rotor.samples_per_blade + 1):
-                r = rotor.blade_radius * s / rotor.samples_per_blade
-                pos = rotor.hub_offset + r * (math.cos(ang) * e1 + math.sin(ang) * e2)
-                points.append((pos, rotor.sample_amplitude))
+        for b in range(blades["blades"]):
+            ang = blades["phase0"] + blades["rate"] * t + 2 * np.pi * b / blades["blades"]
+            for s in range(1, blades["samples_per_blade"] + 1):
+                r = blades["radius"] * s / blades["samples_per_blade"]
+                pos = blades["hub"] + r * (math.cos(ang) * e1 + math.sin(ang) * e2)
+                points.append((pos, blades["sample_amplitude"]))
         for pos, amp in points:
             d1, d2 = np.linalg.norm(pos - tx), np.linalg.norm(pos - rx)
             gain = amp * LAM / (FOUR_PI * d1 * d2) * np.exp(-2j * np.pi * (d1 + d2) / LAM)
@@ -288,9 +292,8 @@ class TestGeometricSynthesis:
     def test_memory_stays_bounded(self):
         # unblocked, the (M x P x K) slab of this capture would take 1.07 GB
         w = WaveformConfig(3.7e9, 20e6, 512, 2048)
-        rotor = Rotor(vec3(50, 40, 0), vec3(0, 0, 1), blade_radius=0.3, rate=200.0,
-                      n_blades=2, samples_per_blade=32)
-        scene = basic_scene(targets=[rotor], include_los=False)
+        blades = rotor(vec3(50, 40, 0), vec3(0, 0, 1), 0.3, 200.0, blades=2, samples_per_blade=32)
+        scene = basic_scene(targets=[blades], include_los=False)
         assert w.n_symbols * 64 * w.n_subcarriers * 16 >= 1e9
         tracemalloc.start()
         try:

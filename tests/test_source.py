@@ -15,7 +15,6 @@ UNCALLED = {
     "bistatic_doppler": "scalar analytic oracle that tests check the path Dopplers against",
     "vec3": "the public 3-vector constructor for scenes built in Python, as the tests build theirs",
     "nyquist_check": "spatial-Nyquist diagnostic that the run diagnostics (ROADMAP item 2) will report",
-    "Rotor.sampling_ok": "rotor sample-spacing diagnostic that the run diagnostics (ROADMAP item 2) will report",
     "geometry_condition": "GDOP diagnostic that the run diagnostics (ROADMAP item 2) will report",
 }
 

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import textwrap
 import tracemalloc
 from pathlib import Path
@@ -25,7 +26,6 @@ from bisim.targets import (
     LinkBudget,
     PointScatterer,
     RigidTarget,
-    Rotor,
     equivalent_rcs,
     flyover_scan,
     link_budget,
@@ -43,16 +43,40 @@ def single_point_target(amplitude=0.05, track=((0.0, (50, 40, 0)),)):
     )
 
 
-def make_rotor(radius=0.12, rate=625.0, blades=2, samples=32):
-    return Rotor(
-        hub_offset=vec3(10, 0, 0),
-        axis=vec3(0, 0, 1),
-        blade_radius=radius,
-        rate=rate,
-        n_blades=blades,
-        samples_per_blade=samples,
-        sample_amplitude=0.01,
-    )
+# blade parameters of make_rotor, which the oracles read
+ROTOR = dict(hub=vec3(10, 0, 0), axis=vec3(0, 0, 1), radius=0.12, rate=625.0, blades=2, samples_per_blade=32,
+             sample_amplitude=0.01)
+
+
+def make_rotor(**changes):
+    """targets.rotor of ROTOR's blade parameters, with changes."""
+    return targets.rotor(**{**ROTOR, **changes})
+
+
+def config_rotor(**changes):
+    """The target that a `kind: rotor` entry of a config document builds from the same parameters."""
+    entry = {"kind": "rotor"}
+    for key, value in {**ROTOR, **changes}.items():
+        value = [value.real, value.imag] if isinstance(value, complex) else np.asarray(value).tolist()
+        entry["rate_rad_s" if key == "rate" else key] = value
+    doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+    doc["scene"]["targets"] = [entry]
+    return parse_config(doc).scene.targets[0]
+
+
+def rotor_samples(t, hub, axis, radius, rate, blades=2, samples_per_blade=32, phase0=0.0, **_):
+    """World positions of the blade samples at time t, laid out from the blade parameters
+    in the rotor plane (e1, e2), e1 x e2 = axis, with e1 ⟂ +z unless the axis is near it."""
+    ref = np.array([1.0, 0, 0]) if abs(axis[2]) > 0.9 else np.array([0, 0, 1.0])
+    e1 = np.cross(ref, axis) / np.linalg.norm(np.cross(ref, axis))
+    e2 = np.cross(axis, e1)
+    pos = []
+    for b in range(blades):
+        phi = phase0 + rate * t + 2 * np.pi * b / blades
+        for i in range(1, samples_per_blade + 1):
+            r = radius * i / samples_per_blade
+            pos.append(hub + r * (np.cos(phi) * e1 + np.sin(phi) * e2))
+    return np.array(pos)
 
 
 class TestTargetPose:
@@ -60,7 +84,8 @@ class TestTargetPose:
         rotor = make_rotor()
         for t in (0.0, 0.37, np.linspace(0.0, 1.0, 4)):
             pose = rotor.pose(t)
-            assert np.array_equal(pose.position, rotor.hub_offset)
+            assert pose is rotor.pose(-1.0)   # one pose, made once
+            assert np.array_equal(pose.position, ROTOR["hub"])
             assert np.array_equal(pose.velocity, np.zeros(3))
 
     def test_rigid_pose_is_its_track(self):
@@ -163,7 +188,7 @@ class TestTargetInterface:
 
     @pytest.mark.parametrize("kind", ["rigid", "rotor"])
     def test_states_are_pose_plus_rotated_body(self, kind):
-        target = self.target() if kind == "rigid" else make_rotor(samples=8)
+        target = self.target() if kind == "rigid" else make_rotor(samples_per_blade=8)
         for t in (0.0, 0.37, np.linspace(0.0, 0.9, 3)):
             pose, rot, body = target.pose(t), target.rotation(t), target.body
             world = targets.states(target, t, doppler=True)
@@ -176,54 +201,53 @@ class TestTargetInterface:
 
 
 def test_no_module_branches_on_target_class():
-    """No isinstance call in src/bisim names RigidTarget or Rotor: code reaches a target
-    only through name, pose(t), rotation(t) and body."""
+    """No isinstance call in src/bisim names RigidTarget, and targets.py defines no target
+    class besides it: code reaches a target only through name, pose(t), rotation(t) and body."""
     found = []
     for path in sorted(Path(bisim.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
                 names = {getattr(n, "id", getattr(n, "attr", None)) for arg in node.args[1:] for n in ast.walk(arg)}
-                if names & {"RigidTarget", "Rotor"}:
+                if "RigidTarget" in names:
                     found.append(f"{path.name}:{node.lineno}")
+            if path.name == "targets.py" and isinstance(node, ast.ClassDef) and node.name != "RigidTarget":
+                methods = {d.name for d in node.body if isinstance(d, ast.FunctionDef)}
+                if methods & {"pose", "rotation"}:
+                    found.append(f"{path.name}:{node.lineno} class {node.name}")
     assert not found, found
 
 
 class TestScattererStates:
     def test_rotor_periodicity(self):
         rotor = make_rotor()
-        period = 2 * np.pi / rotor.rate
+        period = 2 * np.pi / rotor.spin.rate
         a = targets.states(rotor, 0.37, doppler=True)
         b = targets.states(rotor, 0.37 + period, doppler=True)
         assert np.allclose(a.positions, b.positions, atol=1e-9)
         assert np.allclose(a.velocities, b.velocities, atol=1e-6)
 
     @pytest.mark.parametrize("axis", [(0, 0, 1), (1, 0, 0), (0.6, 0, 0.8)])
-    def test_rotor_basis_computed_once_and_right_handed(self, axis):
-        rotor = make_rotor()
-        rotor.axis = vec3(*axis)
-        e1, e2 = rotor.basis
-        assert rotor.basis is rotor.basis
-        assert np.allclose([e1 @ e1, e2 @ e2, e1 @ e2, e1 @ rotor.axis], [1, 1, 0, 0], atol=1e-12)
-        assert np.allclose(np.cross(e1, e2), rotor.axis, atol=1e-12)
-        # blade samples stay in the rotor plane through the hub
+    def test_rotor_blades_stay_in_their_plane_through_the_hub(self, axis):
+        rotor = make_rotor(axis=vec3(*axis))
+        assert np.allclose(rotor.body.positions @ rotor.spin.axis, 0.0, atol=1e-12)
         states = targets.states(rotor, np.linspace(0.0, 0.01, 5))
-        assert np.allclose((states.positions - rotor.hub_offset) @ rotor.axis, 0.0, atol=1e-12)
+        assert np.allclose((states.positions - ROTOR["hub"]) @ rotor.spin.axis, 0.0, atol=1e-12)
 
     def test_rotor_tip_speed(self):
         rotor = make_rotor()
         states = targets.states(rotor, 0.123, doppler=True)
         speeds = np.linalg.norm(states.velocities, axis=1)
-        assert speeds.max() == pytest.approx(rotor.rate * rotor.blade_radius, rel=1e-12)
+        assert speeds.max() == pytest.approx(ROTOR["rate"] * ROTOR["radius"], rel=1e-12)
         # speed grows linearly along the blade
-        radii = np.linalg.norm(states.positions - rotor.hub_offset, axis=1)
-        assert np.allclose(speeds, rotor.rate * radii, rtol=1e-9)
+        radii = np.linalg.norm(states.positions - ROTOR["hub"], axis=1)
+        assert np.allclose(speeds, ROTOR["rate"] * radii, rtol=1e-9)
 
     def test_rotor_velocity_perpendicular(self):
         rotor = make_rotor()
         states = targets.states(rotor, 0.05, doppler=True)
-        arms = states.positions - rotor.hub_offset
+        arms = states.positions - ROTOR["hub"]
         dots_arm = np.abs(np.sum(states.velocities * arms, axis=1))
-        dots_axis = np.abs(states.velocities @ rotor.axis)
+        dots_axis = np.abs(states.velocities @ ROTOR["axis"])
         assert dots_arm.max() < 1e-9
         assert dots_axis.max() < 1e-12
 
@@ -235,12 +259,6 @@ class TestScattererStates:
         states = targets.states(target, 1.0, doppler=True)
         assert np.allclose(states.velocities, [10, 5, 0])
 
-    def test_rotor_sampling_check(self):
-        rotor = make_rotor(samples=32)
-        assert rotor.sampling_ok(LAM)  # 3.75 mm spacing < 20 mm
-        coarse = make_rotor(samples=2)
-        assert not coarse.sampling_ok(LAM)
-
 
 class TestRigidBody:
     """Every target is a rigid body: its body is built once, motion lives in pose(t) and rotation(t)."""
@@ -249,29 +267,93 @@ class TestRigidBody:
         return RigidTarget([PointScatterer([0.3, 0.1, 0], 0.05), PointScatterer([-0.2, 0, 0.1], 0.03j)],
                            Trajectory.from_waypoints([(0.0, (40, 30, 0)), (1.0, (44, 27, 1))]), yaw="track")
 
+    @pytest.mark.parametrize("build", [make_rotor, config_rotor], ids=["python", "config"])
     @pytest.mark.parametrize("axis", [(0, 0, 1), (1, 0, 0), (1, 1, 2)])
-    def test_rotor_rotation_turns_the_blades_about_the_axis(self, axis):
-        rotor = Rotor(vec3(0.1, -0.05, 0.02), vec3(*axis) / np.linalg.norm(axis), blade_radius=0.3, rate=40.0,
-                      n_blades=3, samples_per_blade=8, phase0=0.3)
+    def test_rotor_rotation_turns_the_blades_about_the_axis(self, axis, build):
+        blades = dict(hub=vec3(0.1, -0.05, 0.02), axis=vec3(*axis) / np.linalg.norm(axis), radius=0.3, rate=40.0,
+                      blades=3, samples_per_blade=8, phase0=0.3)
+        rotor = build(**blades)
         assert np.allclose(rotor.rotation(0.0), np.eye(3), rtol=0, atol=1e-15)
-        period = 2 * np.pi / rotor.rate
+        period = 2 * np.pi / blades["rate"]
         t = np.array([0.0, 0.013, 0.37, 2.9])
         rot = rotor.rotation(t)
         assert np.allclose(rot @ np.swapaxes(rot, -1, -2), np.eye(3), rtol=0, atol=1e-15)
         assert np.allclose(np.linalg.det(rot), 1.0, rtol=0, atol=1e-15)
-        assert np.allclose(rot @ rotor.axis, rotor.axis, rtol=0, atol=1e-15)
+        assert np.allclose(rot @ blades["axis"], blades["axis"], rtol=0, atol=1e-15)
         assert np.allclose(rotor.rotation(t + period), rot, rtol=0, atol=1e-12)
         for at in t:
-            assert np.allclose(targets.states(rotor, at).positions, rotor_samples(rotor, at), rtol=0, atol=1e-12)
+            assert np.allclose(targets.states(rotor, at).positions, rotor_samples(at, **blades), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["rigid", "rotor"])
+    @pytest.mark.parametrize("axis", [(0, 0, 1), (1, 1, 2)])
+    def test_config_rotor_is_the_python_rotor(self, axis):
+        blades = dict(axis=vec3(*axis) / np.linalg.norm(axis), sample_amplitude=0.01 + 0.004j, phase0=0.3)
+        a, b = make_rotor(**blades), config_rotor(**blades)
+        assert type(a) is type(b) is RigidTarget
+        for field in ("positions", "velocities", "amplitudes", "jones"):
+            assert np.array_equal(getattr(a.body, field), getattr(b.body, field)), field
+        assert np.array_equal(a.spin.axis, b.spin.axis) and a.spin.rate == b.spin.rate
+        assert np.array_equal(a.trajectory.points, b.trajectory.points) and a.yaw is b.yaw is None
+
+    @pytest.mark.parametrize("kind", ["rigid", "rotor", "rotor-config"])
     def test_body_is_built_once_and_velocities_only_for_doppler(self, kind):
-        target = self.rigid() if kind == "rigid" else make_rotor(samples=8)
+        make = {"rigid": self.rigid, "rotor": make_rotor, "rotor-config": config_rotor}[kind]
+        target = make() if kind == "rigid" else make(samples_per_blade=8)
         assert target.body is target.body
         for t in (0.4, np.linspace(0.0, 0.9, 3)):
             assert targets.states(target, t).velocities is None
             assert targets.states(target, t, doppler=False).velocities is None
             assert targets.states(target, t, doppler=True).velocities.shape == (*np.shape(t), len(target.body), 3)
+
+
+class TestSpinningTrack:
+    """A RigidTarget that spins on a two-segment track with yaw="track": its body turns by
+    the heading times the spin, and its Doppler velocities are the rate of its positions."""
+
+    axis, rate = np.array([0.0, 0.6, 0.8]), 40.0
+    track = ((0.0, (40, 30, 0)), (0.5, (44, 27, 0.5)), (1.0, (44, 31, 1.0)))
+    offsets = np.array([[0.3, 0.1, 0], [-0.2, 0, 0.1], [0, 0.25, -0.1]])
+
+    def target(self):
+        return RigidTarget([PointScatterer(b, 0.05) for b in self.offsets], Trajectory.from_waypoints(self.track),
+                           yaw="track", spin=targets.Spin(self.axis, self.rate))
+
+    def oracle(self, t: float) -> np.ndarray:
+        """pose + Rz(heading)·Rodrigues(axis, rate·t)·b, the track written out: inside segment i
+        the position runs from its first waypoint at its slope, whose heading the yaw follows."""
+        times, points = np.array([w[0] for w in self.track]), np.array([w[1] for w in self.track], float)
+        i = int(np.searchsorted(times, t, side="right")) - 1
+        slope = (points[i + 1] - points[i]) / (times[i + 1] - times[i])
+        heading = math.atan2(slope[1], slope[0])
+        yaw = np.array([[math.cos(heading), -math.sin(heading), 0], [math.sin(heading), math.cos(heading), 0],
+                        [0, 0, 1]])
+        a, theta = self.axis, self.rate * t
+        k = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
+        spin = np.eye(3) + math.sin(theta) * k + (1 - math.cos(theta)) * k @ k
+        return points[i] + slope * (t - times[i]) + self.offsets @ (yaw @ spin).T
+
+    times = np.array([0.013, 0.2, 0.37, 0.49, 0.51, 0.77, 0.98])   # both segments, off the waypoints
+
+    def test_states_are_the_pose_plus_the_turned_body(self):
+        target = self.target()
+        world = targets.states(target, self.times)
+        for t, positions in zip(self.times, world.positions):
+            assert np.allclose(positions, self.oracle(t), rtol=0, atol=1e-12)
+            assert np.array_equal(targets.states(target, t).positions, positions)
+
+    def test_doppler_velocities_are_the_rate_of_the_positions(self):
+        target, h = self.target(), 1e-6
+        world = targets.states(target, self.times, doppler=True)
+        rate = (targets.states(target, self.times + h).positions
+                - targets.states(target, self.times - h).positions) / (2 * h)
+        assert np.allclose(world.velocities, rate, rtol=0, atol=1e-6)
+        # the spin's share is several m/s on top of the track's
+        track = targets.pose_at(target.trajectory, self.times).velocity[:, None, :]
+        assert np.abs(world.velocities - track).max() > 5.0
+        # and the path Dopplers are the rate of the bistatic ranges, -(c dτ/dt)/λ
+        tx, rx = NodePose(vec3(0, 0, 0)), NodePose(vec3(90, 0, 0))
+        paths = target_paths(target, tx, rx, self.times, LAM, doppler=True)
+        delays = [target_paths(target, tx, rx, self.times + d, LAM).delay for d in (h, -h)]
+        assert np.allclose(paths.doppler, -C0 * (delays[0] - delays[1]) / (2 * h) / LAM, rtol=0, atol=1e-3)
 
 
 class TestTargetPaths:
@@ -318,7 +400,7 @@ class TestTargetPaths:
         tx = NodePose(vec3(-50, 0, 0))
         rx = NodePose(vec3(50, 0, 0))
         paths = target_paths(rotor, tx, rx, 0.0, LAM, doppler=True)
-        tip_speed = rotor.rate * rotor.blade_radius
+        tip_speed = ROTOR["rate"] * ROTOR["radius"]
         bound = 2 * tip_speed / LAM  # loosest possible bistatic bound
         assert np.all(np.abs(paths.doppler) <= bound * (1 + 1e-9))
         assert np.any(np.abs(paths.doppler) > 0)
@@ -483,7 +565,7 @@ class TestReflectivityScan:
 
     def test_rotor_scan_centres_on_its_hub(self):
         # 1 m antenna radii: inside 8 m of the origin, outside the 0.12 m blades about the hub
-        make = lambda hub: Rotor(vec3(*hub), vec3(0, 0, 1), blade_radius=0.12, rate=625.0, samples_per_blade=16)
+        make = lambda hub: make_rotor(hub=vec3(*hub), samples_per_blade=16)
         grid = small_grid([0, 90], [0, 20], [0, 60, 180], [-10, 0])
         a, b = (reflectivity_scan(make(hub), grid, 1.0, 1.0, self.band).data for hub in ((0, 8, 0), (0, 0, 0)))
         assert np.array_equal(a, b)
@@ -570,18 +652,6 @@ def jones_cloud(n=5, seed=41):
     return target, offsets, amps, jones
 
 
-def rotor_samples(rotor, t):
-    """World positions of the blade samples, from the rotor's own (e1, e2) plane."""
-    e1, e2 = rotor.basis
-    pos = []
-    for b in range(rotor.n_blades):
-        phi = rotor.phase0 + rotor.rate * t + 2 * np.pi * b / rotor.n_blades
-        for i in range(1, rotor.samples_per_blade + 1):
-            r = rotor.blade_radius * i / rotor.samples_per_blade
-            pos.append(rotor.hub_offset + r * (np.cos(phi) * e1 + np.sin(phi) * e2))
-    return np.array(pos)
-
-
 def jones_columns(jones):
     """Distinct HH/HV/VH/VV columns of (N, 2, 2) Jones matrices with a nonzero entry."""
     return len({tuple(c) for c in np.reshape(jones, (-1, 4)).T if np.any(c != 0)})
@@ -610,10 +680,10 @@ def scan_oracle(pos, amps, jones, grid, d_tx, d_rx, band, taper):
 class TestBlockedScan:
     def test_reflectivity_matches_per_point_oracle(self):
         cloud, offsets, amps, jones = jones_cloud(n=12)
-        rotor = Rotor(vec3(0.1, -0.05, 0.02), np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0),
-                      blade_radius=0.3, rate=40.0, n_blades=2, samples_per_blade=16,
-                      sample_amplitude=0.01 + 0.004j, phase0=0.3)
-        rotor_pos = rotor_samples(rotor, 0.0) - rotor.hub_offset
+        blades = dict(hub=vec3(0.1, -0.05, 0.02), axis=np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0), radius=0.3,
+                      rate=40.0, blades=2, samples_per_blade=16, sample_amplitude=0.01 + 0.004j, phase0=0.3)
+        rotor = targets.rotor(**blades)
+        rotor_pos = rotor_samples(0.0, **blades) - blades["hub"]
         rotor_jones = np.broadcast_to(np.eye(2), (32, 2, 2))
         # (target, ..., grid, whether one Tx block takes every direction): the cloud's four
         # columns and the rotor's one span partial Tx and Rx blocks; the small rotor grid's
@@ -622,9 +692,9 @@ class TestBlockedScan:
             (cloud, offsets, amps, jones, "hann",
              small_grid([0, 40, 95, 150, 200, 260, 300, 330], [-10, 5, 30], np.arange(11) * 31.0,
                         [0, 8, 16, 24, 32, 40]), False),
-            (rotor, rotor_pos, np.full(32, rotor.sample_amplitude), rotor_jones, "none",
+            (rotor, rotor_pos, np.full(32, blades["sample_amplitude"]), rotor_jones, "none",
              small_grid(np.arange(9) * 40.0, [0, 25, 50, 70], np.arange(13) * 27.0, [-5, 12]), False),
-            (rotor, rotor_pos, np.full(32, rotor.sample_amplitude), rotor_jones, "none",
+            (rotor, rotor_pos, np.full(32, blades["sample_amplitude"]), rotor_jones, "none",
              small_grid([0, 70, 140, 210, 280], [0, 25, 50, 70], np.arange(13) * 27.0, [-5, 12]), True),
         ]
         band = FrequencyBand(3e9, 5e9, 128)
@@ -747,12 +817,11 @@ class TestBlockedScan:
                                rtol=1e-12, atol=0.0)
 
     def test_memory_stays_bounded(self):
-        rotor = Rotor(vec3(0, 0, 0), vec3(0, 0, 1), blade_radius=0.5, rate=10.0,
-                      n_blades=4, samples_per_blade=256)
+        rotor = targets.rotor(vec3(0, 0, 0), vec3(0, 0, 1), 0.5, 10.0, blades=4, samples_per_blade=256)
         band = FrequencyBand(3e9, 4e9, 16)
         angles = np.arange(16) * 22.5
         grid = small_grid(angles, [0, 10, 20, 30], angles, [0, 10, 20, 30])
-        n_scat = rotor.n_blades * rotor.samples_per_blade
+        n_scat = 4 * 256
         assert 16 * 4 * 16 * 4 * n_scat * band.n_points * 16 >= 1e9   # unblocked slab, bytes
         tracemalloc.start()
         try:
@@ -814,10 +883,10 @@ class TestSynthesisMatchesScan:
     tx, rx = vec3(-4.0, 3.0, 1.0), vec3(3.0, 5.0, -0.5)
 
     def target(self, kind):
-        if kind == "rotor":
-            return Rotor(vec3(0.1, -0.05, 0.02), np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0),
-                         blade_radius=0.3, rate=600.0, samples_per_blade=12,
-                         sample_amplitude=0.01 + 0.004j, phase0=0.3)
+        if kind in ("rotor", "rotor-config"):
+            build = make_rotor if kind == "rotor" else config_rotor
+            return build(hub=vec3(0.1, -0.05, 0.02), axis=np.array([1.0, 1.0, 2.0]) / np.sqrt(6.0), radius=0.3,
+                         rate=600.0, samples_per_blade=12, sample_amplitude=0.01 + 0.004j, phase0=0.3)
         rng = np.random.default_rng(17)
         offsets, amps = rng.uniform(-0.4, 0.4, (6, 3)), rng.normal(size=6) + 1j * rng.normal(size=6)
         # the heading turns between symbols 37 and 95
@@ -830,7 +899,7 @@ class TestSynthesisMatchesScan:
         rot, e = target.rotation(t), p - target.pose(t).position
         return e if rot is None else rot.T @ e
 
-    @pytest.mark.parametrize("kind", ["rigid", "rotor"])
+    @pytest.mark.parametrize("kind", ["rigid", "rotor", "rotor-config"])
     def test_cfr_rows_equal_scan_sweeps(self, kind):
         w, target = self.waveform, self.target(kind)
         scene = SceneConfig([SceneNode("tx0", NodePose(self.tx))], [SceneNode("rx0", NodePose(self.rx))],
