@@ -29,6 +29,10 @@ Fractional delays are exact frequency-domain phase ramps; the carrier phase
 of a path lives in its complex gain, keeping delay-bin positions baseband
 consistent. A path holds still within a symbol (no intra-symbol ICI),
 valid while f_D * T_sym << 1.
+
+One buffer per link: add_noise adds its noise into the cube it is given,
+and the processing functions work in that cube in turn, so SlowTimeCube
+copies an array that is read-only, unaligned or not C-order, once.
 """
 
 from __future__ import annotations
@@ -149,7 +153,8 @@ class SlowTimeCube:
     t0: float = 0.0
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=complex)
+        # worked in place: a ResultArchive.read view, read-only and unaligned, is copied
+        self.data = np.require(self.data, complex, "CAW")
         expected = (self.waveform.n_symbols, self.waveform.n_subcarriers)
         if self.data.shape != expected:
             raise UsageError(
@@ -334,18 +339,20 @@ def synth_cfr(
 
 
 def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:
-    """Add circularly-symmetric complex white noise at the given SNR.
+    """Add circularly-symmetric complex white noise at the given SNR, in place.
 
     The noise variance is mean(|H|^2) / 10^(snr/10); its per-component standard
     deviation, 2^e·sqrt(m / 10^(snr/10) / 2) from scaled_power's (m, e), is finite
     wherever it is a float, even where the variance overflows, and ConfigError
-    otherwise. snr_db = +inf returns the cube unchanged. The full noise block is drawn
-    from one seeded generator in a single call, so the result is independent
-    of any worker-pool parallelism in the surrounding pipeline; its (re, im)
-    pairs are read as complex, scaled and summed with the cube in place.
+    otherwise. The noise is added into cube.data, which is overwritten, and the cube
+    is returned; snr_db = +inf returns it as it is. The noise is drawn from one seeded
+    generator in row blocks of at most _SLAB_ELEMENTS entries (or one row), in row
+    order, which gives the normals of a single (M, K, 2) draw, so the result is
+    independent of any worker-pool parallelism in the surrounding pipeline; each
+    block's (re, im) pairs are read as complex, scaled and added to its rows.
     """
     if np.isinf(snr_db) and snr_db > 0:
-        return SlowTimeCube(cube.data.copy(), cube.waveform, cube.t0)
+        return cube
     m, e = cube.scaled_power()
     try:   # bit for bit sqrt(var / 2) wherever m·4^e and var / 2 are normal floats
         std = math.ldexp(math.sqrt(m / 10.0 ** (snr_db / 10.0) / 2.0), e)
@@ -358,10 +365,13 @@ def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"noise seed {seed!r}: {err}") from None
-    noisy = rng.standard_normal((*cube.data.shape, 2)).view(complex)[..., 0]
-    noisy *= std
-    noisy += cube.data
-    return SlowTimeCube(noisy, cube.waveform, cube.t0)
+    n_rows, n = cube.data.shape
+    rows = max(1, _SLAB_ELEMENTS // n)
+    for i in range(0, n_rows, rows):
+        noise = rng.standard_normal((min(rows, n_rows - i), n, 2)).view(complex)[..., 0]
+        noise *= std
+        cube.data[i:i + rows] += noise
+    return cube
 
 
 def named_window(name: str | None, n: int, sym: bool = False) -> np.ndarray:

@@ -17,7 +17,9 @@ modes synthesize on one kernel: fixed mode takes its paths and their
 Dopplers at those poses, which synth_cfr carries to first order in t - t0,
 and geometric mode asks the nodes for their poses block by block. The Link
 names its datasets and summary keys, gives its LoS delay and rides on its
-fusion observation.
+fusion observation. One buffer per link: noise, clean and the delay
+transforms each work in the cube they are given, which the runner owns, so
+clean's residual, the DD map and the delay profiles are that cube's buffer.
 """
 
 from __future__ import annotations
@@ -132,9 +134,6 @@ def _detected_links(cfg: RunConfig, exclude_zero_doppler: bool):
         if proc.clean_paths > 0:
             cube = subtract_dominant_paths(cube, proc.clean_paths).residual
         ddm = delay_doppler_map(cube, proc.fast_window, proc.slow_window)
-        # the map peaked at the cube and two map-sized stages; detect_peaks' |x| and its partitioned
-        # copy (half a map each) on top of the cube would reach that peak again
-        del cube
         dets = detect_peaks(ddm, proc.detect_threshold_db,
                             exclude_zero_doppler=exclude_zero_doppler, los_delay_s=link.los_delay)
         yield link, ddm, dets
@@ -154,20 +153,21 @@ def run_ddmap(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
 
 
 def _delay_bin_series(cube: SlowTimeCube) -> tuple[np.ndarray, int]:
-    """Slow-time series at the strongest mean-power delay bin, copied out so the
-    profiles are freed before the caller's STFT."""
-    profiles = np.fft.ifft(cube.data, axis=1)
-    bin_idx = int(np.argmax(np.mean(np.abs(profiles) ** 2, axis=0)))
+    """Slow-time series at the strongest mean-power delay bin, copied out of the delay
+    profiles, which overwrite cube.data."""
+    profiles = np.fft.ifft(cube.data, axis=1, out=cube.data)
+    power = np.abs(profiles)
+    bin_idx = int(np.argmax(np.mean(np.square(power, out=power), axis=0)))
     return profiles[:, bin_idx].copy(), bin_idx
 
 
 def run_spectrogram(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     results = {}
-    st = cfg.processing.stft
+    st, w = cfg.processing.stft, cfg.waveform
     for link, cube in _simulate_links(cfg):
         series, bin_idx = _delay_bin_series(cube)
-        spec = stft_spectrogram(series, cube.waveform.t_sym, st.fft_size, st.hop, st.window,
-                                t0=cube.t0)
+        del cube   # spent on its profiles; else held while the next link's cube is made
+        spec = stft_spectrogram(series, w.t_sym, st.fft_size, st.hop, st.window, t0=cfg.t0)
         archive.add(
             f"spectrogram_{link.name}",
             spec.data,
@@ -179,7 +179,7 @@ def run_spectrogram(cfg: RunConfig, archive: ResultArchive, threads: int) -> dic
             "window": spec.window,
             "gaussian_sigma": spec.sigma,
             "delay_bin": bin_idx,
-            "observation_s": float(cube.waveform.duration),
+            "observation_s": float(w.duration),
         }
     return results
 
@@ -202,7 +202,6 @@ def run_clean(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
                                              res.at_noise_floor)
             ]
         }
-        del cube, res   # else held while the next link's cube is made; the residual is in the archive
     return results
 
 

@@ -9,6 +9,10 @@ energy equals cube energy with rectangular windows. The Doppler FFT runs
 along contiguous rows of the transposed delay profiles. Detection takes
 its floor as the median |x| in dB and goes to dB only on the candidate
 cells that a linear pre-threshold picks.
+
+One buffer per link: clean and the DD map work in the cube they are given
+and overwrite its data. Clean's residual is that cube, and the map lands in
+its buffer; the DD map's transposed rows are its one map-sized temporary.
 """
 
 from __future__ import annotations
@@ -54,29 +58,35 @@ class DelayDopplerMap:
 
 def delay_doppler_map(cube: SlowTimeCube, fast_window: str = "none",
                       slow_window: str = "none") -> DelayDopplerMap:
-    """Delay-Doppler map of a slow-time capture.
+    """Delay-Doppler map of a slow-time capture, made in cube.data.
 
-    Unitary IFFT over subcarriers per symbol, then one transposed copy, so
-    each delay bin's slow-time series is a contiguous row, and a unitary
-    FFT over symbols along those rows, in place. The result is fftshifted
-    so 0 Hz is an exact center bin (even M keeps the zero-Doppler energy in
-    one unstraddled bin). Static paths land entirely in that bin; movers
-    separate along the Doppler axis at resolution 1/(M*T_sym).
+    Unitary IFFT over subcarriers per symbol, windowed and transformed in
+    cube.data, then one transposed copy, so each delay bin's slow-time
+    series is a contiguous row, and a unitary FFT over symbols along those
+    rows, in place. The fftshift copies the rows back into the cube's
+    buffer, which then holds the map in C order, so 0 Hz is an exact center
+    bin (even M keeps the zero-Doppler energy in one unstraddled bin).
+    Static paths land entirely in that bin; movers separate along the
+    Doppler axis at resolution 1/(M*T_sym).
     """
     w = cube.waveform
     if w.n_symbols < 2:
         raise UsageError("need at least two symbols for Doppler resolution")
     wf = named_window(fast_window, w.n_subcarriers)
     ws = named_window(slow_window, w.n_symbols)
-    # a window of ones is skipped: multiplying by it changes no finite value, so this saves
-    # only a pass and a map-sized temporary
-    dd = np.fft.ifft(cube.data if np.all(wf == 1.0) else cube.data * wf[None, :],
-                     axis=1, norm="ortho")   # delay profiles
+    data = cube.data
+    # a window of ones is skipped: multiplying by it changes no finite value
+    if not np.all(wf == 1.0):
+        data *= wf
+    np.fft.ifft(data, axis=1, norm="ortho", out=data)   # delay profiles
     if not np.all(ws == 1.0):
-        dd *= ws[:, None]   # in place, and each stage rebinds `dd` so the last one is freed
-    dd = dd.T.copy()    # (delay, symbol) in C order: the Doppler FFT runs along contiguous rows
-    np.fft.fft(dd, axis=1, norm="ortho", out=dd)
-    dd = np.fft.fftshift(dd, axes=1)   # C order: archived without a copy
+        data *= ws[:, None]
+    rows = data.T.copy()   # (delay, symbol) in C order: the Doppler FFT runs along contiguous rows
+    np.fft.fft(rows, axis=1, norm="ortho", out=rows)
+    dd = data.reshape(rows.shape)   # the map, in the cube's buffer
+    s = w.n_symbols // 2   # fftshift: column i moves to (i + s) mod M
+    dd[:, s:] = rows[:, :-s]
+    dd[:, :s] = rows[:, -s:]
     doppler = np.fft.fftshift(np.fft.fftfreq(w.n_symbols, w.t_sym))
     return DelayDopplerMap(dd, delay_axis(w.n_subcarriers, w.bandwidth), doppler)
 
@@ -109,7 +119,7 @@ def time_gate(values: np.ndarray, delay_s: np.ndarray, center_s: float,
 
 @dataclass(eq=False)
 class CleanResult:
-    """Residual capture plus the static paths removed from it, as a zero-Doppler table."""
+    """Residual capture (the cube clean was given) plus the static paths removed, as a zero-Doppler table."""
 
     residual: SlowTimeCube
     removed: PathTable = field(default_factory=lambda: PathTable([], [], []))
@@ -190,7 +200,8 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int) -> CleanResult:
     row by exactly that path's ramp, so the fits run on the mean row alone,
     each fit's ramp is built once and serves its add-back in the re-fit
     cycles, and the residual is the cube less the sum of the fitted paths,
-    formed once at the end. Paths whose peak rises less than
+    subtracted once at the end from cube.data, in place: the residual is the
+    cube it is given, also for n_paths = 0. Paths whose peak rises less than
     _FLOOR_MARGIN_DB above the profile median are flagged as at the noise
     floor.
     """
@@ -198,10 +209,7 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int) -> CleanResult:
     if not 0 <= n_paths <= w.n_subcarriers:   # clean resolves at most one path per delay bin
         raise ConfigError(f"clean_paths = {n_paths}: expected 0 to n_subcarriers = {w.n_subcarriers}")
     if n_paths == 0:
-        return CleanResult(SlowTimeCube(cube.data.copy(), w, cube.t0))
-    # made before the fits' small arrays, so it can take the cube-sized hole a freed cube
-    # left (made after them, it raised multistatic_fixed's peak RSS by one cube)
-    residual = np.empty_like(cube.data)
+        return CleanResult(cube)
     k = np.arange(w.n_subcarriers)
     mean_row = cube.data.mean(axis=0)
     estimates: list[tuple[float, complex, np.ndarray]] = []   # (delay, amplitude, its ramp)
@@ -224,10 +232,10 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int) -> CleanResult:
             ramp = _ramp(tau, k, w.delta_f)
             mean_row = mean_row - amp * ramp
             estimates[i] = (tau, amp, ramp)
-    np.subtract(cube.data, sum(amp * ramp for _, amp, ramp in estimates), out=residual)
+    cube.data -= sum(amp * ramp for _, amp, ramp in estimates)
     delays, gains, _ = zip(*estimates)
     removed = PathTable(delays, gains, np.zeros(len(estimates)))
-    return CleanResult(SlowTimeCube(residual, w, cube.t0), removed, at_noise_floor, peak_db_above_floor)
+    return CleanResult(cube, removed, at_noise_floor, peak_db_above_floor)
 
 
 @dataclass(eq=False)

@@ -325,12 +325,12 @@ class TestAddNoise:
         w = small_waveform()
         cube = synth_cfr(PathTable([0.0], [1.0 + 0j]), w)
         noisy = add_noise(cube, np.inf, seed=1)
-        assert np.array_equal(noisy.data, cube.data)
+        assert noisy is cube
 
     def test_empirical_snr(self):
         w = WaveformConfig(3.7e9, 20e6, 1000, 1000)
         cube = SlowTimeCube(np.ones((1000, 1000), dtype=complex), w)
-        noisy = add_noise(cube, 13.0, seed=99)
+        noisy = add_noise(SlowTimeCube(cube.data.copy(), w), 13.0, seed=99)
         noise_power = np.mean(np.abs(noisy.data - cube.data) ** 2)
         snr = 10 * np.log10(1.0 / noise_power)
         assert abs(snr - 13.0) <= 0.1
@@ -338,11 +338,52 @@ class TestAddNoise:
     def test_deterministic_for_seed(self):
         w = small_waveform()
         cube = synth_cfr(PathTable([0.0], [1.0 + 0j]), w)
-        a = add_noise(cube, 10.0, seed=1234)
-        b = add_noise(cube, 10.0, seed=1234)
+        a = add_noise(SlowTimeCube(cube.data.copy(), w), 10.0, seed=1234)
+        b = add_noise(SlowTimeCube(cube.data.copy(), w), 10.0, seed=1234)
         assert np.array_equal(a.data, b.data)
-        c = add_noise(cube, 10.0, seed=1235)
+        c = add_noise(SlowTimeCube(cube.data.copy(), w), 10.0, seed=1235)
         assert not np.array_equal(a.data, c.data)
+
+    def test_row_blocks_add_the_one_call_normals_in_place(self):
+        # rows of 1000 subcarriers go in blocks of 65: 300 rows end in a partial block of 40
+        w = WaveformConfig(3.7e9, 20e6, 1000, 300)
+        assert 300 % (channel._SLAB_ELEMENTS // 1000) != 0
+        cube = synth_cfr(PathTable([3e-7, 8e-7], [1.0 + 0j, 0.2 - 0.5j], [30.0, -70.0]), w)
+        m, e = cube.scaled_power()
+        want = np.random.default_rng(21).standard_normal((300, 1000, 2)).view(complex)[..., 0]
+        want *= math.ldexp(math.sqrt(m / 10.0 ** (17.0 / 10.0) / 2.0), e)
+        want += cube.data
+        data = cube.data
+        noisy = add_noise(cube, 17.0, seed=21)
+        assert np.array_equal(noisy.data, want)
+        assert np.shares_memory(noisy.data, data)
+
+
+class TestSlowTimeCube:
+    @staticmethod
+    def unaligned(shape):
+        a = np.zeros(math.prod(shape) * 16 + 1, dtype=np.uint8)[1:].view(complex).reshape(shape)
+        assert not a.flags.aligned
+        return a
+
+    @staticmethod
+    def read_only(shape):
+        a = np.zeros(shape, dtype=complex)
+        a.flags.writeable = False
+        return a
+
+    @pytest.mark.parametrize("make", [read_only, unaligned, lambda shape: np.zeros(shape, dtype=complex, order="F")])
+    def test_an_array_that_cannot_be_worked_in_place_is_copied(self, make):
+        w = small_waveform(8, 4)
+        data = make((8, 4))
+        cube = SlowTimeCube(data, w)
+        assert not np.shares_memory(cube.data, data)
+        assert cube.data.flags.c_contiguous and cube.data.flags.aligned and cube.data.flags.writeable
+        assert np.array_equal(cube.data, data)
+
+    def test_an_owned_c_array_is_kept(self):
+        data = np.zeros((8, 4), dtype=complex)
+        assert SlowTimeCube(data, small_waveform(8, 4)).data is data
 
 
 class TestCirFromCfr:

@@ -674,18 +674,19 @@ class TestRunMemory:
         return peak - archive_bytes, cfg
 
     # tracemalloc peak above the archive, in link cubes: the measured peak + 0.5 cube
-    # (FULL_SCENE simulate 1.0, clean 1.0, ddmap 2.0, localize 3.0, spectrogram 3.0, and the
-    # same in fixed mode; ROTOR_SCENE 0.5, 1.0, 2.0, 3.0, 2.5; FULL_SCENE with clean_paths 2:
-    # clean 1.0, ddmap 2.0, localize 3.0), so one more cube held across a link fails. clean
-    # drops each link's cube and residual before the next link's cube is made. ddmap and
-    # localize peak while the map is made: the cube and two map-sized stages, with
-    # localize's map not in its archive; detection holds half a map of |x| and half
-    # a map of its partitioned copy
+    # (FULL_SCENE simulate 0.5, clean 0.5, ddmap 1.07, localize 2.07, spectrogram 1.51, and
+    # the same in fixed mode and with clean_paths 2; ROTOR_SCENE 0.5, 0.34, 1.33, 2.34, 1.48),
+    # so one more cube held across a link fails. Noise, clean and the delay transforms work
+    # in the link's cube: noising peaks at the cube and scaled_power's |H| (half a cube), the
+    # DD map at the cube and its transposed rows, and detection at the map, its |x| and the
+    # partitioned copy (half a map each); localize does not archive its maps, and spectrogram
+    # drops each spent cube before the next link's is made. ROTOR_SCENE's synthesis
+    # temporaries add a third of a cube
     CUBE_BUDGETS = {
-        "FULL_SCENE": {"simulate": 1.5, "clean": 1.5, "ddmap": 2.5, "localize": 3.5, "spectrogram": 3.5},
-        "ROTOR_SCENE": {"simulate": 1.0, "clean": 1.5, "ddmap": 2.5, "localize": 3.5, "spectrogram": 3.0},
-        "FULL_SCENE_CLEAN_2": {"clean": 1.5, "ddmap": 2.5, "localize": 3.5},
-        "FULL_SCENE_FIXED": {"simulate": 1.5, "clean": 1.5, "ddmap": 2.5, "localize": 3.5, "spectrogram": 3.5},
+        "FULL_SCENE": {"simulate": 1.0, "clean": 1.0, "ddmap": 1.6, "localize": 2.6, "spectrogram": 2.0},
+        "ROTOR_SCENE": {"simulate": 1.0, "clean": 0.85, "ddmap": 1.85, "localize": 2.85, "spectrogram": 2.0},
+        "FULL_SCENE_CLEAN_2": {"clean": 1.0, "ddmap": 1.6, "localize": 2.6},
+        "FULL_SCENE_FIXED": {"simulate": 1.0, "clean": 1.0, "ddmap": 1.6, "localize": 2.6, "spectrogram": 2.0},
     }
 
     @pytest.mark.parametrize("sub, scene", [(sub, scene) for scene, subs in CUBE_BUDGETS.items() for sub in subs])
