@@ -45,9 +45,10 @@ from .scene import SceneConfig, SceneNode, link_paths
 from .targets import (
     FrequencyBand,
     LinkBudget,
-    PointScatterer,
     ReflectivityTensor,
     RigidTarget,
+    ScattererStates,
+    cloud,
     equivalent_rcs,
     flyover_scan,
     link_budget,

@@ -25,10 +25,12 @@ a waypoint is {t, position} or [t, [x, y, z]]; an angle axis a list, a
 number, {start, stop, n} or {start, stop, step > 0} (no point past stop);
 a node has a trajectory or a position, at which it rests; a rotor rate is
 rate_rad_s or rate_rpm; a budget RCS rcs_m2 or scattering_length s
-(σ = 4π|s|²). A target's kind is rigid (default) or rotor, whose table
-feeds the builder targets.rotor(): a rotor is a spinning rigid target, and
-the echo writes it in that rigid form, its blade samples as scatterers,
-one waypoint at the hub and its spin, which parses to the same body.
+(σ = 4π|s|²). A rigid target's scatterers and the clutter are lists of
+{offset or position, amplitude} mappings, read into one targets.cloud().
+A target's kind is rigid (default) or rotor, whose table feeds the builder
+targets.rotor(): a rotor is a spinning rigid target whose recipe keeps the
+builder's arguments, so it echoes as that table at any sample count, and
+the echo parses to the same body.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .channel import _ORTHO_RTOL, WaveformConfig, named_window
 from .errors import ConfigError
 from .geometry import C0, NodePose, Trajectory
 from .scene import SceneConfig, SceneNode
-from .targets import (MAX_AXIS_POINTS, FrequencyBand, LinkBudget, PointScatterer, RigidTarget, Spin,
+from .targets import (MAX_AXIS_POINTS, FrequencyBand, LinkBudget, RigidTarget, ScattererStates, Spin, cloud,
                       equivalent_rcs, rotor, stepped_axis)
 
 REQUIRED = object()  # default of a key that must be given
@@ -249,7 +251,8 @@ def _list(item: Kind) -> Kind:
 
 def _tagged(tag: str, variants: dict) -> Kind:
     """A mapping whose `tag` key (default: the first variant) picks the table and the class or
-    builder it feeds; an object echoes as the variant whose class is its type."""
+    builder it feeds; an object echoes as its recipe's builder with the recipe's arguments, or
+    without a recipe as the variant whose class is its type."""
     def parse(value, where: str, root: dict):
         spec = dict(value) if isinstance(value, dict) else value
         name = spec.pop(tag, None) if isinstance(spec, dict) else None
@@ -260,8 +263,9 @@ def _tagged(tag: str, variants: dict) -> Kind:
         return _build(cls, spec, table, where, root)
 
     def emit(obj) -> dict:
-        name = next(n for n, (cls, _) in variants.items() if type(obj) is cls)
-        return {tag: name, **_echo(obj, variants[name][1])}
+        maker, args = obj.recipe or (type(obj), obj)
+        name = next(n for n, (cls, _) in variants.items() if cls is maker)
+        return {tag: name, **_echo(args, variants[name][1])}
     return Kind(parse, emit)
 
 
@@ -271,8 +275,8 @@ INT = _leaf(_int, int)
 BOOL = _leaf(_bool)
 TEXT = _leaf(lambda v, where: str(_string(v, where)))
 WINDOW = _leaf(_window)
-VEC = _leaf(lambda v, where: np.array([_float(x, where) for x in _triple(v, where)]),
-            lambda v: [float(x) for x in v])
+XYZ = _leaf(lambda v, where: [_float(x, where) for x in _triple(v, where)], lambda v: [float(x) for x in v])
+VEC = _leaf(lambda v, where: np.array(XYZ.parse(v, where, None)), XYZ.emit)
 COMPLEX = _leaf(_complex, lambda z: [z.real, z.imag])
 UNIT = _leaf(_unit, VEC.emit)
 
@@ -313,6 +317,17 @@ def _angle_axis(value, where: str, root: dict) -> np.ndarray:
     return np.linspace(start, stop, n)
 
 
+def _cloud(position: Key) -> Kind:
+    """A list of {position, amplitude} mappings, read into one targets.cloud() and echoed back."""
+    rows = _list(_section(dict, [position._replace(kind=XYZ), AMPLITUDE]))
+
+    def parse(value, where: str, root: dict) -> ScattererStates:
+        items = rows.parse(value, where, root)
+        return cloud(np.reshape([r["position"] for r in items], (len(items), 3)), [r["amplitude"] for r in items])
+    return Kind(parse, lambda c: rows.emit(
+        [{"position": p, "amplitude": a} for p, a in zip(c.positions.tolist(), c.amplitudes.tolist())]))
+
+
 # The tables.
 N_SUBCARRIERS, N_SYMBOLS = Key("n_subcarriers", INT), Key("n_symbols", INT)
 WAVELENGTH = Key("wavelength", FLOAT, lambda run: C0 / run.waveform.f_c)
@@ -333,8 +348,7 @@ TARGET = _tagged("kind", {
     "rigid": (RigidTarget, [
         NAME,
         Key("yaw", _leaf(lambda v, where: v if v == "track" else _float(v, where)), None),
-        Key("scatterers", _list(_section(PointScatterer, [
-            Key("offset", VEC, [0, 0, 0], to="position"), AMPLITUDE]))),
+        Key("scatterers", _cloud(Key("offset", VEC, [0, 0, 0], to="position")), to="body"),
         TRAJECTORY,
         Key("spin", _section(Spin, [Key("axis", UNIT, [0, 0, 1]), RATE]), None, skip_none=True),
     ]),
@@ -384,7 +398,7 @@ RUN = _record("RunConfig", [
     Key("scene", _section(SceneConfig, [
         WAVELENGTH, Key("include_los", BOOL, True),
         Key("tx_nodes", _list(NODE)), Key("rx_nodes", _list(NODE)), Key("targets", _list(TARGET), []),
-        Key("clutter", _list(_section(PointScatterer, [POSITION, AMPLITUDE])), []),
+        Key("clutter", _cloud(POSITION), []),
     ])),
     Key("processing", PROCESSING, {}),
     Key("noise", NOISE, {}),

@@ -4,9 +4,9 @@ A scene is the geometric ground truth, and it passes objects, not ids: a
 link is a pair of SceneNodes (links()), and every path function takes the
 two antenna poses at t. link_paths() turns the scene into the path table
 the channel synthesizer consumes, one call per link and block of symbol
-times: the direct Tx-Rx line-of-sight, one path per clutter scatterer (a
-PointScatterer at rest at its world-frame position), and one path per
-sample of targets.states(target, t), the one body-to-world map
+times: the direct Tx-Rx line-of-sight, one path per scatterer of the clutter
+(one cloud at rest in the world frame), and one path per sample of
+targets.states(target, t), the one body-to-world map
 pose(t) + rotation(t)·body, the same for every target. Every node
 answers pose(t) with an anonymous NodePose: (3,) for a static node, whose
 paths are then evaluated once per call and broadcast over its times,
@@ -25,7 +25,7 @@ from .channel import PathTable, join_paths
 from .errors import ConfigError, GeometryError
 from .geometry import C0, NodePose, Trajectory, pose_at
 from .geometry import bistatic_doppler  # noqa: F401  unused; bench/tracing.py counts calls made through it
-from .targets import FOUR_PI, PointScatterer, RigidTarget, ScattererStates, bounce_paths, target_paths
+from .targets import FOUR_PI, RigidTarget, ScattererStates, bounce_paths, cloud, target_paths
 
 
 @dataclass(eq=False)
@@ -50,12 +50,12 @@ class SceneNode:
 
 @dataclass(eq=False)
 class SceneConfig:
-    """Scene of Tx/Rx nodes, moving targets, and static clutter scatterers."""
+    """Scene of Tx/Rx nodes, moving targets, and a cloud of static clutter scatterers."""
 
     tx_nodes: list[SceneNode]
     rx_nodes: list[SceneNode]
     targets: list[RigidTarget] = field(default_factory=list)
-    clutter: list[PointScatterer] = field(default_factory=list)
+    clutter: ScattererStates = field(default_factory=lambda: cloud(np.empty((0, 3)), []))
     wavelength: float = C0 / 3.7e9
     include_los: bool = True
 
@@ -101,12 +101,6 @@ def los_paths(tx: NodePose, rx: NodePose, lam: float, doppler: bool = False) -> 
     return table
 
 
-def clutter_paths(clutter: list[PointScatterer], tx: NodePose, rx: NodePose, lam: float,
-                  doppler: bool = False) -> PathTable:
-    """Single-bounce paths via the static environment scatterers."""
-    return bounce_paths(ScattererStates.stack(clutter), tx, rx, lam, doppler)
-
-
 def link_paths(scene: SceneConfig, tx: NodePose, rx: NodePose, t, doppler: bool = False) -> PathTable:
     """All paths of one sensing link at time(s) t: LoS + clutter + targets.
 
@@ -119,8 +113,8 @@ def link_paths(scene: SceneConfig, tx: NodePose, rx: NodePose, t, doppler: bool 
     tables = []
     if scene.include_los:
         tables.append(los_paths(tx, rx, scene.wavelength, doppler))
-    if scene.clutter:
-        tables.append(clutter_paths(scene.clutter, tx, rx, scene.wavelength, doppler))
+    if len(scene.clutter):
+        tables.append(bounce_paths(scene.clutter, tx, rx, scene.wavelength, doppler))
     for target in scene.targets:
         tables.append(target_paths(target, tx, rx, t, scene.wavelength, doppler))
     return join_paths(tables, np.shape(t))
@@ -142,6 +136,6 @@ def illumination_paths(scene: SceneConfig, tx: NodePose, end: NodePose) -> PathT
     meaningful.
     """
     tables = [los_paths(tx, end, scene.wavelength, doppler=True)]
-    if scene.clutter:
-        tables.append(clutter_paths(scene.clutter, tx, end, scene.wavelength, doppler=True))
+    if len(scene.clutter):
+        tables.append(bounce_paths(scene.clutter, tx, end, scene.wavelength, doppler=True))
     return join_paths(tables, ())

@@ -1,10 +1,10 @@
 """Extended-target scattering: point clouds, rotors, reflectivity scans, RCS.
 
-Every scatterer is a PointScatterer: a position (in its target's body
-frame, or in the world frame for clutter), a complex scattering length s
-(meters) and an optional 2x2 Jones matrix over the (H, V) polarization
-basis. The conventions are tied together so link budgets are exact by
-construction:
+A scatterer cloud is one ScattererStates record, made by cloud(): N
+positions (in its target's body frame, or in the world frame for
+clutter), their complex scattering lengths s (meters) and their 2x2 Jones
+matrices over the (H, V) polarization basis. The conventions are tied
+together so link budgets are exact by construction:
 
     sigma = 4π |s|^2                         (equivalent-sphere RCS)
     a     = s λ / (4π d_tx d_rx) e^{-j2πR/λ} (per-scatterer channel gain)
@@ -19,21 +19,23 @@ Polarization lives in the scans only. Synthesis is single-polarization:
 a link's paths carry the scalar s alone. reflectivity_scan weights each
 scatterer by all four entries of its Jones matrix, flyover_scan (the
 gantry HH map) by J_HH. The config sets no Jones matrix, so every
-scatterer it builds has the identity.
+cloud it builds shares one read-only identity.
 
 A target is a RigidTarget: name, pose(t) (its body origin and that
 origin's velocity), rotation(t) (its body axes in world coordinates,
 (..., 3, 3), or None for the world axes: a yaw, a Spin, both or neither)
-and body, its samples in the body frame, built once. rotor() builds a
-blade set as one that spins at rest. states(target, t) is the one
-body-to-world map, pose(t) + rotation(t)·body; a scan centres on the pose
-and sees the body in its own frame. No code branches on a target's class.
+and body, its cloud in the body frame, built once. rotor() builds a
+blade set as one that spins at rest, with its arguments as the target's
+recipe, which the config echoes in place of the samples. states(target,
+t) is the one body-to-world map, pose(t) + rotation(t)·body; a scan
+centres on the pose and sees the body in its own frame. No code branches
+on a target's class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -45,6 +47,7 @@ from .geometry import bistatic_doppler  # noqa: F401  unused; bench/tracing.py c
 
 FOUR_PI = 4.0 * np.pi
 MAX_AXIS_POINTS = 1 << 20  # longest scan angle axis, and most samples of one rotor
+_IDENTITY = np.eye(2, dtype=complex)  # the Jones matrix that a cloud without one shares
 
 
 def stepped_axis(start: float, stop: float, step: float, what: str) -> np.ndarray:
@@ -60,38 +63,14 @@ def stepped_axis(start: float, stop: float, step: float, what: str) -> np.ndarra
     return points[points <= stop + 1e-9]
 
 
-def _as_jones(j) -> np.ndarray:
-    if j is None:
-        return np.eye(2, dtype=complex)
-    j = np.ascontiguousarray(j, dtype=complex)
-    if j.shape != (2, 2):
-        raise ConfigError(f"Jones matrix must be 2x2, got shape {j.shape}")
-    if not np.all(np.isfinite(j)):
-        raise ConfigError("Jones matrix entries must be finite")
-    return j
-
-
-@dataclass(eq=False)
-class PointScatterer:
-    """Point scatterer: position (target body frame; world frame for clutter), s (m), Jones."""
-
-    position: np.ndarray
-    amplitude: complex
-    jones: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.position = as_vec3(self.position)
-        self.amplitude = complex(self.amplitude)
-        self.jones = _as_jones(self.jones)
-
-
 @dataclass(eq=False)
 class ScattererStates:
-    """States of all N samples of one target, or of the clutter, at time(s) t.
+    """A scatterer cloud: the N samples of one target, or the clutter, at time(s) t.
 
     positions and velocities (None without Doppler) have shape t.shape + (N, 3), or
-    (N, 3) for a target at rest that does not turn, as a static node's pose
-    broadcasts; amplitudes (N,) and jones (N, 2, 2) do not change with time.
+    (N, 3) for a cloud at rest (a body, the clutter, a target at rest that does not
+    turn), as a static node's pose broadcasts; amplitudes (N,) and jones (N, 2, 2)
+    do not change with time.
     """
 
     positions: np.ndarray
@@ -102,12 +81,24 @@ class ScattererStates:
     def __len__(self) -> int:
         return self.amplitudes.shape[0]
 
-    @classmethod
-    def stack(cls, scatterers) -> "ScattererStates":
-        """States of scatterers at rest at their own positions, (N, 3)."""
-        positions = np.stack([s.position for s in scatterers])
-        return cls(positions, np.zeros_like(positions), np.array([s.amplitude for s in scatterers], dtype=complex),
-                   np.stack([s.jones for s in scatterers]))
+
+def cloud(positions, amplitudes, jones=None) -> ScattererStates:
+    """N scatterers at rest: positions (N, 3) (m), scattering lengths s (N,) (m) and Jones
+    matrices (N, 2, 2), or for jones=None one read-only identity that all N share. Arrays of
+    the right dtype are kept, not copied; each check runs on a whole array, and a failed one
+    raises ConfigError naming the first bad scatterer's index."""
+    positions, amplitudes = np.asarray(positions, dtype=float), np.asarray(amplitudes, dtype=complex)
+    n = amplitudes.size
+    jones = np.broadcast_to(_IDENTITY, (n, 2, 2)) if jones is None else np.asarray(jones, dtype=complex)
+    if amplitudes.ndim != 1 or positions.shape != (n, 3) or jones.shape != (n, 2, 2):
+        raise ConfigError(f"a cloud of N scatterers needs positions (N, 3), amplitudes (N,) and Jones "
+                          f"(N, 2, 2), got {positions.shape}, {amplitudes.shape} and {jones.shape}")
+    for name, values in (("position", positions), ("amplitude", amplitudes), ("jones", jones)):
+        finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ConfigError(f"scatterers[{i}].{name}: expected finite values, got {values[i]}")
+    return ScattererStates(positions, np.zeros_like(positions), amplitudes, jones)
 
 
 @dataclass(eq=False)
@@ -142,18 +133,22 @@ class RigidTarget:
     heading, contributing no rotational velocity). A spin turns the cloud
     about its body axis on top of the yaw, and gives each sample b the body
     velocity rate·(axis × b). A one-waypoint track holds the cloud at rest
-    there, with one (3,) pose as a static node has.
+    there, with one (3,) pose as a static node has. recipe is None, or the
+    builder that made the target and its arguments, (rotor, {...}).
     """
 
-    scatterers: list[PointScatterer]
+    body: ScattererStates
     trajectory: Trajectory
     yaw: float | str | None = None
     name: str = "target"
     spin: Spin | None = None
+    recipe: tuple | None = None
 
     def __post_init__(self):
-        if not self.scatterers:
+        if not len(self.body):
             raise ConfigError("rigid target needs at least one scatterer")
+        if self.spin is not None:
+            self.body = replace(self.body, velocities=self.spin.rate * np.cross(self.spin.axis, self.body.positions))
 
     @cached_property
     def _rest(self) -> NodePose | None:
@@ -180,14 +175,6 @@ class RigidTarget:
                       else np.full(np.shape(t), float(self.yaw)))
         return yaw if spin is None else yaw @ spin
 
-    @cached_property
-    def body(self) -> ScattererStates:
-        """The cloud in its body frame, with its spin's velocities (at rest without one)."""
-        body = ScattererStates.stack(self.scatterers)
-        if self.spin is not None:
-            body.velocities = self.spin.rate * np.cross(self.spin.axis, body.positions)
-        return body
-
 
 def rotor(hub, axis, radius: float, rate: float, blades: int = 2, samples_per_blade: int = 32,
           sample_amplitude: complex = 1e-2, phase0: float = 0.0, name: str = "rotor") -> RigidTarget:
@@ -197,7 +184,7 @@ def rotor(hub, axis, radius: float, rate: float, blades: int = 2, samples_per_bl
     scattering length sample_amplitude out to radius, blade k at angle
     phase0 + 2πk/blades from e1 in the plane of (e1, e2), e1 x e2 = axis. For
     spectrally smooth micro-Doppler keep the spacing radius/samples_per_blade
-    below λ/4.
+    below λ/4. The target's recipe is (rotor, these arguments).
     """
     spin = Spin(axis, rate)
     if radius <= 0:
@@ -214,8 +201,11 @@ def rotor(hub, axis, radius: float, rate: float, blades: int = 2, samples_per_bl
     blade_angles = phase0 + 2.0 * np.pi * np.arange(blades) / blades
     cos, sin = np.cos(blade_angles)[:, None, None], np.sin(blade_angles)[:, None, None]  # against r (S, 1)
     samples = (r * (cos * e1 + sin * e2)).reshape(-1, 3)
-    return RigidTarget([PointScatterer(b, sample_amplitude) for b in samples],
-                       Trajectory.from_waypoints([(0.0, hub)]), name=name, spin=spin)
+    s = complex(sample_amplitude)
+    recipe = dict(name=name, hub=hub, axis=spin.axis, radius=radius, rate=spin.rate, blades=blades,
+                  samples_per_blade=samples_per_blade, sample_amplitude=s, phase0=phase0)
+    return RigidTarget(cloud(samples, np.full(len(samples), s)),
+                       Trajectory.from_waypoints([(0.0, hub)]), name=name, spin=spin, recipe=(rotor, recipe))
 
 
 def _z_turn(angle) -> np.ndarray:

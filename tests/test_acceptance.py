@@ -29,8 +29,8 @@ from bisim.scene import SceneConfig, SceneNode, link_callback
 from bisim.targets import (
     FrequencyBand,
     LinkBudget,
-    PointScatterer,
     RigidTarget,
+    cloud,
     equivalent_rcs,
     flyover_scan,
     link_budget,
@@ -110,17 +110,14 @@ def clutter_scene():
     tx = SceneNode("tx0", NodePose(vec3(0, 0, 0)))
     rx = SceneNode("rx0", NodePose(vec3(300, 0, 0)))
     target = RigidTarget(
-        [PointScatterer([0, 0, 0], 2.0)],
+        cloud([[0, 0, 0]], [2.0]),
         Trajectory.from_waypoints([(0.0, (120, 90, 0)), (1.0, (160, 50, 0))]),
         name="mover",
     )
-    clutter = [
-        PointScatterer(vec3(60, -50, 0), 1.0),
-        PointScatterer(vec3(210, 80, 0), 0.8),
-        PointScatterer(vec3(90, 140, 0), 1.2),
-        PointScatterer(vec3(250, -120, 0), 0.9),
-        PointScatterer(vec3(30, 70, 0), 1.1),
-    ]
+    clutter = cloud(
+        [vec3(60, -50, 0), vec3(210, 80, 0), vec3(90, 140, 0), vec3(250, -120, 0), vec3(30, 70, 0)],
+        [1.0, 0.8, 1.2, 0.9, 1.1],
+    )
     return SceneConfig([tx], [rx], [target], clutter, wavelength=LAM)
 
 
@@ -163,26 +160,25 @@ def test_criterion_4_clean_efficacy():
         rx = SceneNode("rx0", NodePose(vec3(300, 0, 0)))
         # one dominant reflector plus a weak mover 30 dB below the LoS
         los_gain = LAM / (4 * np.pi * 300.0)
-        reflector = PointScatterer(vec3(150, 120, 0), 6.0)
+        reflector = cloud([vec3(150, 120, 0)], [6.0])
         # choose the mover's scattering length for -30 dB vs LoS at mid-CPI
         target_pos = vec3(120, 90, 0)
         d1 = np.linalg.norm(target_pos)
         d2 = np.linalg.norm(target_pos - vec3(300, 0, 0))
         s_target = 10 ** (-30 / 20) * los_gain * (4 * np.pi * d1 * d2) / LAM
         target = RigidTarget(
-            [PointScatterer([0, 0, 0], s_target)],
+            cloud([[0, 0, 0]], [s_target]),
             Trajectory.from_waypoints([(0.0, (120, 90, 0)), (1.0, (160, 50, 0))]),
         )
-        scene = SceneConfig([tx], [rx], [target], [reflector], wavelength=LAM)
+        scene = SceneConfig([tx], [rx], [target], reflector, wavelength=LAM)
         cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
 
         res = subtract_dominant_paths(cube, 2)
         # residual static-path power: what survives of (LoS + reflection)
         # after subtraction, isolated from the mover by exact superposition
-        static_scene = SceneConfig([tx], [rx], [], [reflector], wavelength=LAM)
+        static_scene = SceneConfig([tx], [rx], [], reflector, wavelength=LAM)
         static_cube = synth_cfr(link_callback(static_scene, *static_scene.links()[0]), w)
-        target_scene = SceneConfig([tx], [rx], [target], [], wavelength=LAM,
-                                   include_los=False)
+        target_scene = SceneConfig([tx], [rx], [target], wavelength=LAM, include_los=False)
         target_cube = synth_cfr(link_callback(target_scene, *target_scene.links()[0]), w)
         leftover = res.residual.data - target_cube.data
         suppression_db = 10 * np.log10(
@@ -280,7 +276,7 @@ def test_criterion_5_micro_doppler_band():
 
 def drone_pair_target():
     return RigidTarget(
-        [PointScatterer([0.15, 0, 0], 0.05), PointScatterer([-0.15, 0, 0], 0.05)],
+        cloud([[0.15, 0, 0], [-0.15, 0, 0]], [0.05, 0.05]),
         Trajectory.from_waypoints([(0.0, (0, 0, 0))]),
         name="drone",
     )
@@ -419,7 +415,7 @@ def test_criterion_9_link_budget_consistency():
         tx = NodePose(vec3(-d_tx, 0, 0))
         rx = NodePose(vec3(d_rx, 0, 0))
         target = RigidTarget(
-            [PointScatterer([0, 0, 0], s)],
+            cloud([[0, 0, 0]], [s]),
             Trajectory.from_waypoints([(0.0, (0, 0, 0))]),
         )
         paths = target_paths(target, tx, rx, 0.0, LAM, doppler=True)

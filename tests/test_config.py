@@ -1,6 +1,7 @@
 import copy
 import re
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from test_acceptance import DETERMINISM_CONFIG
 
 from bisim import config
+from bisim.archive import _summary_text
 from bisim.cli import main
 from bisim.config import config_echo, load_config, load_document, parse_config
 from bisim.errors import ConfigError
@@ -121,7 +123,7 @@ class TestLoadConfig:
         cfg = load_config(write(tmp_path, text))
         rotor = cfg.scene.targets[0]
         assert rotor.spin.rate == pytest.approx(6000 * 2 * np.pi / 60)
-        assert len(rotor.scatterers) == 2 * 32   # samples_per_blade defaults to 32
+        assert len(rotor.body) == 2 * 32   # samples_per_blade defaults to 32
         assert cfg.flyover.band.n_points == 128
 
     def test_rigid_target_with_a_spin(self):
@@ -220,9 +222,10 @@ class TestConfigEcho:
     def test_rotor_echo_reparses_to_the_same_body(self, tmp_path):
         cfg = load_config(write(tmp_path, ROTOR_SCENE))
         echo = config_echo(cfg)
-        entry = echo["scene"]["targets"][0]
-        assert entry["kind"] == "rigid" and len(entry["scatterers"]) == 2 * 16 and len(entry["trajectory"]) == 1
-        assert entry["spin"] == {"axis": [0.0, 0.0, 1.0], "rate_rad_s": 625.0}
+        # a builder-made target echoes as its builder's table, whatever its sample count
+        assert echo["scene"]["targets"][0] == {
+            "kind": "rotor", "name": "prop", "hub": [0.0, 8.0, 0.0], "axis": [0.0, 0.0, 1.0], "radius": 0.12,
+            "rate_rad_s": 625.0, "blades": 2, "samples_per_blade": 16, "sample_amplitude": [0.01, 0.0], "phase0": 0.0}
         rotor, again = cfg.scene.targets[0], parse_config(yaml.safe_load(yaml.safe_dump(echo))).scene.targets[0]
         for field in ("positions", "velocities", "amplitudes", "jones"):
             assert np.array_equal(getattr(rotor.body, field), getattr(again.body, field)), field
@@ -230,6 +233,32 @@ class TestConfigEcho:
         t = np.linspace(0.0, 1e-3, 7)
         assert np.array_equal(states(again, t, doppler=True).positions, states(rotor, t, doppler=True).positions)
         assert np.array_equal(states(again, t, doppler=True).velocities, states(rotor, t, doppler=True).velocities)
+
+    def test_large_rotor_parses_within_its_body_and_echoes_as_its_table(self):
+        """4 x 16,384 samples, a sixteenth of MAX_AXIS_POINTS: parsing peaks below 3x the body record's
+        bytes, the target's echo stays as short as the 32-sample rotor's, and echo -> parse -> echo is a
+        fixed point, through the summary's text, with a bit-identical body."""
+        doc = yaml.safe_load(textwrap.dedent(ROTOR_SCENE))
+        small = _summary_text(config_echo(parse_config(doc))["scene"]["targets"][0])
+        doc["scene"]["targets"][0].update(blades=4, samples_per_blade=16384)
+        tracemalloc.start()
+        try:
+            cfg = parse_config(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        body = cfg.scene.targets[0].body
+        assert len(body) == 65536 and body.jones.strides[0] == 0   # one identity Jones, shared
+        held = body.positions.nbytes + body.velocities.nbytes + body.amplitudes.nbytes + body.jones[0].nbytes
+        assert peak < 3 * held, peak / held
+        echo = config_echo(cfg)
+        entry = _summary_text(echo["scene"]["targets"][0])
+        assert entry.count("\n") == small.count("\n") <= 20, entry
+        text = _summary_text(echo)
+        again = parse_config(yaml.safe_load(text))
+        assert _summary_text(config_echo(again)) == text
+        for field in ("positions", "velocities", "amplitudes", "jones"):
+            assert np.array_equal(getattr(again.scene.targets[0].body, field), getattr(body, field)), field
 
 
 FULL_DOC = yaml.safe_load(textwrap.dedent(FULL_SCENE))
@@ -251,6 +280,18 @@ def at(doc, path):
     for key in path:
         doc = doc[key]
     return doc
+
+
+def put(doc, path, value):
+    """value at path in doc. A list too short for an index on the path first gets copies of
+    its first entry appended, so a case can name an entry past FULL_SCENE's one scatterer."""
+    node = doc
+    for i, key in enumerate(path):
+        while isinstance(key, int) and len(node) <= key:
+            node.append(copy.deepcopy(node[0]))
+        if i == len(path) - 1:
+            node[key] = value
+        node = node[key]
 
 
 def dotted(path) -> str:
@@ -276,6 +317,11 @@ MALFORMED = [
     pytest.param(("waveform", "n_symbol"), 32, "simulate", id="misspelled-key"),
     pytest.param(("processing", "fast_window"), "bogus", "ddmap", id="unknown-window"),
     pytest.param(("scene", "rx_nodes", 0, "velocity"), [20, 0, 0], "simulate", id="static-node-velocity"),
+    pytest.param(("scene", "targets", 0, "scatterers", 2, "offset"), [1.0, float("nan"), 0.0], "simulate",
+                 id="nan-offset-at-index-2"),
+    pytest.param(("scene", "targets", 0, "scatterers", 2, "offset"), [1.0, 2.0], "simulate",
+                 id="two-element-offset-at-index-2"),
+    pytest.param(("scene", "clutter", 1, "amplitude"), "loud", "simulate", id="text-amplitude-at-index-1"),
 ]
 
 
@@ -283,14 +329,14 @@ class TestStrictParsing:
     @pytest.mark.parametrize("path, value, sub", MALFORMED)
     def test_malformed_input_is_a_config_error_naming_its_path(self, path, value, sub):
         doc = full_scene()
-        at(doc, path[:-1])[path[-1]] = value
+        put(doc, path, value)
         with pytest.raises(ConfigError, match=re.escape(dotted(path))):
             parse_config(doc)
 
     @pytest.mark.parametrize("path, value, sub", MALFORMED)
     def test_cli_exits_2_without_traceback(self, path, value, sub, tmp_path, capsys):
         doc = full_scene()
-        at(doc, path[:-1])[path[-1]] = value
+        put(doc, path, value)
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(yaml.safe_dump(doc))
         assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -28,7 +28,7 @@ from bisim.processing import (
     time_gate,
 )
 from bisim.scene import SceneConfig, SceneNode, link_callback
-from bisim.targets import PointScatterer, RigidTarget
+from bisim.targets import RigidTarget, cloud
 
 LAM = C0 / 3.7e9
 
@@ -66,14 +66,11 @@ class TestDelayDopplerMap:
         tx = SceneNode("tx0", NodePose(vec3(0, 0, 0)))
         rx = SceneNode("rx0", NodePose(vec3(400, 0, 0)))
         target = RigidTarget(
-            [PointScatterer([0, 0, 0], 5.0)],
+            cloud([[0, 0, 0]], [5.0]),
             Trajectory.from_waypoints([(0.0, (150, 180, 0)), (1.0, (150, 140, 0))]),
             name="car",
         )
-        clutter = [
-            PointScatterer(vec3(80, -60, 0), 1.0),
-            PointScatterer(vec3(300, 90, 0), 1.0),
-        ]
+        clutter = cloud([vec3(80, -60, 0), vec3(300, 90, 0)], [1.0, 1.0])
         scene = SceneConfig([tx], [rx], [target], clutter, wavelength=LAM)
         cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
         ddm = delay_doppler_map(cube)

@@ -21,7 +21,7 @@ from bisim.scene import (
     link_callback,
     link_paths,
 )
-from bisim.targets import FOUR_PI, PointScatterer, RigidTarget, rotor, states
+from bisim.targets import FOUR_PI, RigidTarget, cloud, rotor, states
 
 LAM = C0 / 3.7e9
 
@@ -103,29 +103,29 @@ class TestLinkPaths:
 
     def test_clutter_and_target_counts(self):
         target = RigidTarget(
-            [PointScatterer([0, 0, 0], 0.05), PointScatterer([0.1, 0, 0], 0.05)],
+            cloud([[0, 0, 0], [0.1, 0, 0]], [0.05, 0.05]),
             Trajectory.from_waypoints([(0.0, (50, 40, 0))]),
         )
         scene = basic_scene(
             targets=[target],
-            clutter=[PointScatterer(vec3(20, -30, 0), 1.0)],
+            clutter=cloud([vec3(20, -30, 0)], [1.0]),
         )
         paths = first_link_paths(scene, 0.0)
         assert len(paths) == 1 + 1 + 2
 
     def test_clutter_delay_and_gain(self):
-        sc = PointScatterer(vec3(30, 40, 0), 2.0)
-        scene = basic_scene(clutter=[sc])
+        sc = cloud([vec3(30, 40, 0)], [2.0])
+        scene = basic_scene(clutter=sc)
         paths = first_link_paths(scene, 0.0, doppler=True)
         d1 = 50.0
-        d2 = np.linalg.norm(np.array([100, 0, 0]) - sc.position)
+        d2 = np.linalg.norm(np.array([100, 0, 0]) - sc.positions[0])
         assert paths.delay[1] == pytest.approx((d1 + d2) / C0)
         assert abs(paths.gain[1]) == pytest.approx(2.0 * LAM / (FOUR_PI * d1 * d2))
         assert paths.doppler[1] == 0.0
 
     def test_geometric_synthesis_runs(self):
         target = RigidTarget(
-            [PointScatterer([0, 0, 0], 1.0)],
+            cloud([[0, 0, 0]], [1.0]),
             Trajectory.from_waypoints([(0.0, (50, 60, 0)), (1.0, (60, 60, 0))]),
         )
         scene = basic_scene(targets=[target])
@@ -139,10 +139,10 @@ class TestLinkPaths:
         # the t0 table to first order in Δt = mT: sum_p a_p exp(+j2π f_D,p Δt)
         # exp(-j2π k Δf (τ_p - f_D,p Δt / f_c)); doppler=False gives static paths
         target = RigidTarget(
-            [PointScatterer([0, 0, 0], 1.0), PointScatterer([0.4, 0.2, 0], 0.6)],
+            cloud([[0, 0, 0], [0.4, 0.2, 0]], [1.0, 0.6]),
             Trajectory.from_waypoints([(0.0, (50, 60, 0)), (1.0, (62, 55, 0))]),
         )
-        scene = basic_scene(targets=[target], clutter=[PointScatterer(vec3(20, -30, 0), 1.0)])
+        scene = basic_scene(targets=[target], clutter=cloud([vec3(20, -30, 0)], [1.0]))
         paths = first_link_paths(scene, 0.25, doppler=doppler)
         assert (paths.doppler is not None) == doppler
         w = WaveformConfig(3.7e9, 20e6, 48, 40)
@@ -180,7 +180,7 @@ def oracle_scene(w):
         [(0.0, (60, 5, 0)), (40.5 * t_sym, (60, 5 + 25 * 40.5 * t_sym, 0))]
     )
     target = RigidTarget(
-        [PointScatterer([0.6, 0, 0], 0.2), PointScatterer([-0.4, 0.3, 0.2], 0.1j)],
+        cloud([[0.6, 0, 0], [-0.4, 0.3, 0.2]], [0.2, 0.1j]),
         Trajectory.from_waypoints([
             (0.0, (30, 25, 1)),
             (30.25 * t_sym, (30 + 12 * 30.25 * t_sym, 25, 1)),
@@ -192,7 +192,7 @@ def oracle_scene(w):
         [SceneNode("tx0", NodePose(vec3(0, 0, 0)))],
         [SceneNode("rx0", rx_track)],
         targets=[target, rotor(**ORACLE_ROTOR)],
-        clutter=[PointScatterer(vec3(20, -15, 0), 1.5)],
+        clutter=cloud([vec3(20, -15, 0)], [1.5]),
         wavelength=LAM,
     )
 
@@ -225,13 +225,13 @@ def direct_cfr(scene, w):
         d = np.linalg.norm(rx - tx)
         data[m] += LAM / (FOUR_PI * d) * np.exp(-2j * np.pi * d / LAM) * np.exp(
             -2j * np.pi * k * w.delta_f * d / C0)
-        points = [(sc.position, sc.amplitude) for sc in scene.clutter]
+        points = list(zip(scene.clutter.positions, scene.clutter.amplitudes))
         position, velocity = scalar_pose(target.trajectory, t)
         vx, vy = velocity[:2]
         yaw = math.atan2(vy, vx) if math.hypot(vx, vy) >= 1e-12 else 0.0
         rot = np.array([[math.cos(yaw), -math.sin(yaw), 0], [math.sin(yaw), math.cos(yaw), 0],
                         [0, 0, 1]])
-        points += [(position + rot @ s.position, s.amplitude) for s in target.scatterers]
+        points += [(position + rot @ b, a) for b, a in zip(target.body.positions, target.body.amplitudes)]
         for b in range(blades["blades"]):
             ang = blades["phase0"] + blades["rate"] * t + 2 * np.pi * b / blades["blades"]
             for s in range(1, blades["samples_per_blade"] + 1):
@@ -264,7 +264,7 @@ class TestGeometricSynthesis:
         track = [[0.0, [100.0, -0.5, 0.0]], [t_hit, [100.0, 0.0, 0.0]],
                  [2 * t_hit, [100.0, 0.5, 0.0]]]
         scene = basic_scene(targets=[RigidTarget(
-            [PointScatterer([0, 0, 0], 1.0)], Trajectory.from_waypoints(track))])
+            cloud([[0, 0, 0]], [1.0]), Trajectory.from_waypoints(track))])
         blocks = []
 
         def callback(times):
@@ -338,7 +338,7 @@ def range_acceleration(scene, tx_node, rx_node, times) -> np.ndarray:
     tx, rx = tx_node.pose(times), rx_node.pose(times)
     (tp, tv), (rp, rv) = [(np.broadcast_to(n.position, (len(times), 3))[:, None],
                            np.broadcast_to(n.velocity, (len(times), 3))[:, None]) for n in (tx, rx)]
-    points = [(np.broadcast_to(c.position, shape), np.zeros(shape)) for c in scene.clutter]
+    points = [(np.broadcast_to(c, shape), np.zeros(shape)) for c in scene.clutter.positions]
     for target in scene.targets:
         st = states(target, times, doppler=True)
         points.append((st.positions, st.velocities))
@@ -406,7 +406,7 @@ class TestFixedModeBound:
 class TestIlluminationPaths:
     def test_direct_plus_bounces(self):
         scene = basic_scene(
-            clutter=[PointScatterer(vec3(20, 30, 0), 1.5), PointScatterer(vec3(40, -25, 0), 1.0)]
+            clutter=cloud([vec3(20, 30, 0), vec3(40, -25, 0)], [1.5, 1.0])
         )
         point = vec3(60, 10, 0)
         paths = illumination_paths(scene, scene.tx_nodes[0].pose(0.0), NodePose(point))
@@ -415,7 +415,7 @@ class TestIlluminationPaths:
         assert paths.delay[1] > paths.delay[0]
 
     def test_moving_point_gets_per_path_doppler(self):
-        scene = basic_scene(clutter=[PointScatterer(vec3(20, 30, 0), 1.5)])
+        scene = basic_scene(clutter=cloud([vec3(20, 30, 0)], [1.5]))
         moving = NodePose(vec3(60, 10, 0), vec3(-12, 3, 0))
         paths = illumination_paths(scene, scene.tx_nodes[0].pose(0.0), moving)
         dopplers = {round(f, 6) for f in paths.doppler.tolist()}
@@ -426,7 +426,7 @@ class TestIlluminationPaths:
 
     def test_focusing_gain_over_multipath(self):
         scene = basic_scene(
-            clutter=[PointScatterer(vec3(20, 35, 0), 4.0), PointScatterer(vec3(45, -30, 0), 4.0)]
+            clutter=cloud([vec3(20, 35, 0), vec3(45, -30, 0)], [4.0, 4.0])
         )
         w = WaveformConfig(3.7e9, 160e6, 256, 1)
         paths = illumination_paths(scene, scene.tx_nodes[0].pose(0.0), NodePose(vec3(60, 10, 0)))

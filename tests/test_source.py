@@ -1,6 +1,8 @@
 """Checks that read the source of src/bisim and bench/ with ast."""
 
 import ast
+import dataclasses
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -50,3 +52,27 @@ def test_every_public_function_has_a_caller():
                 if total["." in name][d.name] == references(d, KINDS["." in name])[d.name]}
     assert not uncalled - UNCALLED.keys(), f"no caller in src/bisim or bench/: {sorted(uncalled - UNCALLED.keys())}"
     assert not UNCALLED.keys() - uncalled, f"called now, so drop from UNCALLED: {sorted(UNCALLED.keys() - uncalled)}"
+
+
+def test_one_scatterer_type():
+    """ScattererStates is the one scatterer record (ROADMAP aim 2): no other class in src/bisim
+    has an amplitude or amplitudes field, so no per-sample scatterer object comes back. A field is
+    a class-level annotation, an attribute a method sets on self, or a field of a dataclass that
+    a module makes at import (config's make_dataclass records)."""
+    scalar = {"amplitude", "amplitudes"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and node.name != "ScattererStates":
+                fields = {n.target.id for n in node.body
+                          if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+                fields |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                           and isinstance(n.ctx, ast.Store) and getattr(n.value, "id", None) == "self"}
+                if fields & scalar:
+                    found.append(f"{path.name}:{node.lineno} class {node.name}")
+        module = importlib.import_module("bisim" if path.stem == "__init__" else f"bisim.{path.stem}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+                    and obj.__name__ != "ScattererStates" and {f.name for f in dataclasses.fields(obj)} & scalar):
+                found.append(f"{path.name} dataclass {obj.__name__}")
+    assert not found, found

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import re
 import textwrap
 import tracemalloc
 from pathlib import Path
@@ -24,8 +25,8 @@ from bisim.targets import (
     FOUR_PI,
     FrequencyBand,
     LinkBudget,
-    PointScatterer,
     RigidTarget,
+    cloud,
     equivalent_rcs,
     flyover_scan,
     link_budget,
@@ -39,7 +40,7 @@ LAM = C0 / 3.7e9
 
 def single_point_target(amplitude=0.05, track=((0.0, (50, 40, 0)),)):
     return RigidTarget(
-        [PointScatterer([0, 0, 0], amplitude)], Trajectory.from_waypoints(track)
+        cloud([[0, 0, 0]], [amplitude]), Trajectory.from_waypoints(track)
     )
 
 
@@ -99,7 +100,7 @@ class TestTargetPose:
         # segments: moving, at rest, moving back, straight up; times before, on, between and after waypoints
         track = ((0.0, (50, 40, 0)), (1.0, (58, 34, 1)), (2.0, (58, 34, 1)), (3.0, (52, 34.5, 0)),
                  (3.5, (52, 34.5, 2)), (4.0, (53, 30, 2)))
-        target = RigidTarget([PointScatterer([0.3, 0.1, 0], 0.05), PointScatterer([-0.2, 0, 0.1], 0.03j)],
+        target = RigidTarget(cloud([[0.3, 0.1, 0], [-0.2, 0, 0.1]], [0.05, 0.03j]),
                              Trajectory.from_waypoints(track), yaw="track")
         t = np.array([-1.0, 0.0, 0.4, 1.0, 1.5, 2.0, 2.7, 3.0, 3.2, 3.5, 3.9, 4.0, 9.0])
         for at in (t, t[1:].reshape(3, 4), *t):
@@ -146,13 +147,13 @@ class TestTargetInterface:
     def target(self):
         jones = np.array([[1.0, 0.2j], [-0.1, 0.7 + 0.1j]])
         track = [(0.0, (40, 30, 0)), (0.5, (44, 27, 0.5)), (1.0, (49, 27, 1))]
-        return RigidTarget([PointScatterer([0.3, 0.1, 0], 0.05, jones), PointScatterer([-0.2, 0, 0.1], 0.03j)],
+        return RigidTarget(cloud([[0.3, 0.1, 0], [-0.2, 0, 0.1]], [0.05, 0.03j], [jones, np.eye(2)]),
                            Trajectory.from_waypoints(track), yaw="track", name="car")
 
     def scene(self, target):
         rx_track = Trajectory.from_waypoints([(0.0, (90, 0, 0)), (1.0, (90, 6, 0))])
         return SceneConfig([SceneNode("tx0", NodePose(vec3(0, 0, 0)))], [SceneNode("rx0", rx_track)],
-                           [target], clutter=[PointScatterer(vec3(20, -30, 0), 1.0)], wavelength=LAM)
+                           [target], clutter=cloud([vec3(20, -30, 0)], [1.0]), wavelength=LAM)
 
     @staticmethod
     def assert_same_table(a, b):
@@ -183,7 +184,7 @@ class TestTargetInterface:
     def test_rigid_body_is_the_cloud_at_rest(self):
         target = self.target()
         body = target.body
-        assert np.array_equal(body.positions, np.stack([s.position for s in target.scatterers]))
+        assert np.array_equal(body.positions, [[0.3, 0.1, 0], [-0.2, 0, 0.1]])
         assert np.array_equal(body.velocities, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("kind", ["rigid", "rotor"])
@@ -215,6 +216,40 @@ def test_no_module_branches_on_target_class():
                 if methods & {"pose", "rotation"}:
                     found.append(f"{path.name}:{node.lineno} class {node.name}")
     assert not found, found
+
+
+class TestCloud:
+    def test_arrays_are_kept_and_the_jones_is_one_shared_identity(self):
+        positions, amplitudes = np.arange(12.0).reshape(4, 3), np.full(4, 0.1 + 0.2j)
+        c = cloud(positions, amplitudes)
+        assert c.positions is positions and c.amplitudes is amplitudes and len(c) == 4
+        assert np.array_equal(c.velocities, np.zeros((4, 3)))
+        assert c.jones.strides[0] == 0 and not c.jones.flags.writeable
+        assert np.array_equal(c.jones, np.broadcast_to(np.eye(2), (4, 2, 2)))
+        assert len(cloud(np.empty((0, 3)), [])) == 0
+
+    @pytest.mark.parametrize("field, index", [("position", 2), ("amplitude", 1), ("jones", 3)])
+    def test_the_first_non_finite_scatterer_is_named(self, field, index):
+        arrays = {"position": np.zeros((5, 3)), "amplitude": np.ones(5, dtype=complex),
+                  "jones": np.tile(np.eye(2, dtype=complex), (5, 1, 1))}
+        bad = arrays[field].reshape(5, -1)   # a view: the writes land in the array
+        bad[4, 0], bad[index, -1] = np.nan, np.inf
+        with pytest.raises(ConfigError, match=re.escape(f"scatterers[{index}].{field}:")):
+            cloud(arrays["position"], arrays["amplitude"], arrays["jones"])
+
+    @pytest.mark.parametrize("positions, amplitudes, jones", [
+        (np.zeros((3, 2)), np.ones(3), None), (np.zeros((3, 3)), np.ones(2), None),
+        (np.zeros((3, 3)), np.ones((3, 1)), None), (np.zeros((3, 3)), np.ones(3), np.ones((3, 2)))])
+    def test_shapes_must_agree(self, positions, amplitudes, jones):
+        with pytest.raises(ConfigError, match=re.escape("positions (N, 3), amplitudes (N,) and Jones (N, 2, 2)")):
+            cloud(positions, amplitudes, jones)
+
+    def test_a_spin_sets_the_body_velocities_once_and_leaves_the_cloud_at_rest(self):
+        c = cloud([[0.3, 0.1, 0.0], [-0.2, 0.0, 0.1]], [0.05, 0.03j])
+        target = RigidTarget(c, Trajectory.from_waypoints([(0.0, (0, 0, 0))]), spin=targets.Spin([0, 0, 1], 10.0))
+        assert np.array_equal(c.velocities, np.zeros((2, 3)))
+        assert np.array_equal(target.body.velocities, 10.0 * np.cross([0, 0, 1.0], c.positions))
+        assert target.body.positions is c.positions and target.body.jones is c.jones
 
 
 class TestScattererStates:
@@ -253,7 +288,7 @@ class TestScattererStates:
 
     def test_rigid_target_shares_track_velocity(self):
         target = RigidTarget(
-            [PointScatterer([0.2, 0, 0], 0.1), PointScatterer([-0.2, 0.1, 0], 0.1)],
+            cloud([[0.2, 0, 0], [-0.2, 0.1, 0]], [0.1, 0.1]),
             Trajectory.from_waypoints([(0, (0, 0, 0)), (2, (20, 10, 0))]),
         )
         states = targets.states(target, 1.0, doppler=True)
@@ -264,7 +299,7 @@ class TestRigidBody:
     """Every target is a rigid body: its body is built once, motion lives in pose(t) and rotation(t)."""
 
     def rigid(self):
-        return RigidTarget([PointScatterer([0.3, 0.1, 0], 0.05), PointScatterer([-0.2, 0, 0.1], 0.03j)],
+        return RigidTarget(cloud([[0.3, 0.1, 0], [-0.2, 0, 0.1]], [0.05, 0.03j]),
                            Trajectory.from_waypoints([(0.0, (40, 30, 0)), (1.0, (44, 27, 1))]), yaw="track")
 
     @pytest.mark.parametrize("build", [make_rotor, config_rotor], ids=["python", "config"])
@@ -314,7 +349,7 @@ class TestSpinningTrack:
     offsets = np.array([[0.3, 0.1, 0], [-0.2, 0, 0.1], [0, 0.25, -0.1]])
 
     def target(self):
-        return RigidTarget([PointScatterer(b, 0.05) for b in self.offsets], Trajectory.from_waypoints(self.track),
+        return RigidTarget(cloud(self.offsets, [0.05] * len(self.offsets)), Trajectory.from_waypoints(self.track),
                            yaw="track", spin=targets.Spin(self.axis, self.rate))
 
     def oracle(self, t: float) -> np.ndarray:
@@ -388,7 +423,7 @@ class TestTargetPaths:
         tx = NodePose(vec3(-100, 0, 0))
         rx = NodePose(vec3(100, 0, 0))
         target = RigidTarget(
-            [PointScatterer([0, 0.15, 0], 0.05), PointScatterer([0, -0.15, 0], 0.05)],
+            cloud([[0, 0.15, 0], [0, -0.15, 0]], [0.05, 0.05]),
             Trajectory.from_waypoints([(0.0, (0, 60, 0))]),
         )
         paths = target_paths(target, tx, rx, 0.0, LAM)
@@ -450,7 +485,7 @@ class TestRcsAndLinkBudget:
 
 def centered_scatterer(amplitude=0.05):
     return RigidTarget(
-        [PointScatterer([0, 0, 0], amplitude)],
+        cloud([[0, 0, 0]], [amplitude]),
         Trajectory.from_waypoints([(0.0, (0, 0, 0))]),
     )
 
@@ -478,10 +513,7 @@ class TestReflectivityScan:
         rng = np.random.default_rng(17)
         jones = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         make = lambda j: RigidTarget(
-            [
-                PointScatterer([0.3, 0.1, 0.0], 0.05, j),
-                PointScatterer([-0.2, 0.0, 0.1], 0.03 + 0.01j, j),
-            ],
+            cloud([[0.3, 0.1, 0.0], [-0.2, 0.0, 0.1]], [0.05, 0.03 + 0.01j], [j, j]),
             Trajectory.from_waypoints([(0.0, (0, 0, 0))]),
         )
         fwd = reflectivity_scan(
@@ -498,7 +530,7 @@ class TestReflectivityScan:
         d = 0.3
         f0 = 10e9
         target = RigidTarget(
-            [PointScatterer([0, d / 2, 0], 0.05), PointScatterer([0, -d / 2, 0], 0.05)],
+            cloud([[0, d / 2, 0], [0, -d / 2, 0]], [0.05, 0.05]),
             Trajectory.from_waypoints([(0.0, (0, 0, 0))]),
         )
         band = FrequencyBand(f0 - 1e6, f0 + 1e6, 3)
@@ -524,11 +556,11 @@ class TestReflectivityScan:
         c, s = np.cos(np.deg2rad(phi)), np.sin(np.deg2rad(phi))
         rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
         base = RigidTarget(
-            [PointScatterer(o, a) for o, a in zip(offsets, amps)],
+            cloud(offsets, amps),
             Trajectory.from_waypoints([(0.0, (0, 0, 0))]),
         )
         spun = RigidTarget(
-            [PointScatterer(rot @ o, a) for o, a in zip(offsets, amps)],
+            cloud([rot @ o for o in offsets], amps),
             Trajectory.from_waypoints([(0.0, (0, 0, 0))]),
         )
         g1 = small_grid([10, 80], 0, [140, 220], 0)
@@ -542,7 +574,7 @@ class TestReflectivityScan:
         offsets = rng.normal(scale=0.15, size=(4, 3))
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         target = RigidTarget(
-            [PointScatterer(o, a) for o, a in zip(offsets, amps)],
+            cloud(offsets, amps),
             Trajectory.from_waypoints([(0.0, (0, 0, 0))]),
         )
         d = 12.0
@@ -578,14 +610,14 @@ class TestReflectivityScan:
             reflectivity_scan(centered_scatterer(), {"az_tx": []}, 8.0, 8.0, self.band)
 
     def test_decreasing_axis_rejected_before_the_scan(self):
-        big = RigidTarget([PointScatterer([5.0, 0, 0], 0.05)], Trajectory.from_waypoints([(0.0, (0, 0, 0))]))
+        big = RigidTarget(cloud([[5.0, 0, 0]], [0.05]), Trajectory.from_waypoints([(0.0, (0, 0, 0))]))
         # antennas inside the target fail the scan set-up, so the axis check must come first
         with pytest.raises(ConfigError, match="'az_rx' must be strictly increasing"):
             reflectivity_scan(big, small_grid(0, 0, [90, 0], 0), 2.0, 2.0, self.band)
 
     def test_antenna_inside_target_rejected(self):
         big = RigidTarget(
-            [PointScatterer([5.0, 0, 0], 0.05)],
+            cloud([[5.0, 0, 0]], [0.05]),
             Trajectory.from_waypoints([(0.0, (0, 0, 0))]),
         )
         with pytest.raises(ConfigError):
@@ -603,7 +635,7 @@ class TestFlyoverScan:
 
     def test_extended_target_spread_shrinks(self):
         target = RigidTarget(
-            [PointScatterer([0.15, 0, 0], 0.05), PointScatterer([-0.15, 0, 0], 0.05)],
+            cloud([[0.15, 0, 0], [-0.15, 0, 0]], [0.05, 0.05]),
             Trajectory.from_waypoints([(0.0, (0, 0, 0))]),
         )
         fly = flyover_scan(target, 0.0, (10, 170, 20), 10.0, 10.0, self.band,
@@ -647,7 +679,7 @@ def jones_cloud(n=5, seed=41):
     offsets = rng.uniform(-0.4, 0.4, size=(n, 3))
     amps = rng.normal(size=n) + 1j * rng.normal(size=n)
     jones = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    target = RigidTarget([PointScatterer(o, a, j) for o, a, j in zip(offsets, amps, jones)],
+    target = RigidTarget(cloud(offsets, amps, jones),
                          Trajectory.from_waypoints([(0.0, (0, 0, 0))]))
     return target, offsets, amps, jones
 
@@ -725,7 +757,7 @@ class TestBlockedScan:
         # direction would not fit in one slab beside the Rx ramps: two Tx blocks
         s = np.array([0.05 - 0.02j])
         pos = np.array([[0.2, -0.1, 0.05]])
-        target = RigidTarget([PointScatterer(pos[0], s[0])], Trajectory.from_waypoints([(0.0, (0, 0, 0))]))
+        target = RigidTarget(cloud([pos[0]], [s[0]]), Trajectory.from_waypoints([(0.0, (0, 0, 0))]))
         grid = small_grid(np.arange(500) * 0.7, [0, 10, 20, 30], [30, 120, 200], 5)
         band = FrequencyBand(3e9, 4e9, 64)
         tx_block, rx_block = scan_blocks(2000, 1, band.n_points, 1)
@@ -751,7 +783,7 @@ class TestBlockedScan:
         rng = np.random.default_rng(43)
         offsets = rng.uniform(-0.4, 0.4, size=(10, 3))
         amps = rng.normal(size=10) + 1j * rng.normal(size=10)
-        target = RigidTarget([PointScatterer(o, a, j) for o, a, j in zip(offsets, amps, jones)],
+        target = RigidTarget(cloud(offsets, amps, jones),
                              Trajectory.from_waypoints([(0.0, (0, 0, 0))]))
         grid, band = self.JONES_GRID, self.JONES_BAND
         n_tx, n_rx = len(grid["az_tx"]) * len(grid["el_tx"]), len(grid["az_rx"]) * len(grid["el_rx"])
@@ -807,7 +839,7 @@ class TestBlockedScan:
 
     def test_cross_pol_channels_follow_jones_entries(self):
         jones = np.array([[1.0 + 0.5j, -0.3 + 0.2j], [0.7 - 0.1j, -0.4j]])
-        target = RigidTarget([PointScatterer([0.2, -0.1, 0.05], 0.05, jones)],
+        target = RigidTarget(cloud([[0.2, -0.1, 0.05]], [0.05], [jones]),
                              Trajectory.from_waypoints([(0.0, (0, 0, 0))]))
         tensor = reflectivity_scan(target, small_grid([0, 60], 10, [30, 120, 200], 0), 7.0, 7.0,
                                    FrequencyBand(3e9, 4e9, 16))
@@ -891,7 +923,7 @@ class TestSynthesisMatchesScan:
         offsets, amps = rng.uniform(-0.4, 0.4, (6, 3)), rng.normal(size=6) + 1j * rng.normal(size=6)
         # the heading turns between symbols 37 and 95
         track = [(0.0, (0, 0, 0)), (8e-5, (0.02, 0.01, 0)), (1e-3, (0.05, 0.3, 0.01))]
-        return RigidTarget([PointScatterer(o, a) for o, a in zip(offsets, amps)],
+        return RigidTarget(cloud(offsets, amps),
                            Trajectory.from_waypoints(track), yaw="track")
 
     def to_body(self, target, t, p):
