@@ -20,6 +20,9 @@ names its datasets and summary keys, gives its LoS delay and rides on its
 fusion observation. One buffer per link: noise, clean and the delay
 transforms each work in the cube they are given, which the runner owns, so
 clean's residual, the DD map and the delay profiles are that cube's buffer.
+The spectrogram picks its delay bin from row slabs of the profiles, summing
+|P|^2 in symbol order as the whole-cube mean does, so the bin is the same
+and the choice needs one slab, not a |P|^2 of the whole cube.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .archive import Axis, ResultArchive, export_csv
-from .channel import SlowTimeCube, add_noise, one_blas_thread, phase_ramps, synth_cfr
+from .channel import _SLAB_ELEMENTS, SlowTimeCube, add_noise, one_blas_thread, phase_ramps, synth_cfr
 from .config import OUTPUTS, RunConfig, config_echo
 from .errors import ConfigError, UsageError
 from .fusion import BistaticObservation, fuse
@@ -154,10 +157,21 @@ def run_ddmap(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
 
 def _delay_bin_series(cube: SlowTimeCube) -> tuple[np.ndarray, int]:
     """Slow-time series at the strongest mean-power delay bin, copied out of the delay
-    profiles, which overwrite cube.data."""
+    profiles, which overwrite cube.data. Each row slab's |P|^2, at most _SLAB_ELEMENTS
+    entries, goes into rows 1.. of one buffer whose row 0 holds the running sum, so
+    each bin is summed in symbol order, as np.mean(|P|^2, axis=0) sums it with more
+    than one bin: the means, and the bin (the lowest of equal means), are the
+    whole-cube ones bit for bit."""
     profiles = np.fft.ifft(cube.data, axis=1, out=cube.data)
-    power = np.abs(profiles)
-    bin_idx = int(np.argmax(np.mean(np.square(power, out=power), axis=0)))
+    n_sym, n = profiles.shape
+    rows = max(1, min(n_sym, _SLAB_ELEMENTS // n))
+    power = np.zeros((rows + 1, n))
+    for i in range(0, n_sym, rows):
+        block = profiles[i:i + rows]
+        slab = power[:1 + len(block)]
+        np.square(np.abs(block, out=slab[1:]), out=slab[1:])
+        power[0] = np.add.reduce(slab, axis=0)
+    bin_idx = int(np.argmax(power[0] / n_sym))
     return profiles[:, bin_idx].copy(), bin_idx
 
 

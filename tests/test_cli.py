@@ -8,6 +8,7 @@ import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -198,6 +199,36 @@ class TestPipelineSubcommands:
         assert echo["processing"]["stft"]["fft_size"] == 2048
         assert echo["noise"]["seed"] == 20250810
         assert echo["scene"]["targets"][0]["name"] == "car"
+
+
+class TestDelayBinSeries:
+    @staticmethod
+    def cube(case):
+        if case == "ROTOR_SCENE":
+            _, cube = next(pipeline._simulate_links(parse_config(yaml.safe_load(textwrap.dedent(ROTOR_SCENE)))))
+            return cube.data
+        if case == "random_1000x77":   # 851-row slabs: the second one is short
+            rng = np.random.default_rng(5)
+            return rng.standard_normal((1000, 77)) + 1j * rng.standard_normal((1000, 77))
+        # bins 2 and 6 take |P|^2 of 4 and 1 on alternate symbols, so their means tie
+        # exactly across two 8192-row slabs
+        k = np.arange(8)
+        a, b = 1j ** k + 2 * (-1j) ** k, 2 * 1j ** k + (-1j) ** k
+        return np.tile([a, b], (5000, 1))
+
+    @pytest.mark.parametrize("case", ["ROTOR_SCENE", "random_1000x77", "tied_bins"])
+    def test_bin_and_series_match_the_whole_cube_mean_bit_for_bit(self, case):
+        data = self.cube(case)
+        profiles = np.fft.ifft(data, axis=1)
+        mean = np.mean(np.abs(profiles) ** 2, axis=0)
+        want = int(np.argmax(mean))
+        if case == "tied_bins":
+            assert mean[2] == mean[6] == mean.max() and want == 2
+        else:   # the sum runs over more than one slab
+            assert data.shape[0] > channel._SLAB_ELEMENTS // data.shape[1]
+        series, bin_idx = pipeline._delay_bin_series(SimpleNamespace(data=data))
+        assert bin_idx == want
+        assert series.tobytes() == profiles[:, want].tobytes()
 
 
 class TestDeterminism:
@@ -674,17 +705,20 @@ class TestRunMemory:
         return peak - archive_bytes, cfg
 
     # tracemalloc peak above the archive, in link cubes: the measured peak + 0.5 cube
-    # (FULL_SCENE simulate 0.5, clean 0.5, ddmap 1.07, localize 2.07, spectrogram 1.51, and
-    # the same in fixed mode and with clean_paths 2; ROTOR_SCENE 0.5, 0.34, 1.33, 2.34, 1.48),
+    # (FULL_SCENE simulate 0.5, clean 0.5, ddmap 1.07, localize 2.07, spectrogram 1.50, and
+    # the same in fixed mode and with clean_paths 2; ROTOR_SCENE 0.5, 0.34, 1.33, 2.34, 1.31),
     # so one more cube held across a link fails. Noise, clean and the delay transforms work
     # in the link's cube: noising peaks at the cube and scaled_power's |H| (half a cube), the
     # DD map at the cube and its transposed rows, and detection at the map, its |x| and the
     # partitioned copy (half a map each); localize does not archive its maps, and spectrogram
     # drops each spent cube before the next link's is made. ROTOR_SCENE's synthesis
-    # temporaries add a third of a cube
+    # temporaries add a third of a cube. The delay bin is picked from row slabs, so with no
+    # noise stage (ROTOR_SCENE) spectrogram peaks where synthesis does: its budget is the
+    # measured 1.31 + 0.04, so a half-cube |P|^2 (1.47) fails; with noise (FULL_SCENE) the
+    # noise stage's |H| sets its peak at 1.50
     CUBE_BUDGETS = {
         "FULL_SCENE": {"simulate": 1.0, "clean": 1.0, "ddmap": 1.6, "localize": 2.6, "spectrogram": 2.0},
-        "ROTOR_SCENE": {"simulate": 1.0, "clean": 0.85, "ddmap": 1.85, "localize": 2.85, "spectrogram": 2.0},
+        "ROTOR_SCENE": {"simulate": 1.0, "clean": 0.85, "ddmap": 1.85, "localize": 2.85, "spectrogram": 1.35},
         "FULL_SCENE_CLEAN_2": {"clean": 1.0, "ddmap": 1.6, "localize": 2.6},
         "FULL_SCENE_FIXED": {"simulate": 1.0, "clean": 1.0, "ddmap": 1.6, "localize": 2.6, "spectrogram": 2.0},
     }
