@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, UsageError
 
-_ORTHO_RTOL = 1e-12
+GAUSSIAN_SPAN = 6.0    # standard deviations across a "gaussian" window: n points have std n / GAUSSIAN_SPAN
 MAX_ENTRIES = 1 << 28  # largest capture, scan output, or array of paths x frequencies or symbols: 4 GiB
 
 
@@ -100,15 +100,14 @@ def one_blas_thread():
 class WaveformConfig:
     """OFDM numerology: carrier, bandwidth, subcarrier and symbol counts.
 
-    T_sym must equal 1/Δf (Δf = B/K) to within 1e-12 relative, the
-    orthogonality condition; omit t_sym to derive it exactly.
+    The symbol time and the subcarrier spacing are derived, never given:
+    T_sym = 1/Δf, the orthogonality condition, with Δf = B/K.
     """
 
     f_c: float
     bandwidth: float
     n_subcarriers: int
     n_symbols: int
-    t_sym: float | None = None
 
     def __post_init__(self):
         if self.f_c <= 0 or self.bandwidth <= 0:
@@ -116,17 +115,17 @@ class WaveformConfig:
         if self.n_subcarriers < 1 or self.n_symbols < 1:
             raise ConfigError("need at least one subcarrier and one symbol")
         check_entries(self.n_symbols * self.n_subcarriers, "capture of n_symbols x n_subcarriers")
-        if self.t_sym is None:
-            self.t_sym = 1.0 / self.delta_f
-        elif not math.isclose(self.t_sym * self.delta_f, 1.0, rel_tol=_ORTHO_RTOL):
-            raise ConfigError(
-                f"t_sym={self.t_sym} violates orthogonality: expected "
-                f"1/Δf = {1.0 / self.delta_f}"
-            )
+        if not self.delta_f > 0 or math.isinf(self.t_sym):
+            raise ConfigError(f"bandwidth {self.bandwidth} over {self.n_subcarriers} subcarriers "
+                              "gives no finite symbol time")
 
     @property
     def delta_f(self) -> float:
         return self.bandwidth / self.n_subcarriers
+
+    @property
+    def t_sym(self) -> float:
+        return 1.0 / self.delta_f
 
     @property
     def wavelength(self) -> float:
@@ -187,10 +186,10 @@ class PathTable:
 
     delay (s, >= 0) and gain carry the leading time axes; the gain holds the
     path's carrier phase exp(-j2π f_c τ). doppler (Hz) is filled on request:
-    a (P,) table at t0 that synth_cfr takes to first order in t - t0,
-    illumination channels and clean's removed paths carry it, and None means
-    static paths. A block callback's tables leave it None, as Doppler there
-    emerges from the delays over time.
+    a (P,) table at t0, which synth_cfr takes to first order in t - t0, and
+    illumination channels carry it; None means static paths, as clean's
+    removed paths are. A block callback's tables leave it None, as Doppler
+    there emerges from the delays over time.
     """
 
     delay: np.ndarray
@@ -378,19 +377,20 @@ def named_window(name: str | None, n: int, sym: bool = False) -> np.ndarray:
     """Named window of length n, periodic (for FFTs) unless sym=True.
 
     "none", "rect" and "rectangular" give ones; "hann" and "gaussian"
-    (standard deviation n/6) use scipy.signal's formulas,
-    bit for bit, without importing it; any other name goes to scipy's
-    get_window. An unknown name, or another name without scipy installed,
-    raises ConfigError.
+    (standard deviation n/GAUSSIAN_SPAN) use scipy.signal's formulas,
+    bit for bit, without importing it, and as scipy does give ones below two
+    points; any other name goes to scipy's get_window. An unknown name, or
+    another name without scipy installed, raises ConfigError.
     """
-    if name in (None, "none", "rect", "rectangular"):
+    own = name in ("hann", "gaussian")
+    if name in (None, "none", "rect", "rectangular") or (own and n < 2):
         return np.ones(n)
-    if name in ("hann", "gaussian") and n >= 2:
+    if own:
         m = n if sym else n + 1   # a periodic window is a symmetric one of n + 1 points, truncated
         if name == "hann":
             w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m))
         else:
-            std = n / 6.0
+            std = n / GAUSSIAN_SPAN
             k = np.arange(0, m, dtype=float) - (m - 1.0) / 2.0
             w = np.exp(-k ** 2 / (2 * std * std))
         return w[:n]
@@ -398,9 +398,8 @@ def named_window(name: str | None, n: int, sym: bool = False) -> np.ndarray:
         from scipy.signal import get_window
     except ImportError:
         raise ConfigError(f"window {name!r} needs scipy: install bisim[windows]") from None
-    spec = ("gaussian", n / 6.0) if name == "gaussian" else name
     try:
-        return get_window(spec, n, fftbins=not sym)
+        return get_window(name, n, fftbins=not sym)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"window {name!r}: {err}") from None
 

@@ -17,8 +17,9 @@ ConfigError naming its key path:
   ("2048", 2048.0); 1.7 and true are rejected;
 - booleans are YAML true/false only, so "false" is an error;
 - window names must be known to channel.named_window();
-- echo-only keys (waveform.subcarrier_spacing_hz) are derived: the echo
-  writes them, and a given one must match to 1e-12 relative.
+- echo-only keys (waveform.symbol_s and waveform.subcarrier_spacing_hz)
+  are derived: the echo writes them, and a given one must match to 1e-12
+  relative and is never used.
 
 Leaves with several forms take exactly one, and the echo writes the first:
 a waypoint is {t, position} or [t, [x, y, z]]; an angle axis a list, a
@@ -44,7 +45,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .channel import _ORTHO_RTOL, WaveformConfig, named_window
+from .channel import WaveformConfig, named_window
 from .errors import ConfigError
 from .geometry import C0, NodePose, Trajectory
 from .scene import SceneConfig, SceneNode
@@ -52,6 +53,7 @@ from .targets import (MAX_AXIS_POINTS, FrequencyBand, LinkBudget, RigidTarget, S
                       equivalent_rcs, rotor, stepped_axis)
 
 REQUIRED = object()  # default of a key that must be given
+_ORTHO_RTOL = 1e-12  # relative tolerance of a given echo-only key against its derived value
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)   # libyaml: same documents, faster
 
 
@@ -392,7 +394,7 @@ RUN = _record("RunConfig", [
     Key("t0", FLOAT, 0.0),
     Key("waveform", _section(WaveformConfig, [
         Key("carrier_hz", FLOAT, to="f_c"), Key("bandwidth_hz", FLOAT, to="bandwidth"),
-        N_SUBCARRIERS, N_SYMBOLS, Key("symbol_s", FLOAT, None, to="t_sym"),
+        N_SUBCARRIERS, N_SYMBOLS, Key("symbol_s", FLOAT, to="t_sym", echo_only=True),
         Key("subcarrier_spacing_hz", FLOAT, to="delta_f", echo_only=True),
     ])),
     Key("scene", _section(SceneConfig, [

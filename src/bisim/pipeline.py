@@ -20,6 +20,9 @@ names its datasets and summary keys, gives its LoS delay and rides on its
 fusion observation. One buffer per link: noise, clean and the delay
 transforms each work in the cube they are given, which the runner owns, so
 clean's residual, the DD map and the delay profiles are that cube's buffer.
+Results hand back no inputs: a runner labels axes and settings from the
+config that the summary echoes (the scan grid, the STFT settings) and
+takes excess delays from its Link.
 The spectrogram picks its delay bin from row slabs of the profiles, summing
 |P|^2 in symbol order as the whole-cube mean does, so the bin is the same
 and the choice needs one slab, not a |P|^2 of the whole cube.
@@ -36,7 +39,8 @@ import numpy as np
 
 from . import __version__
 from .archive import Axis, ResultArchive, export_csv
-from .channel import _SLAB_ELEMENTS, SlowTimeCube, add_noise, one_blas_thread, phase_ramps, synth_cfr
+from .channel import (_SLAB_ELEMENTS, GAUSSIAN_SPAN, SlowTimeCube, add_noise, one_blas_thread, phase_ramps,
+                      synth_cfr)
 from .config import OUTPUTS, RunConfig, config_echo
 from .errors import ConfigError, UsageError
 from .fusion import BistaticObservation, fuse
@@ -116,13 +120,14 @@ def run_simulate(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     return {"links": links}
 
 
-def _detections_summary(dets, limit: int = 10) -> list[dict]:
+def _detections_summary(link: Link, dets, limit: int = 10) -> list[dict]:
+    los = link.los_delay
     return [
         {
             "delay_s": d.delay,
             "delay_ns": d.delay * 1e9,
-            "excess_delay_s": d.excess_delay,
-            "excess_delay_ns": d.excess_delay * 1e9,
+            "excess_delay_s": d.delay - los,
+            "excess_delay_ns": (d.delay - los) * 1e9,
             "doppler_hz": d.doppler,
             "power_db": d.power_db,
         }
@@ -135,10 +140,9 @@ def _detected_links(cfg: RunConfig, exclude_zero_doppler: bool):
     proc = cfg.processing
     for link, cube in _simulate_links(cfg):
         if proc.clean_paths > 0:
-            cube = subtract_dominant_paths(cube, proc.clean_paths).residual
+            subtract_dominant_paths(cube, proc.clean_paths)
         ddm = delay_doppler_map(cube, proc.fast_window, proc.slow_window)
-        dets = detect_peaks(ddm, proc.detect_threshold_db,
-                            exclude_zero_doppler=exclude_zero_doppler, los_delay_s=link.los_delay)
+        dets = detect_peaks(ddm, proc.detect_threshold_db, exclude_zero_doppler=exclude_zero_doppler)
         yield link, ddm, dets
         del ddm   # so a caller that lets the map go frees it before the next link's is made
 
@@ -151,7 +155,7 @@ def run_ddmap(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
             ddm.data,
             [Axis("delay", "s", ddm.delay_s), Axis("doppler", "Hz", ddm.doppler_hz)],
         )
-        results[link.name] = {"detections": _detections_summary(dets)}
+        results[link.name] = {"detections": _detections_summary(link, dets)}
     return results
 
 
@@ -188,10 +192,10 @@ def run_spectrogram(cfg: RunConfig, archive: ResultArchive, threads: int) -> dic
             [Axis("slow_time", "s", spec.time_s), Axis("doppler", "Hz", spec.doppler_hz)],
         )
         results[link.name] = {
-            "fft_size": spec.fft_size,
-            "hop": spec.hop,
-            "window": spec.window,
-            "gaussian_sigma": spec.sigma,
+            "fft_size": st.fft_size,
+            "hop": st.hop,
+            "window": st.window,
+            "gaussian_sigma": st.fft_size / GAUSSIAN_SPAN if st.window == "gaussian" else 0.0,
             "delay_bin": bin_idx,
             "observation_s": float(w.duration),
         }
@@ -203,7 +207,7 @@ def run_clean(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     n = cfg.processing.clean_paths
     for link, cube in _simulate_links(cfg):
         res = subtract_dominant_paths(cube, n)
-        archive.add(f"clean_residual_{link.name}", res.residual.data, _cube_axes(cube))
+        archive.add(f"clean_residual_{link.name}", cube.data, _cube_axes(cube))
         results[link.name] = {
             "removed": [
                 {
@@ -237,7 +241,7 @@ def run_localize(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     obs = []
     per_link = {}
     for link, ddm, dets in _detected_links(cfg, exclude_zero_doppler=True):
-        per_link[link.name] = {"detections": _detections_summary(dets, 3)}
+        per_link[link.name] = {"detections": _detections_summary(link, dets, 3)}
         if dets:
             obs.append(_observation(cfg, link, ddm, dets[0]))
         del ddm   # else this map lives on while the next link's is made (_detected_links lets it go too)
@@ -273,19 +277,10 @@ def run_reflectivity(cfg: RunConfig, archive: ResultArchive, threads: int) -> di
     tensor = reflectivity_scan(target, job.grid, job.d_tx, job.d_rx, job.band,
                                sweep_window=job.sweep_window, threads=threads)
     pol = np.array([0.0, 1.0])
-    archive.add(
-        "reflectivity",
-        tensor.data,
-        [
-            Axis("az_tx", "deg", tensor.az_tx_deg),
-            Axis("el_tx", "deg", tensor.el_tx_deg),
-            Axis("az_rx", "deg", tensor.az_rx_deg),
-            Axis("el_rx", "deg", tensor.el_rx_deg),
-            Axis("delay", "s", tensor.delay_s),
-            Axis("rx_pol", "index", pol),
-            Axis("tx_pol", "index", pol),
-        ],
-    )
+    angles = [Axis(key, "deg", axis) for key, axis in job.grid.items()]   # az_tx, el_tx, az_rx, el_rx
+    archive.add("reflectivity", tensor.data,
+                [*angles, Axis("delay", "s", tensor.delay_s), Axis("rx_pol", "index", pol),
+                 Axis("tx_pol", "index", pol)])
     return {
         "target": target.name,
         "d_tx_m": job.d_tx,

@@ -11,8 +11,10 @@ its floor as the median |x| in dB and goes to dB only on the candidate
 cells that a linear pre-threshold picks.
 
 One buffer per link: clean and the DD map work in the cube they are given
-and overwrite its data. Clean's residual is that cube, and the map lands in
-its buffer; the DD map's transposed rows are its one map-sized temporary.
+and overwrite its data. Clean leaves its residual in that cube and returns
+only what it removed, and the map lands in its buffer; the DD map's
+transposed rows are its one map-sized temporary. A detection holds its
+delay, not the excess over the LoS delay: the caller holds the link.
 """
 
 from __future__ import annotations
@@ -119,10 +121,9 @@ def time_gate(values: np.ndarray, delay_s: np.ndarray, center_s: float,
 
 @dataclass(eq=False)
 class CleanResult:
-    """Residual capture (the cube clean was given) plus the static paths removed, as a zero-Doppler table."""
+    """The static paths clean removed, a PathTable without Dopplers; the residual is the cube clean was given."""
 
-    residual: SlowTimeCube
-    removed: PathTable = field(default_factory=lambda: PathTable([], [], []))
+    removed: PathTable = field(default_factory=lambda: PathTable([], []))
     at_noise_floor: list[bool] = field(default_factory=list)
     peak_db_above_floor: list[float] = field(default_factory=list)
 
@@ -209,7 +210,7 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int) -> CleanResult:
     if not 0 <= n_paths <= w.n_subcarriers:   # clean resolves at most one path per delay bin
         raise ConfigError(f"clean_paths = {n_paths}: expected 0 to n_subcarriers = {w.n_subcarriers}")
     if n_paths == 0:
-        return CleanResult(cube)
+        return CleanResult()
     k = np.arange(w.n_subcarriers)
     mean_row = cube.data.mean(axis=0)
     estimates: list[tuple[float, complex, np.ndarray]] = []   # (delay, amplitude, its ramp)
@@ -234,8 +235,7 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int) -> CleanResult:
             estimates[i] = (tau, amp, ramp)
     cube.data -= sum(amp * ramp for _, amp, ramp in estimates)
     delays, gains, _ = zip(*estimates)
-    removed = PathTable(delays, gains, np.zeros(len(estimates)))
-    return CleanResult(cube, removed, at_noise_floor, peak_db_above_floor)
+    return CleanResult(PathTable(delays, gains), at_noise_floor, peak_db_above_floor)
 
 
 @dataclass(eq=False)
@@ -245,14 +245,6 @@ class Spectrogram:
     data: np.ndarray              # (n_frames, fft_size) dB
     time_s: np.ndarray
     doppler_hz: np.ndarray
-    fft_size: int
-    hop: int
-    window: str
-    sigma: float
-
-    def __post_init__(self):
-        if self.data.shape[1] != self.fft_size:
-            raise UsageError("spectrogram column count must equal fft_size")
 
 
 def stft_spectrogram(series: np.ndarray, t_step: float, fft_size: int = 2048,
@@ -274,7 +266,6 @@ def stft_spectrogram(series: np.ndarray, t_step: float, fft_size: int = 2048,
         raise ConfigError(
             f"series of {series.size} samples is shorter than fft_size={fft_size}"
         )
-    sigma = fft_size / 6.0 if window == "gaussian" else 0.0
     win = named_window(window, fft_size)
     starts = np.arange(0, series.size - fft_size + 1, hop)
     check_entries(len(starts) * fft_size, "spectrogram of frames x fft_size")
@@ -286,7 +277,7 @@ def stft_spectrogram(series: np.ndarray, t_step: float, fft_size: int = 2048,
         db = np.maximum(db - peak, DB_FLOOR)
     doppler = np.fft.fftshift(np.fft.fftfreq(fft_size, t_step))
     times = t0 + (starts + fft_size / 2.0) * t_step
-    return Spectrogram(db, times, doppler, fft_size, hop, window, float(sigma))
+    return Spectrogram(db, times, doppler)
 
 
 @dataclass(eq=False)
@@ -296,14 +287,12 @@ class Detection:
     delay: float
     doppler: float
     power_db: float
-    excess_delay: float
     delay_bin: int
     doppler_bin: int
 
 
 def detect_peaks(ddm: DelayDopplerMap, threshold_db: float,
-                 exclude_zero_doppler: bool = False,
-                 los_delay_s: float = 0.0) -> list[Detection]:
+                 exclude_zero_doppler: bool = False) -> list[Detection]:
     """Local maxima above (median noise floor + threshold).
 
     The floor is the median map magnitude in dB, robust to sparse targets;
@@ -311,9 +300,8 @@ def detect_peaks(ddm: DelayDopplerMap, threshold_db: float,
     it. A linear pre-threshold just below the limit picks candidate cells,
     and only they go to dB for the limit and the 3 x 3 wrap-around
     neighbourhood tests. exclude_zero_doppler drops the 0 Hz bin column,
-    separating static clutter from movers. excess_delay is reported relative
-    to los_delay_s. A map with a non-finite cell raises NumericalError: its
-    floor means nothing.
+    separating static clutter from movers. A map with a non-finite cell
+    raises NumericalError: its floor means nothing.
     """
     if not np.isfinite(threshold_db):
         raise ConfigError("threshold must be finite")
@@ -341,7 +329,6 @@ def detect_peaks(ddm: DelayDopplerMap, threshold_db: float,
             delay=float(ddm.delay_s[a]),
             doppler=float(ddm.doppler_hz[b]),
             power_db=float(p),
-            excess_delay=float(ddm.delay_s[a] - los_delay_s),
             delay_bin=int(a),
             doppler_bin=int(b),
         )

@@ -123,6 +123,9 @@ class Spin:
         return np.cos(theta) * across + np.sin(theta) * cross + along
 
 
+_YAW = Spin(np.array([0.0, 0.0, 1.0]), 1.0)   # a yaw by angle a is this spin's turn at t = a
+
+
 @dataclass(eq=False)
 class RigidTarget:
     """Rigid scatterer cloud on a piecewise-linear track, optionally spinning.
@@ -171,8 +174,8 @@ class RigidTarget:
         spin = None if self.spin is None else self.spin.turn(t)
         if self.yaw is None:
             return spin
-        yaw = _z_turn(self._headings[self.trajectory.segment(t)] if self.yaw == "track"
-                      else np.full(np.shape(t), float(self.yaw)))
+        yaw = _YAW.turn(self._headings[self.trajectory.segment(t)] if self.yaw == "track"
+                        else np.full(np.shape(t), float(self.yaw)))
         return yaw if spin is None else yaw @ spin
 
 
@@ -206,13 +209,6 @@ def rotor(hub, axis, radius: float, rate: float, blades: int = 2, samples_per_bl
                   samples_per_blade=samples_per_blade, sample_amplitude=s, phase0=phase0)
     return RigidTarget(cloud(samples, np.full(len(samples), s)),
                        Trajectory.from_waypoints([(0.0, hub)]), name=name, spin=spin, recipe=(rotor, recipe))
-
-
-def _z_turn(angle) -> np.ndarray:
-    """Turns about +z by angle(s), angle.shape + (3, 3)."""
-    c, s = np.cos(angle), np.sin(angle)
-    zero, one = np.zeros_like(c), np.ones_like(c)
-    return np.stack([c, -s, zero, s, c, zero, zero, zero, one], -1).reshape(*c.shape, 3, 3)
 
 
 def _rotate(rotation: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -305,26 +301,12 @@ class ReflectivityTensor:
     complex delay profile of the full 2x2 Jones response for antennas at
     the scan's radii (d_tx, d_rx) in the given directions, both about the
     target's pose and along its body axes. The delay axis is relative to the
-    target-center bistatic delay (d_tx + d_rx)/c.
+    target-center bistatic delay (d_tx + d_rx)/c. The angle axes are the
+    scan's grid, which the caller holds.
     """
 
-    az_tx_deg: np.ndarray
-    el_tx_deg: np.ndarray
-    az_rx_deg: np.ndarray
-    el_rx_deg: np.ndarray
     delay_s: np.ndarray
     data: np.ndarray
-
-    def __post_init__(self):
-        expected = (
-            len(self.az_tx_deg), len(self.el_tx_deg),
-            len(self.az_rx_deg), len(self.el_rx_deg),
-            len(self.delay_s), 2, 2,
-        )
-        if self.data.shape != expected:
-            raise ConfigError(
-                f"tensor shape {self.data.shape} inconsistent with axes {expected}"
-            )
 
 
 def _scan_states(target, d_tx: float, d_rx: float) -> ScattererStates:
@@ -460,7 +442,7 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
         del tx                                                         # else freed before the Rx blocks run
         _map_in_order(partial(evaluate, ti, fold), range(0, n_rx, rx_block), threads)
     data = out.reshape(len(az_tx), len(el_tx), len(az_rx), len(el_rx), n_freq, 2, 2)
-    return ReflectivityTensor(az_tx, el_tx, az_rx, el_rx, band.delay_axis(), data)
+    return ReflectivityTensor(band.delay_axis(), data)
 
 
 @dataclass(eq=False)

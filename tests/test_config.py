@@ -373,6 +373,22 @@ class TestStrictParsing:
             with pytest.raises(ConfigError, match=re.escape("waveform.subcarrier_spacing_hz")):
                 parse_config(doc)
 
+    def test_symbol_time_is_echo_only(self, tmp_path, capsys, caplog):
+        # waveform.symbol_s is 1/Δf, derived: a given value within 1e-12 relative is accepted and
+        # not used, and one off by 1e-9 relative exits 2 naming it
+        doc = full_scene()
+        t_sym = 1.0 / (40e6 / 128)
+        assert config_echo(parse_config(doc))["waveform"]["symbol_s"] == t_sym
+        doc["waveform"]["symbol_s"] = t_sym * (1 + 5e-13)
+        assert parse_config(doc).waveform.t_sym == t_sym
+        doc["waveform"]["symbol_s"] = t_sym * (1 + 1e-9)
+        cfg = tmp_path / "symbol.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "waveform.symbol_s" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("spec, expected", [
         ({"start": 0, "stop": 90, "step": 30}, [0, 30, 60, 90]),
         ({"start": 0, "stop": 90, "n": 4}, [0, 30, 60, 90]),

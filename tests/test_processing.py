@@ -167,16 +167,18 @@ class TestSubtractDominantPaths:
     def test_zero_paths_identity(self):
         w = waveform(32, 32)
         cube = synth_cfr(PathTable([3.3 / w.bandwidth], [1.0 + 0j], [0.0]), w)
+        data, before = cube.data, cube.data.copy()
         res = subtract_dominant_paths(cube, 0)
-        assert res.residual is cube
-        assert len(res.removed) == 0
+        assert cube.data is data and np.array_equal(cube.data, before)
+        assert len(res.removed) == 0 and res.removed.doppler is None
 
     def test_single_path_removed_below_60db(self):
         w = waveform(64, 128)
         tau = 13.37 / w.bandwidth  # deliberately off-grid
         cube = synth_cfr(PathTable([tau], [0.8 - 0.3j], [0.0]), w)
-        res = subtract_dominant_paths(SlowTimeCube(cube.data.copy(), w), 1)
-        assert np.sum(np.abs(res.residual.data) ** 2) <= 1e-6 * np.sum(np.abs(cube.data) ** 2)
+        residual = SlowTimeCube(cube.data.copy(), w)
+        res = subtract_dominant_paths(residual, 1)
+        assert np.sum(np.abs(residual.data) ** 2) <= 1e-6 * np.sum(np.abs(cube.data) ** 2)
         assert res.removed.delay[0] == pytest.approx(tau, abs=1e-14)
 
     def test_two_paths_with_weak_mover(self):
@@ -187,13 +189,14 @@ class TestSubtractDominantPaths:
         paths = PathTable(np.array([20.4, 35.8, 50.1]) / w.bandwidth,
                           [1.0 + 0j, 0.4 - 0.2j, 0.0316 + 0j], [0.0, 0.0, fd])
         cube = synth_cfr(paths, w)
-        res = subtract_dominant_paths(SlowTimeCube(cube.data.copy(), w), 2)
+        residual = SlowTimeCube(cube.data.copy(), w)
+        res = subtract_dominant_paths(residual, 2)
 
         static_before = np.sum(np.abs(cube.data.mean(axis=0)) ** 2)
-        static_after = np.sum(np.abs(res.residual.data.mean(axis=0)) ** 2)
+        static_after = np.sum(np.abs(residual.data.mean(axis=0)) ** 2)
         assert 10 * np.log10(static_after / static_before) <= -60.0
 
-        ddm = delay_doppler_map(res.residual)
+        ddm = delay_doppler_map(residual)
         energy = np.abs(ddm.data) ** 2
         i, j = np.unravel_index(np.argmax(energy), energy.shape)
         assert ddm.doppler_hz[j] == pytest.approx(fd)
@@ -208,8 +211,9 @@ class TestSubtractDominantPaths:
         cube = SlowTimeCube(
             rng.normal(size=(32, 64)) + 1j * rng.normal(size=(32, 64)), w
         )
-        res = subtract_dominant_paths(cube, 2)
-        assert np.sum(np.abs(res.residual.data) ** 2) <= np.sum(np.abs(cube.data) ** 2) * (1 + 1e-12)
+        before = np.sum(np.abs(cube.data) ** 2)
+        subtract_dominant_paths(cube, 2)   # the residual is left in cube
+        assert np.sum(np.abs(cube.data) ** 2) <= before * (1 + 1e-12)
 
     def test_idempotent_on_own_residual(self):
         # re-subtracting the already-removed paths changes nothing: the
@@ -217,10 +221,11 @@ class TestSubtractDominantPaths:
         w = waveform(32, 64)
         paths = PathTable(np.array([12.3, 30.7]) / w.bandwidth, [1.0 + 0j, 0.5 - 0.2j])
         cube = add_noise(synth_cfr(paths, w), 40.0, seed=3)
-        res = subtract_dominant_paths(cube, 2)
-        assert np.sum(np.abs(res.residual.data) ** 2) <= np.sum(np.abs(cube.data) ** 2)
+        before = np.sum(np.abs(cube.data) ** 2)
+        res = subtract_dominant_paths(cube, 2)   # the residual is left in cube
+        assert np.sum(np.abs(cube.data) ** 2) <= before
         k = np.arange(w.n_subcarriers)
-        mean_row = res.residual.data.mean(axis=0)
+        mean_row = cube.data.mean(axis=0)
         for delay, gain in zip(res.removed.delay, res.removed.gain):
             ramp = np.exp(-2j * np.pi * w.delta_f * delay * k)
             coeff = abs(np.vdot(ramp, mean_row)) / w.n_subcarriers
@@ -232,13 +237,14 @@ class TestSubtractDominantPaths:
                           [1.0 + 0j, 0.5 - 0.2j, 0.1 + 0.3j])
         cube = add_noise(synth_cfr(paths, w), 30.0, seed=4)
         given = SlowTimeCube(cube.data.copy(), w)
+        data = given.data
         res = subtract_dominant_paths(given, 3)
-        assert res.residual is given
+        assert given.data is data and res.removed.doppler is None
         k = np.arange(w.n_subcarriers)
         removed = sum(gain * np.exp(-2j * np.pi * w.delta_f * delay * k)
                       for delay, gain in zip(res.removed.delay, res.removed.gain))
-        assert np.abs(res.residual.data - (cube.data - removed)).max() <= 1e-12
-        assert not np.shares_memory(res.residual.data, cube.data)
+        assert np.abs(given.data - (cube.data - removed)).max() <= 1e-12
+        assert not np.shares_memory(given.data, cube.data)
 
     def test_fitted_delay_is_a_stationary_maximum(self):
         # noisy rows of three paths: the correlation is lower 1e-3 bins either side
@@ -372,6 +378,9 @@ class TestNamedWindow:
             from bisim.channel import named_window
             from bisim.errors import ConfigError
             assert named_window("hann", 8).shape == named_window("gaussian", 8).shape == (8,)
+            for name in ("hann", "gaussian"):   # below two points scipy gives ones, and so do the own formulas
+                for sym in (False, True):
+                    assert named_window(name, 1, sym=sym).tolist() == [1.0], (name, sym)
             try:
                 named_window("hamming", 8)
             except ConfigError as err:
@@ -549,13 +558,25 @@ class TestDetectPeaks:
         monkeypatch.setattr(pipeline, "add_noise", corrupt)
         assert main(["ddmap", "--config", str(full_scene_config), "--out", str(tmp_path / "out")]) == 3
 
-    def test_excess_delay_reference(self):
-        rng = np.random.default_rng(14)
-        ddm = noise_map(rng)
-        ddm.data[10, 5] = 1e4
-        los = 2 / 20e6
-        det = detect_peaks(ddm, 20.0, los_delay_s=los)[0]
-        assert det.excess_delay == pytest.approx(det.delay - los)
+    def test_summary_excess_delay_is_delay_less_los_delay(self, tmp_path):
+        # a detection holds its delay only; the summary subtracts the link's LoS delay, which
+        # simulate reports, in one float64 subtraction
+        from bisim.config import parse_config
+        from bisim.pipeline import run
+
+        cfg = parse_config(yaml.safe_load(textwrap.dedent(FULL_SCENE)))
+        los = {f"{link['tx']}_{link['rx']}": link["los_delay_s"]
+               for link in run("simulate", cfg, tmp_path)[0].summary["results"]["links"]}
+        for sub in ("ddmap", "localize"):
+            results = run(sub, cfg, tmp_path)[0].summary["results"]
+            links = results["links"] if sub == "localize" else results
+            assert links.keys() == los.keys()
+            dets = [(d, los[name]) for name, entry in links.items() for d in entry["detections"]]
+            assert len(dets) >= len(los)
+            for d, los_s in dets:
+                assert d["excess_delay_s"] == d["delay_s"] - los_s
+                assert d["excess_delay_ns"] == (d["delay_s"] - los_s) * 1e9
+
 
 
 class TestPipelineLinearity:

@@ -403,6 +403,50 @@ class TestFixedModeBound:
             assert (np.abs(fixed - geo).max(axis=1) / np.abs(geo).max(axis=1)).max() <= 1e-3
 
 
+class TestFrameInvariance:
+    """FULL_SCENE simulate without noise, as given and moved: every node, waypoint and clutter
+    position translated by OFFSET, or t0 and every waypoint time shifted by SHIFT. Synthesis sees
+    only relative positions and times since t0, so the cubes stay the same."""
+
+    OFFSET, SHIFT = np.array([1000.0, -500.0, 0.0]), 0.25
+
+    def cubes(self, mode, transform, tmp_path):
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc.update(mode=mode, noise={})
+        given, moved = parse_config(doc), doc
+        offset, shift = (self.OFFSET, 0.0) if transform == "translate" else (np.zeros(3), self.SHIFT)
+        scene = moved["scene"]
+        for item in scene["tx_nodes"] + scene["rx_nodes"] + scene["clutter"]:
+            item["position"] = (item["position"] + offset).tolist()
+        for target in scene["targets"]:
+            target["trajectory"] = [[t + shift, (p + offset).tolist()] for t, p in target["trajectory"]]
+        moved["t0"] = shift
+        moved = parse_config(moved)
+        runs = [pipeline.run("simulate", cfg, tmp_path)[0].datasets for cfg in (given, moved)]
+        names = [f"cfr_{tx.node_id}_{rx.node_id}" for tx, rx in moved.scene.links()]
+        return moved, [(runs[0][n].values, runs[1][n].values) for n in names]
+
+    @pytest.mark.parametrize("transform", ["translate", "shift"])
+    def test_fixed_mode_cubes_are_bit_equal(self, transform, tmp_path):
+        # fixed mode takes the paths at t0, where every moved position is exact
+        _, pairs = self.cubes("fixed", transform, tmp_path)
+        assert len(pairs) == 3 and all(np.array_equal(a, b) for a, b in pairs)
+
+    @pytest.mark.parametrize("transform", ["translate", "shift"])
+    def test_geometric_cubes_within_the_rounding_of_the_largest_coordinate(self, transform, tmp_path):
+        # a coordinate of size X rounds by up to εX/2, so a hop's length moves by up to √3·εX from
+        # its two ends, a path's two hops by 2√3·εX, and the norms' own rounding adds under εX:
+        # each path's carrier phase moves by at most 2π·5·εX/λ, its CFR term by |a|·2π·5·εX/λ
+        cfg, pairs = self.cubes("geometric", transform, tmp_path)
+        scene = cfg.scene
+        x = np.abs(np.concatenate([[n.pose(cfg.t0).position for n in scene.tx_nodes + scene.rx_nodes],
+                                   scene.targets[0].trajectory.points, scene.clutter.positions])).max()
+        for (tx, rx), (a, b) in zip(scene.links(), pairs):
+            gains = link_paths(scene, tx.pose(cfg.t0), rx.pose(cfg.t0), cfg.t0).gain
+            bound = np.abs(gains).sum() * 2 * np.pi * 5 * np.finfo(float).eps * x / scene.wavelength
+            assert np.abs(a - b).max() <= bound
+
+
 class TestIlluminationPaths:
     def test_direct_plus_bounces(self):
         scene = basic_scene(

@@ -76,3 +76,37 @@ def test_one_scatterer_type():
                     and obj.__name__ != "ScattererStates" and {f.name for f in dataclasses.fields(obj)} & scalar):
                 found.append(f"{path.name} dataclass {obj.__name__}")
     assert not found, found
+
+
+# Dataclass and NamedTuple fields kept although nothing reads them, each with its use.
+UNREAD = {
+    "CleanResult.peak_db_above_floor": "each removed path's peak over the profile median, which the run "
+                                       "diagnostics (ROADMAP item 2) will report",
+    "DopplerCompensation.offsets_hz": "focus's per-path Doppler offsets, for Python callers",
+}
+
+
+def record_fields(tree):
+    """Class.field of each annotated field of a dataclass or NamedTuple class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            marks = [ast.unparse(d) for d in node.decorator_list] + [ast.unparse(b) for b in node.bases]
+            if any(m.startswith("dataclass") for m in marks) or "NamedTuple" in marks:
+                yield from (f"{node.name}.{n.target.id}" for n in node.body
+                            if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name))
+
+
+def test_every_record_field_is_read():
+    """A field that nothing reads is a value with no use (ROADMAP aim 2): each dataclass or
+    NamedTuple field in src/bisim needs a read of its name in src/bisim or bench/, in its own
+    class or outside it, as an attribute load or as a string constant (a getattr name, a config
+    Key's attribute), or an entry in UNREAD."""
+    read = set()
+    for p in [*SRC.glob("*.py"), *BENCH.glob("*.py")]:
+        read |= {n.attr if isinstance(n, ast.Attribute) else n.value for n in ast.walk(ast.parse(p.read_text()))
+                 if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+                 or (isinstance(n, ast.Constant) and isinstance(n.value, str))}
+    unread = {name for p in SRC.glob("*.py") for name in record_fields(ast.parse(p.read_text()))
+              if name.split(".")[1] not in read}
+    assert not unread - UNREAD.keys(), f"no reader in src/bisim or bench/: {sorted(unread - UNREAD.keys())}"
+    assert not UNREAD.keys() - unread, f"read now, so drop from UNREAD: {sorted(UNREAD.keys() - unread)}"

@@ -123,6 +123,25 @@ class TestTargetPose:
         assert np.allclose(np.arctan2(rot[:, 1, 0], rot[:, 0, 0]), [0, a, a, 0, 0, b, b, 0, 0, c, c, 0, 0],
                            rtol=0, atol=1e-15)
 
+    def test_yaw_rotation_is_the_explicit_z_turn(self):
+        """A yaw turns through Spin's axis-angle formula about +z: in value, a float yaw's and a
+        track yaw's rotation(t) are [[c, -s, 0], [s, c, 0], [0, 0, 1]] of the yaw's angle."""
+        def z_turn(angle):
+            c, s, zero, one = np.cos(angle), np.sin(angle), np.zeros_like(angle), np.ones_like(angle)
+            return np.stack([c, -s, zero, s, c, zero, zero, zero, one], -1).reshape(*np.shape(angle), 3, 3)
+
+        t = np.array([[-1.0, 0.0, 0.3], [1.0, 2.5, 4.0]])
+        body = cloud([[0.3, 0.1, 0.0]], [0.05])
+        for yaw in (0.0, -0.0, 0.3, -2.1, np.pi / 2, np.pi, 7.5, -1e-300):
+            target = RigidTarget(body, Trajectory.from_waypoints([(0.0, (5, 4, 0))]), yaw=yaw)
+            for at in (0.7, t):
+                assert np.array_equal(target.rotation(at), z_turn(np.full(np.shape(at), yaw)))
+        track = Trajectory.from_waypoints([(0.0, (0, 0, 0)), (1.0, (3, -4, 1)), (2.0, (3, -4, 2)), (3.0, (-5, 1, 2))])
+        target = RigidTarget(body, track, yaw="track")
+        # before and after the track, and on its vertical segment, the heading is 0
+        heading = np.array([[0.0, np.arctan2(-4, 3), np.arctan2(-4, 3)], [0.0, np.arctan2(5, -8), 0.0]])
+        assert np.array_equal(target.rotation(t), z_turn(heading))
+
 
 class Forwarding:
     """A target of no bisim class: it forwards the four interface members to another."""
