@@ -8,6 +8,7 @@ from .channel import (
     WaveformConfig,
     add_noise,
     delay_axis,
+    first_order,
     nyquist_check,
     synth_cfr,
 )

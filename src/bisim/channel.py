@@ -2,17 +2,17 @@
 
 A capture is an M x K complex matrix H[m, k] (symbol x subcarrier), the
 path sum sum_p a_p(t_m) exp(-j2πkΔf τ_p(t_m)) at t_m = t0 + mT. synth_cfr
-evaluates it on one kernel, path_rows, fed block by block with delays and
-gains from one of two inputs:
+evaluates it on one kernel, path_rows, fed the delays and gains of each
+block of symbols by one of two row callbacks:
 
-* a block callback maps symbol times to a PathTable, so delays and carrier
-  phases track the scene geometry and Doppler emerges from the carrier
-  phase rotation itself (geometric mode);
-* a PathTable of shape (P,), the paths at t0 with their Dopplers, is taken
-  to first order in Δt = t - t0: delay τ_p - (f_D,p / f_c)Δt and gain
-  a_p exp(+j2π f_D,p Δt) (fixed mode). As each gain carries the carrier
-  phase exp(-j2π f_c τ), that is the Taylor expansion of the geometric
-  table, less the second-order term of the bistatic range acceleration.
+* scene.link_callback evaluates the scene at the symbol times, so delays
+  and carrier phases track its geometry and Doppler emerges from the
+  carrier phase rotation itself (geometric mode);
+* first_order takes a PathTable of shape (P,), the paths at t0 with their
+  Dopplers, to first order in Δt = t - t0: delay τ_p - (f_D,p / f_c)Δt and
+  gain a_p exp(+j2π f_D,p Δt) (fixed mode). As each gain carries the
+  carrier phase exp(-j2π f_c τ), that is the Taylor expansion of the
+  geometric table, less the second-order term of the range acceleration.
 
 path_rows builds the ramps exp(-j2πkΔfτ) from one exp per delay,
 z = exp(-j2πΔfτ), by doubling (see _powers): rows [n, 2n) are rows [0, n)
@@ -138,6 +138,9 @@ class WaveformConfig:
         """Slow-time span of one capture."""
         return self.n_symbols * self.t_sym
 
+    def symbol_times(self, t0: float = 0.0) -> np.ndarray:
+        return t0 + np.arange(self.n_symbols) * self.t_sym
+
     def subcarrier_frequencies(self) -> np.ndarray:
         """Absolute frequency f_c + kΔf of subcarrier k = 0..K-1, as synthesized."""
         return self.f_c + np.arange(self.n_subcarriers) * self.delta_f
@@ -176,9 +179,6 @@ class SlowTimeCube:
         m, e = self.scaled_power()
         return float(10 * np.log10(max(m, 1e-300)) + e * (20 * np.log10(2.0)))
 
-    def symbol_times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.waveform.n_symbols) * self.waveform.t_sym
-
 
 @dataclass(eq=False)
 class PathTable:
@@ -186,9 +186,9 @@ class PathTable:
 
     delay (s, >= 0) and gain carry the leading time axes; the gain holds the
     path's carrier phase exp(-j2π f_c τ). doppler (Hz) is filled on request:
-    a (P,) table at t0, which synth_cfr takes to first order in t - t0, and
-    illumination channels carry it; None means static paths, as clean's
-    removed paths are. A block callback's tables leave it None, as Doppler
+    a (P,) table at t0, which first_order carries to first order in t - t0,
+    and illumination channels carry it; None means static paths, as clean's
+    removed paths are. Geometric mode's tables leave it None, as Doppler
     there emerges from the delays over time.
     """
 
@@ -301,40 +301,29 @@ def path_rows(paths_of: Callable[[slice], tuple], n_rows: int, delta_f: float, n
     return out
 
 
-def synth_cfr(
-    paths: PathTable | Callable[[np.ndarray], PathTable],
-    waveform: WaveformConfig,
-    t0: float = 0.0,
-) -> SlowTimeCube:
-    """Synthesize a slow-time CFR capture from path parameters, on path_rows.
-
-    A callable is a block callback: an array of consecutive symbol times
-    t0 + m*T_sym in, a PathTable with delay and gain of shape
-    (len(times), P) out, called first on one symbol and then on chunks of
-    path_rows's path budget (128 symbols a call for 32 paths). A PathTable
-    must be single-instant, of shape (P,): the paths at t0, which path_rows
-    takes to first order in Δt = t - t0, delay τ - (f_D / f_c)Δt and gain
-    a exp(+j2π f_D Δt); doppler=None means static paths. These rows are no
-    PathTable, as a first-order delay may fall below 0. Superposition is
-    exactly linear in the path set.
-    """
+def first_order(paths: PathTable, waveform: WaveformConfig) -> Callable[[slice], tuple]:
+    """Fixed mode's row callback: a (P,) table of the paths at t0 (else UsageError) taken to
+    first order in Δt = mT, computed as m·T and not as t - t0, so a shift of t0 moves no bit:
+    delay τ - (f_D / f_c)Δt and gain a exp(+j2π f_D Δt); doppler=None means static paths.
+    These rows are no PathTable, as a first-order delay may fall below 0."""
+    if paths.delay.ndim != 1:
+        raise UsageError("fixed mode takes a single-instant path table of shape (P,)")
     w = waveform
     dt = np.arange(w.n_symbols) * w.t_sym
-    if callable(paths):
-        times = t0 + dt
+    f_d = np.zeros(len(paths)) if paths.doppler is None else paths.doppler
 
-        def block(at: slice):
-            table = paths(times[at])
-            return table.delay, table.gain
-    else:
-        if paths.delay.ndim != 1:
-            raise UsageError("fixed mode takes a single-instant path table of shape (P,)")
-        f_d = np.zeros(len(paths)) if paths.doppler is None else paths.doppler
+    def rows(at: slice):
+        step = dt[at, None]
+        return paths.delay - f_d / w.f_c * step, paths.gain * np.exp(2j * np.pi * f_d * step)
+    return rows
 
-        def block(at: slice):
-            step = dt[at, None]
-            return paths.delay - f_d / w.f_c * step, paths.gain * np.exp(2j * np.pi * f_d * step)
-    return SlowTimeCube(path_rows(block, w.n_symbols, w.delta_f, w.n_subcarriers), w, t0)
+
+def synth_cfr(paths_of: Callable[[slice], tuple], waveform: WaveformConfig, t0: float = 0.0) -> SlowTimeCube:
+    """The CFR capture from t0 on path_rows, whose row callback paths_of gives the (delay, gain)
+    of the symbols of a slice: fixed mode's first_order or geometric mode's scene.link_callback.
+    Superposition is exactly linear in the path set."""
+    w = waveform
+    return SlowTimeCube(path_rows(paths_of, w.n_symbols, w.delta_f, w.n_subcarriers), w, t0)
 
 
 def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:

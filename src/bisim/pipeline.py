@@ -12,10 +12,10 @@ directions of a reflectivity scan, whose boundaries come from a memory
 budget and not from the worker count, each written to its own slice of the
 output; links are streamed in order, one at a time, each synthesized and
 noised (from its own seeded generator) just before it is processed. A link
-is resolved once into a Link of its two nodes and their poses at t0. Both
-modes synthesize on one kernel: fixed mode takes its paths and their
-Dopplers at those poses, which synth_cfr carries to first order in t - t0,
-and geometric mode asks the nodes for their poses block by block. The Link
+is resolved once into a Link of its two nodes and their poses at t0.
+_link_cube alone reads the mode, and hands synth_cfr one row callback:
+channel.first_order of the paths and Dopplers at those poses (fixed), or
+scene.link_callback, the nodes' poses block by block (geometric). The Link
 names its datasets and summary keys, gives its LoS delay and rides on its
 fusion observation. One buffer per link: noise, clean and the delay
 transforms each work in the cube they are given, which the runner owns, so
@@ -39,8 +39,8 @@ import numpy as np
 
 from . import __version__
 from .archive import Axis, ResultArchive, export_csv
-from .channel import (_SLAB_ELEMENTS, GAUSSIAN_SPAN, SlowTimeCube, add_noise, one_blas_thread, phase_ramps,
-                      synth_cfr)
+from .channel import (_SLAB_ELEMENTS, GAUSSIAN_SPAN, SlowTimeCube, add_noise, first_order, one_blas_thread,
+                      phase_ramps, synth_cfr)
 from .config import OUTPUTS, RunConfig, config_echo
 from .errors import ConfigError, UsageError
 from .fusion import BistaticObservation, fuse
@@ -55,7 +55,7 @@ from .processing import (
     subtract_dominant_paths,
     time_gate,
 )
-from .scene import SceneNode, illumination_paths, link_callback, link_paths
+from .scene import SceneNode, illumination_paths, link_callback, link_name, link_paths
 from .targets import flyover_scan, link_budget, reflectivity_scan
 
 class Link(NamedTuple):
@@ -68,7 +68,7 @@ class Link(NamedTuple):
 
     @property
     def name(self) -> str:
-        return f"{self.tx_node.node_id}_{self.rx_node.node_id}"
+        return link_name(self.tx_node, self.rx_node)
 
     @property
     def los_delay(self) -> float:
@@ -79,10 +79,10 @@ class Link(NamedTuple):
 def _link_cube(cfg: RunConfig, i: int, link: Link) -> SlowTimeCube:
     """The CFR cube of link i, noised from generator seed [noise seed, i]."""
     if cfg.mode == "geometric":
-        paths = link_callback(cfg.scene, link.tx_node, link.rx_node)
+        rows = link_callback(cfg.scene, link.tx_node, link.rx_node, cfg.waveform.symbol_times(cfg.t0))
     else:
-        paths = link_paths(cfg.scene, link.tx, link.rx, cfg.t0, doppler=True)
-    cube = synth_cfr(paths, cfg.waveform, t0=cfg.t0)
+        rows = first_order(link_paths(cfg.scene, link.tx, link.rx, cfg.t0, doppler=True), cfg.waveform)
+    cube = synth_cfr(rows, cfg.waveform, t0=cfg.t0)
     if cfg.noise.snr_db is None:
         return cube
     return add_noise(cube, cfg.noise.snr_db, seed=[cfg.noise.seed, i])
@@ -98,7 +98,7 @@ def _simulate_links(cfg: RunConfig) -> Iterator[tuple[Link, SlowTimeCube]]:
 
 def _cube_axes(cube: SlowTimeCube) -> list[Axis]:
     return [
-        Axis("slow_time", "s", cube.symbol_times()),
+        Axis("slow_time", "s", cube.waveform.symbol_times(cube.t0)),
         Axis("subcarrier", "Hz", cube.waveform.subcarrier_frequencies()),
     ]
 
@@ -345,16 +345,8 @@ def run_linkbudget(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict
     if cfg.budget is None:
         raise ConfigError("config has no budget section")
     out = link_budget(cfg.budget)
-    archive.add(
-        "received_power_dbm",
-        np.array([out["received_power_dbm"]]),
-        [Axis("value", "dBm", np.zeros(1))],
-    )
-    archive.add(
-        "processing_gain_db",
-        np.array([out["processing_gain_db"]]),
-        [Axis("value", "dB", np.zeros(1))],
-    )
+    for key, unit in (("received_power_dbm", "dBm"), ("processing_gain_db", "dB")):
+        archive.add(key, np.array([out[key]]), [Axis("value", unit, np.zeros(1))])
     return dict(out)
 
 

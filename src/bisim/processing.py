@@ -98,25 +98,22 @@ def time_gate(values: np.ndarray, delay_s: np.ndarray, center_s: float,
     """Zero delay bins outside [center - width/2, center + width/2].
 
     Gating applies along the last axis of `values`. edge_s > 0 replaces the
-    hard edges with raised-cosine tapers of that width.
+    hard edges with raised-cosine tapers of that width, one at each end, a
+    function of the distance to the nearer end. An edge outside [0, width/2]
+    raises ConfigError: past width/2 the two tapers would overlap.
     """
     if width_s <= 0:
         raise ConfigError("gate width must be positive")
+    if not 0 <= edge_s <= width_s / 2:
+        raise ConfigError(f"gate edge_ns {edge_s * 1e9:g} must lie in [0, width_ns / 2 = {width_s * 5e8:g}]")
     lo = center_s - width_s / 2.0
     hi = center_s + width_s / 2.0
     if hi < delay_s[0] or lo > delay_s[-1]:
         raise ConfigError("gate lies entirely outside the delay axis")
-    if edge_s <= 0:
-        mask = ((delay_s >= lo) & (delay_s <= hi)).astype(float)
-    else:
-        mask = np.zeros(delay_s.shape)
-        core = (delay_s >= lo + edge_s) & (delay_s <= hi - edge_s)
-        mask[core] = 1.0
-        rising = (delay_s >= lo) & (delay_s < lo + edge_s)
-        mask[rising] = 0.5 * (1 - np.cos(np.pi * (delay_s[rising] - lo) / edge_s))
-        falling = (delay_s > hi - edge_s) & (delay_s <= hi)
-        mask[falling] = 0.5 * (1 - np.cos(np.pi * (hi - delay_s[falling]) / edge_s))
-    return values * mask
+    if edge_s == 0:
+        return values * ((delay_s >= lo) & (delay_s <= hi)).astype(float)
+    phase = np.clip(np.pi * np.minimum(delay_s - lo, hi - delay_s) / edge_s, 0.0, np.pi)
+    return values * (0.5 * (1 - np.cos(phase)))
 
 
 @dataclass(eq=False)

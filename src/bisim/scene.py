@@ -64,11 +64,17 @@ class SceneConfig:
             raise ConfigError("scene needs at least one Tx and one Rx node")
         if self.wavelength <= 0:
             raise ConfigError("wavelength must be positive")
-        seen = set()
+        seen, names = set(), {}
         for node in [*self.tx_nodes, *self.rx_nodes]:
             if node.node_id in seen:
                 raise ConfigError(f"duplicate node id {node.node_id!r}")
+            if any(c in node.node_id for c in "/\\\0"):
+                raise ConfigError(f"node id {node.node_id!r} names output files: it may hold no '/', '\\' or NUL")
             seen.add(node.node_id)
+        for tx, rx in self.links():   # a link's name names its datasets and files
+            name, link = link_name(tx, rx), f"{tx.node_id!r} -> {rx.node_id!r}"
+            if names.setdefault(name, link) != link:
+                raise ConfigError(f"links {names[name]} and {link} share the name {name!r}")
 
     def target(self, name: str | None = None):
         """The target called name, or the first target when name is None."""
@@ -83,6 +89,11 @@ class SceneConfig:
 
     def links(self) -> list[tuple[SceneNode, SceneNode]]:
         return [(tx, rx) for tx in self.tx_nodes for rx in self.rx_nodes]
+
+
+def link_name(tx: SceneNode, rx: SceneNode) -> str:
+    """The name of the link from tx to rx, which its datasets, files and summary keys carry."""
+    return f"{tx.node_id}_{rx.node_id}"
 
 
 def los_paths(tx: NodePose, rx: NodePose, lam: float, doppler: bool = False) -> PathTable:
@@ -107,8 +118,8 @@ def link_paths(scene: SceneConfig, tx: NodePose, rx: NodePose, t, doppler: bool 
     tx and rx are the two antenna poses at t. Returns a PathTable of shape
     t.shape + (P,). Geometric synthesis passes a block of symbol times
     (through link_callback); fixed mode passes one time, the link's poses
-    at t0, and doppler=True, a table that synth_cfr carries to first order
-    in t - t0.
+    at t0, and doppler=True, a table that channel.first_order carries to
+    first order in t - t0.
     """
     tables = []
     if scene.include_los:
@@ -120,9 +131,14 @@ def link_paths(scene: SceneConfig, tx: NodePose, rx: NodePose, t, doppler: bool 
     return join_paths(tables, np.shape(t))
 
 
-def link_callback(scene: SceneConfig, tx_node: SceneNode, rx_node: SceneNode):
-    """Geometric-mode block callback: times -> link_paths at the nodes' poses at those times."""
-    return lambda times: link_paths(scene, tx_node.pose(times), rx_node.pose(times), times)
+def link_callback(scene: SceneConfig, tx_node: SceneNode, rx_node: SceneNode, times: np.ndarray):
+    """Geometric mode's row callback for synth_cfr: rows -> the (delay, gain) of
+    link_paths at times[rows], at the nodes' poses at those times."""
+    def rows(at: slice):
+        t = times[at]
+        table = link_paths(scene, tx_node.pose(t), rx_node.pose(t), t)
+        return table.delay, table.gain
+    return rows
 
 
 def illumination_paths(scene: SceneConfig, tx: NodePose, end: NodePose) -> PathTable:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from bisim.channel import PathTable, WaveformConfig, synth_cfr
+from bisim.channel import PathTable, WaveformConfig, first_order, synth_cfr
 from bisim.config import load_config
 from bisim.fusion import BistaticObservation, estimate_velocity, fuse, localize
 from bisim.geometry import (
@@ -128,12 +128,12 @@ def test_criterion_3_clutter_collapse():
         background = SceneConfig(
             scene.tx_nodes, scene.rx_nodes, [], scene.clutter, wavelength=LAM
         )
-        bg_cube = synth_cfr(link_callback(background, *background.links()[0]), w)
+        bg_cube = synth_cfr(link_callback(background, *background.links()[0], w.symbol_times()), w)
         bg_map = delay_doppler_map(bg_cube)
         energy = np.abs(bg_map.data) ** 2
         frac = energy[:, bg_map.zero_doppler_bin].sum() / energy.sum()
 
-        cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
+        cube = synth_cfr(link_callback(scene, *scene.links()[0], w.symbol_times()), w)
         ddm = delay_doppler_map(cube)
         t_mid = w.duration / 2
         pose = pose_at(scene.targets[0].trajectory, t_mid)
@@ -171,15 +171,15 @@ def test_criterion_4_clean_efficacy():
             Trajectory.from_waypoints([(0.0, (120, 90, 0)), (1.0, (160, 50, 0))]),
         )
         scene = SceneConfig([tx], [rx], [target], reflector, wavelength=LAM)
-        cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
+        cube = synth_cfr(link_callback(scene, *scene.links()[0], w.symbol_times()), w)
 
         subtract_dominant_paths(cube, 2)   # the residual is left in cube
         # residual static-path power: what survives of (LoS + reflection)
         # after subtraction, isolated from the mover by exact superposition
         static_scene = SceneConfig([tx], [rx], [], reflector, wavelength=LAM)
-        static_cube = synth_cfr(link_callback(static_scene, *static_scene.links()[0]), w)
+        static_cube = synth_cfr(link_callback(static_scene, *static_scene.links()[0], w.symbol_times()), w)
         target_scene = SceneConfig([tx], [rx], [target], wavelength=LAM, include_los=False)
-        target_cube = synth_cfr(link_callback(target_scene, *target_scene.links()[0]), w)
+        target_cube = synth_cfr(link_callback(target_scene, *target_scene.links()[0], w.symbol_times()), w)
         leftover = cube.data - target_cube.data
         suppression_db = 10 * np.log10(
             np.sum(np.abs(leftover) ** 2) / np.sum(np.abs(static_cube.data) ** 2)
@@ -228,7 +228,7 @@ def test_criterion_5_micro_doppler_band():
         rx = SceneNode("rx0", NodePose(vec3(-10, -0.25, 0)))
         scene = SceneConfig([tx], [rx], [blades], wavelength=LAM, include_los=False)
         w = WaveformConfig(3.7e9, 16e6, 128, 2048 + 32 * 14)  # t_sym = 8 us
-        cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
+        cube = synth_cfr(link_callback(scene, *scene.links()[0], w.symbol_times()), w)
 
         profiles = np.fft.ifft(cube.data, axis=1)
         series = profiles[:, int(np.argmax(np.mean(np.abs(profiles) ** 2, axis=0)))]
@@ -420,7 +420,7 @@ def test_criterion_9_link_budget_consistency():
         )
         paths = target_paths(target, tx, rx, 0.0, LAM, doppler=True)
         w = WaveformConfig(3.7e9, 20e6, 64, 16)
-        cube = synth_cfr(paths, w)
+        cube = synth_cfr(first_order(paths, w), w)
         synth_db = 10 * np.log10(np.mean(np.abs(cube.data) ** 2))
         budget = link_budget(
             LinkBudget(0.0, 0.0, 0.0, LAM, d_tx, d_rx, equivalent_rcs(s),

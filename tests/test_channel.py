@@ -14,6 +14,7 @@ from bisim.channel import (
     WaveformConfig,
     add_noise,
     delay_axis,
+    first_order,
     join_paths,
     path_rows,
     phase_ramps,
@@ -44,7 +45,7 @@ class TestWaveformConfig:
         w = WaveformConfig(3.7e9, 40e6, 128, 4)
         tau = 3.3 / w.bandwidth   # off the delay grid
         # a unit-magnitude path carries its carrier phase exp(-j2π f_c τ) in its gain
-        cube = synth_cfr(PathTable([tau], [np.exp(-2j * np.pi * w.f_c * tau)]), w)
+        cube = synth_cfr(first_order(PathTable([tau], [np.exp(-2j * np.pi * w.f_c * tau)]), w), w)
         expected = np.exp(-2j * np.pi * w.subcarrier_frequencies() * tau)
         assert np.max(np.abs(cube.data - expected)) <= 1e-12
 
@@ -65,7 +66,8 @@ class TestPathTable:
     def test_empty_table_synthesizes_a_silent_capture(self):
         table = PathTable([], [])
         assert len(table) == 0 and table.doppler is None
-        cube = synth_cfr(table, small_waveform(8, 16))
+        w = small_waveform(8, 16)
+        cube = synth_cfr(first_order(table, w), w)
         assert cube.data.shape == (8, 16) and not cube.data.any()
 
 
@@ -74,7 +76,7 @@ class TestSynthFixed:
         w = small_waveform()
         tau = 3.3 / w.bandwidth
         paths = PathTable(delay=[tau], gain=[1.0 + 0j], doppler=[0.0])
-        cube = synth_cfr(paths, w)
+        cube = synth_cfr(first_order(paths, w), w)
         assert np.allclose(cube.data, cube.data[0][None, :])
         # linear phase ramp across subcarriers with slope -2*pi*df*tau
         dphi = np.angle(cube.data[0, 1:] * np.conj(cube.data[0, :-1]))
@@ -86,15 +88,15 @@ class TestSynthFixed:
         w = small_waveform()
         fd = 740.0
         paths = PathTable(delay=[0.0], gain=[1.0 + 0j], doppler=[fd])
-        cube = synth_cfr(paths, w)
+        cube = synth_cfr(first_order(paths, w), w)
         dphi = np.angle(cube.data[1:, 0] * np.conj(cube.data[:-1, 0]))
         assert np.allclose(dphi, 2 * np.pi * fd * w.t_sym, atol=1e-12)
 
     def test_multi_instant_table_raises(self):
-        # a table is fixed mode, which holds each path at one instant
+        # first_order is fixed mode, which holds each path at one instant
         w = small_waveform()
         with pytest.raises(UsageError, match="single-instant"):
-            synth_cfr(PathTable(np.zeros((2, 1)), np.ones((2, 1))), w)
+            first_order(PathTable(np.zeros((2, 1)), np.ones((2, 1))), w)
 
     def test_linearity_of_superposition(self):
         w = small_waveform()
@@ -105,13 +107,13 @@ class TestSynthFixed:
             doppler=rng.uniform(-2000, 2000, 3),
         )
         p1, p2 = mk(), mk()
-        combined = synth_cfr(join_paths([p1, p2], ()), w).data
-        separate = synth_cfr(p1, w).data + synth_cfr(p2, w).data
+        combined = synth_cfr(first_order(join_paths([p1, p2], ()), w), w).data
+        separate = synth_cfr(first_order(p1, w), w).data + synth_cfr(first_order(p2, w), w).data
         assert np.allclose(combined, separate, rtol=1e-12, atol=1e-15)
 
 
 def crossing_target_callback(w, tx, rx, p0=None, vel=None):
-    """Single point target on a linear track; returns (block callback, range_of_t)."""
+    """Single point target on a linear track; returns (times -> row callback, range_of_t, p0, vel)."""
     p0 = vec3(50.0, 200.0, 0.0) if p0 is None else p0
     vel = vec3(20.0, 0.0, 0.0) if vel is None else vel
 
@@ -120,8 +122,10 @@ def crossing_target_callback(w, tx, rx, p0=None, vel=None):
         return rb
 
     def callback(times):
-        rb = np.array([ranges(t) for t in times])[:, None]
-        return PathTable(delay=rb / C0, gain=np.exp(-2j * np.pi * rb / LAM))
+        def rows(at):
+            rb = np.array([ranges(t) for t in times[at]])[:, None]
+            return rb / C0, np.exp(-2j * np.pi * rb / LAM)
+        return rows
 
     return callback, ranges, p0, vel
 
@@ -133,15 +137,13 @@ class TestSynthGeometric:
     def test_geometric_vs_fixed_phase_bound(self):
         w = WaveformConfig(3.7e9, 160e6, 256, 512)
         callback, ranges, p0, vel = crossing_target_callback(w, self.tx, self.rx)
-        geo = synth_cfr(callback, w)
+        geo = synth_cfr(callback(w.symbol_times()), w)
 
         rb0 = ranges(0.0)
         fd0 = bistatic_doppler(self.tx, self.rx, p0, vel, LAM)
-        fixed = synth_cfr(
-            PathTable(delay=[rb0 / C0], gain=[np.exp(-2j * np.pi * rb0 / LAM)], doppler=[fd0]),
-            w,
-        )
-        times = geo.symbol_times()
+        table = PathTable(delay=[rb0 / C0], gain=[np.exp(-2j * np.pi * rb0 / LAM)], doppler=[fd0])
+        fixed = synth_cfr(first_order(table, w), w)
+        times = w.symbol_times()
         linear = rb0 - fd0 * LAM * times
         residual = np.array([ranges(t) for t in times]) - linear
         bound = 2 * np.pi * np.max(np.abs(residual)) / LAM
@@ -158,8 +160,8 @@ class TestSynthGeometric:
         callback, ranges, _, _ = crossing_target_callback(
             w, self.tx, self.rx, p0=vec3(150, 80, 0), vel=vec3(-15, -10, 0)
         )
-        cube = synth_cfr(callback, w)
-        times = cube.symbol_times()
+        times = w.symbol_times()
+        cube = synth_cfr(callback(times), w)
         h = cube.data[:, 0]
         dphi = np.angle(h[1:] * np.conj(h[:-1]))
         dr = np.array([ranges(t) for t in times])
@@ -170,9 +172,9 @@ class TestSynthGeometric:
         w = WaveformConfig(3.7e9, 20e6, 16, 128)
         w2 = WaveformConfig(3.7e9, 20e6, 16, 256)
         callback, *_ = crossing_target_callback(w, self.tx, self.rx)
-        frame_a = synth_cfr(callback, w, t0=0.0)
-        frame_b = synth_cfr(callback, w, t0=w.n_symbols * w.t_sym)
-        whole = synth_cfr(callback, w2, t0=0.0)
+        frame_a = synth_cfr(callback(w.symbol_times()), w)
+        frame_b = synth_cfr(callback(w.symbol_times(w.duration)), w, t0=w.duration)
+        whole = synth_cfr(callback(w2.symbol_times()), w2)
         stitched = np.vstack([frame_a.data, frame_b.data])
         jump = np.abs(np.angle(whole.data[w.n_symbols] * np.conj(stitched[w.n_symbols])))
         assert jump.max() <= 1e-9
@@ -319,7 +321,7 @@ class TestPathRows:
 class TestAddNoise:
     def test_infinite_snr_identity(self):
         w = small_waveform()
-        cube = synth_cfr(PathTable([0.0], [1.0 + 0j]), w)
+        cube = synth_cfr(first_order(PathTable([0.0], [1.0 + 0j]), w), w)
         noisy = add_noise(cube, np.inf, seed=1)
         assert noisy is cube
 
@@ -333,7 +335,7 @@ class TestAddNoise:
 
     def test_deterministic_for_seed(self):
         w = small_waveform()
-        cube = synth_cfr(PathTable([0.0], [1.0 + 0j]), w)
+        cube = synth_cfr(first_order(PathTable([0.0], [1.0 + 0j]), w), w)
         a = add_noise(SlowTimeCube(cube.data.copy(), w), 10.0, seed=1234)
         b = add_noise(SlowTimeCube(cube.data.copy(), w), 10.0, seed=1234)
         assert np.array_equal(a.data, b.data)
@@ -344,7 +346,7 @@ class TestAddNoise:
         # rows of 1000 subcarriers go in blocks of 65: 300 rows end in a partial block of 40
         w = WaveformConfig(3.7e9, 20e6, 1000, 300)
         assert 300 % (channel._SLAB_ELEMENTS // 1000) != 0
-        cube = synth_cfr(PathTable([3e-7, 8e-7], [1.0 + 0j, 0.2 - 0.5j], [30.0, -70.0]), w)
+        cube = synth_cfr(first_order(PathTable([3e-7, 8e-7], [1.0 + 0j, 0.2 - 0.5j], [30.0, -70.0]), w), w)
         m, e = cube.scaled_power()
         want = np.random.default_rng(21).standard_normal((300, 1000, 2)).view(complex)[..., 0]
         want *= math.ldexp(math.sqrt(m / 10.0 ** (17.0 / 10.0) / 2.0), e)
@@ -387,7 +389,7 @@ class TestCirFromCfr:
         w = small_waveform()
         n = 9
         paths = PathTable(delay=[n / w.bandwidth], gain=[1.0 + 0j], doppler=[0.0])
-        cube = synth_cfr(paths, w)
+        cube = synth_cfr(first_order(paths, w), w)
         h = np.fft.ifft(cube.data[0])
         assert np.argmax(np.abs(h)) == n
         assert abs(h[n]) == pytest.approx(1.0, rel=1e-12)
@@ -396,7 +398,7 @@ class TestCirFromCfr:
         w = small_waveform()
         n = 7
         tau = (n + 0.5) / w.bandwidth
-        cube = synth_cfr(PathTable([tau], [1.0 + 0j]), w)
+        cube = synth_cfr(first_order(PathTable([tau], [1.0 + 0j]), w), w)
         h = np.abs(np.fft.ifft(cube.data[0]))
         assert h[n] == pytest.approx(h[n + 1], rel=1e-12)
         assert set(np.argsort(h)[-2:]) == {n, n + 1}
@@ -434,7 +436,7 @@ def test_linearity_property(seed, n_paths):
         gain=rng.normal(size=n_paths) + 1j * rng.normal(size=n_paths),
         doppler=rng.uniform(-1000, 1000, n_paths),
     )
-    total = synth_cfr(paths, w).data
-    parts = sum(synth_cfr(PathTable(paths.delay[[i]], paths.gain[[i]], paths.doppler[[i]]), w).data
-                for i in range(n_paths))
+    total = synth_cfr(first_order(paths, w), w).data
+    one = lambda i: first_order(PathTable(paths.delay[[i]], paths.gain[[i]], paths.doppler[[i]]), w)
+    parts = sum(synth_cfr(one(i), w).data for i in range(n_paths))
     assert np.allclose(total, parts, rtol=1e-10, atol=1e-14)

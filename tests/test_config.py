@@ -74,10 +74,26 @@ class TestLoadConfig:
         assert cfg.waveform.delta_f == 125e3
         assert cfg.waveform.t_sym == 8e-6
 
-    def test_duplicate_node_id_named(self, tmp_path):
-        text = MINIMAL.replace("id: rx0", "id: tx0")
-        with pytest.raises(ConfigError, match="tx0"):
-            load_config(write(tmp_path, text))
+    @pytest.mark.parametrize("tx, rx, named", [
+        ("tx0", "tx0", "'tx0'"),
+        # Tx a_b, a and Rx c, b_c: links a_b -> c and a -> b_c would share the datasets and files of a_b_c
+        ("a_b, a", "c, b_c", "'a_b_c'"),
+        ("tx0", "x/../../escaped", "'x/../../escaped'"),
+        ("tx0", r"rx\\0", repr("rx\\0")),   # a YAML escape each: a backslash, then NUL
+        ("tx0", r"rx\0", repr("rx\0")),
+    ], ids=["repeated", "link-names", "slash", "backslash", "nul"])
+    def test_duplicate_node_id_named(self, tmp_path, tx, rx, named):
+        def nodes(ids, y):
+            return "".join(f'    - id: "{node_id}"\n      position: [{y}, {i}, 0]\n'
+                           for i, node_id in enumerate(ids.split(", ")))
+
+        text = MINIMAL.replace("    - id: tx0\n      position: [0, 0, 0]\n", nodes(tx, 0)).replace(
+            "    - id: rx0\n      position: [100, 0, 0]\n", nodes(rx, 100))
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--format", "csv"]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_seed_required_with_noise(self, tmp_path):
         text = MINIMAL + "\nnoise:\n  snr_db: 20\n"

@@ -14,7 +14,8 @@ from scipy.signal.windows import gaussian
 
 import bisim
 from bisim.archive import Axis, ResultArchive, export_csv
-from bisim.channel import PathTable, SlowTimeCube, WaveformConfig, add_noise, named_window, synth_cfr
+from bisim.channel import (PathTable, SlowTimeCube, WaveformConfig, add_noise, first_order, named_window,
+                           synth_cfr)
 from bisim.errors import ConfigError, NumericalError
 from bisim.geometry import C0, NodePose, Trajectory, bistatic_doppler, bistatic_range, vec3
 from bisim.processing import (
@@ -44,7 +45,7 @@ def on_grid_doppler(w, n):
 class TestDelayDopplerMap:
     def test_static_path_collapses_at_zero_doppler(self):
         w = waveform()
-        cube = synth_cfr(PathTable([7.3 / w.bandwidth], [1.0 + 0j], [0.0]), w)
+        cube = synth_cfr(first_order(PathTable([7.3 / w.bandwidth], [1.0 + 0j], [0.0]), w), w)
         ddm = delay_doppler_map(cube)
         energy = np.abs(ddm.data) ** 2
         zero = ddm.zero_doppler_bin
@@ -72,7 +73,7 @@ class TestDelayDopplerMap:
         )
         clutter = cloud([vec3(80, -60, 0), vec3(300, 90, 0)], [1.0, 1.0])
         scene = SceneConfig([tx], [rx], [target], clutter, wavelength=LAM)
-        cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
+        cube = synth_cfr(link_callback(scene, *scene.links()[0], w.symbol_times()), w)
         ddm = delay_doppler_map(cube)
 
         t_mid = w.n_symbols * w.t_sym / 2
@@ -115,7 +116,7 @@ class TestDelayDopplerMap:
     def test_doppler_axis_resolution_and_span(self):
         w = WaveformConfig(3.7e9, 4 * 125e3, 4, 2048)  # t_sym = 8 us
         assert w.t_sym == 8e-6
-        cube = synth_cfr(PathTable([0.0], [1.0 + 0j], [0.0]), w)
+        cube = synth_cfr(first_order(PathTable([0.0], [1.0 + 0j], [0.0]), w), w)
         ddm = delay_doppler_map(cube)
         res = ddm.doppler_hz[1] - ddm.doppler_hz[0]
         assert res == pytest.approx(61.03515625, rel=1e-12)
@@ -152,6 +153,18 @@ class TestTimeGate:
         with pytest.raises(ConfigError):
             time_gate(np.ones(129), self.axis, 1.0, 2e-9)
 
+    @pytest.mark.parametrize("edge_ns", [1.5, 1.0 + 1e-9, -0.5, float("nan")])
+    def test_edge_beyond_half_the_width_is_rejected_by_name(self, edge_ns):
+        # at width 2 ns and edge 1.5 ns the falling taper overwrote the rising one (0.957 at
+        # -0.3 ns, 0.448 at +0.3 ns), and a negative edge gave a hard gate
+        with pytest.raises(ConfigError, match="edge_ns"):
+            time_gate(np.ones(129), self.axis, 0.0, 2e-9, edge_s=edge_ns * 1e-9)
+
+    def test_edge_of_half_the_width_is_symmetric(self):
+        out = time_gate(np.ones(129), self.axis, 0.0, 8e-9, edge_s=4e-9)
+        # the axis is symmetric to rounding, and so is the mask
+        assert np.abs(out - out[::-1]).max() <= 1e-12 and out[64] == 1.0 and out.min() == 0.0
+
     def test_raised_cosine_edges(self):
         vals = np.ones(129, dtype=complex)
         out = time_gate(vals, self.axis, 0.0, 8e-9, edge_s=2e-9)
@@ -166,7 +179,7 @@ class TestTimeGate:
 class TestSubtractDominantPaths:
     def test_zero_paths_identity(self):
         w = waveform(32, 32)
-        cube = synth_cfr(PathTable([3.3 / w.bandwidth], [1.0 + 0j], [0.0]), w)
+        cube = synth_cfr(first_order(PathTable([3.3 / w.bandwidth], [1.0 + 0j], [0.0]), w), w)
         data, before = cube.data, cube.data.copy()
         res = subtract_dominant_paths(cube, 0)
         assert cube.data is data and np.array_equal(cube.data, before)
@@ -175,7 +188,7 @@ class TestSubtractDominantPaths:
     def test_single_path_removed_below_60db(self):
         w = waveform(64, 128)
         tau = 13.37 / w.bandwidth  # deliberately off-grid
-        cube = synth_cfr(PathTable([tau], [0.8 - 0.3j], [0.0]), w)
+        cube = synth_cfr(first_order(PathTable([tau], [0.8 - 0.3j], [0.0]), w), w)
         residual = SlowTimeCube(cube.data.copy(), w)
         res = subtract_dominant_paths(residual, 1)
         assert np.sum(np.abs(residual.data) ** 2) <= 1e-6 * np.sum(np.abs(cube.data) ** 2)
@@ -188,7 +201,7 @@ class TestSubtractDominantPaths:
         # direct path, reflection and a -30 dB target
         paths = PathTable(np.array([20.4, 35.8, 50.1]) / w.bandwidth,
                           [1.0 + 0j, 0.4 - 0.2j, 0.0316 + 0j], [0.0, 0.0, fd])
-        cube = synth_cfr(paths, w)
+        cube = synth_cfr(first_order(paths, w), w)
         residual = SlowTimeCube(cube.data.copy(), w)
         res = subtract_dominant_paths(residual, 2)
 
@@ -220,7 +233,7 @@ class TestSubtractDominantPaths:
         # residual is orthogonal to their model ramps
         w = waveform(32, 64)
         paths = PathTable(np.array([12.3, 30.7]) / w.bandwidth, [1.0 + 0j, 0.5 - 0.2j])
-        cube = add_noise(synth_cfr(paths, w), 40.0, seed=3)
+        cube = add_noise(synth_cfr(first_order(paths, w), w), 40.0, seed=3)
         before = np.sum(np.abs(cube.data) ** 2)
         res = subtract_dominant_paths(cube, 2)   # the residual is left in cube
         assert np.sum(np.abs(cube.data) ** 2) <= before
@@ -235,7 +248,7 @@ class TestSubtractDominantPaths:
         w = waveform(32, 64)
         paths = PathTable(np.array([12.3, 30.7, 41.2]) / w.bandwidth,
                           [1.0 + 0j, 0.5 - 0.2j, 0.1 + 0.3j])
-        cube = add_noise(synth_cfr(paths, w), 30.0, seed=4)
+        cube = add_noise(synth_cfr(first_order(paths, w), w), 30.0, seed=4)
         given = SlowTimeCube(cube.data.copy(), w)
         data = given.data
         res = subtract_dominant_paths(given, 3)
@@ -255,7 +268,7 @@ class TestSubtractDominantPaths:
             for trial in range(10):
                 paths = PathTable(rng.uniform(2, k - 3, 3) / w.bandwidth,
                                   rng.normal(size=3) + 1j * rng.normal(size=3))
-                row = add_noise(synth_cfr(paths, w), 10.0, seed=trial).data.mean(axis=0)
+                row = add_noise(synth_cfr(first_order(paths, w), w), 10.0, seed=trial).data.mean(axis=0)
                 tau, amp = _fit_static_path(row, w.delta_f, w.bandwidth)
                 corr = lambda t: abs(np.vdot(ramp(t), row))
                 step = 1e-3 / w.bandwidth
@@ -268,7 +281,7 @@ class TestSubtractDominantPaths:
             w = waveform(8, k)
             for tau_bins in [0.05, 0.5, k - 1.2, *rng.uniform(0.0, k - 1.0, 10)]:
                 tau = tau_bins / w.bandwidth
-                cube = synth_cfr(PathTable([tau], [complex(*rng.normal(size=2))]), w)
+                cube = synth_cfr(first_order(PathTable([tau], [complex(*rng.normal(size=2))]), w), w)
                 res = subtract_dominant_paths(cube, 1)
                 assert res.removed.delay[0] == pytest.approx(tau, abs=1e-14), (k, tau_bins)
 
@@ -277,7 +290,7 @@ class TestSubtractDominantPaths:
         # the hint sits where |S|^2 curves upward: plain Newton steps would walk away
         w = waveform(8, 128)
         tau = 40.3 / w.bandwidth
-        cube = synth_cfr(PathTable([tau], [0.7 + 0.2j], [0.0]), w)
+        cube = synth_cfr(first_order(PathTable([tau], [0.7 + 0.2j], [0.0]), w), w)
         row = cube.data.mean(axis=0)
         fit, amp = _fit_static_path(row, w.delta_f, w.bandwidth, tau_hint=tau + offset_bins / w.bandwidth)
         assert fit == pytest.approx(tau, abs=1e-14)
@@ -473,7 +486,7 @@ class TestDetectPeaks:
     def test_exclude_zero_doppler_hides_static_scene(self):
         w = waveform(64, 64)
         cube = synth_cfr(
-            PathTable(np.array([5, 11]) / w.bandwidth, [1.0 + 0j, 0.5 + 0j]),
+            first_order(PathTable(np.array([5, 11]) / w.bandwidth, [1.0 + 0j, 0.5 + 0j]), w),
             w,
         )
         ddm = delay_doppler_map(cube)

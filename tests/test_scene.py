@@ -1,4 +1,5 @@
 import math
+import re
 import textwrap
 import tracemalloc
 
@@ -8,7 +9,7 @@ import yaml
 from conftest import FULL_SCENE, first_link_paths
 
 from bisim import pipeline
-from bisim.channel import PathTable, WaveformConfig, synth_cfr
+from bisim.channel import PathTable, WaveformConfig, first_order, synth_cfr
 from bisim.cli import main
 from bisim.config import parse_config
 from bisim.errors import ConfigError, GeometryError
@@ -33,11 +34,20 @@ def basic_scene(**kwargs):
 
 
 class TestSceneConfig:
-    def test_duplicate_ids_rejected(self):
-        tx = SceneNode("n0", NodePose(vec3(0, 0, 0)))
-        rx = SceneNode("n0", NodePose(vec3(10, 0, 0)))
-        with pytest.raises(ConfigError, match="n0"):
-            SceneConfig([tx], [rx], wavelength=LAM)
+    @pytest.mark.parametrize("tx_ids, rx_ids, named", [
+        (["n0"], ["n0"], "duplicate node id 'n0'"),
+        # links a_b -> c and a -> b_c would both write the datasets and files of a_b_c
+        (["a_b", "a"], ["c", "b_c"], "links 'a_b' -> 'c' and 'a' -> 'b_c' share the name 'a_b_c'"),
+        (["tx0"], ["x/../../escaped"], repr("x/../../escaped")),
+        ([r"tx\0"], ["rx0"], repr(r"tx\0")),
+        (["tx0"], ["rx\0"], repr("rx\0")),
+    ], ids=["repeated", "link-names", "slash", "backslash", "nul"])
+    def test_duplicate_ids_rejected(self, tx_ids, rx_ids, named):
+        # an id names a link's datasets and output files, so it must name one link and no path
+        tx = [SceneNode(node_id, NodePose(vec3(i, 0, 0))) for i, node_id in enumerate(tx_ids)]
+        rx = [SceneNode(node_id, NodePose(vec3(10, i, 0))) for i, node_id in enumerate(rx_ids)]
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            SceneConfig(tx, rx, wavelength=LAM)
 
     def test_needs_tx_and_rx(self):
         tx = SceneNode("tx0", NodePose(vec3(0, 0, 0)))
@@ -77,7 +87,8 @@ class TestSceneNodePose:
         rx = SceneNode("rx0", Trajectory.from_waypoints([(0.0, (100, 0, 0)), (1.0, (120, 0, 0))]))
         scene = SceneConfig([SceneNode("tx0", NodePose(vec3(0, 0, 0)))], [rx], wavelength=w.wavelength)
         fixed = first_link_paths(scene, 0.0, doppler=True).doppler[0]
-        phase = np.unwrap(np.angle(synth_cfr(link_callback(scene, *scene.links()[0]), w).data[:, 0]))
+        cube = synth_cfr(link_callback(scene, *scene.links()[0], w.symbol_times()), w)
+        phase = np.unwrap(np.angle(cube.data[:, 0]))
         slope = (phase[-1] - phase[0]) / (2 * np.pi * (w.n_symbols - 1) * w.t_sym)
         assert fixed == pytest.approx(-20 / w.wavelength, rel=1e-12)
         assert slope == pytest.approx(fixed, rel=1e-9)
@@ -130,7 +141,7 @@ class TestLinkPaths:
         )
         scene = basic_scene(targets=[target])
         w = WaveformConfig(3.7e9, 20e6, 32, 16)
-        cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
+        cube = synth_cfr(link_callback(scene, *scene.links()[0], w.symbol_times()), w)
         assert cube.data.shape == (16, 32)
         assert np.sum(np.abs(cube.data) ** 2) > 0
 
@@ -146,7 +157,7 @@ class TestLinkPaths:
         paths = first_link_paths(scene, 0.25, doppler=doppler)
         assert (paths.doppler is not None) == doppler
         w = WaveformConfig(3.7e9, 20e6, 48, 40)
-        cube = synth_cfr(paths, w)
+        cube = synth_cfr(first_order(paths, w), w)
         f_d = paths.doppler if doppler else np.zeros(len(paths))
         dt, freqs = np.arange(w.n_symbols) * w.t_sym, np.arange(w.n_subcarriers) * w.delta_f
         expected = np.zeros((w.n_symbols, w.n_subcarriers), dtype=complex)
@@ -252,7 +263,7 @@ class TestGeometricSynthesis:
         scene = oracle_scene(w)
         assert scene.rx_nodes[0].motion.times[-1] < w.duration / 2
         assert scene.targets[0].trajectory.times[-1] < w.duration
-        cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
+        cube = synth_cfr(link_callback(scene, *scene.links()[0], w.symbol_times()), w)
         ref = direct_cfr(scene, w)
         assert np.max(np.abs(cube.data - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -267,9 +278,11 @@ class TestGeometricSynthesis:
             cloud([[0, 0, 0]], [1.0]), Trajectory.from_waypoints(track))])
         blocks = []
 
-        def callback(times):
-            blocks.append(times)
-            return first_link_paths(scene, times)
+        geometric = link_callback(scene, *scene.links()[0], w.symbol_times())
+
+        def callback(rows):
+            blocks.append(w.symbol_times()[rows])
+            return geometric(rows)
 
         with pytest.raises(GeometryError):
             synth_cfr(callback, w)
@@ -297,7 +310,7 @@ class TestGeometricSynthesis:
         assert w.n_symbols * 64 * w.n_subcarriers * 16 >= 1e9
         tracemalloc.start()
         try:
-            cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
+            cube = synth_cfr(link_callback(scene, *scene.links()[0], w.symbol_times()), w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -371,14 +384,15 @@ class TestFixedModeBound:
         frozen_over = tight = 0.0
         for tx_node, rx_node in cfg.scene.links():
             table = link_paths(cfg.scene, tx_node.pose(t0), rx_node.pose(t0), t0, doppler=True)
-            geometric = link_callback(cfg.scene, tx_node, rx_node)
+            geometric = link_callback(cfg.scene, tx_node, rx_node, t0 + dt)
             curvature = range_acceleration(cfg.scene, tx_node, rx_node, t0 + dt).max(axis=0)
             for p in range(len(table)):
-                def alone(times, p=p):
-                    paths = geometric(times)
-                    return PathTable(paths.delay[:, [p]], paths.gain[:, [p]])
+                def alone(rows, p=p):
+                    delay, gain = geometric(rows)
+                    return delay[:, [p]], gain[:, [p]]
 
-                fixed = synth_cfr(PathTable(table.delay[[p]], table.gain[[p]], table.doppler[[p]]), w, t0)
+                path = PathTable(table.delay[[p]], table.gain[[p]], table.doppler[[p]])
+                fixed = synth_cfr(first_order(path, w), w, t0)
                 geo = synth_cfr(alone, w, t0)
                 error = np.abs(np.angle(geo.data * np.conj(fixed.data)))
                 bound = np.pi * np.outer(curvature[p] * dt ** 2, freqs) / C0
@@ -401,6 +415,18 @@ class TestFixedModeBound:
                  for mode in ("fixed", "geometric")}
         for fixed, geo in zip(cubes["fixed"], cubes["geometric"]):
             assert (np.abs(fixed - geo).max(axis=1) / np.abs(geo).max(axis=1)).max() <= 1e-3
+
+    def test_a_scene_at_rest_gives_bit_equal_modes(self):
+        # with the car held at one waypoint nothing moves: geometric mode's link_callback gives the
+        # t0 table at every symbol, and first_order carries it with zero Dopplers, delay τ - 0 and
+        # gain a·exp(0), so the two row callbacks give the same rows and the same cubes
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc.update(noise={})
+        doc["scene"]["targets"][0]["trajectory"] = doc["scene"]["targets"][0]["trajectory"][:1]
+        cubes = {mode: [cube.data for _, cube in pipeline._simulate_links(parse_config(dict(doc, mode=mode)))]
+                 for mode in ("fixed", "geometric")}
+        assert len(cubes["fixed"]) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(cubes["fixed"], cubes["geometric"]))
 
 
 class TestFrameInvariance:
@@ -445,6 +471,34 @@ class TestFrameInvariance:
             gains = link_paths(scene, tx.pose(cfg.t0), rx.pose(cfg.t0), cfg.t0).gain
             bound = np.abs(gains).sum() * 2 * np.pi * 5 * np.finfo(float).eps * x / scene.wavelength
             assert np.abs(a - b).max() <= bound
+
+    @pytest.mark.parametrize("mode", ["fixed", "geometric"])
+    def test_swapping_tx_and_rx_keeps_the_cube(self, mode):
+        # FULL_SCENE's first link, tx0 -> rx0, and the same link with its two nodes swapped. Every
+        # hop length, delay and carrier phase is the same bit for bit: a sum d_tx + d_rx, a Doppler
+        # sum and the norm of a negated vector all are. Only a scattered path's 4π·d_tx·d_rx takes
+        # its factors in the other order: each order is within ε of the exact product, and the
+        # division and the complex product with the carrier phasor add ε/2 and √5·ε/2 a side, so
+        # the gains differ by under 6ε|w|. path_rows then rounds each entry's product into its
+        # high ramp and its P-term dot product, within (P + 1)·2ε·Σ|w| a side (|z^k| = 1 to
+        # rounding). So |Δ| <= (6 + 4(P + 1))·ε·Σ|w| at the symbol of largest Σ|w|.
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc.update(mode=mode, noise={})
+        scene = doc["scene"]
+        scene["rx_nodes"] = scene["rx_nodes"][:1]
+        cfgs = [parse_config(doc), parse_config(dict(doc, scene=dict(
+            scene, tx_nodes=scene["rx_nodes"], rx_nodes=scene["tx_nodes"])))]
+        (a,), (b,) = [[cube.data for _, cube in pipeline._simulate_links(cfg)] for cfg in cfgs]
+        if mode == "fixed":
+            # the t0 table's gains round alike in both orders here: measured 0
+            assert np.array_equal(a, b)
+            return
+        cfg = cfgs[0]
+        times = cfg.waveform.symbol_times(cfg.t0)
+        (tx, rx), = cfg.scene.links()
+        gains = link_paths(cfg.scene, tx.pose(times), rx.pose(times), times).gain
+        bound = (6 + 4 * (gains.shape[1] + 1)) * np.finfo(float).eps * np.abs(gains).sum(axis=1).max()
+        assert np.abs(a - b).max() <= bound
 
 
 class TestIlluminationPaths:

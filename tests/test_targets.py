@@ -15,7 +15,7 @@ from scipy.signal import get_window
 
 import bisim
 from bisim import targets
-from bisim.channel import _SLAB_ELEMENTS, WaveformConfig, synth_cfr
+from bisim.channel import _SLAB_ELEMENTS, WaveformConfig, first_order, synth_cfr
 from bisim.config import parse_config
 from bisim.errors import ConfigError
 from bisim.geometry import C0, NodePose, Trajectory, direction_from_angles, pose_at, vec3
@@ -479,7 +479,7 @@ class TestRcsAndLinkBudget:
         target = single_point_target(s, track=((0.0, (0, 0, 0)),))
         paths = target_paths(target, tx, rx, 0.0, LAM, doppler=True)
         w = WaveformConfig(C0 / LAM, 20e6, 32, 16)
-        cube = synth_cfr(paths, w)
+        cube = synth_cfr(first_order(paths, w), w)
         power_db = 10 * np.log10(np.mean(np.abs(cube.data) ** 2))
         budget = LinkBudget(0.0, 0.0, 0.0, LAM, d_tx, d_rx, equivalent_rcs(s))
         expected = link_budget(budget)["received_power_dbm"]
@@ -955,7 +955,7 @@ class TestSynthesisMatchesScan:
         w, target = self.waveform, self.target(kind)
         scene = SceneConfig([SceneNode("tx0", NodePose(self.tx))], [SceneNode("rx0", NodePose(self.rx))],
                             [target], wavelength=w.wavelength, include_los=False)
-        cube = synth_cfr(link_callback(scene, *scene.links()[0]), w)
+        cube = synth_cfr(link_callback(scene, *scene.links()[0], w.symbol_times()), w)
         freqs = w.subcarrier_frequencies()
         band = FrequencyBand(freqs[0], freqs[-1], w.n_subcarriers)
         for m in (0, 37, 95):
