@@ -128,12 +128,6 @@ class WaveformConfig:
         return 1.0 / self.delta_f
 
     @property
-    def wavelength(self) -> float:
-        from .geometry import C0
-
-        return C0 / self.f_c
-
-    @property
     def duration(self) -> float:
         """Slow-time span of one capture."""
         return self.n_symbols * self.t_sym
@@ -152,7 +146,6 @@ class SlowTimeCube:
 
     data: np.ndarray
     waveform: WaveformConfig
-    t0: float = 0.0
 
     def __post_init__(self):
         # worked in place: a ResultArchive.read view, read-only and unaligned, is copied
@@ -318,12 +311,11 @@ def first_order(paths: PathTable, waveform: WaveformConfig) -> Callable[[slice],
     return rows
 
 
-def synth_cfr(paths_of: Callable[[slice], tuple], waveform: WaveformConfig, t0: float = 0.0) -> SlowTimeCube:
-    """The CFR capture from t0 on path_rows, whose row callback paths_of gives the (delay, gain)
-    of the symbols of a slice: fixed mode's first_order or geometric mode's scene.link_callback.
+def synth_cfr(paths_of: Callable[[slice], tuple], waveform: WaveformConfig) -> SlowTimeCube:
+    """The CFR capture on path_rows, whose row callback paths_of gives the (delay, gain) of the
+    symbols of a slice: fixed mode's first_order or geometric mode's scene.link_callback.
     Superposition is exactly linear in the path set."""
-    w = waveform
-    return SlowTimeCube(path_rows(paths_of, w.n_symbols, w.delta_f, w.n_subcarriers), w, t0)
+    return SlowTimeCube(path_rows(paths_of, waveform.n_symbols, waveform.delta_f, waveform.n_subcarriers), waveform)
 
 
 def add_noise(cube: SlowTimeCube, snr_db: float, seed: int) -> SlowTimeCube:

@@ -48,6 +48,7 @@ import yaml
 from .channel import WaveformConfig, named_window
 from .errors import ConfigError
 from .geometry import C0, NodePose, Trajectory
+from .processing import check_clean_paths, check_gate, check_stft
 from .scene import SceneConfig, SceneNode
 from .targets import (MAX_AXIS_POINTS, FrequencyBand, LinkBudget, RigidTarget, ScattererStates, Spin, cloud,
                       equivalent_rcs, rotor, stepped_axis)
@@ -238,9 +239,11 @@ def _section(cls: Callable, table: list) -> Kind:
                 lambda obj: _echo(obj, table), cls)
 
 
-def _record(name: str, table: list) -> Kind:
-    """Section of a config-only record: a dataclass with one field per table attribute."""
-    return _section(make_dataclass(name, [entry.attr for entry in table], eq=False), table)
+def _record(name: str, table: list, check: Callable | None = None) -> Kind:
+    """Section of a config-only record: a dataclass with one field per table attribute, which
+    runs check, where given, on each record made; a ConfigError from it names the section."""
+    namespace = {"__post_init__": check} if check else {}
+    return _section(make_dataclass(name, [entry.attr for entry in table], eq=False, namespace=namespace), table)
 
 
 def _list(item: Kind) -> Kind:
@@ -363,9 +366,11 @@ TARGET = _tagged("kind", {
 })
 
 GATE = _record("GateConfig", [
-    Key("center_ns", FLOAT), Key("width_ns", FLOAT, 2.0), Key("edge_ns", FLOAT, 0.0)])
+    Key("center_ns", FLOAT), Key("width_ns", FLOAT, 2.0), Key("edge_ns", FLOAT, 0.0)],
+    lambda g: check_gate(g.width_ns * 1e-9, g.edge_ns * 1e-9))
 STFT = _record("StftConfig", [
-    Key("fft_size", INT, 2048), Key("hop", INT, 32), Key("window", WINDOW, "gaussian")])
+    Key("fft_size", INT, 2048), Key("hop", INT, 32), Key("window", WINDOW, "gaussian")],
+    lambda st: check_stft(st.fft_size, st.hop))
 PROCESSING = _record("ProcessingConfig", [
     Key("fast_window", WINDOW, "none"), Key("slow_window", WINDOW, "none"), Key("clean_paths", INT, 0),
     Key("detect_threshold_db", FLOAT, 20.0), Key("exclude_zero_doppler", BOOL, True),
@@ -421,10 +426,14 @@ RUN = _record("RunConfig", [
 
 
 def parse_config(doc) -> RunConfig:
-    """Validated RunConfig of a parsed YAML document."""
+    """Validated RunConfig of a parsed YAML document; every subcommand refuses a bad processing value."""
     cfg = RUN.parse(doc, "", None)
     if cfg.noise.snr_db is not None and cfg.noise.seed is None:
         raise ConfigError("noise.seed: a seed is mandatory when noise is enabled")
+    try:
+        check_clean_paths(cfg.processing.clean_paths, cfg.waveform.n_subcarriers)
+    except ConfigError as err:
+        raise ConfigError(f"processing.clean_paths: {err}") from None
     return cfg
 
 

@@ -1,12 +1,12 @@
 """Multistatic fusion: target position and velocity from bistatic observations.
 
-Position comes from weighted nonlinear least squares on bistatic ranges
+Position comes from nonlinear least squares on bistatic ranges
 (Malanowski & Kulpa, IEEE TAES 48(1), 2012). A bounded coarse-to-fine grid
 search (at most _AXIS_CELLS cells per axis, so work and memory do not grow
 with the scene or with dim=3) seeds a damped Gauss-Newton refinement,
 guarding against the multimodal ellipse-intersection cost. Velocity follows
 from the linear system f_D,l = -(1/λ_l)(û_tx,l + û_rx,l)·v solved by
-weighted least squares, with rank/conditioning diagnostics that expose
+least squares, with rank/conditioning diagnostics that expose
 Doppler-blind subspaces explicitly. Each observation carries its link's
 two node poses, so no call takes a node map; _link_nodes stacks them, as it
 does geometry_condition's pose pairs, and _hops gives every link's unit
@@ -15,7 +15,7 @@ vectors and bistatic range at once for all of these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +25,9 @@ from .geometry import C0, NodePose, as_vec3
 
 _RANK_TOL = 1e-10
 _EPS_NODE = 1e-12       # closer than this a point sits on a node (m)
+_GRID_CELL = 1.0        # finest grid spacing (m), and the distance within which two solutions are one
 _AXIS_CELLS = 64        # grid cells per axis, coarse grid and re-grid windows alike
-_REGRID = 4             # best solutions re-gridded at grid_cell spacing
+_REGRID = 4             # best solutions re-gridded at _GRID_CELL spacing
 _MAX_SEEDS = 64         # Gauss-Newton seeds from the coarse grid, and from all windows
 _BLOCK_ELEMENTS = 2**14  # (cells x links) scored at once
 _MAX_ITER = 100         # Gauss-Newton iterations per seed
@@ -43,15 +44,12 @@ class BistaticObservation:
     excess_delay: float
     doppler: float
     wavelength: float
-    weight: float = 1.0
 
     def __post_init__(self):
         if self.excess_delay < 0:
             raise ConfigError("excess delay must be >= 0")
         if self.wavelength <= 0:
             raise ConfigError("wavelength must be positive")
-        if self.weight <= 0:
-            raise ConfigError("observation weight must be positive")
 
 
 @dataclass(eq=False)
@@ -111,17 +109,16 @@ def _embed(p: np.ndarray, dim: int) -> np.ndarray:
     return np.array([p[0], p[1], 0.0]) if dim == 2 else p
 
 
-def _range_residuals(p3, links, targets, sqrt_w):
+def _range_residuals(p3, links, targets):
     u_tx, u_rx, ranges = _hops(p3, links[:, 0], links[:, 1])
-    return sqrt_w * (ranges - targets), sqrt_w[:, None] * (u_tx + u_rx)
+    return ranges - targets, u_tx + u_rx
 
 
-def _gauss_newton(p0, links, targets, weights, dim):
+def _gauss_newton(p0, links, targets, dim):
     """Levenberg-damped Gauss-Newton on the range cost from a seed point."""
     p = _embed(np.asarray(p0, dtype=float), dim)
-    sqrt_w = np.sqrt(weights)
     lam = 1e-6
-    res, rows = _range_residuals(p, links, targets, sqrt_w)
+    res, rows = _range_residuals(p, links, targets)
     cost = float(res @ res)
     converged = False
     for _ in range(_MAX_ITER):
@@ -134,7 +131,7 @@ def _gauss_newton(p0, links, targets, weights, dim):
             break
         cand = p.copy()
         cand[:dim] += step
-        new_res, new_rows = _range_residuals(cand, links, targets, sqrt_w)
+        new_res, new_rows = _range_residuals(cand, links, targets)
         new_cost = float(new_res @ new_res)
         if new_cost <= cost:
             p, res, rows, cost = cand, new_res, new_rows, new_cost
@@ -149,7 +146,7 @@ def _gauss_newton(p0, links, targets, weights, dim):
     return p, np.sqrt(cost / len(targets)), converged
 
 
-def _scene_box(links, targets, cell: float, dim: int):
+def _scene_box(links, targets, dim: int):
     """Center and half-widths of the box covering every link's iso-range
     ellipse, 1.5x expanded.
 
@@ -160,13 +157,13 @@ def _scene_box(links, targets, cell: float, dim: int):
     a = targets[:, None] / 2.0
     lo = (np.minimum(links[:, 0], links[:, 1]) - a).min(axis=0)
     hi = (np.maximum(links[:, 0], links[:, 1]) + a).max(axis=0)
-    half = np.maximum((hi - lo) / 2.0, cell) * 1.5
+    half = np.maximum((hi - lo) / 2.0, _GRID_CELL) * 1.5
     return ((lo + hi) / 2.0)[:dim], half[:dim]
 
 
-def _box_axes(center, half, cell: float) -> list[np.ndarray]:
-    """Axes over center ± half at spacing cell, coarsened to at most _AXIS_CELLS."""
-    counts = np.clip(np.ceil(2 * half / cell).astype(int) + 1, 3, _AXIS_CELLS)
+def _box_axes(center, half) -> list[np.ndarray]:
+    """Axes over center ± half at spacing _GRID_CELL, coarsened to at most _AXIS_CELLS."""
+    counts = np.clip(np.ceil(2 * half / _GRID_CELL).astype(int) + 1, 3, _AXIS_CELLS)
     return [np.linspace(c - h, c + h, n) for c, h, n in zip(center, half, counts)]
 
 
@@ -178,15 +175,15 @@ def _cell_points(axes, flat_idx) -> np.ndarray:
     return pts
 
 
-def _grid_cost(axes, links, targets, weights) -> np.ndarray:
-    """Weighted range misfit on the grid spanned by axes, scored in blocks of cells."""
+def _grid_cost(axes, links, targets) -> np.ndarray:
+    """Range misfit on the grid spanned by axes, scored in blocks of cells."""
     shape = tuple(len(ax) for ax in axes)
     cost = np.empty(int(np.prod(shape)))
     block = max(1, _BLOCK_ELEMENTS // len(targets))
     for start in range(0, cost.size, block):
         at = np.arange(start, min(start + block, cost.size))
         _, _, ranges = _hops(_cell_points(axes, at), links[:, 0], links[:, 1])
-        cost[at] = (weights * (ranges - targets) ** 2).sum(axis=1)
+        cost[at] = ((ranges - targets) ** 2).sum(axis=1)
     return cost.reshape(shape)
 
 
@@ -202,15 +199,14 @@ def _grid_minima(axes, cost, limit: int) -> np.ndarray:
     return _cell_points(axes, idx[np.lexsort((idx, cost.ravel()[idx]))][:limit])
 
 
-def localize(obs: Sequence[BistaticObservation], dim: int = 2,
-             grid_cell: float = 1.0) -> StateEstimate:
-    """Position estimate minimizing the weighted bistatic-range misfit.
+def localize(obs: Sequence[BistaticObservation], dim: int = 2) -> StateEstimate:
+    """Position estimate minimizing the bistatic-range misfit.
 
     A coarse grid over the 1.5x-expanded box of every link's ellipse, at
-    most _AXIS_CELLS cells per axis and never finer than grid_cell, seeds the
+    most _AXIS_CELLS cells per axis and never finer than _GRID_CELL, seeds the
     solver from its local minima. When the cap made it coarser than
-    grid_cell, the box of two coarse cells either side of each of the best
-    _REGRID solutions is re-gridded once at grid_cell spacing (same cap), and
+    _GRID_CELL, the box of two coarse cells either side of each of the best
+    _REGRID solutions is re-gridded once at _GRID_CELL spacing (same cap), and
     its local minima seed the solver too; so minima closer together than a
     coarse cell, such as near twin ellipse intersections, are both found.
     With fewer observations than dim (or several near-equal minima) every
@@ -224,32 +220,29 @@ def localize(obs: Sequence[BistaticObservation], dim: int = 2,
     links = _link_nodes((o.tx, o.rx) for o in obs)
     targets = (C0 * np.array([o.excess_delay for o in obs])
                + np.linalg.norm(links[:, 1] - links[:, 0], axis=1))
-    weights = np.array([o.weight for o in obs])
-    axes = _box_axes(*_scene_box(links, targets, grid_cell, dim), grid_cell)
+    axes = _box_axes(*_scene_box(links, targets, dim))
     solutions = []
-    dedupe = max(grid_cell, 1e-6)
 
     def refine(seeds):
         for seed in seeds:
-            p, rms, converged = _gauss_newton(seed, links, targets, weights, dim)
-            if not any(np.linalg.norm(p - q) < dedupe for q, *_ in solutions):
+            p, rms, converged = _gauss_newton(seed, links, targets, dim)
+            if not any(np.linalg.norm(p - q) < _GRID_CELL for q, *_ in solutions):
                 solutions.append((p, rms, converged))
         solutions.sort(key=lambda s: s[1])
 
-    refine(_grid_minima(axes, _grid_cost(axes, links, targets, weights), _MAX_SEEDS))
+    refine(_grid_minima(axes, _grid_cost(axes, links, targets), _MAX_SEEDS))
     steps = np.array([ax[1] - ax[0] for ax in axes])
-    if steps.max() > grid_cell:  # the cap coarsened the grid
+    if steps.max() > _GRID_CELL:  # the cap coarsened the grid
         for p, *_ in solutions[:_REGRID]:
-            window = _box_axes(p[:dim], 2 * steps, grid_cell)
-            refine(_grid_minima(window, _grid_cost(window, links, targets, weights),
-                                _MAX_SEEDS // _REGRID))
+            window = _box_axes(p[:dim], 2 * steps)
+            refine(_grid_minima(window, _grid_cost(window, links, targets), _MAX_SEEDS // _REGRID))
     best_p, best_rms, best_conv = solutions[0]
 
     scale = max(float(np.max(targets)), 1.0)
     close = [s for s in solutions if s[1] <= max(10.0 * best_rms, 1e-9 * scale)]
     ambiguous = len(obs) < dim or len(close) > 1
 
-    _, rows = _range_residuals(best_p, links, targets, np.sqrt(weights))
+    _, rows = _range_residuals(best_p, links, targets)
     return StateEstimate(
         position=best_p,
         position_residual_rms=float(best_rms),
@@ -274,7 +267,7 @@ def estimate_velocity(obs: Sequence[BistaticObservation], position,
                       dim: int = 2) -> StateEstimate:
     """Velocity vector from measured Dopplers at a known target position.
 
-    Weighted least squares on the stacked Doppler rows. When the row space
+    Least squares on the stacked Doppler rows. When the row space
     does not span dim directions only the observable component is returned
     (minimum-norm solution) and the blind subspace is reported as the null
     space basis of the coefficient matrix.
@@ -283,10 +276,7 @@ def estimate_velocity(obs: Sequence[BistaticObservation], position,
         raise ConfigError("need at least one observation")
     if dim not in (2, 3):
         raise ConfigError("dim must be 2 or 3")
-    rows, rhs = _doppler_matrix(obs, _link_nodes((o.tx, o.rx) for o in obs), position, dim)
-    weights = np.sqrt(np.array([o.weight for o in obs]))
-    a = weights[:, None] * rows
-    b = weights * rhs
+    a, b = _doppler_matrix(obs, _link_nodes((o.tx, o.rx) for o in obs), position, dim)
     u, s, vt = np.linalg.svd(a, full_matrices=True)
     n_axes = a.shape[1]
     rank = int(np.sum(s > _RANK_TOL * (s[0] if s.size else 1.0)))
@@ -296,29 +286,23 @@ def estimate_velocity(obs: Sequence[BistaticObservation], position,
     v = vt.T @ coeffs
     blind = vt[rank:].T if rank < n_axes else None
     residual = a @ v - b
-    v3 = np.zeros(3)
-    v3[:n_axes] = v
     return StateEstimate(
         position=_embed(np.asarray(position, dtype=float), dim),
-        velocity=v3,
-        velocity_residual_rms=float(np.sqrt(np.mean(residual**2))) if len(obs) else 0.0,
+        velocity=_embed(v, dim),
+        velocity_residual_rms=float(np.sqrt(np.mean(residual**2))),
         doppler_condition=_condition(s, n_axes),
         doppler_rank=rank,
         blind_directions=blind,
     )
 
 
-def fuse(obs: Sequence[BistaticObservation], dim: int = 2,
-         grid_cell: float = 1.0) -> StateEstimate:
+def fuse(obs: Sequence[BistaticObservation], dim: int = 2) -> StateEstimate:
     """localize + estimate_velocity in one pass, merged into one estimate."""
-    pos_est = localize(obs, dim, grid_cell)
+    pos_est = localize(obs, dim)
     vel_est = estimate_velocity(obs, pos_est.position, dim)
-    pos_est.velocity = vel_est.velocity
-    pos_est.velocity_residual_rms = vel_est.velocity_residual_rms
-    pos_est.doppler_condition = vel_est.doppler_condition
-    pos_est.doppler_rank = vel_est.doppler_rank
-    pos_est.blind_directions = vel_est.blind_directions
-    return pos_est
+    return replace(vel_est, position=pos_est.position, position_residual_rms=pos_est.position_residual_rms,
+                   range_condition=pos_est.range_condition, ambiguous=pos_est.ambiguous,
+                   alternates=pos_est.alternates, converged=pos_est.converged)
 
 
 def geometry_condition(links: Sequence[tuple[NodePose, NodePose]], position,

@@ -82,7 +82,7 @@ def _link_cube(cfg: RunConfig, i: int, link: Link) -> SlowTimeCube:
         rows = link_callback(cfg.scene, link.tx_node, link.rx_node, cfg.waveform.symbol_times(cfg.t0))
     else:
         rows = first_order(link_paths(cfg.scene, link.tx, link.rx, cfg.t0, doppler=True), cfg.waveform)
-    cube = synth_cfr(rows, cfg.waveform, t0=cfg.t0)
+    cube = synth_cfr(rows, cfg.waveform)
     if cfg.noise.snr_db is None:
         return cube
     return add_noise(cube, cfg.noise.snr_db, seed=[cfg.noise.seed, i])
@@ -96,17 +96,17 @@ def _simulate_links(cfg: RunConfig) -> Iterator[tuple[Link, SlowTimeCube]]:
         yield link, _link_cube(cfg, i, link)
 
 
-def _cube_axes(cube: SlowTimeCube) -> list[Axis]:
+def _cube_axes(cfg: RunConfig) -> list[Axis]:
     return [
-        Axis("slow_time", "s", cube.waveform.symbol_times(cube.t0)),
-        Axis("subcarrier", "Hz", cube.waveform.subcarrier_frequencies()),
+        Axis("slow_time", "s", cfg.waveform.symbol_times(cfg.t0)),
+        Axis("subcarrier", "Hz", cfg.waveform.subcarrier_frequencies()),
     ]
 
 
 def run_simulate(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     links = []
     for link, cube in _simulate_links(cfg):
-        archive.add(f"cfr_{link.name}", cube.data, _cube_axes(cube))
+        archive.add(f"cfr_{link.name}", cube.data, _cube_axes(cfg))
         los = link.los_delay
         links.append(
             {
@@ -207,7 +207,7 @@ def run_clean(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     n = cfg.processing.clean_paths
     for link, cube in _simulate_links(cfg):
         res = subtract_dominant_paths(cube, n)
-        archive.add(f"clean_residual_{link.name}", cube.data, _cube_axes(cube))
+        archive.add(f"clean_residual_{link.name}", cube.data, _cube_axes(cfg))
         results[link.name] = {
             "removed": [
                 {

@@ -35,10 +35,10 @@ _PRE_MARGIN_DB = 1e-6       # detection's linear pre-threshold lies this far bel
                             # beyond log10's rounding, so no cell at the limit is missed
 
 
-def magnitude_db(x, floor_db: float = DB_FLOOR) -> np.ndarray:
-    """20 log10 |x| clamped below at the floor (exact zeros included); NaN stays NaN."""
+def magnitude_db(x) -> np.ndarray:
+    """20 log10 |x| clamped below at DB_FLOOR (exact zeros included); NaN stays NaN."""
     with np.errstate(divide="ignore"):
-        return np.maximum(20.0 * np.log10(np.abs(np.asarray(x))), floor_db)
+        return np.maximum(20.0 * np.log10(np.abs(np.asarray(x))), DB_FLOOR)
 
 
 @dataclass(eq=False)
@@ -93,19 +93,22 @@ def delay_doppler_map(cube: SlowTimeCube, fast_window: str = "none",
     return DelayDopplerMap(dd, delay_axis(w.n_subcarriers, w.bandwidth), doppler)
 
 
+def check_gate(width_s: float, edge_s: float) -> None:
+    """ConfigError unless width_s > 0 and 0 <= edge_s <= width_s / 2, where the two tapers meet."""
+    if not (width_s > 0 and 0 <= edge_s <= width_s / 2):
+        raise ConfigError(f"gate needs width_ns > 0 and edge_ns in [0, width_ns / 2], got {width_s * 1e9:g} "
+                          f"and {edge_s * 1e9:g}")
+
+
 def time_gate(values: np.ndarray, delay_s: np.ndarray, center_s: float,
               width_s: float, edge_s: float = 0.0) -> np.ndarray:
     """Zero delay bins outside [center - width/2, center + width/2].
 
     Gating applies along the last axis of `values`. edge_s > 0 replaces the
     hard edges with raised-cosine tapers of that width, one at each end, a
-    function of the distance to the nearer end. An edge outside [0, width/2]
-    raises ConfigError: past width/2 the two tapers would overlap.
+    function of the distance to the nearer end. Width and edge pass check_gate.
     """
-    if width_s <= 0:
-        raise ConfigError("gate width must be positive")
-    if not 0 <= edge_s <= width_s / 2:
-        raise ConfigError(f"gate edge_ns {edge_s * 1e9:g} must lie in [0, width_ns / 2 = {width_s * 5e8:g}]")
+    check_gate(width_s, edge_s)
     lo = center_s - width_s / 2.0
     hi = center_s + width_s / 2.0
     if hi < delay_s[0] or lo > delay_s[-1]:
@@ -186,6 +189,12 @@ def _fit_static_path(mean_row: np.ndarray, delta_f: float, bandwidth: float, tau
     return tau, complex(np.vdot(_ramp(tau, np.arange(n), delta_f), mean_row) / n)
 
 
+def check_clean_paths(n_paths: int, n_subcarriers: int) -> None:
+    """ConfigError unless 0 <= n_paths <= n_subcarriers: clean resolves at most one path per delay bin."""
+    if not 0 <= n_paths <= n_subcarriers:
+        raise ConfigError(f"clean_paths = {n_paths}: expected 0 to n_subcarriers = {n_subcarriers}")
+
+
 def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int) -> CleanResult:
     """Iteratively remove the strongest static (zero-Doppler) paths.
 
@@ -201,11 +210,10 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int) -> CleanResult:
     subtracted once at the end from cube.data, in place: the residual is the
     cube it is given, also for n_paths = 0. Paths whose peak rises less than
     _FLOOR_MARGIN_DB above the profile median are flagged as at the noise
-    floor.
+    floor. n_paths passes check_clean_paths.
     """
     w = cube.waveform
-    if not 0 <= n_paths <= w.n_subcarriers:   # clean resolves at most one path per delay bin
-        raise ConfigError(f"clean_paths = {n_paths}: expected 0 to n_subcarriers = {w.n_subcarriers}")
+    check_clean_paths(n_paths, w.n_subcarriers)
     if n_paths == 0:
         return CleanResult()
     k = np.arange(w.n_subcarriers)
@@ -235,6 +243,12 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int) -> CleanResult:
     return CleanResult(PathTable(delays, gains), at_noise_floor, peak_db_above_floor)
 
 
+def check_stft(fft_size: int, hop: int) -> None:
+    """ConfigError unless fft_size >= 1 and hop >= 1."""
+    if fft_size < 1 or hop < 1:
+        raise ConfigError(f"need fft_size >= 1 and hop >= 1, got {fft_size} and {hop}")
+
+
 @dataclass(eq=False)
 class Spectrogram:
     """STFT magnitude over slow time, dB normalized to the map peak."""
@@ -252,13 +266,12 @@ def stft_spectrogram(series: np.ndarray, t_step: float, fft_size: int = 2048,
     sigma = fft_size/6), FFT'd, fftshift-centered, and converted to dB
     relative to the spectrogram peak. The series' first sample is at time
     t0, so a frame's time, at its centre, is t0 + (start + fft_size/2) t_step.
-    The Doppler axis spans +/- 1/(2 t_step).
+    The Doppler axis spans +/- 1/(2 t_step); fft_size and hop pass check_stft.
     """
     series = np.asarray(series, dtype=complex)
     if series.ndim != 1:
         raise UsageError("spectrogram input must be a 1-D slow-time series")
-    if fft_size < 1 or hop < 1:
-        raise ConfigError(f"need fft_size >= 1 and hop >= 1, got {fft_size} and {hop}")
+    check_stft(fft_size, hop)
     if series.size < fft_size:
         raise ConfigError(
             f"series of {series.size} samples is shorter than fft_size={fft_size}"

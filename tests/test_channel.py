@@ -173,7 +173,7 @@ class TestSynthGeometric:
         w2 = WaveformConfig(3.7e9, 20e6, 16, 256)
         callback, *_ = crossing_target_callback(w, self.tx, self.rx)
         frame_a = synth_cfr(callback(w.symbol_times()), w)
-        frame_b = synth_cfr(callback(w.symbol_times(w.duration)), w, t0=w.duration)
+        frame_b = synth_cfr(callback(w.symbol_times(w.duration)), w)
         whole = synth_cfr(callback(w2.symbol_times()), w2)
         stitched = np.vstack([frame_a.data, frame_b.data])
         jump = np.abs(np.angle(whole.data[w.n_symbols] * np.conj(stitched[w.n_symbols])))

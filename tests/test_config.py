@@ -363,8 +363,8 @@ class TestStrictParsing:
         ('"2048"', 2048), ("2048.0", 2048), ('"4e3"', 4000), ("-3", -3)])
     def test_integers_of_exact_integral_value_accepted(self, text, value):
         doc = full_scene()
-        doc["processing"]["clean_paths"] = yaml.safe_load(text)
-        assert parse_config(doc).processing.clean_paths == value
+        doc["noise"]["seed"] = yaml.safe_load(text)
+        assert parse_config(doc).noise.seed == value
 
     def test_infinite_snr_means_no_noise_but_other_infinities_fail(self):
         doc = full_scene()
@@ -525,6 +525,43 @@ class TestStrictParsing:
             parse_config(doc)
         del doc["budget"]["rcs_m2"]
         assert parse_config(doc).budget.rcs_m2 == pytest.approx(4 * np.pi * 0.01)
+
+
+# Processing values out of bounds, each of which only some subcommands use: until parse_config
+# checked them, every other subcommand echoed them and exited 0. FULL_SCENE has 128 subcarriers.
+BAD_PROCESSING = [
+    pytest.param(("processing", "gate"), {"center_ns": 0, "width_ns": 2, "edge_ns": 5}, id="gate-edge-past-half-width"),
+    pytest.param(("processing", "gate"), {"center_ns": 0, "width_ns": 2, "edge_ns": -1}, id="gate-edge-negative"),
+    pytest.param(("processing", "gate"), {"center_ns": 0, "width_ns": 0}, id="gate-width-zero"),
+    pytest.param(("processing", "clean_paths"), -3, id="clean-paths-negative"),
+    pytest.param(("processing", "clean_paths"), 129, id="clean-paths-past-n-subcarriers"),
+    pytest.param(("processing", "stft"), {"fft_size": 0, "hop": 0}, id="stft-zero"),
+    pytest.param(("processing", "stft"), {"hop": 0}, id="stft-hop-zero"),
+]
+
+
+class TestProcessingBounds:
+    @pytest.mark.parametrize("sub", ["simulate", "linkbudget"])
+    @pytest.mark.parametrize("path, value", BAD_PROCESSING)
+    def test_every_subcommand_refuses_a_bad_processing_value(self, path, value, sub, tmp_path, capsys, caplog):
+        doc = full_scene()
+        put(doc, path, value)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"{sub}: {dotted(path)}: " in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_the_bounds_themselves_are_accepted(self):
+        # fft_size is not held to n_symbols here: the 2048 default would refuse every short capture
+        doc = full_scene()
+        doc["processing"].update(gate={"center_ns": 0, "width_ns": 2, "edge_ns": 1}, clean_paths=128,
+                                 stft={"fft_size": 4096, "hop": 1})
+        proc = parse_config(doc).processing
+        assert (proc.gate.edge_ns, proc.clean_paths, proc.stft.fft_size, proc.stft.hop) == (1, 128, 4096, 1)
+        doc["processing"].update(gate={"center_ns": 0, "width_ns": 2}, clean_paths=0, stft={"fft_size": 1})
+        assert parse_config(doc).processing.stft.fft_size == 1
 
 
 YAML_VALUES = st.recursive(

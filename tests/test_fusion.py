@@ -148,7 +148,7 @@ class TestLocalize:
         target = vec3(4, 7, 12)
         links = [("tx0", r) for r in ("rx0", "rx1", "rx2", "rx3")]
         obs = make_obs(nodes, links, target)
-        est = localize(obs, dim=3, grid_cell=2.0)
+        est = localize(obs, dim=3)
         assert np.linalg.norm(est.position - target) <= 1e-6
 
 
@@ -439,7 +439,7 @@ class TestCoarseToFine:
 
     def test_three_d_fuse_memory_is_bounded(self):
         # 2 Tx x 4 Rx on a 240 m arc (masts 0-25 m high); a dense grid at
-        # grid_cell over its 3-D search box would hold about 1e9 cells
+        # fusion._GRID_CELL over its 3-D search box would hold about 1e9 cells
         bearing = np.deg2rad([228.0, 312.0, 200.0, 256.0, 284.0, 340.0])
         heights = [10.0, 25.0, 0.0, 15.0, 5.0, 20.0]
         pos = [vec3(240 * np.cos(b), 240 * np.sin(b), h) for b, h in zip(bearing, heights)]

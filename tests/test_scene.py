@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 import textwrap
@@ -85,12 +86,12 @@ class TestSceneNodePose:
         # the Rx recedes along the line of sight at 20 m/s, so the path length grows linearly
         w = WaveformConfig(3.7e9, 4e6, 16, 64)
         rx = SceneNode("rx0", Trajectory.from_waypoints([(0.0, (100, 0, 0)), (1.0, (120, 0, 0))]))
-        scene = SceneConfig([SceneNode("tx0", NodePose(vec3(0, 0, 0)))], [rx], wavelength=w.wavelength)
+        scene = SceneConfig([SceneNode("tx0", NodePose(vec3(0, 0, 0)))], [rx], wavelength=C0 / w.f_c)
         fixed = first_link_paths(scene, 0.0, doppler=True).doppler[0]
         cube = synth_cfr(link_callback(scene, *scene.links()[0], w.symbol_times()), w)
         phase = np.unwrap(np.angle(cube.data[:, 0]))
         slope = (phase[-1] - phase[0]) / (2 * np.pi * (w.n_symbols - 1) * w.t_sym)
-        assert fixed == pytest.approx(-20 / w.wavelength, rel=1e-12)
+        assert fixed == pytest.approx(-20 / (C0 / w.f_c), rel=1e-12)
         assert slope == pytest.approx(fixed, rel=1e-9)
 
     def test_static_node_returns_its_stored_pose(self):
@@ -392,8 +393,8 @@ class TestFixedModeBound:
                     return delay[:, [p]], gain[:, [p]]
 
                 path = PathTable(table.delay[[p]], table.gain[[p]], table.doppler[[p]])
-                fixed = synth_cfr(first_order(path, w), w, t0)
-                geo = synth_cfr(alone, w, t0)
+                fixed = synth_cfr(first_order(path, w), w)
+                geo = synth_cfr(alone, w)
                 error = np.abs(np.angle(geo.data * np.conj(fixed.data)))
                 bound = np.pi * np.outer(curvature[p] * dt ** 2, freqs) / C0
                 # 1e-9 rad covers rounding: a carrier phase of 2πR/λ < 4e4 rad carries about 1e-11
@@ -499,6 +500,48 @@ class TestFrameInvariance:
         gains = link_paths(cfg.scene, tx.pose(times), rx.pose(times), times).gain
         bound = (6 + 4 * (gains.shape[1] + 1)) * np.finfo(float).eps * np.abs(gains).sum(axis=1).max()
         assert np.abs(a - b).max() <= bound
+
+    THETA = 0.7   # rad
+
+    @pytest.mark.parametrize("mode", ["fixed", "geometric"])
+    def test_turning_the_scene_about_z_keeps_the_cube(self, mode):
+        # the car gets a float yaw and a second scatterer off its origin, so the turn reaches the
+        # body; the turned copy turns every node, waypoint and clutter point by THETA about z and
+        # adds THETA to the yaw. A turn rounds each coordinate of a point at distance ρ from the z
+        # axis by under (√2 + 1/2)ερ (the rounded cos and sin, two products and a sum), so a
+        # point moves by under 3εX, X the largest ρ: a node by 3εX, and the car by 3εX from its
+        # waypoints, 2εX a side from interpolating them, and under εX from turning its body by
+        # the rounded yaw. A path's two hops move by up to 2·(3 + 7)εX = 20εX, and the norms' own
+        # rounding adds under 3εX. Fixed mode's Dopplers come from waypoint slopes, which move by
+        # 6εX/Δt for waypoints Δt apart, so over the capture's span T its phase moves by up to
+        # 2π·2·6εX·(T/Δt)/λ more. Each path's CFR term moves by |a| times the phase bound.
+        # Measured: 3.4e-13 (geometric) and 1.3e-13 (fixed) of the cube's peak.
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc.update(mode=mode, noise={})
+        car = doc["scene"]["targets"][0]
+        car.update(yaw=0.3, scatterers=[*car["scatterers"], {"offset": [1.5, -0.75, 0.5], "amplitude": 1.0}])
+        turned = copy.deepcopy(doc)
+        c, s = np.cos(self.THETA), np.sin(self.THETA)
+        turn = lambda p: [c * p[0] - s * p[1], s * p[0] + c * p[1], p[2]]
+        scene = turned["scene"]
+        for item in scene["tx_nodes"] + scene["rx_nodes"] + scene["clutter"]:
+            item["position"] = turn(item["position"])
+        turned_car = scene["targets"][0]
+        turned_car["trajectory"] = [[t, turn(p)] for t, p in turned_car["trajectory"]]
+        turned_car["yaw"] += self.THETA
+        cfgs = [parse_config(doc), parse_config(turned)]
+        a, b = [[cube.data for _, cube in pipeline._simulate_links(cfg)] for cfg in cfgs]
+        cfg = cfgs[0]
+        points = np.concatenate([[n.pose(cfg.t0).position for n in cfg.scene.tx_nodes + cfg.scene.rx_nodes],
+                                 cfg.scene.targets[0].trajectory.points, cfg.scene.clutter.positions])
+        x = np.hypot(points[:, 0], points[:, 1]).max()
+        waypoint_dt = np.diff(cfg.scene.targets[0].trajectory.times).min()
+        k = 23 + (12 * cfg.waveform.duration / waypoint_dt if mode == "fixed" else 0)
+        assert len(a) == 3
+        for (tx, rx), cube, turned_cube in zip(cfg.scene.links(), a, b):
+            gains = link_paths(cfg.scene, tx.pose(cfg.t0), rx.pose(cfg.t0), cfg.t0).gain
+            bound = np.abs(gains).sum() * 2 * np.pi * k * np.finfo(float).eps * x / cfg.scene.wavelength
+            assert np.abs(cube - turned_cube).max() <= bound
 
 
 class TestIlluminationPaths:

@@ -83,6 +83,8 @@ UNREAD = {
     "CleanResult.peak_db_above_floor": "each removed path's peak over the profile median, which the run "
                                        "diagnostics (ROADMAP item 2) will report",
     "DopplerCompensation.offsets_hz": "focus's per-path Doppler offsets, for Python callers",
+    "StateEstimate.blind_directions": "estimate_velocity's Doppler-blind subspace, which the run diagnostics "
+                                      "(ROADMAP item 2) will report",
 }
 
 
@@ -110,3 +112,67 @@ def test_every_record_field_is_read():
               if name.split(".")[1] not in read}
     assert not unread - UNREAD.keys(), f"no reader in src/bisim or bench/: {sorted(unread - UNREAD.keys())}"
     assert not UNREAD.keys() - unread, f"read now, so drop from UNREAD: {sorted(UNREAD.keys() - unread)}"
+
+
+
+# Defaults kept although no call in src/bisim or bench/ sets them, each with its use.
+UNSET = {
+    "ResultArchive.datasets": "filled in place by ResultArchive.add and ResultArchive.read",
+    "cloud(jones)": "the Jones matrices of a polarimetric cloud, which Python callers give; the config "
+                    "has no Jones key, so a cloud read from it shares one identity",
+}
+
+
+def defaulted(tree):
+    """(callee, label, position, name) of each defaulted parameter of a public function or method
+    and of each defaulted dataclass or NamedTuple field: the name a call uses for it, its label
+    (function(parameter) or Class.field), its index among a call's positional values (a method's
+    self not counted; None for a keyword-only parameter) and its name."""
+    for label, d in public_defs(tree):
+        method = "." in label and "staticmethod" not in [ast.unparse(x) for x in d.decorator_list]
+        positional = [*d.args.posonlyargs, *d.args.args][1 if method else 0:]
+        first = len(positional) - len(d.args.defaults)
+        yield from ((d.name, f"{label}({p.arg})", i, p.arg) for i, p in enumerate(positional) if i >= first)
+        yield from ((d.name, f"{label}({p.arg})", None, p.arg)
+                    for p, value in zip(d.args.kwonlyargs, d.args.kw_defaults) if value is not None)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            marks = [ast.unparse(x) for x in node.decorator_list] + [ast.unparse(b) for b in node.bases]
+            if any(m.startswith("dataclass") for m in marks) or "NamedTuple" in marks:
+                fields = [n for n in node.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+                yield from ((node.name, f"{node.name}.{n.target.id}", i, n.target.id)
+                            for i, n in enumerate(fields) if n.value is not None)
+
+
+def settings(tree):
+    """What the calls and stores under tree set: (callee, position) of each value a call gives by
+    position, up to its first *args, and ("", name) of each keyword a call gives, of each
+    attribute stored, and of each config Key's name and `to` attribute."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            callee = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", "")
+            for i, arg in enumerate(n.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                yield callee, i
+            yield from (("", k.arg) for k in n.keywords if k.arg)
+            if callee == "Key":
+                named = [*n.args[:1], *(k.value for k in n.keywords if k.arg in ("name", "to"))]
+                yield from (("", c.value) for c in named if isinstance(c, ast.Constant))
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            yield "", n.attr
+
+
+def test_every_default_has_a_setter():
+    """A default that no call changes is a knob that nothing turns (ROADMAP aim 2): each defaulted
+    parameter of a public function or method in src/bisim, and each defaulted dataclass or
+    NamedTuple field there, needs a setting in src/bisim or bench/: by keyword, by position in a
+    call of its function or class (matched by name), by attribute store, or as a config Key's name
+    or attribute; or an entry in UNSET. The functions in UNCALLED have no call to set them."""
+    src = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))]
+    bench = [ast.parse(p.read_text(), str(p)) for p in sorted(BENCH.glob("*.py"))]
+    given = {s for t in src + bench for s in settings(t)}
+    unset = {label for t in src for callee, label, i, name in defaulted(t)
+             if callee not in UNCALLED and ("", name) not in given and (callee, i) not in given}
+    assert not unset - UNSET.keys(), f"no call in src/bisim or bench/ sets: {sorted(unset - UNSET.keys())}"
+    assert not UNSET.keys() - unset, f"set now, so drop from UNSET: {sorted(UNSET.keys() - unset)}"

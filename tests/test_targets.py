@@ -954,7 +954,7 @@ class TestSynthesisMatchesScan:
     def test_cfr_rows_equal_scan_sweeps(self, kind):
         w, target = self.waveform, self.target(kind)
         scene = SceneConfig([SceneNode("tx0", NodePose(self.tx))], [SceneNode("rx0", NodePose(self.rx))],
-                            [target], wavelength=w.wavelength, include_los=False)
+                            [target], wavelength=C0 / w.f_c, include_los=False)
         cube = synth_cfr(link_callback(scene, *scene.links()[0], w.symbol_times()), w)
         freqs = w.subcarrier_frequencies()
         band = FrequencyBand(freqs[0], freqs[-1], w.n_subcarriers)
