@@ -26,11 +26,20 @@ takes excess delays from its Link.
 The spectrogram picks its delay bin from row slabs of the profiles, summing
 |P|^2 in symbol order as the whole-cube mean does, so the bin is the same
 and the choice needs one slab, not a |P|^2 of the whole cube.
+Cube memo: simulate's cfr_* arrays are read-only, and each is held, weakly,
+under (cube key, link index), the key being the echoed mode, t0, waveform,
+scene and noise sections. A link runner whose key matches a simulate archive
+still alive in the process copies that archive's cube instead of making it:
+the same bytes, as identical config + seed give identical cubes. Nothing is
+held once the caller drops the archive, and a run in a fresh process makes
+every cube.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -88,12 +97,32 @@ def _link_cube(cfg: RunConfig, i: int, link: Link) -> SlowTimeCube:
     return add_noise(cube, cfg.noise.snr_db, seed=[cfg.noise.seed, i])
 
 
-def _simulate_links(cfg: RunConfig) -> Iterator[tuple[Link, SlowTimeCube]]:
+# (cube key, link index) -> the read-only cfr array of a simulate archive that is still alive
+_HELD: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _cube_key(echo: dict) -> bytes:
+    """The echoed sections that a link cube is a function of, as marshal bytes: link cubes are
+    single-polarisation, so the Jones matrices that the echo omits cannot change them. Equal
+    bytes are equal values of equal types; marshal also writes whether a string is interned,
+    so equal configs parsed apart may miss, never wrongly hit. marshal writes floats as their
+    bits: on a 65,536-scatterer cloud it is 15 times faster than repr."""
+    return marshal.dumps([echo[section] for section in ("mode", "t0", "waveform", "scene", "noise")], 2)
+
+
+def _held_or_made(cfg: RunConfig, key: bytes, i: int, link: Link) -> SlowTimeCube:
+    """Link i's cube: a copy of a live simulate archive's array under (key, i), else made."""
+    held = _HELD.get((key, i))
+    return _link_cube(cfg, i, link) if held is None else SlowTimeCube(held, cfg.waveform)
+
+
+def _simulate_links(cfg: RunConfig, key: bytes) -> Iterator[tuple[Link, SlowTimeCube]]:
     """Each link and its cube in link order, the cube made when asked for and held only by the
-    caller, so a run holds one link's cube beyond its archive. A pool over links measured slower."""
+    caller (no local here keeps it across the yield), so a run holds one link's cube beyond its
+    archive. A pool over links measured slower."""
     for i, (tx, rx) in enumerate(cfg.scene.links()):
         link = Link(tx, rx, tx.pose(cfg.t0), rx.pose(cfg.t0))
-        yield link, _link_cube(cfg, i, link)
+        yield link, _held_or_made(cfg, key, i, link)
 
 
 def _cube_axes(cfg: RunConfig) -> list[Axis]:
@@ -104,9 +133,13 @@ def _cube_axes(cfg: RunConfig) -> list[Axis]:
 
 
 def run_simulate(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
+    """Each link's cube, archived read-only and held in _HELD for as long as the archive lives."""
+    key = _cube_key(archive.summary["config"])
     links = []
-    for link, cube in _simulate_links(cfg):
-        archive.add(f"cfr_{link.name}", cube.data, _cube_axes(cfg))
+    for i, (link, cube) in enumerate(_simulate_links(cfg, key)):
+        values = archive.add(f"cfr_{link.name}", cube.data, _cube_axes(cfg)).values
+        values.flags.writeable = False
+        _HELD[key, i] = values
         los = link.los_delay
         links.append(
             {
@@ -135,10 +168,10 @@ def _detections_summary(link: Link, dets, limit: int = 10) -> list[dict]:
     ]
 
 
-def _detected_links(cfg: RunConfig, exclude_zero_doppler: bool):
+def _detected_links(cfg: RunConfig, key: bytes, exclude_zero_doppler: bool):
     """Each link, its DD map after clean and its detections, in link order."""
     proc = cfg.processing
-    for link, cube in _simulate_links(cfg):
+    for link, cube in _simulate_links(cfg, key):
         if proc.clean_paths > 0:
             subtract_dominant_paths(cube, proc.clean_paths)
         ddm = delay_doppler_map(cube, proc.fast_window, proc.slow_window)
@@ -149,7 +182,8 @@ def _detected_links(cfg: RunConfig, exclude_zero_doppler: bool):
 
 def run_ddmap(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     results = {}
-    for link, ddm, dets in _detected_links(cfg, cfg.processing.exclude_zero_doppler):
+    for link, ddm, dets in _detected_links(cfg, _cube_key(archive.summary["config"]),
+                                           cfg.processing.exclude_zero_doppler):
         archive.add(
             f"ddmap_{link.name}",
             ddm.data,
@@ -182,7 +216,7 @@ def _delay_bin_series(cube: SlowTimeCube) -> tuple[np.ndarray, int]:
 def run_spectrogram(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     results = {}
     st, w = cfg.processing.stft, cfg.waveform
-    for link, cube in _simulate_links(cfg):
+    for link, cube in _simulate_links(cfg, _cube_key(archive.summary["config"])):
         series, bin_idx = _delay_bin_series(cube)
         del cube   # spent on its profiles; else held while the next link's cube is made
         spec = stft_spectrogram(series, w.t_sym, st.fft_size, st.hop, st.window, t0=cfg.t0)
@@ -205,7 +239,7 @@ def run_spectrogram(cfg: RunConfig, archive: ResultArchive, threads: int) -> dic
 def run_clean(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     results = {}
     n = cfg.processing.clean_paths
-    for link, cube in _simulate_links(cfg):
+    for link, cube in _simulate_links(cfg, _cube_key(archive.summary["config"])):
         res = subtract_dominant_paths(cube, n)
         archive.add(f"clean_residual_{link.name}", cube.data, _cube_axes(cfg))
         results[link.name] = {
@@ -240,7 +274,7 @@ def run_localize(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     """Per-link peak extraction followed by multistatic fusion."""
     obs = []
     per_link = {}
-    for link, ddm, dets in _detected_links(cfg, exclude_zero_doppler=True):
+    for link, ddm, dets in _detected_links(cfg, _cube_key(archive.summary["config"]), exclude_zero_doppler=True):
         per_link[link.name] = {"detections": _detections_summary(link, dets, 3)}
         if dets:
             obs.append(_observation(cfg, link, ddm, dets[0]))
@@ -377,7 +411,10 @@ def run(subcommand: str, cfg: RunConfig, out_dir=None, threads: int = 1,
     that an earlier run left there can be told apart. Each file is created
     fresh: a rerun unlinks the old file first, so a symlink or read-only
     file there is replaced, not written through, and a killed write leaves
-    a short file.
+    a short file. A simulate archive's cfr_* arrays are read-only; while the
+    archive lives, a run of clean, ddmap, localize or spectrogram on a config
+    of the same echoed mode, t0, waveform, scene and noise copies its cubes
+    instead of synthesising and noising them again.
     """
     if subcommand not in _RUNNERS:
         raise UsageError(f"unknown subcommand {subcommand!r}")

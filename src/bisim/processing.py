@@ -258,8 +258,8 @@ class Spectrogram:
     doppler_hz: np.ndarray
 
 
-def stft_spectrogram(series: np.ndarray, t_step: float, fft_size: int = 2048,
-                     hop: int = 32, window: str = "gaussian", t0: float = 0.0) -> Spectrogram:
+def stft_spectrogram(series: np.ndarray, t_step: float, fft_size: int, hop: int, window: str,
+                     t0: float = 0.0) -> Spectrogram:
     """Sliding-window Doppler spectrogram of a complex slow-time series.
 
     Frames start every `hop` samples; each is windowed (a Gaussian has

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bisim import pipeline
 from bisim.channel import SlowTimeCube
+from bisim.config import config_echo
 from bisim.scene import link_paths
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -121,6 +123,11 @@ def first_link_paths(scene, t, doppler=False):
     """link_paths of a scene's first link, at its two nodes' poses at time(s) t."""
     tx, rx = scene.links()[0]
     return link_paths(scene, tx.pose(t), rx.pose(t), t, doppler)
+
+
+def simulated_links(cfg):
+    """pipeline._simulate_links of cfg under the cube key that a run of cfg uses."""
+    return pipeline._simulate_links(cfg, pipeline._cube_key(config_echo(cfg)))
 
 
 @pytest.fixture

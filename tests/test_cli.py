@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import resource
@@ -13,10 +14,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import yaml
-from conftest import FULL_SCENE, ROTOR_SCENE
+from conftest import FULL_SCENE, ROTOR_SCENE, simulated_links
 
 import bisim
 from bisim import channel, pipeline
+from bisim import scene as scene_module
 from bisim.archive import ResultArchive
 from bisim.cli import OVERRIDES, main
 from bisim.config import RunConfig, config_echo, load_config, parse_config
@@ -77,7 +79,7 @@ class TestPipelineSubcommands:
         rows = {}
         for mode in ("fixed", "geometric"):
             cfg = parse_config(dict(doc, mode=mode))
-            rows[mode] = [(link.name, cube.data[0]) for link, cube in pipeline._simulate_links(cfg)]
+            rows[mode] = [(link.name, cube.data[0]) for link, cube in simulated_links(cfg)]
         assert [name for name, _ in rows["fixed"]] == [name for name, _ in rows["geometric"]]
         for (name, fixed), (_, geometric) in zip(rows["fixed"], rows["geometric"]):
             assert np.abs(fixed - geometric).max() <= 1e-14 * np.abs(geometric).max(), name
@@ -205,7 +207,7 @@ class TestDelayBinSeries:
     @staticmethod
     def cube(case):
         if case == "ROTOR_SCENE":
-            _, cube = next(pipeline._simulate_links(parse_config(yaml.safe_load(textwrap.dedent(ROTOR_SCENE)))))
+            _, cube = next(simulated_links(parse_config(yaml.safe_load(textwrap.dedent(ROTOR_SCENE)))))
             return cube.data
         if case == "random_1000x77":   # 851-row slabs: the second one is short
             rng = np.random.default_rng(5)
@@ -672,6 +674,82 @@ class TestOneBlasThread:
             assert blobs[0] == blobs[1], sub
 
 
+class TestCubeMemo:
+    """A link runner after a simulate whose archive is still alive, on a config of the same
+    echoed mode, t0, waveform, scene and noise, copies that archive's cubes."""
+
+    LINK_RUNNERS = ("clean", "ddmap", "localize", "spectrogram")
+
+    @staticmethod
+    def count_synthesis(monkeypatch) -> dict:
+        """Calls of link_paths (fixed mode's, and link_callback's), synth_cfr and add_noise."""
+        calls = dict.fromkeys(("link_paths", "synth_cfr", "add_noise"), 0)
+        for owner, name in ((pipeline, "link_paths"), (scene_module, "link_paths"), (pipeline, "synth_cfr"),
+                            (pipeline, "add_noise")):
+            def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @staticmethod
+    def outputs(sub, cfg, out) -> dict:
+        """The bytes of every file that a run of sub writes to out."""
+        _, written = run(sub, cfg, out_dir=out)
+        return {path.name: path.read_bytes() for path in written}
+
+    @pytest.mark.parametrize("mode", ["geometric", "fixed"])
+    @pytest.mark.parametrize("sub", LINK_RUNNERS)
+    def test_a_live_simulate_archive_gives_the_same_outputs_with_no_synthesis(self, sub, mode, tmp_path,
+                                                                               monkeypatch):
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc.update(mode=mode)
+        cfg = parse_config(doc)
+        gc.collect()
+        calls = self.count_synthesis(monkeypatch)
+        made = self.outputs(sub, cfg, tmp_path / "o")
+        assert calls["synth_cfr"] == calls["add_noise"] == 3 and calls["link_paths"] >= 3
+        archive, _ = run("simulate", cfg, out_dir=tmp_path / "s")   # another outputs.directory
+        calls.update(dict.fromkeys(calls, 0))
+        assert self.outputs(sub, cfg, tmp_path / "o") == made
+        assert calls == {"link_paths": 0, "synth_cfr": 0, "add_noise": 0}
+        assert len(archive.datasets) == 3
+
+    def test_nothing_is_held_once_the_archive_goes(self, full_scene_config, tmp_path, monkeypatch):
+        cfg = load_config(full_scene_config)
+        archive, _ = run("simulate", cfg, out_dir=tmp_path)
+        held = [(key, i) for key, i in pipeline._HELD.keys() if key == pipeline._cube_key(archive.summary["config"])]
+        assert [i for _, i in held] == [0, 1, 2]
+        del archive
+        gc.collect()
+        assert not any(entry in pipeline._HELD for entry in held)
+        calls = self.count_synthesis(monkeypatch)
+        run("clean", cfg, out_dir=tmp_path)
+        assert calls["synth_cfr"] == calls["add_noise"] == 3
+
+    @pytest.mark.parametrize("edit", ["noise_seed", "moved_node", "other_mode"])
+    def test_a_different_cube_config_synthesises(self, edit, tmp_path, monkeypatch):
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        archive, _ = run("simulate", parse_config(doc), out_dir=tmp_path / "s")
+        if edit == "noise_seed":
+            doc["noise"]["seed"] += 1
+        elif edit == "moved_node":
+            doc["scene"]["rx_nodes"][2]["position"] = [-200, 101, 0]
+        else:
+            doc["mode"] = "fixed"
+        calls = self.count_synthesis(monkeypatch)
+        run("clean", parse_config(doc), out_dir=tmp_path / "o")
+        assert calls["synth_cfr"] == calls["add_noise"] == 3 and calls["link_paths"] >= 3
+        assert len(archive.datasets) == 3
+
+    def test_a_simulate_archive_cube_is_read_only(self, full_scene_config, tmp_path):
+        archive, _ = run("simulate", load_config(full_scene_config), out_dir=tmp_path)
+        for name, ds in archive.datasets.items():
+            assert name.startswith("cfr_")
+            with pytest.raises(ValueError, match="read-only"):
+                ds.values[0, 0] = 0.0
+
+
 class TestRunMemory:
     def test_ddmap_holds_one_link_in_flight(self, tmp_path):
         (tmp_path / "eight.yaml").write_text(textwrap.dedent(EIGHT_LINK_FIXED))
@@ -723,14 +801,31 @@ class TestRunMemory:
         "FULL_SCENE_FIXED": {"simulate": 1.0, "clean": 1.0, "ddmap": 1.6, "localize": 2.6, "spectrogram": 2.0},
     }
 
-    @pytest.mark.parametrize("sub, scene", [(sub, scene) for scene, subs in CUBE_BUDGETS.items() for sub in subs])
-    def test_link_streaming_runner_peak_above_its_archive(self, sub, scene, tmp_path):
+    @staticmethod
+    def budget_doc(scene) -> dict:
         doc = yaml.safe_load(textwrap.dedent(ROTOR_SCENE if scene == "ROTOR_SCENE" else FULL_SCENE))
         if scene == "FULL_SCENE_CLEAN_2":   # clean's residual replaces the cube it was made from
             doc["processing"]["clean_paths"] = 2
         if scene == "FULL_SCENE_FIXED":
             doc["mode"] = "fixed"
+        return doc
+
+    @pytest.mark.parametrize("sub, scene", [(sub, scene) for scene, subs in CUBE_BUDGETS.items() for sub in subs])
+    def test_link_streaming_runner_peak_above_its_archive(self, sub, scene, tmp_path):
+        above, cfg = self.peak_above_archive(sub, self.budget_doc(scene), tmp_path)
+        cubes = above / (cfg.waveform.n_symbols * cfg.waveform.n_subcarriers * 16)
+        assert cubes < self.CUBE_BUDGETS[scene][sub], cubes
+
+    # a runner after a live simulate copies each held cube where it would make it: the copy must
+    # be let go by the runner's del as a made cube is, so the budget is the same
+    @pytest.mark.parametrize("sub, scene", [(sub, scene) for scene, subs in CUBE_BUDGETS.items() for sub in subs
+                                            if sub != "simulate"])
+    def test_link_runner_after_a_live_simulate_peak_above_its_archive(self, sub, scene, tmp_path, monkeypatch):
+        doc = self.budget_doc(scene)
+        simulated, _ = run("simulate", parse_config(doc), out_dir=tmp_path / "s")
+        calls = TestCubeMemo.count_synthesis(monkeypatch)
         above, cfg = self.peak_above_archive(sub, doc, tmp_path)
+        assert calls["synth_cfr"] == 0 and len(simulated.datasets) == len(cfg.scene.links())
         cubes = above / (cfg.waveform.n_symbols * cfg.waveform.n_subcarriers * 16)
         assert cubes < self.CUBE_BUDGETS[scene][sub], cubes
 

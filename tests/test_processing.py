@@ -321,7 +321,7 @@ class TestSpectrogram:
         fft_size, hop = 2048, 32
         fd = 40 / (fft_size * t_step)  # on the STFT grid
         series = np.exp(2j * np.pi * fd * np.arange(n) * t_step)
-        spec = stft_spectrogram(series, t_step, fft_size, hop)
+        spec = stft_spectrogram(series, t_step, fft_size, hop, "gaussian")
         assert spec.data.shape[1] == fft_size
         for frame in spec.data:
             j = int(np.argmax(frame))
@@ -331,7 +331,7 @@ class TestSpectrogram:
     def test_observation_window_20ms(self):
         t_step = 8e-6
         series = np.ones(2500, dtype=complex)
-        spec = stft_spectrogram(series, t_step, 2048, 32)
+        spec = stft_spectrogram(series, t_step, 2048, 32, "gaussian")
         assert 2500 * t_step == pytest.approx(0.02, rel=1e-12)
         assert spec.time_s.size == (2500 - 2048) // 32 + 1
 
@@ -344,24 +344,24 @@ class TestSpectrogram:
         q = 57
         f0 = q / (fft_size * t_step)
         shifted = series * np.exp(2j * np.pi * f0 * np.arange(n) * t_step)
-        a = stft_spectrogram(series, t_step, fft_size, 32)
-        b = stft_spectrogram(shifted, t_step, fft_size, 32)
+        a = stft_spectrogram(series, t_step, fft_size, 32, "gaussian")
+        b = stft_spectrogram(shifted, t_step, fft_size, 32, "gaussian")
         assert np.allclose(b.data, np.roll(a.data, q, axis=1), atol=1e-6)
 
     def test_series_too_short_rejected(self):
         with pytest.raises(ConfigError):
-            stft_spectrogram(np.ones(100, dtype=complex), 8e-6, 2048, 32)
+            stft_spectrogram(np.ones(100, dtype=complex), 8e-6, 2048, 32, "gaussian")
 
     @pytest.mark.parametrize("fft_size, hop", [(0, 32), (-8, 32), (64, 0), (64, -1)])
     def test_sizes_below_one_rejected(self, fft_size, hop):
         with pytest.raises(ConfigError, match="fft_size >= 1 and hop >= 1"):
-            stft_spectrogram(np.ones(256, dtype=complex), 8e-6, fft_size, hop)
+            stft_spectrogram(np.ones(256, dtype=complex), 8e-6, fft_size, hop, "gaussian")
 
     def test_frames_past_the_entry_bound_rejected(self, monkeypatch):
         monkeypatch.setattr(bisim.channel, "MAX_ENTRIES", 4096)   # 193 frames x 64 is 12352 entries
         with pytest.raises(ConfigError, match="spectrogram of frames x fft_size"):
-            stft_spectrogram(np.ones(256, dtype=complex), 8e-6, 64, 1)
-        assert stft_spectrogram(np.ones(256, dtype=complex), 8e-6, 64, 4).data.size <= 4096
+            stft_spectrogram(np.ones(256, dtype=complex), 8e-6, 64, 1, "gaussian")
+        assert stft_spectrogram(np.ones(256, dtype=complex), 8e-6, 64, 4, "gaussian").data.size <= 4096
 
 
 class TestNamedWindow:

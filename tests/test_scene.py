@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import yaml
-from conftest import FULL_SCENE, first_link_paths
+from conftest import FULL_SCENE, ROTOR_SCENE, first_link_paths, simulated_links
 
 from bisim import pipeline
 from bisim.channel import PathTable, WaveformConfig, first_order, synth_cfr
@@ -412,7 +412,7 @@ class TestFixedModeBound:
         # 7.0e-3 and 2.8e-3
         doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
         doc.pop("noise")
-        cubes = {mode: [cube.data for _, cube in pipeline._simulate_links(parse_config(dict(doc, mode=mode)))]
+        cubes = {mode: [cube.data for _, cube in simulated_links(parse_config(dict(doc, mode=mode)))]
                  for mode in ("fixed", "geometric")}
         for fixed, geo in zip(cubes["fixed"], cubes["geometric"]):
             assert (np.abs(fixed - geo).max(axis=1) / np.abs(geo).max(axis=1)).max() <= 1e-3
@@ -424,7 +424,7 @@ class TestFixedModeBound:
         doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
         doc.update(noise={})
         doc["scene"]["targets"][0]["trajectory"] = doc["scene"]["targets"][0]["trajectory"][:1]
-        cubes = {mode: [cube.data for _, cube in pipeline._simulate_links(parse_config(dict(doc, mode=mode)))]
+        cubes = {mode: [cube.data for _, cube in simulated_links(parse_config(dict(doc, mode=mode)))]
                  for mode in ("fixed", "geometric")}
         assert len(cubes["fixed"]) == 3
         assert all(np.array_equal(a, b) for a, b in zip(cubes["fixed"], cubes["geometric"]))
@@ -489,7 +489,7 @@ class TestFrameInvariance:
         scene["rx_nodes"] = scene["rx_nodes"][:1]
         cfgs = [parse_config(doc), parse_config(dict(doc, scene=dict(
             scene, tx_nodes=scene["rx_nodes"], rx_nodes=scene["tx_nodes"])))]
-        (a,), (b,) = [[cube.data for _, cube in pipeline._simulate_links(cfg)] for cfg in cfgs]
+        (a,), (b,) = [[cube.data for _, cube in simulated_links(cfg)] for cfg in cfgs]
         if mode == "fixed":
             # the t0 table's gains round alike in both orders here: measured 0
             assert np.array_equal(a, b)
@@ -503,34 +503,35 @@ class TestFrameInvariance:
 
     THETA = 0.7   # rad
 
-    @pytest.mark.parametrize("mode", ["fixed", "geometric"])
-    def test_turning_the_scene_about_z_keeps_the_cube(self, mode):
-        # the car gets a float yaw and a second scatterer off its origin, so the turn reaches the
-        # body; the turned copy turns every node, waypoint and clutter point by THETA about z and
-        # adds THETA to the yaw. A turn rounds each coordinate of a point at distance ρ from the z
-        # axis by under (√2 + 1/2)ερ (the rounded cos and sin, two products and a sum), so a
-        # point moves by under 3εX, X the largest ρ: a node by 3εX, and the car by 3εX from its
-        # waypoints, 2εX a side from interpolating them, and under εX from turning its body by
-        # the rounded yaw. A path's two hops move by up to 2·(3 + 7)εX = 20εX, and the norms' own
-        # rounding adds under 3εX. Fixed mode's Dopplers come from waypoint slopes, which move by
-        # 6εX/Δt for waypoints Δt apart, so over the capture's span T its phase moves by up to
-        # 2π·2·6εX·(T/Δt)/λ more. Each path's CFR term moves by |a| times the phase bound.
-        # Measured: 3.4e-13 (geometric) and 1.3e-13 (fixed) of the cube's peak.
+    def turned_full_scene(self, mode, yaw):
+        """FULL_SCENE's cubes, noise off, as given and turned by THETA about z, the car given a
+        second scatterer off its origin so the turn reaches the body, and the yaw (None: none)
+        that it turns with; and the bound on each link's |Δ|.
+
+        A turn rounds each coordinate of a point at distance ρ from the z axis by under
+        (√2 + 1/2)ερ (the rounded cos and sin, two products and a sum), so a point moves by
+        under 3εX, X the largest ρ: a node by 3εX, and the car by 3εX from its waypoints, 2εX a
+        side from interpolating them, and under εX from turning its body by the rounded yaw (the
+        unturned car without a yaw keeps its body exact). A path's two hops move by up to
+        2·(3 + 7)εX = 20εX, and the norms' own rounding adds under 3εX. Fixed mode's Dopplers
+        come from waypoint slopes, which move by 6εX/Δt for waypoints Δt apart, so over the
+        capture's span T its phase moves by up to 2π·2·6εX·(T/Δt)/λ more. Each path's CFR term
+        moves by |a| times the phase bound."""
         doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
         doc.update(mode=mode, noise={})
         car = doc["scene"]["targets"][0]
-        car.update(yaw=0.3, scatterers=[*car["scatterers"], {"offset": [1.5, -0.75, 0.5], "amplitude": 1.0}])
+        car["scatterers"] = [*car["scatterers"], {"offset": [1.5, -0.75, 0.5], "amplitude": 1.0}]
+        if yaw is not None:
+            car["yaw"] = yaw
         turned = copy.deepcopy(doc)
-        c, s = np.cos(self.THETA), np.sin(self.THETA)
-        turn = lambda p: [c * p[0] - s * p[1], s * p[0] + c * p[1], p[2]]
         scene = turned["scene"]
         for item in scene["tx_nodes"] + scene["rx_nodes"] + scene["clutter"]:
-            item["position"] = turn(item["position"])
+            item["position"] = self.turn(item["position"])
         turned_car = scene["targets"][0]
-        turned_car["trajectory"] = [[t, turn(p)] for t, p in turned_car["trajectory"]]
-        turned_car["yaw"] += self.THETA
+        turned_car["trajectory"] = [[t, self.turn(p)] for t, p in turned_car["trajectory"]]
+        turned_car["yaw"] = self.THETA if yaw is None else yaw + self.THETA
         cfgs = [parse_config(doc), parse_config(turned)]
-        a, b = [[cube.data for _, cube in pipeline._simulate_links(cfg)] for cfg in cfgs]
+        a, b = [[cube.data for _, cube in simulated_links(cfg)] for cfg in cfgs]
         cfg = cfgs[0]
         points = np.concatenate([[n.pose(cfg.t0).position for n in cfg.scene.tx_nodes + cfg.scene.rx_nodes],
                                  cfg.scene.targets[0].trajectory.points, cfg.scene.clutter.positions])
@@ -541,7 +542,63 @@ class TestFrameInvariance:
         for (tx, rx), cube, turned_cube in zip(cfg.scene.links(), a, b):
             gains = link_paths(cfg.scene, tx.pose(cfg.t0), rx.pose(cfg.t0), cfg.t0).gain
             bound = np.abs(gains).sum() * 2 * np.pi * k * np.finfo(float).eps * x / cfg.scene.wavelength
-            assert np.abs(cube - turned_cube).max() <= bound
+            yield np.abs(cube - turned_cube).max(), bound
+
+    def turn(self, p):
+        c, s = np.cos(self.THETA), np.sin(self.THETA)
+        return [c * p[0] - s * p[1], s * p[0] + c * p[1], p[2]]
+
+    @pytest.mark.parametrize("mode", ["fixed", "geometric"])
+    def test_turning_the_scene_about_z_keeps_the_cube(self, mode):
+        # the car has a float yaw, which grows by THETA; measured 3.4e-13 (geometric) and 1.3e-13
+        # (fixed) of the cube's peak
+        for delta, bound in self.turned_full_scene(mode, 0.3):
+            assert delta <= bound
+
+    @pytest.mark.parametrize("mode", ["fixed", "geometric"])
+    def test_turning_a_target_without_a_yaw_gives_it_the_turn_as_its_yaw(self, mode):
+        for delta, bound in self.turned_full_scene(mode, None):
+            assert delta <= bound
+
+    def test_turning_a_rotor_turns_its_hub_and_its_tilted_spin_axis(self):
+        # ROTOR_SCENE with its spin axis tilted off z, turned by THETA about z: every node, the
+        # hub and the axis. rotor() starts its blades from e1 = unit(z × axis) for an axis more
+        # than acos(0.9) off z, and z × (Tz a) = Tz (z × a), so the turned rotor's body is the
+        # turned body, its spin the turned spin, and every sample at time t the turned sample.
+        # Rounding, for X the largest ρ of a node or the hub plus the radius r: nodes and hub
+        # move by under 3εX as a turned point does, and hub + R(t)·b adds under εX a side. The
+        # turned axis a' is within 3ε of Tz a; the spin's three terms take a'a'ᵀ (6ε), [a']ₓ
+        # (3ε) and a'a'ᵀ again (6ε), and each side rounds its sums of products by under 12ε, so
+        # R' is within 15 + 24 = 39ε of Tz R Tzᵀ. e1' moves by 2·3ε/|a_xy| (|a_xy| >= 0.43 here,
+        # so 14ε) and 4ε of rounding, e2' = a' × e1' by 3 + 18 + 2ε, and b = r(cos e1 + sin e2)
+        # rounds by 3ε: a blade sample moves by under (18 + 23 + 3)·ε·r = 44εr, and R'·b' by
+        # (39 + 44 + 6)εr, under 100εr. A path's two hops so move by up to
+        # 2·(3 + 3 + 2)εX + 2·100εr, and the norms' own rounding adds under 3εX. Subcarrier
+        # phases take delays at up to f_c + B, so λ is C0/(f_c + B); each path's CFR term moves
+        # by |a| times 2π/λ times that length bound.
+        doc = yaml.safe_load(textwrap.dedent(ROTOR_SCENE))
+        rotor_doc = doc["scene"]["targets"][0]
+        rotor_doc["axis"] = [0.6, 0.0, 0.8]
+        turned = copy.deepcopy(doc)
+        scene = turned["scene"]
+        for item in scene["tx_nodes"] + scene["rx_nodes"]:
+            item["position"] = self.turn(item["position"])
+        turned_rotor = scene["targets"][0]
+        turned_rotor["hub"], turned_rotor["axis"] = self.turn(rotor_doc["hub"]), self.turn(rotor_doc["axis"])
+        cfgs = [parse_config(doc), parse_config(turned)]
+        (a,), (b,) = [[cube.data for _, cube in simulated_links(cfg)] for cfg in cfgs]
+        cfg = cfgs[0]
+        points = np.array([n.pose(cfg.t0).position for n in cfg.scene.tx_nodes + cfg.scene.rx_nodes])
+        r = rotor_doc["radius"]
+        x = max(np.hypot(points[:, 0], points[:, 1]).max(), np.hypot(*rotor_doc["hub"][:2]) + r)
+        w = cfg.waveform
+        wavelength = C0 / (w.f_c + w.bandwidth)
+        times = w.symbol_times(cfg.t0)
+        (tx, rx), = cfg.scene.links()
+        gains = link_paths(cfg.scene, tx.pose(times), rx.pose(times), times).gain
+        length = (2 * 8 + 3) * x + 2 * 100 * r
+        bound = np.abs(gains).sum(axis=1).max() * 2 * np.pi * length * np.finfo(float).eps / wavelength
+        assert np.abs(a - b).max() <= bound
 
 
 class TestIlluminationPaths:
