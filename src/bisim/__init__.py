@@ -46,7 +46,6 @@ from .scene import SceneConfig, SceneNode, link_paths
 from .targets import (
     FrequencyBand,
     LinkBudget,
-    ReflectivityTensor,
     RigidTarget,
     ScattererStates,
     cloud,

@@ -51,7 +51,7 @@ from .geometry import C0, NodePose, Trajectory
 from .processing import check_clean_paths, check_gate, check_stft
 from .scene import SceneConfig, SceneNode
 from .targets import (MAX_AXIS_POINTS, FrequencyBand, LinkBudget, RigidTarget, ScattererStates, Spin, cloud,
-                      equivalent_rcs, rotor, stepped_axis)
+                      equivalent_rcs, rotor, scan_axis, scan_body, stepped_axis)
 
 REQUIRED = object()  # default of a key that must be given
 _ORTHO_RTOL = 1e-12  # relative tolerance of a given echo-only key against its derived value
@@ -95,12 +95,18 @@ _triple = _expect(lambda v: isinstance(v, list) and len(v) == 3, "[x, y, z]")
 _pair = _expect(lambda v: len(v) == 2, "a number or [re, im]")
 
 
+def _at_key(where: str, check: Callable, /, *args, **kwargs):
+    """check(*args, **kwargs); a ConfigError from it is raised again, of its own type, prefixed
+    with the key path where."""
+    try:
+        return check(*args, **kwargs)
+    except ConfigError as err:
+        raise type(err)(f"{where}: {err}") from None
+
+
 def _window(value, where: str) -> str:
     name = str(_string(value, where))
-    try:
-        named_window(name, 4)
-    except ConfigError as err:
-        raise ConfigError(f"{where}: {err}") from None
+    _at_key(where, named_window, name, 4)
     return name
 
 
@@ -216,10 +222,7 @@ def _build(cls: Callable, spec, table: list, where: str, root: dict | None):
     for entry in table:
         if not getattr(entry, "echo_only", False):
             fields[entry.attr] = entry.read(spec, where, fields if root is None else root)
-    try:
-        obj = cls(**fields)
-    except ConfigError as err:
-        raise type(err)(f"{where or 'config'}: {err}") from None
+    obj = _at_key(where or "config", cls, **fields)
     for entry in (e for e in table if getattr(e, "echo_only", False) and spec.get(e.name) is not None):
         derived = getattr(obj, entry.attr)
         if not math.isclose(entry.read(spec, where, root), derived, rel_tol=_ORTHO_RTOL):
@@ -298,10 +301,7 @@ def _trajectory(value, where: str, root: dict) -> Trajectory:
     def waypoint(wp, at: str, root: dict) -> tuple:
         wp = _waypoint(wp) if isinstance(wp, list) and len(wp) == len(_WAYPOINT) else wp
         return tuple(_build(dict, wp, _WAYPOINT, at, root).values())
-    try:
-        return Trajectory.from_waypoints(_list(Kind(waypoint, None)).parse(value, where, root))
-    except ConfigError as err:
-        raise ConfigError(f"{where}: {err}") from None
+    return _at_key(where, lambda: Trajectory.from_waypoints(_list(Kind(waypoint, None)).parse(value, where, root)))
 
 
 TRAJECTORY = Key("trajectory", Kind(
@@ -426,14 +426,22 @@ RUN = _record("RunConfig", [
 
 
 def parse_config(doc) -> RunConfig:
-    """Validated RunConfig of a parsed YAML document; every subcommand refuses a bad processing value."""
+    """Validated RunConfig of a parsed YAML document. A processing value or a scan section is
+    checked here by the function that its run calls, so every subcommand refuses a bad one."""
     cfg = RUN.parse(doc, "", None)
     if cfg.noise.snr_db is not None and cfg.noise.seed is None:
         raise ConfigError("noise.seed: a seed is mandatory when noise is enabled")
-    try:
-        check_clean_paths(cfg.processing.clean_paths, cfg.waveform.n_subcarriers)
-    except ConfigError as err:
-        raise ConfigError(f"processing.clean_paths: {err}") from None
+    _at_key("processing.clean_paths", check_clean_paths, cfg.processing.clean_paths, cfg.waveform.n_subcarriers)
+    for where, job in (("reflectivity", cfg.reflectivity), ("flyover", cfg.flyover)):
+        if job is not None:
+            target = _at_key(f"{where}.target", cfg.scene.target, job.target)
+            _at_key(where, scan_body, target, job.d_tx, job.d_rx)
+    if cfg.reflectivity is not None:
+        for key, axis in cfg.reflectivity.grid.items():
+            scan_axis(axis, f"reflectivity.{key}")
+    if cfg.flyover is not None:
+        fly = cfg.flyover
+        stepped_axis(fly.start_deg, fly.stop_deg, fly.step_deg, "flyover.start_deg, stop_deg, step_deg")
     return cfg
 
 

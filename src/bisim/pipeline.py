@@ -21,8 +21,9 @@ fusion observation. One buffer per link: noise, clean and the delay
 transforms each work in the cube they are given, which the runner owns, so
 clean's residual, the DD map and the delay profiles are that cube's buffer.
 Results hand back no inputs: a runner labels axes and settings from the
-config that the summary echoes (the scan grid, the STFT settings) and
-takes excess delays from its Link.
+config that the summary echoes (the scan grid, the flyover's stepped_axis
+sweep, the scan band's delay_axis(), the STFT settings) and takes excess
+delays from its Link.
 The spectrogram picks its delay bin from row slabs of the profiles, summing
 |P|^2 in symbol order as the whole-cube mean does, so the bin is the same
 and the choice needs one slab, not a |P|^2 of the whole cube.
@@ -65,7 +66,7 @@ from .processing import (
     time_gate,
 )
 from .scene import SceneNode, illumination_paths, link_callback, link_name, link_paths
-from .targets import flyover_scan, link_budget, reflectivity_scan
+from .targets import flyover_scan, link_budget, reflectivity_scan, stepped_axis
 
 class Link(NamedTuple):
     """One Tx/Rx link: its two nodes, which hold the names, and their poses at t0."""
@@ -177,7 +178,7 @@ def _detected_links(cfg: RunConfig, key: bytes, exclude_zero_doppler: bool):
         ddm = delay_doppler_map(cube, proc.fast_window, proc.slow_window)
         dets = detect_peaks(ddm, proc.detect_threshold_db, exclude_zero_doppler=exclude_zero_doppler)
         yield link, ddm, dets
-        del ddm   # so a caller that lets the map go frees it before the next link's is made
+        del ddm, cube   # the map is the cube's buffer: neither name may hold it while the next link's is made
 
 
 def run_ddmap(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
@@ -308,18 +309,18 @@ def run_reflectivity(cfg: RunConfig, archive: ResultArchive, threads: int) -> di
         raise ConfigError("config has no reflectivity section")
     job = cfg.reflectivity
     target = cfg.scene.target(job.target)
-    tensor = reflectivity_scan(target, job.grid, job.d_tx, job.d_rx, job.band,
-                               sweep_window=job.sweep_window, threads=threads)
+    data = reflectivity_scan(target, job.grid, job.d_tx, job.d_rx, job.band,
+                             sweep_window=job.sweep_window, threads=threads)
     pol = np.array([0.0, 1.0])
     angles = [Axis(key, "deg", axis) for key, axis in job.grid.items()]   # az_tx, el_tx, az_rx, el_rx
-    archive.add("reflectivity", tensor.data,
-                [*angles, Axis("delay", "s", tensor.delay_s), Axis("rx_pol", "index", pol),
+    archive.add("reflectivity", data,
+                [*angles, Axis("delay", "s", job.band.delay_axis()), Axis("rx_pol", "index", pol),
                  Axis("tx_pol", "index", pol)])
     return {
         "target": target.name,
         "d_tx_m": job.d_tx,
         "d_rx_m": job.d_rx,
-        "grid_points": math.prod(tensor.data.shape[:4]),
+        "grid_points": math.prod(data.shape[:4]),
     }
 
 
@@ -328,21 +329,22 @@ def run_flyover(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
         raise ConfigError("config has no flyover section")
     job = cfg.flyover
     target = cfg.scene.target(job.target)
-    fly = flyover_scan(target, job.fixed_angle_deg, (job.start_deg, job.stop_deg, job.step_deg), job.d_tx,
-                       job.d_rx, job.band, elevation_deg=job.elevation_deg, sweep_window=job.sweep_window)
-    data = fly.data
+    angles = stepped_axis(job.start_deg, job.stop_deg, job.step_deg, "flyover sweep")
+    data = flyover_scan(target, job.fixed_angle_deg, angles, job.d_tx, job.d_rx, job.band,
+                        elevation_deg=job.elevation_deg, sweep_window=job.sweep_window)
+    delay_s = job.band.delay_axis()   # after the scan, whose entry check bounds band.n_points
     if cfg.processing.gate is not None:
         g = cfg.processing.gate
-        data = time_gate(data, fly.delay_s, g.center_ns * 1e-9, g.width_ns * 1e-9,
+        data = time_gate(data, delay_s, g.center_ns * 1e-9, g.width_ns * 1e-9,
                          g.edge_ns * 1e-9)
     archive.add(
         "flyover",
         data,
-        [Axis("bistatic_angle", "deg", fly.angles_deg), Axis("delay", "ns", fly.delay_s * 1e9)],
+        [Axis("bistatic_angle", "deg", angles), Axis("delay", "ns", delay_s * 1e9)],
     )
     return {
         "target": target.name,
-        "angles_deg": [float(a) for a in fly.angles_deg],
+        "angles_deg": [float(a) for a in angles],
         "delay_resolution_ns": float(1e9 / (job.band.f_hi - job.band.f_lo)),
         "gated": cfg.processing.gate is not None,
     }

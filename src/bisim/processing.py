@@ -124,8 +124,12 @@ class CleanResult:
     """The static paths clean removed, a PathTable without Dopplers; the residual is the cube clean was given."""
 
     removed: PathTable = field(default_factory=lambda: PathTable([], []))
-    at_noise_floor: list[bool] = field(default_factory=list)
-    peak_db_above_floor: list[float] = field(default_factory=list)
+    peak_db_above_floor: list[float] = field(default_factory=list)   # each path's peak over the profile median, dB
+
+    @property
+    def at_noise_floor(self) -> list[bool]:
+        """Whether each path's peak rose less than _FLOOR_MARGIN_DB above the profile median."""
+        return [above < _FLOOR_MARGIN_DB for above in self.peak_db_above_floor]
 
 
 def parabolic_offset(m1: float, p0: float, p1: float) -> float:
@@ -219,7 +223,7 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int) -> CleanResult:
     k = np.arange(w.n_subcarriers)
     mean_row = cube.data.mean(axis=0)
     estimates: list[tuple[float, complex, np.ndarray]] = []   # (delay, amplitude, its ramp)
-    at_noise_floor, peak_db_above_floor = [], []
+    peak_db_above_floor = []
     for _ in range(n_paths):
         profile = np.abs(np.fft.ifft(mean_row))
         floor = float(np.median(profile))
@@ -229,7 +233,6 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int) -> CleanResult:
         ramp = _ramp(tau, k, w.delta_f)
         mean_row = mean_row - amp * ramp
         estimates.append((tau, amp, ramp))
-        at_noise_floor.append(above < _FLOOR_MARGIN_DB)
         peak_db_above_floor.append(above)
     for _ in range(_REFINE_CYCLES if len(estimates) > 1 else 0):
         for i, (tau_i, amp_i, ramp_i) in enumerate(estimates):
@@ -240,7 +243,7 @@ def subtract_dominant_paths(cube: SlowTimeCube, n_paths: int) -> CleanResult:
             estimates[i] = (tau, amp, ramp)
     cube.data -= sum(amp * ramp for _, amp, ramp in estimates)
     delays, gains, _ = zip(*estimates)
-    return CleanResult(PathTable(delays, gains), at_noise_floor, peak_db_above_floor)
+    return CleanResult(PathTable(delays, gains), peak_db_above_floor)
 
 
 def check_stft(fft_size: int, hop: int) -> None:

@@ -11,13 +11,14 @@ pose(t) + rotation(t)·body, the same for every target. Every node
 answers pose(t) with an anonymous NodePose: (3,) for a static node, whose
 paths are then evaluated once per call and broadcast over its times,
 t.shape + (3,) on a trajectory; names live on SceneNode.node_id and a
-target's name. illumination_paths() builds the one-way Tx-to-point channel
-(direct plus single bounces off clutter) used for transmit predistortion.
+target's name. illumination_paths() is the one-way Tx-to-point channel
+(direct plus single bounces off clutter) used for transmit predistortion:
+link_paths of the scene without its targets, to the point as receiver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -149,9 +150,7 @@ def illumination_paths(scene: SceneConfig, tx: NodePose, end: NodePose) -> PathT
     at one instant. Returns a (P,) table, direct ray first, whose doppler
     array is filled: a moving point gives each path its own Doppler via the
     path's final leg, which is what makes per-path Doppler matching
-    meaningful.
+    meaningful. It is link_paths of the scene without targets, with its direct
+    ray whatever include_los says; with no target, t (0.0) sets only the shape.
     """
-    tables = [los_paths(tx, end, scene.wavelength, doppler=True)]
-    if len(scene.clutter):
-        tables.append(bounce_paths(scene.clutter, tx, end, scene.wavelength, doppler=True))
-    return join_paths(tables, ())
+    return link_paths(replace(scene, targets=[], include_los=True), tx, end, 0.0, doppler=True)

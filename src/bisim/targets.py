@@ -19,7 +19,8 @@ Polarization lives in the scans only. Synthesis is single-polarization:
 a link's paths carry the scalar s alone. reflectivity_scan weights each
 scatterer by all four entries of its Jones matrix, flyover_scan (the
 gantry HH map) by J_HH. The config sets no Jones matrix, so every
-cloud it builds shares one read-only identity.
+cloud it builds shares one read-only identity. A scan returns its array
+alone; the caller holds its axes, the angles it gave and band.delay_axis().
 
 A target is a RigidTarget: name, pose(t) (its body origin and that
 origin's velocity), rotation(t) (its body axes in world coordinates,
@@ -293,31 +294,23 @@ class FrequencyBand:
         return (np.arange(self.n_points) - self.n_points // 2) * (1.0 / (self.n_points * self.delta_f))
 
 
-@dataclass(eq=False)
-class ReflectivityTensor:
-    """Angle-gridded, delay-resolved, polarimetric bistatic reflectivity.
-
-    data[i_az_tx, i_el_tx, i_az_rx, i_el_rx, i_delay, p_rx, p_tx] holds the
-    complex delay profile of the full 2x2 Jones response for antennas at
-    the scan's radii (d_tx, d_rx) in the given directions, both about the
-    target's pose and along its body axes. The delay axis is relative to the
-    target-center bistatic delay (d_tx + d_rx)/c. The angle axes are the
-    scan's grid, which the caller holds.
-    """
-
-    delay_s: np.ndarray
-    data: np.ndarray
-
-
-def _scan_states(target, d_tx: float, d_rx: float) -> ScattererStates:
+def scan_body(target, d_tx: float, d_rx: float) -> ScattererStates:
     """The body of a scan target, about its pose, whose extent both antenna radii must exceed."""
     states = target.body
     extent = float(np.max(np.linalg.norm(states.positions, axis=1))) if len(states) else 0.0
     if d_tx <= extent or d_rx <= extent:
         raise ConfigError(
-            f"antenna radii ({d_tx}, {d_rx}) must exceed target extent {extent:.3f} m"
+            f"antenna radii d_tx = {d_tx}, d_rx = {d_rx} must exceed target extent {extent:.3f} m"
         )
     return states
+
+
+def scan_axis(values, what: str) -> np.ndarray:
+    """values as a float angle axis, which a scan needs; a ConfigError names it as `what`."""
+    axis = np.atleast_1d(np.asarray(values, dtype=float))
+    if axis.size == 0 or not np.all(np.diff(axis) > 0):
+        raise ConfigError(f"{what} must be strictly increasing and non-empty")
+    return axis
 
 
 def _map_in_order(fn, items, threads: int) -> list:
@@ -363,17 +356,19 @@ def _scan_blocks(n_tx: int, n_scat: int, n_freq: int, width: int) -> tuple[int, 
 
 def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
                       band: FrequencyBand, sweep_window: str = "none",
-                      threads: int = 1) -> ReflectivityTensor:
+                      threads: int = 1) -> np.ndarray:
     """Full 4-D angular scan of a solitaire target's bistatic reflectivity.
 
+    Returns the complex array [i_az_tx, i_el_tx, i_az_rx, i_el_rx, i_delay,
+    p_rx, p_tx] of the full 2x2 Jones response's delay profiles on
+    band.delay_axis(), relative to the target-center delay (d_tx + d_rx)/c.
     The scan centres on the target's pose and sums its body samples in the
     body frame, so neither where the target sits nor how it moves or turns
     matters. grid maps the four angle axes ("az_tx", "el_tx", "az_rx",
-    "el_rx") to strictly increasing arrays of degrees. Antennas sit at radii
+    "el_rx") to arrays of degrees that pass scan_axis. Antennas sit at radii
     d_tx / d_rx in each direction pair; the sweep over the band is the tapered
     sum_n s_n λ_f/(4π r1 r2) exp(-j2π f (τ1 + τ2)) jones_n, τ1 = (r1 - d_tx)/c,
-    τ2 = (r2 - d_rx)/c, and its inverse transform, centred on the
-    target-center delay, is the delay profile.
+    τ2 = (r2 - d_rx)/c, and its inverse transform is the delay profile.
 
     Each hop depends on one direction only, so the grid is evaluated as the
     product of its az_tx x el_tx Tx and az_rx x el_rx Rx directions:
@@ -392,16 +387,10 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     spreads the Rx blocks over a pool (with BLAS on one thread, it pays);
     each writes its own slice, so the result does not depend on it.
     """
-    axes = []
-    for key in ("az_tx", "el_tx", "az_rx", "el_rx"):
-        if key not in grid or len(np.atleast_1d(grid[key])) == 0:
-            raise ConfigError(f"angle grid {key!r} is missing or empty")
-        axes.append(np.atleast_1d(np.asarray(grid[key], dtype=float)))
-        if not np.all(np.diff(axes[-1]) > 0):
-            raise ConfigError(f"angle grid {key!r} must be strictly increasing")
+    axes = [scan_axis(grid.get(key, ()), f"angle grid {key!r}") for key in ("az_tx", "el_tx", "az_rx", "el_rx")]
     check_entries(math.prod(map(len, axes)) * band.n_points * 4,
                   "reflectivity tensor of az_tx x el_tx x az_rx x el_rx x band.n_points x 2 x 2")
-    states = _scan_states(target, d_tx, d_rx)
+    states = scan_body(target, d_tx, d_rx)
     az_tx, el_tx, az_rx, el_rx = axes
     u_tx = _directions(az_tx[:, None], el_tx).reshape(-1, 3)
     u_rx = _directions(az_rx[:, None], el_rx).reshape(-1, 3)
@@ -441,28 +430,18 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
         fold = np.multiply(tx, cols, out=tx if n_col == 1 else None)   # (n_freq, I_b, n_col, N)
         del tx                                                         # else freed before the Rx blocks run
         _map_in_order(partial(evaluate, ti, fold), range(0, n_rx, rx_block), threads)
-    data = out.reshape(len(az_tx), len(el_tx), len(az_rx), len(el_rx), n_freq, 2, 2)
-    return ReflectivityTensor(band.delay_axis(), data)
+    return out.reshape(len(az_tx), len(el_tx), len(az_rx), len(el_rx), n_freq, 2, 2)
 
 
-@dataclass(eq=False)
-class FlyoverMap:
-    """(sweep angle x relative delay) complex map from a gantry-style sweep."""
-
-    angles_deg: np.ndarray
-    delay_s: np.ndarray
-    data: np.ndarray
-
-
-def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, float],
-                 d_tx: float, d_rx: float, band: FrequencyBand,
-                 elevation_deg: float = 0.0, sweep_window: str = "none") -> FlyoverMap:
+def flyover_scan(target, fixed_angle_deg: float, angles, d_tx: float, d_rx: float, band: FrequencyBand,
+                 elevation_deg: float = 0.0, sweep_window: str = "none") -> np.ndarray:
     """Emulate a flyover: one antenna fixed, the other swept in azimuth.
 
-    Like reflectivity_scan it sees the body about the target's pose, in its
-    own frame. The swept angle is the bistatic separation relative to the fixed
-    antenna, running e.g. 10..180 degrees from quasi-monostatic to forward
-    scattering, with at most MAX_AXIS_POINTS angles. Both antennas sit at
+    Returns the complex (angle, delay) map on angles, which pass scan_axis,
+    and band.delay_axis(). Like reflectivity_scan it sees the body about the
+    target's pose, in its own frame. The swept angle is the bistatic separation
+    relative to the fixed antenna, running e.g. 10..180 degrees from
+    quasi-monostatic to forward scattering. Both antennas sit at
     elevation_deg (default 0) and the H-H polarization is extracted, so the
     output is directly comparable to gantry measurement maps. The fixed
     Tx direction shares no ramp with another, so each swept angle is one
@@ -474,9 +453,9 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
     budget holds (85 for 48 scatterers) and sums each angle's sweep as
     high x low ramps (32 x 32 for 1024 frequencies).
     """
-    angles = stepped_axis(*sweep, "flyover sweep")
+    angles = scan_axis(angles, "flyover angle axis")
     check_entries(len(angles) * band.n_points, "flyover map of swept angles x band.n_points")
-    states = _scan_states(target, d_tx, d_rx)
+    states = scan_body(target, d_tx, d_rx)
     p_tx = d_tx * direction_from_angles(fixed_angle_deg, elevation_deg)
     p_rx = d_rx * _directions(fixed_angle_deg + angles, elevation_deg)[:, None]
     weights = states.amplitudes * states.jones[:, 0, 0] / FOUR_PI
@@ -488,7 +467,7 @@ def flyover_scan(target, fixed_angle_deg: float, sweep: tuple[float, float, floa
     data = path_rows(block, len(angles), band.delta_f, band.n_points)
     data *= _sweep_scale(band, sweep_window)
     np.fft.ifft(data, axis=1, out=data)
-    return FlyoverMap(angles, band.delay_axis(), data)
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from bisim.targets import (
     flyover_scan,
     link_budget,
     rotor,
+    stepped_axis,
     target_paths,
 )
 
@@ -286,27 +287,28 @@ def test_criterion_6_flyover_delay_spread_trend():
     with Timer(120.0) as t:
         band = FrequencyBand(2e9, 18e9, 512)
         fly = flyover_scan(
-            drone_pair_target(), 0.0, (10, 170, 10), 10.0, 10.0, band,
+            drone_pair_target(), 0.0, stepped_axis(10, 170, 10, "flyover sweep"), 10.0, 10.0, band,
             sweep_window="hann",
         )
+        delay_s = band.delay_axis()
 
         def spread(row):
             p = np.abs(row) ** 2
             sel = p >= p.max() * 1e-2  # -20 dB support
-            return fly.delay_s[sel].max() - fly.delay_s[sel].min()
+            return delay_s[sel].max() - delay_s[sel].min()
 
-        spreads = np.array([spread(r) for r in fly.data])
-        bin_s = fly.delay_s[1] - fly.delay_s[0]
+        spreads = np.array([spread(r) for r in fly])
+        bin_s = delay_s[1] - delay_s[0]
         monotone = np.all(np.diff(spreads) <= bin_s + 1e-15)
         start_ok = 1.5e-9 <= spreads[0] <= 2.2e-9
         ratio_ok = spreads[-1] < 0.5 * spreads[0]
         # target contributions stay inside the 2 ns gate at every angle:
         # every above-threshold lobe center lies within +/- 1 ns
         in_gate = True
-        for row in fly.data:
+        for row in fly:
             p = np.abs(row) ** 2
             sel = p >= p.max() * 1e-2
-            lobes = fly.delay_s[sel]
+            lobes = delay_s[sel]
             in_gate &= bool(np.all(np.abs(lobes) <= 1e-9 + bin_s))
     report(
         6,

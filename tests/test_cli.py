@@ -8,6 +8,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,7 +26,7 @@ from bisim.config import RunConfig, config_echo, load_config, parse_config
 from bisim.errors import ConfigError
 from bisim.geometry import C0, pose_at
 from bisim.pipeline import SUBCOMMANDS, run
-from bisim.targets import flyover_scan, reflectivity_scan
+from bisim.targets import flyover_scan, reflectivity_scan, stepped_axis
 
 # 2 Tx x 4 Rx in fixed mode: eight 256 x 512 links with LoS, two clutter
 # scatterers and a mover, noised and cleaned
@@ -555,13 +556,14 @@ class TestCliMain:
         if sub == "flyover":
             job = cfg.flyover
             scan = flyover_scan(cfg.scene.target(job.target), job.fixed_angle_deg,
-                                (job.start_deg, job.stop_deg, job.step_deg), job.d_tx, job.d_rx, job.band,
-                                elevation_deg=job.elevation_deg, sweep_window=job.sweep_window)
+                                stepped_axis(job.start_deg, job.stop_deg, job.step_deg, "flyover sweep"),
+                                job.d_tx, job.d_rx, job.band, elevation_deg=job.elevation_deg,
+                                sweep_window=job.sweep_window)
         else:
             job = cfg.reflectivity
             scan = reflectivity_scan(cfg.scene.target(job.target), job.grid, job.d_tx, job.d_rx, job.band,
                                      sweep_window=job.sweep_window)
-        assert maps[0].tobytes() == maps[1].tobytes() == np.ascontiguousarray(scan.data).tobytes()
+        assert maps[0].tobytes() == maps[1].tobytes() == np.ascontiguousarray(scan).tobytes()
 
     # Each case lets its outputs through MAX_ENTRIES (lowered to keep it fast) but not an array
     # of paths or scan samples x frequencies or symbols: the low ramps of a block of synthesis
@@ -767,6 +769,27 @@ class TestRunMemory:
         # every link's cube alive at once would cost 8 cubes on their own
         assert peak < archive_bytes + 8 * cube_bytes, (peak - archive_bytes) / cube_bytes
 
+    @pytest.mark.parametrize("mode", ["geometric", "fixed"])
+    @pytest.mark.parametrize("sub", ["localize", "spectrogram"])
+    def test_a_link_cube_is_freed_before_the_next_is_made(self, sub, mode, tmp_path, monkeypatch):
+        # localize's DD map and spectrogram's delay profiles are their link's cube buffer: a name
+        # in the runner or in _detected_links that still holds link i's cube when link i+1's is
+        # made keeps that buffer alive, one more cube in flight
+        buffers = []
+
+        def link_cube(cfg, i, link, _make=pipeline._link_cube):
+            alive = [j for j, buffer in enumerate(buffers) if buffer() is not None]
+            assert not alive, f"the buffers of links {alive} are alive while link {i}'s cube is made"
+            cube = _make(cfg, i, link)
+            buffers.append(weakref.ref(cube.data if cube.data.base is None else cube.data.base))
+            return cube
+
+        monkeypatch.setattr(pipeline, "_link_cube", link_cube)
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc["mode"] = mode
+        run(sub, parse_config(doc), out_dir=tmp_path / "o")
+        assert len(buffers) == 3
+
     @staticmethod
     def peak_above_archive(sub, doc, tmp_path) -> tuple[int, RunConfig]:
         """tracemalloc peak of a second run of sub on doc, less its archive's bytes, and its config."""
@@ -783,17 +806,18 @@ class TestRunMemory:
         return peak - archive_bytes, cfg
 
     # tracemalloc peak above the archive, in link cubes: the measured peak + 0.5 cube
-    # (FULL_SCENE simulate 0.5, clean 0.5, ddmap 1.07, localize 2.07, spectrogram 1.50, and
+    # (FULL_SCENE simulate 0.5, clean 0.5, ddmap 1.07, localize 2.07, spectrogram 1.51, and
     # the same in fixed mode and with clean_paths 2; ROTOR_SCENE 0.5, 0.34, 1.33, 2.34, 1.31),
     # so one more cube held across a link fails. Noise, clean and the delay transforms work
     # in the link's cube: noising peaks at the cube and scaled_power's |H| (half a cube), the
     # DD map at the cube and its transposed rows, and detection at the map, its |x| and the
-    # partitioned copy (half a map each); localize does not archive its maps, and spectrogram
-    # drops each spent cube before the next link's is made. ROTOR_SCENE's synthesis
+    # partitioned copy (half a map each); localize does not archive its maps, and it and
+    # spectrogram let each spent cube go before the next link's is made
+    # (test_a_link_cube_is_freed_before_the_next_is_made). ROTOR_SCENE's synthesis
     # temporaries add a third of a cube. The delay bin is picked from row slabs, so with no
     # noise stage (ROTOR_SCENE) spectrogram peaks where synthesis does: its budget is the
     # measured 1.31 + 0.04, so a half-cube |P|^2 (1.47) fails; with noise (FULL_SCENE) the
-    # noise stage's |H| sets its peak at 1.50
+    # noise stage's |H| sets its peak at 1.51
     CUBE_BUDGETS = {
         "FULL_SCENE": {"simulate": 1.0, "clean": 1.0, "ddmap": 1.6, "localize": 2.6, "spectrogram": 2.0},
         "ROTOR_SCENE": {"simulate": 1.0, "clean": 0.85, "ddmap": 1.85, "localize": 2.85, "spectrogram": 1.35},

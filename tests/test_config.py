@@ -16,7 +16,8 @@ from bisim.archive import _summary_text
 from bisim.cli import main
 from bisim.config import config_echo, load_config, load_document, parse_config
 from bisim.errors import ConfigError
-from bisim.targets import flyover_scan, states
+from bisim.pipeline import run
+from bisim.targets import states
 
 MINIMAL = """
 waveform:
@@ -416,15 +417,14 @@ class TestStrictParsing:
         doc["reflectivity"]["az_tx"] = spec
         assert np.allclose(parse_config(doc).reflectivity.grid["az_tx"], expected)
 
-    def test_stepped_axis_and_flyover_sweep_never_pass_stop(self):
+    def test_stepped_axis_and_flyover_sweep_never_pass_stop(self, tmp_path):
         doc = full_scene()
         doc["reflectivity"]["az_tx"] = {"start": 0, "stop": 1, "step": 0.6}
         doc["flyover"].update(start_deg=0, stop_deg=1, step_deg=0.6)
         cfg = parse_config(doc)
-        job = cfg.flyover
-        fly = flyover_scan(cfg.scene.target(job.target), job.fixed_angle_deg,
-                           (job.start_deg, job.stop_deg, job.step_deg), job.d_tx, job.d_rx, job.band)
-        assert cfg.reflectivity.grid["az_tx"].tolist() == fly.angles_deg.tolist() == [0, 0.6]
+        archive, _ = run("flyover", cfg, out_dir=tmp_path / "o")
+        angles = archive.datasets["flyover"].axes[0].values
+        assert cfg.reflectivity.grid["az_tx"].tolist() == angles.tolist() == [0, 0.6]
 
     @pytest.mark.parametrize("spec", [
         {"start": 0, "stop": 90, "step": -5},
@@ -562,6 +562,48 @@ class TestProcessingBounds:
         assert (proc.gate.edge_ns, proc.clean_paths, proc.stft.fft_size, proc.stft.hop) == (1, 128, 4096, 1)
         doc["processing"].update(gate={"center_ns": 0, "width_ns": 2}, clean_paths=0, stft={"fft_size": 1})
         assert parse_config(doc).processing.stft.fft_size == 1
+
+
+# Scan sections that their scan refuses, so that every subcommand must refuse them at parse time:
+# (edits as {path: value}, the key path that the error names).
+OFF_AXIS = {("scene", "targets", 0, "scatterers", 1, "offset"): [1.5, 0, 0]}   # the car's extent is 1.5 m
+BAD_SCANS = [
+    pytest.param({("flyover", "step_deg"): 0}, "flyover.start_deg, stop_deg, step_deg", id="flyover-step-zero"),
+    pytest.param({("flyover", "stop_deg"): 5}, "flyover.start_deg, stop_deg, step_deg", id="flyover-stop-below-start"),
+    pytest.param({("reflectivity", "az_tx"): [90, 0]}, "reflectivity.az_tx", id="reflectivity-az-tx-decreasing"),
+    pytest.param({("reflectivity", "el_rx"): []}, "reflectivity.el_rx", id="reflectivity-el-rx-empty"),
+    pytest.param({("flyover", "d_rx"): -10.0}, "flyover", id="flyover-d-rx-negative"),
+    pytest.param({("reflectivity", "d_rx"): -8.0}, "reflectivity", id="reflectivity-d-rx-negative"),
+    pytest.param({**OFF_AXIS, ("reflectivity", "d_tx"): 1.0}, "reflectivity", id="reflectivity-d-tx-inside"),
+    pytest.param({**OFF_AXIS, ("flyover", "d_tx"): 1.5}, "flyover", id="flyover-d-tx-at-extent"),
+    pytest.param({("flyover", "target"): "truck"}, "flyover.target", id="flyover-unknown-target"),
+    pytest.param({("reflectivity", "target"): "truck"}, "reflectivity.target", id="reflectivity-unknown-target"),
+]
+
+
+class TestScanBounds:
+    @pytest.mark.parametrize("sub", ["simulate", "linkbudget"])
+    @pytest.mark.parametrize("edits, where", BAD_SCANS)
+    def test_every_subcommand_refuses_a_bad_scan_section(self, edits, where, sub, tmp_path, capsys, caplog):
+        doc = full_scene()
+        for path, value in edits.items():
+            put(doc, path, value)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"{sub}: {where}" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_the_bounds_themselves_are_accepted(self):
+        # a one-angle sweep, a one-point grid axis and radii just past the target's extent
+        doc = full_scene()
+        for path, value in OFF_AXIS.items():
+            put(doc, path, value)
+        doc["flyover"].update(start_deg=30, stop_deg=30, d_tx=1.5000001)
+        doc["reflectivity"].update(az_tx=[45], d_rx=1.5000001)
+        cfg = parse_config(doc)
+        assert (cfg.flyover.stop_deg, cfg.reflectivity.grid["az_tx"].tolist()) == (30, [45])
 
 
 YAML_VALUES = st.recursive(

@@ -505,15 +505,20 @@ class TestFrameInvariance:
 
     def turned_full_scene(self, mode, yaw):
         """FULL_SCENE's cubes, noise off, as given and turned by THETA about z, the car given a
-        second scatterer off its origin so the turn reaches the body, and the yaw (None: none)
-        that it turns with; and the bound on each link's |Δ|.
+        second scatterer off its origin so the turn reaches the body, and the yaw (None: none;
+        "track" stays "track") that it turns with; and the bound on each link's |Δ|.
 
         A turn rounds each coordinate of a point at distance ρ from the z axis by under
         (√2 + 1/2)ερ (the rounded cos and sin, two products and a sum), so a point moves by
         under 3εX, X the largest ρ: a node by 3εX, and the car by 3εX from its waypoints, 2εX a
         side from interpolating them, and under εX from turning its body by the rounded yaw (the
-        unturned car without a yaw keeps its body exact). A path's two hops move by up to
-        2·(3 + 7)εX = 20εX, and the norms' own rounding adds under 3εX. Fixed mode's Dopplers
+        unturned car without a yaw keeps its body exact). A "track" yaw is arctan2 of the slope
+        of waypoints Δp apart, which their 3εX a side and the rounding of its difference and
+        quotient move by under 6εX + 2ε|Δp|, so its direction turns by under (6X/|Δp| + 2)ε;
+        arctan2 rounds each side's heading by under 2 ulps, 4ε for |h| <= π, and the turn
+        rounds θ by under ε, so the body, ρ_b from the car's origin at most, moves by under
+        ρ_b(6X/|Δp| + 11)ε, which the test checks is within that εX. A path's two hops move by
+        up to 2·(3 + 7)εX = 20εX, and the norms' own rounding adds under 3εX. Fixed mode's Dopplers
         come from waypoint slopes, which move by 6εX/Δt for waypoints Δt apart, so over the
         capture's span T its phase moves by up to 2π·2·6εX·(T/Δt)/λ more. Each path's CFR term
         moves by |a| times the phase bound."""
@@ -529,7 +534,7 @@ class TestFrameInvariance:
             item["position"] = self.turn(item["position"])
         turned_car = scene["targets"][0]
         turned_car["trajectory"] = [[t, self.turn(p)] for t, p in turned_car["trajectory"]]
-        turned_car["yaw"] = self.THETA if yaw is None else yaw + self.THETA
+        turned_car["yaw"] = self.THETA if yaw is None else yaw if yaw == "track" else yaw + self.THETA
         cfgs = [parse_config(doc), parse_config(turned)]
         a, b = [[cube.data for _, cube in simulated_links(cfg)] for cfg in cfgs]
         cfg = cfgs[0]
@@ -537,6 +542,10 @@ class TestFrameInvariance:
                                  cfg.scene.targets[0].trajectory.points, cfg.scene.clutter.positions])
         x = np.hypot(points[:, 0], points[:, 1]).max()
         waypoint_dt = np.diff(cfg.scene.targets[0].trajectory.times).min()
+        if yaw == "track":
+            step = np.linalg.norm(np.diff(cfg.scene.targets[0].trajectory.points, axis=0), axis=1).min()
+            rho = np.hypot(*cfg.scene.targets[0].body.positions[:, :2].T).max()
+            assert rho * (6 * x / step + 11) <= x   # 72 against 300 here
         k = 23 + (12 * cfg.waveform.duration / waypoint_dt if mode == "fixed" else 0)
         assert len(a) == 3
         for (tx, rx), cube, turned_cube in zip(cfg.scene.links(), a, b):
@@ -558,6 +567,12 @@ class TestFrameInvariance:
     @pytest.mark.parametrize("mode", ["fixed", "geometric"])
     def test_turning_a_target_without_a_yaw_gives_it_the_turn_as_its_yaw(self, mode):
         for delta, bound in self.turned_full_scene(mode, None):
+            assert delta <= bound
+
+    @pytest.mark.parametrize("mode", ["fixed", "geometric"])
+    def test_turning_a_track_yawed_target_keeps_its_track_yaw(self, mode):
+        # the heading turns with the track, through arctan2 of the turned slope
+        for delta, bound in self.turned_full_scene(mode, "track"):
             assert delta <= bound
 
     def test_turning_a_rotor_turns_its_hub_and_its_tilted_spin_axis(self):

@@ -80,8 +80,6 @@ def test_one_scatterer_type():
 
 # Dataclass and NamedTuple fields kept although nothing reads them, each with its use.
 UNREAD = {
-    "CleanResult.peak_db_above_floor": "each removed path's peak over the profile median, which the run "
-                                       "diagnostics (ROADMAP item 2) will report",
     "DopplerCompensation.offsets_hz": "focus's per-path Doppler offsets, for Python callers",
     "StateEstimate.blind_directions": "estimate_velocity's Doppler-blind subspace, which the run diagnostics "
                                       "(ROADMAP item 2) will report",

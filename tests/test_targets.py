@@ -32,6 +32,7 @@ from bisim.targets import (
     link_budget,
     _scan_blocks,
     reflectivity_scan,
+    stepped_axis,
     target_paths,
 )
 
@@ -62,6 +63,7 @@ def config_rotor(**changes):
         entry["rate_rad_s" if key == "rate" else key] = value
     doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
     doc["scene"]["targets"] = [entry]
+    del doc["reflectivity"], doc["flyover"]   # they scan the car, which this scene no longer has
     return parse_config(doc).scene.targets[0]
 
 
@@ -195,10 +197,11 @@ class TestTargetInterface:
         grid = small_grid([0, 90], [0, 20], [0, 60, 180], [-10, 0])
         a = reflectivity_scan(Forwarding(target), grid, 8.0, 9.0, band)
         b = reflectivity_scan(target, grid, 8.0, 9.0, band)
-        assert np.array_equal(a.data, b.data)
-        a = flyover_scan(Forwarding(target), 0.0, (10, 180, 17), 8.0, 9.0, band)
-        b = flyover_scan(target, 0.0, (10, 180, 17), 8.0, 9.0, band)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
+        angles = stepped_axis(10, 180, 17, "flyover sweep")
+        a = flyover_scan(Forwarding(target), 0.0, angles, 8.0, 9.0, band)
+        b = flyover_scan(target, 0.0, angles, 8.0, 9.0, band)
+        assert np.array_equal(a, b)
 
     def test_rigid_body_is_the_cloud_at_rest(self):
         target = self.target()
@@ -524,7 +527,7 @@ class TestReflectivityScan:
     def test_centered_point_is_isotropic(self):
         grid = small_grid([0, 45, 90, 180], [0, 30], [10, 120, 250], [0, 45])
         tensor = reflectivity_scan(centered_scatterer(), grid, 8.0, 11.0, self.band)
-        mags = np.abs(tensor.data[..., 0, 0])
+        mags = np.abs(tensor[..., 0, 0])
         peak = mags.max(axis=4)
         assert np.allclose(peak, peak.flat[0], rtol=1e-9)
 
@@ -541,8 +544,8 @@ class TestReflectivityScan:
         rev = reflectivity_scan(
             make(jones.T), small_grid(130, 10, 20, 0), 13.0, 9.0, self.band
         )
-        swapped = np.swapaxes(rev.data[0, 0, 0, 0], -1, -2)
-        assert np.allclose(fwd.data[0, 0, 0, 0], swapped, rtol=1e-9, atol=1e-18)
+        swapped = np.swapaxes(rev[0, 0, 0, 0], -1, -2)
+        assert np.allclose(fwd[0, 0, 0, 0], swapped, rtol=1e-9, atol=1e-18)
 
     def test_two_point_interferometer_fringes(self):
         # narrowband fringe pattern vs the analytic two-point prediction
@@ -557,7 +560,7 @@ class TestReflectivityScan:
         tensor = reflectivity_scan(
             target, small_grid(0.0, 0.0, az, 0.0), 50.0, 50.0, band
         )
-        response = np.abs(tensor.data[0, 0, :, 0].sum(axis=1)[:, 0, 0])
+        response = np.abs(tensor[0, 0, :, 0].sum(axis=1)[:, 0, 0])
         # fringe count over the swept span: spacing c/(f0*d) in sin(theta)
         measured_maxima = 0
         for i in range(1, len(az) - 1):
@@ -586,7 +589,7 @@ class TestReflectivityScan:
         g2 = small_grid([10 + phi, 80 + phi], 0, [140 + phi, 220 + phi], 0)
         t1 = reflectivity_scan(base, g1, 9.0, 9.0, self.band)
         t2 = reflectivity_scan(spun, g2, 9.0, 9.0, self.band)
-        assert np.allclose(t1.data, t2.data, rtol=1e-9, atol=1e-18)
+        assert np.allclose(t1, t2, rtol=1e-9, atol=1e-18)
 
     def test_monostatic_diagonal_matches_backscatter(self):
         rng = np.random.default_rng(5)
@@ -612,15 +615,15 @@ class TestReflectivityScan:
                     -2j * np.pi * freqs * (2 * r - 2 * d) / C0
                 )
             oracle = np.fft.fftshift(np.fft.ifft(h))
-            assert np.allclose(tensor.data[i, 0, i, 0, :, 0, 0], oracle, rtol=1e-9, atol=1e-18)
+            assert np.allclose(tensor[i, 0, i, 0, :, 0, 0], oracle, rtol=1e-9, atol=1e-18)
 
     def test_rotor_scan_centres_on_its_hub(self):
         # 1 m antenna radii: inside 8 m of the origin, outside the 0.12 m blades about the hub
         make = lambda hub: make_rotor(hub=vec3(*hub), samples_per_blade=16)
         grid = small_grid([0, 90], [0, 20], [0, 60, 180], [-10, 0])
-        a, b = (reflectivity_scan(make(hub), grid, 1.0, 1.0, self.band).data for hub in ((0, 8, 0), (0, 0, 0)))
+        a, b = (reflectivity_scan(make(hub), grid, 1.0, 1.0, self.band) for hub in ((0, 8, 0), (0, 0, 0)))
         assert np.array_equal(a, b)
-        a, b = (flyover_scan(make(hub), 0.0, (10, 180, 17), 1.0, 1.5, self.band).data
+        a, b = (flyover_scan(make(hub), 0.0, stepped_axis(10, 180, 17, "flyover sweep"), 1.0, 1.5, self.band)
                 for hub in ((0, 8, 0), (0, 0, 0)))
         assert np.array_equal(a, b)
 
@@ -647,9 +650,10 @@ class TestFlyoverScan:
     band = FrequencyBand(2e9, 18e9, 512)
 
     def test_center_point_flat_trace(self):
-        fly = flyover_scan(centered_scatterer(), 0.0, (10, 180, 10), 10.0, 10.0, self.band)
-        peak_bins = np.argmax(np.abs(fly.data), axis=1)
-        zero_bin = int(np.argmin(np.abs(fly.delay_s)))
+        fly = flyover_scan(centered_scatterer(), 0.0, stepped_axis(10, 180, 10, "flyover sweep"), 10.0, 10.0,
+                           self.band)
+        peak_bins = np.argmax(np.abs(fly), axis=1)
+        zero_bin = int(np.argmin(np.abs(self.band.delay_axis())))
         assert np.all(peak_bins == zero_bin)
 
     def test_extended_target_spread_shrinks(self):
@@ -657,22 +661,26 @@ class TestFlyoverScan:
             cloud([[0.15, 0, 0], [-0.15, 0, 0]], [0.05, 0.05]),
             Trajectory.from_waypoints([(0.0, (0, 0, 0))]),
         )
-        fly = flyover_scan(target, 0.0, (10, 170, 20), 10.0, 10.0, self.band,
+        fly = flyover_scan(target, 0.0, stepped_axis(10, 170, 20, "flyover sweep"), 10.0, 10.0, self.band,
                            sweep_window="hann")
+        delay_s = self.band.delay_axis()
 
         def spread(row):
             p = np.abs(row) ** 2
             sel = p >= p.max() * 1e-2
-            return fly.delay_s[sel].max() - fly.delay_s[sel].min()
+            return delay_s[sel].max() - delay_s[sel].min()
 
-        s10 = spread(fly.data[0])
-        s170 = spread(fly.data[-1])
+        s10 = spread(fly[0])
+        s170 = spread(fly[-1])
         assert s170 < 0.5 * s10
         assert s10 <= 2.2e-9  # a 30 cm pair stays at the 2 ns gate scale
 
     def test_sweep_validation(self):
-        with pytest.raises(ConfigError):
-            flyover_scan(centered_scatterer(), 0.0, (10, 5, 10), 10.0, 10.0, self.band)
+        # the check that reflectivity_scan runs on each grid axis; a config sweep with stop < start
+        # fails stepped_axis at parse time (test_config.TestScanBounds)
+        for angles in ([], [10, 5], [10, 10]):
+            with pytest.raises(ConfigError, match="flyover angle axis"):
+                flyover_scan(centered_scatterer(), 0.0, angles, 10.0, 10.0, self.band)
 
 
 def direction(az_deg, el_deg):
@@ -759,7 +767,7 @@ class TestBlockedScan:
             taper = get_window(window, band.n_points, fftbins=False) if window != "none" \
                 else np.ones(band.n_points)
             oracle = scan_oracle(pos, s, j, grid, d_tx, d_rx, band, taper)
-            assert np.max(np.abs(tensor.data - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+            assert np.max(np.abs(tensor - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
     def test_blocks_keep_the_fold_within_two_slabs_and_the_rest_within_one(self):
         for n_tx, n_scat, n_freq, width in itertools.product([1, 7, 32, 1100, 5000], [1, 10, 48, 1024, 70000],
@@ -787,9 +795,9 @@ class TestBlockedScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - tensor.data.nbytes < 3 * 16 * _SLAB_ELEMENTS   # 2.2 slabs; one Tx block would need 4
+        assert peak - tensor.nbytes < 3 * 16 * _SLAB_ELEMENTS   # 2.2 slabs; one Tx block would need 4
         oracle = scan_oracle(pos, s, np.eye(2)[None], grid, 6.0, 9.0, band, np.ones(band.n_points))
-        assert np.max(np.abs(tensor.data - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+        assert np.max(np.abs(tensor - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
     # Jones structures the scan folds into fewer than four columns. The grid has 54 Tx and
     # 14 Rx directions, so with 10 scatterers at 256 frequencies it spans partial Tx and Rx
@@ -810,7 +818,7 @@ class TestBlockedScan:
         assert spans_partial_blocks(n_tx, tx_block) and spans_partial_blocks(n_rx, rx_block)
         tensor = reflectivity_scan(target, grid, 6.0, 9.0, band)
         oracle = scan_oracle(offsets, amps, jones, grid, 6.0, 9.0, band, np.ones(band.n_points))
-        assert np.max(np.abs(tensor.data - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+        assert np.max(np.abs(tensor - oracle)) <= 1e-9 * np.max(np.abs(oracle))
         return tensor
 
     def test_identity_and_diagonal_scatterers(self):
@@ -823,7 +831,7 @@ class TestBlockedScan:
         jones[:, 0, 1] = jones[:, 0, 0]   # HV column equals HH column
         assert jones_columns(jones) == 3
         tensor = self.scan_jones(jones)
-        assert np.array_equal(tensor.data[..., 0, 1], tensor.data[..., 0, 0])
+        assert np.array_equal(tensor[..., 0, 1], tensor[..., 0, 0])
 
     def test_one_zero_jones_among_identity(self):
         jones = np.array([np.eye(2)] * 10, dtype=complex)
@@ -833,28 +841,28 @@ class TestBlockedScan:
 
     def test_all_zero_jones_gives_zero_tensor(self):
         tensor = self.scan_jones(np.zeros((10, 2, 2), dtype=complex))
-        assert tensor.data.shape == (18, 3, 7, 2, self.JONES_BAND.n_points, 2, 2)
-        assert not np.any(tensor.data)
+        assert tensor.shape == (18, 3, 7, 2, self.JONES_BAND.n_points, 2, 2)
+        assert not np.any(tensor)
 
     def test_identity_cloud_copies_hh_to_vv_and_zeroes_cross_pol(self):
         tensor = self.scan_jones(np.array([np.eye(2)] * 10, dtype=complex))
-        assert tensor.data[..., 0, 0].tobytes() == tensor.data[..., 1, 1].tobytes()
-        cross = tensor.data[..., [0, 1], [1, 0]]                        # HV and VH
+        assert tensor[..., 0, 0].tobytes() == tensor[..., 1, 1].tobytes()
+        cross = tensor[..., [0, 1], [1, 0]]                        # HV and VH
         assert np.all(cross == 0)
         assert not np.any(np.signbit(cross.real) | np.signbit(cross.imag))   # +0.0: never computed
 
     def test_flyover_matches_per_point_oracle(self):
         cloud, offsets, amps, jones = jones_cloud()
         band = FrequencyBand(2e9, 18e9, 512)
-        fly = flyover_scan(cloud, 20.0, (10, 178, 3), 6.0, 9.0, band, elevation_deg=7.0,
-                           sweep_window="hann")
-        assert spans_partial_blocks(len(fly.angles_deg), _SLAB_ELEMENTS // (len(amps) * band.n_points))
+        angles = stepped_axis(10, 178, 3, "flyover sweep")
+        fly = flyover_scan(cloud, 20.0, angles, 6.0, 9.0, band, elevation_deg=7.0, sweep_window="hann")
+        assert spans_partial_blocks(len(angles), _SLAB_ELEMENTS // (len(amps) * band.n_points))
         taper = get_window("hann", band.n_points, fftbins=False)
         oracle = np.array([
             oracle_profile(offsets, amps, jones, direction(20.0, 7.0), direction(20.0 + a, 7.0),
                            6.0, 9.0, band, taper)[:, 0, 0]
-            for a in fly.angles_deg])
-        assert np.max(np.abs(fly.data - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+            for a in angles])
+        assert np.max(np.abs(fly - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
     def test_cross_pol_channels_follow_jones_entries(self):
         jones = np.array([[1.0 + 0.5j, -0.3 + 0.2j], [0.7 - 0.1j, -0.4j]])
@@ -862,9 +870,9 @@ class TestBlockedScan:
                              Trajectory.from_waypoints([(0.0, (0, 0, 0))]))
         tensor = reflectivity_scan(target, small_grid([0, 60], 10, [30, 120, 200], 0), 7.0, 7.0,
                                    FrequencyBand(3e9, 4e9, 16))
-        hh = tensor.data[..., 0, 0]
+        hh = tensor[..., 0, 0]
         for p, q in np.ndindex(2, 2):
-            assert np.allclose(tensor.data[..., p, q], jones[p, q] / jones[0, 0] * hh,
+            assert np.allclose(tensor[..., p, q], jones[p, q] / jones[0, 0] * hh,
                                rtol=1e-12, atol=0.0)
 
     def test_memory_stays_bounded(self):
@@ -880,8 +888,8 @@ class TestBlockedScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < tensor.data.nbytes + 32e6
-        assert np.all(np.isfinite(tensor.data)) and np.any(tensor.data != 0)
+        assert peak < tensor.nbytes + 32e6
+        assert np.all(np.isfinite(tensor)) and np.any(tensor != 0)
 
     def test_benchmark_car_scan_transient_stays_small(self, bench_workloads):
         cfg = parse_config(bench_workloads.make_inputs("angle_sweeps", 1)[0])
@@ -894,23 +902,23 @@ class TestBlockedScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert tensor.data.nbytes > 28e6
-        assert peak - tensor.data.nbytes <= 4e6
+        assert tensor.nbytes > 28e6
+        assert peak - tensor.nbytes <= 4e6
 
     def test_benchmark_car_flyover_transient_stays_small(self, bench_workloads):
         cfg = parse_config(bench_workloads.make_inputs("angle_sweeps", 1)[0])
         job = cfg.flyover
         target = cfg.scene.target(job.target)
+        angles = stepped_axis(job.start_deg, job.stop_deg, job.step_deg, "flyover sweep")
         tracemalloc.start()
         try:
-            fly = flyover_scan(target, job.fixed_angle_deg, (job.start_deg, job.stop_deg, job.step_deg),
-                               job.d_tx, job.d_rx, job.band, elevation_deg=job.elevation_deg,
-                               sweep_window=job.sweep_window)
+            fly = flyover_scan(target, job.fixed_angle_deg, angles, job.d_tx, job.d_rx, job.band,
+                               elevation_deg=job.elevation_deg, sweep_window=job.sweep_window)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert fly.data.nbytes > 5e6
-        assert peak - fly.data.nbytes <= 2e6
+        assert fly.nbytes > 5e6
+        assert peak - fly.nbytes <= 2e6
 
     def test_reflectivity_archive_same_for_any_thread_count(self, tmp_path):
         doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
@@ -966,7 +974,7 @@ class TestSynthesisMatchesScan:
                 radii.append(float(np.linalg.norm(e)))
                 grid[f"az_{side}"] = [np.degrees(np.arctan2(e[1], e[0]))]
                 grid[f"el_{side}"] = [np.degrees(np.arcsin(e[2] / radii[-1]))]
-            profile = reflectivity_scan(target, grid, *radii, band).data[0, 0, 0, 0, :, 0, 0]
+            profile = reflectivity_scan(target, grid, *radii, band)[0, 0, 0, 0, :, 0, 0]
             sweep = np.fft.fft(np.fft.ifftshift(profile))
             row = cube.data[m] * np.exp(2j * np.pi * freqs * sum(radii) / C0) * w.f_c / freqs
             assert np.max(np.abs(row - sweep)) <= 1e-12 * np.max(np.abs(sweep))
