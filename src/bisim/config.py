@@ -50,8 +50,9 @@ from .errors import ConfigError
 from .geometry import C0, NodePose, Trajectory
 from .processing import check_clean_paths, check_gate, check_stft
 from .scene import SceneConfig, SceneNode
-from .targets import (MAX_AXIS_POINTS, FrequencyBand, LinkBudget, RigidTarget, ScattererStates, Spin, cloud,
-                      equivalent_rcs, rotor, scan_axis, scan_body, stepped_axis)
+from .targets import (MAX_AXIS_POINTS, FrequencyBand, LinkBudget, RigidTarget, ScattererStates, Spin,
+                      check_flyover_size, check_reflectivity_size, cloud, equivalent_rcs, rotor, scan_axis, scan_body,
+                      stepped_axis)
 
 REQUIRED = object()  # default of a key that must be given
 _ORTHO_RTOL = 1e-12  # relative tolerance of a given echo-only key against its derived value
@@ -301,7 +302,7 @@ def _trajectory(value, where: str, root: dict) -> Trajectory:
     def waypoint(wp, at: str, root: dict) -> tuple:
         wp = _waypoint(wp) if isinstance(wp, list) and len(wp) == len(_WAYPOINT) else wp
         return tuple(_build(dict, wp, _WAYPOINT, at, root).values())
-    return _at_key(where, lambda: Trajectory.from_waypoints(_list(Kind(waypoint, None)).parse(value, where, root)))
+    return _at_key(where, Trajectory.from_waypoints, _list(Kind(waypoint, None)).parse(value, where, root))
 
 
 TRAJECTORY = Key("trajectory", Kind(
@@ -439,9 +440,11 @@ def parse_config(doc) -> RunConfig:
     if cfg.reflectivity is not None:
         for key, axis in cfg.reflectivity.grid.items():
             scan_axis(axis, f"reflectivity.{key}")
+        _at_key("reflectivity", check_reflectivity_size, cfg.reflectivity.grid.values(), cfg.reflectivity.band)
     if cfg.flyover is not None:
         fly = cfg.flyover
-        stepped_axis(fly.start_deg, fly.stop_deg, fly.step_deg, "flyover.start_deg, stop_deg, step_deg")
+        angles = stepped_axis(fly.start_deg, fly.stop_deg, fly.step_deg, "flyover.start_deg, stop_deg, step_deg")
+        _at_key("flyover", check_flyover_size, angles, fly.band)
     return cfg
 
 

@@ -27,13 +27,18 @@ delays from its Link.
 The spectrogram picks its delay bin from row slabs of the profiles, summing
 |P|^2 in symbol order as the whole-cube mean does, so the bin is the same
 and the choice needs one slab, not a |P|^2 of the whole cube.
-Cube memo: simulate's cfr_* arrays are read-only, and each is held, weakly,
-under (cube key, link index), the key being the echoed mode, t0, waveform,
-scene and noise sections. A link runner whose key matches a simulate archive
-still alive in the process copies that archive's cube instead of making it:
-the same bytes, as identical config + seed give identical cubes. Nothing is
+Stage memo: each per-link stage that a runner archives is read-only and
+held, weakly, under (stage key, link index): simulate's cfr_* cubes under the
+cube key, the echoed mode, t0, waveform, scene and noise sections; clean's
+clean_residual_* under that key plus processing.clean_paths; and ddmap's
+ddmap_* maps under that key plus the fast and slow windows. A runner starts
+from the latest stage that an archive still alive in the process holds for
+its config: ddmap and localize use a held map as it is (detection and the
+fusion observation only read it), else map a copy of a held residual, else
+clean and map a copy of a held cube; clean and spectrogram copy a held cube.
+The same bytes, as identical config + seed give identical stages. Nothing is
 held once the caller drops the archive, and a run in a fresh process makes
-every cube.
+every stage.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import marshal
 import math
 import weakref
 from dataclasses import replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -57,6 +63,8 @@ from .fusion import BistaticObservation, fuse
 from .geometry import C0, NodePose
 from .illumination import doppler_precompensate, focusing_gain, time_reversal_prefilter
 from .processing import (
+    DelayDopplerMap,
+    dd_axes,
     delay_doppler_map,
     detect_peaks,
     magnitude_db,
@@ -98,17 +106,41 @@ def _link_cube(cfg: RunConfig, i: int, link: Link) -> SlowTimeCube:
     return add_noise(cube, cfg.noise.snr_db, seed=[cfg.noise.seed, i])
 
 
-# (cube key, link index) -> the read-only cfr array of a simulate archive that is still alive
+# (stage key, link index) -> the read-only cfr, clean residual or DD map array of link i in an
+# archive that is still alive
 _HELD: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _cube_key(echo: dict) -> bytes:
-    """The echoed sections that a link cube is a function of, as marshal bytes: link cubes are
-    single-polarisation, so the Jones matrices that the echo omits cannot change them. Equal
-    bytes are equal values of equal types; marshal also writes whether a string is interned,
-    so equal configs parsed apart may miss, never wrongly hit. marshal writes floats as their
-    bits: on a 65,536-scatterer cloud it is 15 times faster than repr."""
-    return marshal.dumps([echo[section] for section in ("mode", "t0", "waveform", "scene", "noise")], 2)
+class _StageKeys(NamedTuple):
+    """The keys that a link's cube, clean residual and DD map are held under, with its index."""
+
+    cfr: bytes
+    residual: bytes
+    map: bytes
+
+
+def _stage_keys(echo: dict) -> _StageKeys:
+    """The echoed values that each stage is a function of, as marshal bytes: the cube key holds
+    the mode, t0, waveform, scene and noise sections (link cubes are single-polarisation, so the
+    Jones matrices that the echo omits cannot change them), the residual key adds
+    processing.clean_paths, and the map key adds the fast and slow windows. marshal bytes end
+    where their value does, so a key of one stage never equals one of another. Equal bytes
+    are equal values of equal types; marshal also writes whether a string is interned, so equal
+    configs parsed apart may miss, never wrongly hit. marshal writes floats as their bits: on a
+    65,536-scatterer cloud it is 15 times faster than repr."""
+    proc = echo["processing"]
+    return _StageKeys(*accumulate([
+        marshal.dumps([echo[section] for section in ("mode", "t0", "waveform", "scene", "noise")], 2),
+        marshal.dumps(proc["clean_paths"], 2),
+        marshal.dumps([proc["fast_window"], proc["slow_window"]], 2),
+    ]))
+
+
+def _publish(archive: ResultArchive, key: bytes, i: int, name: str, values: np.ndarray, axes: list[Axis]) -> None:
+    """Archive values as dataset name, read-only, and hold them under (key, i) while the archive lives."""
+    values = archive.add(name, values, axes).values
+    values.flags.writeable = False
+    _HELD[key, i] = values
 
 
 def _held_or_made(cfg: RunConfig, key: bytes, i: int, link: Link) -> SlowTimeCube:
@@ -117,12 +149,16 @@ def _held_or_made(cfg: RunConfig, key: bytes, i: int, link: Link) -> SlowTimeCub
     return _link_cube(cfg, i, link) if held is None else SlowTimeCube(held, cfg.waveform)
 
 
+def _links(cfg: RunConfig) -> Iterator[Link]:
+    for tx, rx in cfg.scene.links():
+        yield Link(tx, rx, tx.pose(cfg.t0), rx.pose(cfg.t0))
+
+
 def _simulate_links(cfg: RunConfig, key: bytes) -> Iterator[tuple[Link, SlowTimeCube]]:
     """Each link and its cube in link order, the cube made when asked for and held only by the
     caller (no local here keeps it across the yield), so a run holds one link's cube beyond its
     archive. A pool over links measured slower."""
-    for i, (tx, rx) in enumerate(cfg.scene.links()):
-        link = Link(tx, rx, tx.pose(cfg.t0), rx.pose(cfg.t0))
+    for i, link in enumerate(_links(cfg)):
         yield link, _held_or_made(cfg, key, i, link)
 
 
@@ -135,12 +171,10 @@ def _cube_axes(cfg: RunConfig) -> list[Axis]:
 
 def run_simulate(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     """Each link's cube, archived read-only and held in _HELD for as long as the archive lives."""
-    key = _cube_key(archive.summary["config"])
+    key = _stage_keys(archive.summary["config"]).cfr
     links = []
     for i, (link, cube) in enumerate(_simulate_links(cfg, key)):
-        values = archive.add(f"cfr_{link.name}", cube.data, _cube_axes(cfg)).values
-        values.flags.writeable = False
-        _HELD[key, i] = values
+        _publish(archive, key, i, f"cfr_{link.name}", cube.data, _cube_axes(cfg))
         los = link.los_delay
         links.append(
             {
@@ -169,27 +203,40 @@ def _detections_summary(link: Link, dets, limit: int = 10) -> list[dict]:
     ]
 
 
-def _detected_links(cfg: RunConfig, key: bytes, exclude_zero_doppler: bool):
-    """Each link, its DD map after clean and its detections, in link order."""
+def _link_map(cfg: RunConfig, keys: _StageKeys, i: int, link: Link) -> DelayDopplerMap:
+    """Link i's DD map after clean: a live ddmap archive's read-only map as it is, else the map of
+    a copy of a live clean archive's residual, else of the link's cube, cleaned. The map is made
+    in the buffer of the cube it is made from, which no local here keeps."""
+    held = _HELD.get((keys.map, i))
+    if held is not None:
+        return DelayDopplerMap(held, *dd_axes(cfg.waveform))
     proc = cfg.processing
-    for link, cube in _simulate_links(cfg, key):
+    held = _HELD.get((keys.residual, i))
+    if held is not None:
+        cube = SlowTimeCube(held, cfg.waveform)
+    else:
+        cube = _held_or_made(cfg, keys.cfr, i, link)
         if proc.clean_paths > 0:
             subtract_dominant_paths(cube, proc.clean_paths)
-        ddm = delay_doppler_map(cube, proc.fast_window, proc.slow_window)
-        dets = detect_peaks(ddm, proc.detect_threshold_db, exclude_zero_doppler=exclude_zero_doppler)
+    return delay_doppler_map(cube, proc.fast_window, proc.slow_window)
+
+
+def _detected_links(cfg: RunConfig, keys: _StageKeys, exclude_zero_doppler: bool):
+    """Each link, its DD map after clean and its detections, in link order."""
+    for i, link in enumerate(_links(cfg)):
+        ddm = _link_map(cfg, keys, i, link)
+        dets = detect_peaks(ddm, cfg.processing.detect_threshold_db, exclude_zero_doppler=exclude_zero_doppler)
         yield link, ddm, dets
-        del ddm, cube   # the map is the cube's buffer: neither name may hold it while the next link's is made
+        del ddm   # a made map is its cube's buffer: it may not be held while the next link's is made
 
 
 def run_ddmap(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
+    """Each link's DD map, archived read-only and held in _HELD for as long as the archive lives."""
     results = {}
-    for link, ddm, dets in _detected_links(cfg, _cube_key(archive.summary["config"]),
-                                           cfg.processing.exclude_zero_doppler):
-        archive.add(
-            f"ddmap_{link.name}",
-            ddm.data,
-            [Axis("delay", "s", ddm.delay_s), Axis("doppler", "Hz", ddm.doppler_hz)],
-        )
+    keys = _stage_keys(archive.summary["config"])
+    for i, (link, ddm, dets) in enumerate(_detected_links(cfg, keys, cfg.processing.exclude_zero_doppler)):
+        _publish(archive, keys.map, i, f"ddmap_{link.name}", ddm.data,
+                 [Axis("delay", "s", ddm.delay_s), Axis("doppler", "Hz", ddm.doppler_hz)])
         results[link.name] = {"detections": _detections_summary(link, dets)}
     return results
 
@@ -217,7 +264,7 @@ def _delay_bin_series(cube: SlowTimeCube) -> tuple[np.ndarray, int]:
 def run_spectrogram(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     results = {}
     st, w = cfg.processing.stft, cfg.waveform
-    for link, cube in _simulate_links(cfg, _cube_key(archive.summary["config"])):
+    for link, cube in _simulate_links(cfg, _stage_keys(archive.summary["config"]).cfr):
         series, bin_idx = _delay_bin_series(cube)
         del cube   # spent on its profiles; else held while the next link's cube is made
         spec = stft_spectrogram(series, w.t_sym, st.fft_size, st.hop, st.window, t0=cfg.t0)
@@ -238,11 +285,13 @@ def run_spectrogram(cfg: RunConfig, archive: ResultArchive, threads: int) -> dic
 
 
 def run_clean(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
+    """Each link's residual, archived read-only and held in _HELD for as long as the archive lives."""
     results = {}
     n = cfg.processing.clean_paths
-    for link, cube in _simulate_links(cfg, _cube_key(archive.summary["config"])):
+    keys = _stage_keys(archive.summary["config"])
+    for i, (link, cube) in enumerate(_simulate_links(cfg, keys.cfr)):
         res = subtract_dominant_paths(cube, n)
-        archive.add(f"clean_residual_{link.name}", cube.data, _cube_axes(cfg))
+        _publish(archive, keys.residual, i, f"clean_residual_{link.name}", cube.data, _cube_axes(cfg))
         results[link.name] = {
             "removed": [
                 {
@@ -275,7 +324,7 @@ def run_localize(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     """Per-link peak extraction followed by multistatic fusion."""
     obs = []
     per_link = {}
-    for link, ddm, dets in _detected_links(cfg, _cube_key(archive.summary["config"]), exclude_zero_doppler=True):
+    for link, ddm, dets in _detected_links(cfg, _stage_keys(archive.summary["config"]), exclude_zero_doppler=True):
         per_link[link.name] = {"detections": _detections_summary(link, dets, 3)}
         if dets:
             obs.append(_observation(cfg, link, ddm, dets[0]))
@@ -413,10 +462,14 @@ def run(subcommand: str, cfg: RunConfig, out_dir=None, threads: int = 1,
     that an earlier run left there can be told apart. Each file is created
     fresh: a rerun unlinks the old file first, so a symlink or read-only
     file there is replaced, not written through, and a killed write leaves
-    a short file. A simulate archive's cfr_* arrays are read-only; while the
-    archive lives, a run of clean, ddmap, localize or spectrogram on a config
-    of the same echoed mode, t0, waveform, scene and noise copies its cubes
-    instead of synthesising and noising them again.
+    a short file. The cfr_* arrays of a simulate archive, the clean_residual_*
+    of a clean archive and the ddmap_* of a ddmap archive are read-only. While
+    such an archive lives, a later run on a config of the same echoed mode, t0,
+    waveform, scene and noise reuses its stage instead of making it again:
+    clean, ddmap, localize and spectrogram copy simulate's cubes; ddmap and
+    localize on the same clean_paths copy clean's residuals and skip clean;
+    and localize (or ddmap) on the same clean_paths and windows uses ddmap's
+    maps as they are, with no cube, clean or map made.
     """
     if subcommand not in _RUNNERS:
         raise UsageError(f"unknown subcommand {subcommand!r}")

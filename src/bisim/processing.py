@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import PathTable, SlowTimeCube, check_entries, delay_axis, named_window
+from .channel import PathTable, SlowTimeCube, WaveformConfig, check_entries, delay_axis, named_window
 from .errors import ConfigError, NumericalError, UsageError
 
 DB_FLOOR = -300.0
@@ -89,8 +89,12 @@ def delay_doppler_map(cube: SlowTimeCube, fast_window: str = "none",
     s = w.n_symbols // 2   # fftshift: column i moves to (i + s) mod M
     dd[:, s:] = rows[:, :-s]
     dd[:, :s] = rows[:, -s:]
-    doppler = np.fft.fftshift(np.fft.fftfreq(w.n_symbols, w.t_sym))
-    return DelayDopplerMap(dd, delay_axis(w.n_subcarriers, w.bandwidth), doppler)
+    return DelayDopplerMap(dd, *dd_axes(w))
+
+
+def dd_axes(w: WaveformConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The delay (s) and centred Doppler (Hz) axes of a DD map of waveform w."""
+    return delay_axis(w.n_subcarriers, w.bandwidth), np.fft.fftshift(np.fft.fftfreq(w.n_symbols, w.t_sym))
 
 
 def check_gate(width_s: float, edge_s: float) -> None:

@@ -313,6 +313,17 @@ def scan_axis(values, what: str) -> np.ndarray:
     return axis
 
 
+def check_reflectivity_size(axes, band: FrequencyBand) -> None:
+    """ConfigError unless the tensor on the four angle axes x band.n_points x 2 x 2 fits MAX_ENTRIES."""
+    check_entries(math.prod(map(len, axes)) * band.n_points * 4,
+                  "reflectivity tensor of az_tx x el_tx x az_rx x el_rx x band.n_points x 2 x 2")
+
+
+def check_flyover_size(angles, band: FrequencyBand) -> None:
+    """ConfigError unless the map of the swept angles x band.n_points fits MAX_ENTRIES."""
+    check_entries(len(angles) * band.n_points, "flyover map of swept angles x band.n_points")
+
+
 def _map_in_order(fn, items, threads: int) -> list:
     """[fn(x) for x in items], on a thread pool when threads > 1; same order either way."""
     if threads <= 1:
@@ -388,8 +399,7 @@ def reflectivity_scan(target, grid: dict, d_tx: float, d_rx: float,
     each writes its own slice, so the result does not depend on it.
     """
     axes = [scan_axis(grid.get(key, ()), f"angle grid {key!r}") for key in ("az_tx", "el_tx", "az_rx", "el_rx")]
-    check_entries(math.prod(map(len, axes)) * band.n_points * 4,
-                  "reflectivity tensor of az_tx x el_tx x az_rx x el_rx x band.n_points x 2 x 2")
+    check_reflectivity_size(axes, band)
     states = scan_body(target, d_tx, d_rx)
     az_tx, el_tx, az_rx, el_rx = axes
     u_tx = _directions(az_tx[:, None], el_tx).reshape(-1, 3)
@@ -454,7 +464,7 @@ def flyover_scan(target, fixed_angle_deg: float, angles, d_tx: float, d_rx: floa
     high x low ramps (32 x 32 for 1024 frequencies).
     """
     angles = scan_axis(angles, "flyover angle axis")
-    check_entries(len(angles) * band.n_points, "flyover map of swept angles x band.n_points")
+    check_flyover_size(angles, band)
     states = scan_body(target, d_tx, d_rx)
     p_tx = d_tx * direction_from_angles(fixed_angle_deg, elevation_deg)
     p_rx = d_rx * _directions(fixed_angle_deg + angles, elevation_deg)[:, None]

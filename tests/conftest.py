@@ -127,7 +127,7 @@ def first_link_paths(scene, t, doppler=False):
 
 def simulated_links(cfg):
     """pipeline._simulate_links of cfg under the cube key that a run of cfg uses."""
-    return pipeline._simulate_links(cfg, pipeline._cube_key(config_echo(cfg)))
+    return pipeline._simulate_links(cfg, pipeline._stage_keys(config_echo(cfg)).cfr)
 
 
 @pytest.fixture

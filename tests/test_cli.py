@@ -678,21 +678,34 @@ class TestOneBlasThread:
 
 class TestCubeMemo:
     """A link runner after a simulate whose archive is still alive, on a config of the same
-    echoed mode, t0, waveform, scene and noise, copies that archive's cubes."""
+    echoed mode, t0, waveform, scene and noise, copies that archive's cubes; ddmap and localize
+    after a live clean on the same clean_paths copy its residuals, and after a live ddmap on the
+    same clean_paths and windows use its maps as they are."""
 
     LINK_RUNNERS = ("clean", "ddmap", "localize", "spectrogram")
+    SYNTHESIS = ("link_paths", "synth_cfr", "add_noise")
+    # what a link's stages are made with; SlowTimeCube counts the copies of held arrays
+    STAGES = ("link_paths", "synth_cfr", "add_noise", "SlowTimeCube", "subtract_dominant_paths", "delay_doppler_map")
 
     @staticmethod
-    def count_synthesis(monkeypatch) -> dict:
-        """Calls of link_paths (fixed mode's, and link_callback's), synth_cfr and add_noise."""
-        calls = dict.fromkeys(("link_paths", "synth_cfr", "add_noise"), 0)
-        for owner, name in ((pipeline, "link_paths"), (scene_module, "link_paths"), (pipeline, "synth_cfr"),
-                            (pipeline, "add_noise")):
+    def count_calls(monkeypatch, *names) -> dict:
+        """Calls of each named function of pipeline; link_paths counts link_callback's too."""
+        calls = dict.fromkeys(names, 0)
+        owners = [(pipeline, name) for name in names] + [(scene_module, "link_paths")] * ("link_paths" in names)
+        for owner, name in owners:
             def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
         return calls
+
+    @staticmethod
+    def clean_2_doc(mode) -> dict:
+        """FULL_SCENE in mode with clean_paths 2, so that a made residual calls clean."""
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc["mode"] = mode
+        doc["processing"]["clean_paths"] = 2
+        return doc
 
     @staticmethod
     def outputs(sub, cfg, out) -> dict:
@@ -708,7 +721,7 @@ class TestCubeMemo:
         doc.update(mode=mode)
         cfg = parse_config(doc)
         gc.collect()
-        calls = self.count_synthesis(monkeypatch)
+        calls = self.count_calls(monkeypatch, *self.SYNTHESIS)
         made = self.outputs(sub, cfg, tmp_path / "o")
         assert calls["synth_cfr"] == calls["add_noise"] == 3 and calls["link_paths"] >= 3
         archive, _ = run("simulate", cfg, out_dir=tmp_path / "s")   # another outputs.directory
@@ -717,17 +730,57 @@ class TestCubeMemo:
         assert calls == {"link_paths": 0, "synth_cfr": 0, "add_noise": 0}
         assert len(archive.datasets) == 3
 
-    def test_nothing_is_held_once_the_archive_goes(self, full_scene_config, tmp_path, monkeypatch):
-        cfg = load_config(full_scene_config)
-        archive, _ = run("simulate", cfg, out_dir=tmp_path)
-        held = [(key, i) for key, i in pipeline._HELD.keys() if key == pipeline._cube_key(archive.summary["config"])]
-        assert [i for _, i in held] == [0, 1, 2]
-        del archive
+    @pytest.mark.parametrize("mode", ["geometric", "fixed"])
+    @pytest.mark.parametrize("first, sub, made", [
+        ("clean", "ddmap", {"SlowTimeCube": 3, "delay_doppler_map": 3}),   # maps of copied residuals
+        ("ddmap", "localize", {}),                                         # the held maps as they are
+    ])
+    def test_a_live_stage_archive_gives_the_same_outputs_from_that_stage(self, first, sub, made, mode, tmp_path,
+                                                                         monkeypatch):
+        cfg = parse_config(self.clean_2_doc(mode))
+        gc.collect()
+        calls = self.count_calls(monkeypatch, *self.STAGES)
+        expected = self.outputs(sub, cfg, tmp_path / "o")
+        assert calls["synth_cfr"] == calls["subtract_dominant_paths"] == calls["delay_doppler_map"] == 3
+        archive, _ = run(first, cfg, out_dir=tmp_path / "s")   # another outputs.directory
+        calls.update(dict.fromkeys(calls, 0))
+        assert self.outputs(sub, cfg, tmp_path / "o") == expected
+        assert calls == {**dict.fromkeys(self.STAGES, 0), **made}
+        assert len(archive.datasets) == 3
+
+    @pytest.mark.parametrize("edit, made", [
+        ("clean_paths", {"subtract_dominant_paths": 3, "delay_doppler_map": 3}),   # the cubes are held, no more
+        ("slow_window", {"delay_doppler_map": 3}),                                 # the residuals are held too
+    ])
+    def test_a_different_stage_config_misses(self, edit, made, tmp_path, monkeypatch):
+        doc = self.clean_2_doc("fixed")
+        if edit == "clean_paths":
+            doc["processing"]["clean_paths"] = 3
+        else:
+            doc["processing"]["slow_window"] = "hann"
+        gc.collect()
+        expected = self.outputs("localize", parse_config(doc), tmp_path / "o")
+        kept = [run(sub, parse_config(self.clean_2_doc("fixed")), out_dir=tmp_path / sub)[0]
+                for sub in ("simulate", "clean", "ddmap")]
+        calls = self.count_calls(monkeypatch, *self.STAGES)
+        assert self.outputs("localize", parse_config(doc), tmp_path / "o") == expected
+        assert calls == {**dict.fromkeys(self.STAGES, 0), "SlowTimeCube": 3, **made}
+        assert [len(archive.datasets) for archive in kept] == [3, 3, 3]
+
+    def test_nothing_is_held_once_the_archive_goes(self, tmp_path, monkeypatch):
+        cfg = parse_config(self.clean_2_doc("geometric"))
+        kept = [run(sub, cfg, out_dir=tmp_path)[0] for sub in ("simulate", "clean", "ddmap")]
+        keys = pipeline._stage_keys(kept[0].summary["config"])
+        held = [(key, i) for key, i in pipeline._HELD.keys() if key in keys]
+        assert sorted(held) == sorted((key, i) for key in keys for i in range(3))
+        del kept
         gc.collect()
         assert not any(entry in pipeline._HELD for entry in held)
-        calls = self.count_synthesis(monkeypatch)
-        run("clean", cfg, out_dir=tmp_path)
-        assert calls["synth_cfr"] == calls["add_noise"] == 3
+        calls = self.count_calls(monkeypatch, *self.STAGES)
+        run("ddmap", cfg, out_dir=tmp_path)
+        assert calls.pop("link_paths") >= 3
+        assert calls == {"synth_cfr": 3, "add_noise": 3, "SlowTimeCube": 0, "subtract_dominant_paths": 3,
+                         "delay_doppler_map": 3}
 
     @pytest.mark.parametrize("edit", ["noise_seed", "moved_node", "other_mode"])
     def test_a_different_cube_config_synthesises(self, edit, tmp_path, monkeypatch):
@@ -739,17 +792,20 @@ class TestCubeMemo:
             doc["scene"]["rx_nodes"][2]["position"] = [-200, 101, 0]
         else:
             doc["mode"] = "fixed"
-        calls = self.count_synthesis(monkeypatch)
+        calls = self.count_calls(monkeypatch, *self.SYNTHESIS)
         run("clean", parse_config(doc), out_dir=tmp_path / "o")
         assert calls["synth_cfr"] == calls["add_noise"] == 3 and calls["link_paths"] >= 3
         assert len(archive.datasets) == 3
 
     def test_a_simulate_archive_cube_is_read_only(self, full_scene_config, tmp_path):
-        archive, _ = run("simulate", load_config(full_scene_config), out_dir=tmp_path)
-        for name, ds in archive.datasets.items():
-            assert name.startswith("cfr_")
-            with pytest.raises(ValueError, match="read-only"):
-                ds.values[0, 0] = 0.0
+        # and so is every other held stage array: clean's residuals and ddmap's maps
+        for sub, prefix in (("simulate", "cfr_"), ("clean", "clean_residual_"), ("ddmap", "ddmap_")):
+            archive, _ = run(sub, load_config(full_scene_config), out_dir=tmp_path)
+            assert len(archive.datasets) == 3
+            for name, ds in archive.datasets.items():
+                assert name.startswith(prefix)
+                with pytest.raises(ValueError, match="read-only"):
+                    ds.values[0, 0] = 0.0
 
 
 class TestRunMemory:
@@ -847,11 +903,32 @@ class TestRunMemory:
     def test_link_runner_after_a_live_simulate_peak_above_its_archive(self, sub, scene, tmp_path, monkeypatch):
         doc = self.budget_doc(scene)
         simulated, _ = run("simulate", parse_config(doc), out_dir=tmp_path / "s")
-        calls = TestCubeMemo.count_synthesis(monkeypatch)
+        calls = TestCubeMemo.count_calls(monkeypatch, *TestCubeMemo.SYNTHESIS)
         above, cfg = self.peak_above_archive(sub, doc, tmp_path)
         assert calls["synth_cfr"] == 0 and len(simulated.datasets) == len(cfg.scene.links())
         cubes = above / (cfg.waveform.n_symbols * cfg.waveform.n_subcarriers * 16)
         assert cubes < self.CUBE_BUDGETS[scene][sub], cubes
+
+    # ddmap after a live clean maps copies of its residuals, within ddmap's budget above (measured
+    # 1.07, ROTOR_SCENE 1.33); localize after a live ddmap makes no cube and no map, so its peak
+    # is detection's |x| and partitioned copy (half a map each): the measured peak + 0.5 cube
+    # (FULL_SCENE 1.07, the same in fixed mode and with clean_paths 2; ROTOR_SCENE 1.34)
+    AFTER_DDMAP_BUDGETS = {"FULL_SCENE": 1.6, "ROTOR_SCENE": 1.85, "FULL_SCENE_CLEAN_2": 1.6, "FULL_SCENE_FIXED": 1.6}
+
+    @pytest.mark.parametrize("scene", list(AFTER_DDMAP_BUDGETS))
+    @pytest.mark.parametrize("first, sub", [("clean", "ddmap"), ("ddmap", "localize")])
+    def test_link_runner_after_a_live_stage_archive_peak_above_its_archive(self, first, sub, scene, tmp_path,
+                                                                         monkeypatch):
+        doc = self.budget_doc(scene)
+        kept, _ = run(first, parse_config(doc), out_dir=tmp_path / "s")
+        calls = TestCubeMemo.count_calls(monkeypatch, "synth_cfr", "subtract_dominant_paths", "delay_doppler_map")
+        above, cfg = self.peak_above_archive(sub, doc, tmp_path)
+        maps = 2 * len(cfg.scene.links()) if sub == "ddmap" else 0   # two runs, the warm-up's and the measured
+        assert calls == {"synth_cfr": 0, "subtract_dominant_paths": 0, "delay_doppler_map": maps}
+        assert len(kept.datasets) == len(cfg.scene.links())
+        cubes = above / (cfg.waveform.n_symbols * cfg.waveform.n_subcarriers * 16)
+        budget = self.CUBE_BUDGETS[scene]["ddmap"] if sub == "ddmap" else self.AFTER_DDMAP_BUDGETS[scene]
+        assert cubes < budget, cubes
 
     # tracemalloc peak above the archive on FULL_SCENE, in KB: the measured peak + 25 KB
     # (reflectivity 78, flyover 78, focus 76, linkbudget 75: most of it is common to every

@@ -16,7 +16,8 @@ from bisim.archive import _summary_text
 from bisim.cli import main
 from bisim.config import config_echo, load_config, load_document, parse_config
 from bisim.errors import ConfigError
-from bisim.pipeline import run
+from bisim.channel import MAX_ENTRIES
+from bisim.pipeline import SUBCOMMANDS, run
 from bisim.targets import states
 
 MINIMAL = """
@@ -360,6 +361,21 @@ class TestStrictParsing:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        ("time", "scene.targets[0].trajectory[0].t: expected a number, got 'x'"),
+        ("order", "scene.targets[0].trajectory: waypoint times must be strictly increasing"),
+    ])
+    def test_a_bad_waypoint_names_its_key_path_once(self, edit, message):
+        doc = full_scene()
+        trajectory = doc["scene"]["targets"][0]["trajectory"]
+        if edit == "time":
+            trajectory[0][0] = "x"
+        else:
+            trajectory[1][0] = trajectory[0][0]
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("text, value", [
         ('"2048"', 2048), ("2048.0", 2048), ('"4e3"', 4000), ("-3", -3)])
     def test_integers_of_exact_integral_value_accepted(self, text, value):
@@ -594,6 +610,34 @@ class TestScanBounds:
         assert f"{sub}: {where}" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    # a scan's output size, checked by the function its scan runs: one swept angle or grid point
+    # at MAX_ENTRIES entries is accepted, one entry more is refused
+    SIZES = {"flyover": ({"start_deg": 30, "stop_deg": 30}, MAX_ENTRIES),
+             "reflectivity": ({key: [0] for key in ("az_tx", "el_tx", "az_rx", "el_rx")}, MAX_ENTRIES // 4)}
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    @pytest.mark.parametrize("scan", ["flyover", "reflectivity"])
+    def test_every_subcommand_refuses_a_scan_past_max_entries(self, scan, sub, tmp_path, capsys, caplog):
+        doc = full_scene()
+        doc[scan]["band"]["n_points"] = 1 << 40
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"{sub}: {scan}: {scan} " in caplog.text and "complex entries" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scan", ["flyover", "reflectivity"])
+    def test_a_scan_of_max_entries_parses_and_one_more_is_refused(self, scan):
+        doc = full_scene()
+        axes, n_points = self.SIZES[scan]
+        doc[scan].update(axes)
+        doc[scan]["band"]["n_points"] = n_points
+        assert parse_config(doc)
+        doc[scan]["band"]["n_points"] = n_points + 1
+        with pytest.raises(ConfigError, match=f"^{scan}: {scan} .* more than the {MAX_ENTRIES} allowed"):
+            parse_config(doc)
 
     def test_the_bounds_themselves_are_accepted(self):
         # a one-angle sweep, a one-point grid axis and radii just past the target's extent

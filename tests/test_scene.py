@@ -9,7 +9,7 @@ import pytest
 import yaml
 from conftest import FULL_SCENE, ROTOR_SCENE, first_link_paths, simulated_links
 
-from bisim import pipeline
+from bisim import fusion, pipeline
 from bisim.channel import PathTable, WaveformConfig, first_order, synth_cfr
 from bisim.cli import main
 from bisim.config import parse_config
@@ -437,18 +437,22 @@ class TestFrameInvariance:
 
     OFFSET, SHIFT = np.array([1000.0, -500.0, 0.0]), 0.25
 
-    def cubes(self, mode, transform, tmp_path):
-        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
-        doc.update(mode=mode, noise={})
-        given, moved = parse_config(doc), doc
+    def moved(self, doc, transform) -> dict:
+        """doc, in place, translated by OFFSET ("translate") or shifted in time by SHIFT."""
         offset, shift = (self.OFFSET, 0.0) if transform == "translate" else (np.zeros(3), self.SHIFT)
-        scene = moved["scene"]
+        scene = doc["scene"]
         for item in scene["tx_nodes"] + scene["rx_nodes"] + scene["clutter"]:
             item["position"] = (item["position"] + offset).tolist()
         for target in scene["targets"]:
             target["trajectory"] = [[t + shift, (p + offset).tolist()] for t, p in target["trajectory"]]
-        moved["t0"] = shift
-        moved = parse_config(moved)
+        doc["t0"] = shift
+        return doc
+
+    def cubes(self, mode, transform, tmp_path):
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc.update(mode=mode, noise={})
+        given = parse_config(doc)
+        moved = parse_config(self.moved(doc, transform))
         runs = [pipeline.run("simulate", cfg, tmp_path)[0].datasets for cfg in (given, moved)]
         names = [f"cfr_{tx.node_id}_{rx.node_id}" for tx, rx in moved.scene.links()]
         return moved, [(runs[0][n].values, runs[1][n].values) for n in names]
@@ -614,6 +618,63 @@ class TestFrameInvariance:
         length = (2 * 8 + 3) * x + 2 * 100 * r
         bound = np.abs(gains).sum(axis=1).max() * 2 * np.pi * length * np.finfo(float).eps / wavelength
         assert np.abs(a - b).max() <= bound
+
+    def test_ddmap_and_localize_move_with_a_translated_scene(self, tmp_path):
+        """FULL_SCENE in fixed mode, noise as given, and translated by OFFSET: the cubes, so the
+        noise, the DD maps and every detection are the same bit for bit, and localize's position
+        moves by OFFSET and its velocity stays, within rounding and the solver's tolerance.
+
+        Only the LoS delays and the fusion's hops see the moved coordinates, each rounded by up
+        to εX/2, X the largest coordinate. A link's range target, C0·excess + baseline, takes
+        the baseline norm twice (through the LoS delay and directly), each moved by under
+        √3εX + εD in either frame, D <= R the baseline, and its own sums and products round by
+        under 3εR, R the largest target: under 4√3εX + 7εR between the frames. A range that the
+        solver evaluates sums two hops of under √3εX + εR each: 4√3εX + 4εR between the frames.
+        So each link's misfit moves by under δ = 8√3εX + 11εR, and the least-squares minimiser
+        by under √L·δ/σ, σ the least singular value of the range Jacobian (rows û_tx + û_rx). Each
+        frame's Gauss-Newton stops on a step under _STEP_TOL, which its quadratic convergence
+        here leaves within _STEP_TOL of that frame's minimiser; the moved estimate rounds by εX.
+        So |Δp - OFFSET| <= 2·_STEP_TOL + √L·δ/σ + εX = B_p.
+        The Dopplers are the same, so the velocity solve sees only its rows -(û_tx + û_rx)/λ
+        move: each unit vector by under 2e/d for a point e = B_p + √3εX off at hop length d.
+        With A's least singular value s, least-squares residual r and ‖δA‖_F from those rows,
+        the first-order bound ‖A⁺‖‖δA‖(‖v‖ + ‖A⁺‖‖r‖), doubled for the second-order terms, holds
+        |Δv|."""
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc["mode"] = "fixed"
+        cfgs = [parse_config(doc), parse_config(self.moved(copy.deepcopy(doc), "translate"))]
+        maps, dets, estimates = [], [], []
+        for k, cfg in enumerate(cfgs):
+            archive = pipeline.run("ddmap", cfg, tmp_path / f"d{k}")[0]
+            maps.append([ds.values for ds in archive.datasets.values()])
+            dets.append([[(d["delay_s"], d["doppler_hz"], d["power_db"]) for d in link["detections"]]
+                         for link in archive.summary["results"].values()])
+            estimates.append(pipeline.run("localize", cfg, tmp_path / f"l{k}")[0].summary["results"]["estimate"])
+        assert len(maps[0]) == 3 and all(np.array_equal(a, b) for a, b in zip(*maps))
+        assert dets[0] == dets[1] and all(dets[0])
+        eps = np.finfo(float).eps
+        p0, p1 = (np.array(e["position_m"]) for e in estimates)
+        v0, v1 = (np.array(e["velocity_m_s"]) for e in estimates)
+        moved = cfgs[1].scene
+        x = np.abs(np.concatenate([[n.pose(0.0).position for n in moved.tx_nodes + moved.rx_nodes],
+                                   moved.targets[0].trajectory.points, moved.clutter.positions, [p1]])).max()
+        tx = np.array([tx.pose(0.0).position for tx, _ in cfgs[0].scene.links()])
+        rx = np.array([rx.pose(0.0).position for _, rx in cfgs[0].scene.links()])
+        hops = [p0 - tx, p0 - rx]
+        d_tx, d_rx = (np.linalg.norm(h, axis=1) for h in hops)
+        r = (d_tx + d_rx).max()
+        u = hops[0] / d_tx[:, None] + hops[1] / d_rx[:, None]
+        delta = 8 * np.sqrt(3) * eps * x + 11 * eps * r
+        bound_p = 2 * fusion._STEP_TOL + np.sqrt(len(tx)) * delta / np.linalg.svd(u[:, :2], compute_uv=False)[-1] \
+            + eps * x
+        assert np.linalg.norm(p1 - p0 - self.OFFSET) <= bound_p
+        lam = cfgs[0].scene.wavelength
+        a = -u[:, :2] / lam
+        pinv = 1 / np.linalg.svd(a, compute_uv=False)[-1]
+        e = bound_p + np.sqrt(3) * eps * x
+        da = np.sqrt((((2 * e / d_tx + 2 * e / d_rx) / lam) ** 2).sum())
+        residual = estimates[0]["velocity_residual_rms_hz"] * np.sqrt(len(tx))
+        assert np.linalg.norm(v1 - v0) <= 2 * pinv * da * (np.linalg.norm(v0) + pinv * residual)
 
 
 class TestIlluminationPaths:
