@@ -27,18 +27,15 @@ delays from its Link.
 The spectrogram picks its delay bin from row slabs of the profiles, summing
 |P|^2 in symbol order as the whole-cube mean does, so the bin is the same
 and the choice needs one slab, not a |P|^2 of the whole cube.
-Stage memo: each per-link stage that a runner archives is read-only and
-held, weakly, under (stage key, link index): simulate's cfr_* cubes under the
-cube key, the echoed mode, t0, waveform, scene and noise sections; clean's
-clean_residual_* under that key plus processing.clean_paths; and ddmap's
-ddmap_* maps under that key plus the fast and slow windows. A runner starts
-from the latest stage that an archive still alive in the process holds for
-its config: ddmap and localize use a held map as it is (detection and the
-fusion observation only read it), else map a copy of a held residual, else
-clean and map a copy of a held cube; clean and spectrogram copy a held cube.
-The same bytes, as identical config + seed give identical stages. Nothing is
-held once the caller drops the archive, and a run in a fresh process makes
-every stage.
+Stage memo: a link's stages are its cube (0), clean's residual (1) and
+its DD map after clean (2). run() makes every dataset of a simulate, clean
+or ddmap archive read-only and holds it, weakly, under (the key of its
+stage, its name). _link_stage, the one source of a link's array at a stage,
+uses a map that a live archive holds as it is (detection and the fusion
+observation only read it), copies a held cube or residual, and else makes
+the stage from the one before. The same bytes, as identical config + seed
+give identical stages. Nothing is held once the caller drops the archive,
+and a run in a fresh process makes every stage.
 """
 
 from __future__ import annotations
@@ -106,47 +103,47 @@ def _link_cube(cfg: RunConfig, i: int, link: Link) -> SlowTimeCube:
     return add_noise(cube, cfg.noise.snr_db, seed=[cfg.noise.seed, i])
 
 
-# (stage key, link index) -> the read-only cfr, clean residual or DD map array of link i in an
-# archive that is still alive
+# (stage key, dataset name) -> a read-only cfr, clean residual or DD map array of an archive that is
+# still alive
 _HELD: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# subcommand -> the link stage that its archive's datasets hold, and the prefix of their names
+_HOLDS = {"simulate": (0, "cfr_"), "clean": (1, "clean_residual_"), "ddmap": (2, "ddmap_")}
+_PREFIXES = dict(_HOLDS.values())
 
 
-class _StageKeys(NamedTuple):
-    """The keys that a link's cube, clean residual and DD map are held under, with its index."""
-
-    cfr: bytes
-    residual: bytes
-    map: bytes
-
-
-def _stage_keys(echo: dict) -> _StageKeys:
+def _stage_keys(echo: dict) -> tuple[bytes, bytes, bytes]:
     """The echoed values that each stage is a function of, as marshal bytes: the cube key holds
     the mode, t0, waveform, scene and noise sections (link cubes are single-polarisation, so the
     Jones matrices that the echo omits cannot change them), the residual key adds
     processing.clean_paths, and the map key adds the fast and slow windows. marshal bytes end
     where their value does, so a key of one stage never equals one of another. Equal bytes
-    are equal values of equal types; marshal also writes whether a string is interned, so equal
-    configs parsed apart may miss, never wrongly hit. marshal writes floats as their bits: on a
+    are equal values of equal types, and at marshal version 2 equal values give equal bytes:
+    it records neither whether a string is interned nor which objects are shared, as versions 3
+    and up do, so equal configs parsed apart hit. marshal writes floats as their bits: on a
     65,536-scatterer cloud it is 15 times faster than repr."""
     proc = echo["processing"]
-    return _StageKeys(*accumulate([
+    return tuple(accumulate([
         marshal.dumps([echo[section] for section in ("mode", "t0", "waveform", "scene", "noise")], 2),
         marshal.dumps(proc["clean_paths"], 2),
         marshal.dumps([proc["fast_window"], proc["slow_window"]], 2),
     ]))
 
 
-def _publish(archive: ResultArchive, key: bytes, i: int, name: str, values: np.ndarray, axes: list[Axis]) -> None:
-    """Archive values as dataset name, read-only, and hold them under (key, i) while the archive lives."""
-    values = archive.add(name, values, axes).values
-    values.flags.writeable = False
-    _HELD[key, i] = values
-
-
-def _held_or_made(cfg: RunConfig, key: bytes, i: int, link: Link) -> SlowTimeCube:
-    """Link i's cube: a copy of a live simulate archive's array under (key, i), else made."""
-    held = _HELD.get((key, i))
-    return _link_cube(cfg, i, link) if held is None else SlowTimeCube(held, cfg.waveform)
+def _link_stage(cfg: RunConfig, keys: tuple, i: int, link: Link, stage: int) -> SlowTimeCube | DelayDopplerMap:
+    """Link i's cube (stage 0), clean's residual (1) or DD map after clean (2): a live archive's
+    held map as it is, else a copy of its held cube or residual, else made from the stage
+    before, in that stage's buffer, which no local here keeps."""
+    held = _HELD.get((keys[stage], _PREFIXES[stage] + link.name))
+    if held is not None:
+        return DelayDopplerMap(held, *dd_axes(cfg.waveform)) if stage == 2 else SlowTimeCube(held, cfg.waveform)
+    if stage == 0:
+        return _link_cube(cfg, i, link)
+    proc, cube = cfg.processing, _link_stage(cfg, keys, i, link, stage - 1)
+    if stage == 2:
+        return delay_doppler_map(cube, proc.fast_window, proc.slow_window)
+    if proc.clean_paths > 0:
+        subtract_dominant_paths(cube, proc.clean_paths)
+    return cube
 
 
 def _links(cfg: RunConfig) -> Iterator[Link]:
@@ -154,12 +151,12 @@ def _links(cfg: RunConfig) -> Iterator[Link]:
         yield Link(tx, rx, tx.pose(cfg.t0), rx.pose(cfg.t0))
 
 
-def _simulate_links(cfg: RunConfig, key: bytes) -> Iterator[tuple[Link, SlowTimeCube]]:
-    """Each link and its cube in link order, the cube made when asked for and held only by the
-    caller (no local here keeps it across the yield), so a run holds one link's cube beyond its
+def _simulate_links(cfg: RunConfig, keys: tuple, stage: int) -> Iterator[tuple[Link, SlowTimeCube | DelayDopplerMap]]:
+    """Each link and its array at stage in link order, made when asked for and held only by the
+    caller (no local here keeps it across the yield), so a run holds one link's array beyond its
     archive. A pool over links measured slower."""
     for i, link in enumerate(_links(cfg)):
-        yield link, _held_or_made(cfg, key, i, link)
+        yield link, _link_stage(cfg, keys, i, link, stage)
 
 
 def _cube_axes(cfg: RunConfig) -> list[Axis]:
@@ -170,11 +167,10 @@ def _cube_axes(cfg: RunConfig) -> list[Axis]:
 
 
 def run_simulate(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
-    """Each link's cube, archived read-only and held in _HELD for as long as the archive lives."""
-    key = _stage_keys(archive.summary["config"]).cfr
+    """Each link's cube, with its LoS delay and mean power."""
     links = []
-    for i, (link, cube) in enumerate(_simulate_links(cfg, key)):
-        _publish(archive, key, i, f"cfr_{link.name}", cube.data, _cube_axes(cfg))
+    for link, cube in _simulate_links(cfg, _stage_keys(archive.summary["config"]), 0):
+        archive.add(f"cfr_{link.name}", cube.data, _cube_axes(cfg))
         los = link.los_delay
         links.append(
             {
@@ -203,40 +199,21 @@ def _detections_summary(link: Link, dets, limit: int = 10) -> list[dict]:
     ]
 
 
-def _link_map(cfg: RunConfig, keys: _StageKeys, i: int, link: Link) -> DelayDopplerMap:
-    """Link i's DD map after clean: a live ddmap archive's read-only map as it is, else the map of
-    a copy of a live clean archive's residual, else of the link's cube, cleaned. The map is made
-    in the buffer of the cube it is made from, which no local here keeps."""
-    held = _HELD.get((keys.map, i))
-    if held is not None:
-        return DelayDopplerMap(held, *dd_axes(cfg.waveform))
-    proc = cfg.processing
-    held = _HELD.get((keys.residual, i))
-    if held is not None:
-        cube = SlowTimeCube(held, cfg.waveform)
-    else:
-        cube = _held_or_made(cfg, keys.cfr, i, link)
-        if proc.clean_paths > 0:
-            subtract_dominant_paths(cube, proc.clean_paths)
-    return delay_doppler_map(cube, proc.fast_window, proc.slow_window)
-
-
-def _detected_links(cfg: RunConfig, keys: _StageKeys, exclude_zero_doppler: bool):
+def _detected_links(cfg: RunConfig, keys: tuple, exclude_zero_doppler: bool):
     """Each link, its DD map after clean and its detections, in link order."""
-    for i, link in enumerate(_links(cfg)):
-        ddm = _link_map(cfg, keys, i, link)
+    for link, ddm in _simulate_links(cfg, keys, 2):
         dets = detect_peaks(ddm, cfg.processing.detect_threshold_db, exclude_zero_doppler=exclude_zero_doppler)
         yield link, ddm, dets
         del ddm   # a made map is its cube's buffer: it may not be held while the next link's is made
 
 
 def run_ddmap(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
-    """Each link's DD map, archived read-only and held in _HELD for as long as the archive lives."""
+    """Each link's DD map after clean, and its detections."""
     results = {}
     keys = _stage_keys(archive.summary["config"])
-    for i, (link, ddm, dets) in enumerate(_detected_links(cfg, keys, cfg.processing.exclude_zero_doppler)):
-        _publish(archive, keys.map, i, f"ddmap_{link.name}", ddm.data,
-                 [Axis("delay", "s", ddm.delay_s), Axis("doppler", "Hz", ddm.doppler_hz)])
+    for link, ddm, dets in _detected_links(cfg, keys, cfg.processing.exclude_zero_doppler):
+        archive.add(f"ddmap_{link.name}", ddm.data,
+                    [Axis("delay", "s", ddm.delay_s), Axis("doppler", "Hz", ddm.doppler_hz)])
         results[link.name] = {"detections": _detections_summary(link, dets)}
     return results
 
@@ -264,7 +241,7 @@ def _delay_bin_series(cube: SlowTimeCube) -> tuple[np.ndarray, int]:
 def run_spectrogram(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
     results = {}
     st, w = cfg.processing.stft, cfg.waveform
-    for link, cube in _simulate_links(cfg, _stage_keys(archive.summary["config"]).cfr):
+    for link, cube in _simulate_links(cfg, _stage_keys(archive.summary["config"]), 0):
         series, bin_idx = _delay_bin_series(cube)
         del cube   # spent on its profiles; else held while the next link's cube is made
         spec = stft_spectrogram(series, w.t_sym, st.fft_size, st.hop, st.window, t0=cfg.t0)
@@ -285,13 +262,12 @@ def run_spectrogram(cfg: RunConfig, archive: ResultArchive, threads: int) -> dic
 
 
 def run_clean(cfg: RunConfig, archive: ResultArchive, threads: int) -> dict:
-    """Each link's residual, archived read-only and held in _HELD for as long as the archive lives."""
+    """Each link's residual, and the paths that clean removed."""
     results = {}
     n = cfg.processing.clean_paths
-    keys = _stage_keys(archive.summary["config"])
-    for i, (link, cube) in enumerate(_simulate_links(cfg, keys.cfr)):
+    for link, cube in _simulate_links(cfg, _stage_keys(archive.summary["config"]), 0):
         res = subtract_dominant_paths(cube, n)
-        _publish(archive, keys.residual, i, f"clean_residual_{link.name}", cube.data, _cube_axes(cfg))
+        archive.add(f"clean_residual_{link.name}", cube.data, _cube_axes(cfg))
         results[link.name] = {
             "removed": [
                 {
@@ -462,14 +438,9 @@ def run(subcommand: str, cfg: RunConfig, out_dir=None, threads: int = 1,
     that an earlier run left there can be told apart. Each file is created
     fresh: a rerun unlinks the old file first, so a symlink or read-only
     file there is replaced, not written through, and a killed write leaves
-    a short file. The cfr_* arrays of a simulate archive, the clean_residual_*
-    of a clean archive and the ddmap_* of a ddmap archive are read-only. While
-    such an archive lives, a later run on a config of the same echoed mode, t0,
-    waveform, scene and noise reuses its stage instead of making it again:
-    clean, ddmap, localize and spectrogram copy simulate's cubes; ddmap and
-    localize on the same clean_paths copy clean's residuals and skip clean;
-    and localize (or ddmap) on the same clean_paths and windows uses ddmap's
-    maps as they are, with no cube, clean or map made.
+    a short file. Every dataset of a simulate, clean or ddmap archive is
+    read-only, and while that archive lives a later run whose config gives
+    the same stage key starts from it (see the module docstring).
     """
     if subcommand not in _RUNNERS:
         raise UsageError(f"unknown subcommand {subcommand!r}")
@@ -481,6 +452,11 @@ def run(subcommand: str, cfg: RunConfig, out_dir=None, threads: int = 1,
                                      "config": config_echo(cfg), "results": {}})
     with one_blas_thread():
         archive.summary["results"] = _RUNNERS[subcommand](cfg, archive, threads)
+    if subcommand in _HOLDS:
+        key = _stage_keys(archive.summary["config"])[_HOLDS[subcommand][0]]
+        for name, ds in archive.datasets.items():
+            ds.values.flags.writeable = False
+            _HELD[key, name] = ds.values
     csv = [name for name, ds in archive.datasets.items() if cfg.outputs.format == "csv" and ds.values.ndim <= 2]
     files = [f"{subcommand}.bisim", f"{subcommand}_summary.yaml", *(f"{subcommand}_{name}.csv" for name in csv)]
     archive.summary["files"] = files

@@ -126,8 +126,8 @@ def first_link_paths(scene, t, doppler=False):
 
 
 def simulated_links(cfg):
-    """pipeline._simulate_links of cfg under the cube key that a run of cfg uses."""
-    return pipeline._simulate_links(cfg, pipeline._stage_keys(config_echo(cfg)).cfr)
+    """pipeline._simulate_links of cfg at the cube stage, under the keys that a run of cfg uses."""
+    return pipeline._simulate_links(cfg, pipeline._stage_keys(config_echo(cfg)), 0)
 
 
 @pytest.fixture

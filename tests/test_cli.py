@@ -1,4 +1,5 @@
 import gc
+import marshal
 import math
 import os
 import resource
@@ -732,8 +733,13 @@ class TestCubeMemo:
 
     @pytest.mark.parametrize("mode", ["geometric", "fixed"])
     @pytest.mark.parametrize("first, sub, made", [
+        ("simulate", "simulate", {"SlowTimeCube": 3}),                     # copies of the held cubes
+        ("simulate", "ddmap", {"SlowTimeCube": 3, "subtract_dominant_paths": 3, "delay_doppler_map": 3}),
+        ("simulate", "localize", {"SlowTimeCube": 3, "subtract_dominant_paths": 3, "delay_doppler_map": 3}),
         ("clean", "ddmap", {"SlowTimeCube": 3, "delay_doppler_map": 3}),   # maps of copied residuals
-        ("ddmap", "localize", {}),                                         # the held maps as they are
+        ("clean", "localize", {"SlowTimeCube": 3, "delay_doppler_map": 3}),
+        ("ddmap", "ddmap", {}),                                            # the held maps as they are
+        ("ddmap", "localize", {}),
     ])
     def test_a_live_stage_archive_gives_the_same_outputs_from_that_stage(self, first, sub, made, mode, tmp_path,
                                                                          monkeypatch):
@@ -741,7 +747,9 @@ class TestCubeMemo:
         gc.collect()
         calls = self.count_calls(monkeypatch, *self.STAGES)
         expected = self.outputs(sub, cfg, tmp_path / "o")
-        assert calls["synth_cfr"] == calls["subtract_dominant_paths"] == calls["delay_doppler_map"] == 3
+        processed = 0 if sub == "simulate" else 3
+        assert calls["synth_cfr"] == 3 and calls["SlowTimeCube"] == 0
+        assert calls["subtract_dominant_paths"] == calls["delay_doppler_map"] == processed
         archive, _ = run(first, cfg, out_dir=tmp_path / "s")   # another outputs.directory
         calls.update(dict.fromkeys(calls, 0))
         assert self.outputs(sub, cfg, tmp_path / "o") == expected
@@ -767,12 +775,38 @@ class TestCubeMemo:
         assert calls == {**dict.fromkeys(self.STAGES, 0), "SlowTimeCube": 3, **made}
         assert [len(archive.datasets) for archive in kept] == [3, 3, 3]
 
+    @pytest.mark.parametrize("scene", [FULL_SCENE, ROTOR_SCENE], ids=["FULL_SCENE", "ROTOR_SCENE"])
+    def test_a_config_parsed_apart_has_the_same_stage_keys(self, scene):
+        # marshal version 2 records neither interning nor sharing (versions 3 and up do both): an
+        # echo with every string interned and equal lists shared keys the same as one with every
+        # string and list a new object
+        echo = config_echo(parse_config(yaml.safe_load(textwrap.dedent(scene))))
+
+        def shared(value, lists):
+            if isinstance(value, dict):
+                return {sys.intern(k): shared(v, lists) for k, v in value.items()}
+            if isinstance(value, list):
+                return lists.setdefault(repr(value), [shared(x, lists) for x in value])
+            return sys.intern(value) if isinstance(value, str) else value
+
+        def fresh(value):
+            if isinstance(value, dict):
+                return {fresh(k): fresh(v) for k, v in value.items()}
+            if isinstance(value, list):
+                return [fresh(x) for x in value]
+            return "".join(["", value]) if isinstance(value, str) else value
+
+        interned, rebuilt = shared(echo, {}), fresh(echo)
+        assert marshal.dumps(interned, 3) != marshal.dumps(rebuilt, 3)
+        assert pipeline._stage_keys(interned) == pipeline._stage_keys(rebuilt)
+
     def test_nothing_is_held_once_the_archive_goes(self, tmp_path, monkeypatch):
         cfg = parse_config(self.clean_2_doc("geometric"))
         kept = [run(sub, cfg, out_dir=tmp_path)[0] for sub in ("simulate", "clean", "ddmap")]
         keys = pipeline._stage_keys(kept[0].summary["config"])
-        held = [(key, i) for key, i in pipeline._HELD.keys() if key in keys]
-        assert sorted(held) == sorted((key, i) for key in keys for i in range(3))
+        held = [(key, name) for key, name in pipeline._HELD.keys() if key in keys]
+        assert sorted(held) == sorted((key, name) for key, archive in zip(keys, kept) for name in archive.datasets)
+        assert len(held) == 9
         del kept
         gc.collect()
         assert not any(entry in pipeline._HELD for entry in held)

@@ -676,6 +676,25 @@ class TestFrameInvariance:
         residual = estimates[0]["velocity_residual_rms_hz"] * np.sqrt(len(tx))
         assert np.linalg.norm(v1 - v0) <= 2 * pinv * da * (np.linalg.norm(v0) + pinv * residual)
 
+    def test_ddmap_and_localize_stay_with_a_time_shifted_scene(self, tmp_path):
+        """FULL_SCENE in fixed mode, noise as given, and shifted in time by SHIFT: every pose at
+        t0 = SHIFT is exact, so the cubes, the DD maps, every detection and localize's position
+        and velocity are the same bit for bit."""
+        doc = yaml.safe_load(textwrap.dedent(FULL_SCENE))
+        doc["mode"] = "fixed"
+        cfgs = [parse_config(doc), parse_config(self.moved(copy.deepcopy(doc), "shift"))]
+        maps, dets, estimates = [], [], []
+        for k, cfg in enumerate(cfgs):
+            archive = pipeline.run("ddmap", cfg, tmp_path / f"d{k}")[0]
+            maps.append([ds.values for ds in archive.datasets.values()])
+            dets.append([[(d["delay_s"], d["doppler_hz"], d["power_db"]) for d in link["detections"]]
+                         for link in archive.summary["results"].values()])
+            located = pipeline.run("localize", cfg, tmp_path / f"l{k}")[0].datasets
+            estimates.append([located[name].values for name in ("position", "velocity")])
+        assert len(maps[0]) == 3 and all(np.array_equal(a, b) for a, b in zip(*maps))
+        assert dets[0] == dets[1] and all(dets[0])
+        assert all(np.array_equal(a, b) for a, b in zip(*estimates))
+
 
 class TestIlluminationPaths:
     def test_direct_plus_bounces(self):
